@@ -15,8 +15,7 @@ import numpy as np
 from cocircular import (
     AuxiliaryFunctional,
     MassVector,
-    exclusion_by_group,
-    exclusion_by_swap,
+    exclusion_verdicts,
     verify_cc,
 )
 
@@ -60,8 +59,7 @@ def main(argv=None):
     print("-" * len(header))
     for label, raw in families(args.n_min, args.n_max, args.heavy):
         m = MassVector(raw)
-        group = exclusion_by_group(aux, m)
-        swap = exclusion_by_swap(aux, m)
+        group, swap = exclusion_verdicts(aux, m)
         rep = verify_cc(args.alpha, m, group.theta_m)
         best = group if group.margin >= swap.margin else swap
         print(f"{label:<16} {str(best.excluded).lower():>8} "

@@ -60,6 +60,7 @@ from .symmetry import (
     act_on_masses,
     exclusion_by_group,
     exclusion_by_swap,
+    exclusion_verdicts,
 )
 from .verifier import CCReport, verify_cc, verify_definition_cc
 
@@ -104,6 +105,7 @@ __all__ = [
     "criterion_verdict",
     "exclusion_by_group",
     "exclusion_by_swap",
+    "exclusion_verdicts",
     "f_k_value",
     "g_value",
     "grad_mass_f_k",

@@ -24,7 +24,7 @@ from .minimizer import minimize_f_k
 from .potential import AuxiliaryFunctional
 from .scanner import alpha_star, condition_threshold, g_value, scan_region
 from .spectral import circulant_spectrum
-from .symmetry import GroupElement, exclusion_by_group, exclusion_by_swap
+from .symmetry import GroupElement, exclusion_verdicts
 from .verifier import verify_cc
 
 
@@ -168,8 +168,7 @@ def _cmd_verify(cfg: RunConfig) -> str:
 def _cmd_exclude(cfg: RunConfig) -> str:
     alpha, masses, _ = _load_problem(cfg)
     aux = AuxiliaryFunctional(alpha, cfg.k_override)
-    group = exclusion_by_group(aux, masses)
-    swap = exclusion_by_swap(aux, masses)
+    group, swap = exclusion_verdicts(aux, masses)
     swap_json = _verdict_json(swap)
     swap_json["inconsistent"] = swap.inconsistent
     return _json({

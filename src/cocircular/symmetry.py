@@ -127,6 +127,91 @@ class ExclusionVerdict:
     inconsistent: bool = False
 
 
+def _mass_images(n: int) -> np.ndarray:
+    """Index rows of the 2n - 1 non-identity elements, in ``elements`` order.
+
+    ``m[rows[i]]`` is the image of m under element i + 1 of
+    :meth:`GroupElement.elements`: the reflection reverses the first n - 1
+    labels, then the shift by h rolls every label down by h, exactly as in
+    :func:`act_on_masses`.
+    """
+    idx = np.arange(n)
+    shifts = (idx[:, None] + idx[None, :]) % n
+    reflection = np.append(idx[-2::-1], n - 1)
+    return np.concatenate([shifts, reflection[shifts]])[1:]
+
+
+def _solve(aux: AuxiliaryFunctional, masses: MassVector):
+    """Minimizer, pair weights at it, and the stacked image differences g m - m."""
+    res = minimize_f_k(aux, masses)
+    w = pair_weight_matrix(aux, res.theta_m)
+    m = masses.masses
+    return res, w, m[_mass_images(masses.n)] - m
+
+
+def _group_scan(masses: MassVector, res: MinimizeResult, w: np.ndarray,
+                diffs: np.ndarray, margin_scale: float) -> ExclusionVerdict:
+    tol = margin_scale * abs(res.f_value)
+    n = masses.n
+    certificates = []
+    # one gemv per row: a batched einsum or gemm moves the last ulp of q
+    for i, d in enumerate(diffs, start=1):
+        if not d.any():
+            continue
+        q = 0.5 * float(d @ w @ d)
+        if q < -tol:
+            certificates.append((GroupElement(i % n, i // n, n), -q))
+    if certificates:
+        witness, margin = max(certificates, key=lambda c: c[1])
+        return ExclusionVerdict(True, witness, margin, tuple(certificates),
+                                res.f_value, res.theta_m, res)
+    return ExclusionVerdict(False, None, 0.0, (), res.f_value, res.theta_m, res)
+
+
+def _swap_scan(aux: AuxiliaryFunctional, masses: MassVector, res: MinimizeResult,
+               w: np.ndarray, diffs: np.ndarray, verify_tol: float) -> ExclusionVerdict:
+    m = masses.masses
+    j, k = np.triu_indices(masses.n, 1)
+    # Python's float ** 2 is C pow(), as numpy scalars compute it; np.square
+    # differs from it in the last ulp
+    squares = np.array([x ** 2 for x in (m[k] - m[j]).tolist()])
+    drops = (-squares * w[j, k]).tolist()
+    pairs = list(zip(j.tolist(), k.tolist()))
+    decreases = tuple(zip(pairs, drops))
+    # An image that differs from m in exactly two places is the swap of
+    # those two masses, since every image is a permutation of m.
+    moved = diffs != 0.0
+    swaps = {tuple(np.flatnonzero(row).tolist())
+             for row in moved[moved.sum(axis=1) == 2]}
+    drop_of = dict(decreases)
+    certificates = [(p, -drop_of[p]) for p in sorted(swaps)]
+    if certificates:
+        witness, margin = max(certificates, key=lambda c: c[1])
+        inconsistent = bool(
+            verify_cc(aux.alpha, masses, res.theta_m, verify_tol).is_cc
+        )
+        return ExclusionVerdict(True, witness, margin, tuple(certificates),
+                                res.f_value, res.theta_m, res,
+                                decreases, inconsistent)
+    return ExclusionVerdict(False, None, 0.0, (), res.f_value, res.theta_m,
+                            res, decreases, False)
+
+
+def exclusion_verdicts(aux: AuxiliaryFunctional, masses: MassVector, *,
+                       margin_scale: float = 1e-10, verify_tol: float = 1e-9
+                       ) -> tuple[ExclusionVerdict, ExclusionVerdict]:
+    """Group and swap verdicts from one minimization.
+
+    Returns ``(exclusion_by_group(...), exclusion_by_swap(...))`` with
+    the Newton solve and the pair weights computed once and shared. Both
+    scans work on the stacked (2n - 1) x n image differences, with O(n**2)
+    work per image.
+    """
+    res, w, diffs = _solve(aux, masses)
+    return (_group_scan(masses, res, w, diffs, margin_scale),
+            _swap_scan(aux, masses, res, w, diffs, verify_tol))
+
+
 def exclusion_by_group(aux: AuxiliaryFunctional, masses: MassVector, *,
                        margin_scale: float = 1e-10) -> ExclusionVerdict:
     """Scan all 2n relabelings for a certificate excluding these masses.
@@ -138,25 +223,7 @@ def exclusion_by_group(aux: AuxiliaryFunctional, masses: MassVector, *,
     weights at theta_m. Relabelings can never beat the minimum value, so
     q(g) < 0 for any g proves no such configuration exists.
     """
-    res = minimize_f_k(aux, masses)
-    w = pair_weight_matrix(aux, res.theta_m)
-    tol = margin_scale * abs(res.f_value)
-    m = masses.masses
-    certificates = []
-    for g in GroupElement.elements(masses.n):
-        if g.is_identity:
-            continue
-        d = act_on_masses(g, masses).masses - m
-        if not d.any():
-            continue
-        q = 0.5 * float(d @ w @ d)
-        if q < -tol:
-            certificates.append((g, -q))
-    if certificates:
-        witness, margin = max(certificates, key=lambda c: c[1])
-        return ExclusionVerdict(True, witness, margin, tuple(certificates),
-                                res.f_value, res.theta_m, res)
-    return ExclusionVerdict(False, None, 0.0, (), res.f_value, res.theta_m, res)
+    return _group_scan(masses, *_solve(aux, masses), margin_scale)
 
 
 def exclusion_by_swap(aux: AuxiliaryFunctional, masses: MassVector, *,
@@ -172,31 +239,4 @@ def exclusion_by_swap(aux: AuxiliaryFunctional, masses: MassVector, *,
     either way, and a certificate coexisting with a passing residual
     check is flagged inconsistent.
     """
-    res = minimize_f_k(aux, masses)
-    w = pair_weight_matrix(aux, res.theta_m)
-    m = masses.masses
-    n = masses.n
-    images = [act_on_masses(g, masses).masses
-              for g in GroupElement.elements(n) if not g.is_identity]
-    decreases = []
-    certificates = []
-    for j in range(n):
-        for k in range(j + 1, n):
-            drop = -((m[k] - m[j]) ** 2) * w[j, k]
-            decreases.append(((j, k), float(drop)))
-            if m[j] == m[k]:
-                continue
-            swapped = m.copy()
-            swapped[[j, k]] = swapped[[k, j]]
-            if any(np.array_equal(img, swapped) for img in images):
-                certificates.append(((j, k), float(-drop)))
-    if certificates:
-        witness, margin = max(certificates, key=lambda c: c[1])
-        inconsistent = bool(
-            verify_cc(aux.alpha, masses, res.theta_m, verify_tol).is_cc
-        )
-        return ExclusionVerdict(True, witness, margin, tuple(certificates),
-                                res.f_value, res.theta_m, res,
-                                tuple(decreases), inconsistent)
-    return ExclusionVerdict(False, None, 0.0, (), res.f_value, res.theta_m,
-                            res, tuple(decreases), False)
+    return _swap_scan(aux, masses, *_solve(aux, masses), verify_tol)

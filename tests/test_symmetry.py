@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cocircular import (
@@ -15,12 +15,14 @@ from cocircular import (
     act_on_masses,
     exclusion_by_group,
     exclusion_by_swap,
+    exclusion_verdicts,
     f_k_value,
     minimize_f_k,
     pair_weight_matrix,
     regular_ngon,
 )
 from conftest import ordered_angles, random_masses
+from reference_exclusion import reference_exclusion_by_group, reference_exclusion_by_swap
 
 
 def test_generator_actions_on_masses():
@@ -212,3 +214,38 @@ def test_action_validation():
         act_on_masses(GroupElement.shift(4), MassVector(np.ones(3)))
     with pytest.raises(DimensionError):
         act_on_angles(GroupElement.shift(4), regular_ngon(3))
+
+
+def _verdict_fields(v):
+    return (v.excluded, v.witness, v.margin, v.certificates, v.f_value,
+            v.swap_decreases, v.inconsistent)
+
+
+@st.composite
+def few_valued_masses(draw):
+    """n in 3..12 masses drawn from at most three values, so that images
+    of m coincide with mass swaps and both scans find certificates."""
+    n = draw(st.integers(3, 12))
+    palette = draw(st.lists(st.sampled_from([0.5, 1.0, 2.0, 3.0, 7.5]),
+                            min_size=1, max_size=3, unique=True))
+    return draw(st.lists(st.sampled_from(palette), min_size=n, max_size=n))
+
+
+@given(few_valued_masses(), st.sampled_from([0.5, 1.0, 3.0]))
+@settings(max_examples=150, deadline=None)
+@example([1.0, 1.0, 2.0], 1.0)
+@example([1.0, 2.0, 1.0, 1.0], 1.0)
+@example([1.0, 2.0, 1.0, 2.0], 3.0)
+@example([1.0, 1.0, 2.0, 1.0, 2.0], 1.0)
+def test_stacked_scans_match_reference_loops(raw, alpha):
+    aux = AuxiliaryFunctional(alpha)
+    m = MassVector(np.array(raw))
+    group, swap = exclusion_verdicts(aux, m)
+    ref_group = reference_exclusion_by_group(aux, m)
+    ref_swap = reference_exclusion_by_swap(aux, m)
+    # exact equality: certificates, their order, margins to the last bit
+    assert _verdict_fields(group) == _verdict_fields(ref_group)
+    assert _verdict_fields(swap) == _verdict_fields(ref_swap)
+    assert _verdict_fields(exclusion_by_group(aux, m)) == _verdict_fields(group)
+    assert _verdict_fields(exclusion_by_swap(aux, m)) == _verdict_fields(swap)
+    assert np.array_equal(group.theta_m.angles, swap.theta_m.angles)
