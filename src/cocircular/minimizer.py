@@ -98,7 +98,10 @@ def minimize_f_k(aux: AuxiliaryFunctional, masses: MassVector,
     """
     n = masses.n
     if init is None:
-        cfg = AngleConfiguration(TAU * np.arange(1, n + 1) / n)
+        t = TAU * np.arange(1, n + 1) / n
+        # 2*pi*n/n can round one ulp off 2*pi; the last angle is pinned
+        t[-1] = TAU
+        cfg = AngleConfiguration(t)
     else:
         if init.n != n:
             raise DomainError(f"init has {init.n} angles for {n} masses")

@@ -142,6 +142,16 @@ def test_exclude_equal_masses_negative(tmp_path, capsys):
     assert data["swap"]["certificates"] == []
 
 
+@pytest.mark.parametrize("n", [11, 13, 26])
+def test_exclude_and_minimize_at_unrounded_n(tmp_path, capsys, n):
+    # 2*pi*n/n is not 2*pi in floating point at these n
+    inp = write_json(tmp_path / "eq.json", {"alpha": 1.0, "masses": [1.0] * n})
+    assert main(["minimize", "--input", inp]) == 0
+    assert json.loads(capsys.readouterr().out)["angles"][-1] == TAU
+    assert main(["exclude", "--input", inp]) == 0
+    assert json.loads(capsys.readouterr().out)["excluded"] is False
+
+
 def test_spectrum_frozen(capsys):
     assert main(["spectrum", "--n", "4", "--alpha", "1"]) == 0
     assert capsys.readouterr().out == SPECTRUM_4

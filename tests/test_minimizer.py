@@ -29,6 +29,21 @@ def test_equal_masses_return_ngon():
                                        rtol=0, atol=1e-9)
 
 
+def test_default_start_is_pinned_for_every_n():
+    # 2*pi*n/n rounds past 2*pi at n = 13, 26, 47, ... and below it at
+    # n = 11, 15, 22, ...; the default start must stay pinned at both
+    for n in range(2, 301):
+        # at the tight k = 16 the two-body Hessian vanishes at the diameter
+        # and the positive-definite check refuses it, so n = 2 uses k = 17
+        aux = AuxiliaryFunctional(1.0, 17.0 if n == 2 else None)
+        res = minimize_f_k(aux, MassVector(np.ones(n)))
+        assert res.converged
+        assert res.theta_m.angles[-1] == TAU
+        np.testing.assert_allclose(res.theta_m.angles,
+                                   TAU * np.arange(1, n + 1) / n,
+                                   rtol=0, atol=1e-9)
+
+
 def test_one_heavy_triangle_frozen():
     aux = AuxiliaryFunctional(1.0, 16.0)
     res = minimize_f_k(aux, MassVector(np.array([1.0, 1.0, 2.0])))
