@@ -41,8 +41,10 @@ def _report(alpha, m, total_mass, sin_jk, r, center, tol):
     """Assemble a CCReport from precomputed pair data.
 
     ``sin_jk[k, j]`` must hold sin(t_j - t_k) and ``r`` the chord matrix
-    with a safe diagonal. Each residual group is compared against
-    tol * M**2 so the verdict tracks the scale of the mass vector.
+    with a safe diagonal. The tangential and radial residuals are linear
+    in the masses and are compared against tol * M; the center norm is
+    already divided by M and is compared against tol. The verdict is
+    therefore unchanged under m -> s m.
     """
     w_t = _pow(r, -(alpha + 2.0))
     np.fill_diagonal(w_t, 0.0)
@@ -52,8 +54,8 @@ def _report(alpha, m, total_mass, sin_jk, r, center, tol):
     radial = w_r @ m
     spread = float(np.max(radial) - np.min(radial))
     lam = float(np.mean(radial))
-    scaled = tol * total_mass ** 2
-    ok = tangential <= scaled and spread <= scaled and center <= scaled
+    scaled = tol * total_mass
+    ok = tangential <= scaled and spread <= scaled and center <= tol
     return CCReport(tangential, spread, center, lam, bool(ok), tol)
 
 

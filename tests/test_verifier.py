@@ -104,6 +104,64 @@ def test_tolerance_knob():
     assert verify_cc(1.0, m, cfg, tol=1.0).is_cc
 
 
+def test_verdict_ignores_mass_scale_on_squares():
+    square = regular_ngon(4)
+    tiny = MassVector(np.full(4, 1e-6))
+    assert verify_cc(1.0, tiny, square).is_cc
+    assert verify_definition_cc(1.0, tiny, square.positions()).is_cc
+    t = square.angles.copy()
+    t[0] += 1e-4
+    bent = AngleConfiguration(t)
+    heavy = MassVector(np.full(4, 1e5))
+    assert not verify_cc(1.0, heavy, bent).is_cc
+    assert not verify_definition_cc(1.0, heavy, bent.positions()).is_cc
+
+
+def _rotated(masses, config, phi):
+    """Rotate every angle by phi, wrap into (0, 2*pi] and relabel in order."""
+    t = np.mod(config.angles + phi, TAU)
+    t[t == 0.0] = TAU
+    order = np.argsort(t)
+    return MassVector(masses.masses[order]), AngleConfiguration(t[order])
+
+
+@st.composite
+def verdict_cases(draw):
+    """Configurations whose residuals sit far from the tolerance either way:
+    equal-mass polygons (is_cc), polygons bent by at least 1e-4 rad, and
+    random masses at random angles or at their minimizer (not is_cc)."""
+    n = draw(st.integers(3, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["polygon", "bent", "random", "minimizer"]))
+    alpha = draw(st.sampled_from([0.5, 1.0, 3.0]))
+    if kind == "polygon":
+        return alpha, MassVector(np.ones(n)), regular_ngon(n)
+    if kind == "bent":
+        t = regular_ngon(n).angles.copy()
+        t[rng.integers(n - 1)] += 10.0 ** rng.uniform(-4, -1)
+        return alpha, MassVector(np.ones(n)), AngleConfiguration(t)
+    m = random_masses(rng, n)
+    if kind == "random":
+        return alpha, m, ordered_angles(rng, n)
+    return alpha, m, minimize_f_k(AuxiliaryFunctional(alpha), m).theta_m
+
+
+# log10 of the mass scale: the ends of 1e-6..1e6 always, anything between
+LOG_SCALES = st.sampled_from([-6.0, 6.0]) | st.floats(-6.0, 6.0)
+
+
+@given(verdict_cases(), LOG_SCALES, st.floats(0.0, TAU))
+@settings(max_examples=100, deadline=None)
+def test_verdict_invariant_under_scale_and_rotation(case, log_s, phi):
+    alpha, m, cfg = case
+    base = verify_cc(alpha, m, cfg).is_cc
+    scaled = MassVector(10.0 ** log_s * m.masses)
+    assert verify_cc(alpha, scaled, cfg).is_cc == base
+    assert verify_definition_cc(alpha, scaled, cfg.positions()).is_cc == base
+    assert verify_cc(alpha, *_rotated(m, cfg, phi)).is_cc == base
+    assert verify_definition_cc(alpha, m, np.exp(1j * phi) * cfg.positions()).is_cc == base
+
+
 @given(st.integers(0, 2**32 - 1), st.integers(3, 7))
 @settings(max_examples=30, deadline=None)
 def test_residuals_invariant_under_relabeling(seed, n):
