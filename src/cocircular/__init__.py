@@ -17,6 +17,7 @@ from .errors import (
     KTooSmall,
     NoBracket,
     OracleScaleError,
+    RegionNotClosed,
     UnsupportedExponent,
 )
 from .geometry import (
@@ -90,6 +91,7 @@ __all__ = [
     "OracleScaleError",
     "PotentialReport",
     "RegionCell",
+    "RegionNotClosed",
     "UnsupportedExponent",
     "COLLISION_TOL",
     "TAU",

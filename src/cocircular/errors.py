@@ -44,5 +44,9 @@ class NoBracket(CocircularError):
     """No sign change found while bracketing a root."""
 
 
+class RegionNotClosed(CocircularError):
+    """A region scan holds at some n but fails at a smaller one."""
+
+
 class OracleScaleError(CocircularError):
     """Brute-force oracle refused: grid dimensionality too large."""

@@ -16,7 +16,8 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-from .errors import ConvergenceFailure, InvalidArity, NoBracket, UnsupportedExponent
+from .errors import (ConvergenceFailure, InvalidArity, NoBracket, RegionNotClosed,
+                     UnsupportedExponent)
 
 _ALPHA_SEED = 1.0 / 64.0
 _ALPHA_CAP = 64.0
@@ -79,8 +80,10 @@ def scan_region(n_values, alpha_grid, max_workers: int | None = None) -> list[Re
     # g grows with n, so per alpha the holding region is an initial segment
     for a in alphas:
         column = [c.holds for c in cells if c.alpha == a]
-        assert all(x or not y for x, y in zip(column, column[1:])), \
-            "condition failed to be downward closed in n"
+        if not all(x or not y for x, y in zip(column, column[1:])):
+            raise RegionNotClosed(
+                f"condition failed to be downward closed in n at alpha = {a}"
+            )
     return cells
 
 

@@ -1,12 +1,17 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cocircular
 from cocircular import (
     InvalidArity,
+    RegionNotClosed,
     UnsupportedExponent,
     alpha_star,
     condition_threshold,
@@ -80,6 +85,33 @@ def test_scan_region_dedups_and_sorts():
     assert [(c.n, c.alpha) for c in cells] == [
         (3, 0.5), (3, 1.0), (5, 0.5), (5, 1.0)
     ]
+
+
+def _holds_except_at_four(n, alpha):
+    return 10.0 if n == 4 else 0.0
+
+
+@pytest.mark.parametrize("workers", [None, 2])
+def test_scan_region_rejects_region_not_downward_closed(monkeypatch, workers):
+    monkeypatch.setattr("cocircular.scanner.g_value", _holds_except_at_four)
+    with pytest.raises(RegionNotClosed):
+        scan_region(range(3, 7), [1.0], max_workers=workers)
+
+
+def test_scan_region_check_survives_optimize_flag():
+    script = (
+        "import cocircular.scanner as s\n"
+        "s.g_value = lambda n, a: 10.0 if n == 4 else 0.0\n"
+        "try:\n"
+        "    s.scan_region(range(3, 7), [1.0])\n"
+        "except s.RegionNotClosed:\n"
+        "    print('raised')\n"
+    )
+    src = os.path.dirname(os.path.dirname(cocircular.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout == "raised\n"
 
 
 def test_alpha_star_frozen():
