@@ -176,8 +176,7 @@ def _swap_scan(aux: AuxiliaryFunctional, masses: MassVector, res: MinimizeResult
     # differs from it in the last ulp
     squares = np.array([x ** 2 for x in (m[k] - m[j]).tolist()])
     drops = (-squares * w[j, k]).tolist()
-    pairs = list(zip(j.tolist(), k.tolist()))
-    decreases = tuple(zip(pairs, drops))
+    decreases = tuple(zip(zip(j.tolist(), k.tolist()), drops))
     # An image that differs from m in exactly two places is the swap of
     # those two masses, since every image is a permutation of m.
     moved = diffs != 0.0
