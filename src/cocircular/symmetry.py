@@ -19,6 +19,11 @@ from .minimizer import MinimizeResult, minimize_f_k
 from .potential import AuxiliaryFunctional, pair_weight_matrix
 from .verifier import verify_cc
 
+# A group certificate needs q(g) < -MARGIN_SCALE * |f|; a swap certificate
+# is flagged inconsistent when verify_cc passes at VERIFY_TOL.
+MARGIN_SCALE = 1e-10
+VERIFY_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class GroupElement:
@@ -196,23 +201,22 @@ def _swap_scan(aux: AuxiliaryFunctional, masses: MassVector, res: MinimizeResult
                             res, decreases, False)
 
 
-def exclusion_verdicts(aux: AuxiliaryFunctional, masses: MassVector, *,
-                       margin_scale: float = 1e-10, verify_tol: float = 1e-9
+def exclusion_verdicts(aux: AuxiliaryFunctional, masses: MassVector
                        ) -> tuple[ExclusionVerdict, ExclusionVerdict]:
     """Group and swap verdicts from one minimization.
 
-    Returns ``(exclusion_by_group(...), exclusion_by_swap(...))`` with
-    the Newton solve and the pair weights computed once and shared. Both
-    scans work on the stacked (2n - 1) x n image differences, with O(n**2)
-    work per image.
+    Returns ``(exclusion_by_group(aux, masses), exclusion_by_swap(aux,
+    masses))`` at their default tolerances, with the Newton solve and the
+    pair weights computed once and shared. Both scans work on the stacked
+    (2n - 1) x n image differences, with O(n**2) work per image.
     """
     res, w, diffs = _solve(aux, masses)
-    return (_group_scan(masses, res, w, diffs, margin_scale),
-            _swap_scan(aux, masses, res, w, diffs, verify_tol))
+    return (_group_scan(masses, res, w, diffs, MARGIN_SCALE),
+            _swap_scan(aux, masses, res, w, diffs, VERIFY_TOL))
 
 
 def exclusion_by_group(aux: AuxiliaryFunctional, masses: MassVector, *,
-                       margin_scale: float = 1e-10) -> ExclusionVerdict:
+                       margin_scale: float = MARGIN_SCALE) -> ExclusionVerdict:
     """Scan all 2n relabelings for a certificate excluding these masses.
 
     If (m, theta_m) satisfied the central-configuration equations, the
@@ -226,7 +230,7 @@ def exclusion_by_group(aux: AuxiliaryFunctional, masses: MassVector, *,
 
 
 def exclusion_by_swap(aux: AuxiliaryFunctional, masses: MassVector, *,
-                      verify_tol: float = 1e-9) -> ExclusionVerdict:
+                      verify_tol: float = VERIFY_TOL) -> ExclusionVerdict:
     """Exclusion via pairwise mass swaps (0-based index pairs).
 
     Exchanging unequal masses j and k at the minimizer would change the

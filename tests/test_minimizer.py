@@ -44,6 +44,14 @@ def test_default_start_is_pinned_for_every_n():
                                    rtol=0, atol=1e-9)
 
 
+@pytest.mark.xfail(strict=True, raises=ConvergenceFailure,
+                   reason="two-body Hessian vanishes at the diameter at k = 16")
+def test_two_bodies_at_default_k():
+    res = minimize_f_k(AuxiliaryFunctional(1.0), MassVector(np.array([1.0, 3.0])))
+    assert res.converged
+    np.testing.assert_allclose(res.theta_m.angles, [np.pi, TAU], rtol=0, atol=1e-9)
+
+
 def test_one_heavy_triangle_frozen():
     aux = AuxiliaryFunctional(1.0, 16.0)
     res = minimize_f_k(aux, MassVector(np.array([1.0, 1.0, 2.0])))
