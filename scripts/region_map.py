@@ -23,12 +23,10 @@ def main(argv=None):
     ap.add_argument("--alpha-max", type=float, default=3.0)
     ap.add_argument("--alpha-steps", type=int, default=30)
     ap.add_argument("--csv", help="write grid cells here")
-    ap.add_argument("--threads", type=int, default=None)
     args = ap.parse_args(argv)
 
     alphas = np.linspace(args.alpha_min, args.alpha_max, args.alpha_steps)
-    cells = scan_region(range(args.n_min, args.n_max + 1), alphas,
-                        max_workers=args.threads)
+    cells = scan_region(range(args.n_min, args.n_max + 1), alphas)
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as fh:
             fh.write("n,alpha,g_value,threshold,holds\n")

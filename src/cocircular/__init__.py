@@ -16,7 +16,6 @@ from .errors import (
     InvalidArity,
     KTooSmall,
     NoBracket,
-    OracleScaleError,
     RegionNotClosed,
     UnsupportedExponent,
 )
@@ -48,7 +47,6 @@ from .spectral import (
     CirculantSpectrum,
     CriterionMatrix,
     CriterionVerdict,
-    InteractionMatrix,
     build_matrices,
     circulant_spectrum,
     criterion_verdict,
@@ -82,13 +80,11 @@ __all__ = [
     "DomainError",
     "ExclusionVerdict",
     "GroupElement",
-    "InteractionMatrix",
     "InvalidArity",
     "KTooSmall",
     "MassVector",
     "MinimizeResult",
     "NoBracket",
-    "OracleScaleError",
     "PotentialReport",
     "RegionCell",
     "RegionNotClosed",

@@ -5,16 +5,15 @@ Input configurations are JSON objects {"alpha": ..., "masses": [...]}
 with an optional "angles" array; outputs are JSON (or CSV for scan) with
 floats at 17 significant digits, byte-stable across identical runs. Exit
 codes: 0 on success, 2 for domain or input errors, 3 for convergence
-failures. COCIRCULAR_THREADS caps scan parallelism.
+failures.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,17 +43,6 @@ class RunConfig:
     n_min: int | None = None
     n_max: int | None = None
     format: str = "json"
-    threads: int = field(default_factory=lambda: _threads_from_env())
-
-
-def _threads_from_env() -> int:
-    raw = os.environ.get("COCIRCULAR_THREADS", "").strip()
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            raise DomainError(f"COCIRCULAR_THREADS must be an integer, got {raw!r}")
-    return os.cpu_count() or 1
 
 
 def _fmt(x: float) -> str:
@@ -196,8 +184,7 @@ def _cmd_scan(cfg: RunConfig) -> str:
         raise DomainError("scan needs --n-min, --n-max, and --alpha")
     if cfg.n_min > cfg.n_max:
         raise DomainError("--n-min must not exceed --n-max")
-    cells = scan_region(range(cfg.n_min, cfg.n_max + 1), cfg.alphas,
-                        max_workers=cfg.threads)
+    cells = scan_region(range(cfg.n_min, cfg.n_max + 1), cfg.alphas)
     if cfg.format == "json" and not cfg.csv_path:
         return _json([
             {"n": c.n, "alpha": c.alpha, "g_value": c.g_value,

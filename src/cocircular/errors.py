@@ -46,7 +46,3 @@ class NoBracket(CocircularError):
 
 class RegionNotClosed(CocircularError):
     """A region scan holds at some n but fails at a smaller one."""
-
-
-class OracleScaleError(CocircularError):
-    """Brute-force oracle refused: grid dimensionality too large."""

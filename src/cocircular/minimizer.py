@@ -76,6 +76,8 @@ def minimize_f_k(aux: AuxiliaryFunctional, masses: MassVector,
         Positive masses, length n >= 2.
     init : AngleConfiguration, optional
         Pinned interior starting point. Defaults to the regular n-gon.
+        Checked but not used at n = 2, where the minimizer is the
+        diameter (pi, 2*pi) in closed form.
     grad_tol : float
         Converged once the reduced gradient norm drops below
         grad_tol * max(1, |f|).
@@ -110,6 +112,15 @@ def minimize_f_k(aux: AuxiliaryFunctional, masses: MassVector,
         cfg = init.normalized()
         if cfg.min_gap() < COLLISION_TOL:
             raise DomainError("init is too close to a collision")
+    if n == 2:
+        # w(r) = r**-alpha + r**2/k falls strictly on (0, 2) for every
+        # k >= k_min, so the diameter is the unique minimizer. At k = k_min
+        # w'(2) = 0, the reduced Hessian there is zero, and the
+        # positive-definite check below could not certify it.
+        cfg = AngleConfiguration(np.array([TAU / 2.0, TAU]))
+        gnorm = float(abs(grad_theta_f_k(aux, masses, cfg)[0]))
+        return MinimizeResult(cfg, f_k_value(aux, masses, cfg), gnorm, 0, True,
+                              cfg.min_gap())
     x = cfg.angles[:-1].copy()
     fx = f_k_value(aux, masses, cfg)
     min_gap_seen = cfg.min_gap()

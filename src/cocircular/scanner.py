@@ -13,7 +13,6 @@ condition stops holding.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .errors import (ConvergenceFailure, InvalidArity, NoBracket, RegionNotClosed,
@@ -59,24 +58,19 @@ def condition_threshold(alpha: float) -> float:
     return 1.0 + alpha / 4.0
 
 
-def scan_region(n_values, alpha_grid, max_workers: int | None = None) -> list[RegionCell]:
+def scan_region(n_values, alpha_grid) -> list[RegionCell]:
     """Evaluate the condition over the (n, alpha) cross product.
 
-    Cells come back sorted by (n, alpha). Workers beyond one evaluate
-    cells in parallel without changing the output ordering.
+    Cells come back sorted by (n, alpha).
     """
     ns = sorted(set(int(n) for n in n_values))
     alphas = sorted(set(float(a) for a in alpha_grid))
-    tasks = [(n, a) for n in ns for a in alphas]
-    if max_workers and max_workers > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            values = list(pool.map(lambda t: g_value(*t), tasks))
-    else:
-        values = [g_value(n, a) for n, a in tasks]
-    cells = [
-        RegionCell(n, a, g, condition_threshold(a), g <= condition_threshold(a))
-        for (n, a), g in zip(tasks, values)
-    ]
+    cells = []
+    for n in ns:
+        for a in alphas:
+            g = g_value(n, a)
+            threshold = condition_threshold(a)
+            cells.append(RegionCell(n, a, g, threshold, g <= threshold))
     # g grows with n, so per alpha the holding region is an initial segment
     for a in alphas:
         column = [c.holds for c in cells if c.alpha == a]

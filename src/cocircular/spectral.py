@@ -1,4 +1,4 @@
-"""Interaction matrices, the quadratic expansion identity, and spectra.
+"""Criterion matrices, the quadratic expansion identity, and spectra.
 
 The pair-weight matrix W (zero diagonal) is the mass-space Hessian of the
 auxiliary functional: y^T W y / 2 reproduces the functional with y in
@@ -18,18 +18,12 @@ import numpy as np
 from .errors import DomainError, InvalidArity
 from .geometry import AngleConfiguration, MassVector, regular_ngon, TAU
 from .potential import AuxiliaryFunctional, f_k_value, pair_weight_matrix, u_beta
-
-
-@dataclass(frozen=True, eq=False)
-class InteractionMatrix:
-    """Pair weights r_jk**-alpha + r_jk**2/k, symmetric, zero diagonal."""
-
-    h: np.ndarray
+from .scanner import condition_threshold
 
 
 @dataclass(frozen=True, eq=False)
 class CriterionMatrix:
-    """Rank-one shift C J - H with the normalized potential alongside."""
+    """Rank-one shift C J - W with the normalized potential alongside."""
 
     hcal: np.ndarray
     u_ratio: float
@@ -67,16 +61,18 @@ class CirculantSpectrum:
 
 
 def build_matrices(aux: AuxiliaryFunctional, masses: MassVector,
-                   config: AngleConfiguration):
-    """Interaction and criterion matrices at one (m, t) point."""
+                   config: AngleConfiguration) -> CriterionMatrix:
+    """Criterion matrix C J - W at one (m, t) point.
+
+    W is ``pair_weight_matrix(aux, config)``.
+    """
     w = pair_weight_matrix(aux, config)
     u = u_beta(aux.alpha, masses, config)
     total = masses.total_mass
     c = 2.0 * u / total ** 2 + 2.0 / aux.k
     hcal = c * np.ones_like(w) - w
     u_ratio = 2.0 ** (aux.alpha + 1.0) * u / total ** 2
-    threshold = 1.0 + aux.alpha / 4.0
-    return InteractionMatrix(w), CriterionMatrix(hcal, u_ratio, threshold)
+    return CriterionMatrix(hcal, u_ratio, condition_threshold(aux.alpha))
 
 
 def taylor_identity_check(aux: AuxiliaryFunctional, masses_cc: MassVector,
@@ -108,7 +104,7 @@ def criterion_verdict(aux: AuxiliaryFunctional, masses: MassVector,
     satisfy the equations at the regular polygon, so the same condition
     is then an admissibility statement rather than an exclusion.
     """
-    _, cm = build_matrices(aux, masses, config)
+    cm = build_matrices(aux, masses, config)
     m = masses.masses
     weighted = np.outer(m, m) * cm.hcal
     eigs = np.linalg.eigvalsh(weighted)

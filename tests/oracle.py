@@ -1,4 +1,8 @@
-"""Slow, independent reference implementations used only by the tests."""
+"""Slow, independent reference implementations the tests compare against.
+
+A grid-search minimizer for n <= 5 and finite-difference derivatives; the
+package never imports this.
+"""
 
 from __future__ import annotations
 
@@ -6,12 +10,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, OracleScaleError
-from .geometry import TAU, AngleConfiguration, MassVector
-from .potential import AuxiliaryFunctional
+from cocircular import (TAU, AngleConfiguration, AuxiliaryFunctional,
+                        CocircularError, DomainError, MassVector)
 
 _EDGE = 1e-6
 _BOX_SHRINK = 4.0
+
+
+class OracleScaleError(CocircularError):
+    """Brute-force oracle refused: grid dimensionality too large."""
 
 
 @dataclass(frozen=True)

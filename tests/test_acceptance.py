@@ -32,7 +32,7 @@ from cocircular import (
     taylor_identity_check,
     verify_cc,
 )
-from cocircular.oracle import (
+from oracle import (
     brute_minimize,
     finite_difference_gradient,
     finite_difference_hessian,
@@ -239,7 +239,7 @@ def test_criterion_08_circulant_spectrum_and_criterion_matrix():
             if gap > 1e-10:
                 problems.append(f"spectrum gap {gap:.3e} (n={n}, alpha={alpha})")
             m = MassVector(np.ones(n))
-            _, cm = build_matrices(aux, m, regular_ngon(n))
+            cm = build_matrices(aux, m, regular_ngon(n))
             if cm.u_ratio <= cm.threshold:
                 eigs = np.linalg.eigvalsh(cm.hcal)
                 norm = max(abs(eigs[0]), abs(eigs[-1]))

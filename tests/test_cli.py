@@ -152,6 +152,18 @@ def test_exclude_and_minimize_at_unrounded_n(tmp_path, capsys, n):
     assert json.loads(capsys.readouterr().out)["excluded"] is False
 
 
+@pytest.mark.parametrize("masses", [[1.0, 1.0], [1.0, 3.0], [1.0, 1e4]])
+def test_exclude_and_minimize_two_bodies(tmp_path, capsys, masses):
+    # the tight default k makes the two-body Hessian vanish at the diameter
+    inp = write_json(tmp_path / "two.json", {"alpha": 1.0, "masses": masses})
+    assert main(["minimize", "--input", inp]) == 0
+    assert json.loads(capsys.readouterr().out)["angles"] == [np.pi, TAU]
+    assert main(["exclude", "--input", inp]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["theta_m"] == [np.pi, TAU]
+    assert data["excluded"] is (masses[0] != masses[1])
+
+
 def test_spectrum_frozen(capsys):
     assert main(["spectrum", "--n", "4", "--alpha", "1"]) == 0
     assert capsys.readouterr().out == SPECTRUM_4
@@ -193,14 +205,18 @@ def test_scan_multiple_alphas_sorted(capsys):
     assert alphas == [0.5, 1.0, 2.0]
 
 
-def test_scan_thread_count_does_not_change_bytes(monkeypatch, capsys):
+def test_scan_thread_count_does_not_change_bytes(tmp_path, monkeypatch, capsys):
+    # no command reads COCIRCULAR_THREADS, so no value of it changes a result
     argv = ["scan", "--n-min", "3", "--n-max", "12", "--alpha", "0.5", "1", "2"]
     main(argv)
     baseline = capsys.readouterr().out
-    for threads in ("1", "2", "5"):
+    for threads in ("1", "2", "5", "abc"):
         monkeypatch.setenv("COCIRCULAR_THREADS", threads)
         assert main(argv) == 0
         assert capsys.readouterr().out == baseline
+    inp = write_json(tmp_path / "m.json", M112)
+    assert main(["minimize", "--input", inp]) == 0
+    assert capsys.readouterr().out == MINIMIZE_112
 
 
 def test_alpha_star_frozen(capsys):
@@ -223,13 +239,6 @@ def test_exit_code_two_on_bad_input(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(sys, "stdin", io.StringIO('{"alpha":1,"masses":[1,-1]}'))
     assert main(["minimize", "--input", "-"]) == 2
     capsys.readouterr()
-
-
-def test_exit_code_two_on_bad_thread_env(monkeypatch, capsys):
-    monkeypatch.setenv("COCIRCULAR_THREADS", "abc")
-    code = main(["scan", "--n-min", "3", "--n-max", "5", "--alpha", "1"])
-    assert code == 2
-    assert "COCIRCULAR_THREADS" in capsys.readouterr().err
 
 
 def test_exit_code_three_on_convergence_failure(tmp_path, capsys):

@@ -11,6 +11,7 @@ from cocircular import (
     DomainError,
     MassVector,
     angles_from_reduced,
+    f_k_value,
     grad_theta_f_k,
     hessian_theta_f_k,
     minimize_f_k,
@@ -32,10 +33,8 @@ def test_equal_masses_return_ngon():
 def test_default_start_is_pinned_for_every_n():
     # 2*pi*n/n rounds past 2*pi at n = 13, 26, 47, ... and below it at
     # n = 11, 15, 22, ...; the default start must stay pinned at both
+    aux = AuxiliaryFunctional(1.0)
     for n in range(2, 301):
-        # at the tight k = 16 the two-body Hessian vanishes at the diameter
-        # and the positive-definite check refuses it, so n = 2 uses k = 17
-        aux = AuxiliaryFunctional(1.0, 17.0 if n == 2 else None)
         res = minimize_f_k(aux, MassVector(np.ones(n)))
         assert res.converged
         assert res.theta_m.angles[-1] == TAU
@@ -44,12 +43,19 @@ def test_default_start_is_pinned_for_every_n():
                                    rtol=0, atol=1e-9)
 
 
-@pytest.mark.xfail(strict=True, raises=ConvergenceFailure,
-                   reason="two-body Hessian vanishes at the diameter at k = 16")
-def test_two_bodies_at_default_k():
-    res = minimize_f_k(AuxiliaryFunctional(1.0), MassVector(np.array([1.0, 3.0])))
-    assert res.converged
-    np.testing.assert_allclose(res.theta_m.angles, [np.pi, TAU], rtol=0, atol=1e-9)
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0, 3.0])
+@pytest.mark.parametrize("raw", [[1.0, 1.0], [1.0, 3.0], [1.0, 1e4]])
+def test_two_bodies_at_default_k(raw, alpha):
+    # at the tight k the two-body Hessian vanishes at the diameter, which is
+    # still the unique minimizer; a start off the diameter must reach it too
+    aux = AuxiliaryFunctional(alpha)
+    m = MassVector(np.array(raw))
+    for init in (None, AngleConfiguration(np.array([1.0, TAU]))):
+        res = minimize_f_k(aux, m, init)
+        assert res.converged
+        assert np.array_equal(res.theta_m.angles, [np.pi, TAU])
+        assert res.f_value == f_k_value(aux, m, res.theta_m)
+        assert res.f_value < f_k_value(aux, m, AngleConfiguration(np.array([3.0, TAU])))
 
 
 def test_one_heavy_triangle_frozen():
@@ -148,8 +154,6 @@ def test_minimum_beats_random_competitors(seed, alpha, n):
     aux = AuxiliaryFunctional(alpha)
     m = random_masses(rng, n)
     res = minimize_f_k(aux, m)
-    from cocircular import f_k_value
-
     for _ in range(5):
         other = ordered_angles(rng, n)
         assert res.f_value <= f_k_value(aux, m, other) + 1e-10

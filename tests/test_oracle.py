@@ -5,13 +5,13 @@ from cocircular import (
     AuxiliaryFunctional,
     DomainError,
     MassVector,
-    OracleScaleError,
     f_k_value,
     minimize_f_k,
     regular_ngon,
 )
-from cocircular.oracle import (
+from oracle import (
     GridSpec,
+    OracleScaleError,
     brute_minimize,
     finite_difference_gradient,
     finite_difference_hessian,

@@ -22,7 +22,7 @@ from cocircular import (
     u_beta,
 )
 from cocircular.minimizer import angles_from_reduced, reduced_coordinates
-from cocircular.oracle import finite_difference_gradient, finite_difference_hessian
+from oracle import finite_difference_gradient, finite_difference_hessian
 from conftest import ordered_angles, random_masses
 
 TRIANGLE = regular_ngon(3)

@@ -74,12 +74,6 @@ def test_scan_region_edge_at_quadratic_exponent():
     assert not cells[5].holds  # g(5, 2) = 8/5 > 3/2
 
 
-def test_scan_region_parallel_matches_serial():
-    ns = range(3, 15)
-    alphas = [0.25, 0.5, 1.0, 1.5, 2.0, 3.0]
-    assert scan_region(ns, alphas, max_workers=3) == scan_region(ns, alphas)
-
-
 def test_scan_region_dedups_and_sorts():
     cells = scan_region([5, 3, 5], [1.0, 0.5, 1.0])
     assert [(c.n, c.alpha) for c in cells] == [
@@ -91,11 +85,10 @@ def _holds_except_at_four(n, alpha):
     return 10.0 if n == 4 else 0.0
 
 
-@pytest.mark.parametrize("workers", [None, 2])
-def test_scan_region_rejects_region_not_downward_closed(monkeypatch, workers):
+def test_scan_region_rejects_region_not_downward_closed(monkeypatch):
     monkeypatch.setattr("cocircular.scanner.g_value", _holds_except_at_four)
     with pytest.raises(RegionNotClosed):
-        scan_region(range(3, 7), [1.0], max_workers=workers)
+        scan_region(range(3, 7), [1.0])
 
 
 def test_scan_region_check_survives_optimize_flag():

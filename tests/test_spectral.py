@@ -26,9 +26,8 @@ def test_build_matrices_shift_structure():
     aux = AuxiliaryFunctional(1.0)
     m = MassVector(np.array([1.0, 2.0, 1.5, 0.5]))
     cfg = regular_ngon(4)
-    im, cm = build_matrices(aux, m, cfg)
+    cm = build_matrices(aux, m, cfg)
     w = pair_weight_matrix(aux, cfg)
-    assert np.array_equal(im.h, w)
     c = 2.0 * u_beta(1.0, m, cfg) / m.total_mass**2 + 2.0 / aux.k
     assert np.array_equal(cm.hcal, c * np.ones((4, 4)) - w)
     assert cm.threshold == 1.25
@@ -38,14 +37,14 @@ def test_criterion_matrix_annihilates_masses_at_ngon():
     for n in (3, 5, 8):
         aux = AuxiliaryFunctional(1.0)
         m = MassVector(np.ones(n))
-        _, cm = build_matrices(aux, m, regular_ngon(n))
+        cm = build_matrices(aux, m, regular_ngon(n))
         assert np.max(np.abs(cm.hcal @ m.masses)) < 1e-12
 
 
 def test_u_ratio_matches_ngon_normalized_potential():
     for n, alpha in ((3, 0.5), (6, 1.0), (9, 2.0), (12, 1.5)):
         aux = AuxiliaryFunctional(alpha)
-        _, cm = build_matrices(aux, MassVector(np.ones(n)), regular_ngon(n))
+        cm = build_matrices(aux, MassVector(np.ones(n)), regular_ngon(n))
         assert abs(cm.u_ratio - g_value(n, alpha)) < 1e-13
 
 
@@ -113,7 +112,7 @@ def test_criterion_spectrum_is_negated_tail():
     for n, alpha in ((5, 1.0), (8, 0.5)):
         aux = AuxiliaryFunctional(alpha)
         spec = circulant_spectrum(aux, n)
-        _, cm = build_matrices(aux, MassVector(np.ones(n)), regular_ngon(n))
+        cm = build_matrices(aux, MassVector(np.ones(n)), regular_ngon(n))
         got = np.sort(np.linalg.eigvalsh(cm.hcal))
         expected = np.sort(np.concatenate([[0.0], -spec.eigenvalues[1:]]))
         assert np.allclose(got, expected, atol=1e-10)
@@ -153,7 +152,6 @@ def test_mass_quadratic_reproduces_functional(seed, n):
     aux = AuxiliaryFunctional(1.0)
     cfg = ordered_angles(rng, n)
     y = random_masses(rng, n)
-    im, _ = build_matrices(aux, MassVector(np.ones(n)), cfg)
-    quad = 0.5 * y.masses @ im.h @ y.masses
+    quad = 0.5 * y.masses @ pair_weight_matrix(aux, cfg) @ y.masses
     direct = f_k_value(aux, y, cfg)
     assert abs(quad - direct) <= 1e-12 * max(1.0, abs(direct))

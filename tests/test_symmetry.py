@@ -249,3 +249,29 @@ def test_stacked_scans_match_reference_loops(raw, alpha):
     assert _verdict_fields(exclusion_by_group(aux, m)) == _verdict_fields(group)
     assert _verdict_fields(exclusion_by_swap(aux, m)) == _verdict_fields(swap)
     assert np.array_equal(group.theta_m.angles, swap.theta_m.angles)
+
+
+@st.composite
+def distinct_masses(draw):
+    n = draw(st.integers(3, 12))
+    return draw(st.lists(st.floats(0.5, 8.0), min_size=n, max_size=n,
+                         unique=True))
+
+
+def _excluded(aux, m):
+    group, swap = exclusion_verdicts(aux, m)
+    return group.excluded, swap.excluded, group.excluded or swap.excluded
+
+
+@given(st.one_of(few_valued_masses(), distinct_masses()),
+       st.sampled_from([0.5, 1.0, 3.0]), st.floats(-6.0, 6.0))
+@settings(max_examples=60, deadline=None)
+@example([1.0, 1.0, 2.0], 1.0, -6.0)
+@example([1.0, 2.0, 1.0, 2.0], 3.0, 6.0)
+def test_excluded_invariant_under_scaling_and_relabeling(raw, alpha, log_scale):
+    aux = AuxiliaryFunctional(alpha)
+    m = MassVector(np.array(raw))
+    verdict = _excluded(aux, m)
+    assert _excluded(aux, MassVector(10.0 ** log_scale * m.masses)) == verdict
+    for g in GroupElement.elements(m.n):
+        assert _excluded(aux, act_on_masses(g, m)) == verdict
