@@ -82,13 +82,20 @@ def _load_problem(cfg: RunConfig, need_angles: bool = False):
         raise DomainError('input needs an "alpha" value (or pass --alpha)')
     if "masses" not in data:
         raise DomainError('input needs a "masses" array')
-    masses = MassVector(np.asarray(data["masses"], dtype=float))
-    angles = None
-    if data.get("angles") is not None:
-        angles = AngleConfiguration(np.asarray(data["angles"], dtype=float))
+    angles = data.get("angles")
+    try:
+        alpha = float(alpha)
+        masses = np.asarray(data["masses"], dtype=float)
+        if angles is not None:
+            angles = np.asarray(angles, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DomainError(f"alpha, masses and angles must be numbers: {exc}") from None
+    masses = MassVector(masses)
+    if angles is not None:
+        angles = AngleConfiguration(angles)
     if need_angles and angles is None:
         raise DomainError('this command needs an "angles" array in the input')
-    return float(alpha), masses, angles
+    return alpha, masses, angles
 
 
 def _emit(cfg: RunConfig, text: str) -> None:

@@ -14,8 +14,8 @@ import numpy as np
 
 from .errors import ConvergenceFailure, DomainError
 from .geometry import COLLISION_TOL, TAU, AngleConfiguration, MassVector
-from .potential import (AuxiliaryFunctional, f_k_value, grad_theta_f_k,
-                        hessian_theta_f_k)
+from .potential import (AuxiliaryFunctional, _f_value, _grad_theta,
+                        _hessian_theta, _pair_frame, _pow)
 
 _ARMIJO = 1e-4
 _SHRINK = 0.5
@@ -96,8 +96,11 @@ def minimize_f_k(aux: AuxiliaryFunctional, masses: MassVector,
         If the tolerance is not met within ``max_iter`` steps; the last
         iterate rides along on the exception.
     DomainError
-        For an init outside the pinned interior domain.
+        For an init outside the pinned interior domain, or a negative or
+        NaN ``grad_tol``.
     """
+    if not grad_tol >= 0.0:
+        raise DomainError(f"grad_tol must be a nonnegative number, got {grad_tol}")
     n = masses.n
     if init is None:
         t = TAU * np.arange(1, n + 1) / n
@@ -118,19 +121,21 @@ def minimize_f_k(aux: AuxiliaryFunctional, masses: MassVector,
         # w'(2) = 0, the reduced Hessian there is zero, and the
         # positive-definite check below could not certify it.
         cfg = AngleConfiguration(np.array([TAU / 2.0, TAU]))
-        gnorm = float(abs(grad_theta_f_k(aux, masses, cfg)[0]))
-        return MinimizeResult(cfg, f_k_value(aux, masses, cfg), gnorm, 0, True,
-                              cfg.min_gap())
+    # one pair frame per point: an accepted trial's serves the next iteration
+    m, d, r = _pair_frame(masses, cfg)
+    fx = _f_value(aux, m, r)
+    if n == 2:
+        gnorm = float(abs(_grad_theta(aux, m, d, _pow(r, -(aux.alpha + 2.0)))[0]))
+        return MinimizeResult(cfg, fx, gnorm, 0, True, cfg.min_gap())
     x = cfg.angles[:-1].copy()
-    fx = f_k_value(aux, masses, cfg)
     min_gap_seen = cfg.min_gap()
     gnorm = np.inf
     for iteration in range(max_iter + 1):
-        grad = grad_theta_f_k(aux, masses, cfg)
-        gr = grad[:-1]
+        r_a2 = _pow(r, -(aux.alpha + 2.0))
+        gr = _grad_theta(aux, m, d, r_a2)[:-1]
+        hr = _hessian_theta(aux, m, d, r_a2)[:-1, :-1]
         gnorm = float(np.linalg.norm(gr))
         if gnorm <= grad_tol * max(1.0, abs(fx)):
-            hr = hessian_theta_f_k(aux, masses, cfg)[:-1, :-1]
             try:
                 np.linalg.cholesky(hr)
             except np.linalg.LinAlgError:
@@ -141,7 +146,6 @@ def minimize_f_k(aux: AuxiliaryFunctional, masses: MassVector,
             return MinimizeResult(cfg, fx, gnorm, iteration, True, min_gap_seen)
         if iteration == max_iter:
             break
-        hr = hessian_theta_f_k(aux, masses, cfg)[:-1, :-1]
         reg = _DIAG_REG * float(np.trace(hr)) / n
         try:
             step = np.linalg.solve(hr + reg * np.eye(n - 1), -gr)
@@ -155,7 +159,6 @@ def minimize_f_k(aux: AuxiliaryFunctional, masses: MassVector,
         # ulp slack keeps full Newton steps acceptable at the float floor,
         # where the predicted decrease is smaller than rounding in f
         slack = 4.0 * np.finfo(float).eps * abs(fx)
-        accepted = False
         while t > 1e-18:
             xt = x + t * step
             try:
@@ -163,17 +166,17 @@ def minimize_f_k(aux: AuxiliaryFunctional, masses: MassVector,
             except DomainError:
                 t *= _SHRINK
                 continue
-            ft = f_k_value(aux, masses, cfg_t)
+            _, d_t, r_t = _pair_frame(masses, cfg_t)
+            ft = _f_value(aux, m, r_t)
             if ft <= fx + _ARMIJO * t * slope + slack:
-                accepted = True
                 break
             t *= _SHRINK
-        if not accepted:
+        else:
             raise ConvergenceFailure(
                 "line search stalled",
                 MinimizeResult(cfg, fx, gnorm, iteration, False, min_gap_seen),
             )
-        x, cfg, fx = xt, cfg_t, ft
+        x, cfg, fx, d, r = xt, cfg_t, ft, d_t, r_t
         min_gap_seen = min(min_gap_seen, cfg.min_gap())
     raise ConvergenceFailure(
         f"no convergence within {max_iter} Newton steps",

@@ -31,6 +31,15 @@ def k_min(alpha: float) -> float:
     return 2.0 ** (3.0 + alpha) / alpha
 
 
+def _check_alpha(alpha) -> float:
+    """alpha as a float; UnsupportedExponent unless finite and positive."""
+    if not (isinstance(alpha, (int, float)) and math.isfinite(alpha)):
+        raise UnsupportedExponent("alpha must be a finite number")
+    if alpha <= 0.0:
+        raise UnsupportedExponent(f"alpha must be positive, got {alpha}")
+    return float(alpha)
+
+
 @dataclass(frozen=True)
 class AuxiliaryFunctional:
     """Exponent alpha > 0 plus the convexity constant k.
@@ -44,11 +53,7 @@ class AuxiliaryFunctional:
     k: float = None
 
     def __post_init__(self):
-        if not (isinstance(self.alpha, (int, float)) and math.isfinite(self.alpha)):
-            raise UnsupportedExponent("alpha must be a finite number")
-        if self.alpha <= 0.0:
-            raise UnsupportedExponent(f"alpha must be positive, got {self.alpha}")
-        object.__setattr__(self, "alpha", float(self.alpha))
+        object.__setattr__(self, "alpha", _check_alpha(self.alpha))
         threshold = k_min(self.alpha)
         if self.k is None:
             object.__setattr__(self, "k", threshold)
@@ -79,18 +84,61 @@ def _pow(base: np.ndarray, expo: float) -> np.ndarray:
     return base ** expo
 
 
-def _check_lengths(masses: MassVector, config: AngleConfiguration) -> None:
-    if masses.n != config.n:
-        raise DimensionError(f"{masses.n} masses but {config.n} angles")
-
-
-def _frames(masses, config):
-    """Masses, angle differences, and chords with a safe diagonal."""
-    _check_lengths(masses, config)
+def _chords(config):
+    """Validated chords of ``config`` with a safe diagonal of ones."""
     r = chord_matrix(config).r.copy()
     np.fill_diagonal(r, 1.0)
-    d = config.angles[:, None] - config.angles[None, :]
-    return masses.masses, d, r
+    return r
+
+
+def _pair_frame(masses, config):
+    """Pair frame of one point: masses, d[j, k] = t_j - t_k, and chords.
+
+    Every quantity at the point derives from it, so each point's chords
+    are built and validated once.
+    """
+    if masses.n != config.n:
+        raise DimensionError(f"{masses.n} masses but {config.n} angles")
+    return masses.masses, config.angles[:, None] - config.angles[None, :], _chords(config)
+
+
+def _u_sums(m, r, *betas):
+    """u_beta for each beta, over one upper-triangle gather of the frame."""
+    j, k = np.triu_indices(m.size, 1)
+    mm, rr = m[j] * m[k], r[j, k]
+    return [float(np.sum(mm * _pow(rr, -float(beta)))) for beta in betas]
+
+
+def _f_value(aux, m, r):
+    u_alpha, u_chord = _u_sums(m, r, aux.alpha, -2.0)
+    return u_alpha + u_chord / aux.k
+
+
+def _grad_theta(aux, m, d, r_a2):
+    """Angle gradient from the frame and r_a2 = r**-(alpha + 2)."""
+    w = aux.alpha * r_a2 - 2.0 / aux.k
+    np.fill_diagonal(w, 0.0)
+    # sin(t_j - t_k) = -sin(d[k, j])
+    return -(m * np.sum(m[None, :] * np.sin(d) * w, axis=1))
+
+
+def _hessian_theta(aux, m, d, r_a2):
+    """Angle Hessian from the frame and r_a2 = r**-(alpha + 2)."""
+    a = aux.alpha
+    c2 = np.cos(0.5 * d) ** 2
+    off = (m[:, None] * m[None, :]) * (
+        -a * (1.0 + a * c2) * r_a2 + (2.0 - 4.0 * c2) / aux.k
+    )
+    np.fill_diagonal(off, 0.0)
+    h = 0.5 * (off + off.T)  # fold any residual asymmetry
+    np.fill_diagonal(h, -np.sum(h, axis=1))
+    return h
+
+
+def _weights(aux, r):
+    w = _pow(r, -aux.alpha) + (r * r) / aux.k
+    np.fill_diagonal(w, 0.0)
+    return w
 
 
 def u_beta(beta: float, masses: MassVector, config: AngleConfiguration) -> float:
@@ -101,17 +149,15 @@ def u_beta(beta: float, masses: MassVector, config: AngleConfiguration) -> float
     """
     if beta == 0:
         raise UnsupportedExponent("beta = 0 (logarithmic potential) is not supported")
-    _check_lengths(masses, config)
-    r = chord_matrix(config).r
-    j, k = np.triu_indices(config.n, 1)
-    m = masses.masses
-    return float(np.sum(m[j] * m[k] * _pow(r[j, k], -float(beta))))
+    m, _, r = _pair_frame(masses, config)
+    return _u_sums(m, r, beta)[0]
 
 
 def f_k_value(aux: AuxiliaryFunctional, masses: MassVector,
               config: AngleConfiguration) -> float:
     """Auxiliary functional u_alpha + u_{-2}/k."""
-    return u_beta(aux.alpha, masses, config) + u_beta(-2.0, masses, config) / aux.k
+    m, _, r = _pair_frame(masses, config)
+    return _f_value(aux, m, r)
 
 
 def grad_theta_f_k(aux: AuxiliaryFunctional, masses: MassVector,
@@ -122,11 +168,8 @@ def grad_theta_f_k(aux: AuxiliaryFunctional, masses: MassVector,
     (alpha / r_jk**(alpha + 2) - 2/k). Pair contributions are equal and
     opposite, so the entries sum to zero up to roundoff.
     """
-    m, d, r = _frames(masses, config)
-    w = aux.alpha * _pow(r, -(aux.alpha + 2.0)) - 2.0 / aux.k
-    np.fill_diagonal(w, 0.0)
-    # sin(t_j - t_k) = -sin(d[k, j])
-    return -(m * np.sum(m[None, :] * np.sin(d) * w, axis=1))
+    m, d, r = _pair_frame(masses, config)
+    return _grad_theta(aux, m, d, _pow(r, -(aux.alpha + 2.0)))
 
 
 def hessian_theta_f_k(aux: AuxiliaryFunctional, masses: MassVector,
@@ -142,23 +185,15 @@ def hessian_theta_f_k(aux: AuxiliaryFunctional, masses: MassVector,
     entries, so rows sum to zero exactly. For k >= 2**(3 + alpha)/alpha
     every off-diagonal entry is <= 0.
     """
-    m, d, r = _frames(masses, config)
-    a = aux.alpha
-    c2 = np.cos(0.5 * d) ** 2
-    off = (m[:, None] * m[None, :]) * (
-        -a * (1.0 + a * c2) * _pow(r, -(a + 2.0)) + (2.0 - 4.0 * c2) / aux.k
-    )
-    np.fill_diagonal(off, 0.0)
-    h = 0.5 * (off + off.T)  # fold any residual asymmetry
-    np.fill_diagonal(h, -np.sum(h, axis=1))
-    return h
+    m, d, r = _pair_frame(masses, config)
+    return _hessian_theta(aux, m, d, _pow(r, -(aux.alpha + 2.0)))
 
 
 def grad_mass_f_k(aux: AuxiliaryFunctional, masses: MassVector,
                   config: AngleConfiguration) -> np.ndarray:
     """Mass gradient: entry k is sum_{j != k} m_j (r_jk**-alpha + r_jk**2/k)."""
-    _check_lengths(masses, config)
-    return pair_weight_matrix(aux, config) @ masses.masses
+    m, _, r = _pair_frame(masses, config)
+    return _weights(aux, r) @ m
 
 
 def pair_weight_matrix(aux: AuxiliaryFunctional,
@@ -169,19 +204,17 @@ def pair_weight_matrix(aux: AuxiliaryFunctional,
     real vector y, y^T W y / 2 equals the functional evaluated with y in
     place of the masses.
     """
-    r = chord_matrix(config).r.copy()
-    np.fill_diagonal(r, 1.0)
-    w = _pow(r, -aux.alpha) + (r * r) / aux.k
-    np.fill_diagonal(w, 0.0)
-    return w
+    return _weights(aux, _chords(config))
 
 
 def potential_report(aux: AuxiliaryFunctional, masses: MassVector,
                      config: AngleConfiguration) -> PotentialReport:
     """Bundle value, both gradients, and the angle Hessian."""
+    m, d, r = _pair_frame(masses, config)
+    r_a2 = _pow(r, -(aux.alpha + 2.0))
     return PotentialReport(
-        value=f_k_value(aux, masses, config),
-        grad_theta=grad_theta_f_k(aux, masses, config),
-        grad_mass=grad_mass_f_k(aux, masses, config),
-        hessian_theta=hessian_theta_f_k(aux, masses, config),
+        value=_f_value(aux, m, r),
+        grad_theta=_grad_theta(aux, m, d, r_a2),
+        grad_mass=_weights(aux, r) @ m,
+        hessian_theta=_hessian_theta(aux, m, d, r_a2),
     )

@@ -17,7 +17,8 @@ import numpy as np
 
 from .errors import DomainError, InvalidArity
 from .geometry import AngleConfiguration, MassVector, regular_ngon, TAU
-from .potential import AuxiliaryFunctional, f_k_value, pair_weight_matrix, u_beta
+from .potential import (AuxiliaryFunctional, _pair_frame, _u_sums, _weights,
+                        f_k_value, pair_weight_matrix)
 from .scanner import condition_threshold
 
 
@@ -64,10 +65,12 @@ def build_matrices(aux: AuxiliaryFunctional, masses: MassVector,
                    config: AngleConfiguration) -> CriterionMatrix:
     """Criterion matrix C J - W at one (m, t) point.
 
-    W is ``pair_weight_matrix(aux, config)``.
+    W is ``pair_weight_matrix(aux, config)``; it and u_alpha come from one
+    build of the chords.
     """
-    w = pair_weight_matrix(aux, config)
-    u = u_beta(aux.alpha, masses, config)
+    m, _, r = _pair_frame(masses, config)
+    w = _weights(aux, r)
+    u = _u_sums(m, r, aux.alpha)[0]
     total = masses.total_mass
     c = 2.0 * u / total ** 2 + 2.0 / aux.k
     hcal = c * np.ones_like(w) - w

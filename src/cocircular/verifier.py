@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CollisionError, DimensionError, DomainError, UnsupportedExponent
+from .errors import CollisionError, DimensionError, DomainError
 from .geometry import AngleConfiguration, MassVector, center_of_mass
-from .potential import _frames, _pow
+from .potential import _check_alpha, _pair_frame, _pow
 
 
 @dataclass(frozen=True, eq=False)
@@ -35,6 +35,14 @@ class CCReport:
     lambda_tilde: float
     is_cc: bool
     tolerance: float
+
+
+def _check_inputs(alpha, tol) -> float:
+    """alpha as a float once it and the tolerance pass their checks."""
+    alpha = _check_alpha(alpha)
+    if not tol >= 0.0:
+        raise DomainError(f"tol must be a nonnegative number, got {tol}")
+    return alpha
 
 
 def _report(alpha, m, total_mass, sin_jk, r, center, tol):
@@ -67,9 +75,8 @@ def verify_cc(alpha: float, masses: MassVector, config: AngleConfiguration,
     lambda_tilde = 2 u_alpha / M, the tangential sums vanish, and the
     center of mass sits at the circle center.
     """
-    if alpha <= 0.0:
-        raise UnsupportedExponent(f"alpha must be positive, got {alpha}")
-    m, d, r = _frames(masses, config)
+    alpha = _check_inputs(alpha, tol)
+    m, d, r = _pair_frame(masses, config)
     center = abs(center_of_mass(masses, config))
     # sin(t_j - t_k) = -sin(d[k, j])
     return _report(alpha, m, masses.total_mass, -np.sin(d), r, center, tol)
@@ -84,8 +91,7 @@ def verify_definition_cc(alpha: float, masses: MassVector, positions,
     force balance taken against each body's direction, so the report
     agrees with :func:`verify_cc` on matching inputs.
     """
-    if alpha <= 0.0:
-        raise UnsupportedExponent(f"alpha must be positive, got {alpha}")
+    alpha = _check_inputs(alpha, tol)
     q = np.asarray(positions, dtype=complex)
     if q.ndim != 1 or q.size != masses.n:
         raise DimensionError(f"{masses.n} masses but {q.size} positions")

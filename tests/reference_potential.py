@@ -1,0 +1,171 @@
+"""Reference potential: each quantity rebuilds its own chords.
+
+These are the straightforward bodies the package's shared pair frame
+replaces: u_beta builds the chords once per exponent, the gradient, the
+Hessian and W each build and validate them again, and the minimizer calls
+the public functions at every point. The tests compare the package with
+them bit for bit; the package never imports this.
+"""
+
+import numpy as np
+
+from cocircular import (
+    AngleConfiguration,
+    ConvergenceFailure,
+    CriterionMatrix,
+    DimensionError,
+    DomainError,
+    PotentialReport,
+    TAU,
+    UnsupportedExponent,
+    angles_from_reduced,
+    chord_matrix,
+    condition_threshold,
+)
+from cocircular.minimizer import (_ARMIJO, _BOUNDARY_FRACTION, _DIAG_REG,
+                                  _SHRINK, _max_feasible_step)
+
+
+def _pow(base, expo):
+    ei = int(round(expo))
+    if expo == ei and 0 < abs(ei) <= 4:
+        out = base
+        for _ in range(abs(ei) - 1):
+            out = out * base
+        return 1.0 / out if ei < 0 else out
+    return base ** expo
+
+
+def _check_lengths(masses, config):
+    if masses.n != config.n:
+        raise DimensionError(f"{masses.n} masses but {config.n} angles")
+
+
+def _frames(masses, config):
+    _check_lengths(masses, config)
+    r = chord_matrix(config).r.copy()
+    np.fill_diagonal(r, 1.0)
+    d = config.angles[:, None] - config.angles[None, :]
+    return masses.masses, d, r
+
+
+def u_beta(beta, masses, config):
+    if beta == 0:
+        raise UnsupportedExponent("beta = 0 (logarithmic potential) is not supported")
+    _check_lengths(masses, config)
+    r = chord_matrix(config).r
+    j, k = np.triu_indices(config.n, 1)
+    m = masses.masses
+    return float(np.sum(m[j] * m[k] * _pow(r[j, k], -float(beta))))
+
+
+def f_k_value(aux, masses, config):
+    return u_beta(aux.alpha, masses, config) + u_beta(-2.0, masses, config) / aux.k
+
+
+def grad_theta_f_k(aux, masses, config):
+    m, d, r = _frames(masses, config)
+    w = aux.alpha * _pow(r, -(aux.alpha + 2.0)) - 2.0 / aux.k
+    np.fill_diagonal(w, 0.0)
+    return -(m * np.sum(m[None, :] * np.sin(d) * w, axis=1))
+
+
+def hessian_theta_f_k(aux, masses, config):
+    m, d, r = _frames(masses, config)
+    a = aux.alpha
+    c2 = np.cos(0.5 * d) ** 2
+    off = (m[:, None] * m[None, :]) * (
+        -a * (1.0 + a * c2) * _pow(r, -(a + 2.0)) + (2.0 - 4.0 * c2) / aux.k
+    )
+    np.fill_diagonal(off, 0.0)
+    h = 0.5 * (off + off.T)
+    np.fill_diagonal(h, -np.sum(h, axis=1))
+    return h
+
+
+def grad_mass_f_k(aux, masses, config):
+    _check_lengths(masses, config)
+    return pair_weight_matrix(aux, config) @ masses.masses
+
+
+def pair_weight_matrix(aux, config):
+    r = chord_matrix(config).r.copy()
+    np.fill_diagonal(r, 1.0)
+    w = _pow(r, -aux.alpha) + (r * r) / aux.k
+    np.fill_diagonal(w, 0.0)
+    return w
+
+
+def potential_report(aux, masses, config):
+    return PotentialReport(
+        value=f_k_value(aux, masses, config),
+        grad_theta=grad_theta_f_k(aux, masses, config),
+        grad_mass=grad_mass_f_k(aux, masses, config),
+        hessian_theta=hessian_theta_f_k(aux, masses, config),
+    )
+
+
+def build_matrices(aux, masses, config):
+    w = pair_weight_matrix(aux, config)
+    u = u_beta(aux.alpha, masses, config)
+    total = masses.total_mass
+    c = 2.0 * u / total ** 2 + 2.0 / aux.k
+    hcal = c * np.ones_like(w) - w
+    u_ratio = 2.0 ** (aux.alpha + 1.0) * u / total ** 2
+    return CriterionMatrix(hcal, u_ratio, condition_threshold(aux.alpha))
+
+
+def minimize(aux, masses, grad_tol=1e-11, max_iter=200):
+    """Damped Newton from the default start: (angles, f, grad_norm, iterations)."""
+    n = masses.n
+    if n == 2:
+        cfg = AngleConfiguration(np.array([TAU / 2.0, TAU]))
+        gnorm = float(abs(grad_theta_f_k(aux, masses, cfg)[0]))
+        return cfg.angles, f_k_value(aux, masses, cfg), gnorm, 0
+    t = TAU * np.arange(1, n + 1) / n
+    t[-1] = TAU
+    cfg = AngleConfiguration(t)
+    x = cfg.angles[:-1].copy()
+    fx = f_k_value(aux, masses, cfg)
+    gnorm = np.inf
+    for iteration in range(max_iter + 1):
+        gr = grad_theta_f_k(aux, masses, cfg)[:-1]
+        gnorm = float(np.linalg.norm(gr))
+        if gnorm <= grad_tol * max(1.0, abs(fx)):
+            hr = hessian_theta_f_k(aux, masses, cfg)[:-1, :-1]
+            try:
+                np.linalg.cholesky(hr)
+            except np.linalg.LinAlgError:
+                raise ConvergenceFailure("reduced Hessian is not positive definite") from None
+            return cfg.angles, fx, gnorm, iteration
+        if iteration == max_iter:
+            break
+        hr = hessian_theta_f_k(aux, masses, cfg)[:-1, :-1]
+        reg = _DIAG_REG * float(np.trace(hr)) / n
+        try:
+            step = np.linalg.solve(hr + reg * np.eye(n - 1), -gr)
+        except np.linalg.LinAlgError:
+            step = -gr
+        slope = float(gr @ step)
+        if slope >= 0.0:
+            step = -gr
+            slope = -gnorm * gnorm
+        t = min(1.0, _BOUNDARY_FRACTION * _max_feasible_step(x, step))
+        slack = 4.0 * np.finfo(float).eps * abs(fx)
+        accepted = False
+        while t > 1e-18:
+            xt = x + t * step
+            try:
+                cfg_t = angles_from_reduced(xt)
+            except DomainError:
+                t *= _SHRINK
+                continue
+            ft = f_k_value(aux, masses, cfg_t)
+            if ft <= fx + _ARMIJO * t * slope + slack:
+                accepted = True
+                break
+            t *= _SHRINK
+        if not accepted:
+            raise ConvergenceFailure("line search stalled")
+        x, cfg, fx = xt, cfg_t, ft
+    raise ConvergenceFailure(f"no convergence within {max_iter} Newton steps")

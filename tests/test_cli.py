@@ -243,7 +243,8 @@ def test_exit_code_two_on_bad_input(tmp_path, capsys, monkeypatch):
 
 def test_exit_code_three_on_convergence_failure(tmp_path, capsys):
     inp = write_json(tmp_path / "m.json", M112)
-    assert main(["minimize", "--input", inp, "--tol", "-1"]) == 3
+    # a zero tolerance is valid but only an exactly vanishing gradient meets it
+    assert main(["minimize", "--input", inp, "--tol", "0"]) == 3
     assert "error:" in capsys.readouterr().err
 
 
@@ -259,3 +260,36 @@ def test_alpha_override_beats_input_file(tmp_path, capsys):
     data = json.loads(capsys.readouterr().out)
     assert data["alpha"] == 2
     assert data["k"] == 16  # tight constant 2**(3+alpha)/alpha at alpha = 2
+
+
+SQUARE = {"alpha": 1.0, "masses": [1.0] * 4,
+          "angles": [TAU / 4, TAU / 2, 3 * TAU / 4, TAU]}
+
+
+@pytest.mark.parametrize("command", ["minimize", "verify", "exclude"])
+@pytest.mark.parametrize("bad", [
+    {"alpha": "x"},
+    {"masses": ["a", 1, 2]},
+    {"masses": [[1, 2], [3]]},
+    {"angles": [1, "b", 3]},
+])
+def test_non_numeric_input_exits_two(tmp_path, capsys, command, bad):
+    inp = write_json(tmp_path / "bad.json", {**M112, "angles": [1.0, 2.0, TAU], **bad})
+    assert main([command, "--input", inp]) == 2
+    assert "must be numbers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("alpha", [float("nan"), float("inf")])
+def test_verify_rejects_non_finite_alpha(tmp_path, capsys, alpha):
+    inp = write_json(tmp_path / "sq.json", {**SQUARE, "alpha": alpha})
+    assert main(["verify", "--input", inp]) == 2
+    assert "alpha" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, payload", [("minimize", M112), ("verify", SQUARE)])
+@pytest.mark.parametrize("tol", ["-1", "nan"])
+def test_bad_tolerance_exits_two(tmp_path, capsys, command, payload, tol):
+    inp = write_json(tmp_path / "p.json", payload)
+    assert main([command, "--input", inp, "--tol", tol]) == 2
+    captured = capsys.readouterr()
+    assert "tol" in captured.err and captured.out == ""

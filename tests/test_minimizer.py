@@ -102,11 +102,17 @@ def test_convergence_failure_carries_last_iterate():
     aux = AuxiliaryFunctional(1.0)
     m = MassVector(np.array([1.0, 1.0, 2.0]))
     with pytest.raises(ConvergenceFailure) as exc:
-        minimize_f_k(aux, m, grad_tol=-1.0)  # unsatisfiable tolerance
+        minimize_f_k(aux, m, grad_tol=0.0)  # met only by a zero gradient
     result = exc.value.result
     assert result.converged is False
     assert result.iterations == 200
     assert result.theta_m.n == 3
+
+
+@pytest.mark.parametrize("grad_tol", [-1.0, float("nan")])
+def test_bad_grad_tol_is_a_domain_error(grad_tol):
+    with pytest.raises(DomainError):
+        minimize_f_k(AuxiliaryFunctional(1.0), MassVector(np.ones(3)), grad_tol=grad_tol)
 
 
 def test_solution_is_a_positive_definite_critical_point():

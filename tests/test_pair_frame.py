@@ -1,0 +1,111 @@
+"""The shared pair frame against the reference potential, bit for bit.
+
+Each (m, t) point builds its chords once and derives f, both gradients,
+the angle Hessian and W from them. ``reference_potential`` rebuilds the
+chords for every quantity; the arithmetic is the same, so every float
+must match exactly.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import cocircular.potential as potential
+import reference_potential as ref
+from cocircular import (
+    AuxiliaryFunctional,
+    MassVector,
+    build_matrices,
+    f_k_value,
+    grad_mass_f_k,
+    grad_theta_f_k,
+    hessian_theta_f_k,
+    k_min,
+    minimize_f_k,
+    pair_weight_matrix,
+    potential_report,
+    regular_ngon,
+    u_beta,
+)
+from conftest import ordered_angles, random_masses
+
+
+def _problem(seed, n, alpha, k_scale):
+    rng = np.random.default_rng(seed)
+    aux = AuxiliaryFunctional(alpha, k_scale * k_min(alpha))
+    masses = MassVector(10.0 ** rng.uniform(-3.0, 3.0, n))
+    return aux, masses, ordered_angles(rng, n)
+
+
+PROBLEMS = given(st.integers(0, 2**32 - 1), st.integers(2, 40),
+                 st.sampled_from([0.5, 1.0, 1.7, 3.0]), st.sampled_from([1.0, 4.0]))
+
+
+@PROBLEMS
+@settings(max_examples=80, deadline=None)
+def test_public_functions_match_reference(seed, n, alpha, k_scale):
+    aux, m, cfg = _problem(seed, n, alpha, k_scale)
+    for beta in (aux.alpha, -2.0, 1, 2.5):
+        assert u_beta(beta, m, cfg) == ref.u_beta(beta, m, cfg)
+    assert f_k_value(aux, m, cfg) == ref.f_k_value(aux, m, cfg)
+    for new, old in ((grad_theta_f_k, ref.grad_theta_f_k),
+                     (hessian_theta_f_k, ref.hessian_theta_f_k),
+                     (grad_mass_f_k, ref.grad_mass_f_k)):
+        assert np.array_equal(new(aux, m, cfg), old(aux, m, cfg))
+    assert np.array_equal(pair_weight_matrix(aux, cfg), ref.pair_weight_matrix(aux, cfg))
+    rep, rep_ref = potential_report(aux, m, cfg), ref.potential_report(aux, m, cfg)
+    assert rep.value == rep_ref.value
+    for field in ("grad_theta", "grad_mass", "hessian_theta"):
+        assert np.array_equal(getattr(rep, field), getattr(rep_ref, field))
+    cm, cm_ref = build_matrices(aux, m, cfg), ref.build_matrices(aux, m, cfg)
+    assert np.array_equal(cm.hcal, cm_ref.hcal)
+    assert (cm.u_ratio, cm.threshold) == (cm_ref.u_ratio, cm_ref.threshold)
+
+
+@PROBLEMS
+@settings(max_examples=60, deadline=None)
+def test_minimizer_matches_reference_loop(seed, n, alpha, k_scale):
+    aux, m, _ = _problem(seed, n, alpha, k_scale)
+    angles, f, gnorm, iterations = ref.minimize(aux, m)
+    res = minimize_f_k(aux, m)
+    assert np.array_equal(res.theta_m.angles, angles)
+    assert (res.f_value, res.grad_norm, res.iterations) == (f, gnorm, iterations)
+
+
+@pytest.fixture
+def chord_builds(monkeypatch):
+    """Count calls of the chord builder the pair frame uses."""
+    calls = []
+    build = potential.chord_matrix
+
+    def counting(config):
+        calls.append(config.n)
+        return build(config)
+
+    monkeypatch.setattr(potential, "chord_matrix", counting)
+    return calls
+
+
+def test_one_chord_build_per_report_and_criterion_matrix(chord_builds):
+    aux = AuxiliaryFunctional(1.0)
+    m = MassVector(np.array([1.0, 1.0, 2.0]))
+    potential_report(aux, m, regular_ngon(3))
+    assert len(chord_builds) == 1
+    build_matrices(aux, m, regular_ngon(3))
+    assert len(chord_builds) == 2
+
+
+@pytest.mark.parametrize("n, alpha, seed", [(3, 1.0, None)] + [
+    (n, alpha, seed) for n, alpha in ((64, 0.5), (256, 3.0)) for seed in range(4)
+])
+def test_minimizer_builds_chords_once_per_point(chord_builds, n, alpha, seed):
+    # every step of these solves is accepted at its first trial, so the
+    # points are the start plus one per iteration
+    if seed is None:
+        m = MassVector(np.array([1.0, 1.0, 2.0]))
+    else:
+        m = random_masses(np.random.default_rng(seed), n)
+    res = minimize_f_k(AuxiliaryFunctional(alpha), m)
+    assert res.converged
+    assert len(chord_builds) == res.iterations + 1

@@ -95,6 +95,25 @@ def test_definition_verifier_validation():
         verify_definition_cc(-1.0, m, regular_ngon(3).positions())
 
 
+@pytest.mark.parametrize("verify", ["angles", "positions"])
+def test_alpha_and_tolerance_checked_up_front(verify):
+    m = MassVector(np.ones(4))
+    square = regular_ngon(4)
+
+    def run(alpha, tol=1e-9):
+        if verify == "angles":
+            return verify_cc(alpha, m, square, tol)
+        return verify_definition_cc(alpha, m, square.positions(), tol)
+
+    for alpha in (float("nan"), float("inf"), 0.0, -1.0):
+        with pytest.raises(UnsupportedExponent):
+            run(alpha)
+    for tol in (float("nan"), -1.0):
+        with pytest.raises(DomainError):
+            run(1.0, tol)
+    assert run(1).is_cc  # an integer alpha still passes
+
+
 def test_tolerance_knob():
     t = regular_ngon(4).angles.copy()
     t[0] += 1e-6
