@@ -1,11 +1,14 @@
 """Command line front end.
 
 Subcommands: minimize, verify, exclude, spectrum, scan, alpha-star.
-Input configurations are JSON objects {"alpha": ..., "masses": [...]}
-with an optional "angles" array; outputs are JSON (or CSV for scan) with
-floats at 17 significant digits, byte-stable across identical runs. Exit
-codes: 0 on success, 2 for domain or input errors, 3 for convergence
-failures.
+``build_parser`` declares each subcommand once, with its flags, their
+defaults and its handler; a handler takes the parsed namespace and
+returns the text to write. Input configurations are JSON objects
+{"alpha": ..., "masses": [...]} with an optional "angles" array; outputs
+are JSON (or CSV for scan) with floats at 17 significant digits,
+byte-stable across identical runs. Exit codes: 0 on success, 2 for
+domain or input errors (argparse also exits 2 on a bad command line), 3
+for convergence failures.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,24 +27,6 @@ from .scanner import alpha_star, condition_threshold, g_value, scan_region
 from .spectral import circulant_spectrum
 from .symmetry import GroupElement, exclusion_verdicts
 from .verifier import verify_cc
-
-
-@dataclass
-class RunConfig:
-    """Parsed invocation; ``run`` turns one into an exit code."""
-
-    command: str
-    alpha: float | None = None
-    alphas: tuple = ()
-    k_override: float | None = None
-    input_path: str | None = None
-    output_path: str | None = None
-    csv_path: str | None = None
-    tol: float | None = None
-    n: int | None = None
-    n_min: int | None = None
-    n_max: int | None = None
-    format: str = "json"
 
 
 def _fmt(x: float) -> str:
@@ -67,17 +51,15 @@ def _json(value) -> str:
     raise TypeError(f"cannot serialize {type(value)!r}")
 
 
-def _load_problem(cfg: RunConfig, need_angles: bool = False):
-    if not cfg.input_path:
-        raise DomainError("this command needs --input")
-    if cfg.input_path == "-":
+def _load_problem(args: argparse.Namespace, need_angles: bool = False):
+    if args.input == "-":
         data = json.load(sys.stdin)
     else:
-        with open(cfg.input_path, "r", encoding="utf-8") as fh:
+        with open(args.input, "r", encoding="utf-8") as fh:
             data = json.load(fh)
     if not isinstance(data, dict):
         raise DomainError("input must be a JSON object")
-    alpha = cfg.alpha if cfg.alpha is not None else data.get("alpha")
+    alpha = args.alpha if args.alpha is not None else data.get("alpha")
     if alpha is None:
         raise DomainError('input needs an "alpha" value (or pass --alpha)')
     if "masses" not in data:
@@ -98,8 +80,9 @@ def _load_problem(cfg: RunConfig, need_angles: bool = False):
     return alpha, masses, angles
 
 
-def _emit(cfg: RunConfig, text: str) -> None:
-    path = cfg.csv_path or cfg.output_path
+def _emit(args: argparse.Namespace, text: str) -> None:
+    # only scan has --csv; it wins over --output
+    path = getattr(args, "csv", None) or args.output
     if path:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
@@ -126,11 +109,10 @@ def _verdict_json(v):
     }
 
 
-def _cmd_minimize(cfg: RunConfig) -> str:
-    alpha, masses, init = _load_problem(cfg)
-    aux = AuxiliaryFunctional(alpha, cfg.k_override)
-    result = minimize_f_k(aux, masses, init,
-                          grad_tol=cfg.tol if cfg.tol is not None else 1e-11)
+def _cmd_minimize(args: argparse.Namespace) -> str:
+    alpha, masses, init = _load_problem(args)
+    aux = AuxiliaryFunctional(alpha, args.k)
+    result = minimize_f_k(aux, masses, init, grad_tol=args.tol)
     return _json({
         "alpha": aux.alpha,
         "k": aux.k,
@@ -143,10 +125,9 @@ def _cmd_minimize(cfg: RunConfig) -> str:
     }) + "\n"
 
 
-def _cmd_verify(cfg: RunConfig) -> str:
-    alpha, masses, config = _load_problem(cfg, need_angles=True)
-    report = verify_cc(alpha, masses, config,
-                       tol=cfg.tol if cfg.tol is not None else 1e-9)
+def _cmd_verify(args: argparse.Namespace) -> str:
+    alpha, masses, config = _load_problem(args, need_angles=True)
+    report = verify_cc(alpha, masses, config, tol=args.tol)
     return _json({
         "alpha": alpha,
         "masses": masses.masses,
@@ -160,9 +141,9 @@ def _cmd_verify(cfg: RunConfig) -> str:
     }) + "\n"
 
 
-def _cmd_exclude(cfg: RunConfig) -> str:
-    alpha, masses, _ = _load_problem(cfg)
-    aux = AuxiliaryFunctional(alpha, cfg.k_override)
+def _cmd_exclude(args: argparse.Namespace) -> str:
+    alpha, masses, _ = _load_problem(args)
+    aux = AuxiliaryFunctional(alpha, args.k)
     group, swap = exclusion_verdicts(aux, masses)
     swap_json = _verdict_json(swap)
     swap_json["inconsistent"] = swap.inconsistent
@@ -178,21 +159,16 @@ def _cmd_exclude(cfg: RunConfig) -> str:
     }) + "\n"
 
 
-def _cmd_spectrum(cfg: RunConfig) -> str:
-    if cfg.n is None or cfg.alpha is None:
-        raise DomainError("spectrum needs --n and --alpha")
-    aux = AuxiliaryFunctional(cfg.alpha, cfg.k_override)
-    spec = circulant_spectrum(aux, cfg.n)
+def _cmd_spectrum(args: argparse.Namespace) -> str:
+    spec = circulant_spectrum(AuxiliaryFunctional(args.alpha, args.k), args.n)
     return _json(spec.eigenvalues) + "\n"
 
 
-def _cmd_scan(cfg: RunConfig) -> str:
-    if cfg.n_min is None or cfg.n_max is None or not cfg.alphas:
-        raise DomainError("scan needs --n-min, --n-max, and --alpha")
-    if cfg.n_min > cfg.n_max:
+def _cmd_scan(args: argparse.Namespace) -> str:
+    if args.n_min > args.n_max:
         raise DomainError("--n-min must not exceed --n-max")
-    cells = scan_region(range(cfg.n_min, cfg.n_max + 1), cfg.alphas)
-    if cfg.format == "json" and not cfg.csv_path:
+    cells = scan_region(range(args.n_min, args.n_max + 1), args.alpha)
+    if args.format == "json" and not args.csv:
         return _json([
             {"n": c.n, "alpha": c.alpha, "g_value": c.g_value,
              "threshold": c.threshold, "holds": c.holds}
@@ -207,36 +183,17 @@ def _cmd_scan(cfg: RunConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_alpha_star(cfg: RunConfig) -> str:
-    if cfg.n is None:
-        raise DomainError("alpha-star needs --n")
-    tol = cfg.tol if cfg.tol is not None else 1e-12
-    root = alpha_star(cfg.n, tol)
-    g = g_value(cfg.n, root)
+def _cmd_alpha_star(args: argparse.Namespace) -> str:
+    root = alpha_star(args.n, args.tol)
+    g = g_value(args.n, root)
     return _json({
-        "n": cfg.n,
+        "n": args.n,
         "alpha_star": root,
         "g_value": g,
         "threshold": condition_threshold(root),
         "residual": abs(g - condition_threshold(root)),
-        "tolerance": tol,
+        "tolerance": args.tol,
     }) + "\n"
-
-
-_COMMANDS = {
-    "minimize": _cmd_minimize,
-    "verify": _cmd_verify,
-    "exclude": _cmd_exclude,
-    "spectrum": _cmd_spectrum,
-    "scan": _cmd_scan,
-    "alpha-star": _cmd_alpha_star,
-}
-
-
-def run(cfg: RunConfig) -> int:
-    """Execute one parsed invocation and return its exit code."""
-    _emit(cfg, _COMMANDS[cfg.command](cfg))
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -247,77 +204,60 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+    def add(name, handler, help):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(handler=handler)
         p.add_argument("--output", help="write the result here instead of stdout")
         return p
 
-    p = add("minimize", help="minimize the auxiliary functional")
+    p = add("minimize", _cmd_minimize, "minimize the auxiliary functional")
     p.add_argument("--input", required=True, help="JSON problem file ('-' for stdin)")
     p.add_argument("--alpha", type=float, help="override the input file's alpha")
     p.add_argument("--k", type=float, help="convexity constant (default tight)")
-    p.add_argument("--tol", type=float, help="relative gradient tolerance")
+    p.add_argument("--tol", type=float, default=1e-11,
+                   help="relative gradient tolerance (default %(default)s)")
 
-    p = add("verify", help="check the central-configuration equations")
+    p = add("verify", _cmd_verify, "check the central-configuration equations")
     p.add_argument("--input", required=True)
     p.add_argument("--alpha", type=float)
-    p.add_argument("--tol", type=float, help="residual tolerance (default 1e-9)")
+    p.add_argument("--tol", type=float, default=1e-9,
+                   help="residual tolerance (default %(default)s)")
 
-    p = add("exclude", help="symmetry-based exclusion scan")
+    p = add("exclude", _cmd_exclude, "symmetry-based exclusion scan")
     p.add_argument("--input", required=True)
     p.add_argument("--alpha", type=float)
     p.add_argument("--k", type=float)
 
-    p = add("spectrum", help="circulant spectrum at the regular n-gon")
+    p = add("spectrum", _cmd_spectrum, "circulant spectrum at the regular n-gon")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--k", type=float)
 
-    p = add("scan", help="scan the uniqueness condition over (n, alpha)")
+    p = add("scan", _cmd_scan, "scan the uniqueness condition over (n, alpha)")
     p.add_argument("--n-min", type=int, required=True)
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--alpha", type=float, nargs="+", required=True)
     p.add_argument("--csv", help="write CSV here")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
-    p = add("alpha-star", help="critical exponent for one n")
+    p = add("alpha-star", _cmd_alpha_star, "critical exponent for one n")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--tol", type=float, help="bisection residual (default 1e-12)")
+    p.add_argument("--tol", type=float, default=1e-12,
+                   help="bisection residual (default %(default)s)")
     return parser
-
-
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    alphas = ()
-    alpha = getattr(args, "alpha", None)
-    if args.command == "scan":
-        alphas = tuple(alpha or ())
-        alpha = None
-    return RunConfig(
-        command=args.command,
-        alpha=alpha,
-        alphas=alphas,
-        k_override=getattr(args, "k", None),
-        input_path=getattr(args, "input", None),
-        output_path=getattr(args, "output", None),
-        csv_path=getattr(args, "csv", None),
-        tol=getattr(args, "tol", None),
-        n=getattr(args, "n", None),
-        n_min=getattr(args, "n_min", None),
-        n_max=getattr(args, "n_max", None),
-        format=getattr(args, "format", "json"),
-    )
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return run(config_from_args(args))
+        _emit(args, args.handler(args))
     except ConvergenceFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (CocircularError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 if __name__ == "__main__":

@@ -22,13 +22,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, KTooSmall, UnsupportedExponent
+from .errors import DimensionError, DomainError, KTooSmall, UnsupportedExponent
 from .geometry import AngleConfiguration, MassVector, chord_matrix
 
 
 def k_min(alpha: float) -> float:
     """Smallest admissible convexity constant, 2**(3 + alpha)/alpha."""
-    return 2.0 ** (3.0 + alpha) / alpha
+    try:
+        return 2.0 ** (3.0 + alpha) / alpha
+    except OverflowError:
+        raise UnsupportedExponent(
+            f"2**(3 + alpha)/alpha overflows at alpha = {alpha}") from None
 
 
 def _check_alpha(alpha) -> float:
@@ -59,6 +63,8 @@ class AuxiliaryFunctional:
             object.__setattr__(self, "k", threshold)
         elif not (self.k >= threshold):
             raise KTooSmall(f"k = {self.k} is below 2**(3 + alpha)/alpha = {threshold}")
+        elif self.k == math.inf:
+            raise DomainError("k must be finite")
         else:
             object.__setattr__(self, "k", float(self.k))
 

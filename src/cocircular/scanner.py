@@ -15,8 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import (ConvergenceFailure, InvalidArity, NoBracket, RegionNotClosed,
-                     UnsupportedExponent)
+from .errors import (ConvergenceFailure, DomainError, InvalidArity, NoBracket,
+                     RegionNotClosed, UnsupportedExponent)
 
 _ALPHA_SEED = 1.0 / 64.0
 _ALPHA_CAP = 64.0
@@ -46,9 +46,14 @@ def g_value(n: int, alpha: float) -> float:
         raise UnsupportedExponent(f"alpha must be positive, got {alpha}")
     a_int = int(alpha) if float(alpha).is_integer() and alpha <= 4 else 0
     total = 0.0
-    for j in range(1, (n - 1) // 2 + 1):
-        s = math.sin(j * math.pi / n)
-        total += 2.0 * ((1.0 / s) ** a_int if a_int else s ** -alpha)
+    try:
+        for j in range(1, (n - 1) // 2 + 1):
+            s = math.sin(j * math.pi / n)
+            total += 2.0 * ((1.0 / s) ** a_int if a_int else s ** -alpha)
+    except OverflowError:
+        total = math.inf
+    if total == math.inf:
+        raise UnsupportedExponent(f"g(n, alpha) overflows at n = {n}, alpha = {alpha}")
     if n % 2 == 0:
         total += 1.0
     return total / n
@@ -89,6 +94,8 @@ def alpha_star(n: int, tol: float = 1e-12) -> float:
     """
     if n < 3:
         raise InvalidArity(f"need n >= 3 bodies, got {n}")
+    if not tol >= 0.0:
+        raise DomainError(f"tol must be a nonnegative number, got {tol}")
 
     def psi(a: float) -> float:
         return g_value(n, a) - condition_threshold(a)

@@ -15,10 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InvalidArity
+from .errors import DimensionError, DomainError, InvalidArity
 from .geometry import AngleConfiguration, MassVector, regular_ngon, TAU
-from .potential import (AuxiliaryFunctional, _pair_frame, _u_sums, _weights,
-                        f_k_value, pair_weight_matrix)
+from .potential import (AuxiliaryFunctional, _f_value, _pair_frame, _u_sums,
+                        _weights, pair_weight_matrix)
 from .scanner import condition_threshold
 
 
@@ -85,16 +85,20 @@ def taylor_identity_check(aux: AuxiliaryFunctional, masses_cc: MassVector,
 
     For sum-preserving y the first-order term drops (the mass gradient is
     constant there), leaving f(y) - f(m) = (y - m)^T W (y - m) / 2; the
-    returned value is the absolute defect of that identity.
+    returned value is the absolute defect of that identity. W and both
+    values come from one build of the chords.
     """
+    if y.n != masses_cc.n:
+        raise DimensionError(f"{y.n} masses in y but {masses_cc.n} at the solution")
     total = masses_cc.total_mass
     if abs(y.total_mass - total) > 1e-9 * max(1.0, total):
         raise DomainError(
             f"sum mismatch: {y.total_mass} versus {total}"
         )
-    w = pair_weight_matrix(aux, config_cc)
-    d = y.masses - masses_cc.masses
-    lhs = f_k_value(aux, y, config_cc) - f_k_value(aux, masses_cc, config_cc)
+    m, _, r = _pair_frame(masses_cc, config_cc)
+    w = _weights(aux, r)
+    d = y.masses - m
+    lhs = _f_value(aux, y.masses, r) - _f_value(aux, m, r)
     return float(abs(lhs - 0.5 * (d @ w @ d)))
 
 

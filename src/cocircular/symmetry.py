@@ -155,8 +155,8 @@ def _solve(aux: AuxiliaryFunctional, masses: MassVector):
 
 
 def _group_scan(masses: MassVector, res: MinimizeResult, w: np.ndarray,
-                diffs: np.ndarray, margin_scale: float) -> ExclusionVerdict:
-    tol = margin_scale * abs(res.f_value)
+                diffs: np.ndarray) -> ExclusionVerdict:
+    tol = MARGIN_SCALE * abs(res.f_value)
     n = masses.n
     certificates = []
     # one gemv per row: a batched einsum or gemm moves the last ulp of q
@@ -174,7 +174,7 @@ def _group_scan(masses: MassVector, res: MinimizeResult, w: np.ndarray,
 
 
 def _swap_scan(aux: AuxiliaryFunctional, masses: MassVector, res: MinimizeResult,
-               w: np.ndarray, diffs: np.ndarray, verify_tol: float) -> ExclusionVerdict:
+               w: np.ndarray, diffs: np.ndarray) -> ExclusionVerdict:
     m = masses.masses
     j, k = np.triu_indices(masses.n, 1)
     # Python's float ** 2 is C pow(), as numpy scalars compute it; np.square
@@ -192,7 +192,7 @@ def _swap_scan(aux: AuxiliaryFunctional, masses: MassVector, res: MinimizeResult
     if certificates:
         witness, margin = max(certificates, key=lambda c: c[1])
         inconsistent = bool(
-            verify_cc(aux.alpha, masses, res.theta_m, verify_tol).is_cc
+            verify_cc(aux.alpha, masses, res.theta_m, VERIFY_TOL).is_cc
         )
         return ExclusionVerdict(True, witness, margin, tuple(certificates),
                                 res.f_value, res.theta_m, res,
@@ -206,17 +206,17 @@ def exclusion_verdicts(aux: AuxiliaryFunctional, masses: MassVector
     """Group and swap verdicts from one minimization.
 
     Returns ``(exclusion_by_group(aux, masses), exclusion_by_swap(aux,
-    masses))`` at their default tolerances, with the Newton solve and the
-    pair weights computed once and shared. Both scans work on the stacked
-    (2n - 1) x n image differences, with O(n**2) work per image.
+    masses))``, with the Newton solve and the pair weights computed once
+    and shared. Both scans work on the stacked (2n - 1) x n image
+    differences, with O(n**2) work per image.
     """
     res, w, diffs = _solve(aux, masses)
-    return (_group_scan(masses, res, w, diffs, MARGIN_SCALE),
-            _swap_scan(aux, masses, res, w, diffs, VERIFY_TOL))
+    return (_group_scan(masses, res, w, diffs),
+            _swap_scan(aux, masses, res, w, diffs))
 
 
-def exclusion_by_group(aux: AuxiliaryFunctional, masses: MassVector, *,
-                       margin_scale: float = MARGIN_SCALE) -> ExclusionVerdict:
+def exclusion_by_group(aux: AuxiliaryFunctional, masses: MassVector
+                       ) -> ExclusionVerdict:
     """Scan all 2n relabelings for a certificate excluding these masses.
 
     If (m, theta_m) satisfied the central-configuration equations, the
@@ -226,11 +226,11 @@ def exclusion_by_group(aux: AuxiliaryFunctional, masses: MassVector, *,
     weights at theta_m. Relabelings can never beat the minimum value, so
     q(g) < 0 for any g proves no such configuration exists.
     """
-    return _group_scan(masses, *_solve(aux, masses), margin_scale)
+    return _group_scan(masses, *_solve(aux, masses))
 
 
-def exclusion_by_swap(aux: AuxiliaryFunctional, masses: MassVector, *,
-                      verify_tol: float = VERIFY_TOL) -> ExclusionVerdict:
+def exclusion_by_swap(aux: AuxiliaryFunctional, masses: MassVector
+                      ) -> ExclusionVerdict:
     """Exclusion via pairwise mass swaps (0-based index pairs).
 
     Exchanging unequal masses j and k at the minimizer would change the
@@ -242,4 +242,4 @@ def exclusion_by_swap(aux: AuxiliaryFunctional, masses: MassVector, *,
     either way, and a certificate coexisting with a passing residual
     check is flagged inconsistent.
     """
-    return _swap_scan(aux, masses, *_solve(aux, masses), verify_tol)
+    return _swap_scan(aux, masses, *_solve(aux, masses))

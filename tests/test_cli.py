@@ -183,6 +183,16 @@ def test_scan_csv_file(tmp_path, capsys):
     assert out.read_text(encoding="utf-8") == SCAN_CSV
 
 
+def test_scan_output_flag_writes_csv_by_default(tmp_path, capsys):
+    # no --format: argparse's default is the only source of "csv"
+    out = tmp_path / "cells.csv"
+    code = main(["scan", "--n-min", "3", "--n-max", "6", "--alpha", "1",
+                 "--output", str(out)])
+    assert code == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_text(encoding="utf-8") == SCAN_CSV
+
+
 def test_scan_json_format(capsys):
     code = main(["scan", "--n-min", "3", "--n-max", "4", "--alpha", "1",
                  "--format", "json"])
@@ -293,3 +303,53 @@ def test_bad_tolerance_exits_two(tmp_path, capsys, command, payload, tol):
     assert main([command, "--input", inp, "--tol", tol]) == 2
     captured = capsys.readouterr()
     assert "tol" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("tol", ["-1", "nan"])
+def test_alpha_star_bad_tolerance_exits_two(capsys, tol):
+    assert main(["alpha-star", "--n", "6", "--tol", tol]) == 2
+    captured = capsys.readouterr()
+    assert "tol" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["minimize", "--alpha", "2000"],
+    ["exclude", "--alpha", "2000"],
+    ["spectrum", "--n", "4", "--alpha", "2000"],
+    ["scan", "--n-min", "3", "--n-max", "300", "--alpha", "2000"],
+    ["minimize", "--k", "inf"],
+    ["exclude", "--k", "inf"],
+], ids=" ".join)
+def test_overflowing_alpha_or_infinite_k_exits_two(tmp_path, capsys, argv):
+    # 2**(3 + alpha) and csc**alpha overflow a double; an infinite k would
+    # print "k":inf, which is not JSON
+    if argv[0] in ("minimize", "exclude"):
+        argv = argv + ["--input", write_json(tmp_path / "m.json", M112)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and captured.out == ""
+
+
+REQUIRED_FLAGS = {
+    "minimize": {"--input": "m.json"},
+    "verify": {"--input": "m.json"},
+    "exclude": {"--input": "m.json"},
+    "spectrum": {"--n": "4", "--alpha": "1"},
+    "scan": {"--n-min": "3", "--n-max": "6", "--alpha": "1"},
+    "alpha-star": {"--n": "6"},
+}
+
+
+@pytest.mark.parametrize("command, missing", [
+    (command, flag) for command, flags in REQUIRED_FLAGS.items() for flag in flags
+])
+def test_missing_required_flag_is_a_usage_error(capsys, command, missing):
+    argv = [command]
+    for flag, value in REQUIRED_FLAGS[command].items():
+        if flag != missing:
+            argv += [flag, value]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert missing in captured.err and captured.out == ""

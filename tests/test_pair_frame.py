@@ -26,6 +26,7 @@ from cocircular import (
     pair_weight_matrix,
     potential_report,
     regular_ngon,
+    taylor_identity_check,
     u_beta,
 )
 from conftest import ordered_angles, random_masses
@@ -61,6 +62,12 @@ def test_public_functions_match_reference(seed, n, alpha, k_scale):
     cm, cm_ref = build_matrices(aux, m, cfg), ref.build_matrices(aux, m, cfg)
     assert np.array_equal(cm.hcal, cm_ref.hcal)
     assert (cm.u_ratio, cm.threshold) == (cm_ref.u_ratio, cm_ref.threshold)
+    # the identity's defect as W and two separate f values give it
+    y = MassVector(m.masses[::-1].copy())
+    d = y.masses - m.masses
+    lhs = f_k_value(aux, y, cfg) - f_k_value(aux, m, cfg)
+    old = float(abs(lhs - 0.5 * (d @ pair_weight_matrix(aux, cfg) @ d)))
+    assert taylor_identity_check(aux, m, cfg, y) == old
 
 
 @PROBLEMS
@@ -94,6 +101,9 @@ def test_one_chord_build_per_report_and_criterion_matrix(chord_builds):
     assert len(chord_builds) == 1
     build_matrices(aux, m, regular_ngon(3))
     assert len(chord_builds) == 2
+    y = MassVector(np.array([2.0, 1.0, 1.0]))
+    taylor_identity_check(aux, m, regular_ngon(3), y)
+    assert len(chord_builds) == 3
 
 
 @pytest.mark.parametrize("n, alpha, seed", [(3, 1.0, None)] + [

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from cocircular import (
     AuxiliaryFunctional,
+    DimensionError,
     DomainError,
     InvalidArity,
     MassVector,
@@ -137,6 +138,13 @@ def test_taylor_identity_rejects_sum_mismatch():
     with pytest.raises(DomainError):
         taylor_identity_check(aux, m, regular_ngon(4),
                               MassVector(np.array([1.0, 1.0, 1.0, 1.5])))
+
+
+def test_taylor_identity_rejects_length_mismatch():
+    aux = AuxiliaryFunctional(1.0)
+    with pytest.raises(DimensionError):
+        taylor_identity_check(aux, MassVector(np.ones(4)), regular_ngon(4),
+                              MassVector(np.array([2.0, 2.0])))
 
 
 def test_circulant_spectrum_arity():
