@@ -174,11 +174,14 @@ def _cmd_scan(args: argparse.Namespace) -> str:
              "threshold": c.threshold, "holds": c.holds}
             for c in cells
         ]) + "\n"
+    # alpha and threshold repeat down each column: format them once
+    fixed = {a: (_fmt(a), _fmt(t)) for a, t in {(c.alpha, c.threshold) for c in cells}}
     lines = ["n,alpha,g_value,threshold,holds"]
     for c in cells:
+        alpha, threshold = fixed[c.alpha]
         lines.append(
-            f"{c.n},{_fmt(c.alpha)},{_fmt(c.g_value)},{_fmt(c.threshold)},"
-            f"{str(c.holds).lower()}"
+            f"{c.n},{alpha},{_fmt(c.g_value)},{threshold},"
+            f"{'true' if c.holds else 'false'}"
         )
     return "\n".join(lines) + "\n"
 

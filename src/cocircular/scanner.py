@@ -8,11 +8,18 @@ configuration (equal masses, up to relabeling) whenever
 g is the normalized potential of the unit-mass n-gon and increases in
 both n and alpha, so for each n there is a critical exponent where the
 condition stops holding.
+
+The sines sin(j pi / n) depend on n alone. Each entry point builds them
+once per n as a table (``_sines``) and evaluates g for every alpha from
+that table (``_g``): ``scan_region`` once per grid row, ``alpha_star``
+once for its whole bracket and bisection. Inputs are checked at the
+entry points, never inside the kernel.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from .errors import (ConvergenceFailure, DomainError, InvalidArity, NoBracket,
@@ -34,29 +41,64 @@ class RegionCell:
     holds: bool
 
 
-def g_value(n: int, alpha: float) -> float:
-    """(1/n) sum_j csc(j pi / n)**alpha, summed in symmetric pairs.
-
-    Terms j and n - j are equal, so each pair is computed once and
-    doubled; even n contributes the lone middle term csc(pi/2) = 1.
-    """
+def _arity(n) -> int:
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise InvalidArity(f"n must be an integer, got {n!r}") from None
     if n < 3:
         raise InvalidArity(f"need n >= 3 bodies, got {n}")
+    return n
+
+
+def _exponent(alpha) -> float:
     if not (alpha > 0.0 and math.isfinite(alpha)):
         raise UnsupportedExponent(f"alpha must be positive, got {alpha}")
-    a_int = int(alpha) if float(alpha).is_integer() and alpha <= 4 else 0
+    return float(alpha)
+
+
+def _sines(n: int) -> tuple[float, ...]:
+    """sin(j pi / n) for j = 1..(n-1)//2, the distinct terms of g at n."""
+    return tuple(math.sin(j * math.pi / n) for j in range(1, (n - 1) // 2 + 1))
+
+
+def _g(n: int, sines: tuple[float, ...], alpha: float) -> float:
+    """g(n, alpha) from the sine table of n; n and alpha are already valid.
+
+    The terms are added left to right and the pair sum is doubled once at
+    the end: doubling is exact, so this equals doubling every term.
+    """
+    a_int = int(alpha) if alpha.is_integer() and alpha <= 4 else 0
     total = 0.0
     try:
-        for j in range(1, (n - 1) // 2 + 1):
-            s = math.sin(j * math.pi / n)
-            total += 2.0 * ((1.0 / s) ** a_int if a_int else s ** -alpha)
+        if a_int:
+            for s in sines:
+                total += (1.0 / s) ** a_int
+        else:
+            e = -alpha
+            for s in sines:
+                total += s ** e
     except OverflowError:
         total = math.inf
+    total *= 2.0
     if total == math.inf:
         raise UnsupportedExponent(f"g(n, alpha) overflows at n = {n}, alpha = {alpha}")
     if n % 2 == 0:
         total += 1.0
     return total / n
+
+
+def g_value(n: int, alpha: float) -> float:
+    """(1/n) sum_j csc(j pi / n)**alpha, summed in symmetric pairs.
+
+    Terms j and n - j are equal, so the sine table holds only
+    j = 1..(n-1)//2 and the pair sum is doubled; even n adds the lone
+    middle term csc(pi/2) = 1. Builds the table for this one call; to
+    evaluate many alphas at one n, ``scan_region`` and ``alpha_star``
+    reuse one table instead.
+    """
+    n = _arity(n)
+    return _g(n, _sines(n), _exponent(alpha))
 
 
 def condition_threshold(alpha: float) -> float:
@@ -66,19 +108,21 @@ def condition_threshold(alpha: float) -> float:
 def scan_region(n_values, alpha_grid) -> list[RegionCell]:
     """Evaluate the condition over the (n, alpha) cross product.
 
-    Cells come back sorted by (n, alpha).
+    Cells come back sorted by (n, alpha). Each n's sine table is built
+    once and serves every alpha.
     """
-    ns = sorted(set(int(n) for n in n_values))
-    alphas = sorted(set(float(a) for a in alpha_grid))
+    ns = sorted(set(_arity(n) for n in n_values))
+    alphas = sorted(set(_exponent(a) for a in alpha_grid))
+    thresholds = [condition_threshold(a) for a in alphas]
     cells = []
     for n in ns:
-        for a in alphas:
-            g = g_value(n, a)
-            threshold = condition_threshold(a)
+        sines = _sines(n)
+        for a, threshold in zip(alphas, thresholds):
+            g = _g(n, sines, a)
             cells.append(RegionCell(n, a, g, threshold, g <= threshold))
     # g grows with n, so per alpha the holding region is an initial segment
-    for a in alphas:
-        column = [c.holds for c in cells if c.alpha == a]
+    for i, a in enumerate(alphas):
+        column = [c.holds for c in cells[i::len(alphas)]]
         if not all(x or not y for x, y in zip(column, column[1:])):
             raise RegionNotClosed(
                 f"condition failed to be downward closed in n at alpha = {a}"
@@ -90,15 +134,18 @@ def alpha_star(n: int, tol: float = 1e-12) -> float:
     """Critical exponent where g(n, alpha) meets 1 + alpha/4.
 
     Brackets by doubling from alpha = 1/64, then bisects until the
-    residual |g - 1 - alpha/4| drops below tol.
+    residual |g - 1 - alpha/4| drops below tol. Every step reuses one
+    sine table; the alphas it tries are positive and finite by
+    construction, so they skip the entry checks.
     """
-    if n < 3:
-        raise InvalidArity(f"need n >= 3 bodies, got {n}")
+    n = _arity(n)
     if not tol >= 0.0:
         raise DomainError(f"tol must be a nonnegative number, got {tol}")
 
+    sines = _sines(n)
+
     def psi(a: float) -> float:
-        return g_value(n, a) - condition_threshold(a)
+        return _g(n, sines, a) - condition_threshold(a)
 
     lo = _ALPHA_SEED
     while psi(lo) >= 0.0:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, InvalidArity
+from .errors import DimensionError, DomainError, InvalidArity, UnsupportedExponent
 from .geometry import AngleConfiguration, MassVector, regular_ngon, TAU
 from .potential import (AuxiliaryFunctional, _f_value, _pair_frame, _u_sums,
                         _weights, pair_weight_matrix)
@@ -139,11 +139,14 @@ def circulant_spectrum(aux: AuxiliaryFunctional, n: int) -> CirculantSpectrum:
     cosine transform of the first row and eigenvector k the k-th
     root-of-unity vector (ξ_k, ξ_k**2, ..., ξ_k**n)/sqrt(n) with
     ξ_k = exp(2 pi i k / n). Eigenvalues come back in index order with
-    the all-ones direction first.
+    the all-ones direction first. Raises ``UnsupportedExponent`` when the
+    first row overflows a double.
     """
     if n < 3:
         raise InvalidArity(f"need n >= 3 bodies, got {n}")
     row = pair_weight_matrix(aux, regular_ngon(n))[0]
+    if not np.isfinite(row).all():
+        raise UnsupportedExponent(f"W overflows at n = {n}, alpha = {aux.alpha}")
     j = np.arange(n)
     eigenvalues = np.array(
         [float(np.sum(row * np.cos(TAU * k * j / n))) for k in range(n)]

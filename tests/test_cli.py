@@ -330,6 +330,13 @@ def test_overflowing_alpha_or_infinite_k_exits_two(tmp_path, capsys, argv):
     assert "error:" in captured.err and captured.out == ""
 
 
+def test_spectrum_overflow_exits_two(capsys):
+    # csc(pi/1000)**1000 overflows W's first row; inf and nan are not JSON
+    assert main(["spectrum", "--n", "1000", "--alpha", "1000"]) == 2
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and captured.out == ""
+
+
 REQUIRED_FLAGS = {
     "minimize": {"--input": "m.json"},
     "verify": {"--input": "m.json"},

@@ -81,12 +81,13 @@ def test_scan_region_dedups_and_sorts():
     ]
 
 
-def _holds_except_at_four(n, alpha):
+def _holds_except_at_four(n, sines, alpha):
     return 10.0 if n == 4 else 0.0
 
 
 def test_scan_region_rejects_region_not_downward_closed(monkeypatch):
-    monkeypatch.setattr("cocircular.scanner.g_value", _holds_except_at_four)
+    # scan_region evaluates g through the sine-table kernel, so the fake goes there
+    monkeypatch.setattr("cocircular.scanner._g", _holds_except_at_four)
     with pytest.raises(RegionNotClosed):
         scan_region(range(3, 7), [1.0])
 
@@ -94,7 +95,7 @@ def test_scan_region_rejects_region_not_downward_closed(monkeypatch):
 def test_scan_region_check_survives_optimize_flag():
     script = (
         "import cocircular.scanner as s\n"
-        "s.g_value = lambda n, a: 10.0 if n == 4 else 0.0\n"
+        "s._g = lambda n, sines, a: 10.0 if n == 4 else 0.0\n"
         "try:\n"
         "    s.scan_region(range(3, 7), [1.0])\n"
         "except s.RegionNotClosed:\n"
@@ -135,3 +136,26 @@ def test_validation():
         g_value(5, float("nan"))
     with pytest.raises(InvalidArity):
         alpha_star(2)
+
+
+@pytest.mark.parametrize("n", [6.5, 6.0, "6", None])
+def test_non_integer_n_is_invalid_arity(n):
+    with pytest.raises(InvalidArity):
+        g_value(n, 1.0)
+    with pytest.raises(InvalidArity):
+        alpha_star(n)
+    with pytest.raises(InvalidArity):
+        scan_region([5, n], [1.0])
+
+
+def test_numpy_integer_n_is_an_integer():
+    assert g_value(np.int64(7), 1.0) == g_value(7, 1.0)
+    assert scan_region(np.arange(3, 6), [1.0]) == scan_region(range(3, 6), [1.0])
+
+
+@pytest.mark.parametrize("n, low", [(100, 0.96), (1000, 0.995), (10000, 0.995)])
+def test_alpha_star_asymptotic_law(n, low):
+    # prod_j sin(j pi / n) = n / 2**(n-1) gives, to first order in alpha,
+    # alpha*(n) ~ 1 / ((n-1) ln 2 - ln n - n/4), approached from below
+    ratio = alpha_star(n) * ((n - 1) * math.log(2.0) - math.log(n) - n / 4.0)
+    assert low <= ratio <= 1.0

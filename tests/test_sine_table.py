@@ -1,0 +1,75 @@
+"""The sine-table kernel against the reference scanner, bit for bit.
+
+The package builds the sines sin(j pi / n) once per n and evaluates g for
+every alpha from that table. ``reference_scanner`` recomputes the sines on
+every call and doubles every term; the additions run in the same order
+and doubling is exact, so g, every scan cell and every critical exponent
+must match exactly, and overflow must raise at the same (n, alpha).
+"""
+
+import math
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import reference_scanner as ref
+from cocircular import UnsupportedExponent, alpha_star, g_value, scan_region
+
+NS = st.integers(3, 2000)
+ALPHAS = st.one_of(
+    st.sampled_from([1.0, 2.0, 3.0, 4.0]),
+    st.floats(0.01, 8.0, exclude_min=True, exclude_max=True),
+)
+
+
+@given(NS, ALPHAS)
+@settings(max_examples=300, deadline=None)
+def test_g_value_matches_reference(n, alpha):
+    assert g_value(n, alpha) == ref.g_value(n, alpha)
+
+
+@given(st.lists(NS, min_size=1, max_size=4), st.lists(ALPHAS, min_size=1, max_size=5))
+@settings(max_examples=60, deadline=None)
+def test_scan_region_cells_match_reference(ns, alphas):
+    for c in scan_region(ns, alphas):
+        assert c.g_value == ref.g_value(c.n, c.alpha)
+        assert c.holds == (c.g_value <= c.threshold)
+
+
+@given(NS)
+@settings(max_examples=40, deadline=None)
+def test_alpha_star_matches_reference(n):
+    assert alpha_star(n) == ref.alpha_star(n)
+
+
+def _outcome(g, n, alpha):
+    try:
+        return g(n, alpha)
+    except UnsupportedExponent:
+        return "overflow"
+
+
+@pytest.mark.parametrize("n", [999, 1000])
+def test_overflow_at_the_same_exponent(n):
+    # csc(pi/n)**alpha passes the largest double near alpha = 123 here;
+    # the 0.005 steps cross the points where one term, twice a term and
+    # the pair sum overflow
+    outcomes = []
+    for i in range(600):
+        alpha = 122.0 + 0.005 * i
+        got = _outcome(g_value, n, alpha)
+        assert got == _outcome(ref.g_value, n, alpha), alpha
+        outcomes.append(got == "overflow")
+    assert not outcomes[0] and outcomes[-1]
+
+
+def test_overflow_raises_in_every_entry_point():
+    for alpha in (130.0, 200.0, 1000.0):
+        with pytest.raises(UnsupportedExponent):
+            ref.g_value(1000, alpha)
+        with pytest.raises(UnsupportedExponent):
+            g_value(1000, alpha)
+        with pytest.raises(UnsupportedExponent):
+            scan_region([999, 1000], [1.0, alpha])
+    assert math.isfinite(g_value(1000, 120.0))

@@ -9,6 +9,7 @@ from cocircular import (
     DomainError,
     InvalidArity,
     MassVector,
+    UnsupportedExponent,
     build_matrices,
     circulant_spectrum,
     criterion_verdict,
@@ -150,6 +151,12 @@ def test_taylor_identity_rejects_length_mismatch():
 def test_circulant_spectrum_arity():
     with pytest.raises(InvalidArity):
         circulant_spectrum(AuxiliaryFunctional(1.0), 2)
+
+
+def test_circulant_spectrum_rejects_overflowing_row():
+    with np.errstate(over="ignore"):
+        with pytest.raises(UnsupportedExponent):
+            circulant_spectrum(AuxiliaryFunctional(1000.0), 1000)
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(3, 7))
