@@ -4,12 +4,25 @@ A configuration is n bodies at q_j = exp(i t_j) on the unit circle with
 strictly increasing angles in (0, 2*pi]. Pinning t_n = 2*pi removes the
 rotational freedom; that pinned set is the domain used by the minimizer
 and by the symmetry-group actions.
+
+Pair quantities are held packed: one entry per pair j < k, in
+``np.triu_indices(n, 1)`` order, which is also the row-major order of the
+True entries of the strict upper-triangle mask. ``_packed_chords`` builds
+the differences du = t_j - t_k and the chords ru = |2 sin(du/2)| once per
+configuration and checks them there. ``_mirror`` expands packed pair
+quantities into an n x n matrix with a zero diagonal, writing the upper
+triangle through that mask and the lower one through the same mask on the
+transposed view. The mirror reproduces the full-matrix formulas bit for
+bit: t_k - t_j is exactly -(t_j - t_k) in IEEE arithmetic, numpy's sin is
+odd and its cos even (checked bit for bit by the tests), so a symmetric
+quantity is mirrored as is and an antisymmetric one with its sign flipped.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -116,22 +129,55 @@ class ChordMatrix:
         return self.r.shape[0]
 
 
-def chord_matrix(config: AngleConfiguration) -> ChordMatrix:
-    """Pairwise chord lengths r_jk = |2 sin((t_j - t_k)/2)|.
+@lru_cache(maxsize=8)
+def _pairs(n: int):
+    """Packed pair indices (j, k), j < k, and the strict upper-triangle mask."""
+    j, k = np.triu_indices(n, 1)
+    mask = np.zeros((n, n), dtype=bool)
+    mask[j, k] = True
+    return _readonly(j), _readonly(k), _readonly(mask)
+
+
+def _mirror(n: int, upper: np.ndarray, lower: np.ndarray) -> np.ndarray:
+    """n x n matrix with ``upper`` above, ``lower`` below and zeros on the diagonal.
+
+    Entry p of ``upper`` lands at (j_p, k_p) and entry p of ``lower`` at
+    (k_p, j_p), with (j_p, k_p) the packed pair order.
+    """
+    mask = _pairs(n)[2]
+    out = np.zeros((n, n))
+    out[mask] = upper
+    out.T[mask] = lower
+    return out
+
+
+def _packed_chords(config: AngleConfiguration):
+    """Packed differences du = t_j - t_k and chords ru = |2 sin(du/2)|, j < k.
 
     The half-angle form avoids the cancellation that sqrt(2 - 2 cos)
-    suffers for nearly coincident bodies.
+    suffers for nearly coincident bodies. Raises ``CollisionError`` when
+    two bodies are closer than ``COLLISION_TOL`` and ``DomainError`` when
+    a chord falls outside (0, 2].
     """
     if config.min_gap() < COLLISION_TOL:
         raise CollisionError(
             f"two bodies are within {COLLISION_TOL} radians of each other"
         )
     t = config.angles
-    r = np.abs(2.0 * np.sin(0.5 * (t[:, None] - t[None, :])))
-    np.fill_diagonal(r, 0.0)
+    j, k, _ = _pairs(config.n)
+    du = t[j] - t[k]
+    ru = np.abs(2.0 * np.sin(0.5 * du))
     # clamp roundoff just above the diameter
-    np.clip(r, 0.0, 2.0, out=r)
-    return ChordMatrix(r)
+    np.clip(ru, 0.0, 2.0, out=ru)
+    if ru.min() <= 0.0:
+        raise DomainError("off-diagonal chords must lie in (0, 2]")
+    return du, ru
+
+
+def chord_matrix(config: AngleConfiguration) -> ChordMatrix:
+    """Pairwise chord lengths r_jk = |2 sin((t_j - t_k)/2)|, zero diagonal."""
+    ru = _packed_chords(config)[1]
+    return ChordMatrix(_mirror(config.n, ru, ru))
 
 
 def regular_ngon(n: int) -> AngleConfiguration:

@@ -8,14 +8,15 @@ converges to the unique minimizer.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceFailure, DomainError
+from .errors import ConvergenceFailure, DomainError, UnsupportedExponent
 from .geometry import COLLISION_TOL, TAU, AngleConfiguration, MassVector
-from .potential import (AuxiliaryFunctional, _f_value, _grad_theta,
-                        _hessian_theta, _pair_frame, _pow)
+from .potential import (AuxiliaryFunctional, _f_value, _frame, _grad_theta,
+                        _hessian_theta, _mass_products, _pow)
 
 _ARMIJO = 1e-4
 _SHRINK = 0.5
@@ -62,6 +63,16 @@ def _max_feasible_step(x: np.ndarray, d: np.ndarray) -> float:
     return float(np.min(gaps[shrinking] / -dgaps[shrinking]))
 
 
+def _check_finite(alpha, fx, gnorm, r_a2):
+    """Refuse an accepted point whose f or reduced-gradient norm overflowed."""
+    if math.isfinite(fx) and math.isfinite(gnorm):
+        return
+    if not np.isfinite(r_a2).all():
+        raise UnsupportedExponent(
+            f"chord powers r**-(alpha + 2) overflow at alpha = {alpha}")
+    raise DomainError("the mass products overflow f or its gradient")
+
+
 def minimize_f_k(aux: AuxiliaryFunctional, masses: MassVector,
                  init: AngleConfiguration | None = None, *,
                  grad_tol: float = 1e-11,
@@ -96,8 +107,10 @@ def minimize_f_k(aux: AuxiliaryFunctional, masses: MassVector,
         If the tolerance is not met within ``max_iter`` steps; the last
         iterate rides along on the exception.
     DomainError
-        For an init outside the pinned interior domain, or a negative or
-        NaN ``grad_tol``.
+        For an init outside the pinned interior domain, a negative or NaN
+        ``grad_tol``, or masses whose products overflow f or its gradient.
+    UnsupportedExponent
+        When the chord powers r**-(alpha + 2) overflow at an accepted point.
     """
     if not grad_tol >= 0.0:
         raise DomainError(f"grad_tol must be a nonnegative number, got {grad_tol}")
@@ -121,20 +134,25 @@ def minimize_f_k(aux: AuxiliaryFunctional, masses: MassVector,
         # w'(2) = 0, the reduced Hessian there is zero, and the
         # positive-definite check below could not certify it.
         cfg = AngleConfiguration(np.array([TAU / 2.0, TAU]))
-    # one pair frame per point: an accepted trial's serves the next iteration
-    m, d, r = _pair_frame(masses, cfg)
-    fx = _f_value(aux, m, r)
+    # one packed pair frame per point: an accepted trial's serves the next
+    # iteration; the mass products serve the whole solve
+    m, du, ru = _frame(masses, cfg)
+    mm = _mass_products(m)
+    fx = _f_value(aux, mm, ru)
     if n == 2:
-        gnorm = float(abs(_grad_theta(aux, m, d, _pow(r, -(aux.alpha + 2.0)))[0]))
+        r_a2 = _pow(ru, -(aux.alpha + 2.0))
+        gnorm = float(abs(_grad_theta(aux, m, du, r_a2)[0]))
+        _check_finite(aux.alpha, fx, gnorm, r_a2)
         return MinimizeResult(cfg, fx, gnorm, 0, True, cfg.min_gap())
     x = cfg.angles[:-1].copy()
     min_gap_seen = cfg.min_gap()
     gnorm = np.inf
     for iteration in range(max_iter + 1):
-        r_a2 = _pow(r, -(aux.alpha + 2.0))
-        gr = _grad_theta(aux, m, d, r_a2)[:-1]
-        hr = _hessian_theta(aux, m, d, r_a2)[:-1, :-1]
+        r_a2 = _pow(ru, -(aux.alpha + 2.0))
+        gr = _grad_theta(aux, m, du, r_a2)[:-1]
         gnorm = float(np.linalg.norm(gr))
+        _check_finite(aux.alpha, fx, gnorm, r_a2)
+        hr = _hessian_theta(aux, n, mm, du, r_a2)[:-1, :-1]
         if gnorm <= grad_tol * max(1.0, abs(fx)):
             try:
                 np.linalg.cholesky(hr)
@@ -166,8 +184,8 @@ def minimize_f_k(aux: AuxiliaryFunctional, masses: MassVector,
             except DomainError:
                 t *= _SHRINK
                 continue
-            _, d_t, r_t = _pair_frame(masses, cfg_t)
-            ft = _f_value(aux, m, r_t)
+            _, du_t, ru_t = _frame(masses, cfg_t)
+            ft = _f_value(aux, mm, ru_t)
             if ft <= fx + _ARMIJO * t * slope + slack:
                 break
             t *= _SHRINK
@@ -176,7 +194,7 @@ def minimize_f_k(aux: AuxiliaryFunctional, masses: MassVector,
                 "line search stalled",
                 MinimizeResult(cfg, fx, gnorm, iteration, False, min_gap_seen),
             )
-        x, cfg, fx, d, r = xt, cfg_t, ft, d_t, r_t
+        x, cfg, fx, du, ru = xt, cfg_t, ft, du_t, ru_t
         min_gap_seen = min(min_gap_seen, cfg.min_gap())
     raise ConvergenceFailure(
         f"no convergence within {max_iter} Newton steps",

@@ -13,6 +13,14 @@ whose angle Hessian has nonpositive off-diagonal entries and zero row sums
 once k >= 2**(3 + alpha)/alpha. That makes the Hessian positive
 semidefinite with kernel spanned by (1, ..., 1), so f has a unique
 minimizer over the pinned angle domain.
+
+Every quantity at one (m, t) point derives from one packed pair frame:
+the masses, the differences du and the chords ru of the pairs j < k in
+``np.triu_indices`` order (see ``geometry``). Values are sums over the
+packed pairs. The gradient, the Hessian and W compute their pair terms
+on the n(n - 1)/2 packed pairs only and mirror them into n x n matrices,
+whose rows are then summed in the same order as the full-matrix
+formulas, so every float keeps the bits those formulas give.
 """
 
 from __future__ import annotations
@@ -23,7 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, DomainError, KTooSmall, UnsupportedExponent
-from .geometry import AngleConfiguration, MassVector, chord_matrix
+from .geometry import (AngleConfiguration, MassVector, _mirror, _packed_chords,
+                       _pairs)
 
 
 def k_min(alpha: float) -> float:
@@ -90,61 +99,76 @@ def _pow(base: np.ndarray, expo: float) -> np.ndarray:
     return base ** expo
 
 
-def _chords(config):
-    """Validated chords of ``config`` with a safe diagonal of ones."""
-    r = chord_matrix(config).r.copy()
-    np.fill_diagonal(r, 1.0)
-    return r
-
-
-def _pair_frame(masses, config):
-    """Pair frame of one point: masses, d[j, k] = t_j - t_k, and chords.
+def _frame(masses, config):
+    """Packed pair frame of one point: masses, du = t_j - t_k and chords ru.
 
     Every quantity at the point derives from it, so each point's chords
-    are built and validated once.
+    are built and checked once.
     """
     if masses.n != config.n:
         raise DimensionError(f"{masses.n} masses but {config.n} angles")
-    return masses.masses, config.angles[:, None] - config.angles[None, :], _chords(config)
+    return (masses.masses, *_packed_chords(config))
 
 
-def _u_sums(m, r, *betas):
-    """u_beta for each beta, over one upper-triangle gather of the frame."""
-    j, k = np.triu_indices(m.size, 1)
-    mm, rr = m[j] * m[k], r[j, k]
-    return [float(np.sum(mm * _pow(rr, -float(beta)))) for beta in betas]
+def _mass_products(m):
+    """Packed mass products m_j m_k, j < k."""
+    j, k, _ = _pairs(m.size)
+    return m[j] * m[k]
 
 
-def _f_value(aux, m, r):
-    u_alpha, u_chord = _u_sums(m, r, aux.alpha, -2.0)
+def _u_sums(mm, ru, *betas):
+    """u_beta for each beta from packed mass products and chords."""
+    return [float(np.sum(mm * _pow(ru, -float(beta)))) for beta in betas]
+
+
+def _f_value(aux, mm, ru):
+    u_alpha, u_chord = _u_sums(mm, ru, aux.alpha, -2.0)
     return u_alpha + u_chord / aux.k
 
 
-def _grad_theta(aux, m, d, r_a2):
-    """Angle gradient from the frame and r_a2 = r**-(alpha + 2)."""
+def _grad_theta(aux, m, du, r_a2):
+    """Angle gradient from the frame and packed r_a2 = ru**-(alpha + 2).
+
+    Row j of the summand holds m_k sin(t_j - t_k) w_jk; below the
+    diagonal sin(t_k - t_j) = -sin(du), so that half is mirrored negated.
+    """
+    j, k, _ = _pairs(m.size)
+    s = np.sin(du)
     w = aux.alpha * r_a2 - 2.0 / aux.k
-    np.fill_diagonal(w, 0.0)
-    # sin(t_j - t_k) = -sin(d[k, j])
-    return -(m * np.sum(m[None, :] * np.sin(d) * w, axis=1))
+    upper = m[k] * s
+    upper *= w
+    lower = m[j] * s
+    lower *= w
+    np.negative(lower, out=lower)
+    return -(m * np.sum(_mirror(m.size, upper, lower), axis=1))
 
 
-def _hessian_theta(aux, m, d, r_a2):
-    """Angle Hessian from the frame and r_a2 = r**-(alpha + 2)."""
+def _hessian_theta(aux, n, mm, du, r_a2):
+    """Angle Hessian from packed mass products, du and r_a2 = ru**-(alpha + 2)."""
     a = aux.alpha
-    c2 = np.cos(0.5 * d) ** 2
-    off = (m[:, None] * m[None, :]) * (
-        -a * (1.0 + a * c2) * r_a2 + (2.0 - 4.0 * c2) / aux.k
-    )
-    np.fill_diagonal(off, 0.0)
-    h = 0.5 * (off + off.T)  # fold any residual asymmetry
+    # in place, operation for operation as
+    # mm * (-a * (1 + a * c2) * r_a2 + (2 - 4 * c2) / k) with c2 = cos(du/2)**2
+    c2 = np.cos(0.5 * du)
+    c2 *= c2
+    off = a * c2
+    off += 1.0
+    off *= -a
+    off *= r_a2
+    c2 *= 4.0
+    np.subtract(2.0, c2, out=c2)
+    c2 /= aux.k
+    off += c2
+    off *= mm
+    # cos is even and mm symmetric, so the mirror is exactly symmetric
+    h = _mirror(n, off, off)
     np.fill_diagonal(h, -np.sum(h, axis=1))
     return h
 
 
-def _weights(aux, r):
-    w = _pow(r, -aux.alpha) + (r * r) / aux.k
-    np.fill_diagonal(w, 0.0)
-    return w
+def _weights(aux, n, ru):
+    """Pair-weight matrix W from the packed chords."""
+    w = _pow(ru, -aux.alpha) + (ru * ru) / aux.k
+    return _mirror(n, w, w)
 
 
 def u_beta(beta: float, masses: MassVector, config: AngleConfiguration) -> float:
@@ -155,15 +179,15 @@ def u_beta(beta: float, masses: MassVector, config: AngleConfiguration) -> float
     """
     if beta == 0:
         raise UnsupportedExponent("beta = 0 (logarithmic potential) is not supported")
-    m, _, r = _pair_frame(masses, config)
-    return _u_sums(m, r, beta)[0]
+    m, _, ru = _frame(masses, config)
+    return _u_sums(_mass_products(m), ru, beta)[0]
 
 
 def f_k_value(aux: AuxiliaryFunctional, masses: MassVector,
               config: AngleConfiguration) -> float:
     """Auxiliary functional u_alpha + u_{-2}/k."""
-    m, _, r = _pair_frame(masses, config)
-    return _f_value(aux, m, r)
+    m, _, ru = _frame(masses, config)
+    return _f_value(aux, _mass_products(m), ru)
 
 
 def grad_theta_f_k(aux: AuxiliaryFunctional, masses: MassVector,
@@ -174,8 +198,8 @@ def grad_theta_f_k(aux: AuxiliaryFunctional, masses: MassVector,
     (alpha / r_jk**(alpha + 2) - 2/k). Pair contributions are equal and
     opposite, so the entries sum to zero up to roundoff.
     """
-    m, d, r = _pair_frame(masses, config)
-    return _grad_theta(aux, m, d, _pow(r, -(aux.alpha + 2.0)))
+    m, du, ru = _frame(masses, config)
+    return _grad_theta(aux, m, du, _pow(ru, -(aux.alpha + 2.0)))
 
 
 def hessian_theta_f_k(aux: AuxiliaryFunctional, masses: MassVector,
@@ -191,15 +215,16 @@ def hessian_theta_f_k(aux: AuxiliaryFunctional, masses: MassVector,
     entries, so rows sum to zero exactly. For k >= 2**(3 + alpha)/alpha
     every off-diagonal entry is <= 0.
     """
-    m, d, r = _pair_frame(masses, config)
-    return _hessian_theta(aux, m, d, _pow(r, -(aux.alpha + 2.0)))
+    m, du, ru = _frame(masses, config)
+    return _hessian_theta(aux, m.size, _mass_products(m), du,
+                          _pow(ru, -(aux.alpha + 2.0)))
 
 
 def grad_mass_f_k(aux: AuxiliaryFunctional, masses: MassVector,
                   config: AngleConfiguration) -> np.ndarray:
     """Mass gradient: entry k is sum_{j != k} m_j (r_jk**-alpha + r_jk**2/k)."""
-    m, _, r = _pair_frame(masses, config)
-    return _weights(aux, r) @ m
+    m, _, ru = _frame(masses, config)
+    return _weights(aux, m.size, ru) @ m
 
 
 def pair_weight_matrix(aux: AuxiliaryFunctional,
@@ -210,17 +235,18 @@ def pair_weight_matrix(aux: AuxiliaryFunctional,
     real vector y, y^T W y / 2 equals the functional evaluated with y in
     place of the masses.
     """
-    return _weights(aux, _chords(config))
+    return _weights(aux, config.n, _packed_chords(config)[1])
 
 
 def potential_report(aux: AuxiliaryFunctional, masses: MassVector,
                      config: AngleConfiguration) -> PotentialReport:
     """Bundle value, both gradients, and the angle Hessian."""
-    m, d, r = _pair_frame(masses, config)
-    r_a2 = _pow(r, -(aux.alpha + 2.0))
+    m, du, ru = _frame(masses, config)
+    mm = _mass_products(m)
+    r_a2 = _pow(ru, -(aux.alpha + 2.0))
     return PotentialReport(
-        value=_f_value(aux, m, r),
-        grad_theta=_grad_theta(aux, m, d, r_a2),
-        grad_mass=_weights(aux, r) @ m,
-        hessian_theta=_hessian_theta(aux, m, d, r_a2),
+        value=_f_value(aux, mm, ru),
+        grad_theta=_grad_theta(aux, m, du, r_a2),
+        grad_mass=_weights(aux, m.size, ru) @ m,
+        hessian_theta=_hessian_theta(aux, m.size, mm, du, r_a2),
     )

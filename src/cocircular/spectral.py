@@ -17,8 +17,8 @@ import numpy as np
 
 from .errors import DimensionError, DomainError, InvalidArity, UnsupportedExponent
 from .geometry import AngleConfiguration, MassVector, regular_ngon, TAU
-from .potential import (AuxiliaryFunctional, _f_value, _pair_frame, _u_sums,
-                        _weights, pair_weight_matrix)
+from .potential import (AuxiliaryFunctional, _f_value, _frame, _mass_products,
+                        _u_sums, _weights, pair_weight_matrix)
 from .scanner import condition_threshold
 
 
@@ -68,9 +68,9 @@ def build_matrices(aux: AuxiliaryFunctional, masses: MassVector,
     W is ``pair_weight_matrix(aux, config)``; it and u_alpha come from one
     build of the chords.
     """
-    m, _, r = _pair_frame(masses, config)
-    w = _weights(aux, r)
-    u = _u_sums(m, r, aux.alpha)[0]
+    m, _, ru = _frame(masses, config)
+    w = _weights(aux, m.size, ru)
+    u = _u_sums(_mass_products(m), ru, aux.alpha)[0]
     total = masses.total_mass
     c = 2.0 * u / total ** 2 + 2.0 / aux.k
     hcal = c * np.ones_like(w) - w
@@ -95,10 +95,11 @@ def taylor_identity_check(aux: AuxiliaryFunctional, masses_cc: MassVector,
         raise DomainError(
             f"sum mismatch: {y.total_mass} versus {total}"
         )
-    m, _, r = _pair_frame(masses_cc, config_cc)
-    w = _weights(aux, r)
+    m, _, ru = _frame(masses_cc, config_cc)
+    w = _weights(aux, m.size, ru)
     d = y.masses - m
-    lhs = _f_value(aux, y.masses, r) - _f_value(aux, m, r)
+    lhs = (_f_value(aux, _mass_products(y.masses), ru)
+           - _f_value(aux, _mass_products(m), ru))
     return float(abs(lhs - 0.5 * (d @ w @ d)))
 
 

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CollisionError, DimensionError, DomainError
-from .geometry import AngleConfiguration, MassVector, center_of_mass
-from .potential import _check_alpha, _pair_frame, _pow
+from .geometry import AngleConfiguration, MassVector, _mirror, center_of_mass
+from .potential import _check_alpha, _frame, _pow
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,21 +45,18 @@ def _check_inputs(alpha, tol) -> float:
     return alpha
 
 
-def _report(alpha, m, total_mass, sin_jk, r, center, tol):
-    """Assemble a CCReport from precomputed pair data.
+def _report(tangential_w, radial_w, m, total_mass, center, tol):
+    """Assemble a CCReport from the two pair matrices and the center norm.
 
-    ``sin_jk[k, j]`` must hold sin(t_j - t_k) and ``r`` the chord matrix
-    with a safe diagonal. The tangential and radial residuals are linear
-    in the masses and are compared against tol * M; the center norm is
-    already divided by M and is compared against tol. The verdict is
-    therefore unchanged under m -> s m.
+    Row k of ``tangential_w`` must hold sin(t_j - t_k) / r_jk**(alpha + 2)
+    and row k of ``radial_w`` r_jk**-alpha, both with a zero diagonal. The
+    tangential and radial residuals are linear in the masses and are
+    compared against tol * M; the center norm is already divided by M and
+    is compared against tol. The verdict is therefore unchanged under
+    m -> s m.
     """
-    w_t = _pow(r, -(alpha + 2.0))
-    np.fill_diagonal(w_t, 0.0)
-    tangential = float(np.max(np.abs((sin_jk * w_t) @ m)))
-    w_r = _pow(r, -alpha)
-    np.fill_diagonal(w_r, 0.0)
-    radial = w_r @ m
+    tangential = float(np.max(np.abs(tangential_w @ m)))
+    radial = radial_w @ m
     spread = float(np.max(radial) - np.min(radial))
     lam = float(np.mean(radial))
     scaled = tol * total_mass
@@ -76,10 +73,15 @@ def verify_cc(alpha: float, masses: MassVector, config: AngleConfiguration,
     center of mass sits at the circle center.
     """
     alpha = _check_inputs(alpha, tol)
-    m, d, r = _pair_frame(masses, config)
+    m, du, ru = _frame(masses, config)
     center = abs(center_of_mass(masses, config))
-    # sin(t_j - t_k) = -sin(d[k, j])
-    return _report(alpha, m, masses.total_mass, -np.sin(d), r, center, tol)
+    # entry (j, k), j < k, holds sin(t_k - t_j) = -sin(du) and (k, j) its negation
+    tangential = -np.sin(du)
+    tangential *= _pow(ru, -(alpha + 2.0))
+    radial = _pow(ru, -alpha)
+    return _report(_mirror(m.size, tangential, -tangential),
+                   _mirror(m.size, radial, radial), m, masses.total_mass,
+                   center, tol)
 
 
 def verify_definition_cc(alpha: float, masses: MassVector, positions,
@@ -105,4 +107,8 @@ def verify_definition_cc(alpha: float, masses: MassVector, positions,
     m = masses.masses
     sin_jk = np.imag(q[None, :] * np.conj(q)[:, None])
     center = abs(np.sum(m * q)) / masses.total_mass
-    return _report(alpha, m, masses.total_mass, sin_jk, r, center, tol)
+    w_t = _pow(r, -(alpha + 2.0))
+    np.fill_diagonal(w_t, 0.0)
+    w_r = _pow(r, -alpha)
+    np.fill_diagonal(w_r, 0.0)
+    return _report(sin_jk * w_t, w_r, m, masses.total_mass, center, tol)

@@ -1,16 +1,21 @@
-"""Reference potential: each quantity rebuilds its own chords.
+"""Reference potential: each quantity rebuilds its own full chord matrix.
 
-These are the straightforward bodies the package's shared pair frame
-replaces: u_beta builds the chords once per exponent, the gradient, the
-Hessian and W each build and validate them again, and the minimizer calls
-the public functions at every point. The tests compare the package with
-them bit for bit; the package never imports this.
+These are the straightforward bodies the package's packed pair frame
+replaces: u_beta builds the n x n chords once per exponent, the gradient,
+the Hessian, W and the CC residuals each build and validate them again on
+all n**2 entries, and the minimizer calls the public functions at every
+point. The chord builder is the package's former one, kept here so the
+reference does not share the package's chord code. The tests compare the
+package with these bodies bit for bit; the package never imports this.
 """
 
 import numpy as np
 
 from cocircular import (
     AngleConfiguration,
+    CCReport,
+    ChordMatrix,
+    CollisionError,
     ConvergenceFailure,
     CriterionMatrix,
     DimensionError,
@@ -19,9 +24,10 @@ from cocircular import (
     TAU,
     UnsupportedExponent,
     angles_from_reduced,
-    chord_matrix,
+    center_of_mass,
     condition_threshold,
 )
+from cocircular.geometry import COLLISION_TOL
 from cocircular.minimizer import (_ARMIJO, _BOUNDARY_FRACTION, _DIAG_REG,
                                   _SHRINK, _max_feasible_step)
 
@@ -34,6 +40,18 @@ def _pow(base, expo):
             out = out * base
         return 1.0 / out if ei < 0 else out
     return base ** expo
+
+
+def chord_matrix(config):
+    if config.min_gap() < COLLISION_TOL:
+        raise CollisionError(
+            f"two bodies are within {COLLISION_TOL} radians of each other"
+        )
+    t = config.angles
+    r = np.abs(2.0 * np.sin(0.5 * (t[:, None] - t[None, :])))
+    np.fill_diagonal(r, 0.0)
+    np.clip(r, 0.0, 2.0, out=r)
+    return ChordMatrix(r)
 
 
 def _check_lengths(masses, config):
@@ -115,16 +133,38 @@ def build_matrices(aux, masses, config):
     return CriterionMatrix(hcal, u_ratio, condition_threshold(aux.alpha))
 
 
+def verify_cc(alpha, masses, config, tol=1e-9):
+    m, d, r = _frames(masses, config)
+    sin_jk = -np.sin(d)
+    w_t = _pow(r, -(alpha + 2.0))
+    np.fill_diagonal(w_t, 0.0)
+    tangential = float(np.max(np.abs((sin_jk * w_t) @ m)))
+    w_r = _pow(r, -alpha)
+    np.fill_diagonal(w_r, 0.0)
+    radial = w_r @ m
+    spread = float(np.max(radial) - np.min(radial))
+    lam = float(np.mean(radial))
+    center = abs(center_of_mass(masses, config))
+    scaled = tol * masses.total_mass
+    ok = tangential <= scaled and spread <= scaled and center <= tol
+    return CCReport(tangential, spread, center, lam, bool(ok), tol)
+
+
 def minimize(aux, masses, grad_tol=1e-11, max_iter=200):
-    """Damped Newton from the default start: (angles, f, grad_norm, iterations)."""
+    """Damped Newton from the default start.
+
+    Returns (angles, f, grad_norm, iterations, min_gap), min_gap being the
+    smallest circular gap over the accepted iterates.
+    """
     n = masses.n
     if n == 2:
         cfg = AngleConfiguration(np.array([TAU / 2.0, TAU]))
         gnorm = float(abs(grad_theta_f_k(aux, masses, cfg)[0]))
-        return cfg.angles, f_k_value(aux, masses, cfg), gnorm, 0
+        return cfg.angles, f_k_value(aux, masses, cfg), gnorm, 0, cfg.min_gap()
     t = TAU * np.arange(1, n + 1) / n
     t[-1] = TAU
     cfg = AngleConfiguration(t)
+    min_gap = cfg.min_gap()
     x = cfg.angles[:-1].copy()
     fx = f_k_value(aux, masses, cfg)
     gnorm = np.inf
@@ -137,7 +177,7 @@ def minimize(aux, masses, grad_tol=1e-11, max_iter=200):
                 np.linalg.cholesky(hr)
             except np.linalg.LinAlgError:
                 raise ConvergenceFailure("reduced Hessian is not positive definite") from None
-            return cfg.angles, fx, gnorm, iteration
+            return cfg.angles, fx, gnorm, iteration, min_gap
         if iteration == max_iter:
             break
         hr = hessian_theta_f_k(aux, masses, cfg)[:-1, :-1]
@@ -168,4 +208,5 @@ def minimize(aux, masses, grad_tol=1e-11, max_iter=200):
         if not accepted:
             raise ConvergenceFailure("line search stalled")
         x, cfg, fx = xt, cfg_t, ft
+        min_gap = min(min_gap, cfg.min_gap())
     raise ConvergenceFailure(f"no convergence within {max_iter} Newton steps")

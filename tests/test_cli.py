@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import sys
@@ -335,6 +336,42 @@ def test_spectrum_overflow_exits_two(capsys):
     assert main(["spectrum", "--n", "1000", "--alpha", "1000"]) == 2
     captured = capsys.readouterr()
     assert "error:" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["minimize", "exclude"])
+@pytest.mark.parametrize("payload, cause", [
+    ({"alpha": 1000.0, "masses": [1.0] * 50}, "alpha"),
+    ({"alpha": 1.0, "masses": [1e200, 2e200, 3e200, 1.5e200]}, "mass"),
+], ids=["chord-power-overflow", "mass-product-overflow"])
+def test_non_finite_objective_exits_two(tmp_path, capsys, command, payload, cause):
+    # r**-1002 overflows at the 50-gon's chords, and m_j m_k at 1e200;
+    # neither is a solver failure, and "f_value":inf is not JSON
+    inp = write_json(tmp_path / "p.json", payload)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main([command, "--input", inp]) == 2
+    captured = capsys.readouterr()
+    assert cause in captured.err and captured.out == ""
+
+
+# SHA-256 of stdout for 256 masses drawn U(0.5, 2) with seed 256; the
+# digests were taken before the Newton kernel moved to the packed frame.
+LARGE_N_DIGESTS = {
+    ("minimize", 0.5): "5b66c7e5363fc41035fe16e40ae58d5217df508ed6911ffe8e297e1329735dc3",
+    ("exclude", 0.5): "a3734679986077162868b950bfd5d9765c1f4475c5322cceb615e3633fad9bde",
+    ("minimize", 1.0): "5eb670f316654e9194fd057e83916cd5a30c3aec0d168d5b93fbac97faffe7ed",
+    ("exclude", 1.0): "4ed0502941983a3787a5cccef62cab14a76574749705916ca9e7296ce7947c71",
+    ("minimize", 3.0): "faba0b577f9b4904c50a910b72f73cdbce479e69996f87df0b6918c37db6dca4",
+    ("exclude", 3.0): "62cdb117afb23e9730ab4f3eee16eebc6b2476e0a176b251a7b10cd54b381c51",
+}
+
+
+@pytest.mark.parametrize("command, alpha", sorted(LARGE_N_DIGESTS))
+def test_large_n_frozen_stdout(tmp_path, capsys, command, alpha):
+    masses = np.random.default_rng(256).uniform(0.5, 2.0, 256)
+    inp = write_json(tmp_path / "m.json", {"alpha": alpha, "masses": masses.tolist()})
+    assert main([command, "--input", inp]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == LARGE_N_DIGESTS[command, alpha]
 
 
 REQUIRED_FLAGS = {

@@ -10,6 +10,7 @@ from cocircular import (
     ConvergenceFailure,
     DomainError,
     MassVector,
+    UnsupportedExponent,
     angles_from_reduced,
     f_k_value,
     grad_theta_f_k,
@@ -113,6 +114,16 @@ def test_convergence_failure_carries_last_iterate():
 def test_bad_grad_tol_is_a_domain_error(grad_tol):
     with pytest.raises(DomainError):
         minimize_f_k(AuxiliaryFunctional(1.0), MassVector(np.ones(3)), grad_tol=grad_tol)
+
+
+@pytest.mark.parametrize("alpha, masses, error", [
+    (1000.0, np.ones(50), UnsupportedExponent),  # r**-1002 overflows
+    (1.0, np.array([1e200, 2e200, 3e200]), DomainError),  # m_j m_k overflows
+    (1.0, np.array([1e200, 3e200]), DomainError),  # the closed-form n = 2 branch
+])
+def test_non_finite_objective_is_an_input_error(alpha, masses, error):
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(error):
+        minimize_f_k(AuxiliaryFunctional(alpha), MassVector(masses))
 
 
 def test_solution_is_a_positive_definite_critical_point():

@@ -1,10 +1,13 @@
-"""The shared pair frame against the reference potential, bit for bit.
+"""The packed pair frame against the reference potential, bit for bit.
 
-Each (m, t) point builds its chords once and derives f, both gradients,
-the angle Hessian and W from them. ``reference_potential`` rebuilds the
-chords for every quantity; the arithmetic is the same, so every float
-must match exactly.
+Each (m, t) point builds its packed chords once and derives f, both
+gradients, the angle Hessian, W and the CC residuals from them.
+``reference_potential`` rebuilds the full chord matrix for every quantity;
+the arithmetic of every entry is the same and the mirrored matrices are
+summed in the same order, so every float must match exactly.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -16,6 +19,7 @@ import reference_potential as ref
 from cocircular import (
     AuxiliaryFunctional,
     MassVector,
+    TAU,
     build_matrices,
     f_k_value,
     grad_mass_f_k,
@@ -28,6 +32,7 @@ from cocircular import (
     regular_ngon,
     taylor_identity_check,
     u_beta,
+    verify_cc,
 )
 from conftest import ordered_angles, random_masses
 
@@ -68,29 +73,57 @@ def test_public_functions_match_reference(seed, n, alpha, k_scale):
     lhs = f_k_value(aux, y, cfg) - f_k_value(aux, m, cfg)
     old = float(abs(lhs - 0.5 * (d @ pair_weight_matrix(aux, cfg) @ d)))
     assert taylor_identity_check(aux, m, cfg, y) == old
+    assert _fields(verify_cc(aux.alpha, m, cfg)) == _fields(ref.verify_cc(aux.alpha, m, cfg))
+
+
+def _fields(report):
+    return dataclasses.astuple(report)
 
 
 @PROBLEMS
 @settings(max_examples=60, deadline=None)
 def test_minimizer_matches_reference_loop(seed, n, alpha, k_scale):
     aux, m, _ = _problem(seed, n, alpha, k_scale)
-    angles, f, gnorm, iterations = ref.minimize(aux, m)
-    res = minimize_f_k(aux, m)
+    _assert_same_solve(minimize_f_k(aux, m), ref.minimize(aux, m))
+
+
+def _assert_same_solve(res, reference):
+    angles, f, gnorm, iterations, min_gap = reference
     assert np.array_equal(res.theta_m.angles, angles)
-    assert (res.f_value, res.grad_norm, res.iterations) == (f, gnorm, iterations)
+    assert (res.f_value, res.grad_norm, res.iterations, res.converged, res.min_gap) \
+        == (f, gnorm, iterations, True, min_gap)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 3.0])
+@pytest.mark.parametrize("n", [64, 255, 256, 257, 512])
+def test_benchmark_sizes_match_reference(n, alpha):
+    # the sizes the Newton benchmark runs at, where the hypothesis draws
+    # above (n <= 40) do not reach
+    rng = np.random.default_rng(1000 * n + int(4 * alpha))
+    aux = AuxiliaryFunctional(alpha)
+    m = random_masses(rng, n)
+    res = minimize_f_k(aux, m)
+    _assert_same_solve(res, ref.minimize(aux, m))
+    for cfg in (ordered_angles(rng, n, TAU / (4 * n)), res.theta_m):
+        assert f_k_value(aux, m, cfg) == ref.f_k_value(aux, m, cfg)
+        assert np.array_equal(grad_theta_f_k(aux, m, cfg), ref.grad_theta_f_k(aux, m, cfg))
+        assert np.array_equal(hessian_theta_f_k(aux, m, cfg),
+                              ref.hessian_theta_f_k(aux, m, cfg))
+        assert np.array_equal(pair_weight_matrix(aux, cfg), ref.pair_weight_matrix(aux, cfg))
+        assert _fields(verify_cc(alpha, m, cfg)) == _fields(ref.verify_cc(alpha, m, cfg))
 
 
 @pytest.fixture
 def chord_builds(monkeypatch):
-    """Count calls of the chord builder the pair frame uses."""
+    """Count calls of the packed chord builder the pair frame uses."""
     calls = []
-    build = potential.chord_matrix
+    build = potential._packed_chords
 
     def counting(config):
         calls.append(config.n)
         return build(config)
 
-    monkeypatch.setattr(potential, "chord_matrix", counting)
+    monkeypatch.setattr(potential, "_packed_chords", counting)
     return calls
 
 
@@ -104,6 +137,8 @@ def test_one_chord_build_per_report_and_criterion_matrix(chord_builds):
     y = MassVector(np.array([2.0, 1.0, 1.0]))
     taylor_identity_check(aux, m, regular_ngon(3), y)
     assert len(chord_builds) == 3
+    verify_cc(1.0, m, regular_ngon(3))
+    assert len(chord_builds) == 4
 
 
 @pytest.mark.parametrize("n, alpha, seed", [(3, 1.0, None)] + [
