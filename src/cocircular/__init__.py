@@ -57,8 +57,6 @@ from .symmetry import (
     GroupElement,
     act_on_angles,
     act_on_masses,
-    exclusion_by_group,
-    exclusion_by_swap,
     exclusion_verdicts,
 )
 from .verifier import CCReport, verify_cc, verify_definition_cc
@@ -101,8 +99,6 @@ __all__ = [
     "circulant_spectrum",
     "condition_threshold",
     "criterion_verdict",
-    "exclusion_by_group",
-    "exclusion_by_swap",
     "exclusion_verdicts",
     "f_k_value",
     "g_value",

@@ -21,6 +21,7 @@ quantity is mirrored as is and an antisymmetric one with its sign flipped.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -180,10 +181,20 @@ def chord_matrix(config: AngleConfiguration) -> ChordMatrix:
     return ChordMatrix(_mirror(config.n, ru, ru))
 
 
+def _arity(n) -> int:
+    """n as a Python int; InvalidArity unless it is an integer >= 3."""
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise InvalidArity(f"n must be an integer, got {n!r}") from None
+    if n < 3:
+        raise InvalidArity(f"need n >= 3 bodies, got {n}")
+    return n
+
+
 def regular_ngon(n: int) -> AngleConfiguration:
     """Pinned regular n-gon: t_j = 2*pi*j/n with t_n = 2*pi exactly."""
-    if n < 3:
-        raise InvalidArity(f"a regular polygon needs n >= 3 bodies, got {n}")
+    n = _arity(n)
     t = TAU * np.arange(1, n + 1) / n
     # 2*pi*n/n can round one ulp past 2*pi; the last angle is pinned
     t[-1] = TAU

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceFailure, DomainError, UnsupportedExponent
-from .geometry import COLLISION_TOL, TAU, AngleConfiguration, MassVector
+from .geometry import COLLISION_TOL, TAU, AngleConfiguration, MassVector, regular_ngon
 from .potential import (AuxiliaryFunctional, _f_value, _frame, _grad_theta,
                         _hessian_theta, _mass_products, _pow)
 
@@ -115,12 +115,7 @@ def minimize_f_k(aux: AuxiliaryFunctional, masses: MassVector,
     if not grad_tol >= 0.0:
         raise DomainError(f"grad_tol must be a nonnegative number, got {grad_tol}")
     n = masses.n
-    if init is None:
-        t = TAU * np.arange(1, n + 1) / n
-        # 2*pi*n/n can round one ulp off 2*pi; the last angle is pinned
-        t[-1] = TAU
-        cfg = AngleConfiguration(t)
-    else:
+    if init is not None:
         if init.n != n:
             raise DomainError(f"init has {init.n} angles for {n} masses")
         if abs(init.angles[-1] - TAU) > 1e-12:
@@ -134,6 +129,8 @@ def minimize_f_k(aux: AuxiliaryFunctional, masses: MassVector,
         # w'(2) = 0, the reduced Hessian there is zero, and the
         # positive-definite check below could not certify it.
         cfg = AngleConfiguration(np.array([TAU / 2.0, TAU]))
+    elif init is None:
+        cfg = regular_ngon(n)
     # one packed pair frame per point: an accepted trial's serves the next
     # iteration; the mass products serve the whole solve
     m, du, ru = _frame(masses, cfg)

@@ -26,6 +26,7 @@ formulas, so every float keeps the bits those formulas give.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,7 +47,7 @@ def k_min(alpha: float) -> float:
 
 def _check_alpha(alpha) -> float:
     """alpha as a float; UnsupportedExponent unless finite and positive."""
-    if not (isinstance(alpha, (int, float)) and math.isfinite(alpha)):
+    if not (isinstance(alpha, numbers.Real) and math.isfinite(alpha)):
         raise UnsupportedExponent("alpha must be a finite number")
     if alpha <= 0.0:
         raise UnsupportedExponent(f"alpha must be positive, got {alpha}")

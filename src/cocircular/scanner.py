@@ -19,11 +19,12 @@ entry points, never inside the kernel.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
-from .errors import (ConvergenceFailure, DomainError, InvalidArity, NoBracket,
-                     RegionNotClosed, UnsupportedExponent)
+from .errors import (ConvergenceFailure, DomainError, NoBracket, RegionNotClosed,
+                     UnsupportedExponent)
+from .geometry import _arity
+from .potential import _check_alpha
 
 _ALPHA_SEED = 1.0 / 64.0
 _ALPHA_CAP = 64.0
@@ -39,22 +40,6 @@ class RegionCell:
     g_value: float
     threshold: float
     holds: bool
-
-
-def _arity(n) -> int:
-    try:
-        n = operator.index(n)
-    except TypeError:
-        raise InvalidArity(f"n must be an integer, got {n!r}") from None
-    if n < 3:
-        raise InvalidArity(f"need n >= 3 bodies, got {n}")
-    return n
-
-
-def _exponent(alpha) -> float:
-    if not (alpha > 0.0 and math.isfinite(alpha)):
-        raise UnsupportedExponent(f"alpha must be positive, got {alpha}")
-    return float(alpha)
 
 
 def _sines(n: int) -> tuple[float, ...]:
@@ -98,7 +83,7 @@ def g_value(n: int, alpha: float) -> float:
     reuse one table instead.
     """
     n = _arity(n)
-    return _g(n, _sines(n), _exponent(alpha))
+    return _g(n, _sines(n), _check_alpha(alpha))
 
 
 def condition_threshold(alpha: float) -> float:
@@ -112,7 +97,7 @@ def scan_region(n_values, alpha_grid) -> list[RegionCell]:
     once and serves every alpha.
     """
     ns = sorted(set(_arity(n) for n in n_values))
-    alphas = sorted(set(_exponent(a) for a in alpha_grid))
+    alphas = sorted(set(_check_alpha(a) for a in alpha_grid))
     thresholds = [condition_threshold(a) for a in alphas]
     cells = []
     for n in ns:

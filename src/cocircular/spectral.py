@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, InvalidArity, UnsupportedExponent
-from .geometry import AngleConfiguration, MassVector, regular_ngon, TAU
+from .errors import DimensionError, DomainError, UnsupportedExponent
+from .geometry import TAU, AngleConfiguration, MassVector, _arity, regular_ngon
 from .potential import (AuxiliaryFunctional, _f_value, _frame, _mass_products,
                         _u_sums, _weights, pair_weight_matrix)
 from .scanner import condition_threshold
@@ -143,8 +143,7 @@ def circulant_spectrum(aux: AuxiliaryFunctional, n: int) -> CirculantSpectrum:
     the all-ones direction first. Raises ``UnsupportedExponent`` when the
     first row overflows a double.
     """
-    if n < 3:
-        raise InvalidArity(f"need n >= 3 bodies, got {n}")
+    n = _arity(n)
     row = pair_weight_matrix(aux, regular_ngon(n))[0]
     if not np.isfinite(row).all():
         raise UnsupportedExponent(f"W overflows at n = {n}, alpha = {aux.alpha}")

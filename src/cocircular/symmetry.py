@@ -71,11 +71,6 @@ class GroupElement:
         sign = -1 if self.l else 1
         return GroupElement(self.h + sign * other.h, self.l + other.l, self.n)
 
-    def inverse(self) -> "GroupElement":
-        if self.l:
-            return self
-        return GroupElement(-self.h, 0, self.n)
-
 
 def act_on_masses(g: GroupElement, masses: MassVector) -> MassVector:
     """Permute the masses by g (reflection first, then the shifts)."""
@@ -115,10 +110,8 @@ class ExclusionVerdict:
 
     ``certificates`` lists every witness found with its margin, the
     single ``witness`` being the one with the largest margin. For the
-    swap scan, ``swap_decreases`` records the closed-form hypothetical
-    decrease for every pair (zero for equal masses) and ``inconsistent``
-    flags the impossible combination of a certificate with a passing
-    residual check.
+    swap scan, ``inconsistent`` flags the impossible combination of a
+    certificate with a passing residual check.
     """
 
     excluded: bool
@@ -128,7 +121,6 @@ class ExclusionVerdict:
     f_value: float
     theta_m: AngleConfiguration
     minimize_result: MinimizeResult
-    swap_decreases: tuple = ()
     inconsistent: bool = False
 
 
@@ -144,14 +136,6 @@ def _mass_images(n: int) -> np.ndarray:
     shifts = (idx[:, None] + idx[None, :]) % n
     reflection = np.append(idx[-2::-1], n - 1)
     return np.concatenate([shifts, reflection[shifts]])[1:]
-
-
-def _solve(aux: AuxiliaryFunctional, masses: MassVector):
-    """Minimizer, pair weights at it, and the stacked image differences g m - m."""
-    res = minimize_f_k(aux, masses)
-    w = pair_weight_matrix(aux, res.theta_m)
-    m = masses.masses
-    return res, w, m[_mass_images(masses.n)] - m
 
 
 def _group_scan(masses: MassVector, res: MinimizeResult, w: np.ndarray,
@@ -176,70 +160,52 @@ def _group_scan(masses: MassVector, res: MinimizeResult, w: np.ndarray,
 def _swap_scan(aux: AuxiliaryFunctional, masses: MassVector, res: MinimizeResult,
                w: np.ndarray, diffs: np.ndarray) -> ExclusionVerdict:
     m = masses.masses
-    j, k = np.triu_indices(masses.n, 1)
-    # Python's float ** 2 is C pow(), as numpy scalars compute it; np.square
-    # differs from it in the last ulp
-    squares = np.array([x ** 2 for x in (m[k] - m[j]).tolist()])
-    drops = (-squares * w[j, k]).tolist()
-    decreases = tuple(zip(zip(j.tolist(), k.tolist()), drops))
     # An image that differs from m in exactly two places is the swap of
-    # those two masses, since every image is a permutation of m.
+    # those two masses, since every image is a permutation of m. There is
+    # at most one such pair per image row.
     moved = diffs != 0.0
-    swaps = {tuple(np.flatnonzero(row).tolist())
-             for row in moved[moved.sum(axis=1) == 2]}
-    drop_of = dict(decreases)
-    certificates = [(p, -drop_of[p]) for p in sorted(swaps)]
+    swaps = sorted({tuple(np.flatnonzero(row).tolist())
+                    for row in moved[moved.sum(axis=1) == 2]})
+    # numpy-scalar ** 2 is C pow(); np.square differs from it in the last ulp
+    certificates = [((j, k), float((m[k] - m[j]) ** 2 * w[j, k]))
+                    for j, k in swaps]
     if certificates:
         witness, margin = max(certificates, key=lambda c: c[1])
         inconsistent = bool(
             verify_cc(aux.alpha, masses, res.theta_m, VERIFY_TOL).is_cc
         )
         return ExclusionVerdict(True, witness, margin, tuple(certificates),
-                                res.f_value, res.theta_m, res,
-                                decreases, inconsistent)
-    return ExclusionVerdict(False, None, 0.0, (), res.f_value, res.theta_m,
-                            res, decreases, False)
+                                res.f_value, res.theta_m, res, inconsistent)
+    return ExclusionVerdict(False, None, 0.0, (), res.f_value, res.theta_m, res)
 
 
 def exclusion_verdicts(aux: AuxiliaryFunctional, masses: MassVector
                        ) -> tuple[ExclusionVerdict, ExclusionVerdict]:
-    """Group and swap verdicts from one minimization.
+    """Group and swap exclusion verdicts from one minimization.
 
-    Returns ``(exclusion_by_group(aux, masses), exclusion_by_swap(aux,
-    masses))``, with the Newton solve and the pair weights computed once
-    and shared. Both scans work on the stacked (2n - 1) x n image
-    differences, with O(n**2) work per image.
+    Both scans rest on one Newton solve for the minimizer theta_m and the
+    pair weights W there. If (m, theta_m) satisfied the
+    central-configuration equations, the mass gradient of the functional
+    would be a constant vector, so relabeling the masses to g m would
+    change the value by the pure quadratic term
+    q(g) = (gm - m)^T W (gm - m) / 2. Relabelings can never beat the
+    minimum value, so a strict decrease proves no such configuration
+    exists.
+
+    The group verdict scans all 2n relabelings and certifies g when
+    q(g) < -MARGIN_SCALE * |f|. The swap verdict certifies the 0-based
+    pair (j, k) when exchanging the unequal masses j and k is itself a
+    relabeling g m; q(g) then has the closed form
+    -(m_k - m_j)**2 (r_jk**-alpha + r_jk**2/k), and the margin is its
+    negative. A swap certificate coexisting with a passing residual check
+    at ``VERIFY_TOL`` is flagged inconsistent.
+
+    Both scans work on the stacked (2n - 1) x n image differences g m - m,
+    with O(n**2) work per image.
     """
-    res, w, diffs = _solve(aux, masses)
+    res = minimize_f_k(aux, masses)
+    w = pair_weight_matrix(aux, res.theta_m)
+    m = masses.masses
+    diffs = m[_mass_images(masses.n)] - m
     return (_group_scan(masses, res, w, diffs),
             _swap_scan(aux, masses, res, w, diffs))
-
-
-def exclusion_by_group(aux: AuxiliaryFunctional, masses: MassVector
-                       ) -> ExclusionVerdict:
-    """Scan all 2n relabelings for a certificate excluding these masses.
-
-    If (m, theta_m) satisfied the central-configuration equations, the
-    mass gradient of the functional there would be a constant vector, so
-    relabeling the masses to g m would change the value by the pure
-    quadratic term q(g) = (gm - m)^T W (gm - m) / 2 with W the pair
-    weights at theta_m. Relabelings can never beat the minimum value, so
-    q(g) < 0 for any g proves no such configuration exists.
-    """
-    return _group_scan(masses, *_solve(aux, masses))
-
-
-def exclusion_by_swap(aux: AuxiliaryFunctional, masses: MassVector
-                      ) -> ExclusionVerdict:
-    """Exclusion via pairwise mass swaps (0-based index pairs).
-
-    Exchanging unequal masses j and k at the minimizer would change the
-    functional by the closed form -(m_k - m_j)**2 (r_jk**-alpha +
-    r_jk**2/k) if the point satisfied the central-configuration
-    equations. When the swapped vector is also a relabeling g m, that
-    strict decrease contradicts minimality, so the pair certifies
-    exclusion. The closed-form decreases for all pairs are reported
-    either way, and a certificate coexisting with a passing residual
-    check is flagged inconsistent.
-    """
-    return _swap_scan(aux, masses, *_solve(aux, masses))

@@ -45,14 +45,12 @@ def reference_exclusion_by_swap(aux, masses, *, verify_tol=1e-9):
     n = masses.n
     images = [act_on_masses(g, masses).masses
               for g in GroupElement.elements(n) if not g.is_identity]
-    decreases = []
     certificates = []
     for j in range(n):
         for k in range(j + 1, n):
-            drop = -((m[k] - m[j]) ** 2) * w[j, k]
-            decreases.append(((j, k), float(drop)))
             if m[j] == m[k]:
                 continue
+            drop = -((m[k] - m[j]) ** 2) * w[j, k]
             swapped = m.copy()
             swapped[[j, k]] = swapped[[k, j]]
             if any(np.array_equal(img, swapped) for img in images):
@@ -63,7 +61,5 @@ def reference_exclusion_by_swap(aux, masses, *, verify_tol=1e-9):
             verify_cc(aux.alpha, masses, res.theta_m, verify_tol).is_cc
         )
         return ExclusionVerdict(True, witness, margin, tuple(certificates),
-                                res.f_value, res.theta_m, res,
-                                tuple(decreases), inconsistent)
-    return ExclusionVerdict(False, None, 0.0, (), res.f_value, res.theta_m,
-                            res, tuple(decreases), False)
+                                res.f_value, res.theta_m, res, inconsistent)
+    return ExclusionVerdict(False, None, 0.0, (), res.f_value, res.theta_m, res)

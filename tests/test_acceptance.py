@@ -19,7 +19,7 @@ from cocircular import (
     build_matrices,
     circulant_spectrum,
     condition_threshold,
-    exclusion_by_group,
+    exclusion_verdicts,
     f_k_value,
     g_value,
     grad_mass_f_k,
@@ -112,7 +112,7 @@ def test_criterion_03_one_heavy_mass_excluded():
     aux = AuxiliaryFunctional(1.0)
     for n in range(4, 9):
         m = MassVector(np.append(np.ones(n - 1), 2.0))
-        verdict = exclusion_by_group(aux, m)
+        verdict = exclusion_verdicts(aux, m)[0]
         if not verdict.excluded:
             problems.append(f"n={n} not excluded")
             continue
@@ -133,7 +133,7 @@ def test_criterion_04_two_heavy_odd_reflection_witness():
     aux = AuxiliaryFunctional(1.0)
     for raw in ([1.0, 1.0, 2.0, 1.0, 2.0],
                 [1.0, 1.0, 2.0, 1.0, 1.0, 1.0, 2.0]):
-        verdict = exclusion_by_group(aux, MassVector(np.array(raw)))
+        verdict = exclusion_verdicts(aux, MassVector(np.array(raw)))[0]
         if not verdict.excluded:
             problems.append(f"n={len(raw)} not excluded")
             continue

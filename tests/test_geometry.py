@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from cocircular import (
     TAU,
     AngleConfiguration,
+    AuxiliaryFunctional,
     ChordMatrix,
     CollisionError,
     DimensionError,
@@ -14,6 +15,7 @@ from cocircular import (
     MassVector,
     center_of_mass,
     chord_matrix,
+    circulant_spectrum,
     regular_ngon,
 )
 from conftest import ordered_angles
@@ -30,6 +32,14 @@ def test_regular_ngon_square():
 def test_regular_ngon_rejects_small_n():
     with pytest.raises(InvalidArity):
         regular_ngon(2)
+
+
+def test_non_integer_n_is_invalid_arity():
+    with pytest.raises(InvalidArity):
+        regular_ngon(4.5)
+    with pytest.raises(InvalidArity):
+        circulant_spectrum(AuxiliaryFunctional(1.0), 4.5)
+    assert np.array_equal(regular_ngon(np.int64(5)).angles, regular_ngon(5).angles)
 
 
 def test_square_chords():

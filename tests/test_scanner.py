@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import cocircular
 from cocircular import (
+    AuxiliaryFunctional,
     InvalidArity,
     RegionNotClosed,
     UnsupportedExponent,
@@ -146,6 +147,19 @@ def test_non_integer_n_is_invalid_arity(n):
         alpha_star(n)
     with pytest.raises(InvalidArity):
         scan_region([5, n], [1.0])
+
+
+def test_alpha_checked_like_the_functional():
+    with pytest.raises(UnsupportedExponent):
+        g_value(5, "1")
+    with pytest.raises(UnsupportedExponent):
+        scan_region([5], ["1"])
+    with pytest.raises(UnsupportedExponent):
+        AuxiliaryFunctional("1")
+    alpha = np.float32(1)
+    assert AuxiliaryFunctional(alpha).alpha == 1.0
+    assert g_value(5, alpha) == g_value(5, 1.0)
+    assert scan_region([5], [alpha]) == scan_region([5], [1.0])
 
 
 def test_numpy_integer_n_is_an_integer():

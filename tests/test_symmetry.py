@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import cocircular.symmetry as symmetry
 from cocircular import (
     TAU,
     AngleConfiguration,
@@ -13,8 +14,6 @@ from cocircular import (
     MassVector,
     act_on_angles,
     act_on_masses,
-    exclusion_by_group,
-    exclusion_by_swap,
     exclusion_verdicts,
     f_k_value,
     minimize_f_k,
@@ -140,7 +139,7 @@ def test_minimizer_inherits_stabilizer_symmetry():
 
 
 def test_equal_masses_not_excluded():
-    verdict = exclusion_by_group(AuxiliaryFunctional(1.0), MassVector(np.ones(5)))
+    verdict = exclusion_verdicts(AuxiliaryFunctional(1.0), MassVector(np.ones(5)))[0]
     assert not verdict.excluded
     assert verdict.witness is None
     assert verdict.certificates == ()
@@ -148,8 +147,8 @@ def test_equal_masses_not_excluded():
 
 
 def test_one_heavy_five_bodies_frozen():
-    verdict = exclusion_by_group(AuxiliaryFunctional(1.0),
-                                 MassVector(np.array([1.0, 1.0, 1.0, 1.0, 2.0])))
+    verdict = exclusion_verdicts(AuxiliaryFunctional(1.0),
+                                 MassVector(np.array([1.0, 1.0, 1.0, 1.0, 2.0])))[0]
     assert verdict.excluded
     assert len(verdict.certificates) == 8
     assert verdict.witness == GroupElement(4, 0, 5)
@@ -160,16 +159,16 @@ def test_one_heavy_five_bodies_frozen():
 
 
 def test_two_heavy_alternating_has_reflection_certificate():
-    verdict = exclusion_by_group(AuxiliaryFunctional(1.0),
-                                 MassVector(np.array([1.0, 1.0, 2.0, 1.0, 2.0])))
+    verdict = exclusion_verdicts(AuxiliaryFunctional(1.0),
+                                 MassVector(np.array([1.0, 1.0, 2.0, 1.0, 2.0])))[0]
     assert verdict.excluded
     witnesses = {c[0] for c in verdict.certificates}
     assert GroupElement.reflection(5) in witnesses
 
 
 def test_two_heavy_seven_bodies_frozen():
-    verdict = exclusion_by_group(AuxiliaryFunctional(1.0),
-                                 MassVector(np.array([1.0, 1.0, 2.0, 1.0, 1.0, 2.0, 1.0])))
+    verdict = exclusion_verdicts(AuxiliaryFunctional(1.0),
+                                 MassVector(np.array([1.0, 1.0, 2.0, 1.0, 1.0, 2.0, 1.0])))[0]
     assert verdict.excluded
     assert abs(verdict.margin - 2.2633270230047229) < 1e-12
     refl = [c for c in verdict.certificates if c[0].is_reflection]
@@ -180,30 +179,44 @@ def test_two_heavy_seven_bodies_frozen():
 def test_swap_margins_match_closed_form():
     aux = AuxiliaryFunctional(1.0)
     m = MassVector(np.array([1.0, 1.0, 2.0, 1.0, 2.0]))
-    verdict = exclusion_by_swap(aux, m)
+    verdict = exclusion_verdicts(aux, m)[1]
     assert verdict.excluded
     assert not verdict.inconsistent
-    assert len(verdict.swap_decreases) == 10  # all pairs, equal ones included
     w = pair_weight_matrix(aux, verdict.theta_m)
     mm = m.masses
-    for (j, k), drop in verdict.swap_decreases:
-        assert drop == -((mm[k] - mm[j]) ** 2) * w[j, k]
+    for (j, k), margin in verdict.certificates:
+        assert j < k
+        assert mm[j] != mm[k]
+        assert margin > 0
+        assert margin == (mm[k] - mm[j]) ** 2 * w[j, k]
         # identical closed form via the quadratic in the swapped difference
         d = mm.copy()
         d[[j, k]] = d[[k, j]]
         d -= mm
-        assert abs(0.5 * d @ w @ d - drop) < 1e-12 * max(1.0, abs(drop))
-    for (j, k), margin in verdict.certificates:
-        assert mm[j] != mm[k]
-        assert margin > 0
+        assert abs(0.5 * d @ w @ d + margin) < 1e-12 * max(1.0, margin)
 
 
-def test_swap_equal_masses_all_zero():
-    verdict = exclusion_by_swap(AuxiliaryFunctional(1.0), MassVector(np.ones(4)))
+def test_swap_equal_masses_not_excluded():
+    verdict = exclusion_verdicts(AuxiliaryFunctional(1.0), MassVector(np.ones(4)))[1]
     assert not verdict.excluded
     assert verdict.certificates == ()
-    assert all(drop == 0.0 for _, drop in verdict.swap_decreases)
     assert not verdict.inconsistent
+
+
+def test_exclusion_verdicts_solves_once(monkeypatch):
+    calls = {"minimize_f_k": 0, "pair_weight_matrix": 0}
+    for name in calls:
+        original = getattr(symmetry, name)
+
+        def counted(*args, _original=original, _name=name, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(symmetry, name, counted)
+    group, swap = exclusion_verdicts(AuxiliaryFunctional(1.0),
+                                     MassVector(np.array([1.0, 1.0, 2.0, 1.0, 2.0])))
+    assert group.excluded and swap.excluded
+    assert calls == {"minimize_f_k": 1, "pair_weight_matrix": 1}
 
 
 def test_action_validation():
@@ -218,7 +231,7 @@ def test_action_validation():
 
 def _verdict_fields(v):
     return (v.excluded, v.witness, v.margin, v.certificates, v.f_value,
-            v.swap_decreases, v.inconsistent)
+            v.inconsistent)
 
 
 @st.composite
@@ -237,6 +250,9 @@ def few_valued_masses(draw):
 @example([1.0, 2.0, 1.0, 1.0], 1.0)
 @example([1.0, 2.0, 1.0, 2.0], 3.0)
 @example([1.0, 1.0, 2.0, 1.0, 2.0], 1.0)
+@example([2.0] + [1.0] * 19 + [3.0] + [1.0] * 18 + [2.0], 1.0)
+@example([1.0] * 63 + [7.5], 0.5)
+@example([1.0] * 10 + [0.5] + [1.0] * 52 + [7.5], 3.0)
 def test_stacked_scans_match_reference_loops(raw, alpha):
     aux = AuxiliaryFunctional(alpha)
     m = MassVector(np.array(raw))
@@ -246,8 +262,6 @@ def test_stacked_scans_match_reference_loops(raw, alpha):
     # exact equality: certificates, their order, margins to the last bit
     assert _verdict_fields(group) == _verdict_fields(ref_group)
     assert _verdict_fields(swap) == _verdict_fields(ref_swap)
-    assert _verdict_fields(exclusion_by_group(aux, m)) == _verdict_fields(group)
-    assert _verdict_fields(exclusion_by_swap(aux, m)) == _verdict_fields(swap)
     assert np.array_equal(group.theta_m.angles, swap.theta_m.angles)
 
 
