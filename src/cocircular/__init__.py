@@ -23,7 +23,6 @@ from .geometry import (
     COLLISION_TOL,
     TAU,
     AngleConfiguration,
-    ChordMatrix,
     MassVector,
     center_of_mass,
     chord_matrix,
@@ -32,19 +31,16 @@ from .geometry import (
 from .minimizer import MinimizeResult, angles_from_reduced, minimize_f_k, reduced_coordinates
 from .potential import (
     AuxiliaryFunctional,
-    PotentialReport,
     f_k_value,
     grad_mass_f_k,
     grad_theta_f_k,
     hessian_theta_f_k,
     k_min,
     pair_weight_matrix,
-    potential_report,
     u_beta,
 )
 from .scanner import RegionCell, alpha_star, condition_threshold, g_value, scan_region
 from .spectral import (
-    CirculantSpectrum,
     CriterionMatrix,
     CriterionVerdict,
     build_matrices,
@@ -67,8 +63,6 @@ __all__ = [
     "AngleConfiguration",
     "AuxiliaryFunctional",
     "CCReport",
-    "ChordMatrix",
-    "CirculantSpectrum",
     "CocircularError",
     "CollisionError",
     "ConvergenceFailure",
@@ -83,7 +77,6 @@ __all__ = [
     "MassVector",
     "MinimizeResult",
     "NoBracket",
-    "PotentialReport",
     "RegionCell",
     "RegionNotClosed",
     "UnsupportedExponent",
@@ -108,7 +101,6 @@ __all__ = [
     "k_min",
     "minimize_f_k",
     "pair_weight_matrix",
-    "potential_report",
     "reduced_coordinates",
     "regular_ngon",
     "scan_region",

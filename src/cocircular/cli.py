@@ -160,8 +160,8 @@ def _cmd_exclude(args: argparse.Namespace) -> str:
 
 
 def _cmd_spectrum(args: argparse.Namespace) -> str:
-    spec = circulant_spectrum(AuxiliaryFunctional(args.alpha, args.k), args.n)
-    return _json(spec.eigenvalues) + "\n"
+    aux = AuxiliaryFunctional(args.alpha, args.k)
+    return _json(circulant_spectrum(aux, args.n)) + "\n"
 
 
 def _cmd_scan(args: argparse.Namespace) -> str:
@@ -253,7 +253,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        _emit(args, args.handler(args))
+        # an overflow surfaces as the typed error below, not as numpy warnings
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            text = args.handler(args)
+        _emit(args, text)
     except ConvergenceFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -84,11 +84,6 @@ class AngleConfiguration:
     def n(self) -> int:
         return self.angles.size
 
-    @property
-    def in_k0(self) -> bool:
-        """True when the rotation freedom is pinned by t_n == 2*pi."""
-        return bool(self.angles[-1] == TAU)
-
     def normalized(self) -> "AngleConfiguration":
         """Rotate so the last angle is exactly 2*pi."""
         t = self.angles + (TAU - self.angles[-1])
@@ -104,30 +99,6 @@ class AngleConfiguration:
     def positions(self) -> np.ndarray:
         """Unit-circle positions exp(i t_j)."""
         return np.exp(1j * self.angles)
-
-
-@dataclass(frozen=True, eq=False)
-class ChordMatrix:
-    """Symmetric matrix of pairwise chord lengths with a zero diagonal."""
-
-    r: np.ndarray
-
-    def __post_init__(self):
-        r = np.array(self.r, dtype=float)
-        if r.ndim != 2 or r.shape[0] != r.shape[1]:
-            raise DomainError("chord matrix must be square")
-        if not np.array_equal(r, r.T):
-            raise DomainError("chord matrix must be symmetric")
-        if np.any(np.diag(r) != 0.0):
-            raise DomainError("chord matrix diagonal must be zero")
-        off = r[~np.eye(r.shape[0], dtype=bool)]
-        if off.size and (off.min() <= 0.0 or off.max() > 2.0 + 1e-12):
-            raise DomainError("off-diagonal chords must lie in (0, 2]")
-        object.__setattr__(self, "r", _readonly(r))
-
-    @property
-    def n(self) -> int:
-        return self.r.shape[0]
 
 
 @lru_cache(maxsize=8)
@@ -167,18 +138,30 @@ def _packed_chords(config: AngleConfiguration):
     t = config.angles
     j, k, _ = _pairs(config.n)
     du = t[j] - t[k]
-    ru = np.abs(2.0 * np.sin(0.5 * du))
-    # clamp roundoff just above the diameter
-    np.clip(ru, 0.0, 2.0, out=ru)
+    ru = _chords(du)
     if ru.min() <= 0.0:
         raise DomainError("off-diagonal chords must lie in (0, 2]")
     return du, ru
 
 
-def chord_matrix(config: AngleConfiguration) -> ChordMatrix:
-    """Pairwise chord lengths r_jk = |2 sin((t_j - t_k)/2)|, zero diagonal."""
+def _chords(du: np.ndarray) -> np.ndarray:
+    """Chords |2 sin(du/2)| of the angle differences du, clamped to the diameter."""
+    ru = np.abs(2.0 * np.sin(0.5 * du))
+    # clamp roundoff just above the diameter
+    np.clip(ru, 0.0, 2.0, out=ru)
+    return ru
+
+
+def chord_matrix(config: AngleConfiguration) -> np.ndarray:
+    """Read-only pairwise chords r_jk = |2 sin((t_j - t_k)/2)|, zero diagonal."""
     ru = _packed_chords(config)[1]
-    return ChordMatrix(_mirror(config.n, ru, ru))
+    return _readonly(_mirror(config.n, ru, ru))
+
+
+def _check_pinned(config: AngleConfiguration) -> None:
+    """DomainError unless t_n is 2*pi to within 1e-12."""
+    if abs(config.angles[-1] - TAU) > 1e-12:
+        raise DomainError("configuration must be pinned: t_n = 2*pi")
 
 
 def _arity(n) -> int:

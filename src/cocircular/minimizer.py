@@ -8,15 +8,15 @@ converges to the unique minimizer.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceFailure, DomainError, UnsupportedExponent
-from .geometry import COLLISION_TOL, TAU, AngleConfiguration, MassVector, regular_ngon
-from .potential import (AuxiliaryFunctional, _f_value, _frame, _grad_theta,
-                        _hessian_theta, _mass_products, _pow)
+from .errors import ConvergenceFailure, DomainError
+from .geometry import (COLLISION_TOL, TAU, AngleConfiguration, MassVector,
+                       _check_pinned, regular_ngon)
+from .potential import (AuxiliaryFunctional, _check_finite, _f_value, _frame,
+                        _grad_theta, _hessian_theta, _mass_products, _pow)
 
 _ARMIJO = 1e-4
 _SHRINK = 0.5
@@ -42,8 +42,7 @@ class MinimizeResult:
 
 def reduced_coordinates(config: AngleConfiguration) -> np.ndarray:
     """Free coordinates (t_1, ..., t_{n-1}) of a pinned configuration."""
-    if abs(config.angles[-1] - TAU) > 1e-12:
-        raise DomainError("configuration must be pinned: t_n = 2*pi")
+    _check_pinned(config)
     return config.angles[:-1].copy()
 
 
@@ -61,16 +60,6 @@ def _max_feasible_step(x: np.ndarray, d: np.ndarray) -> float:
     if not np.any(shrinking):
         return np.inf
     return float(np.min(gaps[shrinking] / -dgaps[shrinking]))
-
-
-def _check_finite(alpha, fx, gnorm, r_a2):
-    """Refuse an accepted point whose f or reduced-gradient norm overflowed."""
-    if math.isfinite(fx) and math.isfinite(gnorm):
-        return
-    if not np.isfinite(r_a2).all():
-        raise UnsupportedExponent(
-            f"chord powers r**-(alpha + 2) overflow at alpha = {alpha}")
-    raise DomainError("the mass products overflow f or its gradient")
 
 
 def minimize_f_k(aux: AuxiliaryFunctional, masses: MassVector,
@@ -118,8 +107,7 @@ def minimize_f_k(aux: AuxiliaryFunctional, masses: MassVector,
     if init is not None:
         if init.n != n:
             raise DomainError(f"init has {init.n} angles for {n} masses")
-        if abs(init.angles[-1] - TAU) > 1e-12:
-            raise DomainError("init must be pinned: t_n = 2*pi")
+        _check_pinned(init)
         cfg = init.normalized()
         if cfg.min_gap() < COLLISION_TOL:
             raise DomainError("init is too close to a collision")
@@ -139,7 +127,7 @@ def minimize_f_k(aux: AuxiliaryFunctional, masses: MassVector,
     if n == 2:
         r_a2 = _pow(ru, -(aux.alpha + 2.0))
         gnorm = float(abs(_grad_theta(aux, m, du, r_a2)[0]))
-        _check_finite(aux.alpha, fx, gnorm, r_a2)
+        _check_finite(aux.alpha, (fx, gnorm), r_a2)
         return MinimizeResult(cfg, fx, gnorm, 0, True, cfg.min_gap())
     x = cfg.angles[:-1].copy()
     min_gap_seen = cfg.min_gap()
@@ -148,7 +136,7 @@ def minimize_f_k(aux: AuxiliaryFunctional, masses: MassVector,
         r_a2 = _pow(ru, -(aux.alpha + 2.0))
         gr = _grad_theta(aux, m, du, r_a2)[:-1]
         gnorm = float(np.linalg.norm(gr))
-        _check_finite(aux.alpha, fx, gnorm, r_a2)
+        _check_finite(aux.alpha, (fx, gnorm), r_a2)
         hr = _hessian_theta(aux, n, mm, du, r_a2)[:-1, :-1]
         if gnorm <= grad_tol * max(1.0, abs(fx)):
             try:

@@ -79,16 +79,6 @@ class AuxiliaryFunctional:
             object.__setattr__(self, "k", float(self.k))
 
 
-@dataclass(frozen=True, eq=False)
-class PotentialReport:
-    """Value and exact first/second derivatives at one (m, t) point."""
-
-    value: float
-    grad_theta: np.ndarray
-    grad_mass: np.ndarray
-    hessian_theta: np.ndarray
-
-
 def _pow(base: np.ndarray, expo: float) -> np.ndarray:
     """base**expo with multiply chains for small integer exponents."""
     ei = int(round(expo))
@@ -98,6 +88,19 @@ def _pow(base: np.ndarray, expo: float) -> np.ndarray:
             out = out * base
         return 1.0 / out if ei < 0 else out
     return base ** expo
+
+
+def _check_finite(alpha, sums, *powers):
+    """Refuse overflowed sums over the pairs.
+
+    Raises ``UnsupportedExponent`` when one of the chord powers overflowed
+    and ``DomainError`` when only the masses carried the sums past a double.
+    """
+    if all(math.isfinite(s) for s in sums):
+        return
+    if not all(np.isfinite(p).all() for p in powers):
+        raise UnsupportedExponent(f"chord powers overflow at alpha = {alpha}")
+    raise DomainError("the masses overflow a mass-weighted pair sum")
 
 
 def _frame(masses, config):
@@ -166,9 +169,14 @@ def _hessian_theta(aux, n, mm, du, r_a2):
     return h
 
 
+def _pair_weights(aux, ru):
+    """Pair weights r**-alpha + r**2/k of the chords ru."""
+    return _pow(ru, -aux.alpha) + (ru * ru) / aux.k
+
+
 def _weights(aux, n, ru):
     """Pair-weight matrix W from the packed chords."""
-    w = _pow(ru, -aux.alpha) + (ru * ru) / aux.k
+    w = _pair_weights(aux, ru)
     return _mirror(n, w, w)
 
 
@@ -237,17 +245,3 @@ def pair_weight_matrix(aux: AuxiliaryFunctional,
     place of the masses.
     """
     return _weights(aux, config.n, _packed_chords(config)[1])
-
-
-def potential_report(aux: AuxiliaryFunctional, masses: MassVector,
-                     config: AngleConfiguration) -> PotentialReport:
-    """Bundle value, both gradients, and the angle Hessian."""
-    m, du, ru = _frame(masses, config)
-    mm = _mass_products(m)
-    r_a2 = _pow(ru, -(aux.alpha + 2.0))
-    return PotentialReport(
-        value=_f_value(aux, mm, ru),
-        grad_theta=_grad_theta(aux, m, du, r_a2),
-        grad_mass=_weights(aux, m.size, ru) @ m,
-        hessian_theta=_hessian_theta(aux, m.size, mm, du, r_a2),
-    )

@@ -10,15 +10,14 @@ normalized potential 2**(alpha+1) u_alpha / M**2 stays below 1 + alpha/4.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionError, DomainError, UnsupportedExponent
-from .geometry import TAU, AngleConfiguration, MassVector, _arity, regular_ngon
+from .geometry import TAU, AngleConfiguration, MassVector, _chords, regular_ngon
 from .potential import (AuxiliaryFunctional, _f_value, _frame, _mass_products,
-                        _u_sums, _weights, pair_weight_matrix)
+                        _pair_weights, _u_sums, _weights)
 from .scanner import condition_threshold
 
 
@@ -51,14 +50,6 @@ class CriterionVerdict:
     kernel_residual: float
     min_eigenvalue: float
     second_eigenvalue: float
-
-
-@dataclass(frozen=True, eq=False)
-class CirculantSpectrum:
-    """Eigenvalues (index order, not sorted) and root-of-unity eigenvectors."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
 
 
 def build_matrices(aux: AuxiliaryFunctional, masses: MassVector,
@@ -133,23 +124,21 @@ def criterion_verdict(aux: AuxiliaryFunctional, masses: MassVector,
     )
 
 
-def circulant_spectrum(aux: AuxiliaryFunctional, n: int) -> CirculantSpectrum:
+def circulant_spectrum(aux: AuxiliaryFunctional, n: int) -> np.ndarray:
     """Closed-form spectrum of the equal-mass interaction matrix.
 
-    At the regular n-gon the matrix is circulant, so eigenvalue k is the
+    At the regular n-gon the matrix W is circulant, so eigenvalue k is the
     cosine transform of the first row and eigenvector k the k-th
     root-of-unity vector (ξ_k, ξ_k**2, ..., ξ_k**n)/sqrt(n) with
-    ξ_k = exp(2 pi i k / n). Eigenvalues come back in index order with
-    the all-ones direction first. Raises ``UnsupportedExponent`` when the
+    ξ_k = exp(2 pi i k / n). The first row is built from the n - 1 chords
+    to body 0 alone. Eigenvalues come back in index order with the
+    all-ones direction first. Raises ``UnsupportedExponent`` when the
     first row overflows a double.
     """
-    n = _arity(n)
-    row = pair_weight_matrix(aux, regular_ngon(n))[0]
+    t = regular_ngon(n).angles
+    n = t.size
+    row = np.concatenate(([0.0], _pair_weights(aux, _chords(t[0] - t[1:]))))
     if not np.isfinite(row).all():
         raise UnsupportedExponent(f"W overflows at n = {n}, alpha = {aux.alpha}")
     j = np.arange(n)
-    eigenvalues = np.array(
-        [float(np.sum(row * np.cos(TAU * k * j / n))) for k in range(n)]
-    )
-    vectors = np.exp(1j * TAU * np.outer(np.arange(1, n + 1), j) / n)
-    return CirculantSpectrum(eigenvalues, vectors / math.sqrt(n))
+    return np.sum(row * np.cos((TAU * j)[:, None] * j / n), axis=1)

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, InvalidArity
-from .geometry import TAU, AngleConfiguration, MassVector
+from .errors import DimensionError, InvalidArity
+from .geometry import TAU, AngleConfiguration, MassVector, _check_pinned
 from .minimizer import MinimizeResult, minimize_f_k
 from .potential import AuxiliaryFunctional, pair_weight_matrix
 from .verifier import verify_cc
@@ -94,9 +94,8 @@ def act_on_angles(g: GroupElement, config: AngleConfiguration) -> AngleConfigura
     """
     if g.n != config.n:
         raise DimensionError(f"group on {g.n} labels, {config.n} angles")
+    _check_pinned(config)
     t = config.angles
-    if abs(t[-1] - TAU) > 1e-12:
-        raise DomainError("group actions need a pinned configuration (t_n = 2*pi)")
     if g.l:
         t = np.concatenate([TAU - t[-2::-1], [TAU]])
     for _ in range(g.h):
@@ -120,7 +119,6 @@ class ExclusionVerdict:
     certificates: tuple
     f_value: float
     theta_m: AngleConfiguration
-    minimize_result: MinimizeResult
     inconsistent: bool = False
 
 
@@ -153,8 +151,8 @@ def _group_scan(masses: MassVector, res: MinimizeResult, w: np.ndarray,
     if certificates:
         witness, margin = max(certificates, key=lambda c: c[1])
         return ExclusionVerdict(True, witness, margin, tuple(certificates),
-                                res.f_value, res.theta_m, res)
-    return ExclusionVerdict(False, None, 0.0, (), res.f_value, res.theta_m, res)
+                                res.f_value, res.theta_m)
+    return ExclusionVerdict(False, None, 0.0, (), res.f_value, res.theta_m)
 
 
 def _swap_scan(aux: AuxiliaryFunctional, masses: MassVector, res: MinimizeResult,
@@ -175,8 +173,8 @@ def _swap_scan(aux: AuxiliaryFunctional, masses: MassVector, res: MinimizeResult
             verify_cc(aux.alpha, masses, res.theta_m, VERIFY_TOL).is_cc
         )
         return ExclusionVerdict(True, witness, margin, tuple(certificates),
-                                res.f_value, res.theta_m, res, inconsistent)
-    return ExclusionVerdict(False, None, 0.0, (), res.f_value, res.theta_m, res)
+                                res.f_value, res.theta_m, inconsistent)
+    return ExclusionVerdict(False, None, 0.0, (), res.f_value, res.theta_m)
 
 
 def exclusion_verdicts(aux: AuxiliaryFunctional, masses: MassVector

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import CollisionError, DimensionError, DomainError
 from .geometry import AngleConfiguration, MassVector, _mirror, center_of_mass
-from .potential import _check_alpha, _frame, _pow
+from .potential import _check_alpha, _check_finite, _frame, _pow
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,7 +45,7 @@ def _check_inputs(alpha, tol) -> float:
     return alpha
 
 
-def _report(tangential_w, radial_w, m, total_mass, center, tol):
+def _report(alpha, tangential_w, radial_w, m, total_mass, center, tol):
     """Assemble a CCReport from the two pair matrices and the center norm.
 
     Row k of ``tangential_w`` must hold sin(t_j - t_k) / r_jk**(alpha + 2)
@@ -53,12 +53,15 @@ def _report(tangential_w, radial_w, m, total_mass, center, tol):
     tangential and radial residuals are linear in the masses and are
     compared against tol * M; the center norm is already divided by M and
     is compared against tol. The verdict is therefore unchanged under
-    m -> s m.
+    m -> s m. A residual that overflows raises ``UnsupportedExponent``
+    when the pair matrices did and ``DomainError`` when only the masses
+    did.
     """
     tangential = float(np.max(np.abs(tangential_w @ m)))
     radial = radial_w @ m
     spread = float(np.max(radial) - np.min(radial))
     lam = float(np.mean(radial))
+    _check_finite(alpha, (tangential, spread, lam, center), tangential_w, radial_w)
     scaled = tol * total_mass
     ok = tangential <= scaled and spread <= scaled and center <= tol
     return CCReport(tangential, spread, center, lam, bool(ok), tol)
@@ -79,7 +82,7 @@ def verify_cc(alpha: float, masses: MassVector, config: AngleConfiguration,
     tangential = -np.sin(du)
     tangential *= _pow(ru, -(alpha + 2.0))
     radial = _pow(ru, -alpha)
-    return _report(_mirror(m.size, tangential, -tangential),
+    return _report(alpha, _mirror(m.size, tangential, -tangential),
                    _mirror(m.size, radial, radial), m, masses.total_mass,
                    center, tol)
 
@@ -88,7 +91,8 @@ def verify_definition_cc(alpha: float, masses: MassVector, positions,
                          tol: float = 1e-9) -> CCReport:
     """Check the same equations straight from planar positions.
 
-    Positions must sit on the unit circle to within 1e-9. The tangential
+    Positions must be finite and sit on the unit circle to within 1e-9;
+    anything else raises ``DomainError``. The tangential
     and radial residuals are the imaginary and real parts of the planar
     force balance taken against each body's direction, so the report
     agrees with :func:`verify_cc` on matching inputs.
@@ -97,11 +101,12 @@ def verify_definition_cc(alpha: float, masses: MassVector, positions,
     q = np.asarray(positions, dtype=complex)
     if q.ndim != 1 or q.size != masses.n:
         raise DimensionError(f"{masses.n} masses but {q.size} positions")
-    if np.max(np.abs(np.abs(q) - 1.0)) > 1e-9:
+    # phrased so that a NaN position fails the check
+    if not np.max(np.abs(np.abs(q) - 1.0)) <= 1e-9:
         raise DomainError("positions must lie on the unit circle (within 1e-9)")
     r = np.abs(q[:, None] - q[None, :])
     off = r[~np.eye(q.size, dtype=bool)]
-    if off.min() < 1e-12:
+    if not off.min() >= 1e-12:
         raise CollisionError("two positions coincide")
     np.fill_diagonal(r, 1.0)
     m = masses.masses
@@ -111,4 +116,4 @@ def verify_definition_cc(alpha: float, masses: MassVector, positions,
     np.fill_diagonal(w_t, 0.0)
     w_r = _pow(r, -alpha)
     np.fill_diagonal(w_r, 0.0)
-    return _report(sin_jk * w_t, w_r, m, masses.total_mass, center, tol)
+    return _report(alpha, sin_jk * w_t, w_r, m, masses.total_mass, center, tol)

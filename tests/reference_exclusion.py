@@ -34,8 +34,8 @@ def reference_exclusion_by_group(aux, masses, *, margin_scale=1e-10):
     if certificates:
         witness, margin = max(certificates, key=lambda c: c[1])
         return ExclusionVerdict(True, witness, margin, tuple(certificates),
-                                res.f_value, res.theta_m, res)
-    return ExclusionVerdict(False, None, 0.0, (), res.f_value, res.theta_m, res)
+                                res.f_value, res.theta_m)
+    return ExclusionVerdict(False, None, 0.0, (), res.f_value, res.theta_m)
 
 
 def reference_exclusion_by_swap(aux, masses, *, verify_tol=1e-9):
@@ -61,5 +61,5 @@ def reference_exclusion_by_swap(aux, masses, *, verify_tol=1e-9):
             verify_cc(aux.alpha, masses, res.theta_m, verify_tol).is_cc
         )
         return ExclusionVerdict(True, witness, margin, tuple(certificates),
-                                res.f_value, res.theta_m, res, inconsistent)
-    return ExclusionVerdict(False, None, 0.0, (), res.f_value, res.theta_m, res)
+                                res.f_value, res.theta_m, inconsistent)
+    return ExclusionVerdict(False, None, 0.0, (), res.f_value, res.theta_m)

@@ -2,9 +2,9 @@
 
 These are the straightforward bodies the package's packed pair frame
 replaces: u_beta builds the n x n chords once per exponent, the gradient,
-the Hessian, W and the CC residuals each build and validate them again on
-all n**2 entries, and the minimizer calls the public functions at every
-point. The chord builder is the package's former one, kept here so the
+the Hessian, W and the CC residuals each build them again on all n**2
+entries, the minimizer calls the public functions at every point, and the
+circulant spectrum takes row 0 of the full W at the regular n-gon. The chord builder is the package's former one, kept here so the
 reference does not share the package's chord code. The tests compare the
 package with these bodies bit for bit; the package never imports this.
 """
@@ -14,18 +14,17 @@ import numpy as np
 from cocircular import (
     AngleConfiguration,
     CCReport,
-    ChordMatrix,
     CollisionError,
     ConvergenceFailure,
     CriterionMatrix,
     DimensionError,
     DomainError,
-    PotentialReport,
     TAU,
     UnsupportedExponent,
     angles_from_reduced,
     center_of_mass,
     condition_threshold,
+    regular_ngon,
 )
 from cocircular.geometry import COLLISION_TOL
 from cocircular.minimizer import (_ARMIJO, _BOUNDARY_FRACTION, _DIAG_REG,
@@ -51,7 +50,7 @@ def chord_matrix(config):
     r = np.abs(2.0 * np.sin(0.5 * (t[:, None] - t[None, :])))
     np.fill_diagonal(r, 0.0)
     np.clip(r, 0.0, 2.0, out=r)
-    return ChordMatrix(r)
+    return r
 
 
 def _check_lengths(masses, config):
@@ -61,7 +60,7 @@ def _check_lengths(masses, config):
 
 def _frames(masses, config):
     _check_lengths(masses, config)
-    r = chord_matrix(config).r.copy()
+    r = chord_matrix(config)
     np.fill_diagonal(r, 1.0)
     d = config.angles[:, None] - config.angles[None, :]
     return masses.masses, d, r
@@ -71,7 +70,7 @@ def u_beta(beta, masses, config):
     if beta == 0:
         raise UnsupportedExponent("beta = 0 (logarithmic potential) is not supported")
     _check_lengths(masses, config)
-    r = chord_matrix(config).r
+    r = chord_matrix(config)
     j, k = np.triu_indices(config.n, 1)
     m = masses.masses
     return float(np.sum(m[j] * m[k] * _pow(r[j, k], -float(beta))))
@@ -107,20 +106,11 @@ def grad_mass_f_k(aux, masses, config):
 
 
 def pair_weight_matrix(aux, config):
-    r = chord_matrix(config).r.copy()
+    r = chord_matrix(config)
     np.fill_diagonal(r, 1.0)
     w = _pow(r, -aux.alpha) + (r * r) / aux.k
     np.fill_diagonal(w, 0.0)
     return w
-
-
-def potential_report(aux, masses, config):
-    return PotentialReport(
-        value=f_k_value(aux, masses, config),
-        grad_theta=grad_theta_f_k(aux, masses, config),
-        grad_mass=grad_mass_f_k(aux, masses, config),
-        hessian_theta=hessian_theta_f_k(aux, masses, config),
-    )
 
 
 def build_matrices(aux, masses, config):
@@ -210,3 +200,12 @@ def minimize(aux, masses, grad_tol=1e-11, max_iter=200):
         x, cfg, fx = xt, cfg_t, ft
         min_gap = min(min_gap, cfg.min_gap())
     raise ConvergenceFailure(f"no convergence within {max_iter} Newton steps")
+
+
+def circulant_spectrum(aux, n):
+    """Eigenvalues from row 0 of the full W, one cosine sum per index k."""
+    row = pair_weight_matrix(aux, regular_ngon(n))[0]
+    if not np.isfinite(row).all():
+        raise UnsupportedExponent(f"W overflows at n = {n}, alpha = {aux.alpha}")
+    j = np.arange(n)
+    return np.array([float(np.sum(row * np.cos(TAU * k * j / n))) for k in range(n)])

@@ -1,11 +1,14 @@
 import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import cocircular
 from cocircular import TAU
 from cocircular.cli import main
 
@@ -331,6 +334,25 @@ def test_overflowing_alpha_or_infinite_k_exits_two(tmp_path, capsys, argv):
     assert "error:" in captured.err and captured.out == ""
 
 
+# SHA-256 of stdout, taken while the spectrum was still read off the full
+# n x n W with one cosine sum per eigenvalue
+SPECTRUM_DIGESTS = {
+    (5, "1"): "44d097e87711414332fc3b7748fa5bd92ea58f18129a2305693da34a851c8ddb",
+    (256, "1"): "58139763b277b859bafbee77674c077ca649e7f2749a4b003751c22d4162f866",
+    (512, "1"): "b4a16721d4d62d82594f241d8b1408d4ec23d68b187695a4ae86fbe5ac1d299d",
+    (5, "2.9"): "b4be9523820521492596936c0af74fe4fd6066b2c0701771783c1ba33b0ef5bf",
+    (256, "2.9"): "69362aaf0ee6486ec19dd07e1beee3f4b05509326429c918865304b5ec719cdc",
+    (512, "2.9"): "05942cf8b0aa486dc8e9c5988b359c2c790dfe414ed0297ca75e65e271300a0c",
+}
+
+
+@pytest.mark.parametrize("n, alpha", sorted(SPECTRUM_DIGESTS))
+def test_spectrum_frozen_digest(capsys, n, alpha):
+    assert main(["spectrum", "--n", str(n), "--alpha", alpha]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == SPECTRUM_DIGESTS[n, alpha]
+
+
 def test_spectrum_overflow_exits_two(capsys):
     # csc(pi/1000)**1000 overflows W's first row; inf and nan are not JSON
     assert main(["spectrum", "--n", "1000", "--alpha", "1000"]) == 2
@@ -351,6 +373,31 @@ def test_non_finite_objective_exits_two(tmp_path, capsys, command, payload, caus
         assert main([command, "--input", inp]) == 2
     captured = capsys.readouterr()
     assert cause in captured.err and captured.out == ""
+
+
+def _run_cli(argv, payload=None):
+    src = os.path.dirname(os.path.dirname(cocircular.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    stdin = None if payload is None else json.dumps(payload)
+    return subprocess.run([sys.executable, "-m", "cocircular", *argv], env=env,
+                          input=stdin, capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("argv, payload", [
+    (["spectrum", "--n", "1000", "--alpha", "1000"], None),
+    (["minimize", "--input", "-"], {"alpha": 1000.0, "masses": [1.0] * 50}),
+    (["exclude", "--input", "-"], {"alpha": 1000.0, "masses": [1.0] * 50}),
+    (["verify", "--input", "-"],
+     {"alpha": 300.0, "masses": [1.0] * 3, "angles": [1.0, 1.000001, TAU]}),
+], ids=["spectrum", "minimize", "exclude", "verify"])
+def test_overflow_prints_one_error_line(argv, payload):
+    # numpy overflow warnings would put internal file paths ahead of the
+    # typed error, and a verify report of inf residuals is not JSON
+    out = _run_cli(argv, payload)
+    assert out.returncode == 2
+    assert out.stdout == ""
+    lines = out.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), out.stderr
 
 
 # SHA-256 of stdout for 256 masses drawn U(0.5, 2) with seed 256; the

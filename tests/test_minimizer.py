@@ -181,4 +181,4 @@ def test_unpinned_init_near_pin_is_normalized():
     m = MassVector(np.ones(3))
     init = AngleConfiguration(np.array([TAU / 3, 2 * TAU / 3, TAU - 5e-13]))
     res = minimize_f_k(aux, m, init)
-    assert res.theta_m.in_k0
+    assert res.theta_m.angles[-1] == TAU

@@ -17,7 +17,6 @@ from cocircular import (
     hessian_theta_f_k,
     k_min,
     pair_weight_matrix,
-    potential_report,
     regular_ngon,
     u_beta,
 )
@@ -229,14 +228,3 @@ def test_pair_weights_minimized_at_diameter():
     phi = r**-1.0 + r**2 / aux.k
     assert np.all(np.diff(phi) < 0.0)
     assert abs(phi[-1] - (0.5 + 4.0 / 16.0)) < 1e-12
-
-
-def test_potential_report_bundles_everything():
-    aux = AuxiliaryFunctional(1.0, 16.0)
-    m = MassVector(np.array([1.0, 1.0, 2.0]))
-    rep = potential_report(aux, m, TRIANGLE)
-    assert rep.value == f_k_value(aux, m, TRIANGLE)
-    np.testing.assert_array_equal(rep.grad_theta, grad_theta_f_k(aux, m, TRIANGLE))
-    np.testing.assert_array_equal(rep.grad_mass, grad_mass_f_k(aux, m, TRIANGLE))
-    np.testing.assert_array_equal(rep.hessian_theta,
-                                  hessian_theta_f_k(aux, m, TRIANGLE))

@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_potential as ref
 from cocircular import (
+    TAU,
     AuxiliaryFunctional,
     DimensionError,
     DomainError,
@@ -89,9 +91,9 @@ def test_verdict_condition_fails_at_large_alpha():
 def test_circulant_spectrum_square_frozen():
     spec = circulant_spectrum(AuxiliaryFunctional(1.0, 16.0), 4)
     expected = [2.4142135623730949, -0.75, -0.91421356237309503, -0.75]
-    assert np.allclose(spec.eigenvalues, expected, atol=1e-14)
+    assert np.allclose(spec, expected, atol=1e-14)
     w = pair_weight_matrix(AuxiliaryFunctional(1.0, 16.0), regular_ngon(4))
-    assert abs(spec.eigenvalues[0] - w[0].sum()) < 1e-14
+    assert abs(spec[0] - w[0].sum()) < 1e-14
 
 
 @given(st.integers(3, 16), st.sampled_from([0.5, 1.0, 2.0]))
@@ -101,10 +103,13 @@ def test_circulant_matches_dense_eigensolver(n, alpha):
     spec = circulant_spectrum(aux, n)
     w = pair_weight_matrix(aux, regular_ngon(n))
     dense = np.linalg.eigvalsh(w)
-    assert np.allclose(np.sort(spec.eigenvalues), dense, atol=1e-10)
+    assert np.allclose(np.sort(spec), dense, atol=1e-10)
+    # eigenvector k is the k-th root-of-unity vector (xi_k**1, ..., xi_k**n)/sqrt(n)
+    vectors = np.exp(1j * TAU * np.outer(np.arange(1, n + 1), np.arange(n)) / n)
+    vectors /= np.sqrt(n)
     for k in range(n):
-        v = spec.eigenvectors[:, k]
-        assert np.linalg.norm(w @ v - spec.eigenvalues[k] * v) < 1e-10
+        v = vectors[:, k]
+        assert np.linalg.norm(w @ v - spec[k] * v) < 1e-10
         assert abs(np.linalg.norm(v) - 1.0) < 1e-12
 
 
@@ -116,7 +121,7 @@ def test_criterion_spectrum_is_negated_tail():
         spec = circulant_spectrum(aux, n)
         cm = build_matrices(aux, MassVector(np.ones(n)), regular_ngon(n))
         got = np.sort(np.linalg.eigvalsh(cm.hcal))
-        expected = np.sort(np.concatenate([[0.0], -spec.eigenvalues[1:]]))
+        expected = np.sort(np.concatenate([[0.0], -spec[1:]]))
         assert np.allclose(got, expected, atol=1e-10)
 
 
@@ -146,6 +151,21 @@ def test_taylor_identity_rejects_length_mismatch():
     with pytest.raises(DimensionError):
         taylor_identity_check(aux, MassVector(np.ones(4)), regular_ngon(4),
                               MassVector(np.array([2.0, 2.0])))
+
+
+# n = 3..1024 sampled, plus the powers of two and their neighbours; the
+# alphas cover both branches of the package's power (multiply chains at
+# integer exponents up to 4, numpy's power otherwise)
+SPECTRUM_NS = sorted({*range(3, 40), *range(40, 1025, 109), 255, 256, 257,
+                      511, 512, 513, 1024})
+
+
+@pytest.mark.parametrize("alpha", [0.1, 0.5, 1.0, 2.0, 2.9, 3.0, 4.0])
+def test_circulant_spectrum_matches_reference_bit_for_bit(alpha):
+    aux = AuxiliaryFunctional(alpha)
+    for n in SPECTRUM_NS:
+        assert np.array_equal(circulant_spectrum(aux, n),
+                              ref.circulant_spectrum(aux, n)), n
 
 
 def test_circulant_spectrum_arity():

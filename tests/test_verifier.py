@@ -88,11 +88,28 @@ def test_definition_verifier_validation():
     m = MassVector(np.ones(3))
     with pytest.raises(DomainError):
         verify_definition_cc(1.0, m, np.array([0.5 + 0j, 1j, -1j]))  # off circle
+    with pytest.raises(DomainError):
+        verify_definition_cc(1.0, m, np.array([1.0, np.nan, -1j]))
     with pytest.raises(CollisionError):
         q = np.exp(1j * np.array([1.0, 1.0 + 1e-14, 3.0]))
         verify_definition_cc(1.0, m, q)
     with pytest.raises(UnsupportedExponent):
         verify_definition_cc(-1.0, m, regular_ngon(3).positions())
+
+
+@pytest.mark.parametrize("verify", ["angles", "positions"])
+@pytest.mark.parametrize("alpha, masses, error", [
+    (300.0, [1.0, 1.0, 1.0], UnsupportedExponent),  # r**-302 overflows at r = 1e-6
+    (2.0, [5e307, 5e307, 5e307], DomainError),  # only the mass-weighted sums do
+])
+def test_non_finite_residuals_are_input_errors(verify, alpha, masses, error):
+    m = MassVector(np.array(masses))
+    cfg = AngleConfiguration(np.array([1.0, 1.000001, TAU]))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(error):
+        if verify == "angles":
+            verify_cc(alpha, m, cfg)
+        else:
+            verify_definition_cc(alpha, m, cfg.positions())
 
 
 @pytest.mark.parametrize("verify", ["angles", "positions"])
