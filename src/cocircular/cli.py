@@ -9,11 +9,16 @@ are JSON (or CSV for scan) with floats at 17 significant digits,
 byte-stable across identical runs. Exit codes: 0 on success, 2 for
 domain or input errors (argparse also exits 2 on a bad command line), 3
 for convergence failures.
+
+``main(argv)`` may be called any number of times in one process: the
+first call builds the parser and later calls reuse it, so a call costs
+one parse. ``build_parser()`` still returns a new parser on every call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -34,9 +39,22 @@ def _fmt(x: float) -> str:
 
 
 def _json(value) -> str:
-    """Serialize with deterministic 17-significant-digit floats."""
-    if isinstance(value, bool) or value is None:
-        return json.dumps(value)
+    """Serialize with deterministic 17-significant-digit floats.
+
+    A float array (or a list of Python floats) is one join over its
+    formatted values. Dict keys are ASCII identifiers and are quoted as
+    they are.
+    """
+    if isinstance(value, np.ndarray) and value.dtype.kind == "f" and value.ndim == 1:
+        value = value.tolist()
+    if isinstance(value, list) and all(type(v) is float for v in value):
+        return "[" + ",".join([format(v, ".17g") for v in value]) + "]"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if value is None:
+        return "null"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
@@ -44,8 +62,7 @@ def _json(value) -> str:
     if isinstance(value, str):
         return json.dumps(value)
     if isinstance(value, dict):
-        items = ",".join(f"{json.dumps(str(k))}:{_json(v)}" for k, v in value.items())
-        return "{" + items + "}"
+        return "{" + ",".join([f'"{k}":{_json(v)}' for k, v in value.items()]) + "}"
     if isinstance(value, (list, tuple, np.ndarray)):
         return "[" + ",".join(_json(v) for v in value) + "]"
     raise TypeError(f"cannot serialize {type(value)!r}")
@@ -90,23 +107,22 @@ def _emit(args: argparse.Namespace, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _witness_json(witness):
+def _witness_json(witness) -> str:
     if witness is None:
-        return None
+        return "null"
     if isinstance(witness, GroupElement):
-        return {"kind": "group", "h": witness.h, "l": witness.l}
-    return {"kind": "swap", "pair": list(witness)}
+        return f'{{"kind":"group","h":{witness.h},"l":{witness.l}}}'
+    j, k = witness
+    return f'{{"kind":"swap","pair":[{j},{k}]}}'
 
 
-def _verdict_json(v):
-    return {
-        "excluded": v.excluded,
-        "witness": _witness_json(v.witness),
-        "margin": v.margin,
-        "certificates": [
-            {"witness": _witness_json(w), "margin": mg} for w, mg in v.certificates
-        ],
-    }
+def _verdict_json(v, tail: str = "") -> str:
+    """One verdict object; ``tail`` holds any fields written after the rest."""
+    certificates = ",".join([
+        f'{{"witness":{_witness_json(w)},"margin":{_fmt(mg)}}}' for w, mg in v.certificates
+    ])
+    return (f'{{"excluded":{_json(v.excluded)},"witness":{_witness_json(v.witness)},'
+            f'"margin":{_fmt(v.margin)},"certificates":[{certificates}]{tail}}}')
 
 
 def _cmd_minimize(args: argparse.Namespace) -> str:
@@ -145,18 +161,13 @@ def _cmd_exclude(args: argparse.Namespace) -> str:
     alpha, masses, _ = _load_problem(args)
     aux = AuxiliaryFunctional(alpha, args.k)
     group, swap = exclusion_verdicts(aux, masses)
-    swap_json = _verdict_json(swap)
-    swap_json["inconsistent"] = swap.inconsistent
-    return _json({
-        "alpha": aux.alpha,
-        "k": aux.k,
-        "masses": masses.masses,
-        "theta_m": group.theta_m.angles,
-        "f_value": group.f_value,
-        "excluded": group.excluded or swap.excluded,
-        "group": _verdict_json(group),
-        "swap": swap_json,
-    }) + "\n"
+    inconsistent = f',"inconsistent":{_json(swap.inconsistent)}'
+    return (
+        f'{{"alpha":{_json(aux.alpha)},"k":{_json(aux.k)},"masses":{_json(masses.masses)},'
+        f'"theta_m":{_json(group.theta_m.angles)},"f_value":{_json(group.f_value)},'
+        f'"excluded":{_json(group.excluded or swap.excluded)},'
+        f'"group":{_verdict_json(group)},"swap":{_verdict_json(swap, inconsistent)}}}\n'
+    )
 
 
 def _cmd_spectrum(args: argparse.Namespace) -> str:
@@ -168,14 +179,17 @@ def _cmd_scan(args: argparse.Namespace) -> str:
     if args.n_min > args.n_max:
         raise DomainError("--n-min must not exceed --n-max")
     cells = scan_region(range(args.n_min, args.n_max + 1), args.alpha)
-    if args.format == "json" and not args.csv:
-        return _json([
-            {"n": c.n, "alpha": c.alpha, "g_value": c.g_value,
-             "threshold": c.threshold, "holds": c.holds}
-            for c in cells
-        ]) + "\n"
     # alpha and threshold repeat down each column: format them once
     fixed = {a: (_fmt(a), _fmt(t)) for a, t in {(c.alpha, c.threshold) for c in cells}}
+    if args.format == "json" and not args.csv:
+        rows = []
+        for c in cells:
+            alpha, threshold = fixed[c.alpha]
+            rows.append(
+                f'{{"n":{c.n},"alpha":{alpha},"g_value":{_fmt(c.g_value)},'
+                f'"threshold":{threshold},"holds":{"true" if c.holds else "false"}}}'
+            )
+        return "[" + ",".join(rows) + "]\n"
     lines = ["n,alpha,g_value,threshold,holds"]
     for c in cells:
         alpha, threshold = fixed[c.alpha]
@@ -250,8 +264,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses, built on its first call rather than at import."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         # an overflow surfaces as the typed error below, not as numpy warnings
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):

@@ -54,8 +54,12 @@ class MassVector:
             raise InvalidArity("a mass vector needs at least two entries")
         if not np.all(np.isfinite(m)) or np.any(m <= 0.0):
             raise DomainError("masses must be positive and finite")
+        try:
+            total = math.fsum(m)
+        except OverflowError:
+            raise DomainError("the total mass overflows a double") from None
         object.__setattr__(self, "masses", _readonly(m))
-        object.__setattr__(self, "total_mass", float(math.fsum(m)))
+        object.__setattr__(self, "total_mass", total)
 
     @property
     def n(self) -> int:

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import io
 import json
@@ -444,3 +445,128 @@ def test_missing_required_flag_is_a_usage_error(capsys, command, missing):
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert missing in captured.err and captured.out == ""
+
+
+# SHA-256 of what the JSON writer produces for each shape it handles, taken
+# while every value was still written by a recursive walk with one
+# json.dumps per dict key.
+WRITER_DIGESTS = {
+    # verify on the n = 256, alpha = 1 minimize output of LARGE_N_DIGESTS
+    "verify-large-n": "18e3c6ac0bb8e9acbeef2a8654e945f23bd59fd89b7b25e6a21131b893357533",
+    # group and swap certificates, "inconsistent"
+    "exclude-112": "0aab432f2c56102110b24440c02aca86807b01708b9482d6df8344fa8d008952",
+    # null witnesses, empty certificate lists
+    "exclude-equal": "0158ca49c269fa2476515503b591cc08e97c51849354c8bc6f7f35e7e0838b05",
+    "scan-json": "755bdaaaaabbc6b32bb0f2164361ec9d5974faf8e5b1910f061191103bf474a2",
+    # the file minimize --output writes, 64 masses U(0.5, 2), seed 64, alpha 0.5
+    "minimize-output": "4d8bcb10956b4ee42eca27713c5f7b05992f1492b68484852573be31317d115e",
+}
+
+
+def _sha(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_verify_large_n_frozen_stdout(tmp_path, capsys, monkeypatch):
+    masses = np.random.default_rng(256).uniform(0.5, 2.0, 256)
+    inp = write_json(tmp_path / "m.json", {"alpha": 1.0, "masses": masses.tolist()})
+    assert main(["minimize", "--input", inp]) == 0
+    minimized = capsys.readouterr().out
+    monkeypatch.setattr(sys, "stdin", io.StringIO(minimized))
+    assert main(["verify", "--input", "-"]) == 0
+    assert _sha(capsys.readouterr().out) == WRITER_DIGESTS["verify-large-n"]
+
+
+@pytest.mark.parametrize("key, payload", [
+    ("exclude-112", M112),
+    ("exclude-equal", {"alpha": 1.0, "masses": [1.0] * 4}),
+])
+def test_exclude_frozen_stdout(tmp_path, capsys, key, payload):
+    inp = write_json(tmp_path / "m.json", payload)
+    assert main(["exclude", "--input", inp]) == 0
+    assert _sha(capsys.readouterr().out) == WRITER_DIGESTS[key]
+
+
+def test_scan_json_frozen_stdout(capsys):
+    assert main(["scan", "--n-min", "3", "--n-max", "40", "--alpha", "0.5", "1", "3",
+                 "--format", "json"]) == 0
+    assert _sha(capsys.readouterr().out) == WRITER_DIGESTS["scan-json"]
+
+
+def test_minimize_output_file_frozen(tmp_path, capsys):
+    masses = np.random.default_rng(64).uniform(0.5, 2.0, 64)
+    inp = write_json(tmp_path / "m.json", {"alpha": 0.5, "masses": masses.tolist()})
+    out = tmp_path / "result.json"
+    assert main(["minimize", "--input", inp, "--output", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == WRITER_DIGESTS["minimize-output"]
+
+
+@pytest.mark.parametrize("command", ["minimize", "verify", "exclude"])
+def test_overflowing_total_mass_prints_one_error_line(command):
+    # each mass is a finite double, their sum is not
+    out = _run_cli([command, "--input", "-"],
+                   {"alpha": 1.0, "masses": [1e308] * 3, "angles": [1.0, 2.0, TAU]})
+    assert out.returncode == 2
+    assert out.stdout == ""
+    lines = out.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), out.stderr
+
+
+def test_reused_parser_matches_fresh_process(monkeypatch, capsys):
+    # one process runs every call through the same parser; each must print
+    # what a fresh interpreter prints for it
+    monkeypatch.setenv("COLUMNS", "80")
+    calls = [
+        ["scan", "--n-min", "3"],
+        ["--help"],
+        ["alpha-star", "--n", "6"],
+        ["scan", "--n-min", "3", "--n-max", "6", "--alpha", "2", "0.5"],
+    ]
+    for argv in calls:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        fresh = _run_cli(argv)
+        assert code == fresh.returncode
+        assert captured.out == fresh.stdout
+        assert captured.err == fresh.stderr
+
+
+def test_main_builds_one_parser(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        if kwargs.get("prog") == "cocircular":
+            built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for _ in range(20):
+        assert main(["alpha-star", "--n", "6"]) == 0
+        assert capsys.readouterr().out == ALPHA_STAR_6
+    assert len(built) <= 1
+    # callers of build_parser still get a parser of their own
+    assert cocircular.cli.build_parser() is not cocircular.cli.build_parser()
+
+
+def test_import_builds_no_parser():
+    probe = (
+        "import argparse\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counting_init(self, *a, **k):\n"
+        "    built.append(k.get('prog'))\n"
+        "    init(self, *a, **k)\n"
+        "argparse.ArgumentParser.__init__ = counting_init\n"
+        "import cocircular, cocircular.cli\n"
+        "print(len(built))\n"
+    )
+    src = os.path.dirname(os.path.dirname(cocircular.__file__))
+    out = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "0\n"

@@ -87,6 +87,13 @@ def test_mass_vector_validation():
         MassVector(np.array([1.0, np.nan]))
 
 
+@pytest.mark.parametrize("masses", [[1e308] * 3, [1.7e308, 1.7e308]])
+def test_mass_vector_total_overflow_is_a_domain_error(masses):
+    # every mass is finite, but their exact sum is not a double
+    with pytest.raises(DomainError, match="total mass"):
+        MassVector(np.array(masses))
+
+
 def test_mass_vector_is_frozen():
     m = MassVector(np.array([1.0, 2.0]))
     with pytest.raises(ValueError):
