@@ -41,30 +41,23 @@ def _fmt(x: float) -> str:
 def _json(value) -> str:
     """Serialize with deterministic 17-significant-digit floats.
 
-    A float array (or a list of Python floats) is one join over its
-    formatted values. Dict keys are ASCII identifiers and are quoted as
-    they are.
+    A 1-D float array is one join over its formatted values. Dict keys
+    are ASCII identifiers and are quoted as they are.
     """
-    if isinstance(value, np.ndarray) and value.dtype.kind == "f" and value.ndim == 1:
-        value = value.tolist()
-    if isinstance(value, list) and all(type(v) is float for v in value):
-        return "[" + ",".join([format(v, ".17g") for v in value]) + "]"
+    if isinstance(value, np.ndarray):
+        return "[" + ",".join([format(v, ".17g") for v in value.tolist()]) + "]"
     if value is True:
         return "true"
     if value is False:
         return "false"
-    if value is None:
-        return "null"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
         return _fmt(value)
-    if isinstance(value, str):
-        return json.dumps(value)
     if isinstance(value, dict):
         return "{" + ",".join([f'"{k}":{_json(v)}' for k, v in value.items()]) + "}"
-    if isinstance(value, (list, tuple, np.ndarray)):
-        return "[" + ",".join(_json(v) for v in value) + "]"
+    if isinstance(value, list):
+        return "[" + ",".join([_json(v) for v in value]) + "]"
     raise TypeError(f"cannot serialize {type(value)!r}")
 
 
@@ -116,13 +109,14 @@ def _witness_json(witness) -> str:
     return f'{{"kind":"swap","pair":[{j},{k}]}}'
 
 
-def _verdict_json(v, tail: str = "") -> str:
-    """One verdict object; ``tail`` holds any fields written after the rest."""
+def _verdict_json(v, inconsistent: bool | None = None) -> str:
+    """One verdict object, with an ``inconsistent`` field unless it is None."""
     certificates = ",".join([
         f'{{"witness":{_witness_json(w)},"margin":{_fmt(mg)}}}' for w, mg in v.certificates
     ])
+    flag = "" if inconsistent is None else f',"inconsistent":{_json(inconsistent)}'
     return (f'{{"excluded":{_json(v.excluded)},"witness":{_witness_json(v.witness)},'
-            f'"margin":{_fmt(v.margin)},"certificates":[{certificates}]{tail}}}')
+            f'"margin":{_fmt(v.margin)},"certificates":[{certificates}]{flag}}}')
 
 
 def _cmd_minimize(args: argparse.Namespace) -> str:
@@ -161,12 +155,11 @@ def _cmd_exclude(args: argparse.Namespace) -> str:
     alpha, masses, _ = _load_problem(args)
     aux = AuxiliaryFunctional(alpha, args.k)
     group, swap = exclusion_verdicts(aux, masses)
-    inconsistent = f',"inconsistent":{_json(swap.inconsistent)}'
     return (
         f'{{"alpha":{_json(aux.alpha)},"k":{_json(aux.k)},"masses":{_json(masses.masses)},'
         f'"theta_m":{_json(group.theta_m.angles)},"f_value":{_json(group.f_value)},'
         f'"excluded":{_json(group.excluded or swap.excluded)},'
-        f'"group":{_verdict_json(group)},"swap":{_verdict_json(swap, inconsistent)}}}\n'
+        f'"group":{_verdict_json(group)},"swap":{_verdict_json(swap, swap.inconsistent)}}}\n'
     )
 
 
@@ -179,17 +172,14 @@ def _cmd_scan(args: argparse.Namespace) -> str:
     if args.n_min > args.n_max:
         raise DomainError("--n-min must not exceed --n-max")
     cells = scan_region(range(args.n_min, args.n_max + 1), args.alpha)
+    if args.format == "json" and not args.csv:
+        return _json([
+            {"n": c.n, "alpha": c.alpha, "g_value": c.g_value,
+             "threshold": c.threshold, "holds": c.holds}
+            for c in cells
+        ]) + "\n"
     # alpha and threshold repeat down each column: format them once
     fixed = {a: (_fmt(a), _fmt(t)) for a, t in {(c.alpha, c.threshold) for c in cells}}
-    if args.format == "json" and not args.csv:
-        rows = []
-        for c in cells:
-            alpha, threshold = fixed[c.alpha]
-            rows.append(
-                f'{{"n":{c.n},"alpha":{alpha},"g_value":{_fmt(c.g_value)},'
-                f'"threshold":{threshold},"holds":{"true" if c.holds else "false"}}}'
-            )
-        return "[" + ",".join(rows) + "]\n"
     lines = ["n,alpha,g_value,threshold,holds"]
     for c in cells:
         alpha, threshold = fixed[c.alpha]
