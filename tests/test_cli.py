@@ -487,6 +487,71 @@ def test_exclude_frozen_stdout(tmp_path, capsys, key, payload):
     assert _sha(capsys.readouterr().out) == WRITER_DIGESTS[key]
 
 
+def _certify_masses(family, n):
+    """The mass families of the certify benchmark, heavy/light ratio 1e3."""
+    if family == "uniform":
+        return np.random.default_rng(n).uniform(0.5, 2.0, n)
+    if family == "graded":
+        return 1.0 + np.arange(n) / n
+    m = np.ones(n)
+    m[-1] = 1e3
+    if family == "two-heavy":
+        m[2] = 1e3
+    return m
+
+
+# SHA-256 of the exclude stdout for alpha = 0.5, 1 and 3 in turn, taken
+# while every line-search trial still built a validated AngleConfiguration
+# and the scans tested and labelled one image row at a time. They pin the
+# certificate order, witnesses, margins and "inconsistent" flags at the
+# sizes the certify benchmark runs.
+CERTIFY_DIGESTS = {
+    ("one-heavy", 9):
+        "99130761de1249a94ae4a9a33196ba1f6b916666cb67d6f09c0b4f2b0c394989",
+    ("one-heavy", 13):
+        "4b087d2ffebe789d8c259b974b74cc5aae709b4e6a31af72a77319624ac66dff",
+    ("one-heavy", 26):
+        "e8cfcbad2cb416fc5d5c5fc034216b4dcfd231560a543aaa997e8e450bb54576",
+    ("one-heavy", 40):
+        "bd5ec552fb7c72e2d51af6935d0f3aa737a2abc03b394da607306d29f51f6c9a",
+    ("two-heavy", 9):
+        "5bc2cbb7b95a2dc4013fc0e86f62572ed4bd63777d8fddc768472370bea07fe8",
+    ("two-heavy", 13):
+        "8c70aae12b5e09de14f9fb731e40402ce332d5505d63aee3ffd92a446699d821",
+    ("two-heavy", 26):
+        "f94bf1a9a845456426c1907c08b4221abf75f75a19d2469f98e37e6756191db0",
+    ("two-heavy", 40):
+        "909b900e6c08512ae16d605575429a1306a42eac9fcfdeda7a79215f3e72256b",
+    ("graded", 9):
+        "5153f71a8fd7bdee7efffc197cb0b94c378b861e66f68f1771e65e2eab41d80c",
+    ("graded", 13):
+        "2fadcc5589543eccc5d8b5827e358e0e4c8a671edee5354a13c9c4ee8423be0a",
+    ("graded", 26):
+        "b1b36249ce2714c140433753cee6aebf48b68f013862c70b35a0f63bfa72428d",
+    ("graded", 40):
+        "bca66d2be11e3496971ad6ecd5c2f5e4b6a8613c028d859b57e58876bd986542",
+    ("uniform", 9):
+        "c4b245e9b7e692ad9b0c6bbf364df5217cd0de4f6e1e7950210b8fe36c307dc9",
+    ("uniform", 13):
+        "6c45eea68df5f918c3df2f9e0af6efe66ffb22ccccba95cb82d24877060ef257",
+    ("uniform", 26):
+        "576093fb051abae2152e8eface0bdaddf96f2d37240d5f33b3a72b3fa50bc931",
+    ("uniform", 40):
+        "7bb22b8230ed86beaa993755ec073f7d224ddfc1e1c1233ace049627740a472a",
+}
+
+
+@pytest.mark.parametrize("family, n", list(CERTIFY_DIGESTS))
+def test_exclude_certify_sizes_frozen_stdout(tmp_path, capsys, family, n):
+    masses = _certify_masses(family, n).tolist()
+    out = ""
+    for alpha in (0.5, 1.0, 3.0):
+        inp = write_json(tmp_path / "m.json", {"alpha": alpha, "masses": masses})
+        assert main(["exclude", "--input", inp]) == 0
+        out += capsys.readouterr().out
+    assert _sha(out) == CERTIFY_DIGESTS[family, n]
+
+
 def test_scan_json_frozen_stdout(capsys):
     assert main(["scan", "--n-min", "3", "--n-max", "40", "--alpha", "0.5", "1", "3",
                  "--format", "json"]) == 0
