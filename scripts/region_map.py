@@ -12,7 +12,7 @@ import sys
 
 import numpy as np
 
-from cocircular import NoBracket, alpha_star, condition_threshold, g_value, scan_region
+from cocircular import NoBracket, alpha_star, cli, g_value, scan_region
 
 
 def main(argv=None):
@@ -28,11 +28,11 @@ def main(argv=None):
     alphas = np.linspace(args.alpha_min, args.alpha_max, args.alpha_steps)
     cells = scan_region(range(args.n_min, args.n_max + 1), alphas)
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write("n,alpha,g_value,threshold,holds\n")
-            for c in cells:
-                fh.write(f"{c.n},{c.alpha:.17g},{c.g_value:.17g},"
-                         f"{c.threshold:.17g},{str(c.holds).lower()}\n")
+        # the CSV is the `cocircular scan --csv` file, written by the CLI itself
+        code = cli.main(["scan", "--n-min", str(args.n_min), "--n-max", str(args.n_max),
+                         "--alpha", *[str(float(a)) for a in alphas], "--csv", args.csv])
+        if code:
+            return code
         print(f"wrote {len(cells)} cells to {args.csv}")
 
     print(f"{'n':>3} {'alpha_star':>12} {'g(n,a*)':>10} {'holds up to':>12}")

@@ -7,9 +7,10 @@ and by the symmetry-group actions.
 
 Pair quantities are held packed: one entry per pair j < k, in
 ``np.triu_indices(n, 1)`` order, which is also the row-major order of the
-True entries of the strict upper-triangle mask. ``_packed_chords`` builds
+True entries of the strict upper-triangle mask. ``_pair_chords`` builds
 the differences du = t_j - t_k and the chords ru = |2 sin(du/2)| once per
-configuration and checks them there. ``_mirror`` expands packed pair
+point and checks them there; ``_packed_chords`` feeds it a configuration,
+the minimizer its raw iterates. ``_mirror`` expands packed pair
 quantities into an n x n matrix with a zero diagonal, writing the upper
 triangle through that mask and the lower one through the same mask on the
 transposed view. The mirror reproduces the full-matrix formulas bit for
@@ -128,19 +129,24 @@ def _mirror(n: int, upper: np.ndarray, lower: np.ndarray) -> np.ndarray:
 
 
 def _packed_chords(config: AngleConfiguration):
-    """Packed differences du = t_j - t_k and chords ru = |2 sin(du/2)|, j < k.
+    """Packed differences du = t_j - t_k and chords ru = |2 sin(du/2)|, j < k."""
+    return _pair_chords(config.angles, config.min_gap())
+
+
+def _pair_chords(t: np.ndarray, min_gap: float):
+    """Packed du and ru of increasing angles t whose smallest circular gap is min_gap.
 
     The half-angle form avoids the cancellation that sqrt(2 - 2 cos)
     suffers for nearly coincident bodies. Raises ``CollisionError`` when
-    two bodies are closer than ``COLLISION_TOL`` and ``DomainError`` when
-    a chord falls outside (0, 2].
+    min_gap is below ``COLLISION_TOL`` and ``DomainError`` when a chord
+    falls outside (0, 2]. The angles are not checked here: callers pass a
+    validated configuration's, or a vector they have checked the same way.
     """
-    if config.min_gap() < COLLISION_TOL:
+    if min_gap < COLLISION_TOL:
         raise CollisionError(
             f"two bodies are within {COLLISION_TOL} radians of each other"
         )
-    t = config.angles
-    j, k, _ = _pairs(config.n)
+    j, k, _ = _pairs(t.size)
     du = t[j] - t[k]
     ru = _chords(du)
     if ru.min() <= 0.0:

@@ -4,24 +4,35 @@ Work happens in the reduced coordinates (t_1, ..., t_{n-1}) with t_n
 pinned at 2*pi. The functional blows up at the ordering boundary, so a
 feasibility-clipped, Armijo-backtracked Newton step stays interior and
 converges to the unique minimizer.
+
+The masses and the start are validated once, on entry. The loop then runs
+on raw pinned angle vectors: the step carries a trailing 0.0, so every
+trial keeps t_n = 2*pi exactly, and one gap vector per point serves the
+trial's ordering test, the collision check, the smallest gap seen and the
+next feasible-step bound. A trial costs that gap vector, one packed chord
+build and two sums; an ``AngleConfiguration`` is built only for the result.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConvergenceFailure, DomainError
 from .geometry import (COLLISION_TOL, TAU, AngleConfiguration, MassVector,
-                       _check_pinned, regular_ngon)
-from .potential import (AuxiliaryFunctional, _check_finite, _f_value, _frame,
+                       _check_pinned, _pair_chords, regular_ngon)
+from .potential import (AuxiliaryFunctional, _check_finite, _f_value,
                         _grad_theta, _hessian_theta, _mass_products, _pow)
 
 _ARMIJO = 1e-4
 _SHRINK = 0.5
 _BOUNDARY_FRACTION = 0.9
 _DIAG_REG = 1e-12
+# ulp slack keeps full Newton steps acceptable at the float floor, where
+# the predicted decrease is smaller than rounding in f
+_ULP_SLACK = 4.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,16 +61,6 @@ def angles_from_reduced(x: np.ndarray) -> AngleConfiguration:
     """Inverse of reduced_coordinates: append the pinned angle 2*pi."""
     x = np.asarray(x, dtype=float)
     return AngleConfiguration(np.append(x, TAU))
-
-
-def _max_feasible_step(x: np.ndarray, d: np.ndarray) -> float:
-    """Largest t keeping 0 < x_1 + t d_1 < ... < x_{n-1} + t d_{n-1} < 2*pi."""
-    gaps = np.concatenate(([x[0]], np.diff(x), [TAU - x[-1]]))
-    dgaps = np.concatenate(([d[0]], np.diff(d), [-d[-1]]))
-    shrinking = dgaps < 0.0
-    if not np.any(shrinking):
-        return np.inf
-    return float(np.min(gaps[shrinking] / -dgaps[shrinking]))
 
 
 def minimize_f_k(aux: AuxiliaryFunctional, masses: MassVector,
@@ -121,21 +122,25 @@ def minimize_f_k(aux: AuxiliaryFunctional, masses: MassVector,
         cfg = regular_ngon(n)
     # one packed pair frame per point: an accepted trial's serves the next
     # iteration; the mass products serve the whole solve
-    m, du, ru = _frame(masses, cfg)
+    m = masses.masses
     mm = _mass_products(m)
+    x = cfg.angles
+    min_gap_seen = cfg.min_gap()
+    du, ru = _pair_chords(x, min_gap_seen)
     fx = _f_value(aux, mm, ru)
     if n == 2:
         r_a2 = _pow(ru, -(aux.alpha + 2.0))
         gnorm = float(abs(_grad_theta(aux, m, du, r_a2)[0]))
         _check_finite(aux.alpha, (fx, gnorm), r_a2)
-        return MinimizeResult(cfg, fx, gnorm, 0, True, cfg.min_gap())
-    x = cfg.angles[:-1].copy()
-    min_gap_seen = cfg.min_gap()
+        return MinimizeResult(cfg, fx, gnorm, 0, True, min_gap_seen)
+    gaps = x[1:] - x[:-1]
+    d = np.zeros(n)  # the step, its pinned last entry left at 0.0
+    diag = np.arange(n - 1)
     gnorm = np.inf
     for iteration in range(max_iter + 1):
         r_a2 = _pow(ru, -(aux.alpha + 2.0))
         gr = _grad_theta(aux, m, du, r_a2)[:-1]
-        gnorm = float(np.linalg.norm(gr))
+        gnorm = math.sqrt(float(gr @ gr))
         _check_finite(aux.alpha, (fx, gnorm), r_a2)
         hr = _hessian_theta(aux, n, mm, du, r_a2)[:-1, :-1]
         if gnorm <= grad_tol * max(1.0, abs(fx)):
@@ -144,32 +149,45 @@ def minimize_f_k(aux: AuxiliaryFunctional, masses: MassVector,
             except np.linalg.LinAlgError:
                 raise ConvergenceFailure(
                     "reduced Hessian is not positive definite at the candidate",
-                    MinimizeResult(cfg, fx, gnorm, iteration, False, min_gap_seen),
+                    _result(x, fx, gnorm, iteration, False, min_gap_seen),
                 ) from None
-            return MinimizeResult(cfg, fx, gnorm, iteration, True, min_gap_seen)
+            return _result(x, fx, gnorm, iteration, True, min_gap_seen)
         if iteration == max_iter:
             break
+        # hr is this iteration's own array, so the regularization goes in place
         reg = _DIAG_REG * float(np.trace(hr)) / n
+        hr[diag, diag] += reg
         try:
-            step = np.linalg.solve(hr + reg * np.eye(n - 1), -gr)
+            step = np.linalg.solve(hr, -gr)
         except np.linalg.LinAlgError:
             step = -gr
         slope = float(gr @ step)
         if slope >= 0.0:
             step = -gr
             slope = -gnorm * gnorm
-        t = min(1.0, _BOUNDARY_FRACTION * _max_feasible_step(x, step))
-        # ulp slack keeps full Newton steps acceptable at the float floor,
-        # where the predicted decrease is smaller than rounding in f
-        slack = 4.0 * np.finfo(float).eps * abs(fx)
+        d[:-1] = step
+        # largest t keeping every gap positive: the first angle against 0,
+        # then consecutive gaps, the last against the pinned 2*pi
+        dgaps = d[1:] - d[:-1]
+        shrinking = dgaps < 0.0
+        t_max = np.min(gaps[shrinking] / -dgaps[shrinking], initial=np.inf)
+        if d[0] < 0.0:
+            t_max = min(t_max, x[0] / -d[0])
+        t = min(1.0, _BOUNDARY_FRACTION * float(t_max))
+        slack = _ULP_SLACK * abs(fx)
         while t > 1e-18:
-            xt = x + t * step
-            try:
-                cfg_t = angles_from_reduced(xt)
-            except DomainError:
+            xt = x + t * d
+            gaps_t = xt[1:] - xt[:-1]
+            gap_t = gaps_t.min()
+            # what AngleConfiguration checks: xt[-1] is 2*pi exactly, so a
+            # positive first angle and positive gaps (NaN fails both, and
+            # an infinite angle leaves a gap of -inf or NaN) make every
+            # angle finite and in (0, 2*pi]
+            if not (xt[0] > 0.0 and gap_t > 0.0):
                 t *= _SHRINK
                 continue
-            _, du_t, ru_t = _frame(masses, cfg_t)
+            gap_t = float(min(gap_t, xt[0] + TAU - xt[-1]))
+            du_t, ru_t = _pair_chords(xt, gap_t)
             ft = _f_value(aux, mm, ru_t)
             if ft <= fx + _ARMIJO * t * slope + slack:
                 break
@@ -177,11 +195,16 @@ def minimize_f_k(aux: AuxiliaryFunctional, masses: MassVector,
         else:
             raise ConvergenceFailure(
                 "line search stalled",
-                MinimizeResult(cfg, fx, gnorm, iteration, False, min_gap_seen),
+                _result(x, fx, gnorm, iteration, False, min_gap_seen),
             )
-        x, cfg, fx, du, ru = xt, cfg_t, ft, du_t, ru_t
-        min_gap_seen = min(min_gap_seen, cfg.min_gap())
+        x, gaps, fx, du, ru = xt, gaps_t, ft, du_t, ru_t
+        min_gap_seen = min(min_gap_seen, gap_t)
     raise ConvergenceFailure(
         f"no convergence within {max_iter} Newton steps",
-        MinimizeResult(cfg, fx, gnorm, max_iter, False, min_gap_seen),
+        _result(x, fx, gnorm, max_iter, False, min_gap_seen),
     )
+
+
+def _result(x, fx, gnorm, iterations, converged, min_gap) -> MinimizeResult:
+    return MinimizeResult(AngleConfiguration(x), fx, gnorm, iterations,
+                          converged, min_gap)

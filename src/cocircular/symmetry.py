@@ -10,6 +10,7 @@ minimize at the correspondingly transformed angles.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -136,18 +137,23 @@ def _mass_images(n: int) -> np.ndarray:
     return np.concatenate([shifts, reflection[shifts]])[1:]
 
 
+@lru_cache(maxsize=8)
+def _non_identity(n: int) -> tuple[GroupElement, ...]:
+    """The 2n - 1 non-identity elements, one per row of ``_mass_images(n)``."""
+    return tuple(GroupElement.elements(n)[1:])
+
+
 def _group_scan(masses: MassVector, res: MinimizeResult, w: np.ndarray,
                 diffs: np.ndarray) -> ExclusionVerdict:
     tol = MARGIN_SCALE * abs(res.f_value)
-    n = masses.n
+    elements = _non_identity(masses.n)
     certificates = []
     # one gemv per row: a batched einsum or gemm moves the last ulp of q
-    for i, d in enumerate(diffs, start=1):
-        if not d.any():
-            continue
+    for i in np.flatnonzero(diffs.any(axis=1)).tolist():
+        d = diffs[i]
         q = 0.5 * float(d @ w @ d)
         if q < -tol:
-            certificates.append((GroupElement(i % n, i // n, n), -q))
+            certificates.append((elements[i], -q))
     if certificates:
         witness, margin = max(certificates, key=lambda c: c[1])
         return ExclusionVerdict(True, witness, margin, tuple(certificates),
@@ -160,10 +166,11 @@ def _swap_scan(aux: AuxiliaryFunctional, masses: MassVector, res: MinimizeResult
     m = masses.masses
     # An image that differs from m in exactly two places is the swap of
     # those two masses, since every image is a permutation of m. There is
-    # at most one such pair per image row.
+    # at most one such pair per image row. np.nonzero walks the rows in
+    # order, so each row's two columns come out as one ascending pair.
     moved = diffs != 0.0
-    swaps = sorted({tuple(np.flatnonzero(row).tolist())
-                    for row in moved[moved.sum(axis=1) == 2]})
+    cols = np.nonzero(moved[moved.sum(axis=1) == 2])[1].tolist()
+    swaps = sorted(set(zip(cols[::2], cols[1::2])))
     # numpy-scalar ** 2 is C pow(); np.square differs from it in the last ulp
     certificates = [((j, k), float((m[k] - m[j]) ** 2 * w[j, k]))
                     for j, k in swaps]

@@ -4,9 +4,11 @@ These are the straightforward bodies the package's packed pair frame
 replaces: u_beta builds the n x n chords once per exponent, the gradient,
 the Hessian, W and the CC residuals each build them again on all n**2
 entries, the minimizer calls the public functions at every point, and the
-circulant spectrum takes row 0 of the full W at the regular n-gon. The chord builder is the package's former one, kept here so the
-reference does not share the package's chord code. The tests compare the
-package with these bodies bit for bit; the package never imports this.
+circulant spectrum takes row 0 of the full W at the regular n-gon. The
+chord builder and the minimizer's feasible-step bound are the package's
+former ones, kept here so the reference shares neither the package's
+chord code nor its line search. The tests compare the package with these
+bodies bit for bit; the package never imports this.
 """
 
 import numpy as np
@@ -27,8 +29,7 @@ from cocircular import (
     regular_ngon,
 )
 from cocircular.geometry import COLLISION_TOL
-from cocircular.minimizer import (_ARMIJO, _BOUNDARY_FRACTION, _DIAG_REG,
-                                  _SHRINK, _max_feasible_step)
+from cocircular.minimizer import _ARMIJO, _BOUNDARY_FRACTION, _DIAG_REG, _SHRINK
 
 
 def _pow(base, expo):
@@ -140,11 +141,23 @@ def verify_cc(alpha, masses, config, tol=1e-9):
     return CCReport(tangential, spread, center, lam, bool(ok), tol)
 
 
+def _max_feasible_step(x: np.ndarray, d: np.ndarray) -> float:
+    """Largest t keeping 0 < x_1 + t d_1 < ... < x_{n-1} + t d_{n-1} < 2*pi."""
+    gaps = np.concatenate(([x[0]], np.diff(x), [TAU - x[-1]]))
+    dgaps = np.concatenate(([d[0]], np.diff(d), [-d[-1]]))
+    shrinking = dgaps < 0.0
+    if not np.any(shrinking):
+        return np.inf
+    return float(np.min(gaps[shrinking] / -dgaps[shrinking]))
+
+
 def minimize(aux, masses, grad_tol=1e-11, max_iter=200):
     """Damped Newton from the default start.
 
     Returns (angles, f, grad_norm, iterations, min_gap), min_gap being the
-    smallest circular gap over the accepted iterates.
+    smallest circular gap over the accepted iterates. A ConvergenceFailure
+    after max_iter steps or a stalled line search carries that tuple of
+    the last accepted iterate as its result.
     """
     n = masses.n
     if n == 2:
@@ -196,10 +209,12 @@ def minimize(aux, masses, grad_tol=1e-11, max_iter=200):
                 break
             t *= _SHRINK
         if not accepted:
-            raise ConvergenceFailure("line search stalled")
+            raise ConvergenceFailure("line search stalled",
+                                     (cfg.angles, fx, gnorm, iteration, min_gap))
         x, cfg, fx = xt, cfg_t, ft
         min_gap = min(min_gap, cfg.min_gap())
-    raise ConvergenceFailure(f"no convergence within {max_iter} Newton steps")
+    raise ConvergenceFailure(f"no convergence within {max_iter} Newton steps",
+                             (cfg.angles, fx, gnorm, max_iter, min_gap))
 
 
 def circulant_spectrum(aux, n):

@@ -14,10 +14,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import cocircular.potential as potential
+import cocircular.geometry as geometry
+import cocircular.minimizer as minimizer
 import reference_potential as ref
 from cocircular import (
     AuxiliaryFunctional,
+    ConvergenceFailure,
     MassVector,
     TAU,
     build_matrices,
@@ -82,11 +84,43 @@ def test_minimizer_matches_reference_loop(seed, n, alpha, k_scale):
     _assert_same_solve(minimize_f_k(aux, m), ref.minimize(aux, m))
 
 
-def _assert_same_solve(res, reference):
+@given(st.integers(0, 2**32 - 1), st.integers(8, 40), st.sampled_from([1, 2]),
+       st.sampled_from([0.5, 1.0, 3.0]))
+@settings(max_examples=60, deadline=None)
+def test_heavy_masses_match_reference_loop(seed, n, heavy, alpha):
+    # one or two heavy bodies, heavy/light ratio log-uniform in 2..1e4: the
+    # certify benchmark's few-distinct families, whose solves take more
+    # steps and clip at the ordering boundary more often
+    ratio = np.exp(np.random.default_rng(seed).uniform(np.log(2.0), np.log(1e4)))
+    m = np.ones(n)
+    m[-1] = ratio
+    if heavy == 2:
+        m[2] = ratio
+    aux, masses = AuxiliaryFunctional(alpha), MassVector(m)
+    _assert_same_solve(minimize_f_k(aux, masses), ref.minimize(aux, masses))
+
+
+def _assert_same_solve(res, reference, converged=True):
     angles, f, gnorm, iterations, min_gap = reference
     assert np.array_equal(res.theta_m.angles, angles)
     assert (res.f_value, res.grad_norm, res.iterations, res.converged, res.min_gap) \
-        == (f, gnorm, iterations, True, min_gap)
+        == (f, gnorm, iterations, converged, min_gap)
+
+
+@pytest.mark.parametrize("max_iter", [0, 3, 200])
+@pytest.mark.parametrize("seed", range(3))
+def test_failures_carry_the_reference_iterate(seed, max_iter):
+    # grad_tol = 0 is met only by a zero gradient, so each solve runs out
+    # of steps and carries its last accepted iterate
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(8, 41))
+    aux, m = AuxiliaryFunctional(1.0), MassVector(10.0 ** rng.uniform(-3.0, 3.0, n))
+    with pytest.raises(ConvergenceFailure) as new:
+        minimize_f_k(aux, m, grad_tol=0.0, max_iter=max_iter)
+    with pytest.raises(ConvergenceFailure) as old:
+        ref.minimize(aux, m, grad_tol=0.0, max_iter=max_iter)
+    assert str(new.value) == str(old.value)
+    _assert_same_solve(new.value.result, old.value.result, converged=False)
 
 
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 3.0])
@@ -110,15 +144,20 @@ def test_benchmark_sizes_match_reference(n, alpha):
 
 @pytest.fixture
 def chord_builds(monkeypatch):
-    """Count calls of the packed chord builder the pair frame uses."""
+    """Count calls of the raw chord kernel.
+
+    ``_packed_chords`` (behind every pair frame) and the Newton loop both
+    build their chords through ``_pair_chords``.
+    """
     calls = []
-    build = potential._packed_chords
+    build = geometry._pair_chords
 
-    def counting(config):
-        calls.append(config.n)
-        return build(config)
+    def counting(t, min_gap):
+        calls.append(t.size)
+        return build(t, min_gap)
 
-    monkeypatch.setattr(potential, "_packed_chords", counting)
+    for module in (geometry, minimizer):
+        monkeypatch.setattr(module, "_pair_chords", counting)
     return calls
 
 
