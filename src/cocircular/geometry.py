@@ -115,14 +115,18 @@ def _pairs(n: int):
     return _readonly(j), _readonly(k), _readonly(mask)
 
 
-def _mirror(n: int, upper: np.ndarray, lower: np.ndarray) -> np.ndarray:
+def _mirror(n: int, upper: np.ndarray, lower: np.ndarray, out=None) -> np.ndarray:
     """n x n matrix with ``upper`` above, ``lower`` below and zeros on the diagonal.
 
     Entry p of ``upper`` lands at (j_p, k_p) and entry p of ``lower`` at
-    (k_p, j_p), with (j_p, k_p) the packed pair order.
+    (k_p, j_p), with (j_p, k_p) the packed pair order. A reused ``out``
+    has its diagonal zeroed here; every other entry is overwritten.
     """
     mask = _pairs(n)[2]
-    out = np.zeros((n, n))
+    if out is None:
+        out = np.zeros((n, n))
+    else:
+        np.fill_diagonal(out, 0.0)
     out[mask] = upper
     out.T[mask] = lower
     return out
@@ -147,7 +151,8 @@ def _pair_chords(t: np.ndarray, min_gap: float):
             f"two bodies are within {COLLISION_TOL} radians of each other"
         )
     j, k, _ = _pairs(t.size)
-    du = t[j] - t[k]
+    du = t[j]
+    du -= t[k]
     ru = _chords(du)
     if ru.min() <= 0.0:
         raise DomainError("off-diagonal chords must lie in (0, 2]")
@@ -156,10 +161,12 @@ def _pair_chords(t: np.ndarray, min_gap: float):
 
 def _chords(du: np.ndarray) -> np.ndarray:
     """Chords |2 sin(du/2)| of the angle differences du, clamped to the diameter."""
-    ru = np.abs(2.0 * np.sin(0.5 * du))
-    # clamp roundoff just above the diameter
-    np.clip(ru, 0.0, 2.0, out=ru)
-    return ru
+    ru = np.multiply(0.5, du)
+    np.sin(ru, out=ru)
+    ru *= 2.0
+    np.abs(ru, out=ru)
+    # clamp roundoff just above the diameter; ru is an abs, so >= +0.0 or NaN
+    return np.minimum(ru, 2.0, out=ru)
 
 
 def chord_matrix(config: AngleConfiguration) -> np.ndarray:

@@ -79,15 +79,19 @@ class AuxiliaryFunctional:
             object.__setattr__(self, "k", float(self.k))
 
 
-def _pow(base: np.ndarray, expo: float) -> np.ndarray:
-    """base**expo with multiply chains for small integer exponents."""
+def _pow(base: np.ndarray, expo: float, out=None) -> np.ndarray:
+    """base**expo with multiply chains for small integer exponents.
+
+    At expo 1 the result is ``base`` itself and ``out`` is left untouched.
+    """
     ei = int(round(expo))
     if expo == ei and 0 < abs(ei) <= 4:
-        out = base
+        p = base
         for _ in range(abs(ei) - 1):
-            out = out * base
-        return 1.0 / out if ei < 0 else out
-    return base ** expo
+            p = np.multiply(p, base, out=out)
+        return np.divide(1.0, p, out=out) if ei < 0 else p
+    # numpy's ** takes fast paths (sqrt at 0.5) that np.power does not
+    return base ** expo if out is None else np.power(base, expo, out=out)
 
 
 def _check_finite(alpha, sums, *powers):
@@ -114,47 +118,61 @@ def _frame(masses, config):
     return (masses.masses, *_packed_chords(config))
 
 
-def _mass_products(m):
-    """Packed mass products m_j m_k, j < k."""
+def _mass_pairs(m, out=(None,) * 3):
+    """Packed masses m_j and m_k and products m_j m_k of the pairs j < k."""
     j, k, _ = _pairs(m.size)
-    return m[j] * m[k]
+    # 'clip' skips the bounds pass that makes take buffer its out
+    mj = m.take(j, out=out[0], mode="clip")
+    mk = m.take(k, out=out[1], mode="clip")
+    return mj, mk, np.multiply(mj, mk, out=out[2])
 
 
-def _u_sums(mm, ru, *betas):
-    """u_beta for each beta from packed mass products and chords."""
-    return [float(np.sum(mm * _pow(ru, -float(beta)))) for beta in betas]
+def _u_sums(mm, ru, *betas, out=None):
+    """u_beta for each beta from packed mass products and chords.
+
+    ``out`` is an optional pair buffer for the summands.
+    """
+    return [float(np.sum(np.multiply(mm, _pow(ru, -float(beta), out), out=out)))
+            for beta in betas]
 
 
-def _f_value(aux, mm, ru):
-    u_alpha, u_chord = _u_sums(mm, ru, aux.alpha, -2.0)
+def _f_value(aux, mm, ru, out=None):
+    u_alpha, u_chord = _u_sums(mm, ru, aux.alpha, -2.0, out=out)
     return u_alpha + u_chord / aux.k
 
 
-def _grad_theta(aux, m, du, r_a2):
-    """Angle gradient from the frame and packed r_a2 = ru**-(alpha + 2).
+def _grad_theta(aux, m, mj, mk, du, r_a2, out=(None,) * 4):
+    """Angle gradient from the pair masses, du and packed r_a2 = ru**-(alpha + 2).
 
     Row j of the summand holds m_k sin(t_j - t_k) w_jk; below the
     diagonal sin(t_k - t_j) = -sin(du), so that half is mirrored negated.
+    ``out`` is three pair buffers and the mirror target.
     """
-    j, k, _ = _pairs(m.size)
-    s = np.sin(du)
-    w = aux.alpha * r_a2 - 2.0 / aux.k
-    upper = m[k] * s
+    s_buf, w_buf, upper, full = out
+    s = np.sin(du, out=s_buf)
+    w = np.multiply(aux.alpha, r_a2, out=w_buf)
+    w -= 2.0 / aux.k
+    upper = np.multiply(mk, s, out=upper)
     upper *= w
-    lower = m[j] * s
+    lower = np.multiply(mj, s, out=s)  # the last use of s
     lower *= w
     np.negative(lower, out=lower)
-    return -(m * np.sum(_mirror(m.size, upper, lower), axis=1))
+    return -(m * np.sum(_mirror(m.size, upper, lower, full), axis=1))
 
 
-def _hessian_theta(aux, n, mm, du, r_a2):
-    """Angle Hessian from packed mass products, du and r_a2 = ru**-(alpha + 2)."""
+def _hessian_theta(aux, n, mm, du, r_a2, out=(None,) * 3):
+    """Angle Hessian from packed mass products, du and r_a2 = ru**-(alpha + 2).
+
+    ``out`` is two pair buffers and the mirror target.
+    """
     a = aux.alpha
+    c2, off, full = out
     # in place, operation for operation as
     # mm * (-a * (1 + a * c2) * r_a2 + (2 - 4 * c2) / k) with c2 = cos(du/2)**2
-    c2 = np.cos(0.5 * du)
+    c2 = np.multiply(0.5, du, out=c2)
+    np.cos(c2, out=c2)
     c2 *= c2
-    off = a * c2
+    off = np.multiply(a, c2, out=off)
     off += 1.0
     off *= -a
     off *= r_a2
@@ -164,7 +182,7 @@ def _hessian_theta(aux, n, mm, du, r_a2):
     off += c2
     off *= mm
     # cos is even and mm symmetric, so the mirror is exactly symmetric
-    h = _mirror(n, off, off)
+    h = _mirror(n, off, off, full)
     np.fill_diagonal(h, -np.sum(h, axis=1))
     return h
 
@@ -189,14 +207,14 @@ def u_beta(beta: float, masses: MassVector, config: AngleConfiguration) -> float
     if beta == 0:
         raise UnsupportedExponent("beta = 0 (logarithmic potential) is not supported")
     m, _, ru = _frame(masses, config)
-    return _u_sums(_mass_products(m), ru, beta)[0]
+    return _u_sums(_mass_pairs(m)[2], ru, beta)[0]
 
 
 def f_k_value(aux: AuxiliaryFunctional, masses: MassVector,
               config: AngleConfiguration) -> float:
     """Auxiliary functional u_alpha + u_{-2}/k."""
     m, _, ru = _frame(masses, config)
-    return _f_value(aux, _mass_products(m), ru)
+    return _f_value(aux, _mass_pairs(m)[2], ru)
 
 
 def grad_theta_f_k(aux: AuxiliaryFunctional, masses: MassVector,
@@ -208,7 +226,8 @@ def grad_theta_f_k(aux: AuxiliaryFunctional, masses: MassVector,
     opposite, so the entries sum to zero up to roundoff.
     """
     m, du, ru = _frame(masses, config)
-    return _grad_theta(aux, m, du, _pow(ru, -(aux.alpha + 2.0)))
+    mj, mk, _ = _mass_pairs(m)
+    return _grad_theta(aux, m, mj, mk, du, _pow(ru, -(aux.alpha + 2.0)))
 
 
 def hessian_theta_f_k(aux: AuxiliaryFunctional, masses: MassVector,
@@ -225,7 +244,7 @@ def hessian_theta_f_k(aux: AuxiliaryFunctional, masses: MassVector,
     every off-diagonal entry is <= 0.
     """
     m, du, ru = _frame(masses, config)
-    return _hessian_theta(aux, m.size, _mass_products(m), du,
+    return _hessian_theta(aux, m.size, _mass_pairs(m)[2], du,
                           _pow(ru, -(aux.alpha + 2.0)))
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DimensionError, DomainError, UnsupportedExponent
 from .geometry import TAU, AngleConfiguration, MassVector, _chords, regular_ngon
-from .potential import (AuxiliaryFunctional, _f_value, _frame, _mass_products,
+from .potential import (AuxiliaryFunctional, _f_value, _frame, _mass_pairs,
                         _pair_weights, _u_sums, _weights)
 from .scanner import condition_threshold
 
@@ -61,7 +61,7 @@ def build_matrices(aux: AuxiliaryFunctional, masses: MassVector,
     """
     m, _, ru = _frame(masses, config)
     w = _weights(aux, m.size, ru)
-    u = _u_sums(_mass_products(m), ru, aux.alpha)[0]
+    u = _u_sums(_mass_pairs(m)[2], ru, aux.alpha)[0]
     total = masses.total_mass
     c = 2.0 * u / total ** 2 + 2.0 / aux.k
     hcal = c * np.ones_like(w) - w
@@ -89,8 +89,8 @@ def taylor_identity_check(aux: AuxiliaryFunctional, masses_cc: MassVector,
     m, _, ru = _frame(masses_cc, config_cc)
     w = _weights(aux, m.size, ru)
     d = y.masses - m
-    lhs = (_f_value(aux, _mass_products(y.masses), ru)
-           - _f_value(aux, _mass_products(m), ru))
+    lhs = (_f_value(aux, _mass_pairs(y.masses)[2], ru)
+           - _f_value(aux, _mass_pairs(m)[2], ru))
     return float(abs(lhs - 0.5 * (d @ w @ d)))
 
 

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cocircular.geometry as geometry
 from cocircular import (
     TAU,
     AngleConfiguration,
@@ -157,3 +158,24 @@ def test_chords_bounded_by_diameter(seed, n):
     assert off.max() <= 2.0
     np.testing.assert_array_equal(r, r.T)
     assert np.all(np.diag(r) == 0.0)
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.uint64)
+
+
+def test_chord_clamp_matches_clip_bit_for_bit():
+    # the chord clamp is np.minimum(ru, 2.0), not np.clip(ru, 0.0, 2.0):
+    # ru is an abs, so it is >= +0.0 or NaN and the lower bound never acts
+    two_up = np.nextafter(2.0, 3.0)
+    ru = np.abs(np.array([0.0, -0.0, np.nan, np.inf, two_up, 1.0]))
+    np.testing.assert_array_equal(_bits(np.minimum(ru, 2.0)),
+                                  _bits(np.clip(ru, 0.0, 2.0)))
+    # and the whole chord kernel against the former clip-based formula
+    du = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, np.pi, -TAU, TAU,
+                   1.0, -1e-300, 5e-324])
+    with np.errstate(invalid="ignore"):  # sin(+-inf) is NaN
+        old = np.abs(2.0 * np.sin(0.5 * du))
+        np.clip(old, 0.0, 2.0, out=old)
+        new = geometry._chords(du)
+    np.testing.assert_array_equal(_bits(new), _bits(old))
