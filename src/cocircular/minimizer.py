@@ -12,19 +12,21 @@ trial's ordering test, the collision check, the smallest gap seen and the
 next feasible-step bound. A trial costs that gap vector, one packed chord
 build and two sums; an ``AngleConfiguration`` is built only for the result.
 
-Each thread keeps one ``_Workspace`` for the last n it solved. The kernels
-of ``potential`` and ``geometry`` fill it through their ``out`` arguments
+Every pair term and matrix of the loop lives in this thread's workspace
+(``potential._workspace``), which ``verify_cc`` shares. The kernels of
+``potential`` and ``geometry`` fill it through their ``out`` arguments
 with unchanged arithmetic, so every float keeps its bits, and results never
-alias it. It holds 7 n(n - 1)/2 + n^2 doubles: 2.2 MiB at n = 256, 9.0 MiB
-at n = 512, 36 MiB at n = 1024. Only each point's du and ru are allocated
-afresh: a repeat solve at n = 256 takes about 1,250 minor page faults
-instead of 3,200 (README gives the times).
+alias it. One du/ru pair serves the whole loop: once the step is solved
+the point's chords are dead, and the last trial built is the one
+accepted. The workspace holds 9 n(n - 1)/2 + n^2 doubles: 2.7 MiB at
+n = 256, 11.0 MiB at n = 512, 44 MiB at n = 1024. A repeat solve at
+n = 256 takes about 97 minor page faults, the final Cholesky factor's,
+instead of 1,250 with fresh chords (README gives the times).
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +35,8 @@ from .errors import ConvergenceFailure, DomainError
 from .geometry import (COLLISION_TOL, TAU, AngleConfiguration, MassVector,
                        _check_pinned, _pair_chords, regular_ngon)
 from .potential import (AuxiliaryFunctional, _check_finite, _f_value,
-                        _grad_theta, _hessian_theta, _mass_pairs, _pow)
+                        _grad_theta, _hessian_theta, _mass_pairs, _pow,
+                        _workspace)
 
 _ARMIJO = 1e-4
 _SHRINK = 0.5
@@ -42,29 +45,6 @@ _DIAG_REG = 1e-12
 # ulp slack keeps full Newton steps acceptable at the float floor, where
 # the predicted decrease is smaller than rounding in f
 _ULP_SLACK = 4.0 * np.finfo(float).eps
-
-
-class _Workspace:
-    """The Newton loop's buffers at one n.
-
-    The packed pair masses m_j, m_k and m_j m_k, r**-(alpha + 2), three
-    pair scratch buffers that f, the gradient and the Hessian take in
-    turn, and one n x n mirror target that the gradient and then the
-    Hessian fill.
-    """
-
-    def __init__(self, n):
-        self.n = n
-        mj, mk, mm, self.r_a2, a, b, c = np.empty((7, n * (n - 1) // 2))
-        full = np.empty((n, n))
-        self.masses = (mj, mk, mm)
-        self.f = a
-        self.grad = (a, b, c, full)
-        self.hess = (a, b, full)
-
-
-# each thread keeps the workspace of the last n it solved
-_local = threading.local()
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,22 +135,18 @@ def minimize_f_k(aux: AuxiliaryFunctional, masses: MassVector,
     m = masses.masses
     x = cfg.angles
     min_gap_seen = cfg.min_gap()
-    du, ru = _pair_chords(x, min_gap_seen)
-    if n == 2:
-        mj, mk, mm = _mass_pairs(m)
-        fx = _f_value(aux, mm, ru)
-        r_a2 = _pow(ru, -(aux.alpha + 2.0))
-        gnorm = float(abs(_grad_theta(aux, m, mj, mk, du, r_a2)[0]))
-        _check_finite(aux.alpha, (fx, gnorm), r_a2)
-        return MinimizeResult(cfg, fx, gnorm, 0, True, min_gap_seen)
     # one packed pair frame per point: an accepted trial's serves the next
     # iteration; the pair masses serve the whole solve. Every pair term
     # and matrix lives in this thread's workspace; results copy out of it.
-    ws = getattr(_local, "ws", None)
-    if ws is None or ws.n != n:
-        ws = _local.ws = _Workspace(n)
+    ws = _workspace(n)
+    du, ru = _pair_chords(x, min_gap_seen, ws.chords)
     mj, mk, mm = _mass_pairs(m, ws.masses)
     fx = _f_value(aux, mm, ru, ws.f)
+    if n == 2:
+        r_a2 = _pow(ru, -(aux.alpha + 2.0), ws.r_a2)
+        gnorm = float(abs(_grad_theta(aux, m, mj, mk, du, r_a2, ws.grad)[0]))
+        _check_finite(aux.alpha, (fx, gnorm), r_a2)
+        return MinimizeResult(cfg, fx, gnorm, 0, True, min_gap_seen)
     gaps = x[1:] - x[:-1]
     d = np.zeros(n)  # the step, its pinned last entry left at 0.0
     diag = np.arange(n - 1)
@@ -225,8 +201,10 @@ def minimize_f_k(aux: AuxiliaryFunctional, masses: MassVector,
                 t *= _SHRINK
                 continue
             gap_t = float(min(gap_t, xt[0] + TAU - xt[-1]))
-            du_t, ru_t = _pair_chords(xt, gap_t)
-            ft = _f_value(aux, mm, ru_t, ws.f)
+            # the step is solved, so the point's du and ru are dead; the
+            # last trial built is the one accepted
+            _pair_chords(xt, gap_t, ws.chords)
+            ft = _f_value(aux, mm, ru, ws.f)
             if ft <= fx + _ARMIJO * t * slope + slack:
                 break
             t *= _SHRINK
@@ -235,7 +213,7 @@ def minimize_f_k(aux: AuxiliaryFunctional, masses: MassVector,
                 "line search stalled",
                 _result(x, fx, gnorm, iteration, False, min_gap_seen),
             )
-        x, gaps, fx, du, ru = xt, gaps_t, ft, du_t, ru_t
+        x, gaps, fx = xt, gaps_t, ft
         min_gap_seen = min(min_gap_seen, gap_t)
     raise ConvergenceFailure(
         f"no convergence within {max_iter} Newton steps",

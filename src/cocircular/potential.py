@@ -21,12 +21,17 @@ packed pairs. The gradient, the Hessian and W compute their pair terms
 on the n(n - 1)/2 packed pairs only and mirror them into n x n matrices,
 whose rows are then summed in the same order as the full-matrix
 formulas, so every float keeps the bits those formulas give.
+
+The Newton loop and ``verify_cc`` evaluate into one ``_Workspace`` per
+thread, kept for the last n evaluated there; the public functions here
+return fresh arrays.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,15 +112,51 @@ def _check_finite(alpha, sums, *powers):
     raise DomainError("the masses overflow a mass-weighted pair sum")
 
 
-def _frame(masses, config):
+class _Workspace:
+    """Buffers for the pair evaluations at one n.
+
+    Nine pair buffers (the packed pair masses m_j, m_k and m_j m_k,
+    r**-(alpha + 2), du and ru, and three scratch buffers that the chord
+    gather, f, the gradient, the Hessian and the CC residuals take in
+    turn) and one n x n mirror target: 9 n(n - 1)/2 + n^2 doubles. No
+    buffer carries a value from one call to the next.
+    """
+
+    def __init__(self, n):
+        self.n = n
+        mj, mk, mm, self.r_a2, du, ru, a, b, c = np.empty((9, n * (n - 1) // 2))
+        full = np.empty((n, n))
+        self.masses = (mj, mk, mm)
+        self.chords = (du, ru, a)
+        self.f = a
+        self.grad = (a, b, c, full)
+        self.hess = (a, b, full)
+        self.cc = (a, b, c, full)
+
+
+# each thread keeps the workspace of the last n it evaluated
+_local = threading.local()
+
+
+def _workspace(n):
+    """This thread's workspace, rebuilt when n differs from its last one."""
+    ws = getattr(_local, "ws", None)
+    if ws is None or ws.n != n:
+        ws = _local.ws = _Workspace(n)
+    return ws
+
+
+def _frame(masses, config, resident=False):
     """Packed pair frame of one point: masses, du = t_j - t_k and chords ru.
 
     Every quantity at the point derives from it, so each point's chords
-    are built and checked once.
+    are built and checked once. With ``resident`` du and ru are this
+    thread's workspace buffers, taken only once the sizes match.
     """
     if masses.n != config.n:
         raise DimensionError(f"{masses.n} masses but {config.n} angles")
-    return (masses.masses, *_packed_chords(config))
+    out = _workspace(config.n).chords if resident else (None,) * 3
+    return (masses.masses, *_packed_chords(config, out))
 
 
 def _mass_pairs(m, out=(None,) * 3):

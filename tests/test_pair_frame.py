@@ -8,6 +8,7 @@ summed in the same order, so every float must match exactly.
 """
 
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
@@ -142,21 +143,40 @@ def test_benchmark_sizes_match_reference(n, alpha):
         assert _fields(verify_cc(alpha, m, cfg)) == _fields(ref.verify_cc(alpha, m, cfg))
 
 
+@pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.5])
+def test_verify_cc_matches_reference_on_every_pow_branch(alpha):
+    # r**-alpha and r**-(alpha + 2) between them take every branch of _pow:
+    # the bare reciprocal (-1), the multiply chains (-2, -3, -4) and
+    # np.power (-0.25, ..., -6.5); n = 256 runs on a workspace that the
+    # smaller sizes and the solves before it left behind
+    rng = np.random.default_rng(int(8 * alpha))
+    aux = AuxiliaryFunctional(alpha)
+    for n in (3, 17, 256):
+        m = MassVector(10.0 ** rng.uniform(-3.0, 3.0, n))
+        for cfg in (ordered_angles(rng, n, TAU / (4 * n)), minimize_f_k(aux, m).theta_m):
+            assert _fields(verify_cc(alpha, m, cfg)) == _fields(ref.verify_cc(alpha, m, cfg))
+
+
 @pytest.fixture
 def chord_builds(monkeypatch):
     """Count calls of the raw chord kernel.
 
     ``_packed_chords`` (behind every pair frame) and the Newton loop both
-    build their chords through ``_pair_chords``.
+    build their chords through ``_pair_chords``; every package module that
+    holds it by name is patched, and the buffers pass through.
     """
     calls = []
     build = geometry._pair_chords
 
-    def counting(t, min_gap):
+    def counting(t, *args, **kwargs):
         calls.append(t.size)
-        return build(t, min_gap)
+        return build(t, *args, **kwargs)
 
-    for module in (geometry, minimizer):
+    callers = [module for name, module in list(sys.modules.items())
+               if name.split(".")[0] == "cocircular"
+               and getattr(module, "_pair_chords", None) is build]
+    assert geometry in callers and minimizer in callers
+    for module in callers:
         monkeypatch.setattr(module, "_pair_chords", counting)
     return calls
 

@@ -33,3 +33,12 @@ def test_exclusion_survey_runs():
     out = _run_script("exclusion_survey.py", "--n-min", "4", "--n-max", "6")
     assert out.returncode == 0, out.stderr
     assert "one-heavy n=6" in out.stdout
+
+
+def test_pair_faults_runs():
+    out = _run_script("pair_faults.py", "--n", "16", "--alpha", "1", "3",
+                      "--repeats", "2")
+    assert out.returncode == 0, out.stderr
+    rows = [line.split() for line in out.stdout.splitlines()[2:]]
+    assert [row[:2] for row in rows] == [["16", "1"], ["16", "3"]]
+    assert all(float(value) >= 0.0 for row in rows for value in row[2:])

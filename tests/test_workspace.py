@@ -1,12 +1,14 @@
-"""The Newton loop's per-thread workspace.
+"""The per-thread pair workspace.
 
-``minimize_f_k`` keeps its pair buffers and its n x n mirror target in one
-workspace per thread, holding the last n solved there. Reusing it must not
-move a bit, threads must not share it, results must not alias it, and a
-repeat solve at the same n must allocate only what the loop still
-allocates by design.
+``minimize_f_k`` and ``verify_cc`` keep their pair buffers and their n x n
+mirror target in one workspace per thread, holding the last n evaluated
+there. Reusing it must not move a bit, threads must not share it, results
+must not alias it, bad input must not reach it, and a repeat call at the
+same n must allocate only what it still allocates by design.
 """
 
+import dataclasses
+import math
 import sys
 import threading
 import tracemalloc
@@ -14,9 +16,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-import cocircular.minimizer as minimizer
-from cocircular import AuxiliaryFunctional, ConvergenceFailure, minimize_f_k
-from conftest import random_masses
+import cocircular.potential as potential
+from cocircular import (TAU, AuxiliaryFunctional, ConvergenceFailure, DimensionError,
+                        DomainError, MassVector, UnsupportedExponent, minimize_f_k,
+                        verify_cc)
+from conftest import ordered_angles, random_masses
 
 
 def _problem(n, alpha, seed):
@@ -32,41 +36,39 @@ def _solve(problem):
     return _key(minimize_f_k(*problem))
 
 
-def _on_fresh_thread(problem):
-    """Solve on a new thread, so with a workspace built for this solve alone."""
+def _check(alpha, masses, config):
+    # repr tells every float's bits apart, -0.0 from 0.0 included
+    return repr(dataclasses.astuple(verify_cc(alpha, masses, config)))
+
+
+def _on_fresh_thread(call, *args):
+    """Run call(*args) on a new thread, so with a workspace built for it alone."""
     out = []
 
     def run():
-        assert getattr(minimizer._local, "ws", None) is None
-        out.append(_solve(problem))
+        assert getattr(potential._local, "ws", None) is None
+        out.append(call(*args))
 
     thread = threading.Thread(target=run)
     thread.start()
     thread.join(timeout=120)
-    assert out, "the solve on the fresh thread raised or did not finish"
+    assert out, "the call on the fresh thread raised or did not finish"
     return out[0]
 
 
-def _workspace_arrays():
-    ws = minimizer._local.ws
-    for value in vars(ws).values():
-        yield from value if isinstance(value, tuple) else (value,)
+def _concurrently(work):
+    """Run each list of (call, args) on its own thread; the results per thread.
 
-
-def test_concurrent_threads_match_serial_solves():
-    # three threads, each alternating n = 256 and n = 64, so workspaces are
-    # rebuilt while other threads are mid-solve; a short switch interval
-    # interleaves them finely
-    work = [[_problem(256, 1.0, 0), _problem(64, 0.5, 1), _problem(256, 3.0, 2)],
-            [_problem(64, 3.0, 3), _problem(256, 0.5, 4), _problem(64, 1.0, 5)],
-            [_problem(256, 1.0, 11), _problem(64, 1.0, 12), _problem(256, 0.5, 13)]]
-    serial = [[_solve(p) for p in problems] for problems in work]
+    A barrier starts the threads together and a short switch interval
+    interleaves them finely, so workspaces are rebuilt while other threads
+    are mid-call.
+    """
     start = threading.Barrier(len(work), timeout=60)
     results = [None] * len(work)
 
     def run(i):
         start.wait()
-        results[i] = [_solve(p) for p in work[i]]
+        results[i] = [call(*args) for call, args in work[i]]
 
     threads = [threading.Thread(target=run, args=(i,)) for i in range(len(work))]
     interval = sys.getswitchinterval()
@@ -79,14 +81,32 @@ def test_concurrent_threads_match_serial_solves():
     finally:
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
+    return results
+
+
+def _workspace_arrays(ws):
+    for value in vars(ws).values():
+        if isinstance(value, tuple):
+            yield from value
+        elif isinstance(value, np.ndarray):
+            yield value
+
+
+def test_concurrent_threads_match_serial_solves():
+    # three threads, each alternating n = 256 and n = 64
+    work = [[_problem(256, 1.0, 0), _problem(64, 0.5, 1), _problem(256, 3.0, 2)],
+            [_problem(64, 3.0, 3), _problem(256, 0.5, 4), _problem(64, 1.0, 5)],
+            [_problem(256, 1.0, 11), _problem(64, 1.0, 12), _problem(256, 0.5, 13)]]
+    serial = [[_solve(p) for p in problems] for problems in work]
+    results = _concurrently([[(_solve, (p,)) for p in problems] for problems in work])
     assert results == serial
 
 
 def test_changing_n_on_one_thread_matches_fresh_solves():
     problems = [_problem(64, 1.0, 6), _problem(256, 1.0, 7), _problem(64, 3.0, 8)]
-    fresh = [_on_fresh_thread(p) for p in problems]
+    fresh = [_on_fresh_thread(_solve, p) for p in problems]
     assert [_solve(p) for p in problems] == fresh
-    assert minimizer._local.ws.n == 64
+    assert potential._local.ws.n == 64
 
 
 def test_results_never_alias_the_workspace():
@@ -95,7 +115,7 @@ def test_results_never_alias_the_workspace():
     with pytest.raises(ConvergenceFailure) as exc:
         minimize_f_k(aux, m, grad_tol=0.0, max_iter=2)
     for angles in (res.theta_m.angles, exc.value.result.theta_m.angles):
-        for buf in _workspace_arrays():
+        for buf in _workspace_arrays(potential._local.ws):
             assert not np.shares_memory(angles, buf)
 
 
@@ -122,3 +142,99 @@ def test_repeat_solve_allocates_only_by_design():
     chords = 2 * pairs
     by_design = max((n - 1) ** 2 + chords, 2 * chords) + 64 * n
     assert peak < 8 * by_design
+
+
+def _interleaved_calls():
+    """verify_cc at n = 256 and n = 64, each followed by a solve at the other n.
+
+    The checks run at a solved configuration and at a random one, at
+    alpha 1 and 3, so every call rebuilds the thread's workspace.
+    """
+    calls = []
+    for seed, (n, other) in enumerate(((256, 64), (64, 256)) * 2):
+        alpha = (1.0, 3.0)[seed // 2]
+        aux, m = _problem(n, alpha, 20 + seed)
+        rng = np.random.default_rng(30 + seed)
+        for cfg in (minimize_f_k(aux, m).theta_m, ordered_angles(rng, n, TAU / (4 * n))):
+            calls.append((_check, (alpha, m, cfg)))
+            calls.append((_solve, (_problem(other, alpha, 40 + seed),)))
+    return calls
+
+
+def test_verify_interleaved_with_solves_matches_fresh_threads():
+    calls = _interleaved_calls()
+    fresh = [_on_fresh_thread(call, *args) for call, args in calls]
+    assert [call(*args) for call, args in calls] == fresh
+    # three threads, each starting at a different call
+    shifts = (0, 3, 6)
+    work = [calls[s:] + calls[:s] for s in shifts]
+    results = _concurrently(work)
+    assert results == [fresh[s:] + fresh[:s] for s in shifts]
+
+
+@pytest.mark.parametrize("args, error, message", [
+    ((1.0, 8, 9, 1e-9), DimensionError, "8 masses but 9 angles"),
+    ((-1.0, 8, 8, 1e-9), UnsupportedExponent, "alpha must be positive, got -1.0"),
+    ((math.inf, 8, 8, 1e-9), UnsupportedExponent, "alpha must be a finite number"),
+    ((1.0, 8, 8, math.nan), DomainError, "tol must be a nonnegative number, got nan"),
+    ((1.0, 8, 8, -1.0), DomainError, "tol must be a nonnegative number, got -1.0"),
+])
+def test_bad_verify_input_leaves_the_workspace_untouched(args, error, message):
+    alpha, n_masses, n_angles, tol = args
+    rng = np.random.default_rng(15)
+    aux, m = _problem(64, 1.0, 15)
+    verify_cc(1.0, m, minimize_f_k(aux, m).theta_m)
+    ws = potential._local.ws
+    before = [buf.tobytes() for buf in _workspace_arrays(ws)]
+    with pytest.raises(error) as exc:
+        verify_cc(alpha, MassVector(np.ones(n_masses)), ordered_angles(rng, n_angles), tol)
+    assert str(exc.value) == message
+    assert potential._local.ws is ws and ws.n == 64
+    assert [buf.tobytes() for buf in _workspace_arrays(ws)] == before
+
+
+@pytest.mark.parametrize("n", [2, 3, 64, 256])
+def test_workspace_holds_nine_pair_buffers_and_one_matrix(n):
+    ws = _on_fresh_thread(potential._workspace, n)
+    buffers = {id(buf): buf for buf in _workspace_arrays(ws)}
+    assert sum(buf.nbytes for buf in buffers.values()) <= 8 * (9 * n * (n - 1) // 2 + n * n)
+
+
+def test_repeat_verify_allocates_no_pair_buffer():
+    n = 256
+    aux, m = _problem(n, 1.0, 16)
+    cfg = minimize_f_k(aux, m).theta_m
+    first = _check(1.0, m, cfg)  # builds this thread's workspace for n
+    tracemalloc.start()
+    try:
+        rep = _check(1.0, m, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep == first
+    # The chords, the chord powers, both residual matrices and the pair
+    # terms all live in the workspace. What is left are n-vectors: the
+    # positions and their mass-weighted sum, the gaps, the two residual
+    # sums and their reductions; 64 of them bound it. A pair buffer, or
+    # the copy take makes of read-only pair indices, is alone
+    # n(n - 1)/2 = 127.5 n doubles.
+    assert peak < 8 * 64 * n
+
+
+def test_repeat_solve_allocates_no_chords():
+    n = 256
+    aux, m = _problem(n, 1.0, 10)
+    minimize_f_k(aux, m)  # builds this thread's workspace for n
+    tracemalloc.start()
+    try:
+        res = minimize_f_k(aux, m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.converged
+    # The points' du and ru and the gathered angles live in the workspace,
+    # so the peak is the final Cholesky factor, (n - 1)^2 doubles, plus up
+    # to 64 n-vectors (angles, gaps, steps, gradients, row sums). LAPACK's
+    # copies for the linear solve are not numpy arrays. Chords built afresh
+    # would add n(n - 1) doubles.
+    assert peak < 8 * ((n - 1) ** 2 + 64 * n)
