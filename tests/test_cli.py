@@ -558,6 +558,43 @@ def test_scan_json_frozen_stdout(capsys):
     assert _sha(capsys.readouterr().out) == WRITER_DIGESTS["scan-json"]
 
 
+# 12 alphas drawn U(0.1, 3) with seed 300, as the benchmark's scan passes them
+SCAN_ALPHAS_12 = [
+    "2.044073257139385", "1.7237885623897595", "1.2013829362482749",
+    "0.8301768155215001", "2.2845133044547388", "2.510597471782001",
+    "1.485660665724005", "2.1155613868961036", "1.5946534673881574",
+    "1.712657556493213", "0.9686363977893567", "1.425057613293522",
+]
+
+# SHA-256 of stdout, taken while the scan still built one RegionCell per
+# grid cell and the sine tables came from math.sin
+GRID_DIGESTS = {
+    "scan-300-csv": "d30de3ebf881c3f24340de38e570bebed8b9d66c5fa615e205dc7f34a1991725",
+    "scan-300-json": "a84beb3b93438306ef58f73dc6e0655405a2a833dce30f336d3cd15cddfd8c5a",
+    "scan-1000-csv": "b6f84334081447fd8d2f1b0aca630f33d8accaa42c2380dc75fc632e96a55708",
+    "alpha-star-3": "f95fe89b1c5c7e4a35d3213a30d3333c2ef0f0cb40bdd71e9aaa9fe18ea928d0",
+    "alpha-star-10": "6e4c77f4b00131db3943b06dea24f9501604d153c8e39dec32611893276d7e0d",
+    "alpha-star-500": "8ac62385370e2fcd9a0d3759305315272d448e387ede548317db4ee2288414d5",
+    "alpha-star-1000": "b993d101885291bf898ff980e9e2afad7080eca2def0f144d2eca18c61dae941",
+}
+
+
+GRID_ARGV = {
+    "scan-300-csv": ["scan", "--n-min", "3", "--n-max", "300", "--alpha", *SCAN_ALPHAS_12],
+    "scan-300-json": ["scan", "--n-min", "3", "--n-max", "300", "--alpha", *SCAN_ALPHAS_12,
+                      "--format", "json"],
+    "scan-1000-csv": ["scan", "--n-min", "3", "--n-max", "1000",
+                      "--alpha", "0.5", "1", "2", "2.7", "3", "4"],
+    **{f"alpha-star-{n}": ["alpha-star", "--n", str(n)] for n in (3, 10, 500, 1000)},
+}
+
+
+@pytest.mark.parametrize("key", list(GRID_DIGESTS))
+def test_grid_frozen_stdout(capsys, key):
+    assert main(GRID_ARGV[key]) == 0
+    assert _sha(capsys.readouterr().out) == GRID_DIGESTS[key]
+
+
 def test_minimize_output_file_frozen(tmp_path, capsys):
     masses = np.random.default_rng(64).uniform(0.5, 2.0, 64)
     inp = write_json(tmp_path / "m.json", {"alpha": 0.5, "masses": masses.tolist()})
