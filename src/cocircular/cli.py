@@ -28,7 +28,7 @@ from .errors import CocircularError, ConvergenceFailure, DomainError
 from .geometry import AngleConfiguration, MassVector
 from .minimizer import minimize_f_k
 from .potential import AuxiliaryFunctional
-from .scanner import alpha_star, condition_threshold, g_value, scan_region
+from .scanner import _grid, alpha_star, condition_threshold, g_value
 from .spectral import circulant_spectrum
 from .symmetry import GroupElement, exclusion_verdicts
 from .verifier import verify_cc
@@ -168,26 +168,29 @@ def _cmd_spectrum(args: argparse.Namespace) -> str:
     return _json(circulant_spectrum(aux, args.n)) + "\n"
 
 
+def _scan_cells(grid, head: str, pre: str, post: str) -> list[str]:
+    """Each grid cell as head + n + pre(alpha) + g + post(threshold, holds).
+
+    pre and post repeat down each alpha's column, so they are formatted
+    once per alpha.
+    """
+    ns, alphas, thresholds, rows = grid
+    columns = [(pre.format(_fmt(a)), post.format(_fmt(t), "true"),
+                post.format(_fmt(t), "false"), t) for a, t in zip(alphas, thresholds)]
+    return [f"{head}{n}{alpha}{g:.17g}{yes if g <= t else no}"
+            for n, row in zip(ns, rows) for (alpha, yes, no, t), g in zip(columns, row)]
+
+
 def _cmd_scan(args: argparse.Namespace) -> str:
     if args.n_min > args.n_max:
         raise DomainError("--n-min must not exceed --n-max")
-    cells = scan_region(range(args.n_min, args.n_max + 1), args.alpha)
+    grid = _grid(range(args.n_min, args.n_max + 1), args.alpha)
     if args.format == "json" and not args.csv:
-        return _json([
-            {"n": c.n, "alpha": c.alpha, "g_value": c.g_value,
-             "threshold": c.threshold, "holds": c.holds}
-            for c in cells
-        ]) + "\n"
-    # alpha and threshold repeat down each column: format them once
-    fixed = {a: (_fmt(a), _fmt(t)) for a, t in {(c.alpha, c.threshold) for c in cells}}
-    lines = ["n,alpha,g_value,threshold,holds"]
-    for c in cells:
-        alpha, threshold = fixed[c.alpha]
-        lines.append(
-            f"{c.n},{alpha},{_fmt(c.g_value)},{threshold},"
-            f"{'true' if c.holds else 'false'}"
-        )
-    return "\n".join(lines) + "\n"
+        cells = _scan_cells(grid, '{"n":', ',"alpha":{},"g_value":',
+                            ',"threshold":{},"holds":{}}}')
+        return "[" + ",".join(cells) + "]\n"
+    cells = _scan_cells(grid, "", ",{},", ",{},{}")
+    return "\n".join(["n,alpha,g_value,threshold,holds", *cells]) + "\n"
 
 
 def _cmd_alpha_star(args: argparse.Namespace) -> str:

@@ -1,4 +1,5 @@
 import argparse
+import contextlib
 import hashlib
 import io
 import json
@@ -8,10 +9,12 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cocircular
-from cocircular import TAU
-from cocircular.cli import main
+from cocircular import TAU, scan_region
+from cocircular.cli import _fmt, _json, main
 
 M112 = {"alpha": 1.0, "masses": [1.0, 1.0, 2.0]}
 
@@ -232,6 +235,58 @@ def test_scan_thread_count_does_not_change_bytes(tmp_path, monkeypatch, capsys):
     inp = write_json(tmp_path / "m.json", M112)
     assert main(["minimize", "--input", inp]) == 0
     assert capsys.readouterr().out == MINIMIZE_112
+
+
+@given(st.integers(3, 120), st.integers(0, 40),
+       st.lists(st.floats(0.01, 8.0), min_size=1, max_size=6))
+@settings(max_examples=40, deadline=None)
+def test_scan_writes_the_cells_of_scan_region(n_min, width, alphas):
+    # the CLI formats the g grid directly; it must print what formatting
+    # scan_region's cells would
+    argv = ["scan", "--n-min", str(n_min), "--n-max", str(n_min + width),
+            "--alpha", *map(repr, alphas)]
+    cells = scan_region(range(n_min, n_min + width + 1), alphas)
+    csv = "".join(f"{c.n},{_fmt(c.alpha)},{_fmt(c.g_value)},{_fmt(c.threshold)},"
+                  f"{'true' if c.holds else 'false'}\n" for c in cells)
+    rows = [{"n": c.n, "alpha": c.alpha, "g_value": c.g_value,
+             "threshold": c.threshold, "holds": c.holds} for c in cells]
+    for fmt, want in (("csv", "n,alpha,g_value,threshold,holds\n" + csv),
+                      ("json", _json(rows) + "\n")):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(argv + ["--format", fmt]) == 0
+        assert out.getvalue() == want
+
+
+def test_scan_not_closed_exits_two(monkeypatch, capsys):
+    # g says n = 4 fails and n = 5 holds at every alpha
+    monkeypatch.setattr(cocircular.scanner, "_g", lambda n, sines, a: 10.0 if n == 4 else 0.0)
+    for fmt in ("csv", "json"):
+        assert main(["scan", "--n-min", "3", "--n-max", "6", "--alpha", "1", "2",
+                     "--format", fmt]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+        assert "downward closed" in lines[0]
+
+
+def test_scan_not_closed_exits_two_under_optimize_flag():
+    script = (
+        "import sys\n"
+        "import cocircular.cli, cocircular.scanner\n"
+        "cocircular.scanner._g = lambda n, sines, a: 10.0 if n == 4 else 0.0\n"
+        "sys.exit(cocircular.cli.main(['scan', '--n-min', '3', '--n-max', '6',"
+        " '--alpha', '1']))\n"
+    )
+    src = os.path.dirname(os.path.dirname(cocircular.__file__))
+    out = subprocess.run([sys.executable, "-O", "-c", script],
+                         env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 2
+    assert out.stdout == ""
+    lines = out.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), out.stderr
 
 
 def test_alpha_star_frozen(capsys):

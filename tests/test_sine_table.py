@@ -1,10 +1,11 @@
 """The sine-table kernel against the reference scanner, bit for bit.
 
-The package builds the sines sin(j pi / n) once per n and evaluates g for
-every alpha from that table. ``reference_scanner`` recomputes the sines on
-every call and doubles every term; the additions run in the same order
-and doubling is exact, so g, every scan cell and every critical exponent
-must match exactly, and overflow must raise at the same (n, alpha).
+The package builds the sines sin(j pi / n) once per n, with one ``np.sin``
+over the angles, and evaluates g for every alpha from that table.
+``reference_scanner`` recomputes the sines on every call and doubles every
+term; the additions run in the same order and doubling is exact, so g,
+every scan cell and every critical exponent must match exactly, and
+overflow must raise at the same (n, alpha).
 """
 
 import math
@@ -15,12 +16,21 @@ from hypothesis import strategies as st
 
 import reference_scanner as ref
 from cocircular import UnsupportedExponent, alpha_star, g_value, scan_region
+from cocircular.scanner import _sines
 
 NS = st.integers(3, 2000)
 ALPHAS = st.one_of(
     st.sampled_from([1.0, 2.0, 3.0, 4.0]),
     st.floats(0.01, 8.0, exclude_min=True, exclude_max=True),
 )
+
+
+def test_sine_table_matches_scalar_sines():
+    # one np.sin over j * pi / n against math.sin term by term; the sines
+    # are positive and finite, so == on the floats is equality of the bits
+    for n in range(3, 4001):
+        want = tuple(math.sin(j * math.pi / n) for j in range(1, (n - 1) // 2 + 1))
+        assert _sines(n) == want, n
 
 
 @given(NS, ALPHAS)
