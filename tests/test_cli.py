@@ -650,6 +650,60 @@ def test_grid_frozen_stdout(capsys, key):
     assert _sha(capsys.readouterr().out) == GRID_DIGESTS[key]
 
 
+# SHA-256 of alpha-star stdout, taken while every bisection step still
+# evaluated g with the scalar kernel; the first is over n = 3..1000 at the
+# default tol, one call after another
+ALPHA_STAR_SWEEP_DIGEST = "8cae5c7c98cbf4e47c3eadc68a58aae309239a798e94a682dcb70c16f5847f8d"
+
+ALPHA_STAR_DIGESTS = {
+    (2000, None): "6136f2541a214f0a5c219d2b3559bdf63521e733a721405ad1139e81f7322116",
+    (4000, None): "1962885c711f126f209f59ebeba1c8fa0f06088de32e048fa26c251dd14b8bfc",
+    (10000, None): "82ae406bff267dbeb855209e1b5b6a142366bedcbb8bfcddb290be68599b5593",
+    (6, "1e-15"): "ddd94c4797033534f08159dbe6f10a286452a95b90932af1c0ea35cbf83cbe5d",
+    (500, "1e-15"): "ebee08fd055c6a1fb63f443baf696906ea339374e8323c40644daac02539e61f",
+    (2000, "1e-15"): "ea90c52e6d15f3b3218cf762d85995f2db942802721c2ab89a617c4a622a5dd8",
+    (4000, "1e-15"): "6e0b192867764e5925190e047f369f6e37651afef7a012d313bbab2c4abe3d85",
+    (10000, "1e-15"): "a8da2bea92bff0f87bb0207d113b9c4d43c5a936794458814094cb6f0d9cdd1c",
+    (6, "1e-6"): "e6b3526c5f80d52b287118e9b75eaed5695207b8a52662a537d12a4e3564e9ea",
+    (500, "1e-6"): "431b9578b894d2dc59ed7eab7a0bd849e8ffed5e8c3071e91352da266c241baa",
+    (2000, "1e-6"): "ee29c49be2a40c4798a5ff0364cf140cfcf4b143bcd37a0a154bf53be306f827",
+    (4000, "1e-6"): "204264145eefb532e63f62e3f865832967dc0ba2dbc03b1a01735997cdea7095",
+    (10000, "1e-6"): "c0403901bae872c3db5332eb2d3340c3fbe1d8d75ecec53311020512ec35d291",
+    # a zero tol is met only where the residual comes out exactly 0
+    (6, "0"): "2b090c43d053f5006576d084fa223ce628db4a07b4f0f09ab6eb63c499535b99",
+    (500, "0"): "e44ce3731d0c663420e07f8a5a7ee3587c95e58b521aca1838914b1f113167cb",
+    (2000, "0"): "bda78ebdeb6c606edac29b7afcb5c8ae9cd736840a6ece74a696b79103f7ce91",
+    (4000, "0"): "97373ac3ff431e9ebe386cabeb9fa6c633e65a99245ceaeb93509e5152cae7bb",
+    (10000, "0"): "13e2e2a39efe4032e2c749af43b1387d6c22d3f37f4714a998da089e4a760542",
+}
+
+
+def test_alpha_star_sweep_frozen_stdout(capsys):
+    out = []
+    for n in range(3, 1001):
+        assert main(["alpha-star", "--n", str(n)]) == 0
+        out.append(capsys.readouterr().out)
+    assert _sha("".join(out)) == ALPHA_STAR_SWEEP_DIGEST
+
+
+@pytest.mark.parametrize("n, tol", list(ALPHA_STAR_DIGESTS))
+def test_alpha_star_frozen_digest(capsys, n, tol):
+    argv = ["alpha-star", "--n", str(n)] + ([] if tol is None else ["--tol", tol])
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert _sha(captured.out) == ALPHA_STAR_DIGESTS[n, tol]
+
+
+@pytest.mark.parametrize("n", [11, 461, 972])
+def test_alpha_star_zero_tolerance_convergence_failure(capsys, n):
+    # at these n no bisection midpoint has a residual of exactly 0
+    assert main(["alpha-star", "--n", str(n), "--tol", "0"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: bisection residual above 0.0 after 200 iterations\n"
+
+
 def test_minimize_output_file_frozen(tmp_path, capsys):
     masses = np.random.default_rng(64).uniform(0.5, 2.0, 64)
     inp = write_json(tmp_path / "m.json", {"alpha": 0.5, "masses": masses.tolist()})
