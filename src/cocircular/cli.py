@@ -28,7 +28,7 @@ from .errors import CocircularError, ConvergenceFailure, DomainError
 from .geometry import AngleConfiguration, MassVector
 from .minimizer import minimize_f_k
 from .potential import AuxiliaryFunctional
-from .scanner import _grid, alpha_star, condition_threshold, g_value
+from .scanner import _alpha_star, _grid, condition_threshold
 from .spectral import circulant_spectrum
 from .symmetry import GroupElement, exclusion_verdicts
 from .verifier import verify_cc
@@ -194,14 +194,14 @@ def _cmd_scan(args: argparse.Namespace) -> str:
 
 
 def _cmd_alpha_star(args: argparse.Namespace) -> str:
-    root = alpha_star(args.n, args.tol)
-    g = g_value(args.n, root)
+    root, g = _alpha_star(args.n, args.tol)
+    threshold = condition_threshold(root)
     return _json({
         "n": args.n,
         "alpha_star": root,
         "g_value": g,
-        "threshold": condition_threshold(root),
-        "residual": abs(g - condition_threshold(root)),
+        "threshold": threshold,
+        "residual": abs(g - threshold),
         "tolerance": args.tol,
     }) + "\n"
 

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from cocircular import (
     g_value,
     scan_region,
 )
+from cocircular.scanner import _ALPHA_SEED, _FILTER_MIN_TERMS, _g, _g_bound, _g_fast, _sines
 
 
 def test_hexagon_closed_form():
@@ -173,3 +175,71 @@ def test_alpha_star_asymptotic_law(n, low):
     # alpha*(n) ~ 1 / ((n-1) ln 2 - ln n - n/4), approached from below
     ratio = alpha_star(n) * ((n - 1) * math.log(2.0) - math.log(n) - n / 4.0)
     assert low <= ratio <= 1.0
+
+
+# the vectorized filter in alpha_star against the exact kernel
+
+# every n up to 300, then a spread of both parities up to 4000
+FILTER_NS = list(range(3, 301)) + list(range(301, 4001, 13))
+FILTER_TOLS = (0.0, 1e-15, 1e-12, 1e-6)
+
+
+def _filter_alphas(n):
+    # the bracket points 2**j / 64, which include the integers 1, 2 and 4
+    # of _g's (1/s)**alpha branch, and points ever closer to the root
+    root = alpha_star(n)
+    near = [root * (1.0 + sign * 10.0 ** -p) for p in range(3, 16) for sign in (1, -1)]
+    return [_ALPHA_SEED * 2.0 ** j for j in range(-12, 13)] + near
+
+
+def test_fast_psi_within_bound_and_never_contradicts_exact():
+    for n in FILTER_NS:
+        sines = _sines(n)
+        table = np.array(sines)
+        for alpha in _filter_alphas(n):
+            threshold = condition_threshold(alpha)
+            with np.errstate(over="ignore"):
+                fast = _g_fast(n, table, alpha)
+            bound = _g_bound(len(sines), fast, threshold)
+            psi_fast = fast - threshold
+            psi_exact = _g(n, sines, alpha) - threshold
+            assert abs(psi_fast - psi_exact) <= bound, (n, alpha)
+            for tol in FILTER_TOLS:
+                # the rule alpha_star's steps decide by
+                if abs(psi_fast) > tol + bound:
+                    assert (psi_fast < 0.0) == (psi_exact < 0.0), (n, alpha, tol)
+                    assert abs(psi_exact) > tol, (n, alpha, tol)
+
+
+def test_filter_leaves_few_steps_to_the_exact_kernel(monkeypatch):
+    calls = []
+
+    def counting(n, sines, alpha):
+        calls.append(alpha)
+        return _g(n, sines, alpha)
+
+    monkeypatch.setattr("cocircular.scanner._g", counting)
+    root = alpha_star(500)
+    # the step that ends the bisection always runs _g
+    assert 1 <= len(calls) <= 3 and calls[-1] == root
+    del calls[:]
+    # below the size cut every step runs _g
+    n = 2 * _FILTER_MIN_TERMS - 1
+    alpha_star(n)
+    assert len(calls) > 30
+
+
+def test_overflowing_filter_falls_back_without_warnings(monkeypatch):
+    # a threshold nothing reaches makes the bracket climb to alpha = 128,
+    # where np.power and _g overflow at n = 1000
+    monkeypatch.setattr("cocircular.scanner._ALPHA_CAP", 1024.0)
+    monkeypatch.setattr("cocircular.scanner.condition_threshold", lambda a: 1e300)
+    table = np.array(_sines(1000))
+    with np.errstate(over="ignore"):
+        assert math.isfinite(_g_fast(1000, table, 64.0))
+        assert _g_fast(1000, table, 128.0) == math.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(UnsupportedExponent,
+                           match=r"^g\(n, alpha\) overflows at n = 1000, alpha = 128\.0$"):
+            alpha_star(1000)

@@ -5,18 +5,21 @@ over the angles, and evaluates g for every alpha from that table.
 ``reference_scanner`` recomputes the sines on every call and doubles every
 term; the additions run in the same order and doubling is exact, so g,
 every scan cell and every critical exponent must match exactly, and
-overflow must raise at the same (n, alpha).
+overflow must raise at the same (n, alpha). ``alpha_star`` decides most
+steps from a vectorized g within a rounding bound; its roots and its
+errors must still be the reference's.
 """
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_scanner as ref
-from cocircular import UnsupportedExponent, alpha_star, g_value, scan_region
-from cocircular.scanner import _sines
+from cocircular import CocircularError, UnsupportedExponent, alpha_star, g_value, scan_region
+from cocircular.scanner import _g, _g_fast, _sines
 
 NS = st.integers(3, 2000)
 ALPHAS = st.one_of(
@@ -74,6 +77,25 @@ def test_overflow_at_the_same_exponent(n):
     assert not outcomes[0] and outcomes[-1]
 
 
+@pytest.mark.parametrize("n", [999, 1000])
+def test_fast_g_keeps_headroom_below_overflow(n):
+    # a finite fast g vouches for a finite _g, so the filter never decides a
+    # step that _g would refuse; within a factor 2 of overflow it gives up
+    sines = _sines(n)
+    table = np.array(sines)
+    gave_up = 0
+    for i in range(600):
+        alpha = 122.0 + 0.005 * i
+        with np.errstate(over="ignore"):
+            fast = _g_fast(n, table, alpha)
+        exact = _outcome(lambda n, a: _g(n, sines, a), n, alpha)
+        if math.isfinite(fast):
+            assert exact != "overflow", alpha
+        elif exact != "overflow":
+            gave_up += 1
+    assert gave_up > 0
+
+
 def test_overflow_raises_in_every_entry_point():
     for alpha in (130.0, 200.0, 1000.0):
         with pytest.raises(UnsupportedExponent):
@@ -83,3 +105,34 @@ def test_overflow_raises_in_every_entry_point():
         with pytest.raises(UnsupportedExponent):
             scan_region([999, 1000], [1.0, alpha])
     assert math.isfinite(g_value(1000, 120.0))
+
+
+def _star_outcome(star, n, tol):
+    try:
+        return star(n, tol)
+    except CocircularError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("n, tol", [
+    (6, -1.0), (500, math.nan),  # bad tol
+    (11, 0.0), (461, 0.0),  # no midpoint meets a zero tol
+    (4000, 1e-15), (10**4, 1e-6),
+])
+def test_alpha_star_outcome_matches_reference(n, tol):
+    assert _star_outcome(alpha_star, n, tol) == _star_outcome(ref.alpha_star, n, tol)
+
+
+@pytest.mark.parametrize("threshold, cap", [
+    (0.0, 64.0),  # fails at every alpha: no bracket below
+    (1e300, 64.0),  # holds up to the cap: no bracket above
+    (1e300, 1024.0),  # climbs until g overflows
+])
+@pytest.mark.parametrize("n", [6, 1000])
+def test_alpha_star_errors_match_reference(monkeypatch, threshold, cap, n):
+    for module in ("cocircular.scanner", "reference_scanner"):
+        monkeypatch.setattr(f"{module}.condition_threshold", lambda a: threshold)
+        monkeypatch.setattr(f"{module}._ALPHA_CAP", cap)
+    got = _star_outcome(alpha_star, n, 1e-12)
+    assert isinstance(got, tuple)
+    assert got == _star_outcome(ref.alpha_star, n, 1e-12)
