@@ -25,10 +25,9 @@ from .geometry import (
     AngleConfiguration,
     MassVector,
     center_of_mass,
-    chord_matrix,
     regular_ngon,
 )
-from .minimizer import MinimizeResult, angles_from_reduced, minimize_f_k, reduced_coordinates
+from .minimizer import MinimizeResult, minimize_f_k
 from .potential import (
     AuxiliaryFunctional,
     f_k_value,
@@ -40,21 +39,8 @@ from .potential import (
     u_beta,
 )
 from .scanner import RegionCell, alpha_star, condition_threshold, g_value, scan_region
-from .spectral import (
-    CriterionMatrix,
-    CriterionVerdict,
-    build_matrices,
-    circulant_spectrum,
-    criterion_verdict,
-    taylor_identity_check,
-)
-from .symmetry import (
-    ExclusionVerdict,
-    GroupElement,
-    act_on_angles,
-    act_on_masses,
-    exclusion_verdicts,
-)
+from .spectral import circulant_spectrum
+from .symmetry import ExclusionVerdict, GroupElement, act_on_masses, exclusion_verdicts
 from .verifier import CCReport, verify_cc, verify_definition_cc
 
 __version__ = "0.1.0"
@@ -66,8 +52,6 @@ __all__ = [
     "CocircularError",
     "CollisionError",
     "ConvergenceFailure",
-    "CriterionMatrix",
-    "CriterionVerdict",
     "DimensionError",
     "DomainError",
     "ExclusionVerdict",
@@ -82,16 +66,11 @@ __all__ = [
     "UnsupportedExponent",
     "COLLISION_TOL",
     "TAU",
-    "act_on_angles",
     "act_on_masses",
     "alpha_star",
-    "angles_from_reduced",
-    "build_matrices",
     "center_of_mass",
-    "chord_matrix",
     "circulant_spectrum",
     "condition_threshold",
-    "criterion_verdict",
     "exclusion_verdicts",
     "f_k_value",
     "g_value",
@@ -101,10 +80,8 @@ __all__ = [
     "k_min",
     "minimize_f_k",
     "pair_weight_matrix",
-    "reduced_coordinates",
     "regular_ngon",
     "scan_region",
-    "taylor_identity_check",
     "u_beta",
     "verify_cc",
     "verify_definition_cc",

@@ -177,12 +177,6 @@ def _chords(du: np.ndarray, out=None) -> np.ndarray:
     return np.minimum(ru, 2.0, out=ru)
 
 
-def chord_matrix(config: AngleConfiguration) -> np.ndarray:
-    """Read-only pairwise chords r_jk = |2 sin((t_j - t_k)/2)|, zero diagonal."""
-    ru = _packed_chords(config)[1]
-    return _readonly(_mirror(config.n, ru, ru))
-
-
 def _check_pinned(config: AngleConfiguration) -> None:
     """DomainError unless t_n is 2*pi to within 1e-12."""
     if abs(config.angles[-1] - TAU) > 1e-12:

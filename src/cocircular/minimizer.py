@@ -27,6 +27,7 @@ instead of 1,250 with fresh chords (README gives the times).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,18 +62,6 @@ class MinimizeResult:
     iterations: int
     converged: bool
     min_gap: float
-
-
-def reduced_coordinates(config: AngleConfiguration) -> np.ndarray:
-    """Free coordinates (t_1, ..., t_{n-1}) of a pinned configuration."""
-    _check_pinned(config)
-    return config.angles[:-1].copy()
-
-
-def angles_from_reduced(x: np.ndarray) -> AngleConfiguration:
-    """Inverse of reduced_coordinates: append the pinned angle 2*pi."""
-    x = np.asarray(x, dtype=float)
-    return AngleConfiguration(np.append(x, TAU))
 
 
 def minimize_f_k(aux: AuxiliaryFunctional, masses: MassVector,
@@ -110,12 +99,20 @@ def minimize_f_k(aux: AuxiliaryFunctional, masses: MassVector,
         iterate rides along on the exception.
     DomainError
         For an init outside the pinned interior domain, a negative or NaN
-        ``grad_tol``, or masses whose products overflow f or its gradient.
+        ``grad_tol``, a ``max_iter`` that is not a nonnegative integer, or
+        masses whose products overflow f or its gradient.
     UnsupportedExponent
         When the chord powers r**-(alpha + 2) overflow at an accepted point.
     """
     if not grad_tol >= 0.0:
         raise DomainError(f"grad_tol must be a nonnegative number, got {grad_tol}")
+    try:
+        steps = operator.index(max_iter)
+    except TypeError:
+        steps = -1
+    if steps < 0:
+        raise DomainError(f"max_iter must be a nonnegative integer, got {max_iter!r}")
+    max_iter = steps
     n = masses.n
     if init is not None:
         if init.n != n:

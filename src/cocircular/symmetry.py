@@ -2,9 +2,10 @@
 
 The group of order 2n is generated by the cyclic shift P, which moves
 every mass label down by one, and the reflection S, which reverses the
-first n-1 labels and fixes the last. Each element carries a paired affine
-action on pinned angle configurations chosen so that relabeled masses
-minimize at the correspondingly transformed angles.
+first n-1 labels and fixes the last. Each element pairs with an affine
+action on pinned angle configurations that keeps every chord, so relabeled
+masses minimize at the correspondingly transformed angles; the scans below
+need only the mass action.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DimensionError, InvalidArity
-from .geometry import TAU, AngleConfiguration, MassVector, _check_pinned
+from .geometry import AngleConfiguration, MassVector
 from .minimizer import MinimizeResult, minimize_f_k
 from .potential import AuxiliaryFunctional, pair_weight_matrix
 from .verifier import verify_cc
@@ -83,25 +84,6 @@ def act_on_masses(g: GroupElement, masses: MassVector) -> MassVector:
     if g.h:
         m = np.roll(m, -g.h)
     return MassVector(m)
-
-
-def act_on_angles(g: GroupElement, config: AngleConfiguration) -> AngleConfiguration:
-    """Affine angle action paired with the mass permutation.
-
-    The shift maps t to (t_2 - t_1, ..., t_n - t_1, 2*pi); the reflection
-    maps t to (2*pi - t_{n-1}, ..., 2*pi - t_1, 2*pi). Both preserve all
-    chords, so the functional is invariant under the simultaneous action
-    on masses and angles.
-    """
-    if g.n != config.n:
-        raise DimensionError(f"group on {g.n} labels, {config.n} angles")
-    _check_pinned(config)
-    t = config.angles
-    if g.l:
-        t = np.concatenate([TAU - t[-2::-1], [TAU]])
-    for _ in range(g.h):
-        t = np.concatenate([t[1:] - t[0], [TAU]])
-    return AngleConfiguration(t)
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,7 +1,10 @@
 """Slow, independent reference implementations the tests compare against.
 
-A grid-search minimizer for n <= 5 and finite-difference derivatives; the
-package never imports this.
+A grid-search minimizer for n <= 5 and finite-difference derivatives, plus
+the test oracles that no command reaches: the reduced coordinates of a
+pinned configuration, the dihedral action on angles, the full chord
+matrix and the defect of the exact quadratic mass expansion. The package
+never imports this.
 """
 
 from __future__ import annotations
@@ -11,7 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from cocircular import (TAU, AngleConfiguration, AuxiliaryFunctional,
-                        CocircularError, DomainError, MassVector)
+                        CocircularError, DimensionError, DomainError,
+                        GroupElement, MassVector, f_k_value,
+                        pair_weight_matrix)
+from cocircular.geometry import _check_pinned, _mirror, _packed_chords
 
 _EDGE = 1e-6
 _BOX_SHRINK = 4.0
@@ -146,3 +152,62 @@ def finite_difference_hessian(f, point, step: float = 1e-5) -> np.ndarray:
             out[i, j] = val
             out[j, i] = val
     return out
+
+
+def reduced_coordinates(config: AngleConfiguration) -> np.ndarray:
+    """Free coordinates (t_1, ..., t_{n-1}) of a pinned configuration."""
+    _check_pinned(config)
+    return config.angles[:-1].copy()
+
+
+def angles_from_reduced(x: np.ndarray) -> AngleConfiguration:
+    """Inverse of reduced_coordinates: append the pinned angle 2*pi."""
+    x = np.asarray(x, dtype=float)
+    return AngleConfiguration(np.append(x, TAU))
+
+
+def act_on_angles(g: GroupElement, config: AngleConfiguration) -> AngleConfiguration:
+    """Affine angle action paired with the mass permutation.
+
+    The shift maps t to (t_2 - t_1, ..., t_n - t_1, 2*pi); the reflection
+    maps t to (2*pi - t_{n-1}, ..., 2*pi - t_1, 2*pi). Both preserve all
+    chords, so the functional is invariant under the simultaneous action
+    on masses and angles.
+    """
+    if g.n != config.n:
+        raise DimensionError(f"group on {g.n} labels, {config.n} angles")
+    _check_pinned(config)
+    t = config.angles
+    if g.l:
+        t = np.concatenate([TAU - t[-2::-1], [TAU]])
+    for _ in range(g.h):
+        t = np.concatenate([t[1:] - t[0], [TAU]])
+    return AngleConfiguration(t)
+
+
+def chord_matrix(config: AngleConfiguration) -> np.ndarray:
+    """Pairwise chords r_jk = |2 sin((t_j - t_k)/2)|, zero diagonal.
+
+    The package's packed chords, mirrored into the n x n matrix.
+    """
+    ru = _packed_chords(config)[1]
+    return _mirror(config.n, ru, ru)
+
+
+def taylor_identity_check(aux: AuxiliaryFunctional, masses_cc: MassVector,
+                          config_cc: AngleConfiguration,
+                          y: MassVector) -> float:
+    """Residual of the exact quadratic expansion at a verified solution.
+
+    For sum-preserving y the first-order term drops (the mass gradient is
+    constant there), leaving f(y) - f(m) = (y - m)^T W (y - m) / 2; the
+    returned value is the absolute defect of that identity.
+    """
+    if y.n != masses_cc.n:
+        raise DimensionError(f"{y.n} masses in y but {masses_cc.n} at the solution")
+    total = masses_cc.total_mass
+    if abs(y.total_mass - total) > 1e-9 * max(1.0, total):
+        raise DomainError(f"sum mismatch: {y.total_mass} versus {total}")
+    d = y.masses - masses_cc.masses
+    lhs = f_k_value(aux, y, config_cc) - f_k_value(aux, masses_cc, config_cc)
+    return float(abs(lhs - 0.5 * (d @ pair_weight_matrix(aux, config_cc) @ d)))

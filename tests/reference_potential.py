@@ -8,8 +8,12 @@ circulant spectrum takes row 0 of the full W at the regular n-gon. The
 chord builder and the minimizer's feasible-step bound are the package's
 former ones, kept here so the reference shares neither the package's
 chord code nor its line search. The tests compare the package with these
-bodies bit for bit; the package never imports this.
+bodies bit for bit; the package never imports this. The criterion matrix
+C J - W of the paper's spectral test lives only here, built from these
+bodies.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,18 +22,26 @@ from cocircular import (
     CCReport,
     CollisionError,
     ConvergenceFailure,
-    CriterionMatrix,
     DimensionError,
     DomainError,
     TAU,
     UnsupportedExponent,
-    angles_from_reduced,
     center_of_mass,
     condition_threshold,
     regular_ngon,
 )
 from cocircular.geometry import COLLISION_TOL
 from cocircular.minimizer import _ARMIJO, _BOUNDARY_FRACTION, _DIAG_REG, _SHRINK
+from oracle import angles_from_reduced
+
+
+@dataclass(frozen=True, eq=False)
+class CriterionMatrix:
+    """Rank-one shift C J - W with the normalized potential alongside."""
+
+    hcal: np.ndarray
+    u_ratio: float
+    threshold: float
 
 
 def _pow(base, expo):
@@ -115,6 +127,13 @@ def pair_weight_matrix(aux, config):
 
 
 def build_matrices(aux, masses, config):
+    """Criterion matrix C J - W with C = 2 u_alpha / M**2 + 2/k.
+
+    At a solution of the central-configuration equations it annihilates
+    the mass vector, and it is positive semidefinite whenever the
+    normalized potential 2**(alpha+1) u_alpha / M**2 stays below
+    1 + alpha/4.
+    """
     w = pair_weight_matrix(aux, config)
     u = u_beta(aux.alpha, masses, config)
     total = masses.total_mass

@@ -11,15 +11,14 @@ from cocircular import (
     DomainError,
     MassVector,
     UnsupportedExponent,
-    angles_from_reduced,
     f_k_value,
     grad_theta_f_k,
     hessian_theta_f_k,
     minimize_f_k,
-    reduced_coordinates,
     regular_ngon,
 )
 from conftest import ordered_angles, random_masses
+from oracle import angles_from_reduced, reduced_coordinates
 
 
 def test_equal_masses_return_ngon():
@@ -97,6 +96,11 @@ def test_init_validation():
         minimize_f_k(aux, m, regular_ngon(3))  # wrong length
     with pytest.raises(DomainError):
         minimize_f_k(aux, m, AngleConfiguration(np.array([1.0, 2.0, 3.0, 4.0])))
+    # a step count is a nonnegative integer of any integer type
+    for max_iter in (-1, np.int64(-1), 2.5, float("nan"), "3", None):
+        with pytest.raises(DomainError, match="max_iter"):
+            minimize_f_k(aux, m, max_iter=max_iter)
+    assert minimize_f_k(aux, m, max_iter=np.int64(50)).converged
 
 
 def test_convergence_failure_carries_last_iterate():

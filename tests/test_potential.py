@@ -20,8 +20,8 @@ from cocircular import (
     regular_ngon,
     u_beta,
 )
-from cocircular.minimizer import angles_from_reduced, reduced_coordinates
-from oracle import finite_difference_gradient, finite_difference_hessian
+from oracle import (angles_from_reduced, finite_difference_gradient,
+                    finite_difference_hessian, reduced_coordinates)
 from conftest import ordered_angles, random_masses
 
 TRIANGLE = regular_ngon(3)

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cocircular.spectral as spectral
 import reference_potential as ref
 from cocircular import (
     TAU,
@@ -12,25 +15,24 @@ from cocircular import (
     InvalidArity,
     MassVector,
     UnsupportedExponent,
-    build_matrices,
     circulant_spectrum,
-    criterion_verdict,
     f_k_value,
     g_value,
-    minimize_f_k,
     pair_weight_matrix,
     regular_ngon,
-    taylor_identity_check,
     u_beta,
 )
+from cocircular.geometry import _chords
+from cocircular.potential import _pair_weights
 from conftest import ordered_angles, random_masses
+from oracle import taylor_identity_check
 
 
 def test_build_matrices_shift_structure():
     aux = AuxiliaryFunctional(1.0)
     m = MassVector(np.array([1.0, 2.0, 1.5, 0.5]))
     cfg = regular_ngon(4)
-    cm = build_matrices(aux, m, cfg)
+    cm = ref.build_matrices(aux, m, cfg)
     w = pair_weight_matrix(aux, cfg)
     c = 2.0 * u_beta(1.0, m, cfg) / m.total_mass**2 + 2.0 / aux.k
     assert np.array_equal(cm.hcal, c * np.ones((4, 4)) - w)
@@ -41,51 +43,15 @@ def test_criterion_matrix_annihilates_masses_at_ngon():
     for n in (3, 5, 8):
         aux = AuxiliaryFunctional(1.0)
         m = MassVector(np.ones(n))
-        cm = build_matrices(aux, m, regular_ngon(n))
+        cm = ref.build_matrices(aux, m, regular_ngon(n))
         assert np.max(np.abs(cm.hcal @ m.masses)) < 1e-12
 
 
 def test_u_ratio_matches_ngon_normalized_potential():
     for n, alpha in ((3, 0.5), (6, 1.0), (9, 2.0), (12, 1.5)):
         aux = AuxiliaryFunctional(alpha)
-        cm = build_matrices(aux, MassVector(np.ones(n)), regular_ngon(n))
+        cm = ref.build_matrices(aux, MassVector(np.ones(n)), regular_ngon(n))
         assert abs(cm.u_ratio - g_value(n, alpha)) < 1e-13
-
-
-def test_verdict_equal_masses_hexagon():
-    v = criterion_verdict(AuxiliaryFunctional(1.0), MassVector(np.ones(6)),
-                          regular_ngon(6))
-    assert not v.excluded
-    assert v.condition_holds
-    assert v.masses_equal
-    assert abs(v.u_ratio - g_value(6, 1.0)) < 1e-13
-    assert abs(v.min_eigenvalue) < 1e-12
-    assert abs(v.second_eigenvalue - 0.45235026918962495) < 1e-12
-    assert v.kernel_residual < 1e-12
-    assert v.offdiag_max < v.second_eigenvalue
-
-
-def test_verdict_unequal_masses_excluded():
-    aux = AuxiliaryFunctional(1.0)
-    m = MassVector(np.array([1.0, 1.0, 1.5]))
-    res = minimize_f_k(aux, m)
-    v = criterion_verdict(aux, m, res.theta_m)
-    assert v.excluded
-    assert v.condition_holds
-    assert not v.masses_equal
-    assert abs(v.u_ratio - 0.7522037043629648) < 1e-12
-    assert abs(v.margin - (v.threshold - v.u_ratio)) < 1e-15
-
-
-def test_verdict_condition_fails_at_large_alpha():
-    alpha = 3.0
-    v = criterion_verdict(AuxiliaryFunctional(alpha),
-                          MassVector(np.array([1.0, 1.0, 1.0, 1.0, 1.0, 2.0])),
-                          regular_ngon(6))
-    assert v.u_ratio > v.threshold
-    assert not v.condition_holds
-    assert not v.excluded
-    assert v.margin < 0
 
 
 def test_circulant_spectrum_square_frozen():
@@ -119,7 +85,7 @@ def test_criterion_spectrum_is_negated_tail():
     for n, alpha in ((5, 1.0), (8, 0.5)):
         aux = AuxiliaryFunctional(alpha)
         spec = circulant_spectrum(aux, n)
-        cm = build_matrices(aux, MassVector(np.ones(n)), regular_ngon(n))
+        cm = ref.build_matrices(aux, MassVector(np.ones(n)), regular_ngon(n))
         got = np.sort(np.linalg.eigvalsh(cm.hcal))
         expected = np.sort(np.concatenate([[0.0], -spec[1:]]))
         assert np.allclose(got, expected, atol=1e-10)
@@ -177,6 +143,42 @@ def test_circulant_spectrum_rejects_overflowing_row():
     with np.errstate(over="ignore"):
         with pytest.raises(UnsupportedExponent):
             circulant_spectrum(AuxiliaryFunctional(1000.0), 1000)
+
+
+def _one_table_spectrum(aux, n):
+    """The spectrum from the full n x n table of cosines, as it was built."""
+    t = regular_ngon(n).angles
+    row = np.concatenate(([0.0], _pair_weights(aux, _chords(t[0] - t[1:]))))
+    j = np.arange(n)
+    return np.sum(row * np.cos((TAU * j)[:, None] * j / n), axis=1)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.9])
+def test_spectrum_blocks_match_one_table(alpha):
+    # the last n that is one block, and larger ones whose last block is short
+    aux = AuxiliaryFunctional(alpha)
+    assert spectral._BLOCK // 1024 == 1024
+    for n in (1023, 1024, 1025, 1500, 2049):
+        assert np.array_equal(circulant_spectrum(aux, n), _one_table_spectrum(aux, n)), n
+
+
+@pytest.mark.parametrize("block", [1, 7, 100, 256])
+def test_small_blocks_match_one_table(monkeypatch, block):
+    monkeypatch.setattr(spectral, "_BLOCK", block)
+    aux = AuxiliaryFunctional(1.0)
+    for n in (3, 4, 17, 50, 101, 257):
+        assert np.array_equal(circulant_spectrum(aux, n), _one_table_spectrum(aux, n)), n
+
+
+def test_spectrum_memory_is_one_block():
+    # the one-table form peaks above 2 n**2 doubles, 256 MB at n = 4000
+    tracemalloc.start()
+    try:
+        circulant_spectrum(AuxiliaryFunctional(1.0), 4000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 8 * spectral._BLOCK
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(3, 7))

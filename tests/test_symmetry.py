@@ -12,7 +12,6 @@ from cocircular import (
     DomainError,
     GroupElement,
     MassVector,
-    act_on_angles,
     act_on_masses,
     exclusion_verdicts,
     f_k_value,
@@ -21,6 +20,7 @@ from cocircular import (
     regular_ngon,
 )
 from conftest import ordered_angles, random_masses
+from oracle import act_on_angles
 from reference_exclusion import reference_exclusion_by_group, reference_exclusion_by_swap
 
 

@@ -11,7 +11,6 @@ from cocircular import (
     DomainError,
     MassVector,
     UnsupportedExponent,
-    act_on_angles,
     act_on_masses,
     GroupElement,
     minimize_f_k,
@@ -21,6 +20,7 @@ from cocircular import (
     verify_definition_cc,
 )
 from conftest import ordered_angles, random_masses
+from oracle import act_on_angles
 
 
 def test_ngon_is_cc_and_lambda_matches_direct_sum():
