@@ -35,10 +35,12 @@ def main(argv=None):
             return code
         print(f"wrote {len(cells)} cells to {args.csv}")
 
+    # the largest alpha where the condition holds at each n, in one pass
+    # over the cells (they come sorted by (n, alpha))
+    edges = {c.n: c.alpha for c in cells if c.holds}
     print(f"{'n':>3} {'alpha_star':>12} {'g(n,a*)':>10} {'holds up to':>12}")
     for n in range(args.n_min, args.n_max + 1):
-        held = [c.alpha for c in cells if c.n == n and c.holds]
-        edge = f"{max(held):.3f}" if held else "never"
+        edge = f"{edges[n]:.3f}" if n in edges else "never"
         try:
             star = alpha_star(n)
             print(f"{n:>3} {star:>12.8f} {g_value(n, star):>10.6f} {edge:>12}")

@@ -10,17 +10,21 @@ both n and alpha, so for each n there is a critical exponent where the
 condition stops holding.
 
 The sines sin(j pi / n) depend on n alone. Each entry point builds them
-once per n as a table (``_sines``, one vectorized ``np.sin`` over the
-angles j pi / n, which are formed with the same multiply and divide as
-the scalar expression) and evaluates g for every alpha from that table
-(``_g``): ``_grid`` once per row of an (n, alpha) grid, ``alpha_star``
-once for its whole bracket and bisection. ``_grid`` returns the grid as
+once per n as a table (``_sine_table``, one vectorized ``np.sin`` over
+the angles j pi / n, which are formed with the same multiply and divide
+as the scalar expression) and evaluates g for every alpha from that
+table. ``_grid`` takes a whole row of alphas at once (``_g_row``);
+``g_value`` and ``alpha_star`` take one alpha at a time (``_g``), the
+latter for its whole bracket and bisection. ``_grid`` returns the grid as
 plain rows of g values; ``scan_region`` wraps them in ``RegionCell``s,
-and the CLI's ``scan`` writes them out directly. The powers inside
-``_g`` stay scalar Python ``**``: ``np.power`` rounds some terms
-differently from it (about 5% of them on an AVX-512 build), which would
-change the printed g, so every g that is returned or printed comes from
-``_g``. Inputs are checked at the entry points, never inside the kernel.
+and the CLI's ``scan`` writes them out directly. Both kernels take every
+term from one libm pow, ``_g`` through Python ``**`` and ``_g_row``
+through ``np.float_power``, whose float64 loop calls libm pow per
+element (``np.power`` has a SIMD loop, SVML on AVX-512 builds, that
+rounds about 5% of the terms differently), and both add the terms in
+table order. So a g has the same bits from either kernel, and the
+printed scan does not depend on which one ran. Inputs are checked at the
+entry points, never inside the kernels.
 
 A bisection step of ``alpha_star`` needs only the sign of
 psi = g - (1 + alpha/4) and whether |psi| <= tol. From
@@ -56,6 +60,12 @@ _U = 2.0 ** -53  # unit roundoff of a double
 # below this many distinct terms one scalar pass costs no more than the
 # vectorized one plus its numpy call overhead (measured)
 _FILTER_MIN_TERMS = 50
+# a grid row of fewer terms (distinct terms times alphas) costs less as
+# scalar _g calls than as numpy calls (measured)
+_ROW_MIN_TERMS = 128
+# terms per block of a vectorized grid row: about 2 MiB of terms and their
+# running sums at a time, whatever n
+_BLOCK = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -69,16 +79,23 @@ class RegionCell:
     holds: bool
 
 
-def _sines(n: int) -> tuple[float, ...]:
+def _sine_table(n: int) -> np.ndarray:
     """sin(j pi / n) for j = 1..(n-1)//2, the distinct terms of g at n."""
-    return tuple(np.sin(np.arange(1, (n - 1) // 2 + 1) * math.pi / n).tolist())
+    return np.sin(np.arange(1, (n - 1) // 2 + 1) * math.pi / n)
+
+
+def _sines(n: int) -> tuple[float, ...]:
+    """The sine table of n as floats, for the scalar kernel ``_g``."""
+    return tuple(_sine_table(n).tolist())
 
 
 def _g(n: int, sines: tuple[float, ...], alpha: float) -> float:
     """g(n, alpha) from the sine table of n; n and alpha are already valid.
 
-    The terms are added left to right and the pair sum is doubled once at
-    the end: doubling is exact, so this equals doubling every term.
+    One Python ``**`` (libm pow) per term; the terms are added left to
+    right and the pair sum is doubled once at the end: doubling is exact,
+    so this equals doubling every term. The loop beats a numpy call for
+    the one alpha at a time of ``g_value`` and ``alpha_star``.
     """
     a_int = int(alpha) if alpha.is_integer() and alpha <= 4 else 0
     total = 0.0
@@ -98,6 +115,43 @@ def _g(n: int, sines: tuple[float, ...], alpha: float) -> float:
     if n % 2 == 0:
         total += 1.0
     return total / n
+
+
+def _g_row(n: int, table: np.ndarray, alphas: list[float]) -> list[float]:
+    """g(n, alpha) for every alpha of a grid row, each equal to ``_g``'s.
+
+    The terms are ``np.float_power`` of the table, which calls libm pow
+    once per element as Python ``**`` does (``np.power`` may take a SIMD
+    pow that rounds differently), and keep ``_g``'s (1/s)**alpha form for
+    integer alpha in 1..4. Each column is summed by ``np.add.accumulate``
+    down the table, term by term in table order as ``_g`` adds them;
+    ``np.add.reduce`` may sum pairwise. The alphas go ``_BLOCK`` terms at
+    a time, and a row of fewer than ``_ROW_MIN_TERMS`` terms runs ``_g``
+    itself. Call it with numpy overflow warnings off.
+    """
+    k = len(table)
+    if k * len(alphas) < _ROW_MIN_TERMS:
+        sines = table.tolist()
+        return [_g(n, sines, a) for a in alphas]
+    row = []
+    step = max(1, _BLOCK // k)
+    for i in range(0, len(alphas), step):
+        part = alphas[i:i + step]
+        whole = [a <= 4.0 and a.is_integer() for a in part]
+        if any(whole):
+            base = np.where(whole, 1.0 / table[:, None], table[:, None])
+            exps = np.where(whole, part, np.negative(part))
+        else:
+            base, exps = table[:, None], np.negative(part)
+        sums = np.add.accumulate(np.float_power(base, exps), axis=0)[-1]
+        sums *= 2.0
+        row += sums.tolist()
+    if math.inf in row:
+        alpha = alphas[row.index(math.inf)]
+        raise UnsupportedExponent(f"g(n, alpha) overflows at n = {n}, alpha = {alpha}")
+    if n % 2 == 0:
+        return [(total + 1.0) / n for total in row]
+    return [total / n for total in row]
 
 
 def g_value(n: int, alpha: float) -> float:
@@ -128,10 +182,9 @@ def _grid(n_values, alpha_grid):
     ns = sorted(set(_arity(n) for n in n_values))
     alphas = sorted(set(_check_alpha(a) for a in alpha_grid))
     thresholds = [condition_threshold(a) for a in alphas]
-    rows = []
-    for n in ns:
-        sines = _sines(n)
-        rows.append([_g(n, sines, a) for a in alphas])
+    # float_power overflows to inf, which _g_row turns into the typed error
+    with np.errstate(over="ignore"):
+        rows = [_g_row(n, _sine_table(n), alphas) for n in ns]
     # g grows with n, so per alpha the holds flags run true, then false
     for a, threshold, column in zip(alphas, thresholds, zip(*rows)):
         holds = [g <= threshold for g in column]

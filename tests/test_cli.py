@@ -260,7 +260,8 @@ def test_scan_writes_the_cells_of_scan_region(n_min, width, alphas):
 
 def test_scan_not_closed_exits_two(monkeypatch, capsys):
     # g says n = 4 fails and n = 5 holds at every alpha
-    monkeypatch.setattr(cocircular.scanner, "_g", lambda n, sines, a: 10.0 if n == 4 else 0.0)
+    monkeypatch.setattr(cocircular.scanner, "_g_row",
+                        lambda n, table, alphas: [10.0 if n == 4 else 0.0] * len(alphas))
     for fmt in ("csv", "json"):
         assert main(["scan", "--n-min", "3", "--n-max", "6", "--alpha", "1", "2",
                      "--format", fmt]) == 2
@@ -275,7 +276,8 @@ def test_scan_not_closed_exits_two_under_optimize_flag():
     script = (
         "import sys\n"
         "import cocircular.cli, cocircular.scanner\n"
-        "cocircular.scanner._g = lambda n, sines, a: 10.0 if n == 4 else 0.0\n"
+        "cocircular.scanner._g_row = lambda n, table, alphas:"
+        " [10.0 if n == 4 else 0.0] * len(alphas)\n"
         "sys.exit(cocircular.cli.main(['scan', '--n-min', '3', '--n-max', '6',"
         " '--alpha', '1']))\n"
     )
@@ -445,7 +447,8 @@ def _run_cli(argv, payload=None):
     (["exclude", "--input", "-"], {"alpha": 1000.0, "masses": [1.0] * 50}),
     (["verify", "--input", "-"],
      {"alpha": 300.0, "masses": [1.0] * 3, "angles": [1.0, 1.000001, TAU]}),
-], ids=["spectrum", "minimize", "exclude", "verify"])
+    (["scan", "--n-min", "999", "--n-max", "1000", "--alpha", "1", "130"], None),
+], ids=["spectrum", "minimize", "exclude", "verify", "scan"])
 def test_overflow_prints_one_error_line(argv, payload):
     # numpy overflow warnings would put internal file paths ahead of the
     # typed error, and a verify report of inf residuals is not JSON

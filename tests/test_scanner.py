@@ -84,13 +84,13 @@ def test_scan_region_dedups_and_sorts():
     ]
 
 
-def _holds_except_at_four(n, sines, alpha):
-    return 10.0 if n == 4 else 0.0
+def _holds_except_at_four(n, table, alphas):
+    return [10.0 if n == 4 else 0.0] * len(alphas)
 
 
 def test_scan_region_rejects_region_not_downward_closed(monkeypatch):
-    # scan_region evaluates g through the sine-table kernel, so the fake goes there
-    monkeypatch.setattr("cocircular.scanner._g", _holds_except_at_four)
+    # scan_region evaluates g through the grid row kernel, so the fake goes there
+    monkeypatch.setattr("cocircular.scanner._g_row", _holds_except_at_four)
     with pytest.raises(RegionNotClosed):
         scan_region(range(3, 7), [1.0])
 
@@ -98,7 +98,7 @@ def test_scan_region_rejects_region_not_downward_closed(monkeypatch):
 def test_scan_region_check_survives_optimize_flag():
     script = (
         "import cocircular.scanner as s\n"
-        "s._g = lambda n, sines, a: 10.0 if n == 4 else 0.0\n"
+        "s._g_row = lambda n, table, alphas: [10.0 if n == 4 else 0.0] * len(alphas)\n"
         "try:\n"
         "    s.scan_region(range(3, 7), [1.0])\n"
         "except s.RegionNotClosed:\n"

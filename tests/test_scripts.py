@@ -29,6 +29,32 @@ def test_region_map_csv_matches_cli_scan(tmp_path, capsys):
     assert capsys.readouterr().out == rows
 
 
+# region_map.py's table as it printed when each n's edge came from a scan
+# of every cell: n = 8, 9 hold up to the first alpha, n >= 10 never hold
+REGION_MAP_TABLE = """\
+  n   alpha_star    g(n,a*)  holds up to
+  3  12.79269752   4.198174        2.000
+  4   3.31972236   1.829931        2.000
+  5   1.70745281   1.426863        1.500
+  6   1.11101312   1.277753        1.000
+  7   0.81064311   1.202661        0.750
+  8   0.63260716   1.158152        0.500
+  9   0.51590892   1.128977        0.500
+ 10   0.43400480   1.108501        never
+ 11   0.37360588   1.093401        never
+ 12   0.32736576   1.081841        never
+ 13   0.29091119   1.072728        never
+ 14   0.26148487   1.065371        never
+"""
+
+
+def test_region_map_table_frozen():
+    out = _run_script("region_map.py", "--n-min", "3", "--n-max", "14", "--alpha-min", "0.5",
+                      "--alpha-max", "2.0", "--alpha-steps", "7")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == REGION_MAP_TABLE
+
+
 def test_exclusion_survey_runs():
     out = _run_script("exclusion_survey.py", "--n-min", "4", "--n-max", "6")
     assert out.returncode == 0, out.stderr

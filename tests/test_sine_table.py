@@ -7,10 +7,12 @@ term; the additions run in the same order and doubling is exact, so g,
 every scan cell and every critical exponent must match exactly, and
 overflow must raise at the same (n, alpha). ``alpha_star`` decides most
 steps from a vectorized g within a rounding bound; its roots and its
-errors must still be the reference's.
+errors must still be the reference's. A grid row takes its terms from
+``np.float_power``, which must round every power as Python ``**`` does.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -19,7 +21,8 @@ from hypothesis import strategies as st
 
 import reference_scanner as ref
 from cocircular import CocircularError, UnsupportedExponent, alpha_star, g_value, scan_region
-from cocircular.scanner import _g, _g_fast, _sines
+from cocircular.cli import main
+from cocircular.scanner import _g, _g_fast, _g_row, _sine_table, _sines
 
 NS = st.integers(3, 2000)
 ALPHAS = st.one_of(
@@ -34,6 +37,116 @@ def test_sine_table_matches_scalar_sines():
     for n in range(3, 4001):
         want = tuple(math.sin(j * math.pi / n) for j in range(1, (n - 1) // 2 + 1))
         assert _sines(n) == want, n
+
+
+# exponents of both pow forms of _g: s**-alpha, and (1/s)**alpha for
+# integer alpha in 1..4; up to csc(pi/4000)**64, far below overflow
+POW_ALPHAS = [1e-9, 0.1, 0.5, 1.5, math.pi, 5.0, 7.25, 16.5, 64.0]
+INTEGER_ALPHAS = [1, 2, 3, 4]
+
+
+def test_float_power_matches_scalar_pow():
+    # the libm pow that Python ** calls, element by element; each n takes
+    # one exponent of each form in turn, so every exponent meets sines of
+    # n from 3 to 4000
+    for n in range(3, 4001):
+        table = _sine_table(n)
+        alpha = POW_ALPHAS[n % len(POW_ALPHAS)]
+        want = [s ** -alpha for s in table.tolist()]
+        assert np.float_power(table, -alpha).tolist() == want, (n, alpha)
+        a = INTEGER_ALPHAS[n % len(INTEGER_ALPHAS)]
+        inverse = 1.0 / table
+        want = [s ** a for s in inverse.tolist()]
+        assert np.float_power(inverse, float(a)).tolist() == want, (n, a)
+
+
+def _pow_or_inf(s, e):
+    try:
+        return s ** e
+    except OverflowError:
+        return math.inf
+
+
+@pytest.mark.parametrize("n", [999, 1000, 4000])
+def test_float_power_overflows_where_scalar_pow_raises(n):
+    # csc(pi/n)**alpha crosses the largest double at alpha = 123 (n = 1000)
+    # and 99 (n = 4000); the sweep runs through both and on to 200
+    table = _sine_table(n)[:8]
+    sines = table.tolist()
+    overflowed = 0
+    for i in range(400):
+        alpha = 90.0 + 0.275 * i
+        with np.errstate(over="ignore"):
+            got = np.float_power(table, -alpha).tolist()
+        want = [_pow_or_inf(s, -alpha) for s in sines]
+        assert got == want, alpha
+        overflowed += math.inf in want
+    assert 0 < overflowed < 400
+
+
+# (n, alphas) rows that the grid rarely meets: one term (n = 3, 4), one
+# cell, one alpha at large n, integer alphas on both sides of 4, repeats
+ROWS = [
+    (3, [2.0]), (4, [0.7]), (5, [1.5]),
+    (3, [0.5, 1.0, 2.5, 4.0, 9.0]), (4, [1e-9, 3.0, 3.5, 64.0]),
+    (10**4, [1.5]), (10**4, [2.0]), (10**5 + 1, [0.75]),
+    (97, [0.5, 1.0, 1.5, 2.0, 3.0, 3.5, 4.0, 5.0, 8.0]),
+    (300, [2.0, 2.0, 0.5, 0.5, 1.0, 2.0]),
+]
+
+
+@pytest.mark.parametrize("row_min, block", [
+    (None, None),  # as shipped
+    (0, None),  # every row vectorized
+    (0, 1),  # one alpha at a time
+    (0, 400),  # columns in blocks, with a short last block
+])
+@pytest.mark.parametrize("n, alphas", ROWS)
+def test_grid_row_matches_scalar_kernel(monkeypatch, row_min, block, n, alphas):
+    if row_min is not None:
+        monkeypatch.setattr("cocircular.scanner._ROW_MIN_TERMS", row_min)
+    if block is not None:
+        monkeypatch.setattr("cocircular.scanner._BLOCK", block)
+    sines = _sines(n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(over="ignore"):
+            row = _g_row(n, _sine_table(n), alphas)
+        cells = scan_region([n], alphas)
+    assert row == [_g(n, sines, a) for a in alphas]
+    assert [c.g_value for c in cells] == [_g(n, sines, a) for a in sorted(set(alphas))]
+
+
+def _first_overflow(ns, alphas):
+    for n in ns:
+        for alpha in sorted(set(alphas)):
+            try:
+                ref.g_value(n, alpha)
+            except UnsupportedExponent as exc:
+                return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("n_min, n_max, alphas", [
+    (999, 1000, [1.0, 130.0]),
+    (999, 1000, [130.0, 1.0, 200.0]),
+    (990, 1000, [1.0, 122.0, 122.9, 123.0, 123.5]),
+    (4000, 10**4, [2.0, 98.0, 100.0]),
+])
+def test_scan_overflow_names_the_reference_cell(capsys, n_min, n_max, alphas):
+    # the first overflowing (n, alpha) in (n, alpha) order, with no numpy
+    # warning ahead of the error
+    want = _first_overflow(range(n_min, n_max + 1), alphas)
+    assert want is not None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(UnsupportedExponent) as info:
+            scan_region(range(n_min, n_max + 1), alphas)
+        assert str(info.value) == want
+        argv = ["scan", "--n-min", str(n_min), "--n-max", str(n_max),
+                "--alpha", *map(repr, alphas)]
+        assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {want}\n")
 
 
 @given(NS, ALPHAS)
@@ -73,6 +186,7 @@ def test_overflow_at_the_same_exponent(n):
         alpha = 122.0 + 0.005 * i
         got = _outcome(g_value, n, alpha)
         assert got == _outcome(ref.g_value, n, alpha), alpha
+        assert _outcome(lambda n, a: scan_region([n], [a])[0].g_value, n, alpha) == got
         outcomes.append(got == "overflow")
     assert not outcomes[0] and outcomes[-1]
 
