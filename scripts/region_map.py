@@ -1,7 +1,7 @@
 """Map the (n, alpha) region where the uniqueness condition holds.
 
-Writes one CSV row per grid cell and prints the critical exponent for
-each n, so the boundary of the region is visible at a glance.
+Prints the critical exponent and the edge of the region for each n, and
+writes the `cocircular scan` CSV of the grid from the same evaluation.
 
     python scripts/region_map.py --n-min 3 --n-max 20 --alpha-steps 60 \
         --csv region.csv
@@ -12,7 +12,8 @@ import sys
 
 import numpy as np
 
-from cocircular import NoBracket, alpha_star, cli, g_value, scan_region
+from cocircular import CocircularError, DomainError, NoBracket, cli
+from cocircular.scanner import _alpha_star, _grid
 
 
 def main(argv=None):
@@ -25,25 +26,27 @@ def main(argv=None):
     ap.add_argument("--csv", help="write grid cells here")
     args = ap.parse_args(argv)
 
-    alphas = np.linspace(args.alpha_min, args.alpha_max, args.alpha_steps)
-    cells = scan_region(range(args.n_min, args.n_max + 1), alphas)
-    if args.csv:
-        # the CSV is the `cocircular scan --csv` file, written by the CLI itself
-        code = cli.main(["scan", "--n-min", str(args.n_min), "--n-max", str(args.n_max),
-                         "--alpha", *[str(float(a)) for a in alphas], "--csv", args.csv])
-        if code:
-            return code
-        print(f"wrote {len(cells)} cells to {args.csv}")
+    try:
+        if args.n_min > args.n_max:
+            raise DomainError("--n-min must not exceed --n-max")
+        if args.alpha_steps < 1:
+            raise DomainError("--alpha-steps must be at least 1")
+        alphas = np.linspace(args.alpha_min, args.alpha_max, args.alpha_steps)
+        grid = ns, alphas, thresholds, rows = _grid(range(args.n_min, args.n_max + 1), alphas)
+        if args.csv:
+            cli._emit(args, cli._scan_csv(grid))
+            print(f"wrote {len(ns) * len(alphas)} cells to {args.csv}")
+    except (CocircularError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
-    # the largest alpha where the condition holds at each n, in one pass
-    # over the cells (they come sorted by (n, alpha))
-    edges = {c.n: c.alpha for c in cells if c.holds}
     print(f"{'n':>3} {'alpha_star':>12} {'g(n,a*)':>10} {'holds up to':>12}")
-    for n in range(args.n_min, args.n_max + 1):
-        edge = f"{edges[n]:.3f}" if n in edges else "never"
+    for n, row in zip(ns, rows):
+        held = [a for a, t, g in zip(alphas, thresholds, row) if g <= t]
+        edge = f"{held[-1]:.3f}" if held else "never"
         try:
-            star = alpha_star(n)
-            print(f"{n:>3} {star:>12.8f} {g_value(n, star):>10.6f} {edge:>12}")
+            star, g = _alpha_star(n, 1e-12)  # alpha_star's default tol
+            print(f"{n:>3} {star:>12.8f} {g:>10.6f} {edge:>12}")
         except NoBracket as exc:
             print(f"{n:>3} {'-':>12} {'-':>10} {edge:>12}  ({exc})")
     return 0

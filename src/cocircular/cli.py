@@ -91,7 +91,7 @@ def _load_problem(args: argparse.Namespace, need_angles: bool = False):
 
 
 def _emit(args: argparse.Namespace, text: str) -> None:
-    # only scan has --csv; it wins over --output
+    # scan (and scripts/region_map.py) has --csv; it wins over --output
     path = getattr(args, "csv", None) or args.output
     if path:
         with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -181,6 +181,12 @@ def _scan_cells(grid, head: str, pre: str, post: str) -> list[str]:
             for n, row in zip(ns, rows) for (alpha, yes, no, t), g in zip(columns, row)]
 
 
+def _scan_csv(grid) -> str:
+    """The ``scan`` CSV text of a ``_grid`` result."""
+    cells = _scan_cells(grid, "", ",{},", ",{},{}")
+    return "\n".join(["n,alpha,g_value,threshold,holds", *cells]) + "\n"
+
+
 def _cmd_scan(args: argparse.Namespace) -> str:
     if args.n_min > args.n_max:
         raise DomainError("--n-min must not exceed --n-max")
@@ -189,8 +195,7 @@ def _cmd_scan(args: argparse.Namespace) -> str:
         cells = _scan_cells(grid, '{"n":', ',"alpha":{},"g_value":',
                             ',"threshold":{},"holds":{}}}')
         return "[" + ",".join(cells) + "]\n"
-    cells = _scan_cells(grid, "", ",{},", ",{},{}")
-    return "\n".join(["n,alpha,g_value,threshold,holds", *cells]) + "\n"
+    return _scan_csv(grid)
 
 
 def _cmd_alpha_star(args: argparse.Namespace) -> str:

@@ -14,10 +14,12 @@ once per n as a table (``_sine_table``, one vectorized ``np.sin`` over
 the angles j pi / n, which are formed with the same multiply and divide
 as the scalar expression) and evaluates g for every alpha from that
 table. ``_grid`` takes a whole row of alphas at once (``_g_row``);
-``g_value`` and ``alpha_star`` take one alpha at a time (``_g``), the
-latter for its whole bracket and bisection. ``_grid`` returns the grid as
+``g_value`` and ``alpha_star`` take one alpha at a time (``_g``, over
+the table's floats), the latter for its whole bracket and bisection,
+whose filter below reads the table itself. ``_grid`` returns the grid as
 plain rows of g values; ``scan_region`` wraps them in ``RegionCell``s,
-and the CLI's ``scan`` writes them out directly. Both kernels take every
+and the CLI's ``scan`` and ``scripts/region_map.py`` write them out
+directly, from one evaluation. Both kernels take every
 term from one libm pow, ``_g`` through Python ``**`` and ``_g_row``
 through ``np.float_power``, whose float64 loop calls libm pow per
 element (``np.power`` has a SIMD loop, SVML on AVX-512 builds, that
@@ -35,9 +37,7 @@ starts to pay for its numpy call overhead), each step first takes g from
 ``_g``. Where the fast psi clears tol by more than that bound, the exact
 psi has the same sign and misses tol too; elsewhere (the final step,
 steps near tol, overflow) the step runs ``_g``. So the roots keep every
-bit, and one or two of the 30 to 40 steps of a call run the scalar
-kernel: on a 2-core x86-64 host (AVX-512) ``alpha_star`` at n = 500
-went from 0.81 to 0.28 ms and at n = 10**4 from 15 to 2 ms.
+bit, and one or two of a call's 30 to 40 steps run the scalar kernel.
 """
 
 from __future__ import annotations
@@ -84,13 +84,8 @@ def _sine_table(n: int) -> np.ndarray:
     return np.sin(np.arange(1, (n - 1) // 2 + 1) * math.pi / n)
 
 
-def _sines(n: int) -> tuple[float, ...]:
-    """The sine table of n as floats, for the scalar kernel ``_g``."""
-    return tuple(_sine_table(n).tolist())
-
-
-def _g(n: int, sines: tuple[float, ...], alpha: float) -> float:
-    """g(n, alpha) from the sine table of n; n and alpha are already valid.
+def _g(n: int, sines: list[float], alpha: float) -> float:
+    """g(n, alpha) from the sine table of n as floats; n and alpha are valid.
 
     One Python ``**`` (libm pow) per term; the terms are added left to
     right and the pair sum is doubled once at the end: doubling is exact,
@@ -164,7 +159,7 @@ def g_value(n: int, alpha: float) -> float:
     reuse one table instead.
     """
     n = _arity(n)
-    return _g(n, _sines(n), _check_alpha(alpha))
+    return _g(n, _sine_table(n).tolist(), _check_alpha(alpha))
 
 
 def condition_threshold(alpha: float) -> float:
@@ -250,9 +245,10 @@ def _alpha_star(n: int, tol: float) -> tuple[float, float]:
     if not tol >= 0.0:
         raise DomainError(f"tol must be a nonnegative number, got {tol}")
 
-    sines = _sines(n)
+    table = _sine_table(n)
+    sines = table.tolist()
     k = len(sines)
-    table = np.array(sines) if k >= _FILTER_MIN_TERMS else None
+    filtered = k >= _FILTER_MIN_TERMS
     g = math.nan
 
     def psi(a: float) -> float:
@@ -261,7 +257,7 @@ def _alpha_star(n: int, tol: float) -> tuple[float, float]:
         # psi within tol always comes from _g, which leaves its g in g
         nonlocal g
         threshold = condition_threshold(a)
-        if table is not None:
+        if filtered:
             fast = _g_fast(n, table, a)
             value = fast - threshold
             if abs(value) > tol + _g_bound(k, fast, threshold):
@@ -270,7 +266,7 @@ def _alpha_star(n: int, tol: float) -> tuple[float, float]:
         return g - threshold
 
     # np.power may overflow; such a step falls back to _g, which raises
-    quiet = np.errstate(over="ignore") if table is not None else contextlib.nullcontext()
+    quiet = np.errstate(over="ignore") if filtered else contextlib.nullcontext()
     with quiet:
         lo = _ALPHA_SEED
         while psi(lo) >= 0.0:

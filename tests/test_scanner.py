@@ -20,7 +20,8 @@ from cocircular import (
     g_value,
     scan_region,
 )
-from cocircular.scanner import _ALPHA_SEED, _FILTER_MIN_TERMS, _g, _g_bound, _g_fast, _sines
+from cocircular.scanner import (_ALPHA_SEED, _FILTER_MIN_TERMS, _alpha_star, _g, _g_bound,
+                                _g_fast, _sine_table)
 
 
 def test_hexagon_closed_form():
@@ -194,8 +195,8 @@ def _filter_alphas(n):
 
 def test_fast_psi_within_bound_and_never_contradicts_exact():
     for n in FILTER_NS:
-        sines = _sines(n)
-        table = np.array(sines)
+        table = _sine_table(n)
+        sines = table.tolist()
         for alpha in _filter_alphas(n):
             threshold = condition_threshold(alpha)
             with np.errstate(over="ignore"):
@@ -229,12 +230,31 @@ def test_filter_leaves_few_steps_to_the_exact_kernel(monkeypatch):
     assert len(calls) > 30
 
 
+def test_alpha_star_builds_one_table_for_the_filter(monkeypatch):
+    # the scalar kernel's floats and the filter's array come from one table
+    tables, fast_tables = [], []
+
+    def building(n):
+        tables.append(_sine_table(n))
+        return tables[-1]
+
+    def fast(n, table, alpha):
+        fast_tables.append(table)
+        return _g_fast(n, table, alpha)
+
+    monkeypatch.setattr("cocircular.scanner._sine_table", building)
+    monkeypatch.setattr("cocircular.scanner._g_fast", fast)
+    _alpha_star(500, 1e-12)
+    assert len(tables) == 1 and len(fast_tables) > 30
+    assert all(table is tables[0] for table in fast_tables)
+
+
 def test_overflowing_filter_falls_back_without_warnings(monkeypatch):
     # a threshold nothing reaches makes the bracket climb to alpha = 128,
     # where np.power and _g overflow at n = 1000
     monkeypatch.setattr("cocircular.scanner._ALPHA_CAP", 1024.0)
     monkeypatch.setattr("cocircular.scanner.condition_threshold", lambda a: 1e300)
-    table = np.array(_sines(1000))
+    table = _sine_table(1000)
     with np.errstate(over="ignore"):
         assert math.isfinite(_g_fast(1000, table, 64.0))
         assert _g_fast(1000, table, 128.0) == math.inf

@@ -1,9 +1,13 @@
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import cocircular
+from cocircular import cli, scanner
 from cocircular.cli import main
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -53,6 +57,46 @@ def test_region_map_table_frozen():
                       "--alpha-max", "2.0", "--alpha-steps", "7")
     assert out.returncode == 0, out.stderr
     assert out.stdout == REGION_MAP_TABLE
+
+
+def test_region_map_evaluates_the_grid_once(tmp_path, monkeypatch, capsys):
+    # the table and the CSV come from one grid, and each root's g from the
+    # bisection that found the root
+    calls = {"_grid": 0, "g_value": 0}
+
+    def counted(name, f):
+        def wrapper(*args):
+            calls[name] += 1
+            return f(*args)
+        return wrapper
+
+    grid, g_value = counted("_grid", scanner._grid), counted("g_value", scanner.g_value)
+    for module in (scanner, cli):
+        monkeypatch.setattr(module, "_grid", grid)
+    for module in (scanner, cocircular):
+        monkeypatch.setattr(module, "g_value", g_value)
+    csv = tmp_path / "region.csv"
+    monkeypatch.setattr(sys, "argv", [
+        "region_map.py", "--n-min", "3", "--n-max", "14", "--alpha-min", "0.5",
+        "--alpha-max", "2.0", "--alpha-steps", "7", "--csv", str(csv)])
+    with pytest.raises(SystemExit) as stop:
+        runpy.run_path(str(SCRIPTS / "region_map.py"), run_name="__main__")
+    assert stop.value.code == 0
+    assert calls == {"_grid": 1, "g_value": 0}
+    assert capsys.readouterr().out == f"wrote 84 cells to {csv}\n" + REGION_MAP_TABLE
+
+
+@pytest.mark.parametrize("csv", [False, True])
+@pytest.mark.parametrize("args, error", [
+    (["--n-min", "2"], "need n >= 3 bodies, got 2"),
+    (["--n-min", "9", "--n-max", "5"], "--n-min must not exceed --n-max"),
+    (["--alpha-steps", "0"], "--alpha-steps must be at least 1"),
+])
+def test_region_map_input_error_exits_two(tmp_path, args, error, csv):
+    path = tmp_path / "region.csv"
+    out = _run_script("region_map.py", *args, *(["--csv", str(path)] if csv else []))
+    assert (out.returncode, out.stdout, out.stderr) == (2, "", f"error: {error}\n")
+    assert not path.exists()
 
 
 def test_exclusion_survey_runs():

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 import reference_scanner as ref
 from cocircular import CocircularError, UnsupportedExponent, alpha_star, g_value, scan_region
 from cocircular.cli import main
-from cocircular.scanner import _g, _g_fast, _g_row, _sine_table, _sines
+from cocircular.scanner import _g, _g_fast, _g_row, _sine_table
 
 NS = st.integers(3, 2000)
 ALPHAS = st.one_of(
@@ -35,8 +35,8 @@ def test_sine_table_matches_scalar_sines():
     # one np.sin over j * pi / n against math.sin term by term; the sines
     # are positive and finite, so == on the floats is equality of the bits
     for n in range(3, 4001):
-        want = tuple(math.sin(j * math.pi / n) for j in range(1, (n - 1) // 2 + 1))
-        assert _sines(n) == want, n
+        want = [math.sin(j * math.pi / n) for j in range(1, (n - 1) // 2 + 1)]
+        assert _sine_table(n).tolist() == want, n
 
 
 # exponents of both pow forms of _g: s**-alpha, and (1/s)**alpha for
@@ -107,7 +107,7 @@ def test_grid_row_matches_scalar_kernel(monkeypatch, row_min, block, n, alphas):
         monkeypatch.setattr("cocircular.scanner._ROW_MIN_TERMS", row_min)
     if block is not None:
         monkeypatch.setattr("cocircular.scanner._BLOCK", block)
-    sines = _sines(n)
+    sines = _sine_table(n).tolist()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with np.errstate(over="ignore"):
@@ -195,8 +195,8 @@ def test_overflow_at_the_same_exponent(n):
 def test_fast_g_keeps_headroom_below_overflow(n):
     # a finite fast g vouches for a finite _g, so the filter never decides a
     # step that _g would refuse; within a factor 2 of overflow it gives up
-    sines = _sines(n)
-    table = np.array(sines)
+    table = _sine_table(n)
+    sines = table.tolist()
     gave_up = 0
     for i in range(600):
         alpha = 122.0 + 0.005 * i
