@@ -14,6 +14,9 @@ import numpy as np
 
 from cocircular import (
     AuxiliaryFunctional,
+    CocircularError,
+    DomainError,
+    InvalidArity,
     MassVector,
     exclusion_verdicts,
     verify_cc,
@@ -52,13 +55,23 @@ def main(argv=None):
                     help="mass of the heavy bodies (others are 1)")
     args = ap.parse_args(argv)
 
-    aux = AuxiliaryFunctional(args.alpha)
+    try:
+        if args.n_min < 2:
+            raise InvalidArity("--n-min must be at least 2")
+        if args.n_min > args.n_max:
+            raise DomainError("--n-min must not exceed --n-max")
+        aux = AuxiliaryFunctional(args.alpha)
+        members = [(label, MassVector(raw))
+                   for label, raw in families(args.n_min, args.n_max, args.heavy)]
+    except CocircularError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
     header = (f"{'family':<16} {'excluded':>8} {'witness':>12} "
               f"{'margin':>12} {'radial spread':>14} {'is_cc':>6}")
     print(header)
     print("-" * len(header))
-    for label, raw in families(args.n_min, args.n_max, args.heavy):
-        m = MassVector(raw)
+    for label, m in members:
         group, swap = exclusion_verdicts(aux, m)
         rep = verify_cc(args.alpha, m, group.theta_m)
         best = group if group.margin >= swap.margin else swap

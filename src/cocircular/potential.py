@@ -146,17 +146,15 @@ def _workspace(n):
     return ws
 
 
-def _frame(masses, config, resident=False):
+def _frame(masses, config):
     """Packed pair frame of one point: masses, du = t_j - t_k and chords ru.
 
     Every quantity at the point derives from it, so each point's chords
-    are built and checked once. With ``resident`` du and ru are this
-    thread's workspace buffers, taken only once the sizes match.
+    are built and checked once.
     """
     if masses.n != config.n:
         raise DimensionError(f"{masses.n} masses but {config.n} angles")
-    out = _workspace(config.n).chords if resident else (None,) * 3
-    return (masses.masses, *_packed_chords(config, out))
+    return (masses.masses, *_packed_chords(config))
 
 
 def _mass_pairs(m, out=(None,) * 3):

@@ -4,20 +4,24 @@ The group of order 2n is generated by the cyclic shift P, which moves
 every mass label down by one, and the reflection S, which reverses the
 first n-1 labels and fixes the last. Each element pairs with an affine
 action on pinned angle configurations that keeps every chord, so relabeled
-masses minimize at the correspondingly transformed angles; the scans below
-need only the mass action.
+masses minimize at the correspondingly transformed angles. The scans need
+only the elements and their mass action, so that is all this module
+holds; composition and the angle action live with the test oracles.
+
+A verdict is its certificates: ``ExclusionVerdict`` takes them and
+derives ``excluded``, ``witness`` and ``margin`` from them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import DimensionError, InvalidArity
 from .geometry import AngleConfiguration, MassVector
-from .minimizer import MinimizeResult, minimize_f_k
+from .minimizer import minimize_f_k
 from .potential import AuxiliaryFunctional, pair_weight_matrix
 from .verifier import verify_cc
 
@@ -42,36 +46,13 @@ class GroupElement:
         object.__setattr__(self, "l", self.l % 2)
 
     @classmethod
-    def identity(cls, n: int) -> "GroupElement":
-        return cls(0, 0, n)
-
-    @classmethod
-    def shift(cls, n: int) -> "GroupElement":
-        return cls(1, 0, n)
-
-    @classmethod
-    def reflection(cls, n: int) -> "GroupElement":
-        return cls(0, 1, n)
-
-    @classmethod
     def elements(cls, n: int) -> list["GroupElement"]:
         """All 2n elements, cyclic part first, then the reflections."""
         return [cls(h, l, n) for l in (0, 1) for h in range(n)]
 
     @property
-    def is_identity(self) -> bool:
-        return self.h == 0 and self.l == 0
-
-    @property
     def is_reflection(self) -> bool:
         return self.l == 1
-
-    def __mul__(self, other: "GroupElement") -> "GroupElement":
-        """Composition: self applied after other (matrix order)."""
-        if self.n != other.n:
-            raise DimensionError("group elements act on different label counts")
-        sign = -1 if self.l else 1
-        return GroupElement(self.h + sign * other.h, self.l + other.l, self.n)
 
 
 def act_on_masses(g: GroupElement, masses: MassVector) -> MassVector:
@@ -90,19 +71,28 @@ def act_on_masses(g: GroupElement, masses: MassVector) -> MassVector:
 class ExclusionVerdict:
     """Outcome of a symmetry-based exclusion scan.
 
-    ``certificates`` lists every witness found with its margin, the
-    single ``witness`` being the one with the largest margin. For the
-    swap scan, ``inconsistent`` flags the impossible combination of a
-    certificate with a passing residual check.
+    ``certificates`` lists every witness found with its margin; the rest
+    derives from it. ``excluded`` says whether there is one, and
+    ``witness`` and ``margin`` are those of the first certificate with
+    the largest margin (None and 0.0 without one). For the swap scan,
+    ``inconsistent`` flags the impossible combination of a certificate
+    with a passing residual check.
     """
 
-    excluded: bool
-    witness: "GroupElement | tuple[int, int] | None"
-    margin: float
     certificates: tuple
     f_value: float
     theta_m: AngleConfiguration
     inconsistent: bool = False
+    excluded: bool = field(init=False)
+    witness: "GroupElement | tuple[int, int] | None" = field(init=False)
+    margin: float = field(init=False)
+
+    def __post_init__(self):
+        witness, margin = max(self.certificates, key=lambda c: c[1],
+                              default=(None, 0.0))
+        object.__setattr__(self, "excluded", bool(self.certificates))
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "margin", margin)
 
 
 def _mass_images(n: int) -> np.ndarray:
@@ -125,45 +115,27 @@ def _non_identity(n: int) -> tuple[GroupElement, ...]:
     return tuple(GroupElement.elements(n)[1:])
 
 
-def _group_scan(masses: MassVector, res: MinimizeResult, w: np.ndarray,
-                diffs: np.ndarray) -> ExclusionVerdict:
-    tol = MARGIN_SCALE * abs(res.f_value)
-    elements = _non_identity(masses.n)
+def _group_scan(elements, tol: float, w: np.ndarray, diffs: np.ndarray,
+                rows: list[int]) -> tuple:
+    """(g, -q(g)) for each of the image ``rows`` with q(g) < -tol."""
     certificates = []
     # one gemv per row: a batched einsum or gemm moves the last ulp of q
-    for i in np.flatnonzero(diffs.any(axis=1)).tolist():
+    for i in rows:
         d = diffs[i]
         q = 0.5 * float(d @ w @ d)
         if q < -tol:
             certificates.append((elements[i], -q))
-    if certificates:
-        witness, margin = max(certificates, key=lambda c: c[1])
-        return ExclusionVerdict(True, witness, margin, tuple(certificates),
-                                res.f_value, res.theta_m)
-    return ExclusionVerdict(False, None, 0.0, (), res.f_value, res.theta_m)
+    return tuple(certificates)
 
 
-def _swap_scan(aux: AuxiliaryFunctional, masses: MassVector, res: MinimizeResult,
-               w: np.ndarray, diffs: np.ndarray) -> ExclusionVerdict:
-    m = masses.masses
-    # An image that differs from m in exactly two places is the swap of
-    # those two masses, since every image is a permutation of m. There is
-    # at most one such pair per image row. np.nonzero walks the rows in
-    # order, so each row's two columns come out as one ascending pair.
-    moved = diffs != 0.0
-    cols = np.nonzero(moved[moved.sum(axis=1) == 2])[1].tolist()
+def _swap_scan(m: np.ndarray, w: np.ndarray, swapped: np.ndarray) -> tuple:
+    """((j, k), (m_k - m_j)**2 W_jk) for the pair each ``swapped`` row moves."""
+    # np.nonzero walks the rows in order, so each row's two columns come
+    # out as one ascending pair
+    cols = np.nonzero(swapped)[1].tolist()
     swaps = sorted(set(zip(cols[::2], cols[1::2])))
     # numpy-scalar ** 2 is C pow(); np.square differs from it in the last ulp
-    certificates = [((j, k), float((m[k] - m[j]) ** 2 * w[j, k]))
-                    for j, k in swaps]
-    if certificates:
-        witness, margin = max(certificates, key=lambda c: c[1])
-        inconsistent = bool(
-            verify_cc(aux.alpha, masses, res.theta_m, VERIFY_TOL).is_cc
-        )
-        return ExclusionVerdict(True, witness, margin, tuple(certificates),
-                                res.f_value, res.theta_m, inconsistent)
-    return ExclusionVerdict(False, None, 0.0, (), res.f_value, res.theta_m)
+    return tuple(((j, k), float((m[k] - m[j]) ** 2 * w[j, k])) for j, k in swaps)
 
 
 def exclusion_verdicts(aux: AuxiliaryFunctional, masses: MassVector
@@ -188,11 +160,21 @@ def exclusion_verdicts(aux: AuxiliaryFunctional, masses: MassVector
     at ``VERIFY_TOL`` is flagged inconsistent.
 
     Both scans work on the stacked (2n - 1) x n image differences g m - m,
-    with O(n**2) work per image.
+    with O(n**2) work per image, classified in one pass: the group scan
+    takes every row that moves a mass, the swap scan every row that moves
+    exactly two. Since every image is a permutation of m, such a row is
+    the swap of those two masses, and a row holds at most one swap.
     """
     res = minimize_f_k(aux, masses)
     w = pair_weight_matrix(aux, res.theta_m)
     m = masses.masses
     diffs = m[_mass_images(masses.n)] - m
-    return (_group_scan(masses, res, w, diffs),
-            _swap_scan(aux, masses, res, w, diffs))
+    moved = diffs != 0.0
+    counts = moved.sum(axis=1)
+    group = _group_scan(_non_identity(masses.n), MARGIN_SCALE * abs(res.f_value),
+                        w, diffs, np.flatnonzero(counts).tolist())
+    swap = _swap_scan(m, w, moved[counts == 2])
+    inconsistent = bool(swap) and verify_cc(aux.alpha, masses, res.theta_m,
+                                            VERIFY_TOL).is_cc
+    return (ExclusionVerdict(group, res.f_value, res.theta_m),
+            ExclusionVerdict(swap, res.f_value, res.theta_m, inconsistent))

@@ -13,9 +13,8 @@ chords, their two powers and the tangential pair terms fill its pair
 buffers, and the tangential and then the radial matrix take its one
 n x n mirror target in turn, each feeding one matrix-vector product with
 the masses. The arithmetic is that of the full-matrix formulas, so every
-float keeps its bits. After a solve at the same n, a call at n = 256
-takes no minor page faults and 1.1-1.4 ms (543 faults and 1.9-2.3 ms
-with fresh matrices).
+float keeps its bits. After a solve at the same n, a call takes no
+minor page faults.
 """
 
 from __future__ import annotations
@@ -25,8 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CollisionError, DimensionError, DomainError
-from .geometry import AngleConfiguration, MassVector, _mirror, center_of_mass
-from .potential import _check_alpha, _check_finite, _frame, _pow, _workspace
+from .geometry import (AngleConfiguration, MassVector, _mirror, _packed_chords,
+                       center_of_mass)
+from .potential import _check_alpha, _check_finite, _pow, _workspace
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,9 +85,11 @@ def verify_cc(alpha: float, masses: MassVector, config: AngleConfiguration,
     center of mass sits at the circle center.
     """
     alpha = _check_inputs(alpha, tol)
-    m, du, ru = _frame(masses, config, resident=True)
-    n = m.size
+    if masses.n != config.n:
+        raise DimensionError(f"{masses.n} masses but {config.n} angles")
+    m, n = masses.masses, masses.n
     ws = _workspace(n)
+    du, ru = _packed_chords(config, ws.chords)
     upper, lower, radial, full = ws.cc
     center = abs(center_of_mass(masses, config))
     # entry (j, k), j < k, holds sin(t_k - t_j) = -sin(du) and (k, j) its

@@ -2,7 +2,8 @@
 
 A grid-search minimizer for n <= 5 and finite-difference derivatives, plus
 the test oracles that no command reaches: the reduced coordinates of a
-pinned configuration, the dihedral action on angles, the full chord
+pinned configuration, the dihedral group's algebra (its generators,
+identity test and composition) and its action on angles, the full chord
 matrix and the defect of the exact quadratic mass expansion. The package
 never imports this.
 """
@@ -164,6 +165,30 @@ def angles_from_reduced(x: np.ndarray) -> AngleConfiguration:
     """Inverse of reduced_coordinates: append the pinned angle 2*pi."""
     x = np.asarray(x, dtype=float)
     return AngleConfiguration(np.append(x, TAU))
+
+
+def identity(n: int) -> GroupElement:
+    return GroupElement(0, 0, n)
+
+
+def shift(n: int) -> GroupElement:
+    return GroupElement(1, 0, n)
+
+
+def reflection(n: int) -> GroupElement:
+    return GroupElement(0, 1, n)
+
+
+def is_identity(g: GroupElement) -> bool:
+    return g.h == 0 and g.l == 0
+
+
+def compose(g: GroupElement, h: GroupElement) -> GroupElement:
+    """g applied after h (matrix order)."""
+    if g.n != h.n:
+        raise DimensionError("group elements act on different label counts")
+    sign = -1 if g.l else 1
+    return GroupElement(g.h + sign * h.h, g.l + h.l, g.n)
 
 
 def act_on_angles(g: GroupElement, config: AngleConfiguration) -> AngleConfiguration:

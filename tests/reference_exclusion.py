@@ -14,6 +14,7 @@ from cocircular import (
     pair_weight_matrix,
     verify_cc,
 )
+from oracle import is_identity
 
 
 def reference_exclusion_by_group(aux, masses, *, margin_scale=1e-10):
@@ -23,7 +24,7 @@ def reference_exclusion_by_group(aux, masses, *, margin_scale=1e-10):
     m = masses.masses
     certificates = []
     for g in GroupElement.elements(masses.n):
-        if g.is_identity:
+        if is_identity(g):
             continue
         d = act_on_masses(g, masses).masses - m
         if not d.any():
@@ -31,11 +32,7 @@ def reference_exclusion_by_group(aux, masses, *, margin_scale=1e-10):
         q = 0.5 * float(d @ w @ d)
         if q < -tol:
             certificates.append((g, -q))
-    if certificates:
-        witness, margin = max(certificates, key=lambda c: c[1])
-        return ExclusionVerdict(True, witness, margin, tuple(certificates),
-                                res.f_value, res.theta_m)
-    return ExclusionVerdict(False, None, 0.0, (), res.f_value, res.theta_m)
+    return ExclusionVerdict(tuple(certificates), res.f_value, res.theta_m)
 
 
 def reference_exclusion_by_swap(aux, masses, *, verify_tol=1e-9):
@@ -44,7 +41,7 @@ def reference_exclusion_by_swap(aux, masses, *, verify_tol=1e-9):
     m = masses.masses
     n = masses.n
     images = [act_on_masses(g, masses).masses
-              for g in GroupElement.elements(n) if not g.is_identity]
+              for g in GroupElement.elements(n) if not is_identity(g)]
     certificates = []
     for j in range(n):
         for k in range(j + 1, n):
@@ -55,11 +52,8 @@ def reference_exclusion_by_swap(aux, masses, *, verify_tol=1e-9):
             swapped[[j, k]] = swapped[[k, j]]
             if any(np.array_equal(img, swapped) for img in images):
                 certificates.append(((j, k), float(-drop)))
-    if certificates:
-        witness, margin = max(certificates, key=lambda c: c[1])
-        inconsistent = bool(
-            verify_cc(aux.alpha, masses, res.theta_m, verify_tol).is_cc
-        )
-        return ExclusionVerdict(True, witness, margin, tuple(certificates),
-                                res.f_value, res.theta_m, inconsistent)
-    return ExclusionVerdict(False, None, 0.0, (), res.f_value, res.theta_m)
+    inconsistent = bool(certificates) and bool(
+        verify_cc(aux.alpha, masses, res.theta_m, verify_tol).is_cc
+    )
+    return ExclusionVerdict(tuple(certificates), res.f_value, res.theta_m,
+                            inconsistent)

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import cocircular
 from cocircular import TAU, scan_region
 from cocircular.cli import _fmt, _json, main
+from conftest import certify_masses
 
 M112 = {"alpha": 1.0, "masses": [1.0, 1.0, 2.0]}
 
@@ -545,19 +546,6 @@ def test_exclude_frozen_stdout(tmp_path, capsys, key, payload):
     assert _sha(capsys.readouterr().out) == WRITER_DIGESTS[key]
 
 
-def _certify_masses(family, n):
-    """The mass families of the certify benchmark, heavy/light ratio 1e3."""
-    if family == "uniform":
-        return np.random.default_rng(n).uniform(0.5, 2.0, n)
-    if family == "graded":
-        return 1.0 + np.arange(n) / n
-    m = np.ones(n)
-    m[-1] = 1e3
-    if family == "two-heavy":
-        m[2] = 1e3
-    return m
-
-
 # SHA-256 of the exclude stdout for alpha = 0.5, 1 and 3 in turn, taken
 # while every line-search trial still built a validated AngleConfiguration
 # and the scans tested and labelled one image row at a time. They pin the
@@ -601,7 +589,7 @@ CERTIFY_DIGESTS = {
 
 @pytest.mark.parametrize("family, n", list(CERTIFY_DIGESTS))
 def test_exclude_certify_sizes_frozen_stdout(tmp_path, capsys, family, n):
-    masses = _certify_masses(family, n).tolist()
+    masses = certify_masses(family, n).tolist()
     out = ""
     for alpha in (0.5, 1.0, 3.0):
         inp = write_json(tmp_path / "m.json", {"alpha": alpha, "masses": masses})

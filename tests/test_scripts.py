@@ -105,6 +105,20 @@ def test_exclusion_survey_runs():
     assert "one-heavy n=6" in out.stdout
 
 
+@pytest.mark.parametrize("args, error", [
+    (["--n-min", "1"], "--n-min must be at least 2"),
+    (["--n-min", "5", "--n-max", "4"], "--n-min must not exceed --n-max"),
+    (["--alpha", "0"], "alpha must be positive, got 0.0"),
+    (["--alpha", "nan"], "alpha must be a finite number"),
+    (["--alpha", "2000"], "2**(3 + alpha)/alpha overflows at alpha = 2000.0"),
+    (["--heavy", "0"], "masses must be positive and finite"),
+    (["--heavy", "-1"], "masses must be positive and finite"),
+])
+def test_exclusion_survey_input_error_exits_two(args, error):
+    out = _run_script("exclusion_survey.py", *args)
+    assert (out.returncode, out.stdout, out.stderr) == (2, "", f"error: {error}\n")
+
+
 def test_pair_faults_runs():
     out = _run_script("pair_faults.py", "--n", "16", "--alpha", "1", "3",
                       "--repeats", "2")

@@ -10,6 +10,7 @@ from cocircular import (
     AuxiliaryFunctional,
     DimensionError,
     DomainError,
+    ExclusionVerdict,
     GroupElement,
     MassVector,
     act_on_masses,
@@ -19,29 +20,29 @@ from cocircular import (
     pair_weight_matrix,
     regular_ngon,
 )
-from conftest import ordered_angles, random_masses
-from oracle import act_on_angles
+from conftest import certify_masses, ordered_angles, random_masses
+from oracle import act_on_angles, compose, identity, is_identity, reflection, shift
 from reference_exclusion import reference_exclusion_by_group, reference_exclusion_by_swap
 
 
 def test_generator_actions_on_masses():
     m = MassVector(np.array([1.0, 2.0, 3.0, 4.0]))
-    p = GroupElement.shift(4)
-    s = GroupElement.reflection(4)
+    p = shift(4)
+    s = reflection(4)
     assert np.array_equal(act_on_masses(p, m).masses, [2.0, 3.0, 4.0, 1.0])
     assert np.array_equal(act_on_masses(s, m).masses, [3.0, 2.0, 1.0, 4.0])
 
 
 def test_shift_action_on_angles():
     cfg = AngleConfiguration(np.array([1.0, 2.0, TAU]))
-    out = act_on_angles(GroupElement.shift(3), cfg)
+    out = act_on_angles(shift(3), cfg)
     assert np.allclose(out.angles, [1.0, TAU - 1.0, TAU], atol=1e-15)
 
 
 def test_generators_fix_regular_polygons():
     for n in (3, 4, 6):
         cfg = regular_ngon(n)
-        for g in (GroupElement.shift(n), GroupElement.reflection(n)):
+        for g in (shift(n), reflection(n)):
             assert np.allclose(act_on_angles(g, cfg).angles, cfg.angles,
                                atol=1e-12)
 
@@ -51,18 +52,18 @@ def test_group_axioms_and_relation():
     elements = GroupElement.elements(n)
     assert len(elements) == 2 * n
     assert len(set(elements)) == 2 * n
-    e = GroupElement.identity(n)
-    p = GroupElement.shift(n)
-    s = GroupElement.reflection(n)
+    e = identity(n)
+    p = shift(n)
+    s = reflection(n)
     for g in elements:
-        assert g * e == g
-        assert e * g == g
+        assert compose(g, e) == g
+        assert compose(e, g) == g
         # every element has an inverse in the listing
-        assert any((g * h).is_identity for h in elements)
+        assert any(is_identity(compose(g, h)) for h in elements)
     # defining relation of the dihedral group: s p s = p^{-1}
-    p_inv = next(h for h in elements if (p * h).is_identity)
-    assert s * p * s == p_inv
-    assert s * s == e
+    p_inv = next(h for h in elements if is_identity(compose(p, h)))
+    assert compose(compose(s, p), s) == p_inv
+    assert compose(s, s) == e
 
 
 def test_elements_order_cyclic_then_reflections():
@@ -79,7 +80,7 @@ def test_mass_action_is_homomorphism(seed, n):
     els = GroupElement.elements(n)
     g = els[rng.integers(len(els))]
     h = els[rng.integers(len(els))]
-    lhs = act_on_masses(g * h, m).masses
+    lhs = act_on_masses(compose(g, h), m).masses
     rhs = act_on_masses(g, act_on_masses(h, m)).masses
     assert np.array_equal(lhs, rhs)
 
@@ -92,7 +93,7 @@ def test_angle_action_is_homomorphism(seed, n):
     els = GroupElement.elements(n)
     g = els[rng.integers(len(els))]
     h = els[rng.integers(len(els))]
-    lhs = act_on_angles(g * h, cfg).angles
+    lhs = act_on_angles(compose(g, h), cfg).angles
     rhs = act_on_angles(g, act_on_angles(h, cfg)).angles
     assert np.allclose(lhs, rhs, atol=1e-12)
 
@@ -114,9 +115,9 @@ def test_minimizer_equivariance():
     aux = AuxiliaryFunctional(1.0)
     m = MassVector(np.array([1.0, 1.0, 2.0, 1.0]))
     res = minimize_f_k(aux, m)
-    p = GroupElement.shift(4)
-    s = GroupElement.reflection(4)
-    for g in (p, s, p * s):
+    p = shift(4)
+    s = reflection(4)
+    for g in (p, s, compose(p, s)):
         res_g = minimize_f_k(aux, act_on_masses(g, m))
         assert np.allclose(res_g.theta_m.angles,
                            act_on_angles(g, res.theta_m).angles, atol=1e-8)
@@ -130,7 +131,7 @@ def test_minimizer_inherits_stabilizer_symmetry():
     m = MassVector(np.array([1.0, 1.0, 2.0]))
     res = minimize_f_k(aux, m)
     stab = [g for g in GroupElement.elements(3)
-            if not g.is_identity
+            if not is_identity(g)
             and np.array_equal(act_on_masses(g, m).masses, m.masses)]
     assert stab
     for g in stab:
@@ -154,7 +155,7 @@ def test_one_heavy_five_bodies_frozen():
     assert verdict.witness == GroupElement(4, 0, 5)
     assert abs(verdict.margin - 0.87146103380368101) < 1e-12
     witnesses = {c[0] for c in verdict.certificates}
-    assert GroupElement.shift(5) in witnesses
+    assert shift(5) in witnesses
     assert all(m > 0 for _, m in verdict.certificates)
 
 
@@ -163,7 +164,7 @@ def test_two_heavy_alternating_has_reflection_certificate():
                                  MassVector(np.array([1.0, 1.0, 2.0, 1.0, 2.0])))[0]
     assert verdict.excluded
     witnesses = {c[0] for c in verdict.certificates}
-    assert GroupElement.reflection(5) in witnesses
+    assert reflection(5) in witnesses
 
 
 def test_two_heavy_seven_bodies_frozen():
@@ -203,6 +204,38 @@ def test_swap_equal_masses_not_excluded():
     assert not verdict.inconsistent
 
 
+def test_verdict_without_certificates():
+    verdict = ExclusionVerdict((), 3.5, regular_ngon(4))
+    assert (verdict.excluded, verdict.witness, verdict.margin) == (False, None, 0.0)
+    assert not verdict.inconsistent
+
+
+def test_verdict_witness_is_first_of_tied_margins():
+    group = exclusion_verdicts(AuxiliaryFunctional(1.0),
+                               MassVector(np.array([1.0, 1.0, 2.0])))[0]
+    margins = [mg for _, mg in group.certificates]
+    assert len(margins) == 4 and len(set(margins)) == 1
+    assert group.witness == GroupElement(1, 0, 3) == group.certificates[0][0]
+    assert group.margin == margins[0]
+    # later ties never replace the first largest margin
+    verdict = ExclusionVerdict(((shift(3), 1.0), (reflection(3), 2.0),
+                                (identity(3), 2.0)), 3.5, regular_ngon(3))
+    assert (verdict.excluded, verdict.witness, verdict.margin) == (True, reflection(3), 2.0)
+
+
+@pytest.mark.parametrize("family", ["one-heavy", "two-heavy", "graded", "uniform"])
+@pytest.mark.parametrize("n", [9, 13])
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 3.0])
+def test_verdict_fields_derive_from_certificates(family, n, alpha):
+    m = MassVector(certify_masses(family, n))
+    for verdict in exclusion_verdicts(AuxiliaryFunctional(alpha), m):
+        margins = [mg for _, mg in verdict.certificates]
+        assert verdict.excluded == bool(verdict.certificates)
+        assert verdict.margin == max(margins, default=0.0)
+        witnesses = [w for w, mg in verdict.certificates if mg == verdict.margin]
+        assert verdict.witness == (witnesses[0] if witnesses else None)
+
+
 def test_exclusion_verdicts_solves_once(monkeypatch):
     calls = {"minimize_f_k": 0, "pair_weight_matrix": 0}
     for name in calls:
@@ -221,12 +254,11 @@ def test_exclusion_verdicts_solves_once(monkeypatch):
 
 def test_action_validation():
     with pytest.raises(DomainError):
-        act_on_angles(GroupElement.shift(3),
-                      AngleConfiguration(np.array([1.0, 2.0, 3.0])))
+        act_on_angles(shift(3), AngleConfiguration(np.array([1.0, 2.0, 3.0])))
     with pytest.raises(DimensionError):
-        act_on_masses(GroupElement.shift(4), MassVector(np.ones(3)))
+        act_on_masses(shift(4), MassVector(np.ones(3)))
     with pytest.raises(DimensionError):
-        act_on_angles(GroupElement.shift(4), regular_ngon(3))
+        act_on_angles(shift(4), regular_ngon(3))
 
 
 def _verdict_fields(v):
