@@ -9,24 +9,31 @@ g is the normalized potential of the unit-mass n-gon and increases in
 both n and alpha, so for each n there is a critical exponent where the
 condition stops holding.
 
-The sines sin(j pi / n) depend on n alone. Each entry point builds them
-once per n as a table (``_sine_table``, one vectorized ``np.sin`` over
-the angles j pi / n, which are formed with the same multiply and divide
-as the scalar expression) and evaluates g for every alpha from that
-table. ``_grid`` takes a whole row of alphas at once (``_g_row``);
-``g_value`` and ``alpha_star`` take one alpha at a time (``_g``, over
-the table's floats), the latter for its whole bracket and bisection,
-whose filter below reads the table itself. ``_grid`` returns the grid as
-plain rows of g values; ``scan_region`` wraps them in ``RegionCell``s,
-and the CLI's ``scan`` and ``scripts/region_map.py`` write them out
-directly, from one evaluation. Both kernels take every
-term from one libm pow, ``_g`` through Python ``**`` and ``_g_row``
-through ``np.float_power``, whose float64 loop calls libm pow per
-element (``np.power`` has a SIMD loop, SVML on AVX-512 builds, that
-rounds about 5% of the terms differently), and both add the terms in
-table order. So a g has the same bits from either kernel, and the
-printed scan does not depend on which one ran. Inputs are checked at the
-entry points, never inside the kernels.
+The sines sin(j pi / n) depend on n alone. ``g_value`` and
+``alpha_star`` build them once per n as a table (``_sine_table``, one
+vectorized ``np.sin`` over the angles j pi / n, which are formed with the
+same multiply and divide as the scalar expression) and take one alpha at
+a time from it (``_g``, over the table's floats), the latter for its
+whole bracket and bisection, whose filter below reads the table itself.
+``_grid`` evaluates the whole (n, alpha) grid in blocks of consecutive n
+(``_g_block``): one ``np.sin`` builds the sine tables of a block side by
+side, padded below to the longest, one ``np.float_power`` takes the
+terms of every cell of the block, and one ``np.add.reduce`` down the
+tables sums them, with no per-n call and no scalar path for small rows.
+``_grid`` returns the grid as plain rows of g values; ``scan_region``
+wraps them in ``RegionCell``s, and the CLI's ``scan`` and
+``scripts/region_map.py`` write them out directly, from one evaluation.
+
+Both kernels take every term from one libm pow, ``_g`` through Python
+``**`` and ``_g_block`` through ``np.float_power``, whose float64 loop
+calls libm pow per element (``np.power`` has a SIMD loop, SVML on
+AVX-512 builds, that rounds about 5% of the terms differently), and both
+add the terms in table order: a reduce along the slow axis of a block of
+two or more cells adds row after row, and the padding adds +0.0, which
+is exact. A block of one cell (one n and one alpha) would be summed
+pairwise, so it is accumulated instead. So a g has the same bits from
+either kernel, and the printed scan does not depend on which one ran.
+Inputs are checked at the entry points, never inside the kernels.
 
 A bisection step of ``alpha_star`` needs only the sign of
 psi = g - (1 + alpha/4) and whether |psi| <= tol. From
@@ -60,11 +67,8 @@ _U = 2.0 ** -53  # unit roundoff of a double
 # below this many distinct terms one scalar pass costs no more than the
 # vectorized one plus its numpy call overhead (measured)
 _FILTER_MIN_TERMS = 50
-# a grid row of fewer terms (distinct terms times alphas) costs less as
-# scalar _g calls than as numpy calls (measured)
-_ROW_MIN_TERMS = 128
-# terms per block of a vectorized grid row: about 2 MiB of terms and their
-# running sums at a time, whatever n
+# padded terms per grid block: about 1 MiB of terms at a time, whatever
+# the grid
 _BLOCK = 1 << 17
 
 
@@ -112,41 +116,55 @@ def _g(n: int, sines: list[float], alpha: float) -> float:
     return total / n
 
 
-def _g_row(n: int, table: np.ndarray, alphas: list[float]) -> list[float]:
-    """g(n, alpha) for every alpha of a grid row, each equal to ``_g``'s.
+def _sine_block(ns: list[int]) -> np.ndarray:
+    """The sine tables of ascending ns side by side, padded below with +inf.
 
-    The terms are ``np.float_power`` of the table, which calls libm pow
-    once per element as Python ``**`` does (``np.power`` may take a SIMD
-    pow that rounds differently), and keep ``_g``'s (1/s)**alpha form for
-    integer alpha in 1..4. Each column is summed by ``np.add.accumulate``
-    down the table, term by term in table order as ``_g`` adds them;
-    ``np.add.reduce`` may sum pairwise. The alphas go ``_BLOCK`` terms at
-    a time, and a row of fewer than ``_ROW_MIN_TERMS`` terms runs ``_g``
-    itself. Call it with numpy overflow warnings off.
+    Column c holds sin(j pi / ns[c]) for j = 1..(ns[c] - 1)//2, from the
+    multiply, divide and ``np.sin`` of ``_sine_table``, so that table bit
+    for bit, then +inf down to the length of the last table. A padding
+    entry makes a term inf**-alpha = +0.0, and (1/inf)**alpha = +0.0 in
+    the integer form, with no floating-point exception.
     """
-    k = len(table)
-    if k * len(alphas) < _ROW_MIN_TERMS:
-        sines = table.tolist()
-        return [_g(n, sines, a) for a in alphas]
-    row = []
-    step = max(1, _BLOCK // k)
+    js = np.arange(1, (ns[-1] - 1) // 2 + 1)[:, None]
+    real = js <= np.array([(n - 1) // 2 for n in ns])
+    return np.sin(js * math.pi / np.array(ns), out=np.full(real.shape, math.inf), where=real)
+
+
+def _g_block(ns: list[int], alphas: list[float]) -> list[list[float]]:
+    """Rows of g(n, alpha) for ascending ns, each g equal to ``_g``'s.
+
+    One ``np.float_power`` takes the terms of every cell from the padded
+    sine block; an integer alpha in 1..4 then takes its column again in
+    ``_g``'s (1/s)**alpha form. Each cell is summed in table order, as the
+    module docstring sets out: by ``np.add.reduce`` down the tables, or by
+    ``np.add.accumulate`` for a lone cell, which the reduce would sum
+    pairwise. The alphas go ``_BLOCK`` terms at a time. Call it with numpy
+    overflow warnings off.
+    """
+    sines = _sine_block(ns)
+    k, c = sines.shape
+    step = max(1, _BLOCK // (k * c))
+    sums = np.empty((c, len(alphas)))
     for i in range(0, len(alphas), step):
         part = alphas[i:i + step]
-        whole = [a <= 4.0 and a.is_integer() for a in part]
-        if any(whole):
-            base = np.where(whole, 1.0 / table[:, None], table[:, None])
-            exps = np.where(whole, part, np.negative(part))
+        terms = np.float_power(sines[:, :, None], np.negative(part))
+        for column, a in enumerate(part):
+            if a <= 4.0 and a.is_integer():
+                np.float_power(1.0 / sines, a, out=terms[:, :, column])
+        if c * len(part) > 1:
+            sums[:, i:i + step] = np.add.reduce(terms, axis=0)
         else:
-            base, exps = table[:, None], np.negative(part)
-        sums = np.add.accumulate(np.float_power(base, exps), axis=0)[-1]
-        sums *= 2.0
-        row += sums.tolist()
-    if math.inf in row:
-        alpha = alphas[row.index(math.inf)]
-        raise UnsupportedExponent(f"g(n, alpha) overflows at n = {n}, alpha = {alpha}")
-    if n % 2 == 0:
-        return [(total + 1.0) / n for total in row]
-    return [total / n for total in row]
+            sums[:, i:i + step] = np.add.accumulate(terms, axis=0)[-1]
+    sums *= 2.0
+    overflow = np.isinf(sums)
+    if overflow.any():
+        at_n, at_alpha = divmod(int(overflow.argmax()), len(alphas))
+        raise UnsupportedExponent(
+            f"g(n, alpha) overflows at n = {ns[at_n]}, alpha = {alphas[at_alpha]}")
+    n_column = np.array(ns, dtype=float)[:, None]
+    sums += 1.0 - n_column % 2.0  # the middle term csc(pi/2) = 1 of even n
+    sums /= n_column
+    return sums.tolist()
 
 
 def g_value(n: int, alpha: float) -> float:
@@ -170,16 +188,23 @@ def _grid(n_values, alpha_grid):
     """g over the (n, alpha) cross product as (ns, alphas, thresholds, rows).
 
     ns and alphas come back sorted and without repeats, thresholds[i] is
-    1 + alphas[i]/4 and rows[k][i] is g(ns[k], alphas[i]). Each n's sine
-    table is built once and serves every alpha. Raises RegionNotClosed if
-    some alpha's holding region is not an initial segment of ns.
+    1 + alphas[i]/4 and rows[k][i] is g(ns[k], alphas[i]). The ns go to
+    ``_g_block`` in runs of consecutive ns whose padded block holds at most
+    ``_BLOCK`` terms (or one n alone). Raises RegionNotClosed if some
+    alpha's holding region is not an initial segment of ns.
     """
     ns = sorted(set(_arity(n) for n in n_values))
     alphas = sorted(set(_check_alpha(a) for a in alpha_grid))
     thresholds = [condition_threshold(a) for a in alphas]
-    # float_power overflows to inf, which _g_row turns into the typed error
+    rows = []
+    # float_power overflows to inf, which _g_block turns into the typed error
     with np.errstate(over="ignore"):
-        rows = [_g_row(n, _sine_table(n), alphas) for n in ns]
+        start = 0
+        for stop in range(1, len(ns) + 1):
+            # close the block where the next n would pad it past _BLOCK terms
+            if stop == len(ns) or (ns[stop] - 1) // 2 * (stop + 1 - start) * len(alphas) > _BLOCK:
+                rows += _g_block(ns[start:stop], alphas)
+                start = stop
     # g grows with n, so per alpha the holds flags run true, then false
     for a, threshold, column in zip(alphas, thresholds, zip(*rows)):
         holds = [g <= threshold for g in column]

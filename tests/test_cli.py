@@ -261,8 +261,8 @@ def test_scan_writes_the_cells_of_scan_region(n_min, width, alphas):
 
 def test_scan_not_closed_exits_two(monkeypatch, capsys):
     # g says n = 4 fails and n = 5 holds at every alpha
-    monkeypatch.setattr(cocircular.scanner, "_g_row",
-                        lambda n, table, alphas: [10.0 if n == 4 else 0.0] * len(alphas))
+    monkeypatch.setattr(cocircular.scanner, "_g_block",
+                        lambda ns, alphas: [[10.0 if n == 4 else 0.0] * len(alphas) for n in ns])
     for fmt in ("csv", "json"):
         assert main(["scan", "--n-min", "3", "--n-max", "6", "--alpha", "1", "2",
                      "--format", fmt]) == 2
@@ -277,8 +277,8 @@ def test_scan_not_closed_exits_two_under_optimize_flag():
     script = (
         "import sys\n"
         "import cocircular.cli, cocircular.scanner\n"
-        "cocircular.scanner._g_row = lambda n, table, alphas:"
-        " [10.0 if n == 4 else 0.0] * len(alphas)\n"
+        "cocircular.scanner._g_block = lambda ns, alphas:"
+        " [[10.0 if n == 4 else 0.0] * len(alphas) for n in ns]\n"
         "sys.exit(cocircular.cli.main(['scan', '--n-min', '3', '--n-max', '6',"
         " '--alpha', '1']))\n"
     )

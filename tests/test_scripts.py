@@ -119,6 +119,19 @@ def test_exclusion_survey_input_error_exits_two(args, error):
     assert (out.returncode, out.stdout, out.stderr) == (2, "", f"error: {error}\n")
 
 
+@pytest.mark.parametrize("heavy, code, error", [
+    # the mass-scale defects: a heavy mass of 1e300 overflows the pair sums,
+    # and one of 1e-300 leaves a reduced Hessian that is not positive definite
+    ("1e300", 2, "the masses overflow a mass-weighted pair sum"),
+    ("1e-300", 3, "reduced Hessian is not positive definite at the candidate"),
+])
+def test_exclusion_survey_solver_error_exits_with_cli_code(heavy, code, error):
+    # the table stops at the failing row with one error line, no traceback
+    out = _run_script("exclusion_survey.py", "--heavy", heavy)
+    assert (out.returncode, out.stderr) == (code, f"error: {error}\n")
+    assert out.stdout.splitlines()[0].startswith("family")
+
+
 def test_pair_faults_runs():
     out = _run_script("pair_faults.py", "--n", "16", "--alpha", "1", "3",
                       "--repeats", "2")

@@ -7,11 +7,14 @@ term; the additions run in the same order and doubling is exact, so g,
 every scan cell and every critical exponent must match exactly, and
 overflow must raise at the same (n, alpha). ``alpha_star`` decides most
 steps from a vectorized g within a rounding bound; its roots and its
-errors must still be the reference's. A grid row takes its terms from
-``np.float_power``, which must round every power as Python ``**`` does.
+errors must still be the reference's. The grid takes its terms from
+``np.float_power`` over blocks of sine tables, which must round every
+power as Python ``**`` does, and sums them in table order whatever the
+block's shape.
 """
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -21,8 +24,10 @@ from hypothesis import strategies as st
 
 import reference_scanner as ref
 from cocircular import CocircularError, UnsupportedExponent, alpha_star, g_value, scan_region
+from cocircular import scanner
 from cocircular.cli import main
-from cocircular.scanner import _g, _g_fast, _g_row, _sine_table
+from cocircular.scanner import (_BLOCK, _g, _g_block, _g_fast, _grid, _sine_block,
+                                _sine_table)
 
 NS = st.integers(3, 2000)
 ALPHAS = st.one_of(
@@ -84,6 +89,17 @@ def test_float_power_overflows_where_scalar_pow_raises(n):
     assert 0 < overflowed < 400
 
 
+def test_sine_block_matches_sine_tables():
+    # each column of a block is the table of its n, then +inf padding
+    for ns in ([3], [4, 5], list(range(3, 400)), [3, 1000], [999, 1000, 4000]):
+        sines = _sine_block(ns)
+        assert sines.shape == ((ns[-1] - 1) // 2, len(ns))
+        for column, n in enumerate(ns):
+            k = (n - 1) // 2
+            assert sines[:k, column].tolist() == _sine_table(n).tolist(), n
+            assert sines[k:, column].tolist() == [math.inf] * (len(sines) - k), n
+
+
 # (n, alphas) rows that the grid rarely meets: one term (n = 3, 4), one
 # cell, one alpha at large n, integer alphas on both sides of 4, repeats
 ROWS = [
@@ -95,26 +111,92 @@ ROWS = [
 ]
 
 
-@pytest.mark.parametrize("row_min, block", [
-    (None, None),  # as shipped
-    (0, None),  # every row vectorized
+@pytest.mark.parametrize("gap, block", [
+    (None, None),  # n alone in its block, as _grid passes a lone n
+    (0, None),  # n twice: a one-alpha row makes two cells, summed by reduce
     (0, 1),  # one alpha at a time
-    (0, 400),  # columns in blocks, with a short last block
+    (0, 400),  # alphas in parts, with a short last part
 ])
 @pytest.mark.parametrize("n, alphas", ROWS)
-def test_grid_row_matches_scalar_kernel(monkeypatch, row_min, block, n, alphas):
-    if row_min is not None:
-        monkeypatch.setattr("cocircular.scanner._ROW_MIN_TERMS", row_min)
+def test_grid_row_matches_scalar_kernel(monkeypatch, gap, block, n, alphas):
+    # the block kernel over n alone (gap None) or over n - gap and n
     if block is not None:
         monkeypatch.setattr("cocircular.scanner._BLOCK", block)
+    ns = [n] if gap is None else [n - gap, n]
     sines = _sine_table(n).tolist()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with np.errstate(over="ignore"):
-            row = _g_row(n, _sine_table(n), alphas)
+            rows = _g_block(ns, alphas)
         cells = scan_region([n], alphas)
-    assert row == [_g(n, sines, a) for a in alphas]
+    assert len(rows) == len(ns)
+    for m, row in zip(ns, rows):
+        assert row == [_g(m, _sine_table(m).tolist(), a) for a in alphas]
     assert [c.g_value for c in cells] == [_g(n, sines, a) for a in sorted(set(alphas))]
+
+
+# (ns, alphas) grids for every shape that changes how numpy reduces a
+# block: one cell, one n by many alphas, many ns by one alpha, and odd and
+# even n with the integer alphas of (1/s)**alpha among the others
+GRIDS = [
+    ([10**5 + 1], [0.75]), ([7], [1.5]), ([4], [2.0]),
+    ([97], [0.5, 1.0, 1.5, 2.0, 3.0, 3.5, 4.0, 5.0, 8.0]), ([10**4], [0.3, 1.0, 2.5]),
+    (range(3, 200), [0.75]), (range(3, 60), [2.0]), ([999, 1000, 4000], [1.1]),
+    (range(3, 41), [0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 4.5]),
+    (range(280, 301), [1.0, 2.0, 3.0, 4.0]),
+]
+
+
+@pytest.mark.parametrize("block", [
+    None,  # as shipped
+    1,  # every n a block of its own, one alpha at a time
+    64,  # blocks split mid-range
+    1500,
+])
+@pytest.mark.parametrize("ns, alphas", GRIDS)
+def test_grid_blocks_match_scalar_kernel(monkeypatch, block, ns, alphas):
+    if block is not None:
+        monkeypatch.setattr("cocircular.scanner._BLOCK", block)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got_ns, got_alphas, _, rows = _grid(ns, alphas)
+    assert got_ns == list(ns) and got_alphas == alphas
+    for n, row in zip(ns, rows):
+        sines = _sine_table(n).tolist()
+        assert row == [_g(n, sines, a) for a in alphas], n
+
+
+def test_grid_makes_no_per_n_call(monkeypatch):
+    # the benchmark's grid: a few blocks, and no per-n table or scalar g
+    calls = {"_sine_table": 0, "_g": 0, "_g_block": 0}
+
+    def counted(name, f):
+        def wrapper(*args):
+            calls[name] += 1
+            return f(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(scanner, name, counted(name, getattr(scanner, name)))
+    alphas = [0.1 + 0.25 * i for i in range(12)]
+    ns, _, _, rows = _grid(range(3, 301), alphas)
+    assert len(rows) == len(ns) == 298
+    assert calls["_sine_table"] == calls["_g"] == 0
+    assert 1 <= calls["_g_block"] <= 8
+
+
+def test_grid_memory_stays_within_the_block():
+    # n up to 3000 at four alphas makes 9 million terms (72 MB) in all; the
+    # blocks hold at most _BLOCK of them (1 MiB) at a time
+    ns, alphas = range(3, 3001), [0.5, 1.0, 1.5, 2.0]
+    _grid(ns, alphas)
+    tracemalloc.start()
+    try:
+        _grid(ns, alphas)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * _BLOCK
 
 
 def _first_overflow(ns, alphas):
