@@ -17,9 +17,10 @@ a time from it (``_g``, over the table's floats), the latter for its
 whole bracket and bisection, whose filter below reads the table itself.
 ``_grid`` evaluates the whole (n, alpha) grid in blocks of consecutive n
 (``_g_block``): one ``np.sin`` builds the sine tables of a block side by
-side, padded below to the longest, one ``np.float_power`` takes the
-terms of every cell of the block, and one ``np.add.reduce`` down the
-tables sums them, with no per-n call and no scalar path for small rows.
+side, padded below to the longest; then, per alpha, one
+``np.float_power`` takes the terms of every n of the block and one
+``np.add.reduce`` down the tables sums them, with no per-n call and no
+scalar path for small rows.
 ``_grid`` returns the grid as plain rows of g values; ``scan_region``
 wraps them in ``RegionCell``s, and the CLI's ``scan`` and
 ``scripts/region_map.py`` write them out directly, from one evaluation.
@@ -29,10 +30,10 @@ Both kernels take every term from one libm pow, ``_g`` through Python
 calls libm pow per element (``np.power`` has a SIMD loop, SVML on
 AVX-512 builds, that rounds about 5% of the terms differently), and both
 add the terms in table order: a reduce along the slow axis of a block of
-two or more cells adds row after row, and the padding adds +0.0, which
-is exact. A block of one cell (one n and one alpha) would be summed
-pairwise, so it is accumulated instead. So a g has the same bits from
-either kernel, and the printed scan does not depend on which one ran.
+two or more ns adds row after row, and the padding adds +0.0, which is
+exact. A block of one n would be summed pairwise, so it is accumulated
+instead. So a g has the same bits from either kernel, and the printed
+scan does not depend on which one ran.
 Inputs are checked at the entry points, never inside the kernels.
 
 A bisection step of ``alpha_star`` needs only the sign of
@@ -123,7 +124,9 @@ def _sine_block(ns: list[int]) -> np.ndarray:
     multiply, divide and ``np.sin`` of ``_sine_table``, so that table bit
     for bit, then +inf down to the length of the last table. A padding
     entry makes a term inf**-alpha = +0.0, and (1/inf)**alpha = +0.0 in
-    the integer form, with no floating-point exception.
+    the integer form, with no floating-point exception. ``g_value`` and
+    ``alpha_star`` keep ``_sine_table``: a block of one n costs about
+    10 us more, which doubles ``g_value`` at small n.
     """
     js = np.arange(1, (ns[-1] - 1) // 2 + 1)[:, None]
     real = js <= np.array([(n - 1) // 2 for n in ns])
@@ -133,29 +136,26 @@ def _sine_block(ns: list[int]) -> np.ndarray:
 def _g_block(ns: list[int], alphas: list[float]) -> list[list[float]]:
     """Rows of g(n, alpha) for ascending ns, each g equal to ``_g``'s.
 
-    One ``np.float_power`` takes the terms of every cell from the padded
-    sine block; an integer alpha in 1..4 then takes its column again in
-    ``_g``'s (1/s)**alpha form. Each cell is summed in table order, as the
-    module docstring sets out: by ``np.add.reduce`` down the tables, or by
-    ``np.add.accumulate`` for a lone cell, which the reduce would sum
-    pairwise. The alphas go ``_BLOCK`` terms at a time. Call it with numpy
-    overflow warnings off.
+    Each alpha takes the terms of every n from one ``np.float_power`` over
+    the padded sine block, in ``_g``'s (1/s)**alpha form for an integer
+    alpha in 1..4, and ``np.add.reduce`` down the tables adds each
+    column's terms in table order, as ``_g`` does. A block of one n has
+    one column, which the reduce would sum pairwise, so it is accumulated
+    instead. Call it with numpy overflow warnings off.
     """
     sines = _sine_block(ns)
-    k, c = sines.shape
-    step = max(1, _BLOCK // (k * c))
-    sums = np.empty((c, len(alphas)))
-    for i in range(0, len(alphas), step):
-        part = alphas[i:i + step]
-        terms = np.float_power(sines[:, :, None], np.negative(part))
-        for column, a in enumerate(part):
-            if a <= 4.0 and a.is_integer():
-                np.float_power(1.0 / sines, a, out=terms[:, :, column])
-        if c * len(part) > 1:
-            sums[:, i:i + step] = np.add.reduce(terms, axis=0)
+    inverse = 1.0 / sines
+    sums = np.empty((len(alphas), len(ns)))
+    for total, a in zip(sums, alphas):
+        if a <= 4.0 and a.is_integer():
+            terms = np.float_power(inverse, a)
         else:
-            sums[:, i:i + step] = np.add.accumulate(terms, axis=0)[-1]
-    sums *= 2.0
+            terms = np.float_power(sines, -a)
+        if len(ns) > 1:
+            total[:] = np.add.reduce(terms, axis=0)
+        else:  # a lone column is contiguous, and reduce sums it pairwise
+            total[:] = np.add.accumulate(terms, axis=0)[-1]
+    sums = 2.0 * sums.T
     overflow = np.isinf(sums)
     if overflow.any():
         at_n, at_alpha = divmod(int(overflow.argmax()), len(alphas))
@@ -190,12 +190,15 @@ def _grid(n_values, alpha_grid):
     ns and alphas come back sorted and without repeats, thresholds[i] is
     1 + alphas[i]/4 and rows[k][i] is g(ns[k], alphas[i]). The ns go to
     ``_g_block`` in runs of consecutive ns whose padded block holds at most
-    ``_BLOCK`` terms (or one n alone). Raises RegionNotClosed if some
-    alpha's holding region is not an initial segment of ns.
+    ``_BLOCK`` terms over all alphas (or one n alone); no alpha, no block.
+    Raises RegionNotClosed if some alpha's holding region is not an
+    initial segment of ns.
     """
     ns = sorted(set(_arity(n) for n in n_values))
     alphas = sorted(set(_check_alpha(a) for a in alpha_grid))
     thresholds = [condition_threshold(a) for a in alphas]
+    if not alphas:
+        return ns, alphas, thresholds, [[] for _ in ns]
     rows = []
     # float_power overflows to inf, which _g_block turns into the typed error
     with np.errstate(over="ignore"):

@@ -112,10 +112,10 @@ ROWS = [
 
 
 @pytest.mark.parametrize("gap, block", [
-    (None, None),  # n alone in its block, as _grid passes a lone n
-    (0, None),  # n twice: a one-alpha row makes two cells, summed by reduce
-    (0, 1),  # one alpha at a time
-    (0, 400),  # alphas in parts, with a short last part
+    (None, None),  # n alone in its block, as _grid passes a lone n: accumulated
+    (0, None),  # n twice: two columns, summed by reduce
+    (0, 1),  # _BLOCK sets only how _grid groups the ns: rows must not move
+    (0, 400),
 ])
 @pytest.mark.parametrize("n, alphas", ROWS)
 def test_grid_row_matches_scalar_kernel(monkeypatch, gap, block, n, alphas):
@@ -135,9 +135,10 @@ def test_grid_row_matches_scalar_kernel(monkeypatch, gap, block, n, alphas):
     assert [c.g_value for c in cells] == [_g(n, sines, a) for a in sorted(set(alphas))]
 
 
-# (ns, alphas) grids for every shape that changes how numpy reduces a
-# block: one cell, one n by many alphas, many ns by one alpha, and odd and
-# even n with the integer alphas of (1/s)**alpha among the others
+# (ns, alphas) grids for every shape that changes how numpy sums a block:
+# one n (a lone column, accumulated) by one alpha or by many, many ns by
+# one alpha, and odd and even n with the integer alphas of (1/s)**alpha
+# among the others
 GRIDS = [
     ([10**5 + 1], [0.75]), ([7], [1.5]), ([4], [2.0]),
     ([97], [0.5, 1.0, 1.5, 2.0, 3.0, 3.5, 4.0, 5.0, 8.0]), ([10**4], [0.3, 1.0, 2.5]),
@@ -197,6 +198,19 @@ def test_grid_memory_stays_within_the_block():
     finally:
         tracemalloc.stop()
     assert peak < 32 * _BLOCK
+
+
+def test_grid_without_alphas_evaluates_nothing():
+    # with no alpha nothing bounds a block by its terms; one block over
+    # n <= 3000 would pad 4.5 million sines (36 MB)
+    tracemalloc.start()
+    try:
+        assert scan_region(range(3, 3001), []) == []
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * _BLOCK
+    assert _grid(range(3, 10**5 + 1), [])[3] == [[]] * (10**5 - 2)
 
 
 def _first_overflow(ns, alphas):
