@@ -41,7 +41,7 @@ from .potential import (
 from .scanner import RegionCell, alpha_star, condition_threshold, g_value, scan_region
 from .spectral import circulant_spectrum
 from .symmetry import ExclusionVerdict, GroupElement, act_on_masses, exclusion_verdicts
-from .verifier import CCReport, verify_cc, verify_definition_cc
+from .verifier import CCReport, verify_cc
 
 __version__ = "0.1.0"
 
@@ -84,5 +84,4 @@ __all__ = [
     "scan_region",
     "u_beta",
     "verify_cc",
-    "verify_definition_cc",
 ]

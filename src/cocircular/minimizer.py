@@ -20,8 +20,8 @@ alias it. One du/ru pair serves the whole loop: once the step is solved
 the point's chords are dead, and the last trial built is the one
 accepted. The workspace holds 9 n(n - 1)/2 + n^2 doubles: 2.7 MiB at
 n = 256, 11.0 MiB at n = 512, 44 MiB at n = 1024. A repeat solve at
-n = 256 takes about 97 minor page faults, the final Cholesky factor's,
-instead of 1,250 with fresh chords (README gives the times).
+n = 256 takes about 97 minor page faults, the final Cholesky factor's
+(README gives the times).
 """
 
 from __future__ import annotations
@@ -103,6 +103,7 @@ def minimize_f_k(aux: AuxiliaryFunctional, masses: MassVector,
         masses whose products overflow f or its gradient.
     UnsupportedExponent
         When the chord powers r**-(alpha + 2) overflow at an accepted point.
+        Neither overflow comes with a numpy warning ahead of the error.
     """
     if not grad_tol >= 0.0:
         raise DomainError(f"grad_tol must be a nonnegative number, got {grad_tol}")
@@ -129,93 +130,94 @@ def minimize_f_k(aux: AuxiliaryFunctional, masses: MassVector,
         cfg = AngleConfiguration(np.array([TAU / 2.0, TAU]))
     elif init is None:
         cfg = regular_ngon(n)
-    m = masses.masses
-    x = cfg.angles
-    min_gap_seen = cfg.min_gap()
-    # one packed pair frame per point: an accepted trial's serves the next
-    # iteration; the pair masses serve the whole solve. Every pair term
-    # and matrix lives in this thread's workspace; results copy out of it.
-    ws = _workspace(n)
-    du, ru = _pair_chords(x, min_gap_seen, ws.chords)
-    mj, mk, mm = _mass_pairs(m, ws.masses)
-    fx = _f_value(aux, mm, ru, ws.f)
-    if n == 2:
-        r_a2 = _pow(ru, -(aux.alpha + 2.0), ws.r_a2)
-        gnorm = float(abs(_grad_theta(aux, m, mj, mk, du, r_a2, ws.grad)[0]))
-        _check_finite(aux.alpha, (fx, gnorm), r_a2)
-        return MinimizeResult(cfg, fx, gnorm, 0, True, min_gap_seen)
-    gaps = x[1:] - x[:-1]
-    d = np.zeros(n)  # the step, its pinned last entry left at 0.0
-    diag = np.arange(n - 1)
-    gnorm = np.inf
-    for iteration in range(max_iter + 1):
-        r_a2 = _pow(ru, -(aux.alpha + 2.0), ws.r_a2)
-        gr = _grad_theta(aux, m, mj, mk, du, r_a2, ws.grad)[:-1]
-        gnorm = math.sqrt(float(gr @ gr))
-        _check_finite(aux.alpha, (fx, gnorm), r_a2)
-        hr = _hessian_theta(aux, n, mm, du, r_a2, ws.hess)[:-1, :-1]
-        if gnorm <= grad_tol * max(1.0, abs(fx)):
-            try:
-                np.linalg.cholesky(hr)
-            except np.linalg.LinAlgError:
-                raise ConvergenceFailure(
-                    "reduced Hessian is not positive definite at the candidate",
-                    _result(x, fx, gnorm, iteration, False, min_gap_seen),
-                ) from None
-            return _result(x, fx, gnorm, iteration, True, min_gap_seen)
-        if iteration == max_iter:
-            break
-        # the next mirror zeroes the diagonal, so the regularization goes in place
-        reg = _DIAG_REG * float(np.trace(hr)) / n
-        hr[diag, diag] += reg
-        try:
-            step = np.linalg.solve(hr, -gr)
-        except np.linalg.LinAlgError:
-            step = -gr
-        slope = float(gr @ step)
-        if slope >= 0.0:
-            step = -gr
-            slope = -gnorm * gnorm
-        d[:-1] = step
-        # largest t keeping every gap positive: the first angle against 0,
-        # then consecutive gaps, the last against the pinned 2*pi
-        dgaps = d[1:] - d[:-1]
-        shrinking = dgaps < 0.0
-        t_max = np.min(gaps[shrinking] / -dgaps[shrinking], initial=np.inf)
-        if d[0] < 0.0:
-            t_max = min(t_max, x[0] / -d[0])
-        t = min(1.0, _BOUNDARY_FRACTION * float(t_max))
-        slack = _ULP_SLACK * abs(fx)
-        while t > 1e-18:
-            xt = x + t * d
-            gaps_t = xt[1:] - xt[:-1]
-            gap_t = gaps_t.min()
-            # what AngleConfiguration checks: xt[-1] is 2*pi exactly, so a
-            # positive first angle and positive gaps (NaN fails both, and
-            # an infinite angle leaves a gap of -inf or NaN) make every
-            # angle finite and in (0, 2*pi]
-            if not (xt[0] > 0.0 and gap_t > 0.0):
-                t *= _SHRINK
-                continue
-            gap_t = float(min(gap_t, xt[0] + TAU - xt[-1]))
-            # the step is solved, so the point's du and ru are dead; the
-            # last trial built is the one accepted
-            _pair_chords(xt, gap_t, ws.chords)
-            ft = _f_value(aux, mm, ru, ws.f)
-            if ft <= fx + _ARMIJO * t * slope + slack:
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = masses.masses
+        x = cfg.angles
+        min_gap_seen = cfg.min_gap()
+        # one packed pair frame per point: an accepted trial's serves the next
+        # iteration; the pair masses serve the whole solve. Every pair term
+        # and matrix lives in this thread's workspace; results copy out of it.
+        ws = _workspace(n)
+        du, ru = _pair_chords(x, min_gap_seen, ws.chords)
+        mj, mk, mm = _mass_pairs(m, ws.masses)
+        fx = _f_value(aux, mm, ru, ws.f)
+        if n == 2:
+            r_a2 = _pow(ru, -(aux.alpha + 2.0), ws.r_a2)
+            gnorm = float(abs(_grad_theta(aux, m, mj, mk, du, r_a2, ws.grad)[0]))
+            _check_finite(aux.alpha, (fx, gnorm), r_a2)
+            return MinimizeResult(cfg, fx, gnorm, 0, True, min_gap_seen)
+        gaps = x[1:] - x[:-1]
+        d = np.zeros(n)  # the step, its pinned last entry left at 0.0
+        diag = np.arange(n - 1)
+        gnorm = np.inf
+        for iteration in range(max_iter + 1):
+            r_a2 = _pow(ru, -(aux.alpha + 2.0), ws.r_a2)
+            gr = _grad_theta(aux, m, mj, mk, du, r_a2, ws.grad)[:-1]
+            gnorm = math.sqrt(float(gr @ gr))
+            _check_finite(aux.alpha, (fx, gnorm), r_a2)
+            hr = _hessian_theta(aux, n, mm, du, r_a2, ws.hess)[:-1, :-1]
+            if gnorm <= grad_tol * max(1.0, abs(fx)):
+                try:
+                    np.linalg.cholesky(hr)
+                except np.linalg.LinAlgError:
+                    raise ConvergenceFailure(
+                        "reduced Hessian is not positive definite at the candidate",
+                        _result(x, fx, gnorm, iteration, False, min_gap_seen),
+                    ) from None
+                return _result(x, fx, gnorm, iteration, True, min_gap_seen)
+            if iteration == max_iter:
                 break
-            t *= _SHRINK
-        else:
-            raise ConvergenceFailure(
-                "line search stalled",
-                _result(x, fx, gnorm, iteration, False, min_gap_seen),
-            )
-        x, gaps, fx = xt, gaps_t, ft
-        min_gap_seen = min(min_gap_seen, gap_t)
-    raise ConvergenceFailure(
-        f"no convergence within {max_iter} Newton steps",
-        _result(x, fx, gnorm, max_iter, False, min_gap_seen),
-    )
+            # the next mirror zeroes the diagonal, so the regularization goes in place
+            reg = _DIAG_REG * float(np.trace(hr)) / n
+            hr[diag, diag] += reg
+            try:
+                step = np.linalg.solve(hr, -gr)
+            except np.linalg.LinAlgError:
+                step = -gr
+            slope = float(gr @ step)
+            if slope >= 0.0:
+                step = -gr
+                slope = -gnorm * gnorm
+            d[:-1] = step
+            # largest t keeping every gap positive: the first angle against 0,
+            # then consecutive gaps, the last against the pinned 2*pi
+            dgaps = d[1:] - d[:-1]
+            shrinking = dgaps < 0.0
+            t_max = np.min(gaps[shrinking] / -dgaps[shrinking], initial=np.inf)
+            if d[0] < 0.0:
+                t_max = min(t_max, x[0] / -d[0])
+            t = min(1.0, _BOUNDARY_FRACTION * float(t_max))
+            slack = _ULP_SLACK * abs(fx)
+            while t > 1e-18:
+                xt = x + t * d
+                gaps_t = xt[1:] - xt[:-1]
+                gap_t = gaps_t.min()
+                # what AngleConfiguration checks: xt[-1] is 2*pi exactly, so a
+                # positive first angle and positive gaps (NaN fails both, and
+                # an infinite angle leaves a gap of -inf or NaN) make every
+                # angle finite and in (0, 2*pi]
+                if not (xt[0] > 0.0 and gap_t > 0.0):
+                    t *= _SHRINK
+                    continue
+                gap_t = float(min(gap_t, xt[0] + TAU - xt[-1]))
+                # the step is solved, so the point's du and ru are dead; the
+                # last trial built is the one accepted
+                _pair_chords(xt, gap_t, ws.chords)
+                ft = _f_value(aux, mm, ru, ws.f)
+                if ft <= fx + _ARMIJO * t * slope + slack:
+                    break
+                t *= _SHRINK
+            else:
+                raise ConvergenceFailure(
+                    "line search stalled",
+                    _result(x, fx, gnorm, iteration, False, min_gap_seen),
+                )
+            x, gaps, fx = xt, gaps_t, ft
+            min_gap_seen = min(min_gap_seen, gap_t)
+        raise ConvergenceFailure(
+            f"no convergence within {max_iter} Newton steps",
+            _result(x, fx, gnorm, max_iter, False, min_gap_seen),
+        )
 
 
 def _result(x, fx, gnorm, iterations, converged, min_gap) -> MinimizeResult:

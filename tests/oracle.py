@@ -4,8 +4,10 @@ A grid-search minimizer for n <= 5 and finite-difference derivatives, plus
 the test oracles that no command reaches: the reduced coordinates of a
 pinned configuration, the dihedral group's algebra (its generators,
 identity test and composition) and its action on angles, the full chord
-matrix and the defect of the exact quadratic mass expansion. The package
-never imports this.
+matrix, the defect of the exact quadratic mass expansion, and the
+central-configuration residuals taken straight from planar positions,
+which ``verify_cc`` (from angles) is checked against. The package never
+imports this.
 """
 
 from __future__ import annotations
@@ -14,11 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from cocircular import (TAU, AngleConfiguration, AuxiliaryFunctional,
-                        CocircularError, DimensionError, DomainError,
-                        GroupElement, MassVector, f_k_value,
+from cocircular import (TAU, AngleConfiguration, AuxiliaryFunctional, CCReport,
+                        CocircularError, CollisionError, DimensionError,
+                        DomainError, GroupElement, MassVector, f_k_value,
                         pair_weight_matrix)
 from cocircular.geometry import _check_pinned, _mirror, _packed_chords
+from cocircular.potential import _check_alpha, _check_finite
 
 _EDGE = 1e-6
 _BOX_SHRINK = 4.0
@@ -236,3 +239,46 @@ def taylor_identity_check(aux: AuxiliaryFunctional, masses_cc: MassVector,
     d = y.masses - masses_cc.masses
     lhs = f_k_value(aux, y, config_cc) - f_k_value(aux, masses_cc, config_cc)
     return float(abs(lhs - 0.5 * (d @ pair_weight_matrix(aux, config_cc) @ d)))
+
+
+def verify_definition_cc(alpha: float, masses: MassVector, positions,
+                         tol: float = 1e-9) -> CCReport:
+    """The residuals of ``verify_cc``, straight from planar positions.
+
+    Positions must be finite and sit on the unit circle to within 1e-9;
+    anything else raises ``DomainError``. The tangential and radial
+    residuals are the imaginary and real parts of the planar force balance
+    taken against each body's direction, summed over full n x n matrices,
+    so the report agrees with ``verify_cc`` on matching inputs. Alpha,
+    tol and overflowing residuals are refused as ``verify_cc`` refuses
+    them.
+    """
+    alpha = _check_alpha(alpha)
+    if not tol >= 0.0:
+        raise DomainError(f"tol must be a nonnegative number, got {tol}")
+    q = np.asarray(positions, dtype=complex)
+    if q.ndim != 1 or q.size != masses.n:
+        raise DimensionError(f"{masses.n} masses but {q.size} positions")
+    # phrased so that a NaN position fails the check
+    if not np.max(np.abs(np.abs(q) - 1.0)) <= 1e-9:
+        raise DomainError("positions must lie on the unit circle (within 1e-9)")
+    r = np.abs(q[:, None] - q[None, :])
+    off = r[~np.eye(q.size, dtype=bool)]
+    if not off.min() >= 1e-12:
+        raise CollisionError("two positions coincide")
+    np.fill_diagonal(r, 1.0)
+    m = masses.masses
+    sin_jk = np.imag(q[None, :] * np.conj(q)[:, None])
+    center = abs(np.sum(m * q)) / masses.total_mass
+    w_t = r ** -(alpha + 2.0)
+    np.fill_diagonal(w_t, 0.0)
+    w_r = r ** -alpha
+    np.fill_diagonal(w_r, 0.0)
+    radial = w_r @ m
+    tangential = float(np.max(np.abs((sin_jk * w_t) @ m)))
+    spread = float(np.max(radial) - np.min(radial))
+    lam = float(np.mean(radial))
+    _check_finite(alpha, (tangential, spread, lam, center), w_t, w_r)
+    scaled = tol * masses.total_mass
+    ok = tangential <= scaled and spread <= scaled and center <= tol
+    return CCReport(tangential, spread, center, lam, bool(ok), tol)

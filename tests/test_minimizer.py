@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from cocircular import (
     DomainError,
     MassVector,
     UnsupportedExponent,
+    exclusion_verdicts,
     f_k_value,
     grad_theta_f_k,
     hessian_theta_f_k,
@@ -124,10 +127,18 @@ def test_bad_grad_tol_is_a_domain_error(grad_tol):
     (1000.0, np.ones(50), UnsupportedExponent),  # r**-1002 overflows
     (1.0, np.array([1e200, 2e200, 3e200]), DomainError),  # m_j m_k overflows
     (1.0, np.array([1e200, 3e200]), DomainError),  # the closed-form n = 2 branch
+    (1.0, np.array([1.0, 2.0, 5.0, 3.0, 1.0, 1e300]), DomainError),  # gr @ gr overflows
+    (1.0, np.full(6, 1e160), DomainError),
+    (1.0, np.array([1.0] * 5 + [1e308]), DomainError),  # a sum over the pairs overflows
 ])
 def test_non_finite_objective_is_an_input_error(alpha, masses, error):
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(error):
-        minimize_f_k(AuxiliaryFunctional(alpha), MassVector(masses))
+    # the typed error comes with no numpy warning ahead of it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error):
+            minimize_f_k(AuxiliaryFunctional(alpha), MassVector(masses))
+        with pytest.raises(error):
+            exclusion_verdicts(AuxiliaryFunctional(alpha), MassVector(masses))
 
 
 def test_solution_is_a_positive_definite_critical_point():

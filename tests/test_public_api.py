@@ -48,7 +48,6 @@ PUBLIC = [
     "scan_region",
     "u_beta",
     "verify_cc",
-    "verify_definition_cc",
 ]
 
 WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
@@ -56,7 +55,7 @@ WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py
 
 def test_public_names_are_frozen():
     assert sorted(cocircular.__all__) == PUBLIC
-    assert len(PUBLIC) == 39
+    assert len(PUBLIC) == 38
     for name in PUBLIC:
         assert getattr(cocircular, name) is not None, name
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,10 +19,9 @@ from cocircular import (
     regular_ngon,
     u_beta,
     verify_cc,
-    verify_definition_cc,
 )
 from conftest import ordered_angles, random_masses
-from oracle import act_on_angles
+from oracle import act_on_angles, verify_definition_cc
 
 
 def test_ngon_is_cc_and_lambda_matches_direct_sum():
@@ -110,6 +111,20 @@ def test_non_finite_residuals_are_input_errors(verify, alpha, masses, error):
             verify_cc(alpha, m, cfg)
         else:
             verify_definition_cc(alpha, m, cfg.positions())
+
+
+@pytest.mark.parametrize("alpha, masses, config, error", [
+    (1.0, [1.0] * 5 + [1e308], regular_ngon(6), DomainError),  # a radial sum overflows
+    (300.0, [1.0, 1.0, 1.0], AngleConfiguration(np.array([1.0, 1.000001, TAU])),
+     UnsupportedExponent),
+    (2.0, [5e307, 5e307, 5e307], AngleConfiguration(np.array([1.0, 1.000001, TAU])),
+     DomainError),
+])
+def test_overflow_raises_the_typed_error_without_a_warning(alpha, masses, config, error):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error):
+            verify_cc(alpha, MassVector(np.array(masses)), config)
 
 
 @pytest.mark.parametrize("verify", ["angles", "positions"])
@@ -224,3 +239,20 @@ def test_verifiers_agree_on_random_configurations(seed, n):
     scale = max(1.0, a.tangential_residual, a.radial_spread)
     assert abs(a.tangential_residual - b.tangential_residual) < 1e-10 * scale
     assert abs(a.radial_spread - b.radial_spread) < 1e-10 * scale
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 3.0])
+@pytest.mark.parametrize("n", [13, 26, 64, 128])
+def test_verifiers_agree_beyond_the_property_sizes(n, alpha):
+    rng = np.random.default_rng(n)
+    m = random_masses(rng, n)
+    cases = [(m, ordered_angles(rng, n, 0.25 / n)),
+             (m, minimize_f_k(AuxiliaryFunctional(alpha), m).theta_m),
+             (random_masses(rng, n), regular_ngon(n))]
+    for masses, cfg in cases:
+        a = verify_cc(alpha, masses, cfg)
+        b = verify_definition_cc(alpha, masses, cfg.positions())
+        assert a.is_cc == b.is_cc
+        scale = max(1.0, a.tangential_residual, a.radial_spread)
+        assert abs(a.tangential_residual - b.tangential_residual) < 1e-10 * scale
+        assert abs(a.radial_spread - b.radial_spread) < 1e-10 * scale

@@ -119,31 +119,6 @@ def test_results_never_alias_the_workspace():
             assert not np.shares_memory(angles, buf)
 
 
-def test_repeat_solve_allocates_only_by_design():
-    n = 256
-    pairs = n * (n - 1) // 2
-    aux, m = _problem(n, 1.0, 10)
-    minimize_f_k(aux, m)  # builds this thread's workspace for n
-    tracemalloc.start()
-    try:
-        res = minimize_f_k(aux, m)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert res.converged
-    # What a repeat solve still allocates, in doubles. _pair_chords builds
-    # fresh du and ru for every point; the final Cholesky factor is
-    # (n - 1)^2 and LAPACK's copies for the linear solve are not numpy
-    # arrays. The peak is the larger of
-    #   the final Cholesky factor next to the point's du and ru, and
-    #   the line search: the point's du and ru, the trial's du and the
-    #   gather t[k] it subtracts (the trial's ru follows once that is freed);
-    # plus up to 64 n-vectors (angles, gaps, steps, gradients, row sums).
-    chords = 2 * pairs
-    by_design = max((n - 1) ** 2 + chords, 2 * chords) + 64 * n
-    assert peak < 8 * by_design
-
-
 def _interleaved_calls():
     """verify_cc at n = 256 and n = 64, each followed by a solve at the other n.
 
