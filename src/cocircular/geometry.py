@@ -125,13 +125,14 @@ def _mirror(n: int, upper: np.ndarray, lower: np.ndarray, out=None) -> np.ndarra
 
     Entry p of ``upper`` lands at (j_p, k_p) and entry p of ``lower`` at
     (k_p, j_p), with (j_p, k_p) the packed pair order. A reused ``out``
-    has its diagonal zeroed here; every other entry is overwritten.
+    must be C-contiguous: its diagonal is zeroed here through a strided
+    view of its flat buffer, and every other entry is overwritten.
     """
     mask = _pairs(n)[2]
     if out is None:
         out = np.zeros((n, n))
     else:
-        np.fill_diagonal(out, 0.0)
+        out.reshape(-1)[:: n + 1] = 0.0
     out[mask] = upper
     out.T[mask] = lower
     return out

@@ -148,7 +148,9 @@ def minimize_f_k(aux: AuxiliaryFunctional, masses: MassVector,
             return MinimizeResult(cfg, fx, gnorm, 0, True, min_gap_seen)
         gaps = x[1:] - x[:-1]
         d = np.zeros(n)  # the step, its pinned last entry left at 0.0
-        diag = np.arange(n - 1)
+        # the reduced Hessian's diagonal: a strided view of the workspace's
+        # C-contiguous mirror target, which _hessian_theta fills
+        hr_diag = ws.hess[2].reshape(-1)[:: n + 1][:-1]
         gnorm = np.inf
         for iteration in range(max_iter + 1):
             r_a2 = _pow(ru, -(aux.alpha + 2.0), ws.r_a2)
@@ -168,8 +170,8 @@ def minimize_f_k(aux: AuxiliaryFunctional, masses: MassVector,
             if iteration == max_iter:
                 break
             # the next mirror zeroes the diagonal, so the regularization goes in place
-            reg = _DIAG_REG * float(np.trace(hr)) / n
-            hr[diag, diag] += reg
+            reg = _DIAG_REG * float(hr.trace()) / n
+            hr_diag += reg
             try:
                 step = np.linalg.solve(hr, -gr)
             except np.linalg.LinAlgError:
@@ -183,7 +185,8 @@ def minimize_f_k(aux: AuxiliaryFunctional, masses: MassVector,
             # then consecutive gaps, the last against the pinned 2*pi
             dgaps = d[1:] - d[:-1]
             shrinking = dgaps < 0.0
-            t_max = np.min(gaps[shrinking] / -dgaps[shrinking], initial=np.inf)
+            t_max = np.minimum.reduce(gaps[shrinking] / -dgaps[shrinking],
+                                      initial=np.inf)
             if d[0] < 0.0:
                 t_max = min(t_max, x[0] / -d[0])
             t = min(1.0, _BOUNDARY_FRACTION * float(t_max))

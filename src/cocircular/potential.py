@@ -171,7 +171,7 @@ def _u_sums(mm, ru, *betas, out=None):
 
     ``out`` is an optional pair buffer for the summands.
     """
-    return [float(np.sum(np.multiply(mm, _pow(ru, -float(beta), out), out=out)))
+    return [float(np.add.reduce(np.multiply(mm, _pow(ru, -float(beta), out), out=out)))
             for beta in betas]
 
 
@@ -196,7 +196,7 @@ def _grad_theta(aux, m, mj, mk, du, r_a2, out=(None,) * 4):
     lower = np.multiply(mj, s, out=s)  # the last use of s
     lower *= w
     np.negative(lower, out=lower)
-    return -(m * np.sum(_mirror(m.size, upper, lower, full), axis=1))
+    return -(m * np.add.reduce(_mirror(m.size, upper, lower, full), axis=1))
 
 
 def _hessian_theta(aux, n, mm, du, r_a2, out=(None,) * 3):
@@ -222,7 +222,7 @@ def _hessian_theta(aux, n, mm, du, r_a2, out=(None,) * 3):
     off *= mm
     # cos is even and mm symmetric, so the mirror is exactly symmetric
     h = _mirror(n, off, off, full)
-    np.fill_diagonal(h, -np.sum(h, axis=1))
+    h.reshape(-1)[:: n + 1] = -np.add.reduce(h, axis=1)
     return h
 
 

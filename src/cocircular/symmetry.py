@@ -9,13 +9,15 @@ only the elements and their mass action, so that is all this module
 holds; composition and the angle action live with the test oracles.
 
 A verdict is its certificates: ``ExclusionVerdict`` takes them and
-derives ``excluded``, ``witness`` and ``margin`` from them.
+derives ``excluded``, ``witness`` and ``margin`` from them. The group
+scan evaluates q once per distinct image of the masses (one gemv each;
+one-heavy and two-heavy masses repeat about half their images) and
+builds a ``GroupElement`` only for a certificate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -109,22 +111,25 @@ def _mass_images(n: int) -> np.ndarray:
     return np.concatenate([shifts, reflection[shifts]])[1:]
 
 
-@lru_cache(maxsize=8)
-def _non_identity(n: int) -> tuple[GroupElement, ...]:
-    """The 2n - 1 non-identity elements, one per row of ``_mass_images(n)``."""
-    return tuple(GroupElement.elements(n)[1:])
-
-
-def _group_scan(elements, tol: float, w: np.ndarray, diffs: np.ndarray,
+def _group_scan(tol: float, w: np.ndarray, diffs: np.ndarray,
                 rows: list[int]) -> tuple:
-    """(g, -q(g)) for each of the image ``rows`` with q(g) < -tol."""
+    """(g, -q(g)) for each of the image ``rows`` with q(g) < -tol.
+
+    Row i of ``diffs`` belongs to element i + 1 of :meth:`GroupElement.elements`.
+    """
+    n = diffs.shape[1]
     certificates = []
-    # one gemv per row: a batched einsum or gemm moves the last ulp of q
+    q_of = {}
+    # one gemv per distinct row, keyed by its bytes: equal rows give equal
+    # q, while a batched einsum or gemm moves the last ulp of q
     for i in rows:
         d = diffs[i]
-        q = 0.5 * float(d @ w @ d)
+        key = d.tobytes()
+        q = q_of.get(key)
+        if q is None:
+            q = q_of[key] = 0.5 * float(d @ w @ d)
         if q < -tol:
-            certificates.append((elements[i], -q))
+            certificates.append((GroupElement((i + 1) % n, (i + 1) // n, n), -q))
     return tuple(certificates)
 
 
@@ -171,8 +176,8 @@ def exclusion_verdicts(aux: AuxiliaryFunctional, masses: MassVector
     diffs = m[_mass_images(masses.n)] - m
     moved = diffs != 0.0
     counts = moved.sum(axis=1)
-    group = _group_scan(_non_identity(masses.n), MARGIN_SCALE * abs(res.f_value),
-                        w, diffs, np.flatnonzero(counts).tolist())
+    group = _group_scan(MARGIN_SCALE * abs(res.f_value), w, diffs,
+                        np.flatnonzero(counts).tolist())
     swap = _swap_scan(m, w, moved[counts == 2])
     inconsistent = bool(swap) and verify_cc(aux.alpha, masses, res.theta_m,
                                             VERIFY_TOL).is_cc

@@ -15,14 +15,14 @@ def random_masses(rng, n, lo=0.5, hi=2.0):
     return MassVector(rng.uniform(lo, hi, n))
 
 
-def certify_masses(family, n):
-    """The mass families of the certify benchmark, heavy/light ratio 1e3."""
+def certify_masses(family, n, ratio=1e3):
+    """The mass families of the certify benchmark, heavy/light ``ratio``."""
     if family == "uniform":
         return np.random.default_rng(n).uniform(0.5, 2.0, n)
     if family == "graded":
         return 1.0 + np.arange(n) / n
     m = np.ones(n)
-    m[-1] = 1e3
+    m[-1] = ratio
     if family == "two-heavy":
-        m[2] = 1e3
+        m[2] = ratio
     return m

@@ -297,6 +297,22 @@ def test_stacked_scans_match_reference_loops(raw, alpha):
     assert np.array_equal(group.theta_m.angles, swap.theta_m.angles)
 
 
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 3.0])
+@pytest.mark.parametrize("family, n", [
+    *((family, n) for family in ("one-heavy", "two-heavy", "graded", "uniform")
+      for n in (8, 13, 26, 40)),
+    ("one-heavy", 128),
+])
+def test_stacked_scans_match_reference_loops_at_benchmark_sizes(family, n, alpha):
+    # one-heavy and two-heavy masses repeat images, so the scan's per-image
+    # evaluation and its certificate elements act here
+    aux = AuxiliaryFunctional(alpha)
+    m = MassVector(certify_masses(family, n, ratio=300.0))
+    group, swap = exclusion_verdicts(aux, m)
+    assert _verdict_fields(group) == _verdict_fields(reference_exclusion_by_group(aux, m))
+    assert _verdict_fields(swap) == _verdict_fields(reference_exclusion_by_swap(aux, m))
+
+
 @st.composite
 def distinct_masses(draw):
     n = draw(st.integers(3, 12))

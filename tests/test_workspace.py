@@ -16,6 +16,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import cocircular.geometry as geometry
 import cocircular.potential as potential
 from cocircular import (TAU, AuxiliaryFunctional, ConvergenceFailure, DimensionError,
                         DomainError, MassVector, UnsupportedExponent, minimize_f_k,
@@ -213,3 +214,27 @@ def test_repeat_solve_allocates_no_chords():
     # copies for the linear solve are not numpy arrays. Chords built afresh
     # would add n(n - 1) doubles.
     assert peak < 8 * ((n - 1) ** 2 + 64 * n)
+
+
+def _dirty_matrix(n):
+    """A stale mirror target: NaN off the diagonal and -0.0 on it."""
+    full = np.full((n, n), np.nan)
+    np.fill_diagonal(full, -0.0)
+    return full
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 40])
+def test_diagonal_writes_into_a_dirty_buffer(n):
+    rng = np.random.default_rng(n)
+    aux, m = AuxiliaryFunctional(1.0), random_masses(rng, n)
+    du, ru = geometry._packed_chords(ordered_angles(rng, n))
+    mm = potential._mass_pairs(m.masses)[2]
+    r_a2 = potential._pow(ru, -(aux.alpha + 2.0))
+    mirrored = geometry._mirror(n, ru, -ru, _dirty_matrix(n))
+    assert mirrored.tobytes() == geometry._mirror(n, ru, -ru).tobytes()
+    # +0.0 on the diagonal, not the stale -0.0
+    assert not np.signbit(mirrored.diagonal()).any()
+    pairs = np.full((2, du.size), np.nan)
+    hessian = potential._hessian_theta(aux, n, mm, du, r_a2,
+                                       (*pairs, _dirty_matrix(n)))
+    assert hessian.tobytes() == potential._hessian_theta(aux, n, mm, du, r_a2).tobytes()
