@@ -61,6 +61,19 @@ def _json(value) -> str:
     raise TypeError(f"cannot serialize {type(value)!r}")
 
 
+def _check_numbers(value) -> None:
+    """Raise TypeError unless value is a JSON number or an array of them.
+
+    ``float`` and ``np.asarray`` would read true as 1.0 and "1" as 1.0.
+    """
+    if type(value) is list:
+        if not {int, float}.issuperset(map(type, value)):
+            for v in value:
+                _check_numbers(v)
+    elif type(value) is not float and type(value) is not int:
+        raise TypeError(f"got {json.dumps(value)}")
+
+
 def _load_problem(args: argparse.Namespace, need_angles: bool = False):
     if args.input == "-":
         data = json.load(sys.stdin)
@@ -76,6 +89,7 @@ def _load_problem(args: argparse.Namespace, need_angles: bool = False):
         raise DomainError('input needs a "masses" array')
     angles = data.get("angles")
     try:
+        _check_numbers([alpha, data["masses"], [] if angles is None else angles])
         alpha = float(alpha)
         masses = np.asarray(data["masses"], dtype=float)
         if angles is not None:

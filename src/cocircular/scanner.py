@@ -9,48 +9,38 @@ g is the normalized potential of the unit-mass n-gon and increases in
 both n and alpha, so for each n there is a critical exponent where the
 condition stops holding.
 
-The sines sin(j pi / n) depend on n alone. ``g_value`` and
-``alpha_star`` build them once per n as a table (``_sine_table``, one
-vectorized ``np.sin`` over the angles j pi / n, which are formed with the
-same multiply and divide as the scalar expression) and take one alpha at
-a time from it (``_g``, over the table's floats), the latter for its
-whole bracket and bisection, whose filter below reads the table itself.
-``_grid`` evaluates the whole (n, alpha) grid in blocks of consecutive n
-(``_g_block``): one ``np.sin`` builds the sine tables of a block side by
-side, padded below to the longest; then, per alpha, one
-``np.float_power`` takes the terms of every n of the block and one
-``np.add.reduce`` down the tables sums them, with no per-n call and no
-scalar path for small rows.
-``_grid`` returns the grid as plain rows of g values; ``scan_region``
-wraps them in ``RegionCell``s, and the CLI's ``scan`` and
-``scripts/region_map.py`` write them out directly, from one evaluation.
+The sines sin(j pi / n) depend on n alone. ``_sine_table`` builds them
+once per n with one ``np.sin`` over the angles j pi / n, formed with the
+multiply and divide of the scalar expression; ``g_value`` takes one
+alpha from the table and ``alpha_star`` its whole bracket and bisection,
+both through ``_g``. ``_grid`` evaluates the (n, alpha) grid in blocks of
+consecutive n (``_g_block``): one ``np.sin`` builds a block's tables side
+by side, padded below to the longest, and per alpha one pow takes every
+n's terms and one ``np.add.reduce`` down the tables sums them.
+``scan_region`` wraps the grid's rows in ``RegionCell``s; the CLI's
+``scan`` and ``scripts/region_map.py`` write the rows out directly.
 
-Both kernels take every term from one libm pow, ``_g`` through Python
-``**`` and ``_g_block`` through ``np.float_power``, whose float64 loop
-calls libm pow per element (``np.power`` has a SIMD loop, SVML on
-AVX-512 builds, that rounds about 5% of the terms differently), and both
-add the terms in table order: a reduce along the slow axis of a block of
-two or more ns adds row after row, and the padding adds +0.0, which is
-exact. A block of one n would be summed pairwise, so it is accumulated
-instead. So a g has the same bits from either kernel, and the printed
-scan does not depend on which one ran.
-Inputs are checked at the entry points, never inside the kernels.
+Every term comes from one libm pow (``_terms``), and every sum adds the
+terms in table order: ``_g`` accumulates its table, and a reduce along
+the slow axis of two or more columns adds row after row, the padding
+adding an exact +0.0; a block of one n goes to ``_g``. So a g has the
+same bits from either kernel, and the printed scan does not depend on
+which one ran. Inputs are checked at the entry points, never inside the
+kernels.
 
 A bisection step of ``alpha_star`` needs only the sign of
 psi = g - (1 + alpha/4) and whether |psi| <= tol. From
-``_FILTER_MIN_TERMS`` distinct terms on (where the vectorized pass
-starts to pay for its numpy call overhead), each step first takes g from
+``_FILTER_MIN_TERMS`` distinct terms on, each step first takes g from
 ``_g_fast``, one ``np.power`` over the table and one pairwise sum, and
 ``_g_bound`` bounds how far the psi from it can lie from the psi of
 ``_g``. Where the fast psi clears tol by more than that bound, the exact
 psi has the same sign and misses tol too; elsewhere (the final step,
 steps near tol, overflow) the step runs ``_g``. So the roots keep every
-bit, and one or two of a call's 30 to 40 steps run the scalar kernel.
+bit, and one or two of a call's 30 to 40 steps run the exact kernel.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass
 
@@ -65,8 +55,9 @@ _ALPHA_SEED = 1.0 / 64.0
 _ALPHA_CAP = 64.0
 _MAX_BISECT = 200
 _U = 2.0 ** -53  # unit roundoff of a double
-# below this many distinct terms one scalar pass costs no more than the
-# vectorized one plus its numpy call overhead (measured)
+# below this many distinct terms the exact pass (float_power, accumulate)
+# costs no more than the filter's np.power, pairwise sum and bound
+# (measured: about 2.1 us each at 40 terms, 2.5 against 2.3 at 50)
 _FILTER_MIN_TERMS = 50
 # padded terms per grid block: about 1 MiB of terms at a time, whatever
 # the grid
@@ -89,27 +80,27 @@ def _sine_table(n: int) -> np.ndarray:
     return np.sin(np.arange(1, (n - 1) // 2 + 1) * math.pi / n)
 
 
-def _g(n: int, sines: list[float], alpha: float) -> float:
-    """g(n, alpha) from the sine table of n as floats; n and alpha are valid.
+def _terms(sines: np.ndarray, alpha: float) -> np.ndarray:
+    """csc**alpha of every sine, each from one libm pow.
 
-    One Python ``**`` (libm pow) per term; the terms are added left to
-    right and the pair sum is doubled once at the end: doubling is exact,
-    so this equals doubling every term. The loop beats a numpy call for
-    the one alpha at a time of ``g_value`` and ``alpha_star``.
+    ``np.float_power`` calls libm pow per element (``np.power``'s SIMD
+    loop, SVML on AVX-512 builds, rounds about 5% of the terms otherwise):
+    (1/s)**alpha for an integer alpha in 1..4, else s**-alpha; a +inf sine
+    gives +0.0. Call it with numpy overflow warnings off.
     """
-    a_int = int(alpha) if alpha.is_integer() and alpha <= 4 else 0
-    total = 0.0
-    try:
-        if a_int:
-            for s in sines:
-                total += (1.0 / s) ** a_int
-        else:
-            e = -alpha
-            for s in sines:
-                total += s ** e
-    except OverflowError:
-        total = math.inf
-    total *= 2.0
+    if alpha <= 4.0 and alpha.is_integer():
+        return np.float_power(1.0 / sines, alpha)
+    return np.float_power(sines, -alpha)
+
+
+def _g(n: int, table: np.ndarray, alpha: float) -> float:
+    """g(n, alpha) from the sine table of n; n and alpha are valid.
+
+    ``np.add.accumulate`` adds the terms left to right (``np.add.reduce``
+    would sum the table pairwise); doubling the sum is exact, so it equals
+    doubling every term. Call it with numpy overflow warnings off.
+    """
+    total = 2.0 * float(np.add.accumulate(_terms(table, alpha))[-1])
     if total == math.inf:
         raise UnsupportedExponent(f"g(n, alpha) overflows at n = {n}, alpha = {alpha}")
     if n % 2 == 0:
@@ -122,11 +113,8 @@ def _sine_block(ns: list[int]) -> np.ndarray:
 
     Column c holds sin(j pi / ns[c]) for j = 1..(ns[c] - 1)//2, from the
     multiply, divide and ``np.sin`` of ``_sine_table``, so that table bit
-    for bit, then +inf down to the length of the last table. A padding
-    entry makes a term inf**-alpha = +0.0, and (1/inf)**alpha = +0.0 in
-    the integer form, with no floating-point exception. ``g_value`` and
-    ``alpha_star`` keep ``_sine_table``: a block of one n costs about
-    10 us more, which doubles ``g_value`` at small n.
+    for bit, then +inf down to the length of the last table, whose terms
+    are +0.0 (``_terms``).
     """
     js = np.arange(1, (ns[-1] - 1) // 2 + 1)[:, None]
     real = js <= np.array([(n - 1) // 2 for n in ns])
@@ -136,25 +124,18 @@ def _sine_block(ns: list[int]) -> np.ndarray:
 def _g_block(ns: list[int], alphas: list[float]) -> list[list[float]]:
     """Rows of g(n, alpha) for ascending ns, each g equal to ``_g``'s.
 
-    Each alpha takes the terms of every n from one ``np.float_power`` over
-    the padded sine block, in ``_g``'s (1/s)**alpha form for an integer
-    alpha in 1..4, and ``np.add.reduce`` down the tables adds each
-    column's terms in table order, as ``_g`` does. A block of one n has
-    one column, which the reduce would sum pairwise, so it is accumulated
-    instead. Call it with numpy overflow warnings off.
+    Per alpha, one ``_terms`` over the padded sine block and one
+    ``np.add.reduce`` down the tables, which adds each column in table
+    order; a lone n goes to ``_g``, whose one contiguous column the reduce
+    would sum pairwise. Call it with numpy overflow warnings off.
     """
+    if len(ns) == 1:
+        table = _sine_table(ns[0])
+        return [[_g(ns[0], table, a) for a in alphas]]
     sines = _sine_block(ns)
-    inverse = 1.0 / sines
     sums = np.empty((len(alphas), len(ns)))
     for total, a in zip(sums, alphas):
-        if a <= 4.0 and a.is_integer():
-            terms = np.float_power(inverse, a)
-        else:
-            terms = np.float_power(sines, -a)
-        if len(ns) > 1:
-            total[:] = np.add.reduce(terms, axis=0)
-        else:  # a lone column is contiguous, and reduce sums it pairwise
-            total[:] = np.add.accumulate(terms, axis=0)[-1]
+        total[:] = np.add.reduce(_terms(sines, a), axis=0)
     sums = 2.0 * sums.T
     overflow = np.isinf(sums)
     if overflow.any():
@@ -176,8 +157,9 @@ def g_value(n: int, alpha: float) -> float:
     evaluate many alphas at one n, ``scan_region`` and ``alpha_star``
     reuse one table instead.
     """
-    n = _arity(n)
-    return _g(n, _sine_table(n).tolist(), _check_alpha(alpha))
+    n, alpha = _arity(n), _check_alpha(alpha)
+    with np.errstate(over="ignore"):  # _g raises on a term or sum of inf
+        return _g(n, _sine_table(n), alpha)
 
 
 def condition_threshold(alpha: float) -> float:
@@ -231,17 +213,18 @@ def scan_region(n_values, alpha_grid) -> list[RegionCell]:
 def _g_bound(k: int, g: float, threshold: float) -> float:
     """Bound on |psi_fast - psi_exact| for psi = g - threshold over k terms.
 
-    psi_exact is ``_g(n, sines, alpha) - threshold`` and psi_fast is
+    psi_exact is ``_g(n, table, alpha) - threshold`` and psi_fast is
     g - threshold with g from ``_g_fast`` over the same k sines; the
     threshold is one float shared by both. The bound is meant for reuse
     wherever a fast g has to decide what the exact one would. With
     u = 2**-53 and S the exact sum of s**-alpha over the table:
 
-    - ``_g``'s terms come from libm pow (within 1 ulp, so 2u relative), or
-      for alpha in 1..4 as (1/s)**alpha, within (1 + u)**4 (1 + 2u) - 1 < 7u;
-      ``np.power`` is within 4 ulp (8u; SVML on AVX-512, libm elsewhere);
-    - k positive terms summed in any order, the sequential sum of ``_g`` and
-      numpy's pairwise one alike, lie within (k - 1) u of their total;
+    - ``_g``'s terms come from libm pow through ``np.float_power`` (within
+      1 ulp, so 2u relative), or for alpha in 1..4 as (1/s)**alpha, within
+      (1 + u)**4 (1 + 2u) - 1 < 7u; ``np.power`` is within 4 ulp (8u; SVML
+      on AVX-512, libm elsewhere);
+    - k positive terms summed in any order, the accumulated sum of ``_g``
+      and numpy's pairwise one alike, lie within (k - 1) u of their total;
     - so |2 S_fast - 2 S_exact| <= (2k + 13) u 2S; doubling is exact, and
       adding the middle term and dividing by n cost 2u g on each side;
     - subtracting the threshold costs u (g + threshold) on each side.
@@ -274,8 +257,7 @@ def _alpha_star(n: int, tol: float) -> tuple[float, float]:
         raise DomainError(f"tol must be a nonnegative number, got {tol}")
 
     table = _sine_table(n)
-    sines = table.tolist()
-    k = len(sines)
+    k = len(table)
     filtered = k >= _FILTER_MIN_TERMS
     g = math.nan
 
@@ -290,12 +272,12 @@ def _alpha_star(n: int, tol: float) -> tuple[float, float]:
             value = fast - threshold
             if abs(value) > tol + _g_bound(k, fast, threshold):
                 return value
-        g = _g(n, sines, a)
+        g = _g(n, table, a)
         return g - threshold
 
-    # np.power may overflow; such a step falls back to _g, which raises
-    quiet = np.errstate(over="ignore") if filtered else contextlib.nullcontext()
-    with quiet:
+    # a power may overflow to inf; a fast step then falls back to _g,
+    # which raises the typed error
+    with np.errstate(over="ignore"):
         lo = _ALPHA_SEED
         while psi(lo) >= 0.0:
             lo *= 0.5

@@ -12,8 +12,8 @@ chords, their two powers and the tangential pair terms fill its pair
 buffers, and the tangential and then the radial matrix take its one
 n x n mirror target in turn, each feeding one matrix-vector product with
 the masses. The arithmetic is that of the full-matrix formulas, so every
-float keeps its bits. After a solve at the same n, a call takes no
-minor page faults.
+float keeps its bits. After a solve at the same n, a call allocates no
+pair buffer.
 """
 
 from __future__ import annotations

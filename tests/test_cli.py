@@ -345,6 +345,10 @@ SQUARE = {"alpha": 1.0, "masses": [1.0] * 4,
     {"masses": ["a", 1, 2]},
     {"masses": [[1, 2], [3]]},
     {"angles": [1, "b", 3]},
+    # float() and np.asarray would read true as 1.0 and "1" or "112" as numbers
+    {"alpha": True, "masses": [1, True, 2]},
+    {"alpha": "1"},
+    {"masses": "112"},
 ])
 def test_non_numeric_input_exits_two(tmp_path, capsys, command, bad):
     inp = write_json(tmp_path / "bad.json", {**M112, "angles": [1.0, 2.0, TAU], **bad})

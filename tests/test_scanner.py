@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cocircular
+import reference_scanner as ref
 from cocircular import (
     AuxiliaryFunctional,
     InvalidArity,
@@ -122,6 +123,10 @@ def test_alpha_star_frozen():
         assert abs(g_value(n, a) - condition_threshold(a)) <= 1e-12
 
 
+def test_alpha_star_frozen_at_a_million():
+    assert alpha_star(10**6) == 2.256652805954218e-06
+
+
 def test_alpha_star_separates_region():
     for n in (4, 5, 6, 9, 13):
         a = alpha_star(n)
@@ -196,14 +201,13 @@ def _filter_alphas(n):
 def test_fast_psi_within_bound_and_never_contradicts_exact():
     for n in FILTER_NS:
         table = _sine_table(n)
-        sines = table.tolist()
         for alpha in _filter_alphas(n):
             threshold = condition_threshold(alpha)
             with np.errstate(over="ignore"):
                 fast = _g_fast(n, table, alpha)
-            bound = _g_bound(len(sines), fast, threshold)
+            bound = _g_bound(len(table), fast, threshold)
             psi_fast = fast - threshold
-            psi_exact = _g(n, sines, alpha) - threshold
+            psi_exact = ref.g_value(n, alpha) - threshold
             assert abs(psi_fast - psi_exact) <= bound, (n, alpha)
             for tol in FILTER_TOLS:
                 # the rule alpha_star's steps decide by
@@ -215,9 +219,9 @@ def test_fast_psi_within_bound_and_never_contradicts_exact():
 def test_filter_leaves_few_steps_to_the_exact_kernel(monkeypatch):
     calls = []
 
-    def counting(n, sines, alpha):
+    def counting(n, table, alpha):
         calls.append(alpha)
-        return _g(n, sines, alpha)
+        return _g(n, table, alpha)
 
     monkeypatch.setattr("cocircular.scanner._g", counting)
     root = alpha_star(500)

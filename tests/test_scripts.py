@@ -131,11 +131,3 @@ def test_exclusion_survey_solver_error_exits_with_cli_code(heavy, code, error):
     assert (out.returncode, out.stderr) == (code, f"error: {error}\n")
     assert out.stdout.splitlines()[0].startswith("family")
 
-
-def test_pair_faults_runs():
-    out = _run_script("pair_faults.py", "--n", "16", "--alpha", "1", "3",
-                      "--repeats", "2")
-    assert out.returncode == 0, out.stderr
-    rows = [line.split() for line in out.stdout.splitlines()[2:]]
-    assert [row[:2] for row in rows] == [["16", "1"], ["16", "3"]]
-    assert all(float(value) >= 0.0 for row in rows for value in row[2:])

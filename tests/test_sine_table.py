@@ -7,10 +7,10 @@ term; the additions run in the same order and doubling is exact, so g,
 every scan cell and every critical exponent must match exactly, and
 overflow must raise at the same (n, alpha). ``alpha_star`` decides most
 steps from a vectorized g within a rounding bound; its roots and its
-errors must still be the reference's. The grid takes its terms from
-``np.float_power`` over blocks of sine tables, which must round every
-power as Python ``**`` does, and sums them in table order whatever the
-block's shape.
+errors must still be the reference's. The kernels take their terms from
+``np.float_power`` over one sine table or a block of them, which must
+round every power as Python ``**`` does, and sum them in table order
+whatever the block's shape.
 """
 
 import math
@@ -26,8 +26,7 @@ import reference_scanner as ref
 from cocircular import CocircularError, UnsupportedExponent, alpha_star, g_value, scan_region
 from cocircular import scanner
 from cocircular.cli import main
-from cocircular.scanner import (_BLOCK, _g, _g_block, _g_fast, _grid, _sine_block,
-                                _sine_table)
+from cocircular.scanner import _BLOCK, _g_block, _g_fast, _grid, _sine_block, _sine_table
 
 NS = st.integers(3, 2000)
 ALPHAS = st.one_of(
@@ -123,7 +122,6 @@ def test_grid_row_matches_scalar_kernel(monkeypatch, gap, block, n, alphas):
     if block is not None:
         monkeypatch.setattr("cocircular.scanner._BLOCK", block)
     ns = [n] if gap is None else [n - gap, n]
-    sines = _sine_table(n).tolist()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with np.errstate(over="ignore"):
@@ -131,8 +129,8 @@ def test_grid_row_matches_scalar_kernel(monkeypatch, gap, block, n, alphas):
         cells = scan_region([n], alphas)
     assert len(rows) == len(ns)
     for m, row in zip(ns, rows):
-        assert row == [_g(m, _sine_table(m).tolist(), a) for a in alphas]
-    assert [c.g_value for c in cells] == [_g(n, sines, a) for a in sorted(set(alphas))]
+        assert row == [ref.g_value(m, a) for a in alphas]
+    assert [c.g_value for c in cells] == [ref.g_value(n, a) for a in sorted(set(alphas))]
 
 
 # (ns, alphas) grids for every shape that changes how numpy sums a block:
@@ -163,12 +161,11 @@ def test_grid_blocks_match_scalar_kernel(monkeypatch, block, ns, alphas):
         got_ns, got_alphas, _, rows = _grid(ns, alphas)
     assert got_ns == list(ns) and got_alphas == alphas
     for n, row in zip(ns, rows):
-        sines = _sine_table(n).tolist()
-        assert row == [_g(n, sines, a) for a in alphas], n
+        assert row == [ref.g_value(n, a) for a in alphas], n
 
 
 def test_grid_makes_no_per_n_call(monkeypatch):
-    # the benchmark's grid: a few blocks, and no per-n table or scalar g
+    # the benchmark's grid: a few blocks, and no per-n table or _g call
     calls = {"_sine_table": 0, "_g": 0, "_g_block": 0}
 
     def counted(name, f):
@@ -251,6 +248,26 @@ def test_g_value_matches_reference(n, alpha):
     assert g_value(n, alpha) == ref.g_value(n, alpha)
 
 
+@pytest.mark.parametrize("alpha", [1.0, 0.75])
+@pytest.mark.parametrize("n", [10**5 + 1, 10**6])
+def test_g_value_matches_reference_at_large_n(n, alpha):
+    # half a million terms in either pow form, added in table order
+    assert g_value(n, alpha) == ref.g_value(n, alpha)
+
+
+def test_alpha_star_memory_per_n():
+    # the table, one power of it and its running sum: 4 bytes per n each;
+    # a list of the table's floats alone would add 16
+    n = 10**6
+    tracemalloc.start()
+    try:
+        alpha_star(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * n
+
+
 @given(st.lists(NS, min_size=1, max_size=4), st.lists(ALPHAS, min_size=1, max_size=5))
 @settings(max_examples=60, deadline=None)
 def test_scan_region_cells_match_reference(ns, alphas):
@@ -292,13 +309,12 @@ def test_fast_g_keeps_headroom_below_overflow(n):
     # a finite fast g vouches for a finite _g, so the filter never decides a
     # step that _g would refuse; within a factor 2 of overflow it gives up
     table = _sine_table(n)
-    sines = table.tolist()
     gave_up = 0
     for i in range(600):
         alpha = 122.0 + 0.005 * i
         with np.errstate(over="ignore"):
             fast = _g_fast(n, table, alpha)
-        exact = _outcome(lambda n, a: _g(n, sines, a), n, alpha)
+        exact = _outcome(ref.g_value, n, alpha)
         if math.isfinite(fast):
             assert exact != "overflow", alpha
         elif exact != "overflow":
