@@ -244,7 +244,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, help="override the input file's alpha")
     p.add_argument("--k", type=float, help="convexity constant (default tight)")
     p.add_argument("--tol", type=float, default=1e-11,
-                   help="relative gradient tolerance (default %(default)s)")
+                   help="stop once the gradient norm is at most tol*|f| "
+                        "(default %(default)s)")
 
     p = add("verify", _cmd_verify, "check the central-configuration equations")
     p.add_argument("--input", required=True)
@@ -272,7 +273,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("alpha-star", _cmd_alpha_star, "critical exponent for one n")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--tol", type=float, default=1e-12,
-                   help="bisection residual (default %(default)s)")
+                   help="bisection residual (default %(default)s); 0 usually "
+                        "exits 3 once 52 halvings leave adjacent doubles")
     return parser
 
 
@@ -297,6 +299,3 @@ def main(argv=None) -> int:
         return 2
     return 0
 
-
-if __name__ == "__main__":
-    sys.exit(main())

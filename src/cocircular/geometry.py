@@ -9,15 +9,17 @@ Pair quantities are held packed: one entry per pair j < k, in
 ``np.triu_indices(n, 1)`` order, which is also the row-major order of the
 True entries of the strict upper-triangle mask. ``_pair_chords`` builds
 the differences du = t_j - t_k and the chords ru = |2 sin(du/2)| once per
-point, into fresh arrays or the caller's buffers, and checks them there;
-``_packed_chords`` feeds it a configuration, the minimizer its raw
-iterates. ``_mirror`` expands packed pair quantities into an n x n matrix
-with a zero diagonal, writing the upper triangle through that mask and the
-lower one through the same mask on the transposed view. The mirror
-reproduces the full-matrix formulas bit for bit: t_k - t_j is exactly
--(t_j - t_k) in IEEE arithmetic, numpy's sin is odd and its cos even
-(checked bit for bit by the tests), so a symmetric quantity is mirrored as
-is and an antisymmetric one with its sign flipped.
+point, into fresh arrays or the caller's buffers, and checks nothing.
+``AngleConfiguration`` checks the angles, ``_packed_chords`` a
+configuration's gaps against ``COLLISION_TOL``, and the minimizer's line
+search its trials' gaps, so every chord lies in (0, 2]. ``_mirror``
+expands packed pair quantities into an n x n matrix with a zero diagonal,
+writing the upper triangle through that mask and the lower one through
+the same mask on the transposed view. The mirror reproduces the
+full-matrix formulas bit for bit: t_k - t_j is exactly -(t_j - t_k) in
+IEEE arithmetic, numpy's sin is odd and its cos even (checked bit for bit
+by the tests), so a symmetric quantity is mirrored as is and an
+antisymmetric one with its sign flipped.
 """
 
 from __future__ import annotations
@@ -139,33 +141,27 @@ def _mirror(n: int, upper: np.ndarray, lower: np.ndarray, out=None) -> np.ndarra
 
 
 def _packed_chords(config: AngleConfiguration, out=(None,) * 3):
-    """Packed differences du = t_j - t_k and chords ru = |2 sin(du/2)|, j < k."""
-    return _pair_chords(config.angles, config.min_gap(), out)
-
-
-def _pair_chords(t: np.ndarray, min_gap: float, out=(None,) * 3):
-    """Packed du and ru of increasing angles t whose smallest circular gap is min_gap.
-
-    The half-angle form avoids the cancellation that sqrt(2 - 2 cos)
-    suffers for nearly coincident bodies. Raises ``CollisionError`` when
-    min_gap is below ``COLLISION_TOL``, before ``out`` is touched, and
-    ``DomainError`` when a chord falls outside (0, 2]. The angles are not
-    checked here: callers pass a validated configuration's, or a vector
-    they have checked the same way. ``out`` is du, ru and a pair buffer
-    for the gathered t_k.
-    """
-    if min_gap < COLLISION_TOL:
+    """``_pair_chords`` of a configuration; CollisionError below COLLISION_TOL."""
+    if config.min_gap() < COLLISION_TOL:
         raise CollisionError(
             f"two bodies are within {COLLISION_TOL} radians of each other"
         )
+    return _pair_chords(config.angles, out)
+
+
+def _pair_chords(t: np.ndarray, out=(None,) * 3):
+    """Packed du = t_j - t_k and chords ru = |2 sin(du/2)|, j < k, of angles t.
+
+    The half-angle form avoids the cancellation that sqrt(2 - 2 cos)
+    suffers for nearly coincident bodies. The angles are not checked here:
+    callers pass increasing angles in (0, 2*pi] with every circular gap at
+    least ``COLLISION_TOL``. ``out`` is du, ru and a pair buffer for t_k.
+    """
     j, k, _ = _pairs(t.size)
     # 'clip' skips the bounds pass that makes take buffer its out
     du = t.take(j, out=out[0], mode="clip")
     du -= t.take(k, out=out[2], mode="clip")
-    ru = _chords(du, out[1])
-    if ru.min() <= 0.0:
-        raise DomainError("off-diagonal chords must lie in (0, 2]")
-    return du, ru
+    return du, _chords(du, out[1])
 
 
 def _chords(du: np.ndarray, out=None) -> np.ndarray:

@@ -8,9 +8,10 @@ converges to the unique minimizer.
 The masses and the start are validated once, on entry. The loop then runs
 on raw pinned angle vectors: the step carries a trailing 0.0, so every
 trial keeps t_n = 2*pi exactly, and one gap vector per point serves the
-trial's ordering test, the collision check, the smallest gap seen and the
-next feasible-step bound. A trial costs that gap vector, one packed chord
-build and two sums; an ``AngleConfiguration`` is built only for the result.
+trial's one feasibility test (every circular gap >= ``COLLISION_TOL``),
+the smallest gap seen and the next feasible-step bound. A trial costs that
+gap vector, one packed chord build and two sums; an ``AngleConfiguration``
+is built only for the result.
 
 Every pair term and matrix of the loop lives in this thread's workspace
 (``potential._workspace``), which ``verify_cc`` shares. The kernels of
@@ -81,8 +82,8 @@ def minimize_f_k(aux: AuxiliaryFunctional, masses: MassVector,
         Checked but not used at n = 2, where the minimizer is the
         diameter (pi, 2*pi) in closed form.
     grad_tol : float
-        Converged once the reduced gradient norm drops below
-        grad_tol * max(1, |f|).
+        Converged once the reduced gradient norm is at most grad_tol * |f|,
+        which scaling the masses by a power of 2 leaves exact.
     max_iter : int
         Maximum number of Newton steps.
 
@@ -138,7 +139,7 @@ def minimize_f_k(aux: AuxiliaryFunctional, masses: MassVector,
         # iteration; the pair masses serve the whole solve. Every pair term
         # and matrix lives in this thread's workspace; results copy out of it.
         ws = _workspace(n)
-        du, ru = _pair_chords(x, min_gap_seen, ws.chords)
+        du, ru = _pair_chords(x, ws.chords)
         mj, mk, mm = _mass_pairs(m, ws.masses)
         fx = _f_value(aux, mm, ru, ws.f)
         if n == 2:
@@ -158,7 +159,7 @@ def minimize_f_k(aux: AuxiliaryFunctional, masses: MassVector,
             gnorm = math.sqrt(float(gr @ gr))
             _check_finite(aux.alpha, (fx, gnorm), r_a2)
             hr = _hessian_theta(aux, n, mm, du, r_a2, ws.hess)[:-1, :-1]
-            if gnorm <= grad_tol * max(1.0, abs(fx)):
+            if gnorm <= grad_tol * abs(fx):
                 try:
                     np.linalg.cholesky(hr)
                 except np.linalg.LinAlgError:
@@ -194,18 +195,16 @@ def minimize_f_k(aux: AuxiliaryFunctional, masses: MassVector,
             while t > 1e-18:
                 xt = x + t * d
                 gaps_t = xt[1:] - xt[:-1]
-                gap_t = gaps_t.min()
-                # what AngleConfiguration checks: xt[-1] is 2*pi exactly, so a
-                # positive first angle and positive gaps (NaN fails both, and
-                # an infinite angle leaves a gap of -inf or NaN) make every
-                # angle finite and in (0, 2*pi]
-                if not (xt[0] > 0.0 and gap_t > 0.0):
+                gap_t = float(min(gaps_t.min(), xt[0] + TAU - xt[-1]))
+                # xt[-1] is 2*pi exactly, so passing (NaN fails, and an
+                # infinite angle leaves a gap of -inf or NaN) puts every angle
+                # in (0, 2*pi], increasing, with every chord in (0, 2]
+                if not gap_t >= COLLISION_TOL:
                     t *= _SHRINK
                     continue
-                gap_t = float(min(gap_t, xt[0] + TAU - xt[-1]))
                 # the step is solved, so the point's du and ru are dead; the
                 # last trial built is the one accepted
-                _pair_chords(xt, gap_t, ws.chords)
+                _pair_chords(xt, ws.chords)
                 ft = _f_value(aux, mm, ru, ws.f)
                 if ft <= fx + _ARMIJO * t * slope + slack:
                     break

@@ -24,7 +24,10 @@ formulas, so every float keeps the bits those formulas give.
 
 The Newton loop and ``verify_cc`` evaluate into one ``_Workspace`` per
 thread, kept for the last n evaluated there; the public functions here
-return fresh arrays.
+return fresh arrays. Like those two, they refuse a value that overflows
+with a typed error and no numpy warning ahead of it:
+``UnsupportedExponent`` when a chord power overflowed, ``DomainError``
+when the masses carried it past a double.
 """
 
 from __future__ import annotations
@@ -110,6 +113,16 @@ def _check_finite(alpha, sums, *powers):
     if not all(np.isfinite(p).all() for p in powers):
         raise UnsupportedExponent(f"chord powers overflow at alpha = {alpha}")
     raise DomainError("the masses overflow a mass-weighted pair sum")
+
+
+def _finite(value, alpha, ru, expo):
+    """value if finite everywhere, else ``_check_finite``'s error on ru**-expo.
+
+    Evaluate value and call this with numpy overflow warnings off.
+    """
+    if not np.isfinite(value).all():
+        _check_finite(alpha, (math.inf,), _pow(ru, -expo))
+    return value
 
 
 class _Workspace:
@@ -246,14 +259,16 @@ def u_beta(beta: float, masses: MassVector, config: AngleConfiguration) -> float
     if beta == 0:
         raise UnsupportedExponent("beta = 0 (logarithmic potential) is not supported")
     m, _, ru = _frame(masses, config)
-    return _u_sums(_mass_pairs(m)[2], ru, beta)[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _finite(_u_sums(_mass_pairs(m)[2], ru, beta)[0], beta, ru, beta)
 
 
 def f_k_value(aux: AuxiliaryFunctional, masses: MassVector,
               config: AngleConfiguration) -> float:
     """Auxiliary functional u_alpha + u_{-2}/k."""
     m, _, ru = _frame(masses, config)
-    return _f_value(aux, _mass_pairs(m)[2], ru)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _finite(_f_value(aux, _mass_pairs(m)[2], ru), aux.alpha, ru, aux.alpha)
 
 
 def grad_theta_f_k(aux: AuxiliaryFunctional, masses: MassVector,
@@ -265,8 +280,10 @@ def grad_theta_f_k(aux: AuxiliaryFunctional, masses: MassVector,
     opposite, so the entries sum to zero up to roundoff.
     """
     m, du, ru = _frame(masses, config)
-    mj, mk, _ = _mass_pairs(m)
-    return _grad_theta(aux, m, mj, mk, du, _pow(ru, -(aux.alpha + 2.0)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        mj, mk, _ = _mass_pairs(m)
+        grad = _grad_theta(aux, m, mj, mk, du, _pow(ru, -(aux.alpha + 2.0)))
+        return _finite(grad, aux.alpha, ru, aux.alpha + 2.0)
 
 
 def hessian_theta_f_k(aux: AuxiliaryFunctional, masses: MassVector,
@@ -283,15 +300,18 @@ def hessian_theta_f_k(aux: AuxiliaryFunctional, masses: MassVector,
     every off-diagonal entry is <= 0.
     """
     m, du, ru = _frame(masses, config)
-    return _hessian_theta(aux, m.size, _mass_pairs(m)[2], du,
-                          _pow(ru, -(aux.alpha + 2.0)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        hess = _hessian_theta(aux, m.size, _mass_pairs(m)[2], du,
+                              _pow(ru, -(aux.alpha + 2.0)))
+        return _finite(hess, aux.alpha, ru, aux.alpha + 2.0)
 
 
 def grad_mass_f_k(aux: AuxiliaryFunctional, masses: MassVector,
                   config: AngleConfiguration) -> np.ndarray:
     """Mass gradient: entry k is sum_{j != k} m_j (r_jk**-alpha + r_jk**2/k)."""
     m, _, ru = _frame(masses, config)
-    return _weights(aux, m.size, ru) @ m
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _finite(_weights(aux, m.size, ru) @ m, aux.alpha, ru, aux.alpha)
 
 
 def pair_weight_matrix(aux: AuxiliaryFunctional,
@@ -302,4 +322,6 @@ def pair_weight_matrix(aux: AuxiliaryFunctional,
     real vector y, y^T W y / 2 equals the functional evaluated with y in
     place of the masses.
     """
-    return _weights(aux, config.n, _packed_chords(config)[1])
+    ru = _packed_chords(config)[1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _finite(_weights(aux, config.n, ru), aux.alpha, ru, aux.alpha)

@@ -53,7 +53,6 @@ from .potential import _check_alpha
 
 _ALPHA_SEED = 1.0 / 64.0
 _ALPHA_CAP = 64.0
-_MAX_BISECT = 200
 _U = 2.0 ** -53  # unit roundoff of a double
 # below this many distinct terms the exact pass (float_power, accumulate)
 # costs no more than the filter's np.power, pairwise sum and bound
@@ -290,8 +289,9 @@ def _alpha_star(n: int, tol: float) -> tuple[float, float]:
                 raise NoBracket(
                     f"condition holds for every alpha up to {_ALPHA_CAP} at n = {n}"
                 )
-        for _ in range(_MAX_BISECT):
-            mid = 0.5 * (lo + hi)
+        # [lo, hi] is one binade: 52 halvings leave adjacent doubles
+        mid = 0.5 * (lo + hi)
+        while lo < mid < hi:
             value = psi(mid)
             if abs(value) <= tol:
                 return mid, g
@@ -299,16 +299,17 @@ def _alpha_star(n: int, tol: float) -> tuple[float, float]:
                 lo = mid
             else:
                 hi = mid
-    raise ConvergenceFailure(
-        f"bisection residual above {tol} after {_MAX_BISECT} iterations"
-    )
+            mid = 0.5 * (lo + hi)
+    raise ConvergenceFailure(f"bisection residual above {tol} with no double "
+                             f"between {lo!r} and {hi!r}")
 
 
 def alpha_star(n: int, tol: float = 1e-12) -> float:
     """Critical exponent where g(n, alpha) meets 1 + alpha/4.
 
     Brackets by doubling from alpha = 1/64, then bisects until the
-    residual |g - 1 - alpha/4| drops below tol. Every step reuses one
+    residual |g - 1 - alpha/4| drops to tol, or raises ConvergenceFailure
+    once no double lies between lo and hi (52 steps). Every step reuses one
     sine table; the alphas it tries are positive and finite by
     construction, so they skip the entry checks. Each step's verdicts are
     those of the exact kernel ``_g``, though from n = 101 on most steps

@@ -33,7 +33,8 @@ def circulant_spectrum(aux: AuxiliaryFunctional, n: int) -> np.ndarray:
     """
     t = regular_ngon(n).angles
     n = t.size
-    row = np.concatenate(([0.0], _pair_weights(aux, _chords(t[0] - t[1:]))))
+    with np.errstate(over="ignore"):
+        row = np.concatenate(([0.0], _pair_weights(aux, _chords(t[0] - t[1:]))))
     if not np.isfinite(row).all():
         raise UnsupportedExponent(f"W overflows at n = {n}, alpha = {aux.alpha}")
     j = np.arange(n)

@@ -193,7 +193,7 @@ def minimize(aux, masses, grad_tol=1e-11, max_iter=200):
     for iteration in range(max_iter + 1):
         gr = grad_theta_f_k(aux, masses, cfg)[:-1]
         gnorm = float(np.linalg.norm(gr))
-        if gnorm <= grad_tol * max(1.0, abs(fx)):
+        if gnorm <= grad_tol * abs(fx):
             hr = hessian_theta_f_k(aux, masses, cfg)[:-1, :-1]
             try:
                 np.linalg.cholesky(hr)
@@ -219,10 +219,11 @@ def minimize(aux, masses, grad_tol=1e-11, max_iter=200):
             xt = x + t * step
             try:
                 cfg_t = angles_from_reduced(xt)
-            except DomainError:
+                # a trial within COLLISION_TOL of a collision is infeasible
+                ft = f_k_value(aux, masses, cfg_t)
+            except (DomainError, CollisionError):
                 t *= _SHRINK
                 continue
-            ft = f_k_value(aux, masses, cfg_t)
             if ft <= fx + _ARMIJO * t * slope + slack:
                 accepted = True
                 break

@@ -10,7 +10,7 @@ import math
 
 from cocircular import (ConvergenceFailure, DomainError, InvalidArity, NoBracket,
                         UnsupportedExponent, condition_threshold)
-from cocircular.scanner import _ALPHA_CAP, _ALPHA_SEED, _MAX_BISECT
+from cocircular.scanner import _ALPHA_CAP, _ALPHA_SEED
 
 
 def g_value(n: int, alpha: float) -> float:
@@ -39,7 +39,10 @@ def g_value(n: int, alpha: float) -> float:
 
 
 def alpha_star(n: int, tol: float = 1e-12) -> float:
-    """Bracket by doubling from alpha = 1/64, then bisect on the reference g."""
+    """Bracket by doubling from alpha = 1/64, then bisect on the reference g.
+
+    The bisection stops when no double lies strictly between lo and hi.
+    """
     if n < 3:
         raise InvalidArity(f"need n >= 3 bodies, got {n}")
     if not tol >= 0.0:
@@ -60,8 +63,8 @@ def alpha_star(n: int, tol: float = 1e-12) -> float:
             raise NoBracket(
                 f"condition holds for every alpha up to {_ALPHA_CAP} at n = {n}"
             )
-    for _ in range(_MAX_BISECT):
-        mid = 0.5 * (lo + hi)
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
         value = psi(mid)
         if abs(value) <= tol:
             return mid
@@ -69,6 +72,7 @@ def alpha_star(n: int, tol: float = 1e-12) -> float:
             lo = mid
         else:
             hi = mid
+        mid = 0.5 * (lo + hi)
     raise ConvergenceFailure(
-        f"bisection residual above {tol} after {_MAX_BISECT} iterations"
+        f"bisection residual above {tol} with no double between {lo!r} and {hi!r}"
     )

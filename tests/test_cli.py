@@ -3,6 +3,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -690,13 +691,32 @@ def test_alpha_star_frozen_digest(capsys, n, tol):
     assert _sha(captured.out) == ALPHA_STAR_DIGESTS[n, tol]
 
 
+# the bracket that alpha-star --tol 0 ends on at these n, where no
+# bisection midpoint has a residual of exactly 0
+ALPHA_STAR_COLLAPSED = {
+    11: ("0.37360588127397554", "0.3736058812739756"),
+    461: ("0.005028616860744956", "0.005028616860744957"),
+    972: ("0.002355198374516461", "0.0023551983745164614"),
+}
+
+
 @pytest.mark.parametrize("n", [11, 461, 972])
-def test_alpha_star_zero_tolerance_convergence_failure(capsys, n):
-    # at these n no bisection midpoint has a residual of exactly 0
+def test_alpha_star_zero_tolerance_convergence_failure(monkeypatch, capsys, n):
+    alphas = []
+    threshold = cocircular.scanner.condition_threshold
+    monkeypatch.setattr("cocircular.scanner.condition_threshold",
+                        lambda a: alphas.append(a) or threshold(a))
     assert main(["alpha-star", "--n", str(n), "--tol", "0"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: bisection residual above 0.0 after 200 iterations\n"
+    lo, hi = ALPHA_STAR_COLLAPSED[n]
+    assert captured.err == (
+        f"error: bisection residual above 0.0 with no double between {lo} and {hi}\n")
+    assert math.nextafter(float(lo), math.inf) == float(hi)
+    # one psi per alpha tried: the bracket's ends are powers of 2, every
+    # midpoint lies strictly inside their binade, and 52 halvings of a
+    # binade leave adjacent doubles
+    assert sum(math.frexp(a)[0] != 0.5 for a in alphas) == 52
 
 
 def test_minimize_output_file_frozen(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -132,6 +134,47 @@ def test_chord_matrix_detects_collision():
     # collision across the wrap: t_1 right next to t_n = 2*pi
     with pytest.raises(CollisionError):
         chord_matrix(AngleConfiguration(np.array([1e-14, 3.0, TAU])))
+
+
+def _smallest_gap(t):
+    """The minimizer's trial gap: consecutive gaps and the wrap gap."""
+    return min(np.diff(t).min(), t[0] + TAU - t[-1])
+
+
+def _at_collision_tol(n, where):
+    """Regular n-gon with one gap at the smallest double >= COLLISION_TOL.
+
+    Angle j moves up toward angle j + 1 (first: j = 0; middle: j = n // 2),
+    or, at the wrap, t_1 down toward 0 and so toward t_n = 2*pi.
+    """
+    t = regular_ngon(n).angles.copy()
+    tol = geometry.COLLISION_TOL
+    if where == "wrap":
+        # t_1 + 2*pi - 2*pi is a multiple of the spacing of doubles at 2*pi
+        ulp = math.ulp(TAU)
+        t[0] = math.ceil(tol / ulp) * ulp
+        return t
+    j = 0 if where == "first" else n // 2
+    t[j] = t[j + 1] - tol
+    while t[j + 1] - t[j] < tol:
+        t[j] = math.nextafter(t[j], -math.inf)
+    while t[j + 1] - math.nextafter(t[j], math.inf) >= tol:
+        t[j] = math.nextafter(t[j], math.inf)
+    return t
+
+
+@pytest.mark.parametrize("where", ["first", "middle", "wrap"])
+@pytest.mark.parametrize("n", [3, 64, 1024])
+def test_chords_at_the_collision_tolerance_lie_in_range(n, where):
+    # _pair_chords checks nothing; every configuration or line-search trial
+    # that reaches it has every circular gap >= COLLISION_TOL, and at the
+    # smallest such gap every chord is still positive and at most 2
+    t = _at_collision_tol(n, where)
+    assert geometry.COLLISION_TOL <= _smallest_gap(t) < 1.001 * geometry.COLLISION_TOL
+    AngleConfiguration(t)  # increasing, in (0, 2*pi]
+    du, ru = geometry._pair_chords(t)
+    assert ru.min() > 0.0 and ru.max() <= 2.0
+    assert ru.min() < 2e-12
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(3, 10))

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,9 +10,11 @@ from cocircular import (
     AngleConfiguration,
     AuxiliaryFunctional,
     CollisionError,
+    DomainError,
     KTooSmall,
     MassVector,
     UnsupportedExponent,
+    circulant_spectrum,
     f_k_value,
     grad_mass_f_k,
     grad_theta_f_k,
@@ -228,3 +232,55 @@ def test_pair_weights_minimized_at_diameter():
     phi = r**-1.0 + r**2 / aux.k
     assert np.all(np.diff(phi) < 0.0)
     assert abs(phi[-1] - (0.5 + 4.0 / 16.0)) < 1e-12
+
+
+_PUBLIC = {
+    "u_beta": lambda aux, m, cfg: u_beta(aux.alpha, m, cfg),
+    "f_k_value": f_k_value,
+    "grad_theta_f_k": grad_theta_f_k,
+    "hessian_theta_f_k": hessian_theta_f_k,
+    "grad_mass_f_k": grad_mass_f_k,
+    "pair_weight_matrix": lambda aux, m, cfg: pair_weight_matrix(aux, cfg),
+}
+
+
+@pytest.mark.parametrize("name", list(_PUBLIC))
+def test_overflowing_chord_powers_raise_unsupported_exponent(name):
+    # r**-1000 overflows at 50 equal masses; the typed error comes with
+    # no numpy warning ahead of it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(UnsupportedExponent):
+            _PUBLIC[name](AuxiliaryFunctional(1000.0), MassVector(np.ones(50)),
+                          regular_ngon(50))
+
+
+@pytest.mark.parametrize("name", ["u_beta", "f_k_value", "grad_theta_f_k",
+                                  "hessian_theta_f_k"])
+def test_overflowing_mass_products_raise_domain_error(name):
+    # m_j m_k = 1e400 overflows a double
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError):
+            _PUBLIC[name](AuxiliaryFunctional(1.0), MassVector(np.full(6, 1e200)),
+                          regular_ngon(6))
+
+
+def test_overflowing_mass_gradient_raises_domain_error():
+    # W m holds no mass product, so masses of 1e300 stay finite at the
+    # hexagon and overflow only where a close pair makes W_jk about 1e10
+    aux = AuxiliaryFunctional(1.0)
+    m = MassVector(np.full(6, 1e300))
+    close = AngleConfiguration(np.array([1.0, 1.0 + 1e-10, 3.0, 4.0, 5.0, TAU]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isfinite(grad_mass_f_k(aux, m, regular_ngon(6))).all()
+        with pytest.raises(DomainError):
+            grad_mass_f_k(aux, m, close)
+
+
+def test_overflowing_spectrum_row_warns_nothing():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(UnsupportedExponent):
+            circulant_spectrum(AuxiliaryFunctional(1000.0), 1000)
