@@ -30,13 +30,9 @@ from .geometry import (
 from .minimizer import MinimizeResult, minimize_f_k
 from .potential import (
     AuxiliaryFunctional,
-    f_k_value,
-    grad_mass_f_k,
     grad_theta_f_k,
-    hessian_theta_f_k,
     k_min,
     pair_weight_matrix,
-    u_beta,
 )
 from .scanner import RegionCell, alpha_star, condition_threshold, g_value, scan_region
 from .spectral import circulant_spectrum
@@ -72,16 +68,12 @@ __all__ = [
     "circulant_spectrum",
     "condition_threshold",
     "exclusion_verdicts",
-    "f_k_value",
     "g_value",
-    "grad_mass_f_k",
     "grad_theta_f_k",
-    "hessian_theta_f_k",
     "k_min",
     "minimize_f_k",
     "pair_weight_matrix",
     "regular_ngon",
     "scan_region",
-    "u_beta",
     "verify_cc",
 ]

@@ -22,12 +22,14 @@ on the n(n - 1)/2 packed pairs only and mirror them into n x n matrices,
 whose rows are then summed in the same order as the full-matrix
 formulas, so every float keeps the bits those formulas give.
 
-The Newton loop and ``verify_cc`` evaluate into one ``_Workspace`` per
-thread, kept for the last n evaluated there; the public functions here
-return fresh arrays. Like those two, they refuse a value that overflows
-with a typed error and no numpy warning ahead of it:
-``UnsupportedExponent`` when a chord power overflowed, ``DomainError``
-when the masses carried it past a double.
+The Newton loop and ``verify_cc`` evaluate f, the gradient, the Hessian
+and the CC residuals into one ``_Workspace`` per thread, kept for the
+last n evaluated there. Only two evaluators are public: the angle
+gradient, and W, which the exclusion scans use. Both return fresh arrays
+and, like those two callers, refuse a value that overflows with a typed
+error and no numpy warning ahead of it: ``UnsupportedExponent`` when a
+chord power overflowed, ``DomainError`` when the masses carried it past
+a double.
 """
 
 from __future__ import annotations
@@ -79,10 +81,10 @@ class AuxiliaryFunctional:
         threshold = k_min(self.alpha)
         if self.k is None:
             object.__setattr__(self, "k", threshold)
-        elif not (self.k >= threshold):
+        elif not (isinstance(self.k, numbers.Real) and math.isfinite(self.k)):
+            raise DomainError("k must be a finite number")
+        elif self.k < threshold:
             raise KTooSmall(f"k = {self.k} is below 2**(3 + alpha)/alpha = {threshold}")
-        elif self.k == math.inf:
-            raise DomainError("k must be finite")
         else:
             object.__setattr__(self, "k", float(self.k))
 
@@ -159,17 +161,6 @@ def _workspace(n):
     return ws
 
 
-def _frame(masses, config):
-    """Packed pair frame of one point: masses, du = t_j - t_k and chords ru.
-
-    Every quantity at the point derives from it, so each point's chords
-    are built and checked once.
-    """
-    if masses.n != config.n:
-        raise DimensionError(f"{masses.n} masses but {config.n} angles")
-    return (masses.masses, *_packed_chords(config))
-
-
 def _mass_pairs(m, out=(None,) * 3):
     """Packed masses m_j and m_k and products m_j m_k of the pairs j < k."""
     j, k, _ = _pairs(m.size)
@@ -179,17 +170,13 @@ def _mass_pairs(m, out=(None,) * 3):
     return mj, mk, np.multiply(mj, mk, out=out[2])
 
 
-def _u_sums(mm, ru, *betas, out=None):
-    """u_beta for each beta from packed mass products and chords.
+def _f_value(aux, mm, ru, out):
+    """f = u_alpha + u_{-2}/k from packed mass products and chords.
 
-    ``out`` is an optional pair buffer for the summands.
+    ``out`` is a pair buffer for the summands.
     """
-    return [float(np.add.reduce(np.multiply(mm, _pow(ru, -float(beta), out), out=out)))
-            for beta in betas]
-
-
-def _f_value(aux, mm, ru, out=None):
-    u_alpha, u_chord = _u_sums(mm, ru, aux.alpha, -2.0, out=out)
+    u_alpha = float(np.add.reduce(np.multiply(mm, _pow(ru, -aux.alpha, out), out=out)))
+    u_chord = float(np.add.reduce(np.multiply(mm, _pow(ru, 2.0, out), out=out)))
     return u_alpha + u_chord / aux.k
 
 
@@ -244,33 +231,6 @@ def _pair_weights(aux, ru):
     return _pow(ru, -aux.alpha) + (ru * ru) / aux.k
 
 
-def _weights(aux, n, ru):
-    """Pair-weight matrix W from the packed chords."""
-    w = _pair_weights(aux, ru)
-    return _mirror(n, w, w)
-
-
-def u_beta(beta: float, masses: MassVector, config: AngleConfiguration) -> float:
-    """Pair energy sum_{j<k} m_j m_k r_jk**(-beta).
-
-    beta = -2 gives the chord-squared sum sum m_j m_k (2 - 2 cos(t_j - t_k));
-    beta = 0 (the logarithmic case) is out of scope.
-    """
-    if beta == 0:
-        raise UnsupportedExponent("beta = 0 (logarithmic potential) is not supported")
-    m, _, ru = _frame(masses, config)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _finite(_u_sums(_mass_pairs(m)[2], ru, beta)[0], beta, ru, beta)
-
-
-def f_k_value(aux: AuxiliaryFunctional, masses: MassVector,
-              config: AngleConfiguration) -> float:
-    """Auxiliary functional u_alpha + u_{-2}/k."""
-    m, _, ru = _frame(masses, config)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _finite(_f_value(aux, _mass_pairs(m)[2], ru), aux.alpha, ru, aux.alpha)
-
-
 def grad_theta_f_k(aux: AuxiliaryFunctional, masses: MassVector,
                    config: AngleConfiguration) -> np.ndarray:
     """Exact angle gradient of the auxiliary functional.
@@ -279,39 +239,14 @@ def grad_theta_f_k(aux: AuxiliaryFunctional, masses: MassVector,
     (alpha / r_jk**(alpha + 2) - 2/k). Pair contributions are equal and
     opposite, so the entries sum to zero up to roundoff.
     """
-    m, du, ru = _frame(masses, config)
+    if masses.n != config.n:
+        raise DimensionError(f"{masses.n} masses but {config.n} angles")
+    m = masses.masses
+    du, ru = _packed_chords(config)
     with np.errstate(over="ignore", invalid="ignore"):
         mj, mk, _ = _mass_pairs(m)
         grad = _grad_theta(aux, m, mj, mk, du, _pow(ru, -(aux.alpha + 2.0)))
         return _finite(grad, aux.alpha, ru, aux.alpha + 2.0)
-
-
-def hessian_theta_f_k(aux: AuxiliaryFunctional, masses: MassVector,
-                      config: AngleConfiguration) -> np.ndarray:
-    """Exact angle Hessian of the auxiliary functional.
-
-    Off-diagonal entry (i, j) is
-
-        m_i m_j [-alpha (1 + alpha cos^2((t_j - t_i)/2)) / r_ij**(alpha + 2)
-                 + (2 - 4 cos^2((t_j - t_i)/2)) / k],
-
-    and each diagonal entry is minus the sum of its row's off-diagonal
-    entries, so rows sum to zero exactly. For k >= 2**(3 + alpha)/alpha
-    every off-diagonal entry is <= 0.
-    """
-    m, du, ru = _frame(masses, config)
-    with np.errstate(over="ignore", invalid="ignore"):
-        hess = _hessian_theta(aux, m.size, _mass_pairs(m)[2], du,
-                              _pow(ru, -(aux.alpha + 2.0)))
-        return _finite(hess, aux.alpha, ru, aux.alpha + 2.0)
-
-
-def grad_mass_f_k(aux: AuxiliaryFunctional, masses: MassVector,
-                  config: AngleConfiguration) -> np.ndarray:
-    """Mass gradient: entry k is sum_{j != k} m_j (r_jk**-alpha + r_jk**2/k)."""
-    m, _, ru = _frame(masses, config)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _finite(_weights(aux, m.size, ru) @ m, aux.alpha, ru, aux.alpha)
 
 
 def pair_weight_matrix(aux: AuxiliaryFunctional,
@@ -324,4 +259,5 @@ def pair_weight_matrix(aux: AuxiliaryFunctional,
     """
     ru = _packed_chords(config)[1]
     with np.errstate(over="ignore", invalid="ignore"):
-        return _finite(_weights(aux, config.n, ru), aux.alpha, ru, aux.alpha)
+        w = _pair_weights(aux, ru)
+        return _finite(_mirror(config.n, w, w), aux.alpha, ru, aux.alpha)

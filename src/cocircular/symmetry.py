@@ -17,11 +17,12 @@ builds a ``GroupElement`` only for a certificate.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, InvalidArity
+from .errors import DimensionError, DomainError, InvalidArity
 from .geometry import AngleConfiguration, MassVector
 from .minimizer import minimize_f_k
 from .potential import AuxiliaryFunctional, pair_weight_matrix
@@ -42,10 +43,16 @@ class GroupElement:
     n: int
 
     def __post_init__(self):
-        if self.n < 2:
+        try:
+            h, l, n = map(operator.index, (self.h, self.l, self.n))
+        except TypeError:
+            raise DomainError(f"h, l and n must be integers, got "
+                              f"{self.h!r}, {self.l!r}, {self.n!r}") from None
+        if n < 2:
             raise InvalidArity("the dihedral group needs n >= 2 labels")
-        object.__setattr__(self, "h", self.h % self.n)
-        object.__setattr__(self, "l", self.l % 2)
+        object.__setattr__(self, "h", h % n)
+        object.__setattr__(self, "l", l % 2)
+        object.__setattr__(self, "n", n)
 
     @classmethod
     def elements(cls, n: int) -> list["GroupElement"]:

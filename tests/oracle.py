@@ -18,8 +18,7 @@ import numpy as np
 
 from cocircular import (TAU, AngleConfiguration, AuxiliaryFunctional, CCReport,
                         CocircularError, CollisionError, DimensionError,
-                        DomainError, GroupElement, MassVector, f_k_value,
-                        pair_weight_matrix)
+                        DomainError, GroupElement, MassVector, pair_weight_matrix)
 from cocircular.geometry import _check_pinned, _mirror, _packed_chords
 from cocircular.potential import _check_alpha, _check_finite
 
@@ -236,6 +235,9 @@ def taylor_identity_check(aux: AuxiliaryFunctional, masses_cc: MassVector,
     total = masses_cc.total_mass
     if abs(y.total_mass - total) > 1e-9 * max(1.0, total):
         raise DomainError(f"sum mismatch: {y.total_mass} versus {total}")
+    # reference_potential imports this module
+    from reference_potential import f_k_value
+
     d = y.masses - masses_cc.masses
     lhs = f_k_value(aux, y, config_cc) - f_k_value(aux, masses_cc, config_cc)
     return float(abs(lhs - 0.5 * (d @ pair_weight_matrix(aux, config_cc) @ d)))

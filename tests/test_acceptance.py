@@ -19,11 +19,8 @@ from cocircular import (
     circulant_spectrum,
     condition_threshold,
     exclusion_verdicts,
-    f_k_value,
     g_value,
-    grad_mass_f_k,
     grad_theta_f_k,
-    hessian_theta_f_k,
     minimize_f_k,
     pair_weight_matrix,
     regular_ngon,
@@ -37,6 +34,7 @@ from oracle import (
     finite_difference_hessian,
     taylor_identity_check,
 )
+from reference_potential import f_k_value, grad_mass_f_k, hessian_theta_f_k
 
 
 def _finish(num, label, start, problems):

@@ -398,6 +398,20 @@ def test_overflowing_alpha_or_infinite_k_exits_two(tmp_path, capsys, argv):
     assert "error:" in captured.err and captured.out == ""
 
 
+@pytest.mark.parametrize("command", ["minimize", "exclude", "spectrum"])
+@pytest.mark.parametrize("k", ["nan", "inf"])
+def test_non_finite_k_prints_one_error_line(tmp_path, capsys, command, k):
+    # nan passes no comparison, so it must not read as a k below k_min
+    argv = [command, "--k", k]
+    if command == "spectrum":
+        argv += ["--n", "4", "--alpha", "1"]
+    else:
+        argv += ["--input", write_json(tmp_path / "m.json", M112)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: k must be a finite number\n")
+
+
 # SHA-256 of stdout, taken while the spectrum was still read off the full
 # n x n W with one cosine sum per eigenvalue
 SPECTRUM_DIGESTS = {

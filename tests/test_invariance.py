@@ -7,13 +7,16 @@ Newton loop's arithmetic scales exactly, and its stopping test
 gnorm <= grad_tol * |f| with it, so the angles keep every bit. Relabeling
 the masses by a dihedral element permutes the images that the group scan
 visits, so the verdicts and the sorted margins stay, up to rounding.
+Rotating every angle by the same c moves no chord, so ``verify_cc`` keeps
+its verdict.
 """
 
 import numpy as np
 import pytest
 
-from cocircular import (AuxiliaryFunctional, GroupElement, MassVector, act_on_masses,
-                        exclusion_verdicts, minimize_f_k)
+from cocircular import (AngleConfiguration, AuxiliaryFunctional, GroupElement,
+                        MassVector, act_on_masses, exclusion_verdicts, minimize_f_k,
+                        verify_cc)
 from conftest import certify_masses
 
 SCALE_CASES = {
@@ -67,7 +70,7 @@ def _relabel_masses(kind, n):
 
 @pytest.mark.parametrize("kind", ["one-heavy", "few-valued", "uniform"])
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 3.0])
-@pytest.mark.parametrize("n", [13, 26, 64, 128])
+@pytest.mark.parametrize("n", [13, 26, 40, 64, 128, 256])
 def test_relabeling_keeps_verdicts(n, alpha, kind):
     aux = AuxiliaryFunctional(alpha)
     m = MassVector(_relabel_masses(kind, n))
@@ -79,3 +82,16 @@ def test_relabeling_keeps_verdicts(n, alpha, kind):
             assert len(v.certificates) == len(w.certificates)
         np.testing.assert_allclose(sorted(q for _, q in relabeled[0].certificates),
                                    sorted(q for _, q in base[0].certificates), rtol=1e-8)
+
+
+@pytest.mark.parametrize("kind", ["equal", "uniform"])
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 3.0])
+@pytest.mark.parametrize("n", [3, 7, 40, 256])
+def test_rotation_keeps_cc_verdict(n, alpha, kind):
+    masses = MassVector(np.ones(n) if kind == "equal"
+                        else np.random.default_rng(n).uniform(0.5, 2.0, n))
+    t = minimize_f_k(AuxiliaryFunctional(alpha), masses).theta_m.angles
+    base = verify_cc(alpha, masses, AngleConfiguration(t)).is_cc
+    # t -> t - c for c in (0, t_1) keeps every angle in (0, 2*pi]
+    for c in t[0] * np.array([0.01, 0.25, 0.5, 0.99]):
+        assert verify_cc(alpha, masses, AngleConfiguration(t - c)).is_cc == base, c

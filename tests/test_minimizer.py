@@ -14,14 +14,13 @@ from cocircular import (
     MassVector,
     UnsupportedExponent,
     exclusion_verdicts,
-    f_k_value,
     grad_theta_f_k,
-    hessian_theta_f_k,
     minimize_f_k,
     regular_ngon,
 )
 from conftest import ordered_angles, random_masses
 from oracle import angles_from_reduced, reduced_coordinates
+from reference_potential import f_k_value, hessian_theta_f_k
 
 
 def test_equal_masses_return_ngon():

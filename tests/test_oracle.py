@@ -5,7 +5,6 @@ from cocircular import (
     AuxiliaryFunctional,
     DomainError,
     MassVector,
-    f_k_value,
     minimize_f_k,
     regular_ngon,
 )
@@ -16,6 +15,7 @@ from oracle import (
     finite_difference_gradient,
     finite_difference_hessian,
 )
+from reference_potential import f_k_value
 
 
 def test_grid_search_agrees_with_newton():

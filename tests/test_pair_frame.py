@@ -1,10 +1,16 @@
 """The packed pair frame against the reference potential, bit for bit.
 
-Each (m, t) point builds its packed chords once and derives f, both
-gradients, the angle Hessian, W and the CC residuals from them.
+Each (m, t) point builds its packed chords once and derives f, the angle
+gradient, the angle Hessian, W and the CC residuals from them.
 ``reference_potential`` rebuilds the full chord matrix for every quantity;
 the arithmetic of every entry is the same and the mirrored matrices are
 summed in the same order, so every float must match exactly.
+
+The public gradient, W and ``verify_cc`` are compared directly. f and the
+Hessian have no public function: the Newton loop evaluates them from the
+packed frame, so the solves below check them bit for bit. Each must
+match ``ref.minimize`` in its final angles, f, gradient norm, iteration
+count and smallest gap, and every step it took feeds into those.
 """
 
 import dataclasses
@@ -23,15 +29,11 @@ from cocircular import (
     ConvergenceFailure,
     MassVector,
     TAU,
-    f_k_value,
-    grad_mass_f_k,
     grad_theta_f_k,
-    hessian_theta_f_k,
     k_min,
     minimize_f_k,
     pair_weight_matrix,
     regular_ngon,
-    u_beta,
     verify_cc,
 )
 from conftest import ordered_angles, random_masses
@@ -52,13 +54,7 @@ PROBLEMS = given(st.integers(0, 2**32 - 1), st.integers(2, 40),
 @settings(max_examples=80, deadline=None)
 def test_public_functions_match_reference(seed, n, alpha, k_scale):
     aux, m, cfg = _problem(seed, n, alpha, k_scale)
-    for beta in (aux.alpha, -2.0, 1, 2.5):
-        assert u_beta(beta, m, cfg) == ref.u_beta(beta, m, cfg)
-    assert f_k_value(aux, m, cfg) == ref.f_k_value(aux, m, cfg)
-    for new, old in ((grad_theta_f_k, ref.grad_theta_f_k),
-                     (hessian_theta_f_k, ref.hessian_theta_f_k),
-                     (grad_mass_f_k, ref.grad_mass_f_k)):
-        assert np.array_equal(new(aux, m, cfg), old(aux, m, cfg))
+    assert np.array_equal(grad_theta_f_k(aux, m, cfg), ref.grad_theta_f_k(aux, m, cfg))
     assert np.array_equal(pair_weight_matrix(aux, cfg), ref.pair_weight_matrix(aux, cfg))
     assert _fields(verify_cc(aux.alpha, m, cfg)) == _fields(ref.verify_cc(aux.alpha, m, cfg))
 
@@ -124,10 +120,7 @@ def test_benchmark_sizes_match_reference(n, alpha):
     res = minimize_f_k(aux, m)
     _assert_same_solve(res, ref.minimize(aux, m))
     for cfg in (ordered_angles(rng, n, TAU / (4 * n)), res.theta_m):
-        assert f_k_value(aux, m, cfg) == ref.f_k_value(aux, m, cfg)
         assert np.array_equal(grad_theta_f_k(aux, m, cfg), ref.grad_theta_f_k(aux, m, cfg))
-        assert np.array_equal(hessian_theta_f_k(aux, m, cfg),
-                              ref.hessian_theta_f_k(aux, m, cfg))
         assert np.array_equal(pair_weight_matrix(aux, cfg), ref.pair_weight_matrix(aux, cfg))
         assert _fields(verify_cc(alpha, m, cfg)) == _fields(ref.verify_cc(alpha, m, cfg))
 

