@@ -68,19 +68,16 @@ def main(argv=None):
                   f"{'margin':>12} {'radial spread':>14} {'is_cc':>6}")
         print(header)
         print("-" * len(header))
-        # as in the CLI, an overflow surfaces as a typed error, not as numpy
-        # warnings
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            for label, m in members:
-                group, swap = exclusion_verdicts(aux, m)
-                rep = verify_cc(args.alpha, m, group.theta_m)
-                best = group if group.margin >= swap.margin else swap
-                print(f"{label:<16} {str(best.excluded).lower():>8} "
-                      f"{describe(best.witness):>12} {best.margin:>12.6f} "
-                      f"{rep.radial_spread:>14.3e} {str(rep.is_cc).lower():>6}")
-                if swap.inconsistent:
-                    print(f"  warning: {label} has a swap certificate at a point "
-                          "that passes the residual check")
+        for label, m in members:
+            group, swap = exclusion_verdicts(aux, m)
+            rep = verify_cc(args.alpha, m, group.theta_m)
+            best = group if group.margin >= swap.margin else swap
+            print(f"{label:<16} {str(best.excluded).lower():>8} "
+                  f"{describe(best.witness):>12} {best.margin:>12.6f} "
+                  f"{rep.radial_spread:>14.3e} {str(rep.is_cc).lower():>6}")
+            if swap.inconsistent:
+                print(f"  warning: {label} has a swap certificate at a point "
+                      "that passes the residual check")
     except CocircularError as exc:
         # the exit codes of the CLI: 3 for a failed solve, 2 for anything else
         print(f"error: {exc}", file=sys.stderr)

@@ -287,9 +287,9 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        # an overflow surfaces as the typed error below, not as numpy warnings
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            text = args.handler(args)
+        # each library entry point owns its numpy error state and raises a
+        # typed error on overflow, with no numpy warning ahead of it
+        text = args.handler(args)
         _emit(args, text)
     except ConvergenceFailure as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -53,7 +53,10 @@ class MassVector:
     total_mass: float = field(init=False)
 
     def __post_init__(self):
-        m = np.array(self.masses, dtype=float)
+        try:
+            m = np.array(self.masses, dtype=float)
+        except OverflowError:  # an int past a double
+            raise DomainError("masses must be positive and finite") from None
         if m.ndim != 1 or m.size < 2:
             raise InvalidArity("a mass vector needs at least two entries")
         if not np.all(np.isfinite(m)) or np.any(m <= 0.0):
@@ -77,14 +80,18 @@ class AngleConfiguration:
     angles: np.ndarray
 
     def __post_init__(self):
-        t = np.array(self.angles, dtype=float)
+        try:
+            t = np.array(self.angles, dtype=float)
+        except OverflowError:  # an int past a double
+            raise DomainError("angles must be finite") from None
         if t.ndim != 1 or t.size < 2:
             raise InvalidArity("an angle configuration needs at least two entries")
         if not np.all(np.isfinite(t)):
             raise DomainError("angles must be finite")
         if t[0] <= 0.0 or t[-1] > TAU:
             raise DomainError("angles must lie in (0, 2*pi]")
-        if np.any(np.diff(t) <= 0.0):
+        # a comparison, where np.diff of wild angles could overflow
+        if np.any(t[1:] <= t[:-1]):
             raise DomainError("angles must be strictly increasing")
         object.__setattr__(self, "angles", _readonly(t))
 
@@ -189,6 +196,16 @@ def _arity(n) -> int:
     if n < 3:
         raise InvalidArity(f"need n >= 3 bodies, got {n}")
     return n
+
+
+def _tolerance(tol, name: str) -> float:
+    """tol as a float; DomainError unless it is a number >= 0 that fits a double."""
+    if not tol >= 0.0:
+        raise DomainError(f"{name} must be a nonnegative number, got {tol}")
+    try:
+        return float(tol)
+    except OverflowError:  # an int past a double
+        raise DomainError(f"{name} must fit a double") from None
 
 
 def regular_ngon(n: int) -> AngleConfiguration:

@@ -5,6 +5,13 @@ pinned at 2*pi. The functional blows up at the ordering boundary, so a
 feasibility-clipped, Armijo-backtracked Newton step stays interior and
 converges to the unique minimizer.
 
+The reduced Hessian is a reduced weighted graph Laplacian (off-diagonal
+entries <= 0, full rows summing to 0; see ``potential``), so it is
+positive definite at every iterate in exact arithmetic and the loop takes
+the Newton step alone. A singular LU or a step that does not descend is
+rounding, and raises ``ConvergenceFailure`` with the last iterate, as a
+failed final Cholesky check does.
+
 The masses and the start are validated once, on entry. The loop then runs
 on raw pinned angle vectors: the step carries a trailing 0.0, so every
 trial keeps t_n = 2*pi exactly, and one gap vector per point serves the
@@ -35,7 +42,7 @@ import numpy as np
 
 from .errors import ConvergenceFailure, DomainError
 from .geometry import (COLLISION_TOL, TAU, AngleConfiguration, MassVector,
-                       _check_pinned, _pair_chords, regular_ngon)
+                       _check_pinned, _pair_chords, _tolerance, regular_ngon)
 from .potential import (AuxiliaryFunctional, _check_finite, _f_value,
                         _grad_theta, _hessian_theta, _mass_pairs, _pow,
                         _workspace)
@@ -47,6 +54,7 @@ _DIAG_REG = 1e-12
 # ulp slack keeps full Newton steps acceptable at the float floor, where
 # the predicted decrease is smaller than rounding in f
 _ULP_SLACK = 4.0 * np.finfo(float).eps
+_TINY = float(np.finfo(float).tiny)
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,8 +114,7 @@ def minimize_f_k(aux: AuxiliaryFunctional, masses: MassVector,
         When the chord powers r**-(alpha + 2) overflow at an accepted point.
         Neither overflow comes with a numpy warning ahead of the error.
     """
-    if not grad_tol >= 0.0:
-        raise DomainError(f"grad_tol must be a nonnegative number, got {grad_tol}")
+    grad_tol = _tolerance(grad_tol, "grad_tol")
     try:
         steps = operator.index(max_iter)
     except TypeError:
@@ -156,7 +163,7 @@ def minimize_f_k(aux: AuxiliaryFunctional, masses: MassVector,
         for iteration in range(max_iter + 1):
             r_a2 = _pow(ru, -(aux.alpha + 2.0), ws.r_a2)
             gr = _grad_theta(aux, m, mj, mk, du, r_a2, ws.grad)[:-1]
-            gnorm = math.sqrt(float(gr @ gr))
+            gnorm = _norm(gr)
             _check_finite(aux.alpha, (fx, gnorm), r_a2)
             hr = _hessian_theta(aux, n, mm, du, r_a2, ws.hess)[:-1, :-1]
             if gnorm <= grad_tol * abs(fx):
@@ -175,12 +182,14 @@ def minimize_f_k(aux: AuxiliaryFunctional, masses: MassVector,
             hr_diag += reg
             try:
                 step = np.linalg.solve(hr, -gr)
+                slope = float(gr @ step)
             except np.linalg.LinAlgError:
-                step = -gr
-            slope = float(gr @ step)
-            if slope >= 0.0:
-                step = -gr
-                slope = -gnorm * gnorm
+                slope = math.nan
+            if not slope < 0.0:  # no step, or one that does not descend
+                raise ConvergenceFailure(
+                    f"reduced Hessian is not positive definite at iteration {iteration}",
+                    _result(x, fx, gnorm, iteration, False, min_gap_seen),
+                )
             d[:-1] = step
             # largest t keeping every gap positive: the first angle against 0,
             # then consecutive gaps, the last against the pinned 2*pi
@@ -220,6 +229,21 @@ def minimize_f_k(aux: AuxiliaryFunctional, masses: MassVector,
             f"no convergence within {max_iter} Newton steps",
             _result(x, fx, gnorm, max_iter, False, min_gap_seen),
         )
+
+
+def _norm(gr: np.ndarray) -> float:
+    """Euclidean norm of gr: sqrt(gr @ gr), bit for bit, unless that underflows.
+
+    Below the smallest normal double the sum of squares loses its bits, and
+    at 0.0 it would pass any stopping test; the sum is then taken over
+    gr / max|gr| and the scale put back.
+    """
+    squares = float(gr @ gr)
+    if squares >= _TINY or not gr.any():
+        return math.sqrt(squares)
+    scale = float(np.abs(gr).max())
+    unit = gr / scale
+    return scale * math.sqrt(float(unit @ unit))
 
 
 def _result(x, fx, gnorm, iterations, converged, min_gap) -> MinimizeResult:

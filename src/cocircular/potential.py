@@ -55,9 +55,17 @@ def k_min(alpha: float) -> float:
             f"2**(3 + alpha)/alpha overflows at alpha = {alpha}") from None
 
 
+def _finite_real(x) -> bool:
+    """Whether x is a real number with a finite double (an int past one is not)."""
+    try:
+        return isinstance(x, numbers.Real) and math.isfinite(x)
+    except OverflowError:
+        return False
+
+
 def _check_alpha(alpha) -> float:
     """alpha as a float; UnsupportedExponent unless finite and positive."""
-    if not (isinstance(alpha, numbers.Real) and math.isfinite(alpha)):
+    if not _finite_real(alpha):
         raise UnsupportedExponent("alpha must be a finite number")
     if alpha <= 0.0:
         raise UnsupportedExponent(f"alpha must be positive, got {alpha}")
@@ -81,7 +89,7 @@ class AuxiliaryFunctional:
         threshold = k_min(self.alpha)
         if self.k is None:
             object.__setattr__(self, "k", threshold)
-        elif not (isinstance(self.k, numbers.Real) and math.isfinite(self.k)):
+        elif not _finite_real(self.k):
             raise DomainError("k must be a finite number")
         elif self.k < threshold:
             raise KTooSmall(f"k = {self.k} is below 2**(3 + alpha)/alpha = {threshold}")
@@ -100,8 +108,7 @@ def _pow(base: np.ndarray, expo: float, out=None) -> np.ndarray:
         for _ in range(abs(ei) - 1):
             p = np.multiply(p, base, out=out)
         return np.divide(1.0, p, out=out) if ei < 0 else p
-    # numpy's ** takes fast paths (sqrt at 0.5) that np.power does not
-    return base ** expo if out is None else np.power(base, expo, out=out)
+    return np.power(base, expo, out=out)
 
 
 def _check_finite(alpha, sums, *powers):

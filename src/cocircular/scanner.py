@@ -46,9 +46,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (ConvergenceFailure, DomainError, NoBracket, RegionNotClosed,
-                     UnsupportedExponent)
-from .geometry import _arity
+from .errors import ConvergenceFailure, NoBracket, RegionNotClosed, UnsupportedExponent
+from .geometry import _arity, _tolerance
 from .potential import _check_alpha
 
 _ALPHA_SEED = 1.0 / 64.0
@@ -251,9 +250,7 @@ def _g_fast(n: int, table: np.ndarray, alpha: float) -> float:
 
 def _alpha_star(n: int, tol: float) -> tuple[float, float]:
     """``alpha_star``'s root and the g that ``_g`` gave at it."""
-    n = _arity(n)
-    if not tol >= 0.0:
-        raise DomainError(f"tol must be a nonnegative number, got {tol}")
+    n, tol = _arity(n), _tolerance(tol, "tol")
 
     table = _sine_table(n)
     k = len(table)

@@ -29,25 +29,30 @@ def circulant_spectrum(aux: AuxiliaryFunctional, n: int) -> np.ndarray:
     ξ_k = exp(2 pi i k / n). The first row is built from the n - 1 chords
     to body 0 alone, and the cosines one block of rows at a time.
     Eigenvalues come back in index order with the all-ones direction
-    first. Raises ``UnsupportedExponent`` when the first row overflows.
+    first. Raises ``UnsupportedExponent`` when the first row or an
+    eigenvalue overflows, with no numpy warning ahead of it.
     """
     t = regular_ngon(n).angles
     n = t.size
-    with np.errstate(over="ignore"):
-        row = np.concatenate(([0.0], _pair_weights(aux, _chords(t[0] - t[1:]))))
-    if not np.isfinite(row).all():
-        raise UnsupportedExponent(f"W overflows at n = {n}, alpha = {aux.alpha}")
+    overflow = f"W overflows at n = {n}, alpha = {aux.alpha}"
     j = np.arange(n)
     tj = TAU * j
     rows = min(n, max(1, _BLOCK // n))
     table = np.empty((rows, n))
     spec = np.empty(n)
-    for i in range(0, n, rows):
-        # the one-table form row * cos((TAU * j)[:, None] * j / n), in place
-        c = table[:min(rows, n - i)]
-        np.multiply.outer(tj[i:i + rows], j, out=c)
-        c /= n
-        np.cos(c, out=c)
-        c *= row
-        spec[i:i + rows] = np.sum(c, axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        row = np.concatenate(([0.0], _pair_weights(aux, _chords(t[0] - t[1:]))))
+        if not np.isfinite(row).all():
+            raise UnsupportedExponent(overflow)
+        for i in range(0, n, rows):
+            # the one-table form row * cos((TAU * j)[:, None] * j / n), in place
+            c = table[:min(rows, n - i)]
+            np.multiply.outer(tj[i:i + rows], j, out=c)
+            c /= n
+            np.cos(c, out=c)
+            c *= row
+            spec[i:i + rows] = np.sum(c, axis=1)
+    # a finite row can still sum past a double
+    if not np.isfinite(spec).all():
+        raise UnsupportedExponent(overflow)
     return spec

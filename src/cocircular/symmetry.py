@@ -25,7 +25,7 @@ import numpy as np
 from .errors import DimensionError, DomainError, InvalidArity
 from .geometry import AngleConfiguration, MassVector
 from .minimizer import minimize_f_k
-from .potential import AuxiliaryFunctional, pair_weight_matrix
+from .potential import AuxiliaryFunctional, _check_finite, pair_weight_matrix
 from .verifier import verify_cc
 
 # A group certificate needs q(g) < -MARGIN_SCALE * |f|; a swap certificate
@@ -119,8 +119,8 @@ def _mass_images(n: int) -> np.ndarray:
 
 
 def _group_scan(tol: float, w: np.ndarray, diffs: np.ndarray,
-                rows: list[int]) -> tuple:
-    """(g, -q(g)) for each of the image ``rows`` with q(g) < -tol.
+                rows: list[int]) -> tuple[tuple, list[float]]:
+    """(g, -q(g)) for each of the image ``rows`` with q(g) < -tol, and every q.
 
     Row i of ``diffs`` belongs to element i + 1 of :meth:`GroupElement.elements`.
     """
@@ -137,7 +137,7 @@ def _group_scan(tol: float, w: np.ndarray, diffs: np.ndarray,
             q = q_of[key] = 0.5 * float(d @ w @ d)
         if q < -tol:
             certificates.append((GroupElement((i + 1) % n, (i + 1) // n, n), -q))
-    return tuple(certificates)
+    return tuple(certificates), list(q_of.values())
 
 
 def _swap_scan(m: np.ndarray, w: np.ndarray, swapped: np.ndarray) -> tuple:
@@ -176,6 +176,9 @@ def exclusion_verdicts(aux: AuxiliaryFunctional, masses: MassVector
     takes every row that moves a mass, the swap scan every row that moves
     exactly two. Since every image is a permutation of m, such a row is
     the swap of those two masses, and a row holds at most one swap.
+
+    W is finite, so a q or a swap margin past a double is the masses'
+    doing: ``DomainError``, with no numpy warning ahead of it.
     """
     res = minimize_f_k(aux, masses)
     w = pair_weight_matrix(aux, res.theta_m)
@@ -183,9 +186,13 @@ def exclusion_verdicts(aux: AuxiliaryFunctional, masses: MassVector
     diffs = m[_mass_images(masses.n)] - m
     moved = diffs != 0.0
     counts = moved.sum(axis=1)
-    group = _group_scan(MARGIN_SCALE * abs(res.f_value), w, diffs,
-                        np.flatnonzero(counts).tolist())
-    swap = _swap_scan(m, w, moved[counts == 2])
+    with np.errstate(over="ignore", invalid="ignore"):
+        group, qs = _group_scan(MARGIN_SCALE * abs(res.f_value), w, diffs,
+                                np.flatnonzero(counts).tolist())
+        swap = _swap_scan(m, w, moved[counts == 2])
+    # an overflowed q is inf, or NaN from inf - inf, which q < -tol would drop
+    _check_finite(aux.alpha, qs, w)
+    _check_finite(aux.alpha, [margin for _, margin in swap], w)
     inconsistent = bool(swap) and verify_cc(aux.alpha, masses, res.theta_m,
                                             VERIFY_TOL).is_cc
     return (ExclusionVerdict(group, res.f_value, res.theta_m),

@@ -22,9 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, DomainError
+from .errors import DimensionError
 from .geometry import (AngleConfiguration, MassVector, _mirror, _packed_chords,
-                       center_of_mass)
+                       _tolerance, center_of_mass)
 from .potential import _check_alpha, _check_finite, _pow, _workspace
 
 
@@ -60,8 +60,7 @@ def verify_cc(alpha: float, masses: MassVector, config: AngleConfiguration,
     ``DomainError``, with no numpy warning ahead of it.
     """
     alpha = _check_alpha(alpha)
-    if not tol >= 0.0:
-        raise DomainError(f"tol must be a nonnegative number, got {tol}")
+    tol = _tolerance(tol, "tol")
     if masses.n != config.n:
         raise DimensionError(f"{masses.n} masses but {config.n} angles")
     m, n = masses.masses, masses.n

@@ -447,8 +447,7 @@ def test_non_finite_objective_exits_two(tmp_path, capsys, command, payload, caus
     # r**-1002 overflows at the 50-gon's chords, and m_j m_k at 1e200;
     # neither is a solver failure, and "f_value":inf is not JSON
     inp = write_json(tmp_path / "p.json", payload)
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert main([command, "--input", inp]) == 2
+    assert main([command, "--input", inp]) == 2
     captured = capsys.readouterr()
     assert cause in captured.err and captured.out == ""
 
@@ -468,10 +467,17 @@ def _run_cli(argv, payload=None):
     (["verify", "--input", "-"],
      {"alpha": 300.0, "masses": [1.0] * 3, "angles": [1.0, 1.000001, TAU]}),
     (["scan", "--n-min", "999", "--n-max", "1000", "--alpha", "1", "130"], None),
-], ids=["spectrum", "minimize", "exclude", "verify", "scan"])
+    # the first row of W is finite, its cosine sums are not
+    (["spectrum", "--n", "1000", "--alpha", "139.875"], None),
+    # f holds m_j m_k of about 1e5, q holds the heavy mass squared
+    (["exclude", "--input", "-"], {"alpha": 1.0, "masses": [1e-150] * 3 + [1e155]}),
+    # every group q is inf - inf = NaN, which q < -tol would drop
+    (["exclude", "--input", "-"], {"alpha": 1.0, "masses": [1e-200, 1e-200, 1e308]}),
+], ids=["spectrum", "minimize", "exclude", "verify", "scan", "spectrum-eigenvalue",
+        "exclude-q", "exclude-nan-q"])
 def test_overflow_prints_one_error_line(argv, payload):
     # numpy overflow warnings would put internal file paths ahead of the
-    # typed error, and a verify report of inf residuals is not JSON
+    # typed error, and a report of inf or NaN is not JSON
     out = _run_cli(argv, payload)
     assert out.returncode == 2
     assert out.stdout == ""

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,9 +16,15 @@ from cocircular import (
     DomainError,
     InvalidArity,
     MassVector,
+    UnsupportedExponent,
+    alpha_star,
     center_of_mass,
     circulant_spectrum,
+    g_value,
+    minimize_f_k,
     regular_ngon,
+    scan_region,
+    verify_cc,
 )
 from conftest import ordered_angles
 from oracle import chord_matrix
@@ -113,6 +120,39 @@ def test_angle_configuration_validation():
         AngleConfiguration(np.array([1.0, 2.0, TAU + 0.1]))  # beyond 2*pi
     with pytest.raises(InvalidArity):
         AngleConfiguration(np.array([1.0]))
+
+
+def test_wild_angles_are_refused_without_a_warning():
+    # both ends lie in (0, 2*pi], the middle does not, and its difference
+    # 1e308 - (-1e308) would overflow a double
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="strictly increasing"):
+            AngleConfiguration(np.array([1.0, -1e308, 1e308, 6.0]))
+
+
+_HUGE = 10**400  # an int that no double holds
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: AuxiliaryFunctional(_HUGE), UnsupportedExponent),
+    (lambda: AuxiliaryFunctional(1.0, _HUGE), DomainError),
+    (lambda: MassVector([_HUGE, 1]), DomainError),
+    (lambda: AngleConfiguration([1, _HUGE]), DomainError),
+    (lambda: g_value(3, _HUGE), UnsupportedExponent),
+    (lambda: scan_region([3], [_HUGE]), UnsupportedExponent),
+    (lambda: alpha_star(6, _HUGE), DomainError),
+    (lambda: verify_cc(_HUGE, MassVector(np.ones(3)), regular_ngon(3)), UnsupportedExponent),
+    (lambda: verify_cc(1.0, MassVector(np.ones(3)), regular_ngon(3), tol=_HUGE), DomainError),
+    (lambda: minimize_f_k(AuxiliaryFunctional(1.0), MassVector(np.ones(3)), grad_tol=_HUGE),
+     DomainError),
+], ids=["alpha", "k", "masses", "angles", "g_value", "scan_region", "alpha_star-tol",
+        "verify_cc-alpha", "verify_cc-tol", "minimize_f_k-grad_tol"])
+def test_int_past_a_double_is_a_typed_error(call, error):
+    # float(10**400) raises a bare OverflowError; each entry point turns it
+    # into its typed input error
+    with pytest.raises(error):
+        call()
 
 
 def test_min_gap_includes_wraparound():

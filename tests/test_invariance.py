@@ -14,9 +14,9 @@ its verdict.
 import numpy as np
 import pytest
 
-from cocircular import (AngleConfiguration, AuxiliaryFunctional, GroupElement,
-                        MassVector, act_on_masses, exclusion_verdicts, minimize_f_k,
-                        verify_cc)
+from cocircular import (AngleConfiguration, AuxiliaryFunctional, ConvergenceFailure,
+                        DomainError, GroupElement, MassVector, act_on_masses,
+                        exclusion_verdicts, minimize_f_k, verify_cc)
 from conftest import certify_masses
 
 SCALE_CASES = {
@@ -34,15 +34,41 @@ def _solve(alpha, masses):
 
 @pytest.mark.parametrize("case", list(SCALE_CASES))
 def test_power_of_two_mass_scale_keeps_every_bit(case):
+    # down to 2**-500, where the gradient's sum of squares (about m**4)
+    # lies far below the smallest normal double
     masses, alpha = SCALE_CASES[case]
     res, (group, swap) = _solve(alpha, masses)
-    for k in range(-240, 241, 40):
+    assert res.iterations > 0
+    for k in range(-500, 241, 20):
         scaled, (g, s) = _solve(alpha, masses * 2.0 ** k)
         assert scaled.theta_m.angles.tobytes() == res.theta_m.angles.tobytes(), k
         assert scaled.iterations == res.iterations, k
         assert g.certificates == tuple((w, q * 4.0 ** k) for w, q in group.certificates), k
         assert s.certificates == tuple((w, q * 4.0 ** k) for w, q in swap.certificates), k
         assert s.inconsistent == swap.inconsistent, k
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 3.0])
+def test_small_masses_never_stop_at_the_start(alpha):
+    # gr @ gr once underflowed to 0 from about 2**-280 on, and the start
+    # hexagon, which is not the minimizer here, came back converged at 0
+    # iterations. Now every k down to -500 keeps k = 0's bits; further
+    # down, a solve either ends at k = 0's minimizer or raises.
+    masses = SCALE_CASES["hexagon"][0]
+    aux = AuxiliaryFunctional(alpha)
+    res = minimize_f_k(aux, MassVector(masses))
+    assert res.iterations > 0
+    for k in range(-240, -1080, -4):
+        try:
+            out = minimize_f_k(aux, MassVector(masses * 2.0 ** k))
+        except (ConvergenceFailure, DomainError):
+            assert k < -500, k
+            continue
+        assert out.converged and out.iterations > 0, k
+        if k >= -500:
+            assert out.theta_m.angles.tobytes() == res.theta_m.angles.tobytes(), k
+        np.testing.assert_allclose(out.theta_m.angles, res.theta_m.angles,
+                                   rtol=0, atol=1e-9, err_msg=f"k = {k}")
 
 
 @pytest.mark.parametrize("case", list(SCALE_CASES))

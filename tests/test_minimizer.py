@@ -116,6 +116,30 @@ def test_convergence_failure_carries_last_iterate():
     assert result.theta_m.n == 3
 
 
+def _singular(a, b):
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+@pytest.mark.parametrize("solve", [
+    _singular,
+    lambda a, b: -b,  # the step +g climbs
+    lambda a, b: np.full_like(b, np.nan),
+], ids=["singular", "ascent", "nan"])
+def test_failed_newton_step_is_a_convergence_failure(monkeypatch, solve):
+    # the reduced Hessian is positive definite in exact arithmetic, so a
+    # singular LU or a step that does not descend has no gradient-step
+    # fallback: the solve stops with the iterate it had
+    monkeypatch.setattr(np.linalg, "solve", solve)
+    masses = MassVector(np.array([1.0, 2.0, 5.0, 3.0, 1.0, 4.0]))
+    with pytest.raises(ConvergenceFailure,
+                       match="reduced Hessian is not positive definite at iteration 0"
+                       ) as exc:
+        minimize_f_k(AuxiliaryFunctional(1.0), masses)
+    result = exc.value.result
+    assert (result.converged, result.iterations) == (False, 0)
+    assert result.theta_m.angles.tobytes() == regular_ngon(6).angles.tobytes()
+
+
 @pytest.mark.parametrize("grad_tol", [-1.0, float("nan")])
 def test_bad_grad_tol_is_a_domain_error(grad_tol):
     with pytest.raises(DomainError):

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -139,9 +140,21 @@ def test_circulant_spectrum_arity():
 
 
 def test_circulant_spectrum_rejects_overflowing_row():
-    with np.errstate(over="ignore"):
-        with pytest.raises(UnsupportedExponent):
-            circulant_spectrum(AuxiliaryFunctional(1000.0), 1000)
+    with pytest.raises(UnsupportedExponent):
+        circulant_spectrum(AuxiliaryFunctional(1000.0), 1000)
+
+
+@pytest.mark.parametrize("alpha", [139.875, 139.9])
+def test_circulant_spectrum_rejects_overflowing_eigenvalues(alpha):
+    # W's first row is finite below alpha = 140 at n = 1000, but its cosine
+    # sums pass a double; the typed error comes with no numpy warning
+    aux = AuxiliaryFunctional(alpha)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        row = pair_weight_matrix(aux, regular_ngon(1000))[0]
+        assert np.isfinite(row).all()
+        with pytest.raises(UnsupportedExponent, match="W overflows at n = 1000"):
+            circulant_spectrum(aux, 1000)
 
 
 def _one_table_spectrum(aux, n):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -263,6 +265,22 @@ def test_exclusion_verdicts_solves_once(monkeypatch):
                                      MassVector(np.array([1.0, 1.0, 2.0, 1.0, 2.0])))
     assert group.excluded and swap.excluded
     assert calls == {"minimize_f_k": 1, "pair_weight_matrix": 1}
+
+
+@pytest.mark.parametrize("masses", [
+    [1e-150] * 3 + [1e155],  # every group q and swap margin is inf
+    [1e-200, 1e-200, 1e308],  # every group q is inf - inf = NaN
+])
+def test_overflowing_q_is_a_domain_error(masses):
+    # f holds only the products m_j m_k, so the solve and W pass; q holds
+    # the heavy mass squared. No numpy warning comes ahead of the error.
+    aux, m = AuxiliaryFunctional(1.0), MassVector(np.array(masses))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = minimize_f_k(aux, m)
+        assert np.isfinite(pair_weight_matrix(aux, res.theta_m)).all()
+        with pytest.raises(DomainError, match="the masses overflow a mass-weighted pair sum"):
+            exclusion_verdicts(aux, m)
 
 
 def test_action_validation():
