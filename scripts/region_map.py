@@ -13,6 +13,7 @@ import sys
 import numpy as np
 
 from cocircular import CocircularError, DomainError, NoBracket, cli
+from cocircular.geometry import _arity
 from cocircular.scanner import _alpha_star, _grid
 
 
@@ -29,6 +30,7 @@ def main(argv=None):
     try:
         if args.n_min > args.n_max:
             raise DomainError("--n-min must not exceed --n-max")
+        _arity(args.n_max)  # refuse a range past every array before walking it
         if args.alpha_steps < 1:
             raise DomainError("--alpha-steps must be at least 1")
         alphas = np.linspace(args.alpha_min, args.alpha_max, args.alpha_steps)

@@ -25,7 +25,7 @@ import sys
 import numpy as np
 
 from .errors import CocircularError, ConvergenceFailure, DomainError
-from .geometry import AngleConfiguration, MassVector
+from .geometry import AngleConfiguration, MassVector, _arity
 from .minimizer import minimize_f_k
 from .potential import AuxiliaryFunctional
 from .scanner import _alpha_star, _grid, condition_threshold
@@ -204,6 +204,7 @@ def _scan_csv(grid) -> str:
 def _cmd_scan(args: argparse.Namespace) -> str:
     if args.n_min > args.n_max:
         raise DomainError("--n-min must not exceed --n-max")
+    _arity(args.n_max)  # refuse a range past every array before walking it
     grid = _grid(range(args.n_min, args.n_max + 1), args.alpha)
     if args.format == "json" and not args.csv:
         cells = _scan_cells(grid, '{"n":', ',"alpha":{},"g_value":',

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -187,21 +188,35 @@ def _check_pinned(config: AngleConfiguration) -> None:
         raise DomainError("configuration must be pinned: t_n = 2*pi")
 
 
+def _shown(value) -> str:
+    """value as an error message prints it; an int too long for str() shows its size."""
+    try:
+        return str(value)
+    except ValueError:  # past the interpreter's limit on int digits
+        return f"an int of {value.bit_length()} bits"
+
+
 def _arity(n) -> int:
-    """n as a Python int; InvalidArity unless it is an integer >= 3."""
+    """n as a Python int; InvalidArity unless it is an integer in 3..sys.maxsize.
+
+    sys.maxsize bounds every array length, so a larger n has no sine table
+    and no configuration.
+    """
     try:
         n = operator.index(n)
     except TypeError:
         raise InvalidArity(f"n must be an integer, got {n!r}") from None
     if n < 3:
-        raise InvalidArity(f"need n >= 3 bodies, got {n}")
+        raise InvalidArity(f"need n >= 3 bodies, got {_shown(n)}")
+    if n > sys.maxsize:
+        raise InvalidArity(f"need n <= {sys.maxsize} bodies, got {_shown(n)}")
     return n
 
 
 def _tolerance(tol, name: str) -> float:
     """tol as a float; DomainError unless it is a number >= 0 that fits a double."""
     if not tol >= 0.0:
-        raise DomainError(f"{name} must be a nonnegative number, got {tol}")
+        raise DomainError(f"{name} must be a nonnegative number, got {_shown(tol)}")
     try:
         return float(tol)
     except OverflowError:  # an int past a double

@@ -29,14 +29,27 @@ which one ran. Inputs are checked at the entry points, never inside the
 kernels.
 
 A bisection step of ``alpha_star`` needs only the sign of
-psi = g - (1 + alpha/4) and whether |psi| <= tol. From
-``_FILTER_MIN_TERMS`` distinct terms on, each step first takes g from
-``_g_fast``, one ``np.power`` over the table and one pairwise sum, and
-``_g_bound`` bounds how far the psi from it can lie from the psi of
-``_g``. Where the fast psi clears tol by more than that bound, the exact
-psi has the same sign and misses tol too; elsewhere (the final step,
-steps near tol, overflow) the step runs ``_g``. So the roots keep every
-bit, and one or two of a call's 30 to 40 steps run the exact kernel.
+psi = g - threshold and whether |psi| <= tol, and most steps get both
+from bounds on g, with no kernel. g(n, alpha) is a sum of exponentials
+exp(alpha ln csc), so convex in alpha. ``_g_closed_form`` bounds it in
+closed form, by its tangent at alpha = 0 below and by Taylor's remainder
+above. Each alpha already decided leaves a point with bounds on the true
+g: the closed form's there, or a kernel's g widened by ``_g_error``, the
+a-priori bound on ``_g`` against the true g (plus ``_g_bound`` for a
+``_g_fast`` value). Between the nearest points on either side, the chord
+through their upper bounds lies above g (``_line_above``); beyond the
+two nearest on one side, the secant through them lies below it
+(``_line_below``). A step is settled where such a bound, widened by
+``_g_error`` at the step, clears the threshold by more than tol; it is
+then what ``_g``'s psi would decide, and where the upper bound times n
+nears overflow, no bound settles it, so ``_g`` raises there as before.
+The other steps run a kernel: from ``_FILTER_MIN_TERMS`` distinct terms
+on, first ``_g_fast``, one ``np.power`` over the table and one pairwise
+sum, whose psi stands wherever it clears tol by more than ``_g_bound``;
+elsewhere (the final step, steps near tol, overflow) ``_g``. So the roots
+keep every bit. At the default tol a call at n = 3..1000 runs 3 to 12
+kernels (``_g_fast`` and ``_g`` counted alike), 5.3 on average, where it
+once ran one or two at each of its 30 to 43 steps.
 """
 
 from __future__ import annotations
@@ -53,6 +66,10 @@ from .potential import _check_alpha
 _ALPHA_SEED = 1.0 / 64.0
 _ALPHA_CAP = 64.0
 _U = 2.0 ** -53  # unit roundoff of a double
+_LN2 = math.log(2.0)
+# (1/pi) int_0^pi ln(sin x)**2 dx = pi**2/12 + ln(2)**2 = 1.3029200...,
+# rounded up with room for the rounding of the term it scales
+_LOG_SINE_SQUARE = 1.3030
 # below this many distinct terms the exact pass (float_power, accumulate)
 # costs no more than the filter's np.power, pairwise sum and bound
 # (measured: about 2.1 us each at 40 terms, 2.5 against 2.3 at 50)
@@ -248,6 +265,110 @@ def _g_fast(n: int, table: np.ndarray, alpha: float) -> float:
     return (total + 1.0 if n % 2 == 0 else total) / n
 
 
+def _g_error(k: int, alpha: float, g: float) -> float:
+    """A-priori bound on |``_g`` - g| at alpha over a table of k sines.
+
+    g is the true g(n, alpha), or a computed one: the bound doubles its
+    first-order terms, which covers the difference. With u = 2**-53,
+    ``_g``'s value carries:
+
+    - the table: j pi / n comes from ``math.pi`` (within 0.36u of pi), one
+      multiply and one divide, so within 2.4u relative of the angle x
+      (j < 2**53, which every table that fits in memory has); sin moves
+      that by at most x cot x <= 1 times as much on (0, pi/2], and
+      ``np.sin`` adds at most 4 ulp (8u), so each sine is within 11u;
+    - each term s**-alpha then moves by alpha times that, 11 alpha u, and
+      its pow adds 2u, or 7u for alpha in 1..4, where it is (1/s)**alpha
+      (``_g_bound``);
+    - the k positive terms, added one after another, lie within (k - 1) u
+      of their total; doubling is exact, and adding the middle term and
+      dividing by n cost u each.
+
+    That totals (k + 8 + 11 alpha) u g to first order. The bound doubles
+    it, which covers the second-order terms and a few roundings of the
+    quantities built from it.
+    """
+    return 2.0 * _U * (k + 8 + 11.0 * alpha) * g
+
+
+def _g_closed_form(n: int, alpha: float) -> tuple[float, float]:
+    """Bounds (below, above) on the true g(n, alpha), each O(1) to evaluate.
+
+    g(alpha) = (1/n) sum_{j=1}^{n-1} exp(alpha L_j), L_j = ln csc(j pi / n)
+    >= 0, is a sum of exponentials, so convex in alpha, with g(0) =
+    (n - 1)/n and, since prod_j sin(j pi / n) = n / 2**(n-1),
+
+        g'(0) = (1/n) sum_j L_j = ((n - 1) ln 2 - ln n) / n.
+
+    - below: a convex g lies above its tangent at 0,
+      g >= (n - 1)/n + alpha g'(0);
+    - above: Taylor's remainder gives g = tangent + alpha**2 g''(xi) / 2
+      for some xi in (0, alpha), and g''(xi) = (1/n) sum_j L_j**2
+      csc(j pi / n)**xi <= (n/2)**alpha (1/n) sum_j L_j**2, because
+      sin(pi/n) >= 2/n for n >= 3. ln**2 sin is convex on (0, pi), so each
+      L_j**2 pi/n is at most its integral over [(j - 1/2) pi/n,
+      (j + 1/2) pi/n], and (1/n) sum_j L_j**2 <= (1/pi) int_0^pi ln**2 sin
+      = pi**2/12 + ln**2 2 = 1.30292..., taken here as 1.3030.
+
+    The tangent, evaluated in doubles, is within 10u (1 + alpha) of its
+    exact value (g(0) < 1 and (n - 1) ln 2 + ln n < 1.1 n); below
+    subtracts 16u (1 + alpha) and above adds as much. above is inf where
+    (n/2)**alpha would near overflow.
+    """
+    slack = 16.0 * _U * (1.0 + alpha)
+    tangent = (n - 1) / n + alpha * (((n - 1) * _LN2 - math.log(n)) / n)
+    exponent = alpha * math.log(0.5 * n)
+    if exponent > 700.0:
+        return tangent - slack, math.inf
+    return (tangent - slack,
+            tangent + slack + 0.5 * alpha * alpha * math.exp(exponent) * _LOG_SINE_SQUARE)
+
+
+# lines that decide no step
+_NO_LINE_ABOVE = (0.0, math.inf, 0.0)
+_NO_LINE_BELOW = (0.0, -math.inf, 0.0)
+
+
+def _line_above(left: tuple, right: tuple, rho: float) -> tuple[float, float, float]:
+    """(a, value, slope): a line above ``_g`` on [a, b], from two bounded points.
+
+    left = (a, _, above_a) and right = (b, _, above_b) bound the true g at
+    a < b. g is convex, so the chord through (a, above_a) and (b, above_b)
+    lies above it on [a, b], and (1 + rho) times the chord above ``_g``
+    wherever ``_g_error`` <= rho g. The line is value + (m - a) slope; its
+    evaluation rounds within 8u (|above_a| + |above_b - above_a|), and
+    value carries twice that.
+    """
+    a, _, above_a = left
+    b, _, above_b = right
+    rise = above_b - above_a
+    value = above_a + 16.0 * _U * (abs(above_a) + abs(rise))
+    line = (a, value * (1.0 + rho), rise / (b - a) * (1.0 + rho))
+    return line if math.isfinite(line[1]) and math.isfinite(line[2]) else _NO_LINE_ABOVE
+
+
+def _line_below(near: tuple, far: tuple, reach: float, rho: float) -> tuple[float, float, float]:
+    """(p, value, slope): a line below ``_g`` beyond near, from two bounded points.
+
+    near = (p, below_p, _) and far = (q, _, above_q) bound the true g at
+    two alphas on the same side of the interval, near the nearer one, and
+    the interval reaches at most reach from p. For m beyond p, away from
+    q, convexity puts g(m) above the secant through q and p:
+
+        g(m) >= (1 + l) g(p) - l g(q),  l = (m - p)/(p - q) >= 0,
+
+    which stays a bound with below_p for g(p) and above_q for g(q); times
+    (1 - rho) it lies below ``_g`` too. The evaluation rounds within
+    8u (|below_p| + l |below_p - above_q|), and value carries twice that.
+    """
+    p, below_p, _ = near
+    q, _, above_q = far
+    drop = below_p - above_q
+    value = below_p - 16.0 * _U * (abs(below_p) + reach / abs(p - q) * abs(drop))
+    line = (p, value * (1.0 - rho), drop / (p - q) * (1.0 - rho))
+    return line if math.isfinite(line[1]) and math.isfinite(line[2]) else _NO_LINE_BELOW
+
+
 def _alpha_star(n: int, tol: float) -> tuple[float, float]:
     """``alpha_star``'s root and the g that ``_g`` gave at it."""
     n, tol = _arity(n), _tolerance(tol, "tol")
@@ -255,47 +376,103 @@ def _alpha_star(n: int, tol: float) -> tuple[float, float]:
     table = _sine_table(n)
     k = len(table)
     filtered = k >= _FILTER_MIN_TERMS
+    headroom = 2.0 * n  # a kernel g below inf / headroom cannot overflow
     g = math.nan
+    # points (alpha, below, above) that bound the true g at the alphas
+    # decided so far, at or below lo and at or above hi, the nearest last;
+    # the first is g(0) = (n - 1)/n
+    g0 = (n - 1) / n
+    left = [(0.0, g0 * (1.0 - 4.0 * _U), g0 * (1.0 + 4.0 * _U))]
+    right = []
 
-    def psi(a: float) -> float:
-        # a fast psi comes back only when it clears tol by more than the
-        # bound, so its sign and its miss of tol are those of _g's psi; a
-        # psi within tol always comes from _g, which leaves its g in g
+    def psi(a: float, threshold: float) -> tuple[float, tuple]:
+        # psi at a, and a point bounding g there: a fast psi comes back only
+        # when it clears tol by more than the bound, so its sign and its
+        # miss of tol are those of _g's psi; a psi within tol always comes
+        # from _g, which leaves its g in g
         nonlocal g
-        threshold = condition_threshold(a)
         if filtered:
             fast = _g_fast(n, table, a)
             value = fast - threshold
             if abs(value) > tol + _g_bound(k, fast, threshold):
-                return value
+                # with threshold 0, _g_bound bounds |fast - _g|
+                err = _g_bound(k, fast, 0.0) + _g_error(k, a, fast)
+                return value, (a, fast - err, fast + err)
         g = _g(n, table, a)
-        return g - threshold
+        err = _g_error(k, a, g)
+        return g - threshold, (a, g - err, g + err)
+
+    def nonnegative(a: float) -> bool:
+        # whether psi(a) >= 0, from the closed form where it decides
+        threshold = condition_threshold(a)
+        below, above = _g_closed_form(n, a)
+        rho = _g_error(k, a, 1.0)
+        if above * (1.0 + rho) * headroom < math.inf:
+            if above * (1.0 + rho) - threshold < 0.0:
+                left.append((a, below, above))
+                return False
+            if below * (1.0 - rho) - threshold >= 0.0:
+                right.append((a, below, above))
+                return True
+        value, point = psi(a, threshold)
+        goes_right = value >= 0.0
+        (right if goes_right else left).append(point)
+        return goes_right
+
+    def lines() -> tuple:
+        # the line above and the lines below from the left and from the
+        # right of (lo, hi); none decides where _g could overflow
+        near_left, near_right = left[-1], right[-1]
+        rho = _g_error(k, near_right[0], 1.0)
+        if not max(near_left[2], near_right[2]) * (1.0 + rho) * headroom < math.inf:
+            return _NO_LINE_ABOVE, _NO_LINE_BELOW, _NO_LINE_BELOW
+        width = near_right[0] - near_left[0]
+        return (_line_above(near_left, near_right, rho),
+                _line_below(near_left, left[-2], width, rho),
+                _line_below(near_right, right[-2], width, rho) if len(right) > 1
+                else _NO_LINE_BELOW)
 
     # a power may overflow to inf; a fast step then falls back to _g,
     # which raises the typed error
     with np.errstate(over="ignore"):
         lo = _ALPHA_SEED
-        while psi(lo) >= 0.0:
+        while nonnegative(lo):
             lo *= 0.5
             if lo < 1e-12:
                 raise NoBracket(f"condition already fails at alpha -> 0 for n = {n}")
         hi = 2.0 * lo
-        while psi(hi) < 0.0:
-            lo, hi = hi, 2.0 * hi
-            if hi > _ALPHA_CAP:
-                raise NoBracket(
-                    f"condition holds for every alpha up to {_ALPHA_CAP} at n = {n}"
-                )
+        # after a halving, hi is the last alpha tried, and its psi was >= 0
+        if lo == _ALPHA_SEED:
+            while not nonnegative(hi):
+                lo, hi = hi, 2.0 * hi
+                if hi > _ALPHA_CAP:
+                    raise NoBracket(
+                        f"condition holds for every alpha up to {_ALPHA_CAP} at n = {n}"
+                    )
         # [lo, hi] is one binade: 52 halvings leave adjacent doubles
+        (ta, tv, ts), (la, lv, ls), (ra, rv, rs) = lines()
+        lefts = 0  # evaluated steps that moved lo since the last that moved hi
         mid = 0.5 * (lo + hi)
         while lo < mid < hi:
-            value = psi(mid)
-            if abs(value) <= tol:
-                return mid, g
-            if value < 0.0:
+            threshold = condition_threshold(mid)
+            if tv + (mid - ta) * ts - threshold < -tol:
                 lo = mid
-            else:
+            elif lefts < 2 and (lv + (mid - la) * ls - threshold > tol
+                                or rv + (mid - ra) * rs - threshold > tol):
                 hi = mid
+            else:
+                value, point = psi(mid, threshold)
+                if abs(value) <= tol:
+                    return mid, g
+                if value < 0.0:
+                    lo = mid
+                    left.append(point)
+                    lefts += 1
+                else:
+                    hi = mid
+                    right.append(point)
+                    lefts = 0
+                (ta, tv, ts), (la, lv, ls), (ra, rv, rs) = lines()
             mid = 0.5 * (lo + hi)
     raise ConvergenceFailure(f"bisection residual above {tol} with no double "
                              f"between {lo!r} and {hi!r}")
@@ -304,12 +481,21 @@ def _alpha_star(n: int, tol: float) -> tuple[float, float]:
 def alpha_star(n: int, tol: float = 1e-12) -> float:
     """Critical exponent where g(n, alpha) meets 1 + alpha/4.
 
-    Brackets by doubling from alpha = 1/64, then bisects until the
-    residual |g - 1 - alpha/4| drops to tol, or raises ConvergenceFailure
-    once no double lies between lo and hi (52 steps). Every step reuses one
-    sine table; the alphas it tries are positive and finite by
-    construction, so they skip the entry checks. Each step's verdicts are
-    those of the exact kernel ``_g``, though from n = 101 on most steps
-    take them from ``_g_fast`` within ``_g_bound``.
+    Brackets by halving or doubling from alpha = 1/64, then bisects until
+    the residual |g - 1 - alpha/4| drops to tol, or raises
+    ConvergenceFailure once no double lies between lo and hi (52 steps).
+    Every step reuses one sine table; the alphas it tries are positive and
+    finite by construction, so they skip the entry checks. Each step's
+    verdict is the one the exact kernel ``_g`` would give, but most steps
+    take it from bounds on g (the module docstring): in the bracket the
+    closed form, in the bisection the lines through the points already
+    decided. A step runs a kernel only where no bound clears
+    tol + ``_g_error``, with one exception: after two evaluated steps that
+    moved lo and none that moved hi, the next step a bound would move hi
+    runs a kernel too. The chord above g is only as tight as its ends are
+    near, and a root approached from below would otherwise leave its
+    right end behind: at the default tol the rule takes n = 22 from 21
+    kernel calls to 9, the worst n up to 1200 from 21 to 12, and the sum
+    over n = 3..1200 from 6,330 to 6,265.
     """
     return _alpha_star(n, tol)[0]

@@ -2,15 +2,21 @@
 
 This is the straightforward g(n, alpha) that the package's sine-table
 kernel replaces, and the bisection for the critical exponent on top of
-it. The tests compare the package with it bit for bit; the package never
-imports this.
+it. ``alpha_star_every_step`` is the package's bisection as it was before
+its steps were settled from bounds on g: the package's kernels, one of
+them run at every step. The tests compare the package with both bit for
+bit; the package never imports this.
 """
 
 import math
 
+import numpy as np
+
 from cocircular import (ConvergenceFailure, DomainError, InvalidArity, NoBracket,
                         UnsupportedExponent, condition_threshold)
-from cocircular.scanner import _ALPHA_CAP, _ALPHA_SEED
+from cocircular.geometry import _arity, _tolerance
+from cocircular.scanner import (_ALPHA_CAP, _ALPHA_SEED, _FILTER_MIN_TERMS, _g, _g_bound,
+                                _g_fast, _sine_table)
 
 
 def g_value(n: int, alpha: float) -> float:
@@ -76,3 +82,53 @@ def alpha_star(n: int, tol: float = 1e-12) -> float:
     raise ConvergenceFailure(
         f"bisection residual above {tol} with no double between {lo!r} and {hi!r}"
     )
+
+
+def alpha_star_every_step(n: int, tol: float = 1e-12) -> tuple[float, float]:
+    """The root and its g from a bisection that runs a kernel at every step.
+
+    Each step takes psi from ``_g_fast`` where that clears tol by more than
+    ``_g_bound`` (from ``_FILTER_MIN_TERMS`` sines on), else from ``_g``.
+    """
+    n, tol = _arity(n), _tolerance(tol, "tol")
+    table = _sine_table(n)
+    k = len(table)
+    filtered = k >= _FILTER_MIN_TERMS
+    g = math.nan
+
+    def psi(a: float) -> float:
+        nonlocal g
+        threshold = condition_threshold(a)
+        if filtered:
+            fast = _g_fast(n, table, a)
+            value = fast - threshold
+            if abs(value) > tol + _g_bound(k, fast, threshold):
+                return value
+        g = _g(n, table, a)
+        return g - threshold
+
+    with np.errstate(over="ignore"):
+        lo = _ALPHA_SEED
+        while psi(lo) >= 0.0:
+            lo *= 0.5
+            if lo < 1e-12:
+                raise NoBracket(f"condition already fails at alpha -> 0 for n = {n}")
+        hi = 2.0 * lo
+        while psi(hi) < 0.0:
+            lo, hi = hi, 2.0 * hi
+            if hi > _ALPHA_CAP:
+                raise NoBracket(
+                    f"condition holds for every alpha up to {_ALPHA_CAP} at n = {n}"
+                )
+        mid = 0.5 * (lo + hi)
+        while lo < mid < hi:
+            value = psi(mid)
+            if abs(value) <= tol:
+                return mid, g
+            if value < 0.0:
+                lo = mid
+            else:
+                hi = mid
+            mid = 0.5 * (lo + hi)
+    raise ConvergenceFailure(f"bisection residual above {tol} with no double "
+                             f"between {lo!r} and {hi!r}")

@@ -381,6 +381,21 @@ def test_alpha_star_bad_tolerance_exits_two(capsys, tol):
 
 
 @pytest.mark.parametrize("argv", [
+    ["alpha-star", "--n", str(10**30)],
+    ["scan", "--n-min", "3", "--n-max", str(10**30), "--alpha", "1"],
+    ["spectrum", "--n", str(10**30), "--alpha", "1"],
+], ids=lambda argv: argv[0])
+def test_n_past_every_array_exits_two(monkeypatch, capsys, argv):
+    # no array holds more than sys.maxsize entries; scan refuses its range
+    # before walking it
+    monkeypatch.setattr("cocircular.cli._grid", lambda *args: pytest.fail("walked the range"))
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: need n <= {sys.maxsize} bodies, got {10**30}\n"
+
+
+@pytest.mark.parametrize("argv", [
     ["minimize", "--alpha", "2000"],
     ["exclude", "--alpha", "2000"],
     ["spectrum", "--n", "4", "--alpha", "2000"],

@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -153,6 +154,34 @@ def test_int_past_a_double_is_a_typed_error(call, error):
     # into its typed input error
     with pytest.raises(error):
         call()
+
+
+_UNPRINTABLE = -10**5000  # past the interpreter's limit on int digits for str()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: verify_cc(1.0, MassVector(np.ones(3)), regular_ngon(3), tol=_UNPRINTABLE),
+    lambda: minimize_f_k(AuxiliaryFunctional(1.0), MassVector(np.ones(3)),
+                         grad_tol=_UNPRINTABLE),
+    lambda: alpha_star(6, _UNPRINTABLE),
+], ids=["verify_cc", "minimize_f_k", "alpha_star"])
+def test_unprintable_negative_tolerance_is_a_domain_error(call):
+    # the message shows the int's size where str() would refuse its digits
+    with pytest.raises(DomainError, match=r"must be a nonnegative number, got an int of 16610 bits$"):
+        call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda n: g_value(n, 1.0),
+    lambda n: alpha_star(n),
+    regular_ngon,
+], ids=["g_value", "alpha_star", "regular_ngon"])
+def test_n_past_every_array_is_invalid_arity(call):
+    # sys.maxsize bounds every array length
+    with pytest.raises(InvalidArity, match=rf"^need n <= {sys.maxsize} bodies, got {sys.maxsize + 1}$"):
+        call(sys.maxsize + 1)
+    with pytest.raises(InvalidArity, match=r"^need n >= 3 bodies, got an int of 16610 bits$"):
+        call(_UNPRINTABLE)
 
 
 def test_min_gap_includes_wraparound():

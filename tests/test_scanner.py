@@ -217,40 +217,51 @@ def test_fast_psi_within_bound_and_never_contradicts_exact():
 
 
 def test_filter_leaves_few_steps_to_the_exact_kernel(monkeypatch):
-    calls = []
+    calls, fast_calls = [], []
 
     def counting(n, table, alpha):
         calls.append(alpha)
         return _g(n, table, alpha)
 
+    def fast(n, table, alpha):
+        fast_calls.append(alpha)
+        return _g_fast(n, table, alpha)
+
     monkeypatch.setattr("cocircular.scanner._g", counting)
+    monkeypatch.setattr("cocircular.scanner._g_fast", fast)
     root = alpha_star(500)
     # the step that ends the bisection always runs _g
     assert 1 <= len(calls) <= 3 and calls[-1] == root
-    del calls[:]
-    # below the size cut every step runs _g
+    del calls[:], fast_calls[:]
+    # below the size cut every evaluated step runs _g, and bounds on g
+    # settle all but a few of the steps
     n = 2 * _FILTER_MIN_TERMS - 1
-    alpha_star(n)
-    assert len(calls) > 30
+    root = alpha_star(n)
+    assert not fast_calls and 1 <= len(calls) <= 10 and calls[-1] == root
 
 
 def test_alpha_star_builds_one_table_for_the_filter(monkeypatch):
     # the scalar kernel's floats and the filter's array come from one table
-    tables, fast_tables = [], []
+    tables, kernel_tables = [], []
 
     def building(n):
         tables.append(_sine_table(n))
         return tables[-1]
 
     def fast(n, table, alpha):
-        fast_tables.append(table)
+        kernel_tables.append(table)
         return _g_fast(n, table, alpha)
+
+    def exact(n, table, alpha):
+        kernel_tables.append(table)
+        return _g(n, table, alpha)
 
     monkeypatch.setattr("cocircular.scanner._sine_table", building)
     monkeypatch.setattr("cocircular.scanner._g_fast", fast)
+    monkeypatch.setattr("cocircular.scanner._g", exact)
     _alpha_star(500, 1e-12)
-    assert len(tables) == 1 and len(fast_tables) > 30
-    assert all(table is tables[0] for table in fast_tables)
+    assert len(tables) == 1 and 1 <= len(kernel_tables) <= 10
+    assert all(table is tables[0] for table in kernel_tables)
 
 
 def test_overflowing_filter_falls_back_without_warnings(monkeypatch):

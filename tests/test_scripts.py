@@ -99,6 +99,18 @@ def test_region_map_input_error_exits_two(tmp_path, args, error, csv):
     assert not path.exists()
 
 
+def test_region_map_refuses_n_past_every_array(monkeypatch, capsys):
+    # the range is refused before it is walked
+    monkeypatch.setattr(scanner, "_grid", lambda *args: pytest.fail("walked the range"))
+    monkeypatch.setattr(sys, "argv", ["region_map.py", "--n-max", str(10**30)])
+    with pytest.raises(SystemExit) as stop:
+        runpy.run_path(str(SCRIPTS / "region_map.py"), run_name="__main__")
+    assert stop.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: need n <= {sys.maxsize} bodies, got {10**30}\n"
+
+
 def test_exclusion_survey_runs():
     out = _run_script("exclusion_survey.py", "--n-min", "4", "--n-max", "6")
     assert out.returncode == 0, out.stderr
