@@ -214,19 +214,25 @@ def _arity(n) -> int:
 
 
 def _tolerance(tol, name: str) -> float:
-    """tol as a float; DomainError unless it is a number >= 0 that fits a double."""
+    """tol as a float; DomainError unless it is a finite number >= 0."""
     if not tol >= 0.0:
         raise DomainError(f"{name} must be a nonnegative number, got {_shown(tol)}")
     try:
-        return float(tol)
+        tol = float(tol)
     except OverflowError:  # an int past a double
         raise DomainError(f"{name} must fit a double") from None
+    if tol == math.inf:
+        raise DomainError(f"{name} must be finite, got inf")
+    return tol
 
 
 def regular_ngon(n: int) -> AngleConfiguration:
     """Pinned regular n-gon: t_j = 2*pi*j/n with t_n = 2*pi exactly."""
     n = _arity(n)
-    t = TAU * np.arange(1, n + 1) / n
+    try:
+        t = TAU * np.arange(1, n + 1) / n
+    except MemoryError:
+        raise DomainError(f"no memory holds the regular n-gon at n = {n}") from None
     # 2*pi*n/n can round one ulp past 2*pi; the last angle is pinned
     t[-1] = TAU
     return AngleConfiguration(t)

@@ -35,21 +35,22 @@ exp(alpha ln csc), so convex in alpha. ``_g_closed_form`` bounds it in
 closed form, by its tangent at alpha = 0 below and by Taylor's remainder
 above. Each alpha already decided leaves a point with bounds on the true
 g: the closed form's there, or a kernel's g widened by ``_g_error``, the
-a-priori bound on ``_g`` against the true g (plus ``_g_bound`` for a
-``_g_fast`` value). Between the nearest points on either side, the chord
-through their upper bounds lies above g (``_line_above``); beyond the
-two nearest on one side, the secant through them lies below it
-(``_line_below``). A step is settled where such a bound, widened by
-``_g_error`` at the step, clears the threshold by more than tol; it is
-then what ``_g``'s psi would decide, and where the upper bound times n
-nears overflow, no bound settles it, so ``_g`` raises there as before.
+a-priori bound on either kernel against the true g. Between the nearest
+points on either side, the chord through their upper bounds lies above g
+(``_line_above``); beyond the two nearest on one side, the secant
+through them lies below it (``_line_below``). A step is settled where
+such a bound, widened by ``_g_error`` at the step, clears the threshold
+by more than tol; it is then what ``_g``'s psi would decide, and where
+the upper bound times n nears overflow, no bound settles it, so ``_g``
+raises there as before.
 The other steps run a kernel: from ``_FILTER_MIN_TERMS`` distinct terms
 on, first ``_g_fast``, one ``np.power`` over the table and one pairwise
-sum, whose psi stands wherever it clears tol by more than ``_g_bound``;
-elsewhere (the final step, steps near tol, overflow) ``_g``. So the roots
-keep every bit. At the default tol a call at n = 3..1000 runs 3 to 12
-kernels (``_g_fast`` and ``_g`` counted alike), 5.3 on average, where it
-once ran one or two at each of its 30 to 43 steps.
+sum, whose point settles the step where it clears the threshold by the
+closed form's test, with tol for 0; elsewhere (the final step, steps
+near tol, overflow) ``_g``. So the roots keep every bit. At the default
+tol a call at n = 3..1000 runs 3 to 12 kernels (``_g_fast`` and ``_g``
+counted alike), 5.2 on average, where it once ran one or two at each of
+its 30 to 43 steps.
 """
 
 from __future__ import annotations
@@ -59,7 +60,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceFailure, NoBracket, RegionNotClosed, UnsupportedExponent
+from .errors import (ConvergenceFailure, DomainError, NoBracket, RegionNotClosed,
+                     UnsupportedExponent)
 from .geometry import _arity, _tolerance
 from .potential import _check_alpha
 
@@ -92,7 +94,10 @@ class RegionCell:
 
 def _sine_table(n: int) -> np.ndarray:
     """sin(j pi / n) for j = 1..(n-1)//2, the distinct terms of g at n."""
-    return np.sin(np.arange(1, (n - 1) // 2 + 1) * math.pi / n)
+    try:
+        return np.sin(np.arange(1, (n - 1) // 2 + 1) * math.pi / n)
+    except MemoryError:
+        raise DomainError(f"no memory holds the sine table of g at n = {n}") from None
 
 
 def _terms(sines: np.ndarray, alpha: float) -> np.ndarray:
@@ -225,39 +230,13 @@ def scan_region(n_values, alpha_grid) -> list[RegionCell]:
             for n, row in zip(ns, rows) for a, t, g in zip(alphas, thresholds, row)]
 
 
-def _g_bound(k: int, g: float, threshold: float) -> float:
-    """Bound on |psi_fast - psi_exact| for psi = g - threshold over k terms.
-
-    psi_exact is ``_g(n, table, alpha) - threshold`` and psi_fast is
-    g - threshold with g from ``_g_fast`` over the same k sines; the
-    threshold is one float shared by both. The bound is meant for reuse
-    wherever a fast g has to decide what the exact one would. With
-    u = 2**-53 and S the exact sum of s**-alpha over the table:
-
-    - ``_g``'s terms come from libm pow through ``np.float_power`` (within
-      1 ulp, so 2u relative), or for alpha in 1..4 as (1/s)**alpha, within
-      (1 + u)**4 (1 + 2u) - 1 < 7u; ``np.power`` is within 4 ulp (8u; SVML
-      on AVX-512, libm elsewhere);
-    - k positive terms summed in any order, the accumulated sum of ``_g``
-      and numpy's pairwise one alike, lie within (k - 1) u of their total;
-    - so |2 S_fast - 2 S_exact| <= (2k + 13) u 2S; doubling is exact, and
-      adding the middle term and dividing by n cost 2u g on each side;
-    - subtracting the threshold costs u (g + threshold) on each side.
-
-    That totals (2k + 19) u g + 2u threshold to first order. The bound
-    doubles it, which covers the second-order terms, the gap between g and
-    2S/n, and the rounding of the bound and of the test against it.
-    """
-    return 2.0 * _U * ((2 * k + 20) * g + 2.0 * threshold)
-
-
 def _g_fast(n: int, table: np.ndarray, alpha: float) -> float:
     """g(n, alpha) from one ``np.power`` and one pairwise sum over the table.
 
-    Within ``_g_bound`` of ``_g``'s value but not always equal to it. Comes
-    back inf wherever the pair sum lacks a factor 2 of headroom below
-    overflow, so that a finite value also means a finite ``_g``. Call it
-    with numpy overflow warnings off.
+    Within ``_g_error`` of the true g, as ``_g`` is, but not always equal
+    to ``_g``'s value. Comes back inf wherever the pair sum lacks a factor
+    2 of headroom below overflow, so that a finite value also means a
+    finite ``_g``. Call it with numpy overflow warnings off.
     """
     total = 2.0 * float(np.add.reduce(np.power(table, -alpha)))
     if not 2.0 * total < math.inf:
@@ -266,11 +245,12 @@ def _g_fast(n: int, table: np.ndarray, alpha: float) -> float:
 
 
 def _g_error(k: int, alpha: float, g: float) -> float:
-    """A-priori bound on |``_g`` - g| at alpha over a table of k sines.
+    """A-priori bound on |kernel - g| at alpha over a table of k sines.
 
-    g is the true g(n, alpha), or a computed one: the bound doubles its
+    kernel is the value of ``_g`` or of ``_g_fast`` over the table, and g
+    is the true g(n, alpha), or a computed one: the bound doubles its
     first-order terms, which covers the difference. With u = 2**-53,
-    ``_g``'s value carries:
+    either kernel's value carries:
 
     - the table: j pi / n comes from ``math.pi`` (within 0.36u of pi), one
       multiply and one divide, so within 2.4u relative of the angle x
@@ -278,17 +258,21 @@ def _g_error(k: int, alpha: float, g: float) -> float:
       that by at most x cot x <= 1 times as much on (0, pi/2], and
       ``np.sin`` adds at most 4 ulp (8u), so each sine is within 11u;
     - each term s**-alpha then moves by alpha times that, 11 alpha u, and
-      its pow adds 2u, or 7u for alpha in 1..4, where it is (1/s)**alpha
-      (``_g_bound``);
-    - the k positive terms, added one after another, lie within (k - 1) u
-      of their total; doubling is exact, and adding the middle term and
-      dividing by n cost u each.
+      its pow adds at most 8u: ``_g``'s libm pow through
+      ``np.float_power`` is within 1 ulp (2u), or for alpha in 1..4, where
+      it is (1/s)**alpha, within (1 + u)**4 (1 + 2u) - 1 < 7u, and
+      ``_g_fast``'s ``np.power`` within 4 ulp (8u; SVML on AVX-512, libm
+      elsewhere);
+    - k positive terms summed in any order, the running sum of ``_g`` and
+      numpy's pairwise one alike, lie within (k - 1) u of their total;
+      doubling is exact, and adding the middle term and dividing by n cost
+      u each.
 
-    That totals (k + 8 + 11 alpha) u g to first order. The bound doubles
-    it, which covers the second-order terms and a few roundings of the
-    quantities built from it.
+    That totals (k + 9 + 11 alpha) u g to first order. The bound charges
+    (k + 14 + 11 alpha) u g and doubles it, which covers the second-order
+    terms and the roundings of the bounds and tests built from it.
     """
-    return 2.0 * _U * (k + 8 + 11.0 * alpha) * g
+    return 2.0 * _U * (k + 14 + 11.0 * alpha) * g
 
 
 def _g_closed_form(n: int, alpha: float) -> tuple[float, float]:
@@ -386,18 +370,18 @@ def _alpha_star(n: int, tol: float) -> tuple[float, float]:
     right = []
 
     def psi(a: float, threshold: float) -> tuple[float, tuple]:
-        # psi at a, and a point bounding g there: a fast psi comes back only
-        # when it clears tol by more than the bound, so its sign and its
-        # miss of tol are those of _g's psi; a psi within tol always comes
-        # from _g, which leaves its g in g
+        # psi at a, and a point bounding g there. A fast point stands where
+        # it settles the step by the closed form's test, with tol for 0: its
+        # sign and its miss of tol are then those of _g's psi (an inf fast
+        # passes neither test). A psi within tol always comes from _g,
+        # which leaves its g in g
         nonlocal g
         if filtered:
             fast = _g_fast(n, table, a)
-            value = fast - threshold
-            if abs(value) > tol + _g_bound(k, fast, threshold):
-                # with threshold 0, _g_bound bounds |fast - _g|
-                err = _g_bound(k, fast, 0.0) + _g_error(k, a, fast)
-                return value, (a, fast - err, fast + err)
+            err, rho = _g_error(k, a, fast), _g_error(k, a, 1.0)
+            if ((fast + err) * (1.0 + rho) - threshold < -tol
+                    or (fast - err) * (1.0 - rho) - threshold > tol):
+                return fast - threshold, (a, fast - err, fast + err)
         g = _g(n, table, a)
         err = _g_error(k, a, g)
         return g - threshold, (a, g - err, g + err)
@@ -496,6 +480,6 @@ def alpha_star(n: int, tol: float = 1e-12) -> float:
     near, and a root approached from below would otherwise leave its
     right end behind: at the default tol the rule takes n = 22 from 21
     kernel calls to 9, the worst n up to 1200 from 21 to 12, and the sum
-    over n = 3..1200 from 6,330 to 6,265.
+    over n = 3..1200 from 6,226 to 6,145.
     """
     return _alpha_star(n, tol)[0]

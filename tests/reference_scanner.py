@@ -3,9 +3,11 @@
 This is the straightforward g(n, alpha) that the package's sine-table
 kernel replaces, and the bisection for the critical exponent on top of
 it. ``alpha_star_every_step`` is the package's bisection as it was before
-its steps were settled from bounds on g: the package's kernels, one of
-them run at every step. The tests compare the package with both bit for
-bit; the package never imports this.
+its steps were settled from bounds on g, with the package's exact kernel
+``_g`` run at every step: a step settled by a bound or by ``_g_fast``
+must decide as ``_g`` would, so which kernel decides a step cannot change
+an outcome. The tests compare the package with both bit for bit; the
+package never imports this.
 """
 
 import math
@@ -15,8 +17,7 @@ import numpy as np
 from cocircular import (ConvergenceFailure, DomainError, InvalidArity, NoBracket,
                         UnsupportedExponent, condition_threshold)
 from cocircular.geometry import _arity, _tolerance
-from cocircular.scanner import (_ALPHA_CAP, _ALPHA_SEED, _FILTER_MIN_TERMS, _g, _g_bound,
-                                _g_fast, _sine_table)
+from cocircular.scanner import _ALPHA_CAP, _ALPHA_SEED, _g, _sine_table
 
 
 def g_value(n: int, alpha: float) -> float:
@@ -85,27 +86,15 @@ def alpha_star(n: int, tol: float = 1e-12) -> float:
 
 
 def alpha_star_every_step(n: int, tol: float = 1e-12) -> tuple[float, float]:
-    """The root and its g from a bisection that runs a kernel at every step.
-
-    Each step takes psi from ``_g_fast`` where that clears tol by more than
-    ``_g_bound`` (from ``_FILTER_MIN_TERMS`` sines on), else from ``_g``.
-    """
+    """The root and its g from a bisection that runs ``_g`` at every step."""
     n, tol = _arity(n), _tolerance(tol, "tol")
     table = _sine_table(n)
-    k = len(table)
-    filtered = k >= _FILTER_MIN_TERMS
     g = math.nan
 
     def psi(a: float) -> float:
         nonlocal g
-        threshold = condition_threshold(a)
-        if filtered:
-            fast = _g_fast(n, table, a)
-            value = fast - threshold
-            if abs(value) > tol + _g_bound(k, fast, threshold):
-                return value
         g = _g(n, table, a)
-        return g - threshold
+        return g - condition_threshold(a)
 
     with np.errstate(over="ignore"):
         lo = _ALPHA_SEED

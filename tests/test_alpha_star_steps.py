@@ -3,10 +3,11 @@
 ``alpha_star`` settles a step without a kernel where bounds on g decide
 its sign and its miss of tol: the closed form of ``_g_closed_form`` in
 the bracket, lines through the points already decided in the bisection,
-each widened by the a-priori bound ``_g_error`` on ``_g``. The outcome
-(root and g, or error class and message) must be the one of
-``reference_scanner.alpha_star_every_step``, which runs a kernel at every
-step, and the bounds must hold against a 50-digit g.
+each widened by the a-priori bound ``_g_error`` on either kernel, and
+from ``_g_fast``'s value where it clears the threshold as the closed form
+does. The outcome (root and g, or error class and message) must be the
+one of ``reference_scanner.alpha_star_every_step``, which runs ``_g`` at
+every step, and the bounds must hold against a 50-digit g.
 """
 
 import math
@@ -100,6 +101,8 @@ def test_bounds_hold_against_a_50_digit_g(n):
         for alpha in G_ALPHAS:
             true = _true_g(logs, n, alpha)
             exact = _g(n, table, alpha)
+            fast = _g_fast(n, table, alpha)
             assert abs(exact - true) <= _g_error(k, alpha, float(true)), (n, alpha)
+            assert abs(fast - true) <= _g_error(k, alpha, float(true)), (n, alpha)
             below, above = _g_closed_form(n, alpha)
             assert below <= true <= above, (n, alpha)

@@ -365,7 +365,7 @@ def test_verify_rejects_non_finite_alpha(tmp_path, capsys, alpha):
 
 
 @pytest.mark.parametrize("command, payload", [("minimize", M112), ("verify", SQUARE)])
-@pytest.mark.parametrize("tol", ["-1", "nan"])
+@pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
 def test_bad_tolerance_exits_two(tmp_path, capsys, command, payload, tol):
     inp = write_json(tmp_path / "p.json", payload)
     assert main([command, "--input", inp, "--tol", tol]) == 2
@@ -373,7 +373,7 @@ def test_bad_tolerance_exits_two(tmp_path, capsys, command, payload, tol):
     assert "tol" in captured.err and captured.out == ""
 
 
-@pytest.mark.parametrize("tol", ["-1", "nan"])
+@pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
 def test_alpha_star_bad_tolerance_exits_two(capsys, tol):
     assert main(["alpha-star", "--n", "6", "--tol", tol]) == 2
     captured = capsys.readouterr()
@@ -393,6 +393,21 @@ def test_n_past_every_array_exits_two(monkeypatch, capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: need n <= {sys.maxsize} bodies, got {10**30}\n"
+
+
+@pytest.mark.parametrize("argv, holds", [
+    (["alpha-star", "--n", str(10**18)], "the sine table of g"),
+    (["scan", "--n-min", str(10**18), "--n-max", str(10**18), "--alpha", "1"],
+     "the sine table of g"),
+    (["spectrum", "--n", str(10**18), "--alpha", "1"], "the regular n-gon"),
+], ids=["alpha-star", "scan", "spectrum"])
+def test_n_past_every_memory_exits_two(capsys, argv, holds):
+    # 10**18 fits an array length but no address space: numpy refuses the
+    # table without allocating it
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: no memory holds {holds} at n = {10**18}\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -172,6 +172,31 @@ def test_unprintable_negative_tolerance_is_a_domain_error(call):
 
 
 @pytest.mark.parametrize("call", [
+    lambda: verify_cc(1.0, MassVector(np.ones(3)), regular_ngon(3), tol=math.inf),
+    lambda: minimize_f_k(AuxiliaryFunctional(1.0), MassVector(np.ones(3)), grad_tol=math.inf),
+    lambda: alpha_star(6, math.inf),
+], ids=["verify_cc", "minimize_f_k", "alpha_star"])
+def test_infinite_tolerance_is_a_domain_error(call):
+    # an infinite tolerance accepts everything, and JSON has no inf to print
+    with pytest.raises(DomainError, match=r"^(grad_)?tol must be finite, got inf$"):
+        call()
+
+
+@pytest.mark.parametrize("call, holds", [
+    (lambda n: g_value(n, 1.0), "the sine table of g"),
+    (lambda n: alpha_star(n), "the sine table of g"),
+    (lambda n: scan_region([n], [1.0]), "the sine table of g"),
+    (regular_ngon, "the regular n-gon"),
+    (lambda n: circulant_spectrum(AuxiliaryFunctional(1.0), n), "the regular n-gon"),
+], ids=["g_value", "alpha_star", "scan_region", "regular_ngon", "circulant_spectrum"])
+def test_n_past_every_memory_is_a_domain_error(call, holds):
+    # an array of 10**18 doubles exceeds any address space, so numpy
+    # refuses it without allocating
+    with pytest.raises(DomainError, match=rf"^no memory holds {holds} at n = {10**18}$"):
+        call(10**18)
+
+
+@pytest.mark.parametrize("call", [
     lambda n: g_value(n, 1.0),
     lambda n: alpha_star(n),
     regular_ngon,
