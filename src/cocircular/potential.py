@@ -47,12 +47,18 @@ from .geometry import (AngleConfiguration, MassVector, _mirror, _packed_chords,
 
 
 def k_min(alpha: float) -> float:
-    """Smallest admissible convexity constant, 2**(3 + alpha)/alpha."""
+    """Smallest admissible convexity constant, 2**(3 + alpha)/alpha.
+
+    Raises UnsupportedExponent where it is no finite double: the power
+    overflows past alpha of about 1021, the quotient below about 4.45e-308.
+    """
     try:
-        return 2.0 ** (3.0 + alpha) / alpha
+        k = 2.0 ** (3.0 + alpha) / alpha
     except OverflowError:
-        raise UnsupportedExponent(
-            f"2**(3 + alpha)/alpha overflows at alpha = {alpha}") from None
+        k = math.inf
+    if not math.isfinite(k):
+        raise UnsupportedExponent(f"2**(3 + alpha)/alpha overflows at alpha = {alpha}")
+    return k
 
 
 def _finite_real(x) -> bool:

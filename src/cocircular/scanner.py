@@ -34,23 +34,23 @@ from bounds on g, with no kernel. g(n, alpha) is a sum of exponentials
 exp(alpha ln csc), so convex in alpha. ``_g_closed_form`` bounds it in
 closed form, by its tangent at alpha = 0 below and by Taylor's remainder
 above. Each alpha already decided leaves a point with bounds on the true
-g: the closed form's there, or a kernel's g widened by ``_g_error``, the
-a-priori bound on either kernel against the true g. Between the nearest
+g: the closed form's there, or ``_g``'s value widened by ``_g_error``,
+the a-priori bound on ``_g`` against the true g. Between the nearest
 points on either side, the chord through their upper bounds lies above g
 (``_line_above``); beyond the two nearest on one side, the secant
 through them lies below it (``_line_below``). A step is settled where
 such a bound, widened by ``_g_error`` at the step, clears the threshold
 by more than tol; it is then what ``_g``'s psi would decide, and where
 the upper bound times n nears overflow, no bound settles it, so ``_g``
-raises there as before.
-The other steps run a kernel: from ``_FILTER_MIN_TERMS`` distinct terms
-on, first ``_g_fast``, one ``np.power`` over the table and one pairwise
-sum, whose point settles the step where it clears the threshold by the
-closed form's test, with tol for 0; elsewhere (the final step, steps
-near tol, overflow) ``_g``. So the roots keep every bit. At the default
-tol a call at n = 3..1000 runs 3 to 12 kernels (``_g_fast`` and ``_g``
-counted alike), 5.2 on average, where it once ran one or two at each of
-its 30 to 43 steps.
+raises there as before. Every other step runs ``_g``, so the roots keep
+every bit. At the default tol a call at n = 3..1000 runs ``_g`` 2 to 12
+times, 4.2 on average, where it once ran it at each of its 30 to 43
+steps.
+
+The first-order expansion of g gives alpha_star(n) ~ 1 / ((n - 1) ln 2
+- ln n - n/4), so n alpha_star(n) tends to 1 / (ln 2 - 1/4) =
+2.2565866...: it reads 2.288, 2.2609, 2.25713 and 2.256653 at n = 10**3,
+10**4, 10**5 and 10**6, approaching the limit from above.
 """
 
 from __future__ import annotations
@@ -72,10 +72,6 @@ _LN2 = math.log(2.0)
 # (1/pi) int_0^pi ln(sin x)**2 dx = pi**2/12 + ln(2)**2 = 1.3029200...,
 # rounded up with room for the rounding of the term it scales
 _LOG_SINE_SQUARE = 1.3030
-# below this many distinct terms the exact pass (float_power, accumulate)
-# costs no more than the filter's np.power, pairwise sum and bound
-# (measured: about 2.1 us each at 40 terms, 2.5 against 2.3 at 50)
-_FILTER_MIN_TERMS = 50
 # padded terms per grid block: about 1 MiB of terms at a time, whatever
 # the grid
 _BLOCK = 1 << 17
@@ -230,27 +226,12 @@ def scan_region(n_values, alpha_grid) -> list[RegionCell]:
             for n, row in zip(ns, rows) for a, t, g in zip(alphas, thresholds, row)]
 
 
-def _g_fast(n: int, table: np.ndarray, alpha: float) -> float:
-    """g(n, alpha) from one ``np.power`` and one pairwise sum over the table.
-
-    Within ``_g_error`` of the true g, as ``_g`` is, but not always equal
-    to ``_g``'s value. Comes back inf wherever the pair sum lacks a factor
-    2 of headroom below overflow, so that a finite value also means a
-    finite ``_g``. Call it with numpy overflow warnings off.
-    """
-    total = 2.0 * float(np.add.reduce(np.power(table, -alpha)))
-    if not 2.0 * total < math.inf:
-        return math.inf
-    return (total + 1.0 if n % 2 == 0 else total) / n
-
-
 def _g_error(k: int, alpha: float, g: float) -> float:
-    """A-priori bound on |kernel - g| at alpha over a table of k sines.
+    """A-priori bound on |``_g`` - g| at alpha over a table of k sines.
 
-    kernel is the value of ``_g`` or of ``_g_fast`` over the table, and g
-    is the true g(n, alpha), or a computed one: the bound doubles its
+    g is the true g(n, alpha), or a computed one: the bound doubles its
     first-order terms, which covers the difference. With u = 2**-53,
-    either kernel's value carries:
+    ``_g``'s value carries:
 
     - the table: j pi / n comes from ``math.pi`` (within 0.36u of pi), one
       multiply and one divide, so within 2.4u relative of the angle x
@@ -258,21 +239,18 @@ def _g_error(k: int, alpha: float, g: float) -> float:
       that by at most x cot x <= 1 times as much on (0, pi/2], and
       ``np.sin`` adds at most 4 ulp (8u), so each sine is within 11u;
     - each term s**-alpha then moves by alpha times that, 11 alpha u, and
-      its pow adds at most 8u: ``_g``'s libm pow through
-      ``np.float_power`` is within 1 ulp (2u), or for alpha in 1..4, where
-      it is (1/s)**alpha, within (1 + u)**4 (1 + 2u) - 1 < 7u, and
-      ``_g_fast``'s ``np.power`` within 4 ulp (8u; SVML on AVX-512, libm
-      elsewhere);
-    - k positive terms summed in any order, the running sum of ``_g`` and
-      numpy's pairwise one alike, lie within (k - 1) u of their total;
-      doubling is exact, and adding the middle term and dividing by n cost
-      u each.
+      its libm pow through ``np.float_power`` adds at most 7u: within
+      1 ulp (2u), or for alpha in 1..4, where it is (1/s)**alpha, within
+      (1 + u)**4 (1 + 2u) - 1 < 7u;
+    - k positive terms summed left to right lie within (k - 1) u of their
+      total; doubling is exact, and adding the middle term and dividing
+      by n cost u each.
 
-    That totals (k + 9 + 11 alpha) u g to first order. The bound charges
-    (k + 14 + 11 alpha) u g and doubles it, which covers the second-order
+    That totals (k + 8 + 11 alpha) u g to first order. The bound charges
+    (k + 13 + 11 alpha) u g and doubles it, which covers the second-order
     terms and the roundings of the bounds and tests built from it.
     """
-    return 2.0 * _U * (k + 14 + 11.0 * alpha) * g
+    return 2.0 * _U * (k + 13 + 11.0 * alpha) * g
 
 
 def _g_closed_form(n: int, alpha: float) -> tuple[float, float]:
@@ -359,7 +337,6 @@ def _alpha_star(n: int, tol: float) -> tuple[float, float]:
 
     table = _sine_table(n)
     k = len(table)
-    filtered = k >= _FILTER_MIN_TERMS
     headroom = 2.0 * n  # a kernel g below inf / headroom cannot overflow
     g = math.nan
     # points (alpha, below, above) that bound the true g at the alphas
@@ -370,18 +347,8 @@ def _alpha_star(n: int, tol: float) -> tuple[float, float]:
     right = []
 
     def psi(a: float, threshold: float) -> tuple[float, tuple]:
-        # psi at a, and a point bounding g there. A fast point stands where
-        # it settles the step by the closed form's test, with tol for 0: its
-        # sign and its miss of tol are then those of _g's psi (an inf fast
-        # passes neither test). A psi within tol always comes from _g,
-        # which leaves its g in g
+        # _g's psi at a, and a point bounding g there; _g's value stays in g
         nonlocal g
-        if filtered:
-            fast = _g_fast(n, table, a)
-            err, rho = _g_error(k, a, fast), _g_error(k, a, 1.0)
-            if ((fast + err) * (1.0 + rho) - threshold < -tol
-                    or (fast - err) * (1.0 - rho) - threshold > tol):
-                return fast - threshold, (a, fast - err, fast + err)
         g = _g(n, table, a)
         err = _g_error(k, a, g)
         return g - threshold, (a, g - err, g + err)
@@ -416,8 +383,7 @@ def _alpha_star(n: int, tol: float) -> tuple[float, float]:
                 _line_below(near_right, right[-2], width, rho) if len(right) > 1
                 else _NO_LINE_BELOW)
 
-    # a power may overflow to inf; a fast step then falls back to _g,
-    # which raises the typed error
+    # a power may overflow to inf, which _g turns into the typed error
     with np.errstate(over="ignore"):
         lo = _ALPHA_SEED
         while nonnegative(lo):
@@ -473,13 +439,13 @@ def alpha_star(n: int, tol: float = 1e-12) -> float:
     verdict is the one the exact kernel ``_g`` would give, but most steps
     take it from bounds on g (the module docstring): in the bracket the
     closed form, in the bisection the lines through the points already
-    decided. A step runs a kernel only where no bound clears
+    decided. A step runs ``_g`` only where no bound clears
     tol + ``_g_error``, with one exception: after two evaluated steps that
     moved lo and none that moved hi, the next step a bound would move hi
-    runs a kernel too. The chord above g is only as tight as its ends are
+    runs ``_g`` too. The chord above g is only as tight as its ends are
     near, and a root approached from below would otherwise leave its
     right end behind: at the default tol the rule takes n = 22 from 21
     kernel calls to 9, the worst n up to 1200 from 21 to 12, and the sum
-    over n = 3..1200 from 6,226 to 6,145.
+    over n = 3..1200 from 5,044 to 4,963.
     """
     return _alpha_star(n, tol)[0]

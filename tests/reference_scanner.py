@@ -4,8 +4,8 @@ This is the straightforward g(n, alpha) that the package's sine-table
 kernel replaces, and the bisection for the critical exponent on top of
 it. ``alpha_star_every_step`` is the package's bisection as it was before
 its steps were settled from bounds on g, with the package's exact kernel
-``_g`` run at every step: a step settled by a bound or by ``_g_fast``
-must decide as ``_g`` would, so which kernel decides a step cannot change
+``_g`` run at every step: a step settled by a bound must decide as
+``_g`` would, so whether a bound or ``_g`` decides a step cannot change
 an outcome. The tests compare the package with both bit for bit; the
 package never imports this.
 """

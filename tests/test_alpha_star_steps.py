@@ -2,12 +2,12 @@
 
 ``alpha_star`` settles a step without a kernel where bounds on g decide
 its sign and its miss of tol: the closed form of ``_g_closed_form`` in
-the bracket, lines through the points already decided in the bisection,
-each widened by the a-priori bound ``_g_error`` on either kernel, and
-from ``_g_fast``'s value where it clears the threshold as the closed form
-does. The outcome (root and g, or error class and message) must be the
-one of ``reference_scanner.alpha_star_every_step``, which runs ``_g`` at
-every step, and the bounds must hold against a 50-digit g.
+the bracket and lines through the points already decided in the
+bisection, each widened by the a-priori bound ``_g_error`` on ``_g``;
+every other step runs ``_g``. The outcome (root and g, or error class
+and message) must be the one of ``reference_scanner.alpha_star_every_step``,
+which runs ``_g`` at every step, and the bounds must hold against a
+50-digit g.
 """
 
 import math
@@ -17,7 +17,7 @@ import pytest
 
 import reference_scanner as ref
 from cocircular import CocircularError, alpha_star, condition_threshold
-from cocircular.scanner import _alpha_star, _g, _g_closed_form, _g_error, _g_fast, _sine_table
+from cocircular.scanner import _alpha_star, _g, _g_closed_form, _g_error, _sine_table
 
 
 def _outcome(star, n, tol):
@@ -45,16 +45,11 @@ def _counting_kernels(monkeypatch):
         calls.append(alpha)
         return _g(n, table, alpha)
 
-    def fast(n, table, alpha):
-        calls.append(alpha)
-        return _g_fast(n, table, alpha)
-
     monkeypatch.setattr("cocircular.scanner._g", exact)
-    monkeypatch.setattr("cocircular.scanner._g_fast", fast)
     return calls
 
 
-@pytest.mark.parametrize("n", [7, 99, 500, 1000])
+@pytest.mark.parametrize("n", [7, 99, 101, 500, 1000, 10**4])
 def test_few_steps_run_a_kernel(monkeypatch, n):
     # the every-step loop ran 31 to 43 kernels at these n
     calls = _counting_kernels(monkeypatch)
@@ -101,8 +96,29 @@ def test_bounds_hold_against_a_50_digit_g(n):
         for alpha in G_ALPHAS:
             true = _true_g(logs, n, alpha)
             exact = _g(n, table, alpha)
-            fast = _g_fast(n, table, alpha)
             assert abs(exact - true) <= _g_error(k, alpha, float(true)), (n, alpha)
-            assert abs(fast - true) <= _g_error(k, alpha, float(true)), (n, alpha)
             below, above = _g_closed_form(n, alpha)
             assert below <= true <= above, (n, alpha)
+
+
+# n alpha_star(n) -> 1 / (ln 2 - 1/4), from the first-order expansion of g
+LARGE_N_LIMIT = 1.0 / (math.log(2.0) - 0.25)
+
+
+def test_large_n_limit_and_closed_form_at_the_root():
+    # measured: n alpha* - L = 0.032, 0.0043, 5.5e-4 and 6.6e-5. The root
+    # is not compared with the alphas the closed form leaves open: at
+    # n = 10**5 and 10**6 it lies 2-3e-13 below them, inside tol
+    tol = 1e-12
+    misses = []
+    for n in (10**3, 10**4, 10**5, 10**6):
+        root, g = _alpha_star(n, tol)
+        threshold = condition_threshold(root)
+        assert abs(g - threshold) <= tol
+        misses.append(abs(n * root - LARGE_N_LIMIT))
+        # the closed form, which runs no kernel, brackets the true g, and
+        # _g's value lies within _g_error of it
+        err = _g_error((n - 1) // 2, root, g)
+        below, above = _g_closed_form(n, root)
+        assert below - threshold <= tol + err and above - threshold >= -tol - err, n
+    assert misses == sorted(misses, reverse=True) and misses[-1] < 1e-4

@@ -442,6 +442,35 @@ def test_non_finite_k_prints_one_error_line(tmp_path, capsys, command, k):
     assert (captured.out, captured.err) == ("", "error: k must be a finite number\n")
 
 
+@pytest.mark.parametrize("command", ["minimize", "exclude", "spectrum"])
+def test_alpha_with_no_finite_k_exits_two(tmp_path, capsys, command):
+    # 2**(3 + alpha)/alpha passes the largest double below alpha of about
+    # 4.45e-308: the default k would print "k":inf, which is not JSON, and
+    # exclude would certify from a functional with no finite k
+    if command == "spectrum":
+        argv = [command, "--n", "4", "--alpha", "1e-320"]
+    else:
+        problem = {"alpha": 1e-320, "masses": [1.0, 2.0, 3.0]}
+        argv = [command, "--input", write_json(tmp_path / "m.json", problem)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", "error: 2**(3 + alpha)/alpha overflows at alpha = 1e-320\n")
+
+
+def test_commands_without_k_work_at_an_alpha_with_no_finite_k(tmp_path, capsys):
+    # verify and scan form no k (alpha-star takes no alpha at all)
+    inp = write_json(tmp_path / "sq.json", {
+        "alpha": 1e-320, "masses": [1.0] * 4,
+        "angles": [TAU / 4, TAU / 2, 3 * TAU / 4, TAU],
+    })
+    assert main(["verify", "--input", inp]) == 0
+    assert json.loads(capsys.readouterr().out)["is_cc"] is True
+    assert main(["scan", "--n-min", "3", "--n-max", "5", "--alpha", "1e-320"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 4 and all(line.endswith(",1,true") for line in lines[1:])
+
+
 # SHA-256 of stdout, taken while the spectrum was still read off the full
 # n x n W with one cosine sum per eigenvalue
 SPECTRUM_DIGESTS = {

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -47,6 +48,13 @@ def test_auxiliary_functional_validation():
     for k in (float("nan"), "x", float("inf")):
         with pytest.raises(DomainError, match="^k must be a finite number$"):
             AuxiliaryFunctional(1.0, k)
+    # below alpha of about 4.45e-308 the quotient 2**(3 + alpha)/alpha
+    # passes the largest double, and no k is admissible
+    for alpha in (1e-320, 4.45e-308):
+        with pytest.raises(UnsupportedExponent,
+                           match=r"^2\*\*\(3 \+ alpha\)/alpha overflows at alpha = "):
+            AuxiliaryFunctional(alpha)
+    assert math.isfinite(AuxiliaryFunctional(4.5e-308).k)
 
 
 def test_u_beta_frozen_values():

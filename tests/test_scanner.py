@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cocircular
-import reference_scanner as ref
 from cocircular import (
     AuxiliaryFunctional,
     InvalidArity,
@@ -21,8 +20,7 @@ from cocircular import (
     g_value,
     scan_region,
 )
-from cocircular.scanner import (_ALPHA_SEED, _FILTER_MIN_TERMS, _alpha_star, _g, _g_error,
-                                _g_fast, _sine_table)
+from cocircular.scanner import _alpha_star, _g, _sine_table
 
 
 def test_hexagon_closed_form():
@@ -183,107 +181,54 @@ def test_alpha_star_asymptotic_law(n, low):
     assert low <= ratio <= 1.0
 
 
-# the vectorized filter in alpha_star against the exact kernel
+def _counting_g(monkeypatch):
+    # the alphas and the tables of every _g call
+    calls = []
 
-# every n up to 300, then a spread of both parities up to 4000
-FILTER_NS = list(range(3, 301)) + list(range(301, 4001, 13))
-FILTER_TOLS = (0.0, 1e-15, 1e-12, 1e-6)
+    def counting(n, table, alpha):
+        calls.append((alpha, table))
+        return _g(n, table, alpha)
 
-
-def _filter_alphas(n):
-    # the bracket points 2**j / 64, which include the integers 1, 2 and 4
-    # of _g's (1/s)**alpha branch, and points ever closer to the root
-    root = alpha_star(n)
-    near = [root * (1.0 + sign * 10.0 ** -p) for p in range(3, 16) for sign in (1, -1)]
-    return [_ALPHA_SEED * 2.0 ** j for j in range(-12, 13)] + near
-
-
-def test_fast_psi_within_bound_and_never_contradicts_exact():
-    tried = settled = 0
-    for n in FILTER_NS:
-        table = _sine_table(n)
-        k = len(table)
-        for alpha in _filter_alphas(n):
-            threshold = condition_threshold(alpha)
-            with np.errstate(over="ignore"):
-                fast = _g_fast(n, table, alpha)
-                exact = _g(n, table, alpha)
-            # both lie within _g_error of the true g
-            assert abs(fast - exact) <= _g_error(k, alpha, fast) + _g_error(k, alpha, exact)
-            # the point alpha_star makes of a fast g, and the test it settles
-            # a step by
-            err, rho = _g_error(k, alpha, fast), _g_error(k, alpha, 1.0)
-            below, above = (fast - err) * (1.0 - rho), (fast + err) * (1.0 + rho)
-            psi_exact = exact - threshold
-            for tol in FILTER_TOLS:
-                tried += 1
-                if above - threshold < -tol:
-                    assert psi_exact < -tol, (n, alpha, tol)
-                    settled += 1
-                elif below - threshold > tol:
-                    assert psi_exact > tol, (n, alpha, tol)
-                    settled += 1
-    # most points settle, but not those nearest the root
-    assert tried / 2 < settled < tried
+    monkeypatch.setattr("cocircular.scanner._g", counting)
+    return calls
 
 
 def test_filter_leaves_few_steps_to_the_exact_kernel(monkeypatch):
-    calls, fast_calls = [], []
-
-    def counting(n, table, alpha):
-        calls.append(alpha)
-        return _g(n, table, alpha)
-
-    def fast(n, table, alpha):
-        fast_calls.append(alpha)
-        return _g_fast(n, table, alpha)
-
-    monkeypatch.setattr("cocircular.scanner._g", counting)
-    monkeypatch.setattr("cocircular.scanner._g_fast", fast)
-    root = alpha_star(500)
-    # the step that ends the bisection always runs _g
-    assert 1 <= len(calls) <= 3 and calls[-1] == root
-    del calls[:], fast_calls[:]
-    # below the size cut every evaluated step runs _g, and bounds on g
-    # settle all but a few of the steps
-    n = 2 * _FILTER_MIN_TERMS - 1
-    root = alpha_star(n)
-    assert not fast_calls and 1 <= len(calls) <= 10 and calls[-1] == root
+    # bounds on g settle all but a few steps, below and above the 50
+    # distinct terms (n = 101) where a second kernel once took over: no
+    # more than the 5 kernels each n ran with both; the step that ends the
+    # bisection always runs _g
+    calls = _counting_g(monkeypatch)
+    for n in (99, 500):
+        del calls[:]
+        root = alpha_star(n)
+        assert 1 <= len(calls) <= 5 and calls[-1][0] == root
 
 
 def test_alpha_star_builds_one_table_for_the_filter(monkeypatch):
-    # the scalar kernel's floats and the filter's array come from one table
-    tables, kernel_tables = [], []
+    # every _g call of a bisection takes the one table it built
+    tables = []
 
     def building(n):
         tables.append(_sine_table(n))
         return tables[-1]
 
-    def fast(n, table, alpha):
-        kernel_tables.append(table)
-        return _g_fast(n, table, alpha)
-
-    def exact(n, table, alpha):
-        kernel_tables.append(table)
-        return _g(n, table, alpha)
-
     monkeypatch.setattr("cocircular.scanner._sine_table", building)
-    monkeypatch.setattr("cocircular.scanner._g_fast", fast)
-    monkeypatch.setattr("cocircular.scanner._g", exact)
+    calls = _counting_g(monkeypatch)
     _alpha_star(500, 1e-12)
-    assert len(tables) == 1 and 1 <= len(kernel_tables) <= 10
-    assert all(table is tables[0] for table in kernel_tables)
+    assert len(tables) == 1 and 1 <= len(calls) <= 10
+    assert all(table is tables[0] for _, table in calls)
 
 
 def test_overflowing_filter_falls_back_without_warnings(monkeypatch):
     # a threshold nothing reaches makes the bracket climb to alpha = 128,
-    # where np.power and _g overflow at n = 1000
+    # where _g overflows at n = 1000; no bound settles a step that near
+    # overflow, so _g runs there and raises the typed error
     monkeypatch.setattr("cocircular.scanner._ALPHA_CAP", 1024.0)
     monkeypatch.setattr("cocircular.scanner.condition_threshold", lambda a: 1e300)
     table = _sine_table(1000)
     with np.errstate(over="ignore"):
-        assert math.isfinite(_g_fast(1000, table, 64.0))
-        assert _g_fast(1000, table, 128.0) == math.inf
+        assert math.isfinite(_g(1000, table, 64.0))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(UnsupportedExponent,
