@@ -10,9 +10,10 @@ Pair quantities are held packed: one entry per pair j < k, in
 True entries of the strict upper-triangle mask. ``_pair_chords`` builds
 the differences du = t_j - t_k and the chords ru = |2 sin(du/2)| once per
 point, into fresh arrays or the caller's buffers, and checks nothing.
-``AngleConfiguration`` checks the angles, ``_packed_chords`` a
-configuration's gaps against ``COLLISION_TOL``, and the minimizer's line
-search its trials' gaps, so every chord lies in (0, 2]. ``_mirror``
+``AngleConfiguration`` checks the angles, ``_check_gaps`` (which
+``_packed_chords`` runs first) a configuration's gaps against
+``COLLISION_TOL``, and the minimizer's line search its trials' gaps, so
+every chord lies in (0, 2]. ``_mirror``
 expands packed pair quantities into an n x n matrix with a zero diagonal,
 writing the upper triangle through that mask and the lower one through
 the same mask on the transposed view. The mirror reproduces the
@@ -136,7 +137,9 @@ def _mirror(n: int, upper: np.ndarray, lower: np.ndarray, out=None) -> np.ndarra
     Entry p of ``upper`` lands at (j_p, k_p) and entry p of ``lower`` at
     (k_p, j_p), with (j_p, k_p) the packed pair order. A reused ``out``
     must be C-contiguous: its diagonal is zeroed here through a strided
-    view of its flat buffer, and every other entry is overwritten.
+    view of its flat buffer, and every other entry is overwritten. A
+    ``lower`` of None leaves the lower triangle to the caller, who writes
+    it through the same mask on ``out.T``.
     """
     mask = _pairs(n)[2]
     if out is None:
@@ -144,16 +147,22 @@ def _mirror(n: int, upper: np.ndarray, lower: np.ndarray, out=None) -> np.ndarra
     else:
         out.reshape(-1)[:: n + 1] = 0.0
     out[mask] = upper
-    out.T[mask] = lower
+    if lower is not None:
+        out.T[mask] = lower
     return out
 
 
-def _packed_chords(config: AngleConfiguration, out=(None,) * 3):
-    """``_pair_chords`` of a configuration; CollisionError below COLLISION_TOL."""
+def _check_gaps(config: AngleConfiguration) -> None:
+    """CollisionError unless every circular gap is at least COLLISION_TOL."""
     if config.min_gap() < COLLISION_TOL:
         raise CollisionError(
             f"two bodies are within {COLLISION_TOL} radians of each other"
         )
+
+
+def _packed_chords(config: AngleConfiguration, out=(None,) * 3):
+    """``_pair_chords`` of a configuration; CollisionError below COLLISION_TOL."""
+    _check_gaps(config)
     return _pair_chords(config.angles, out)
 
 

@@ -26,7 +26,12 @@ Every pair term and matrix of the loop lives in this thread's workspace
 with unchanged arithmetic, so every float keeps its bits, and results never
 alias it. One du/ru pair serves the whole loop: once the step is solved
 the point's chords are dead, and the last trial built is the one
-accepted. The workspace holds 9 n(n - 1)/2 + n^2 doubles: 2.7 MiB at
+accepted. The workspace's memo (``_Workspace.point`` and ``alpha``) is
+reset before every chord build and set to the iterate after every
+gradient, one O(n) copy of its angles per iteration. The Hessian leaves
+that gradient's sin(du) in place, so ``verify_cc`` and
+``pair_weight_matrix`` at the returned theta_m, on the same thread,
+build no chords. The workspace holds 9 n(n - 1)/2 + n^2 doubles: 2.7 MiB at
 n = 256, 11.0 MiB at n = 512, 44 MiB at n = 1024. A repeat solve at
 n = 256 takes about 97 minor page faults, the final Cholesky factor's
 (README gives the times).
@@ -146,12 +151,14 @@ def minimize_f_k(aux: AuxiliaryFunctional, masses: MassVector,
         # iteration; the pair masses serve the whole solve. Every pair term
         # and matrix lives in this thread's workspace; results copy out of it.
         ws = _workspace(n)
+        ws.point = ws.alpha = None
         du, ru = _pair_chords(x, ws.chords)
         mj, mk, mm = _mass_pairs(m, ws.masses)
         fx = _f_value(aux, mm, ru, ws.f)
         if n == 2:
             r_a2 = _pow(ru, -(aux.alpha + 2.0), ws.r_a2)
             gnorm = float(abs(_grad_theta(aux, m, mj, mk, du, r_a2, ws.grad)[0]))
+            ws.point, ws.alpha = x.tobytes(), aux.alpha
             _check_finite(aux.alpha, (fx, gnorm), r_a2)
             return MinimizeResult(cfg, fx, gnorm, 0, True, min_gap_seen)
         gaps = x[1:] - x[:-1]
@@ -163,6 +170,8 @@ def minimize_f_k(aux: AuxiliaryFunctional, masses: MassVector,
         for iteration in range(max_iter + 1):
             r_a2 = _pow(ru, -(aux.alpha + 2.0), ws.r_a2)
             gr = _grad_theta(aux, m, mj, mk, du, r_a2, ws.grad)[:-1]
+            # x's du, ru, sin(du) and r_a2 stay put until the next chord build
+            ws.point, ws.alpha = x.tobytes(), aux.alpha
             gnorm = _norm(gr)
             _check_finite(aux.alpha, (fx, gnorm), r_a2)
             hr = _hessian_theta(aux, n, mm, du, r_a2, ws.hess)[:-1, :-1]
@@ -213,6 +222,7 @@ def minimize_f_k(aux: AuxiliaryFunctional, masses: MassVector,
                     continue
                 # the step is solved, so the point's du and ru are dead; the
                 # last trial built is the one accepted
+                ws.point = ws.alpha = None
                 _pair_chords(xt, ws.chords)
                 ft = _f_value(aux, mm, ru, ws.f)
                 if ft <= fx + _ARMIJO * t * slope + slack:

@@ -24,8 +24,11 @@ formulas, so every float keeps the bits those formulas give.
 
 The Newton loop and ``verify_cc`` evaluate f, the gradient, the Hessian
 and the CC residuals into one ``_Workspace`` per thread, kept for the
-last n evaluated there. Only two evaluators are public: the angle
-gradient, and W, which the exclusion scans use. Both return fresh arrays
+last n evaluated there. The workspace remembers the point its chords
+describe, so ``verify_cc`` and W at the minimizer the loop has just left
+there reuse its du, ru, sin(du) and, at the same alpha, r**-(alpha + 2)
+instead of building them again (``_held_frame``). Only two evaluators
+are public: the angle gradient, and W, which the exclusion scans use. Both return fresh arrays
 and, like those two callers, refuse a value that overflows with a typed
 error and no numpy warning ahead of it: ``UnsupportedExponent`` when a
 chord power overflowed, ``DomainError`` when the masses carried it past
@@ -42,8 +45,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, DomainError, KTooSmall, UnsupportedExponent
-from .geometry import (AngleConfiguration, MassVector, _mirror, _packed_chords,
-                       _pairs)
+from .geometry import (AngleConfiguration, MassVector, _check_gaps, _mirror,
+                       _packed_chords, _pair_chords, _pairs)
 
 
 def k_min(alpha: float) -> float:
@@ -141,25 +144,32 @@ def _finite(value, alpha, ru, expo):
 
 
 class _Workspace:
-    """Buffers for the pair evaluations at one n.
+    """Buffers for the pair evaluations at one n, and the point they describe.
 
     Nine pair buffers (the packed pair masses m_j, m_k and m_j m_k,
-    r**-(alpha + 2), du and ru, and three scratch buffers that the chord
-    gather, f, the gradient, the Hessian and the CC residuals take in
-    turn) and one n x n mirror target: 9 n(n - 1)/2 + n^2 doubles. No
-    buffer carries a value from one call to the next.
+    r**-(alpha + 2), du and ru, and three scratch buffers) and one n x n
+    mirror target: 9 n(n - 1)/2 + n^2 doubles. The chord gather and f take
+    the first scratch buffer, the gradient all three, leaving sin(du) in
+    the first; the Hessian and the CC residuals take the other two.
+
+    ``point`` holds the bytes of the angles whose du, ru and sin(du) the
+    buffers hold, and ``alpha`` the exponent of the r**-(alpha + 2) they
+    hold. Each is reset to None as soon as a buffer stops holding those
+    values: the Newton loop resets both before every chord build and sets
+    them after every gradient, ``verify_cc`` after every build of its own.
     """
 
     def __init__(self, n):
         self.n = n
+        self.point = self.alpha = None
         mj, mk, mm, self.r_a2, du, ru, a, b, c = np.empty((9, n * (n - 1) // 2))
         full = np.empty((n, n))
         self.masses = (mj, mk, mm)
         self.chords = (du, ru, a)
-        self.f = a
+        self.f = self.sin = a
         self.grad = (a, b, c, full)
-        self.hess = (a, b, full)
-        self.cc = (a, b, c, full)
+        self.hess = (b, c, full)
+        self.cc = (b, c, full)
 
 
 # each thread keeps the workspace of the last n it evaluated
@@ -172,6 +182,20 @@ def _workspace(n):
     if ws is None or ws.n != n:
         ws = _local.ws = _Workspace(n)
     return ws
+
+
+def _held_frame(config):
+    """This thread's workspace if it holds the pair frame of config, else None.
+
+    The frame is du, ru and sin(du) at ``point``; a caller checks
+    ``alpha`` before it reuses r**-(alpha + 2). The CollisionError gap
+    test runs first either way, so a hit refuses what a miss would.
+    """
+    _check_gaps(config)
+    ws = getattr(_local, "ws", None)
+    if ws is not None and ws.n == config.n and ws.point == config.angles.tobytes():
+        return ws
+    return None
 
 
 def _mass_pairs(m, out=(None,) * 3):
@@ -198,18 +222,23 @@ def _grad_theta(aux, m, mj, mk, du, r_a2, out=(None,) * 4):
 
     Row j of the summand holds m_k sin(t_j - t_k) w_jk; below the
     diagonal sin(t_k - t_j) = -sin(du), so that half is mirrored negated.
-    ``out`` is three pair buffers and the mirror target.
+    ``out`` is three pair buffers and the mirror target; sin(du) is left
+    in the first.
     """
-    s_buf, w_buf, upper, full = out
+    n = m.size
+    s_buf, w_buf, half, full = out
     s = np.sin(du, out=s_buf)
     w = np.multiply(aux.alpha, r_a2, out=w_buf)
     w -= 2.0 / aux.k
-    upper = np.multiply(mk, s, out=upper)
+    upper = np.multiply(mk, s, out=half)
     upper *= w
-    lower = np.multiply(mj, s, out=s)  # the last use of s
+    # the upper half is mirrored before the lower one takes its buffer
+    full = _mirror(n, upper, None, full)
+    lower = np.multiply(mj, s, out=half)
     lower *= w
     np.negative(lower, out=lower)
-    return -(m * np.add.reduce(_mirror(m.size, upper, lower, full), axis=1))
+    full.T[_pairs(n)[2]] = lower
+    return -(m * np.add.reduce(full, axis=1))
 
 
 def _hessian_theta(aux, n, mm, du, r_a2, out=(None,) * 3):
@@ -268,9 +297,11 @@ def pair_weight_matrix(aux: AuxiliaryFunctional,
 
     This is the mass-space Hessian of the auxiliary functional: for any
     real vector y, y^T W y / 2 equals the functional evaluated with y in
-    place of the masses.
+    place of the masses. At the point this thread's workspace holds (the
+    minimizer after a solve) the chords come from there; W is always fresh.
     """
-    ru = _packed_chords(config)[1]
+    ws = _held_frame(config)
+    ru = _pair_chords(config.angles)[1] if ws is None else ws.chords[1]
     with np.errstate(over="ignore", invalid="ignore"):
         w = _pair_weights(aux, ru)
         return _finite(_mirror(config.n, w, w), aux.alpha, ru, aux.alpha)

@@ -1,5 +1,8 @@
+import threading
+
 import numpy as np
 
+import cocircular.potential as potential
 from cocircular import TAU, AngleConfiguration, MassVector
 
 
@@ -26,3 +29,18 @@ def certify_masses(family, n, ratio=1e3):
     if family == "two-heavy":
         m[2] = ratio
     return m
+
+
+def on_fresh_thread(call, *args):
+    """Run call(*args) on a new thread, so with a workspace built for it alone."""
+    out = []
+
+    def run():
+        assert getattr(potential._local, "ws", None) is None
+        out.append(call(*args))
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    thread.join(timeout=120)
+    assert out, "the call on the fresh thread raised or did not finish"
+    return out[0]

@@ -14,9 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cocircular
-from cocircular import TAU, scan_region
+import cocircular.potential as potential
+from cocircular import TAU, AngleConfiguration, scan_region
 from cocircular.cli import _fmt, _json, main
-from conftest import certify_masses
+from conftest import certify_masses, on_fresh_thread
 
 M112 = {"alpha": 1.0, "masses": [1.0, 1.0, 2.0]}
 
@@ -512,9 +513,10 @@ def test_non_finite_objective_exits_two(tmp_path, capsys, command, payload, caus
 
 
 def _run_cli(argv, payload=None):
+    """argv in a new interpreter; payload is stdin, as text or as JSON of it."""
     src = os.path.dirname(os.path.dirname(cocircular.__file__))
     env = {**os.environ, "PYTHONPATH": src}
-    stdin = None if payload is None else json.dumps(payload)
+    stdin = payload if payload is None or isinstance(payload, str) else json.dumps(payload)
     return subprocess.run([sys.executable, "-m", "cocircular", *argv], env=env,
                           input=stdin, capture_output=True, text=True, timeout=120)
 
@@ -618,6 +620,40 @@ def test_verify_large_n_frozen_stdout(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(sys, "stdin", io.StringIO(minimized))
     assert main(["verify", "--input", "-"]) == 0
     assert _sha(capsys.readouterr().out) == WRITER_DIGESTS["verify-large-n"]
+
+
+def test_verify_large_n_frozen_stdout_on_a_fresh_thread(tmp_path, capsys, monkeypatch):
+    # the miss-path twin of the test above: verify builds its own chords
+    masses = np.random.default_rng(256).uniform(0.5, 2.0, 256)
+    inp = write_json(tmp_path / "m.json", {"alpha": 1.0, "masses": masses.tolist()})
+    assert main(["minimize", "--input", inp]) == 0
+    minimized = capsys.readouterr().out
+    monkeypatch.setattr(sys, "stdin", io.StringIO(minimized))
+    assert on_fresh_thread(main, ["verify", "--input", "-"]) == 0
+    assert _sha(capsys.readouterr().out) == WRITER_DIGESTS["verify-large-n"]
+
+
+# SHA-256 of `cocircular minimize | cocircular verify` stdout at six equal
+# masses, alpha = 1; the CI smoke step "Smoke minimize | verify" checks it
+SIX_EQUAL = {"alpha": 1.0, "masses": [1, 1, 1, 1, 1, 1]}
+VERIFY_SIX_EQUAL = "cddc4b2aafcf61c47ade97e8e3c9504434deaf3eed91c2eeb9d5d8b826239c14"
+
+
+def test_minimize_verify_pipe_matches_in_process(capsys, monkeypatch):
+    # two processes never share a workspace, so the piped verify misses,
+    # while the in-process one reuses the minimizer's chords
+    minimized = _run_cli(["minimize", "--input", "-"], SIX_EQUAL)
+    piped = _run_cli(["verify", "--input", "-"], minimized.stdout)
+    assert minimized.returncode == piped.returncode == 0
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(SIX_EQUAL)))
+    assert main(["minimize", "--input", "-"]) == 0
+    assert capsys.readouterr().out == minimized.stdout
+    angles = AngleConfiguration(json.loads(minimized.stdout)["angles"])
+    assert potential._held_frame(angles) is potential._local.ws
+    monkeypatch.setattr(sys, "stdin", io.StringIO(minimized.stdout))
+    assert main(["verify", "--input", "-"]) == 0
+    assert capsys.readouterr().out == piped.stdout
+    assert _sha(piped.stdout) == VERIFY_SIX_EQUAL
 
 
 @pytest.mark.parametrize("key, payload", [

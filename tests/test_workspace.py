@@ -4,7 +4,10 @@
 mirror target in one workspace per thread, holding the last n evaluated
 there. Reusing it must not move a bit, threads must not share it, results
 must not alias it, bad input must not reach it, and a repeat call at the
-same n must allocate only what it still allocates by design.
+same n must allocate only what it still allocates by design. The point
+the workspace remembers (``point`` and ``alpha``) lets ``verify_cc`` and
+``pair_weight_matrix`` at the minimizer skip its chords: such a hit must
+give the bits of a miss, and must build no chords.
 """
 
 import dataclasses
@@ -17,11 +20,13 @@ import numpy as np
 import pytest
 
 import cocircular.geometry as geometry
+import cocircular.minimizer as minimizer
 import cocircular.potential as potential
-from cocircular import (TAU, AuxiliaryFunctional, ConvergenceFailure, DimensionError,
-                        DomainError, MassVector, UnsupportedExponent, minimize_f_k,
-                        verify_cc)
-from conftest import ordered_angles, random_masses
+import cocircular.verifier as verifier
+from cocircular import (TAU, AngleConfiguration, AuxiliaryFunctional, ConvergenceFailure,
+                        DimensionError, DomainError, MassVector, UnsupportedExponent,
+                        minimize_f_k, pair_weight_matrix, verify_cc)
+from conftest import on_fresh_thread, ordered_angles, random_masses
 
 
 def _problem(n, alpha, seed):
@@ -40,21 +45,6 @@ def _solve(problem):
 def _check(alpha, masses, config):
     # repr tells every float's bits apart, -0.0 from 0.0 included
     return repr(dataclasses.astuple(verify_cc(alpha, masses, config)))
-
-
-def _on_fresh_thread(call, *args):
-    """Run call(*args) on a new thread, so with a workspace built for it alone."""
-    out = []
-
-    def run():
-        assert getattr(potential._local, "ws", None) is None
-        out.append(call(*args))
-
-    thread = threading.Thread(target=run)
-    thread.start()
-    thread.join(timeout=120)
-    assert out, "the call on the fresh thread raised or did not finish"
-    return out[0]
 
 
 def _concurrently(work):
@@ -105,7 +95,7 @@ def test_concurrent_threads_match_serial_solves():
 
 def test_changing_n_on_one_thread_matches_fresh_solves():
     problems = [_problem(64, 1.0, 6), _problem(256, 1.0, 7), _problem(64, 3.0, 8)]
-    fresh = [_on_fresh_thread(_solve, p) for p in problems]
+    fresh = [on_fresh_thread(_solve, p) for p in problems]
     assert [_solve(p) for p in problems] == fresh
     assert potential._local.ws.n == 64
 
@@ -139,7 +129,7 @@ def _interleaved_calls():
 
 def test_verify_interleaved_with_solves_matches_fresh_threads():
     calls = _interleaved_calls()
-    fresh = [_on_fresh_thread(call, *args) for call, args in calls]
+    fresh = [on_fresh_thread(call, *args) for call, args in calls]
     assert [call(*args) for call, args in calls] == fresh
     # three threads, each starting at a different call
     shifts = (0, 3, 6)
@@ -161,17 +151,127 @@ def test_bad_verify_input_leaves_the_workspace_untouched(args, error, message):
     aux, m = _problem(64, 1.0, 15)
     verify_cc(1.0, m, minimize_f_k(aux, m).theta_m)
     ws = potential._local.ws
-    before = [buf.tobytes() for buf in _workspace_arrays(ws)]
+    assert ws.point is not None and ws.alpha == 1.0
+    before = ([buf.tobytes() for buf in _workspace_arrays(ws)], ws.point, ws.alpha)
     with pytest.raises(error) as exc:
         verify_cc(alpha, MassVector(np.ones(n_masses)), ordered_angles(rng, n_angles), tol)
     assert str(exc.value) == message
     assert potential._local.ws is ws and ws.n == 64
-    assert [buf.tobytes() for buf in _workspace_arrays(ws)] == before
+    assert ([buf.tobytes() for buf in _workspace_arrays(ws)], ws.point, ws.alpha) == before
+
+
+def _weights(aux, config):
+    return pair_weight_matrix(aux, config).tobytes()
+
+
+# the alpha each "other-alpha" check runs at, after a solve at the key
+_OTHER_ALPHA = {0.5: 3.0, 1.0: 0.5, 3.0: 1.0}
+
+
+def _memo_case(case, n, alpha):
+    """Leave this thread's workspace as ``case`` has it; what to check there.
+
+    Returns the alpha, masses and configuration of the check and whether
+    the workspace holds that configuration's frame (a hit).
+    """
+    aux, m = _problem(n, alpha, 50 + n)
+    if case == "convergence-failure":
+        with pytest.raises(ConvergenceFailure) as exc:
+            minimize_f_k(aux, m, grad_tol=0.0, max_iter=3)
+        cfg = exc.value.result.theta_m
+    else:
+        cfg = minimize_f_k(aux, m).theta_m
+    if case == "other-alpha":
+        alpha = _OTHER_ALPHA[alpha]
+    elif case == "nextafter":
+        t = cfg.angles.copy()
+        t[n // 2] = np.nextafter(t[n // 2], 0.0)
+        cfg = AngleConfiguration(t)
+    elif case == "other-n":
+        _solve(_problem(n + 5, alpha, 60 + n))
+    return alpha, m, cfg, case in ("same-alpha", "other-alpha", "convergence-failure")
+
+
+@pytest.mark.parametrize("case", ["same-alpha", "other-alpha", "nextafter",
+                                  "convergence-failure", "other-n"])
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 3.0])
+@pytest.mark.parametrize("n", [3, 8, 64, 256])
+def test_memo_hit_matches_a_miss_bit_for_bit(n, alpha, case):
+    alpha, m, cfg, hit = _memo_case(case, n, alpha)
+    ws = potential._local.ws
+    assert (potential._held_frame(cfg) is ws) is hit
+    # r**-(alpha + 2) is reused only at the alpha of the solve
+    reused_power = hit and ws.alpha == alpha
+    assert reused_power is (case in ("same-alpha", "convergence-failure"))
+    aux = AuxiliaryFunctional(alpha)
+    assert _weights(aux, cfg) == on_fresh_thread(_weights, aux, cfg)
+    assert _check(alpha, m, cfg) == on_fresh_thread(_check, alpha, m, cfg)
+    # the check leaves its own point behind, at its alpha
+    assert potential._local.ws.point == cfg.angles.tobytes()
+    assert potential._local.ws.alpha == alpha
+
+
+def test_a_stalled_line_search_leaves_no_point(monkeypatch):
+    # an Armijo constant no step can meet: every trial builds its chords
+    # over the iterate's, so the iterate carried by the failure must miss
+    monkeypatch.setattr(minimizer, "_ARMIJO", 1e300)
+    aux, m = _problem(64, 1.0, 18)
+    with pytest.raises(ConvergenceFailure, match="line search stalled") as exc:
+        minimize_f_k(aux, m)
+    cfg = exc.value.result.theta_m
+    assert potential._local.ws.point is None and potential._local.ws.alpha is None
+    assert potential._held_frame(cfg) is None
+    assert _check(1.0, m, cfg) == on_fresh_thread(_check, 1.0, m, cfg)
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """Count chord builds and ``np.sin`` calls, on every thread.
+
+    Every package module that holds the raw chord kernel ``_pair_chords``
+    by name is patched, and so is ``sin`` on numpy, which the chords and
+    the tangential terms call; arguments and buffers pass through.
+    """
+    builds, sines = [], []
+    build, sin = geometry._pair_chords, np.sin
+
+    def counting_build(t, *args, **kwargs):
+        builds.append(t.size)
+        return build(t, *args, **kwargs)
+
+    def counting_sin(*args, **kwargs):
+        sines.append(np.size(args[0]))
+        return sin(*args, **kwargs)
+
+    callers = [module for name, module in list(sys.modules.items())
+               if name.split(".")[0] == "cocircular"
+               and getattr(module, "_pair_chords", None) is build]
+    assert {geometry, potential, verifier} <= set(callers)
+    for module in callers:
+        monkeypatch.setattr(module, "_pair_chords", counting_build)
+    monkeypatch.setattr(np, "sin", counting_sin)
+    return builds, sines
+
+
+def test_checks_at_the_minimizer_build_no_chords(counted):
+    builds, sines = counted
+    n = 256
+    aux, m = _problem(n, 1.0, 17)
+    res = minimize_f_k(aux, m)
+    del builds[:], sines[:]
+    pair_weight_matrix(aux, res.theta_m)
+    verify_cc(1.0, m, res.theta_m)
+    assert builds == [] and sines == []
+    # a fresh thread holds no frame: one chord build, whose sines are the
+    # chords' half angles, and the sines of du
+    on_fresh_thread(verify_cc, 1.0, m, res.theta_m)
+    pairs = n * (n - 1) // 2
+    assert builds == [n] and sines == [pairs, pairs]
 
 
 @pytest.mark.parametrize("n", [2, 3, 64, 256])
 def test_workspace_holds_nine_pair_buffers_and_one_matrix(n):
-    ws = _on_fresh_thread(potential._workspace, n)
+    ws = on_fresh_thread(potential._workspace, n)
     buffers = {id(buf): buf for buf in _workspace_arrays(ws)}
     assert sum(buf.nbytes for buf in buffers.values()) <= 8 * (9 * n * (n - 1) // 2 + n * n)
 
