@@ -10,7 +10,8 @@ entries <= 0, full rows summing to 0; see ``potential``), so it is
 positive definite at every iterate in exact arithmetic and the loop takes
 the Newton step alone. A singular LU or a step that does not descend is
 rounding, and raises ``ConvergenceFailure`` with the last iterate, as a
-failed final Cholesky check does.
+failed final Cholesky check does, unless the Hessian overflowed: that is
+the input's typed error, as an overflowed f or gradient is.
 
 The masses and the start are validated once, on entry. The loop then runs
 on raw pinned angle vectors: the step carries a trailing 0.0, so every
@@ -27,11 +28,10 @@ with unchanged arithmetic, so every float keeps its bits, and results never
 alias it. One du/ru pair serves the whole loop: once the step is solved
 the point's chords are dead, and the last trial built is the one
 accepted. The workspace's memo (``_Workspace.point`` and ``alpha``) is
-reset before every chord build and set to the iterate after every
-gradient, one O(n) copy of its angles per iteration. The Hessian leaves
-that gradient's sin(du) in place, so ``verify_cc`` and
-``pair_weight_matrix`` at the returned theta_m, on the same thread,
-build no chords. The workspace holds 9 n(n - 1)/2 + n^2 doubles: 2.7 MiB at
+forgotten on entry and recorded only where the solve returns converged,
+where the Hessian has left the last gradient's sin(du) in place, so
+``verify_cc`` at the returned theta_m, on the same thread, builds no
+chords. The workspace holds 9 n(n - 1)/2 + n^2 doubles: 2.7 MiB at
 n = 256, 11.0 MiB at n = 512, 44 MiB at n = 1024. A repeat solve at
 n = 256 takes about 97 minor page faults, the final Cholesky factor's
 (README gives the times).
@@ -158,8 +158,8 @@ def minimize_f_k(aux: AuxiliaryFunctional, masses: MassVector,
         if n == 2:
             r_a2 = _pow(ru, -(aux.alpha + 2.0), ws.r_a2)
             gnorm = float(abs(_grad_theta(aux, m, mj, mk, du, r_a2, ws.grad)[0]))
-            ws.point, ws.alpha = x.tobytes(), aux.alpha
             _check_finite(aux.alpha, (fx, gnorm), r_a2)
+            ws.point, ws.alpha = x.tobytes(), aux.alpha
             return MinimizeResult(cfg, fx, gnorm, 0, True, min_gap_seen)
         gaps = x[1:] - x[:-1]
         d = np.zeros(n)  # the step, its pinned last entry left at 0.0
@@ -170,8 +170,6 @@ def minimize_f_k(aux: AuxiliaryFunctional, masses: MassVector,
         for iteration in range(max_iter + 1):
             r_a2 = _pow(ru, -(aux.alpha + 2.0), ws.r_a2)
             gr = _grad_theta(aux, m, mj, mk, du, r_a2, ws.grad)[:-1]
-            # x's du, ru, sin(du) and r_a2 stay put until the next chord build
-            ws.point, ws.alpha = x.tobytes(), aux.alpha
             gnorm = _norm(gr)
             _check_finite(aux.alpha, (fx, gnorm), r_a2)
             hr = _hessian_theta(aux, n, mm, du, r_a2, ws.hess)[:-1, :-1]
@@ -183,6 +181,8 @@ def minimize_f_k(aux: AuxiliaryFunctional, masses: MassVector,
                         "reduced Hessian is not positive definite at the candidate",
                         _result(x, fx, gnorm, iteration, False, min_gap_seen),
                     ) from None
+                # the Hessian left x's du, ru, sin(du) and r_a2 in place
+                ws.point, ws.alpha = x.tobytes(), aux.alpha
                 return _result(x, fx, gnorm, iteration, True, min_gap_seen)
             if iteration == max_iter:
                 break
@@ -195,6 +195,9 @@ def minimize_f_k(aux: AuxiliaryFunctional, masses: MassVector,
             except np.linalg.LinAlgError:
                 slope = math.nan
             if not slope < 0.0:  # no step, or one that does not descend
+                # an overflowed Hessian is the input's error, not rounding
+                if not np.isfinite(hr).all():
+                    _check_finite(aux.alpha, (math.inf,), r_a2)
                 raise ConvergenceFailure(
                     f"reduced Hessian is not positive definite at iteration {iteration}",
                     _result(x, fx, gnorm, iteration, False, min_gap_seen),
@@ -222,7 +225,6 @@ def minimize_f_k(aux: AuxiliaryFunctional, masses: MassVector,
                     continue
                 # the step is solved, so the point's du and ru are dead; the
                 # last trial built is the one accepted
-                ws.point = ws.alpha = None
                 _pair_chords(xt, ws.chords)
                 ft = _f_value(aux, mm, ru, ws.f)
                 if ft <= fx + _ARMIJO * t * slope + slack:
@@ -242,14 +244,15 @@ def minimize_f_k(aux: AuxiliaryFunctional, masses: MassVector,
 
 
 def _norm(gr: np.ndarray) -> float:
-    """Euclidean norm of gr: sqrt(gr @ gr), bit for bit, unless that underflows.
+    """Euclidean norm of gr: sqrt(gr @ gr), bit for bit, where that sum is normal.
 
     Below the smallest normal double the sum of squares loses its bits, and
-    at 0.0 it would pass any stopping test; the sum is then taken over
-    gr / max|gr| and the scale put back.
+    at 0.0 it would pass any stopping test; past the largest it is inf for
+    a finite gr. The sum is then taken over gr / max|gr| and the scale put
+    back.
     """
     squares = float(gr @ gr)
-    if squares >= _TINY or not gr.any():
+    if _TINY <= squares < math.inf or not gr.any():
         return math.sqrt(squares)
     scale = float(np.abs(gr).max())
     unit = gr / scale

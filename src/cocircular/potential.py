@@ -24,15 +24,15 @@ formulas, so every float keeps the bits those formulas give.
 
 The Newton loop and ``verify_cc`` evaluate f, the gradient, the Hessian
 and the CC residuals into one ``_Workspace`` per thread, kept for the
-last n evaluated there. The workspace remembers the point its chords
-describe, so ``verify_cc`` and W at the minimizer the loop has just left
-there reuse its du, ru, sin(du) and, at the same alpha, r**-(alpha + 2)
-instead of building them again (``_held_frame``). Only two evaluators
-are public: the angle gradient, and W, which the exclusion scans use. Both return fresh arrays
-and, like those two callers, refuse a value that overflows with a typed
-error and no numpy warning ahead of it: ``UnsupportedExponent`` when a
-chord power overflowed, ``DomainError`` when the masses carried it past
-a double.
+last n evaluated there. ``_frame`` alone reads the point it remembers,
+and besides it only a converged solve records one, so ``verify_cc`` at
+the minimizer the loop has just returned builds no chords. Only two
+evaluators are public: the angle gradient, and W, which the exclusion
+scans use. Both build their own chords, never touch the workspace,
+return fresh arrays and, like those two callers, refuse a value that
+overflows with a typed error and no numpy warning ahead of it:
+``UnsupportedExponent`` when a chord power overflowed, ``DomainError``
+when the masses carried it past a double.
 """
 
 from __future__ import annotations
@@ -154,9 +154,9 @@ class _Workspace:
 
     ``point`` holds the bytes of the angles whose du, ru and sin(du) the
     buffers hold, and ``alpha`` the exponent of the r**-(alpha + 2) they
-    hold. Each is reset to None as soon as a buffer stops holding those
-    values: the Newton loop resets both before every chord build and sets
-    them after every gradient, ``verify_cc`` after every build of its own.
+    hold, each None when unknown. The frame rule: only ``_frame`` reads
+    them, and outside ``potential`` only ``minimize_f_k`` writes them, to
+    None on entry and to its iterate where it returns converged.
     """
 
     def __init__(self, n):
@@ -184,18 +184,28 @@ def _workspace(n):
     return ws
 
 
-def _held_frame(config):
-    """This thread's workspace if it holds the pair frame of config, else None.
+def _frame(config, alpha):
+    """This thread's workspace holding du, ru, sin(du) and r**-(alpha + 2) at config.
 
-    The frame is du, ru and sin(du) at ``point``; a caller checks
-    ``alpha`` before it reuses r**-(alpha + 2). The CollisionError gap
-    test runs first either way, so a hit refuses what a miss would.
+    The CollisionError gap test runs first, so a point held refuses what
+    one built would. What the workspace holds of config is reused, the
+    rest built into it and recorded: the pair frame and its ``point``,
+    then the chord powers and their ``alpha``. Call it with numpy
+    overflow warnings off.
     """
     _check_gaps(config)
-    ws = getattr(_local, "ws", None)
-    if ws is not None and ws.n == config.n and ws.point == config.angles.tobytes():
-        return ws
-    return None
+    ws = _workspace(config.n)
+    point = config.angles.tobytes()
+    if ws.point != point:
+        ws.point = ws.alpha = None
+        du = _pair_chords(config.angles, ws.chords)[0]
+        np.sin(du, out=ws.sin)
+        ws.point = point
+    if ws.alpha != alpha:
+        ws.alpha = None
+        _pow(ws.chords[1], -(alpha + 2.0), ws.r_a2)
+        ws.alpha = alpha
+    return ws
 
 
 def _mass_pairs(m, out=(None,) * 3):
@@ -297,11 +307,9 @@ def pair_weight_matrix(aux: AuxiliaryFunctional,
 
     This is the mass-space Hessian of the auxiliary functional: for any
     real vector y, y^T W y / 2 equals the functional evaluated with y in
-    place of the masses. At the point this thread's workspace holds (the
-    minimizer after a solve) the chords come from there; W is always fresh.
+    place of the masses.
     """
-    ws = _held_frame(config)
-    ru = _pair_chords(config.angles)[1] if ws is None else ws.chords[1]
+    ru = _packed_chords(config)[1]
     with np.errstate(over="ignore", invalid="ignore"):
         w = _pair_weights(aux, ru)
         return _finite(_mirror(config.n, w, w), aux.alpha, ru, aux.alpha)

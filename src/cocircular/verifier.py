@@ -6,18 +6,16 @@ force balance, the spread of the radial sums around a common value, and
 the center of mass. ``verify_cc`` evaluates them from angles; the tests
 check it against the planar-position oracle in ``tests/oracle.py``.
 
-``verify_cc`` checks its inputs first and then runs on this thread's pair
-workspace (``potential._workspace``, shared with the Newton loop). At the
-point the workspace holds (``_held_frame``: the minimizer a solve has just
-left there, or the configuration of the last check) it reuses du, ru and
-sin(du) and, at the same alpha, r**-(alpha + 2); elsewhere it builds them
-into the workspace and records the point. The tangential pair terms and
-the radial powers fill the two scratch buffers the gradient leaves free,
-and the tangential and then the radial matrix take its one n x n mirror
-target in turn, each feeding one matrix-vector product with the masses.
-The arithmetic is that of the full-matrix formulas, so every float keeps
-its bits, hit or miss. After a solve at the same n, a call allocates no
-pair buffer and builds no chords.
+``verify_cc`` checks its inputs first and then takes du, ru, sin(du) and
+r**-(alpha + 2) from ``potential._frame``, which reuses what a converged
+solve or the last check left in this thread's pair workspace and builds
+the rest there. The tangential pair terms and the radial powers fill the
+two scratch buffers the gradient leaves free, and the tangential and
+then the radial matrix take its one n x n mirror target in turn, each
+feeding one matrix-vector product with the masses. The arithmetic is
+that of the full-matrix formulas, so every float keeps its bits, hit or
+miss. After a solve at the same n, a call allocates no pair buffer and
+builds no chords.
 """
 
 from __future__ import annotations
@@ -27,9 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError
-from .geometry import (AngleConfiguration, MassVector, _mirror, _pair_chords,
-                       _tolerance, center_of_mass)
-from .potential import _check_alpha, _check_finite, _held_frame, _pow, _workspace
+from .geometry import AngleConfiguration, MassVector, _mirror, _tolerance, center_of_mass
+from .potential import _check_alpha, _check_finite, _frame, _pow
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,18 +66,8 @@ def verify_cc(alpha: float, masses: MassVector, config: AngleConfiguration,
         raise DimensionError(f"{masses.n} masses but {config.n} angles")
     m, n = masses.masses, masses.n
     with np.errstate(over="ignore", invalid="ignore"):
-        ws = _held_frame(config)
-        if ws is None:
-            ws = _workspace(n)
-            ws.point = ws.alpha = None
-            du = _pair_chords(config.angles, ws.chords)[0]
-            np.sin(du, out=ws.sin)
-            ws.point = config.angles.tobytes()
+        ws = _frame(config, alpha)
         ru, r_a2 = ws.chords[1], ws.r_a2
-        if ws.alpha != alpha:
-            ws.alpha = None
-            _pow(ru, -(alpha + 2.0), r_a2)
-            ws.alpha = alpha
         upper, lower, full = ws.cc
         center = abs(center_of_mass(masses, config))
         # (j, k), j < k, holds sin(t_k - t_j) = -sin(du); (k, j) its negation

@@ -11,6 +11,8 @@ Rotating every angle by the same c moves no chord, so ``verify_cc`` keeps
 its verdict.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -35,11 +37,14 @@ def _solve(alpha, masses):
 @pytest.mark.parametrize("case", list(SCALE_CASES))
 def test_power_of_two_mass_scale_keeps_every_bit(case):
     # down to 2**-500, where the gradient's sum of squares (about m**4)
-    # lies far below the smallest normal double
+    # lies far below the smallest normal double, and up to 2**504, where
+    # it lies far above the largest. A largest mass m above the hexagon's
+    # 5 lowers the top by log2(m / 5): the pair products overflow sooner.
     masses, alpha = SCALE_CASES[case]
     res, (group, swap) = _solve(alpha, masses)
     assert res.iterations > 0
-    for k in range(-500, 241, 20):
+    top = 504 - max(0, math.ceil(math.log2(masses.max() / 5.0)))
+    for k in (*range(-500, top, 20), top):
         scaled, (g, s) = _solve(alpha, masses * 2.0 ** k)
         assert scaled.theta_m.angles.tobytes() == res.theta_m.angles.tobytes(), k
         assert scaled.iterations == res.iterations, k

@@ -150,9 +150,12 @@ def test_bad_grad_tol_is_a_domain_error(grad_tol):
     (1000.0, np.ones(50), UnsupportedExponent),  # r**-1002 overflows
     (1.0, np.array([1e200, 2e200, 3e200]), DomainError),  # m_j m_k overflows
     (1.0, np.array([1e200, 3e200]), DomainError),  # the closed-form n = 2 branch
-    (1.0, np.array([1.0, 2.0, 5.0, 3.0, 1.0, 1e300]), DomainError),  # gr @ gr overflows
+    # past the top of the bit-identical 2**k range, f overflows
+    (1.0, np.array([1.0, 2.0, 5.0, 3.0, 1.0, 4.0]) * 2.0 ** 510, DomainError),
     (1.0, np.full(6, 1e160), DomainError),
     (1.0, np.array([1.0] * 5 + [1e308]), DomainError),  # a sum over the pairs overflows
+    # f and the gradient are finite, the Hessian is not
+    (3.0, np.array([1.0, 2.0, 5.0, 3.0, 1.0, 4.0]) * 2.0 ** 508, DomainError),
 ])
 def test_non_finite_objective_is_an_input_error(alpha, masses, error):
     # the typed error comes with no numpy warning ahead of it
@@ -162,6 +165,19 @@ def test_non_finite_objective_is_an_input_error(alpha, masses, error):
             minimize_f_k(AuxiliaryFunctional(alpha), MassVector(masses))
         with pytest.raises(error):
             exclusion_verdicts(AuxiliaryFunctional(alpha), MassVector(masses))
+
+
+def test_gradient_squares_past_a_double_still_converge():
+    # every gradient entry is finite, only gr @ gr overflows; the group
+    # scan's q then overflows, so exclude refuses what minimize solves
+    aux = AuxiliaryFunctional(1.0)
+    masses = MassVector(np.array([1.0, 2.0, 5.0, 3.0, 1.0, 1e300]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = minimize_f_k(aux, masses)
+        with pytest.raises(DomainError):
+            exclusion_verdicts(aux, masses)
+    assert res.converged and res.iterations > 0
 
 
 def test_solution_is_a_positive_definite_critical_point():

@@ -4,10 +4,11 @@
 mirror target in one workspace per thread, holding the last n evaluated
 there. Reusing it must not move a bit, threads must not share it, results
 must not alias it, bad input must not reach it, and a repeat call at the
-same n must allocate only what it still allocates by design. The point
-the workspace remembers (``point`` and ``alpha``) lets ``verify_cc`` and
-``pair_weight_matrix`` at the minimizer skip its chords: such a hit must
-give the bits of a miss, and must build no chords.
+same n must allocate only what it still allocates by design. The frame
+rule: only ``potential._frame`` reads the point the workspace remembers
+(``point`` and ``alpha``), and a solve records it only where it returns
+converged, so ``verify_cc`` at the minimizer builds no chords, gives the
+bits of a miss there, and the public evaluators never touch the workspace.
 """
 
 import dataclasses
@@ -22,10 +23,9 @@ import pytest
 import cocircular.geometry as geometry
 import cocircular.minimizer as minimizer
 import cocircular.potential as potential
-import cocircular.verifier as verifier
 from cocircular import (TAU, AngleConfiguration, AuxiliaryFunctional, ConvergenceFailure,
                         DimensionError, DomainError, MassVector, UnsupportedExponent,
-                        minimize_f_k, pair_weight_matrix, verify_cc)
+                        grad_theta_f_k, minimize_f_k, pair_weight_matrix, verify_cc)
 from conftest import on_fresh_thread, ordered_angles, random_masses
 
 
@@ -81,6 +81,10 @@ def _workspace_arrays(ws):
             yield from value
         elif isinstance(value, np.ndarray):
             yield value
+
+
+def _snapshot(ws):
+    return [buf.tobytes() for buf in _workspace_arrays(ws)], ws.point, ws.alpha
 
 
 def test_concurrent_threads_match_serial_solves():
@@ -152,12 +156,33 @@ def test_bad_verify_input_leaves_the_workspace_untouched(args, error, message):
     verify_cc(1.0, m, minimize_f_k(aux, m).theta_m)
     ws = potential._local.ws
     assert ws.point is not None and ws.alpha == 1.0
-    before = ([buf.tobytes() for buf in _workspace_arrays(ws)], ws.point, ws.alpha)
+    before = _snapshot(ws)
     with pytest.raises(error) as exc:
         verify_cc(alpha, MassVector(np.ones(n_masses)), ordered_angles(rng, n_angles), tol)
     assert str(exc.value) == message
     assert potential._local.ws is ws and ws.n == 64
-    assert ([buf.tobytes() for buf in _workspace_arrays(ws)], ws.point, ws.alpha) == before
+    assert _snapshot(ws) == before
+
+
+@pytest.mark.parametrize("where", ["held", "elsewhere", "other-n"])
+@pytest.mark.parametrize("evaluator", [
+    lambda aux, m, cfg: pair_weight_matrix(aux, cfg),
+    grad_theta_f_k,
+], ids=["pair_weight_matrix", "grad_theta_f_k"])
+def test_public_evaluators_leave_the_workspace_alone(evaluator, where):
+    aux, m = _problem(64, 1.0, 19)
+    cfg = minimize_f_k(aux, m).theta_m
+    ws = potential._local.ws
+    assert ws.point == cfg.angles.tobytes() and ws.alpha == 1.0
+    if where == "elsewhere":
+        cfg = ordered_angles(np.random.default_rng(19), 64, TAU / 256)
+    elif where == "other-n":
+        aux, m = _problem(9, 1.0, 19)
+        cfg = ordered_angles(np.random.default_rng(19), 9)
+    before = _snapshot(ws)
+    evaluator(aux, m, cfg)
+    assert potential._local.ws is ws and ws.n == 64
+    assert _snapshot(ws) == before
 
 
 def _weights(aux, config):
@@ -189,7 +214,7 @@ def _memo_case(case, n, alpha):
         cfg = AngleConfiguration(t)
     elif case == "other-n":
         _solve(_problem(n + 5, alpha, 60 + n))
-    return alpha, m, cfg, case in ("same-alpha", "other-alpha", "convergence-failure")
+    return alpha, m, cfg, case in ("same-alpha", "other-alpha")
 
 
 @pytest.mark.parametrize("case", ["same-alpha", "other-alpha", "nextafter",
@@ -199,10 +224,9 @@ def _memo_case(case, n, alpha):
 def test_memo_hit_matches_a_miss_bit_for_bit(n, alpha, case):
     alpha, m, cfg, hit = _memo_case(case, n, alpha)
     ws = potential._local.ws
-    assert (potential._held_frame(cfg) is ws) is hit
+    assert (ws.point == cfg.angles.tobytes()) is hit
     # r**-(alpha + 2) is reused only at the alpha of the solve
-    reused_power = hit and ws.alpha == alpha
-    assert reused_power is (case in ("same-alpha", "convergence-failure"))
+    assert (hit and ws.alpha == alpha) is (case == "same-alpha")
     aux = AuxiliaryFunctional(alpha)
     assert _weights(aux, cfg) == on_fresh_thread(_weights, aux, cfg)
     assert _check(alpha, m, cfg) == on_fresh_thread(_check, alpha, m, cfg)
@@ -211,16 +235,29 @@ def test_memo_hit_matches_a_miss_bit_for_bit(n, alpha, case):
     assert potential._local.ws.alpha == alpha
 
 
-def test_a_stalled_line_search_leaves_no_point(monkeypatch):
-    # an Armijo constant no step can meet: every trial builds its chords
-    # over the iterate's, so the iterate carried by the failure must miss
-    monkeypatch.setattr(minimizer, "_ARMIJO", 1e300)
-    aux, m = _problem(64, 1.0, 18)
-    with pytest.raises(ConvergenceFailure, match="line search stalled") as exc:
-        minimize_f_k(aux, m)
+@pytest.mark.parametrize("exit_, scale, kwargs, message", [
+    ("line-search", 1.0, {}, "line search stalled"),
+    ("max-iter", 1.0, {"grad_tol": 0.0, "max_iter": 3}, "within 3 Newton steps"),
+    # masses this light fail the final positive-definite check at the start
+    ("cholesky", 1e-170, {}, "not positive definite at the candidate"),
+], ids=["line-search", "max-iter", "cholesky"])
+def test_a_failed_solve_leaves_no_point(monkeypatch, exit_, scale, kwargs, message):
+    # a converged solve at the same n leaves its point behind; a failing
+    # exit must forget it and record none of its own
+    if exit_ == "cholesky":
+        aux, m = AuxiliaryFunctional(1.0), MassVector(np.array([1.0, 2.0, 5.0]))
+    else:
+        aux, m = _problem(64, 1.0, 18)
+    minimize_f_k(aux, m)
+    assert potential._local.ws.point is not None
+    if exit_ == "line-search":
+        # an Armijo constant no step can meet
+        monkeypatch.setattr(minimizer, "_ARMIJO", 1e300)
+    m = MassVector(m.masses * scale)
+    with pytest.raises(ConvergenceFailure, match=message) as exc:
+        minimize_f_k(aux, m, **kwargs)
     cfg = exc.value.result.theta_m
     assert potential._local.ws.point is None and potential._local.ws.alpha is None
-    assert potential._held_frame(cfg) is None
     assert _check(1.0, m, cfg) == on_fresh_thread(_check, 1.0, m, cfg)
 
 
@@ -246,7 +283,7 @@ def counted(monkeypatch):
     callers = [module for name, module in list(sys.modules.items())
                if name.split(".")[0] == "cocircular"
                and getattr(module, "_pair_chords", None) is build]
-    assert {geometry, potential, verifier} <= set(callers)
+    assert {geometry, potential} <= set(callers)
     for module in callers:
         monkeypatch.setattr(module, "_pair_chords", counting_build)
     monkeypatch.setattr(np, "sin", counting_sin)
@@ -259,13 +296,15 @@ def test_checks_at_the_minimizer_build_no_chords(counted):
     aux, m = _problem(n, 1.0, 17)
     res = minimize_f_k(aux, m)
     del builds[:], sines[:]
+    pairs = n * (n - 1) // 2
+    # W builds its own chords, whose sines are the chords' half angles
     pair_weight_matrix(aux, res.theta_m)
+    assert builds == [n] and sines == [pairs]
+    del builds[:], sines[:]
     verify_cc(1.0, m, res.theta_m)
     assert builds == [] and sines == []
-    # a fresh thread holds no frame: one chord build, whose sines are the
-    # chords' half angles, and the sines of du
+    # a fresh thread holds no frame: one chord build and the sines of du
     on_fresh_thread(verify_cc, 1.0, m, res.theta_m)
-    pairs = n * (n - 1) // 2
     assert builds == [n] and sines == [pairs, pairs]
 
 
