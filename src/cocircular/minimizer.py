@@ -27,14 +27,14 @@ Every pair term and matrix of the loop lives in this thread's workspace
 with unchanged arithmetic, so every float keeps its bits, and results never
 alias it. One du/ru pair serves the whole loop: once the step is solved
 the point's chords are dead, and the last trial built is the one
-accepted. The workspace's memo (``_Workspace.point`` and ``alpha``) is
-forgotten on entry and recorded only where the solve returns converged,
-where the Hessian has left the last gradient's sin(du) in place, so
-``verify_cc`` at the returned theta_m, on the same thread, builds no
-chords. The workspace holds 9 n(n - 1)/2 + n^2 doubles: 2.7 MiB at
-n = 256, 11.0 MiB at n = 512, 44 MiB at n = 1024. A repeat solve at
-n = 256 takes about 97 minor page faults, the final Cholesky factor's
-(README gives the times).
+accepted. The workspace's one key, (angle bytes, alpha), is set to None
+on entry and to the iterate only where the solve returns converged, when
+the iterate's du, ru, sin(du) and r**-(alpha + 2) are in place, so
+``verify_cc`` at the returned theta_m and alpha, on the same thread,
+builds no chords. The workspace holds 9 n(n - 1)/2 + n^2 doubles:
+2.7 MiB at n = 256, 11.0 MiB at n = 512, 44 MiB at n = 1024. A repeat
+solve at n = 256 takes about 97 minor page faults, the final Cholesky
+factor's (README gives the times).
 """
 
 from __future__ import annotations
@@ -151,7 +151,7 @@ def minimize_f_k(aux: AuxiliaryFunctional, masses: MassVector,
         # iteration; the pair masses serve the whole solve. Every pair term
         # and matrix lives in this thread's workspace; results copy out of it.
         ws = _workspace(n)
-        ws.point = ws.alpha = None
+        ws.key = None
         du, ru = _pair_chords(x, ws.chords)
         mj, mk, mm = _mass_pairs(m, ws.masses)
         fx = _f_value(aux, mm, ru, ws.f)
@@ -159,7 +159,7 @@ def minimize_f_k(aux: AuxiliaryFunctional, masses: MassVector,
             r_a2 = _pow(ru, -(aux.alpha + 2.0), ws.r_a2)
             gnorm = float(abs(_grad_theta(aux, m, mj, mk, du, r_a2, ws.grad)[0]))
             _check_finite(aux.alpha, (fx, gnorm), r_a2)
-            ws.point, ws.alpha = x.tobytes(), aux.alpha
+            ws.key = x.tobytes(), aux.alpha
             return MinimizeResult(cfg, fx, gnorm, 0, True, min_gap_seen)
         gaps = x[1:] - x[:-1]
         d = np.zeros(n)  # the step, its pinned last entry left at 0.0
@@ -182,7 +182,7 @@ def minimize_f_k(aux: AuxiliaryFunctional, masses: MassVector,
                         _result(x, fx, gnorm, iteration, False, min_gap_seen),
                     ) from None
                 # the Hessian left x's du, ru, sin(du) and r_a2 in place
-                ws.point, ws.alpha = x.tobytes(), aux.alpha
+                ws.key = x.tobytes(), aux.alpha
                 return _result(x, fx, gnorm, iteration, True, min_gap_seen)
             if iteration == max_iter:
                 break

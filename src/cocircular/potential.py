@@ -24,15 +24,15 @@ formulas, so every float keeps the bits those formulas give.
 
 The Newton loop and ``verify_cc`` evaluate f, the gradient, the Hessian
 and the CC residuals into one ``_Workspace`` per thread, kept for the
-last n evaluated there. ``_frame`` alone reads the point it remembers,
-and besides it only a converged solve records one, so ``verify_cc`` at
-the minimizer the loop has just returned builds no chords. Only two
-evaluators are public: the angle gradient, and W, which the exclusion
-scans use. Both build their own chords, never touch the workspace,
-return fresh arrays and, like those two callers, refuse a value that
-overflows with a typed error and no numpy warning ahead of it:
-``UnsupportedExponent`` when a chord power overflowed, ``DomainError``
-when the masses carried it past a double.
+last n evaluated there. Its one key, (angle bytes, alpha), is read by
+``_frame`` alone and set besides only by a converged solve, so
+``verify_cc`` at the minimizer and alpha the loop has just returned
+builds no chords. Only two evaluators are public: the angle gradient,
+and W, which the exclusion scans use. Both build their own chords, never
+touch the workspace, return fresh arrays and, like those two callers,
+refuse an overflow through ``_check_finite``, with no numpy warning
+ahead of it: ``UnsupportedExponent`` when a chord power overflowed,
+``DomainError`` when the masses carried a sum past a double.
 """
 
 from __future__ import annotations
@@ -133,16 +133,6 @@ def _check_finite(alpha, sums, *powers):
     raise DomainError("the masses overflow a mass-weighted pair sum")
 
 
-def _finite(value, alpha, ru, expo):
-    """value if finite everywhere, else ``_check_finite``'s error on ru**-expo.
-
-    Evaluate value and call this with numpy overflow warnings off.
-    """
-    if not np.isfinite(value).all():
-        _check_finite(alpha, (math.inf,), _pow(ru, -expo))
-    return value
-
-
 class _Workspace:
     """Buffers for the pair evaluations at one n, and the point they describe.
 
@@ -152,16 +142,16 @@ class _Workspace:
     the first scratch buffer, the gradient all three, leaving sin(du) in
     the first; the Hessian and the CC residuals take the other two.
 
-    ``point`` holds the bytes of the angles whose du, ru and sin(du) the
-    buffers hold, and ``alpha`` the exponent of the r**-(alpha + 2) they
-    hold, each None when unknown. The frame rule: only ``_frame`` reads
-    them, and outside ``potential`` only ``minimize_f_k`` writes them, to
-    None on entry and to its iterate where it returns converged.
+    ``key`` is None or (angle bytes, alpha): the buffers then hold du, ru,
+    sin(du) and r**-(alpha + 2) at those angles. The frame rule: only
+    ``_frame`` reads the key, and outside ``potential`` only
+    ``minimize_f_k`` writes it, to None on entry and to its iterate where
+    it returns converged.
     """
 
     def __init__(self, n):
         self.n = n
-        self.point = self.alpha = None
+        self.key = None
         mj, mk, mm, self.r_a2, du, ru, a, b, c = np.empty((9, n * (n - 1) // 2))
         full = np.empty((n, n))
         self.masses = (mj, mk, mm)
@@ -187,24 +177,20 @@ def _workspace(n):
 def _frame(config, alpha):
     """This thread's workspace holding du, ru, sin(du) and r**-(alpha + 2) at config.
 
-    The CollisionError gap test runs first, so a point held refuses what
-    one built would. What the workspace holds of config is reused, the
-    rest built into it and recorded: the pair frame and its ``point``,
-    then the chord powers and their ``alpha``. Call it with numpy
-    overflow warnings off.
+    The CollisionError gap test runs first, so a frame held refuses what
+    one built would. The workspace is reused when its key is
+    (config's angle bytes, alpha); otherwise all four are built into it
+    and only then is the key set. Call it with numpy overflow warnings off.
     """
     _check_gaps(config)
     ws = _workspace(config.n)
-    point = config.angles.tobytes()
-    if ws.point != point:
-        ws.point = ws.alpha = None
-        du = _pair_chords(config.angles, ws.chords)[0]
+    key = (config.angles.tobytes(), alpha)
+    if ws.key != key:
+        ws.key = None
+        du, ru = _pair_chords(config.angles, ws.chords)
         np.sin(du, out=ws.sin)
-        ws.point = point
-    if ws.alpha != alpha:
-        ws.alpha = None
-        _pow(ws.chords[1], -(alpha + 2.0), ws.r_a2)
-        ws.alpha = alpha
+        _pow(ru, -(alpha + 2.0), ws.r_a2)
+        ws.key = key
     return ws
 
 
@@ -297,8 +283,11 @@ def grad_theta_f_k(aux: AuxiliaryFunctional, masses: MassVector,
     du, ru = _packed_chords(config)
     with np.errstate(over="ignore", invalid="ignore"):
         mj, mk, _ = _mass_pairs(m)
-        grad = _grad_theta(aux, m, mj, mk, du, _pow(ru, -(aux.alpha + 2.0)))
-        return _finite(grad, aux.alpha, ru, aux.alpha + 2.0)
+        r_a2 = _pow(ru, -(aux.alpha + 2.0))
+        grad = _grad_theta(aux, m, mj, mk, du, r_a2)
+        # each entry is a mass-weighted sum over pairs
+        _check_finite(aux.alpha, grad, r_a2)
+    return grad
 
 
 def pair_weight_matrix(aux: AuxiliaryFunctional,
@@ -309,7 +298,8 @@ def pair_weight_matrix(aux: AuxiliaryFunctional,
     real vector y, y^T W y / 2 equals the functional evaluated with y in
     place of the masses.
     """
-    ru = _packed_chords(config)[1]
     with np.errstate(over="ignore", invalid="ignore"):
-        w = _pair_weights(aux, ru)
-        return _finite(_mirror(config.n, w, w), aux.alpha, ru, aux.alpha)
+        w = _pair_weights(aux, _packed_chords(config)[1])
+        # r**2/k stays finite, so w overflows exactly where r**-alpha does
+        _check_finite(aux.alpha, (float(w.max()),), w)
+    return _mirror(config.n, w, w)

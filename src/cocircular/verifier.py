@@ -7,15 +7,16 @@ the center of mass. ``verify_cc`` evaluates them from angles; the tests
 check it against the planar-position oracle in ``tests/oracle.py``.
 
 ``verify_cc`` checks its inputs first and then takes du, ru, sin(du) and
-r**-(alpha + 2) from ``potential._frame``, which reuses what a converged
-solve or the last check left in this thread's pair workspace and builds
-the rest there. The tangential pair terms and the radial powers fill the
-two scratch buffers the gradient leaves free, and the tangential and
-then the radial matrix take its one n x n mirror target in turn, each
-feeding one matrix-vector product with the masses. The arithmetic is
-that of the full-matrix formulas, so every float keeps its bits, hit or
-miss. After a solve at the same n, a call allocates no pair buffer and
-builds no chords.
+r**-(alpha + 2) from ``potential._frame``, which reuses this thread's
+pair workspace when its key is these angles and this alpha (a converged
+solve's or the last check's) and builds all four there otherwise. The
+tangential pair terms and the radial powers fill the two scratch buffers
+the gradient leaves free, and the tangential and then the radial matrix
+take its one n x n mirror target in turn, each feeding one
+matrix-vector product with the masses. The arithmetic is that of the
+full-matrix formulas, so every float keeps its bits, hit or miss. After
+a solve at the same n, a call allocates no pair buffer, and at the
+solve's minimizer and alpha it builds no chords.
 """
 
 from __future__ import annotations

@@ -649,7 +649,7 @@ def test_minimize_verify_pipe_matches_in_process(capsys, monkeypatch):
     assert main(["minimize", "--input", "-"]) == 0
     assert capsys.readouterr().out == minimized.stdout
     angles = AngleConfiguration(json.loads(minimized.stdout)["angles"])
-    assert potential._local.ws.point == angles.angles.tobytes()
+    assert potential._local.ws.key == (angles.angles.tobytes(), 1.0)
     monkeypatch.setattr(sys, "stdin", io.StringIO(minimized.stdout))
     assert main(["verify", "--input", "-"]) == 0
     assert capsys.readouterr().out == piped.stdout

@@ -256,7 +256,8 @@ def test_overflowing_chord_powers_raise_unsupported_exponent(name):
     # no numpy warning ahead of it
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(UnsupportedExponent):
+        with pytest.raises(UnsupportedExponent,
+                           match=r"^chord powers overflow at alpha = 1000\.0$"):
             _PUBLIC[name](AuxiliaryFunctional(1000.0), MassVector(np.ones(50)),
                           regular_ngon(50))
 
@@ -266,7 +267,8 @@ def test_overflowing_mass_products_raise_domain_error(name):
     # m_j m_k = 1e400 overflows a double
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError,
+                           match="^the masses overflow a mass-weighted pair sum$"):
             _PUBLIC[name](AuxiliaryFunctional(1.0), MassVector(np.full(6, 1e200)),
                           regular_ngon(6))
 

@@ -193,11 +193,11 @@ def _counting_g(monkeypatch):
     return calls
 
 
-def test_filter_leaves_few_steps_to_the_exact_kernel(monkeypatch):
+def test_bounds_leave_few_steps_to_the_exact_kernel(monkeypatch):
     # bounds on g settle all but a few steps, below and above the 50
-    # distinct terms (n = 101) where a second kernel once took over: no
-    # more than the 5 kernels each n ran with both; the step that ends the
-    # bisection always runs _g
+    # distinct terms (n = 101) where a second kernel once took over: at
+    # most 5 steps at each n run the exact kernel _g, and the step that
+    # ends the bisection always runs it
     calls = _counting_g(monkeypatch)
     for n in (99, 500):
         del calls[:]
@@ -205,8 +205,8 @@ def test_filter_leaves_few_steps_to_the_exact_kernel(monkeypatch):
         assert 1 <= len(calls) <= 5 and calls[-1][0] == root
 
 
-def test_alpha_star_builds_one_table_for_the_filter(monkeypatch):
-    # every _g call of a bisection takes the one table it built
+def test_alpha_star_builds_one_sine_table(monkeypatch):
+    # every _g call of a bisection takes the one sine table it built
     tables = []
 
     def building(n):
@@ -220,7 +220,7 @@ def test_alpha_star_builds_one_table_for_the_filter(monkeypatch):
     assert all(table is tables[0] for _, table in calls)
 
 
-def test_overflowing_filter_falls_back_without_warnings(monkeypatch):
+def test_overflowing_bracket_raises_without_warnings(monkeypatch):
     # a threshold nothing reaches makes the bracket climb to alpha = 128,
     # where _g overflows at n = 1000; no bound settles a step that near
     # overflow, so _g runs there and raises the typed error

@@ -5,9 +5,9 @@ mirror target in one workspace per thread, holding the last n evaluated
 there. Reusing it must not move a bit, threads must not share it, results
 must not alias it, bad input must not reach it, and a repeat call at the
 same n must allocate only what it still allocates by design. The frame
-rule: only ``potential._frame`` reads the point the workspace remembers
-(``point`` and ``alpha``), and a solve records it only where it returns
-converged, so ``verify_cc`` at the minimizer builds no chords, gives the
+rule: only ``potential._frame`` reads the workspace's one ``key``, (angle
+bytes, alpha), and a solve sets it only where it returns converged, so
+``verify_cc`` at the minimizer and its alpha builds no chords, gives the
 bits of a miss there, and the public evaluators never touch the workspace.
 """
 
@@ -77,14 +77,14 @@ def _concurrently(work):
 
 def _workspace_arrays(ws):
     for value in vars(ws).values():
-        if isinstance(value, tuple):
-            yield from value
-        elif isinstance(value, np.ndarray):
-            yield value
+        # the key is a tuple too, of bytes and a float
+        for buf in value if isinstance(value, tuple) else (value,):
+            if isinstance(buf, np.ndarray):
+                yield buf
 
 
 def _snapshot(ws):
-    return [buf.tobytes() for buf in _workspace_arrays(ws)], ws.point, ws.alpha
+    return [buf.tobytes() for buf in _workspace_arrays(ws)], ws.key
 
 
 def test_concurrent_threads_match_serial_solves():
@@ -155,7 +155,7 @@ def test_bad_verify_input_leaves_the_workspace_untouched(args, error, message):
     aux, m = _problem(64, 1.0, 15)
     verify_cc(1.0, m, minimize_f_k(aux, m).theta_m)
     ws = potential._local.ws
-    assert ws.point is not None and ws.alpha == 1.0
+    assert ws.key is not None and ws.key[1] == 1.0
     before = _snapshot(ws)
     with pytest.raises(error) as exc:
         verify_cc(alpha, MassVector(np.ones(n_masses)), ordered_angles(rng, n_angles), tol)
@@ -173,7 +173,7 @@ def test_public_evaluators_leave_the_workspace_alone(evaluator, where):
     aux, m = _problem(64, 1.0, 19)
     cfg = minimize_f_k(aux, m).theta_m
     ws = potential._local.ws
-    assert ws.point == cfg.angles.tobytes() and ws.alpha == 1.0
+    assert ws.key == (cfg.angles.tobytes(), 1.0)
     if where == "elsewhere":
         cfg = ordered_angles(np.random.default_rng(19), 64, TAU / 256)
     elif where == "other-n":
@@ -197,7 +197,7 @@ def _memo_case(case, n, alpha):
     """Leave this thread's workspace as ``case`` has it; what to check there.
 
     Returns the alpha, masses and configuration of the check and whether
-    the workspace holds that configuration's frame (a hit).
+    the workspace's key is that configuration's angles and alpha (a hit).
     """
     aux, m = _problem(n, alpha, 50 + n)
     if case == "convergence-failure":
@@ -214,7 +214,7 @@ def _memo_case(case, n, alpha):
         cfg = AngleConfiguration(t)
     elif case == "other-n":
         _solve(_problem(n + 5, alpha, 60 + n))
-    return alpha, m, cfg, case in ("same-alpha", "other-alpha")
+    return alpha, m, cfg, case == "same-alpha"
 
 
 @pytest.mark.parametrize("case", ["same-alpha", "other-alpha", "nextafter",
@@ -223,16 +223,13 @@ def _memo_case(case, n, alpha):
 @pytest.mark.parametrize("n", [3, 8, 64, 256])
 def test_memo_hit_matches_a_miss_bit_for_bit(n, alpha, case):
     alpha, m, cfg, hit = _memo_case(case, n, alpha)
-    ws = potential._local.ws
-    assert (ws.point == cfg.angles.tobytes()) is hit
-    # r**-(alpha + 2) is reused only at the alpha of the solve
-    assert (hit and ws.alpha == alpha) is (case == "same-alpha")
+    # the same angles at another alpha are a miss
+    assert (potential._local.ws.key == (cfg.angles.tobytes(), alpha)) is hit
     aux = AuxiliaryFunctional(alpha)
     assert _weights(aux, cfg) == on_fresh_thread(_weights, aux, cfg)
     assert _check(alpha, m, cfg) == on_fresh_thread(_check, alpha, m, cfg)
-    # the check leaves its own point behind, at its alpha
-    assert potential._local.ws.point == cfg.angles.tobytes()
-    assert potential._local.ws.alpha == alpha
+    # the check leaves its own key behind
+    assert potential._local.ws.key == (cfg.angles.tobytes(), alpha)
 
 
 @pytest.mark.parametrize("exit_, scale, kwargs, message", [
@@ -242,14 +239,14 @@ def test_memo_hit_matches_a_miss_bit_for_bit(n, alpha, case):
     ("cholesky", 1e-170, {}, "not positive definite at the candidate"),
 ], ids=["line-search", "max-iter", "cholesky"])
 def test_a_failed_solve_leaves_no_point(monkeypatch, exit_, scale, kwargs, message):
-    # a converged solve at the same n leaves its point behind; a failing
+    # a converged solve at the same n leaves its key behind; a failing
     # exit must forget it and record none of its own
     if exit_ == "cholesky":
         aux, m = AuxiliaryFunctional(1.0), MassVector(np.array([1.0, 2.0, 5.0]))
     else:
         aux, m = _problem(64, 1.0, 18)
     minimize_f_k(aux, m)
-    assert potential._local.ws.point is not None
+    assert potential._local.ws.key is not None
     if exit_ == "line-search":
         # an Armijo constant no step can meet
         monkeypatch.setattr(minimizer, "_ARMIJO", 1e300)
@@ -257,7 +254,7 @@ def test_a_failed_solve_leaves_no_point(monkeypatch, exit_, scale, kwargs, messa
     with pytest.raises(ConvergenceFailure, match=message) as exc:
         minimize_f_k(aux, m, **kwargs)
     cfg = exc.value.result.theta_m
-    assert potential._local.ws.point is None and potential._local.ws.alpha is None
+    assert potential._local.ws.key is None
     assert _check(1.0, m, cfg) == on_fresh_thread(_check, 1.0, m, cfg)
 
 
@@ -306,6 +303,23 @@ def test_checks_at_the_minimizer_build_no_chords(counted):
     # a fresh thread holds no frame: one chord build and the sines of du
     on_fresh_thread(verify_cc, 1.0, m, res.theta_m)
     assert builds == [n] and sines == [pairs, pairs]
+
+
+def test_a_check_at_another_alpha_is_a_full_miss(counted):
+    builds, sines = counted
+    n = 256
+    aux, m = _problem(n, 1.0, 17)
+    cfg = minimize_f_k(aux, m).theta_m
+    pairs = n * (n - 1) // 2
+    checks = []
+    # the solve's angles at alpha 3 rebuild the chords and the sines of du;
+    # a repeat at 3 builds nothing, and alpha 1 is a miss again
+    for alpha, hit in ((3.0, False), (3.0, True), (1.0, False)):
+        del builds[:], sines[:]
+        checks.append((alpha, _check(alpha, m, cfg)))
+        assert (builds, sines) == (([], []) if hit else ([n], [pairs, pairs]))
+    for alpha, check in checks:
+        assert check == on_fresh_thread(_check, alpha, m, cfg)
 
 
 @pytest.mark.parametrize("n", [2, 3, 64, 256])
