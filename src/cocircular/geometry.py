@@ -10,10 +10,9 @@ Pair quantities are held packed: one entry per pair j < k, in
 True entries of the strict upper-triangle mask. ``_pair_chords`` builds
 the differences du = t_j - t_k and the chords ru = |2 sin(du/2)| once per
 point, into fresh arrays or the caller's buffers, and checks nothing.
-``AngleConfiguration`` checks the angles, ``_check_gaps`` (which
-``_packed_chords`` runs first) a configuration's gaps against
-``COLLISION_TOL``, and the minimizer's line search its trials' gaps, so
-every chord lies in (0, 2]. ``_mirror``
+``AngleConfiguration`` checks the angles, ``_check_gaps`` a
+configuration's gaps against ``COLLISION_TOL`` and the minimizer's line
+search its trials' gaps, so every chord lies in (0, 2]. ``_mirror``
 expands packed pair quantities into an n x n matrix with a zero diagonal,
 writing the upper triangle through that mask and the lower one through
 the same mask on the transposed view. The mirror reproduces the
@@ -26,6 +25,7 @@ antisymmetric one with its sign flipped.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 import sys
 from dataclasses import dataclass, field
@@ -160,12 +160,6 @@ def _check_gaps(config: AngleConfiguration) -> None:
         )
 
 
-def _packed_chords(config: AngleConfiguration, out=(None,) * 3):
-    """``_pair_chords`` of a configuration; CollisionError below COLLISION_TOL."""
-    _check_gaps(config)
-    return _pair_chords(config.angles, out)
-
-
 def _pair_chords(t: np.ndarray, out=(None,) * 3):
     """Packed du = t_j - t_k and chords ru = |2 sin(du/2)|, j < k, of angles t.
 
@@ -198,9 +192,12 @@ def _check_pinned(config: AngleConfiguration) -> None:
 
 
 def _shown(value) -> str:
-    """value as an error message prints it; an int too long for str() shows its size."""
+    """value as an error message prints it: a number by str(), anything else by repr().
+
+    An int too long for str() shows its size.
+    """
     try:
-        return str(value)
+        return str(value) if isinstance(value, numbers.Number) else repr(value)
     except ValueError:  # past the interpreter's limit on int digits
         return f"an int of {value.bit_length()} bits"
 
@@ -223,8 +220,8 @@ def _arity(n) -> int:
 
 
 def _tolerance(tol, name: str) -> float:
-    """tol as a float; DomainError unless it is a finite number >= 0."""
-    if not tol >= 0.0:
+    """tol as a float; DomainError unless it is a finite real number >= 0."""
+    if not (isinstance(tol, numbers.Real) and tol >= 0.0):
         raise DomainError(f"{name} must be a nonnegative number, got {_shown(tol)}")
     try:
         tol = float(tol)

@@ -21,20 +21,10 @@ the smallest gap seen and the next feasible-step bound. A trial costs that
 gap vector, one packed chord build and two sums; an ``AngleConfiguration``
 is built only for the result.
 
-Every pair term and matrix of the loop lives in this thread's workspace
-(``potential._workspace``), which ``verify_cc`` shares. The kernels of
-``potential`` and ``geometry`` fill it through their ``out`` arguments
-with unchanged arithmetic, so every float keeps its bits, and results never
-alias it. One du/ru pair serves the whole loop: once the step is solved
-the point's chords are dead, and the last trial built is the one
-accepted. The workspace's one key, (angle bytes, alpha), is set to None
-on entry and to the iterate only where the solve returns converged, when
-the iterate's du, ru, sin(du) and r**-(alpha + 2) are in place, so
-``verify_cc`` at the returned theta_m and alpha, on the same thread,
-builds no chords. The workspace holds 9 n(n - 1)/2 + n^2 doubles:
-2.7 MiB at n = 256, 11.0 MiB at n = 512, 44 MiB at n = 1024. A repeat
-solve at n = 256 takes about 97 minor page faults, the final Cholesky
-factor's (README gives the times).
+Each point's pair frame lives in this thread's workspace (see
+``potential._Workspace``), which results never alias; a solve that
+returns converged leaves it keyed to its iterate, so ``verify_cc`` there
+on the same thread builds no chords.
 """
 
 from __future__ import annotations
@@ -47,9 +37,9 @@ import numpy as np
 
 from .errors import ConvergenceFailure, DomainError
 from .geometry import (COLLISION_TOL, TAU, AngleConfiguration, MassVector,
-                       _check_pinned, _pair_chords, _tolerance, regular_ngon)
-from .potential import (AuxiliaryFunctional, _check_finite, _f_value,
-                        _grad_theta, _hessian_theta, _mass_pairs, _pow,
+                       _check_pinned, _tolerance, regular_ngon)
+from .potential import (AuxiliaryFunctional, _check_finite, _chords_at, _f_value,
+                        _grad_theta, _hessian_theta, _mass_pairs, _powers,
                         _workspace)
 
 _ARMIJO = 1e-4
@@ -147,48 +137,47 @@ def minimize_f_k(aux: AuxiliaryFunctional, masses: MassVector,
         m = masses.masses
         x = cfg.angles
         min_gap_seen = cfg.min_gap()
-        # one packed pair frame per point: an accepted trial's serves the next
-        # iteration; the pair masses serve the whole solve. Every pair term
-        # and matrix lives in this thread's workspace; results copy out of it.
+        # the pair frame of each point and the pair masses live in this
+        # thread's workspace; results copy out of it
         ws = _workspace(n)
-        ws.key = None
-        du, ru = _pair_chords(x, ws.chords)
-        mj, mk, mm = _mass_pairs(m, ws.masses)
-        fx = _f_value(aux, mm, ru, ws.f)
+        _chords_at(ws, x)
+        _mass_pairs(ws, m)
+        fx = _f_value(aux, ws)
         if n == 2:
-            r_a2 = _pow(ru, -(aux.alpha + 2.0), ws.r_a2)
-            gnorm = float(abs(_grad_theta(aux, m, mj, mk, du, r_a2, ws.grad)[0]))
+            r_a2 = _powers(ws, aux.alpha)
+            gnorm = float(abs(_grad_theta(aux, m, ws)[0]))
             _check_finite(aux.alpha, (fx, gnorm), r_a2)
             ws.key = x.tobytes(), aux.alpha
             return MinimizeResult(cfg, fx, gnorm, 0, True, min_gap_seen)
+
+        def failure(message):
+            return ConvergenceFailure(
+                message, _result(x, fx, gnorm, iteration, False, min_gap_seen))
+
         gaps = x[1:] - x[:-1]
         d = np.zeros(n)  # the step, its pinned last entry left at 0.0
-        # the reduced Hessian's diagonal: a strided view of the workspace's
-        # C-contiguous mirror target, which _hessian_theta fills
-        hr_diag = ws.hess[2].reshape(-1)[:: n + 1][:-1]
         gnorm = np.inf
         for iteration in range(max_iter + 1):
-            r_a2 = _pow(ru, -(aux.alpha + 2.0), ws.r_a2)
-            gr = _grad_theta(aux, m, mj, mk, du, r_a2, ws.grad)[:-1]
+            r_a2 = _powers(ws, aux.alpha)
+            gr = _grad_theta(aux, m, ws)[:-1]
             gnorm = _norm(gr)
             _check_finite(aux.alpha, (fx, gnorm), r_a2)
-            hr = _hessian_theta(aux, n, mm, du, r_a2, ws.hess)[:-1, :-1]
+            h = _hessian_theta(aux, ws)
+            hr = h[:-1, :-1]
             if gnorm <= grad_tol * abs(fx):
                 try:
                     np.linalg.cholesky(hr)
                 except np.linalg.LinAlgError:
-                    raise ConvergenceFailure(
-                        "reduced Hessian is not positive definite at the candidate",
-                        _result(x, fx, gnorm, iteration, False, min_gap_seen),
-                    ) from None
-                # the Hessian left x's du, ru, sin(du) and r_a2 in place
+                    raise failure("reduced Hessian is not positive definite "
+                                  "at the candidate") from None
+                # the gradient and the Hessian left x's frame in place
                 ws.key = x.tobytes(), aux.alpha
                 return _result(x, fx, gnorm, iteration, True, min_gap_seen)
             if iteration == max_iter:
                 break
-            # the next mirror zeroes the diagonal, so the regularization goes in place
-            reg = _DIAG_REG * float(hr.trace()) / n
-            hr_diag += reg
+            # the next mirror zeroes the diagonal, so the regularization goes
+            # in place, through a strided view of h's C-contiguous buffer
+            h.reshape(-1)[:-1:n + 1] += _DIAG_REG * float(hr.trace()) / n
             try:
                 step = np.linalg.solve(hr, -gr)
                 slope = float(gr @ step)
@@ -198,10 +187,7 @@ def minimize_f_k(aux: AuxiliaryFunctional, masses: MassVector,
                 # an overflowed Hessian is the input's error, not rounding
                 if not np.isfinite(hr).all():
                     _check_finite(aux.alpha, (math.inf,), r_a2)
-                raise ConvergenceFailure(
-                    f"reduced Hessian is not positive definite at iteration {iteration}",
-                    _result(x, fx, gnorm, iteration, False, min_gap_seen),
-                )
+                raise failure(f"reduced Hessian is not positive definite at iteration {iteration}")
             d[:-1] = step
             # largest t keeping every gap positive: the first angle against 0,
             # then consecutive gaps, the last against the pinned 2*pi
@@ -223,24 +209,18 @@ def minimize_f_k(aux: AuxiliaryFunctional, masses: MassVector,
                 if not gap_t >= COLLISION_TOL:
                     t *= _SHRINK
                     continue
-                # the step is solved, so the point's du and ru are dead; the
+                # the step is solved, so the point's frame is dead; the
                 # last trial built is the one accepted
-                _pair_chords(xt, ws.chords)
-                ft = _f_value(aux, mm, ru, ws.f)
+                _chords_at(ws, xt)
+                ft = _f_value(aux, ws)
                 if ft <= fx + _ARMIJO * t * slope + slack:
                     break
                 t *= _SHRINK
             else:
-                raise ConvergenceFailure(
-                    "line search stalled",
-                    _result(x, fx, gnorm, iteration, False, min_gap_seen),
-                )
+                raise failure("line search stalled")
             x, gaps, fx = xt, gaps_t, ft
             min_gap_seen = min(min_gap_seen, gap_t)
-        raise ConvergenceFailure(
-            f"no convergence within {max_iter} Newton steps",
-            _result(x, fx, gnorm, max_iter, False, min_gap_seen),
-        )
+        raise failure(f"no convergence within {max_iter} Newton steps")
 
 
 def _norm(gr: np.ndarray) -> float:

@@ -22,17 +22,15 @@ on the n(n - 1)/2 packed pairs only and mirror them into n x n matrices,
 whose rows are then summed in the same order as the full-matrix
 formulas, so every float keeps the bits those formulas give.
 
-The Newton loop and ``verify_cc`` evaluate f, the gradient, the Hessian
-and the CC residuals into one ``_Workspace`` per thread, kept for the
-last n evaluated there. Its one key, (angle bytes, alpha), is read by
-``_frame`` alone and set besides only by a converged solve, so
-``verify_cc`` at the minimizer and alpha the loop has just returned
-builds no chords. Only two evaluators are public: the angle gradient,
-and W, which the exclusion scans use. Both build their own chords, never
-touch the workspace, return fresh arrays and, like those two callers,
-refuse an overflow through ``_check_finite``, with no numpy warning
-ahead of it: ``UnsupportedExponent`` when a chord power overflowed,
-``DomainError`` when the masses carried a sum past a double.
+The Newton loop and ``verify_cc`` evaluate into one ``_Workspace`` per
+thread, whose buffers only the kernels here name (its docstring gives
+their layout and the frame rule). Only two evaluators are public: the
+angle gradient, and W, which the exclusion scans use. Both build their
+own chords, never touch the thread's workspace, return fresh arrays and,
+like those two callers, refuse an overflow through ``_check_finite``,
+with no numpy warning ahead of it: ``UnsupportedExponent`` when a chord
+power overflowed, ``DomainError`` when the masses carried a sum past a
+double.
 """
 
 from __future__ import annotations
@@ -46,7 +44,7 @@ import numpy as np
 
 from .errors import DimensionError, DomainError, KTooSmall, UnsupportedExponent
 from .geometry import (AngleConfiguration, MassVector, _check_gaps, _mirror,
-                       _packed_chords, _pair_chords, _pairs)
+                       _pair_chords, _pairs)
 
 
 def k_min(alpha: float) -> float:
@@ -136,30 +134,26 @@ def _check_finite(alpha, sums, *powers):
 class _Workspace:
     """Buffers for the pair evaluations at one n, and the point they describe.
 
-    Nine pair buffers (the packed pair masses m_j, m_k and m_j m_k,
-    r**-(alpha + 2), du and ru, and three scratch buffers) and one n x n
-    mirror target: 9 n(n - 1)/2 + n^2 doubles. The chord gather and f take
-    the first scratch buffer, the gradient all three, leaving sin(du) in
-    the first; the Hessian and the CC residuals take the other two.
+    Nine packed pair buffers and one n x n matrix, 9 n(n - 1)/2 + n^2
+    doubles (2.7 MiB at n = 256, 44 MiB at n = 1024): the pair masses
+    ``mj``, ``mk`` and ``mm`` = m_j m_k, set once per solve; the frame
+    ``du``, ``ru``, ``sin`` = sin(du) and ``r_a2`` = ru**-(alpha + 2); the
+    scratch buffers ``s`` and ``t``, which the chord gather, f, the
+    gradient, the Hessian and the CC residuals take in turn; and ``full``,
+    the mirror target of the last three. Only the kernels of this module
+    name them, and every float keeps the bits of the full-matrix formulas.
 
-    ``key`` is None or (angle bytes, alpha): the buffers then hold du, ru,
-    sin(du) and r**-(alpha + 2) at those angles. The frame rule: only
-    ``_frame`` reads the key, and outside ``potential`` only
-    ``minimize_f_k`` writes it, to None on entry and to its iterate where
-    it returns converged.
+    ``key`` is None or (angle bytes, alpha): the frame then holds those
+    angles and alpha. The frame rule: ``_chords_at`` sets the key to None,
+    and only ``_frame`` and a converged ``minimize_f_k`` set it to a point.
     """
 
     def __init__(self, n):
         self.n = n
         self.key = None
-        mj, mk, mm, self.r_a2, du, ru, a, b, c = np.empty((9, n * (n - 1) // 2))
-        full = np.empty((n, n))
-        self.masses = (mj, mk, mm)
-        self.chords = (du, ru, a)
-        self.f = self.sin = a
-        self.grad = (a, b, c, full)
-        self.hess = (b, c, full)
-        self.cc = (b, c, full)
+        (self.mj, self.mk, self.mm, self.du, self.ru, self.sin, self.r_a2,
+         self.s, self.t) = np.empty((9, n * (n - 1) // 2))
+        self.full = np.empty((n, n))
 
 
 # each thread keeps the workspace of the last n it evaluated
@@ -175,93 +169,114 @@ def _workspace(n):
 
 
 def _frame(config, alpha):
-    """This thread's workspace holding du, ru, sin(du) and r**-(alpha + 2) at config.
+    """This thread's workspace holding the frame of config and alpha.
 
     The CollisionError gap test runs first, so a frame held refuses what
     one built would. The workspace is reused when its key is
-    (config's angle bytes, alpha); otherwise all four are built into it
+    (config's angle bytes, alpha); otherwise the frame is built into it
     and only then is the key set. Call it with numpy overflow warnings off.
     """
     _check_gaps(config)
     ws = _workspace(config.n)
     key = (config.angles.tobytes(), alpha)
     if ws.key != key:
-        ws.key = None
-        du, ru = _pair_chords(config.angles, ws.chords)
-        np.sin(du, out=ws.sin)
-        _pow(ru, -(alpha + 2.0), ws.r_a2)
+        _chords_at(ws, config.angles)
+        _powers(ws, alpha)
         ws.key = key
     return ws
 
 
-def _mass_pairs(m, out=(None,) * 3):
-    """Packed masses m_j and m_k and products m_j m_k of the pairs j < k."""
+def _chords_at(ws, t):
+    """Packed du and ru of the angles t into ws, which then holds no frame."""
+    ws.key = None
+    _pair_chords(t, (ws.du, ws.ru, ws.s))
+
+
+def _mass_pairs(ws, m):
+    """Packed masses m_j and m_k and products m_j m_k of the pairs j < k into ws."""
     j, k, _ = _pairs(m.size)
     # 'clip' skips the bounds pass that makes take buffer its out
-    mj = m.take(j, out=out[0], mode="clip")
-    mk = m.take(k, out=out[1], mode="clip")
-    return mj, mk, np.multiply(mj, mk, out=out[2])
+    m.take(j, out=ws.mj, mode="clip")
+    m.take(k, out=ws.mk, mode="clip")
+    np.multiply(ws.mj, ws.mk, out=ws.mm)
 
 
-def _f_value(aux, mm, ru, out):
-    """f = u_alpha + u_{-2}/k from packed mass products and chords.
+def _powers(ws, alpha):
+    """sin(du) and r**-(alpha + 2) of the chords ws holds; returns the powers."""
+    np.sin(ws.du, out=ws.sin)
+    return _pow(ws.ru, -(alpha + 2.0), ws.r_a2)
 
-    ``out`` is a pair buffer for the summands.
-    """
+
+def _f_value(aux, ws):
+    """f = u_alpha + u_{-2}/k from the pair masses and chords ws holds."""
+    mm, ru, out = ws.mm, ws.ru, ws.s
     u_alpha = float(np.add.reduce(np.multiply(mm, _pow(ru, -aux.alpha, out), out=out)))
     u_chord = float(np.add.reduce(np.multiply(mm, _pow(ru, 2.0, out), out=out)))
     return u_alpha + u_chord / aux.k
 
 
-def _grad_theta(aux, m, mj, mk, du, r_a2, out=(None,) * 4):
-    """Angle gradient from the pair masses, du and packed r_a2 = ru**-(alpha + 2).
+def _grad_theta(aux, m, ws):
+    """Angle gradient from the pair masses and the frame ws holds.
 
     Row j of the summand holds m_k sin(t_j - t_k) w_jk; below the
     diagonal sin(t_k - t_j) = -sin(du), so that half is mirrored negated.
-    ``out`` is three pair buffers and the mirror target; sin(du) is left
-    in the first.
     """
     n = m.size
-    s_buf, w_buf, half, full = out
-    s = np.sin(du, out=s_buf)
-    w = np.multiply(aux.alpha, r_a2, out=w_buf)
+    w = np.multiply(aux.alpha, ws.r_a2, out=ws.s)
     w -= 2.0 / aux.k
-    upper = np.multiply(mk, s, out=half)
+    upper = np.multiply(ws.mk, ws.sin, out=ws.t)
     upper *= w
     # the upper half is mirrored before the lower one takes its buffer
-    full = _mirror(n, upper, None, full)
-    lower = np.multiply(mj, s, out=half)
+    full = _mirror(n, upper, None, ws.full)
+    lower = np.multiply(ws.mj, ws.sin, out=ws.t)
     lower *= w
     np.negative(lower, out=lower)
     full.T[_pairs(n)[2]] = lower
     return -(m * np.add.reduce(full, axis=1))
 
 
-def _hessian_theta(aux, n, mm, du, r_a2, out=(None,) * 3):
-    """Angle Hessian from packed mass products, du and r_a2 = ru**-(alpha + 2).
-
-    ``out`` is two pair buffers and the mirror target.
-    """
+def _hessian_theta(aux, ws):
+    """Angle Hessian from the pair masses and the frame ws holds, in ``ws.full``."""
     a = aux.alpha
-    c2, off, full = out
     # in place, operation for operation as
     # mm * (-a * (1 + a * c2) * r_a2 + (2 - 4 * c2) / k) with c2 = cos(du/2)**2
-    c2 = np.multiply(0.5, du, out=c2)
+    c2 = np.multiply(0.5, ws.du, out=ws.s)
     np.cos(c2, out=c2)
     c2 *= c2
-    off = np.multiply(a, c2, out=off)
+    off = np.multiply(a, c2, out=ws.t)
     off += 1.0
     off *= -a
-    off *= r_a2
+    off *= ws.r_a2
     c2 *= 4.0
     np.subtract(2.0, c2, out=c2)
     c2 /= aux.k
     off += c2
-    off *= mm
+    off *= ws.mm
     # cos is even and mm symmetric, so the mirror is exactly symmetric
-    h = _mirror(n, off, off, full)
-    h.reshape(-1)[:: n + 1] = -np.add.reduce(h, axis=1)
+    h = _mirror(ws.n, off, off, ws.full)
+    h.reshape(-1)[:: ws.n + 1] = -np.add.reduce(h, axis=1)
     return h
+
+
+def _cc_residuals(alpha, m, ws):
+    """The CC residuals max|tangential sum|, radial spread and mean radial sum.
+
+    Each sum is a product of the masses with a mirrored matrix: the
+    tangential one of sin(t_j - t_k) r**-(alpha + 2), then the radial one
+    of r**-alpha. An overflow raises as ``_check_finite`` does.
+    """
+    n = m.size
+    # (j, k), j < k, holds sin(t_k - t_j) = -sin(du); (k, j) its negation
+    upper = np.negative(ws.sin, out=ws.s)
+    upper *= ws.r_a2
+    tangential = _mirror(n, upper, np.negative(upper, out=ws.t), ws.full) @ m
+    # the tangential terms are dead, so the radial powers take their buffer
+    radial = _pow(ws.ru, -alpha, ws.s)
+    radial_sums = _mirror(n, radial, radial, ws.full) @ m
+    sums = (float(np.max(np.abs(tangential))),
+            float(np.max(radial_sums) - np.min(radial_sums)), float(np.mean(radial_sums)))
+    _check_finite(alpha, sums, ws.r_a2, radial)
+    return sums
 
 
 def _pair_weights(aux, ru):
@@ -279,12 +294,13 @@ def grad_theta_f_k(aux: AuxiliaryFunctional, masses: MassVector,
     """
     if masses.n != config.n:
         raise DimensionError(f"{masses.n} masses but {config.n} angles")
-    m = masses.masses
-    du, ru = _packed_chords(config)
+    _check_gaps(config)
+    m, ws = masses.masses, _Workspace(config.n)
     with np.errstate(over="ignore", invalid="ignore"):
-        mj, mk, _ = _mass_pairs(m)
-        r_a2 = _pow(ru, -(aux.alpha + 2.0))
-        grad = _grad_theta(aux, m, mj, mk, du, r_a2)
+        _chords_at(ws, config.angles)
+        _mass_pairs(ws, m)
+        r_a2 = _powers(ws, aux.alpha)
+        grad = _grad_theta(aux, m, ws)
         # each entry is a mass-weighted sum over pairs
         _check_finite(aux.alpha, grad, r_a2)
     return grad
@@ -298,8 +314,9 @@ def pair_weight_matrix(aux: AuxiliaryFunctional,
     real vector y, y^T W y / 2 equals the functional evaluated with y in
     place of the masses.
     """
+    _check_gaps(config)
     with np.errstate(over="ignore", invalid="ignore"):
-        w = _pair_weights(aux, _packed_chords(config)[1])
+        w = _pair_weights(aux, _pair_chords(config.angles)[1])
         # r**2/k stays finite, so w overflows exactly where r**-alpha does
         _check_finite(aux.alpha, (float(w.max()),), w)
     return _mirror(config.n, w, w)

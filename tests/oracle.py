@@ -19,7 +19,7 @@ import numpy as np
 from cocircular import (TAU, AngleConfiguration, AuxiliaryFunctional, CCReport,
                         CocircularError, CollisionError, DimensionError,
                         DomainError, GroupElement, MassVector, pair_weight_matrix)
-from cocircular.geometry import _check_pinned, _mirror, _packed_chords
+from cocircular.geometry import _check_gaps, _check_pinned, _mirror, _pair_chords
 from cocircular.potential import _check_alpha, _check_finite
 
 _EDGE = 1e-6
@@ -217,7 +217,8 @@ def chord_matrix(config: AngleConfiguration) -> np.ndarray:
 
     The package's packed chords, mirrored into the n x n matrix.
     """
-    ru = _packed_chords(config)[1]
+    _check_gaps(config)
+    ru = _pair_chords(config.angles)[1]
     return _mirror(config.n, ru, ru)
 
 

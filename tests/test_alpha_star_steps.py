@@ -76,6 +76,27 @@ def test_the_bracket_costs_no_kernel_at_large_n(monkeypatch):
     assert calls and not any(math.frexp(a)[0] == 0.5 for a in calls)
 
 
+@pytest.mark.parametrize("n", [7, 99, 500])
+def test_no_line_is_drawn_where_g_could_overflow(monkeypatch, n):
+    # a kernel g from the root on that leaves no headroom below inf: once
+    # one is a point of the bisection, no line decides a step, and every
+    # step after it runs the kernel
+    root = alpha_star(n)
+    events = []
+
+    def kernel(n, table, alpha):
+        events.append(("g", alpha))
+        return 1e308 if alpha >= root else _g(n, table, alpha)
+
+    monkeypatch.setattr("cocircular.scanner._g", kernel)
+    monkeypatch.setattr("cocircular.scanner.condition_threshold",
+                        lambda a: events.append(("t", a)) or condition_threshold(a))
+    alpha_star(n)
+    first = events.index(next(e for e in events if e[0] == "g" and e[1] >= root))
+    steps = [a for kind, a in events[first + 1:] if kind == "t"]
+    assert len(steps) > 20
+    assert events[first + 1:] == [e for a in steps for e in (("t", a), ("g", a))]
+
 # alphas from 2**-18 to 64: every power of 2 between, the integers of
 # _g's (1/s)**alpha branch, and points off the binary grid
 G_ALPHAS = [2.0 ** e for e in range(-18, 7)] + [3.0, 0.3, 0.7, 1.5, 2.5, 5.5, 37.123, 63.9]

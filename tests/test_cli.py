@@ -315,6 +315,18 @@ def test_exit_code_two_on_bad_input(tmp_path, capsys, monkeypatch):
     assert main(["minimize", "--input", "-"]) == 2
     capsys.readouterr()
 
+    # each exits 2 with nothing on stdout and one error line
+    for stdin, argv, message in [
+        ("[1, 2]", ["minimize", "--input", "-"], "input must be a JSON object"),
+        ('{"alpha": 1}', ["minimize", "--input", "-"], 'input needs a "masses" array'),
+        ("", ["scan", "--n-min", "5", "--n-max", "3", "--alpha", "1"],
+         "--n-min must not exceed --n-max"),
+    ]:
+        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {message}\n"
+
 
 def test_exit_code_three_on_convergence_failure(tmp_path, capsys):
     inp = write_json(tmp_path / "m.json", M112)

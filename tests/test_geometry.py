@@ -119,6 +119,9 @@ def test_angle_configuration_validation():
         AngleConfiguration(np.array([0.0, 1.0, TAU]))  # first angle not > 0
     with pytest.raises(DomainError):
         AngleConfiguration(np.array([1.0, 2.0, TAU + 0.1]))  # beyond 2*pi
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(DomainError, match="^angles must be finite$"):
+            AngleConfiguration(np.array([1.0, bad, TAU]))
     with pytest.raises(InvalidArity):
         AngleConfiguration(np.array([1.0]))
 
@@ -179,6 +182,21 @@ def test_unprintable_negative_tolerance_is_a_domain_error(call):
 def test_infinite_tolerance_is_a_domain_error(call):
     # an infinite tolerance accepts everything, and JSON has no inf to print
     with pytest.raises(DomainError, match=r"^(grad_)?tol must be finite, got inf$"):
+        call()
+
+
+@pytest.mark.parametrize("call, name, shown", [
+    (lambda: verify_cc(1.0, MassVector(np.ones(3)), regular_ngon(3), tol="1"), "tol", "'1'"),
+    (lambda: verify_cc(1.0, MassVector(np.ones(3)), regular_ngon(3), tol=None), "tol", "None"),
+    (lambda: minimize_f_k(AuxiliaryFunctional(1.0), MassVector(np.ones(3)), grad_tol="1"),
+     "grad_tol", "'1'"),
+    (lambda: alpha_star(7, tol=None), "tol", "None"),
+    (lambda: alpha_star(7, tol=1j), "tol", "1j"),
+], ids=["verify_cc-str", "verify_cc-None", "minimize_f_k-str", "alpha_star-None",
+        "alpha_star-complex"])
+def test_tolerance_that_is_no_real_number_is_a_domain_error(call, name, shown):
+    # a comparison with 0.0 would raise a bare TypeError for each of these
+    with pytest.raises(DomainError, match=rf"^{name} must be a nonnegative number, got {shown}$"):
         call()
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cocircular.minimizer as minimizer
 from cocircular import (
     TAU,
     AngleConfiguration,
@@ -98,6 +99,8 @@ def test_init_validation():
         minimize_f_k(aux, m, regular_ngon(3))  # wrong length
     with pytest.raises(DomainError):
         minimize_f_k(aux, m, AngleConfiguration(np.array([1.0, 2.0, 3.0, 4.0])))
+    with pytest.raises(DomainError, match="^init is too close to a collision$"):
+        minimize_f_k(aux, m, AngleConfiguration(np.array([1.0, 1.0 + 1e-13, 3.0, TAU])))
     # a step count is a nonnegative integer of any integer type
     for max_iter in (-1, np.int64(-1), 2.5, float("nan"), "3", None):
         with pytest.raises(DomainError, match="max_iter"):
@@ -114,6 +117,25 @@ def test_convergence_failure_carries_last_iterate():
     assert result.converged is False
     assert result.iterations == 200
     assert result.theta_m.n == 3
+
+
+def test_a_trial_too_near_a_collision_shrinks(monkeypatch):
+    # at a collision tolerance of 1.4 one line-search trial of this solve
+    # leaves a gap of about 1.35: it builds no chords and shrinks, as it
+    # does when it fails Armijo at the default tolerance, so the solve keeps
+    # its path, and every accepted point keeps its gaps above the tolerance
+    aux, m = AuxiliaryFunctional(0.5), MassVector(np.array([60.0, 0.02, 80.0, 0.03]))
+    builds = []
+    chords_at = minimizer._chords_at
+    monkeypatch.setattr(minimizer, "_chords_at",
+                        lambda ws, t: builds.append(t) or chords_at(ws, t))
+    free = minimize_f_k(aux, m)
+    free_builds = len(builds)
+    monkeypatch.setattr(minimizer, "COLLISION_TOL", 1.4)
+    res = minimize_f_k(aux, m)
+    assert len(builds) - free_builds == free_builds - 1
+    assert res.converged and res.min_gap >= 1.4
+    assert res.theta_m.angles.tobytes() == free.theta_m.angles.tobytes()
 
 
 def _singular(a, b):

@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cocircular.geometry as geometry
-import cocircular.minimizer as minimizer
+import cocircular.potential as potential
 import reference_potential as ref
 from cocircular import (
     AuxiliaryFunctional,
@@ -143,9 +143,9 @@ def test_verify_cc_matches_reference_on_every_pow_branch(alpha):
 def chord_builds(monkeypatch):
     """Count calls of the raw chord kernel.
 
-    ``_packed_chords`` (behind every pair frame) and the Newton loop both
-    build their chords through ``_pair_chords``; every package module that
-    holds it by name is patched, and the buffers pass through.
+    Every pair frame, the Newton loop's included, and W build their chords
+    through ``_pair_chords``; every package module that holds it by name
+    is patched, and the buffers pass through.
     """
     calls = []
     build = geometry._pair_chords
@@ -157,7 +157,7 @@ def chord_builds(monkeypatch):
     callers = [module for name, module in list(sys.modules.items())
                if name.split(".")[0] == "cocircular"
                and getattr(module, "_pair_chords", None) is build]
-    assert geometry in callers and minimizer in callers
+    assert geometry in callers and potential in callers
     for module in callers:
         monkeypatch.setattr(module, "_pair_chords", counting)
     return calls

@@ -11,6 +11,7 @@ from cocircular import (
     AngleConfiguration,
     AuxiliaryFunctional,
     CollisionError,
+    DimensionError,
     DomainError,
     KTooSmall,
     MassVector,
@@ -135,6 +136,11 @@ def test_collision_raises():
         grad_theta_f_k(AuxiliaryFunctional(1.0), UNIT3, cfg)
     with pytest.raises(CollisionError):
         pair_weight_matrix(AuxiliaryFunctional(1.0), cfg)
+
+
+def test_grad_theta_refuses_mismatched_lengths():
+    with pytest.raises(DimensionError, match="^8 masses but 9 angles$"):
+        grad_theta_f_k(AuxiliaryFunctional(1.0), MassVector(np.ones(8)), regular_ngon(9))
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(3, 8),

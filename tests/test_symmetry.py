@@ -14,6 +14,7 @@ from cocircular import (
     DomainError,
     ExclusionVerdict,
     GroupElement,
+    InvalidArity,
     MassVector,
     act_on_masses,
     exclusion_verdicts,
@@ -79,6 +80,11 @@ def test_group_element_rejects_non_integers(h, l, n):
     # a float reaching act_on_masses would be taken as a shift by 1
     with pytest.raises(DomainError, match="must be integers"):
         GroupElement(h, l, n)
+
+
+def test_group_element_needs_two_labels():
+    with pytest.raises(InvalidArity, match="^the dihedral group needs n >= 2 labels$"):
+        GroupElement(0, 0, 1)
 
 
 def test_group_element_takes_numpy_integers():

@@ -1,17 +1,19 @@
 """The per-thread pair workspace.
 
-``minimize_f_k`` and ``verify_cc`` keep their pair buffers and their n x n
-mirror target in one workspace per thread, holding the last n evaluated
-there. Reusing it must not move a bit, threads must not share it, results
-must not alias it, bad input must not reach it, and a repeat call at the
-same n must allocate only what it still allocates by design. The frame
-rule: only ``potential._frame`` reads the workspace's one ``key``, (angle
-bytes, alpha), and a solve sets it only where it returns converged, so
-``verify_cc`` at the minimizer and its alpha builds no chords, gives the
-bits of a miss there, and the public evaluators never touch the workspace.
+``minimize_f_k`` and ``verify_cc`` evaluate into one workspace per thread,
+laid out and keyed as ``potential._Workspace`` states. Reusing it must not
+move a bit, threads must not share it, results must not alias it, bad
+input must not reach it, a repeat call at the same n must allocate only
+what it still allocates by design, and no module but ``potential`` may
+name its buffers. Under the frame rule ``verify_cc`` at a converged
+solve's minimizer and alpha builds no chords and gives the bits of a miss
+there, a failed solve leaves no key, and the public evaluators never touch
+the workspace.
 """
 
+import ast
 import dataclasses
+import inspect
 import math
 import sys
 import threading
@@ -23,6 +25,9 @@ import pytest
 import cocircular.geometry as geometry
 import cocircular.minimizer as minimizer
 import cocircular.potential as potential
+import cocircular.symmetry as symmetry
+import cocircular.verifier as verifier
+import reference_potential as ref
 from cocircular import (TAU, AngleConfiguration, AuxiliaryFunctional, ConvergenceFailure,
                         DimensionError, DomainError, MassVector, UnsupportedExponent,
                         grad_theta_f_k, minimize_f_k, pair_weight_matrix, verify_cc)
@@ -264,7 +269,7 @@ def counted(monkeypatch):
 
     Every package module that holds the raw chord kernel ``_pair_chords``
     by name is patched, and so is ``sin`` on numpy, which the chords and
-    the tangential terms call; arguments and buffers pass through.
+    ``potential._powers`` call; arguments and buffers pass through.
     """
     builds, sines = [], []
     build, sin = geometry._pair_chords, np.sin
@@ -369,6 +374,29 @@ def test_repeat_solve_allocates_no_chords():
     assert peak < 8 * ((n - 1) ** 2 + 64 * n)
 
 
+def _workspaces_named(tree):
+    """Nodes in tree that hold a workspace: the calls that return one and
+    the names bound to such a call."""
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and getattr(node.func, "id", None) in ("_workspace", "_frame", "_Workspace")]
+    names = {target.id for node in ast.walk(tree) if isinstance(node, ast.Assign)
+             and node.value in calls for target in node.targets if isinstance(target, ast.Name)}
+    return calls, names
+
+
+@pytest.mark.parametrize("module", [minimizer, verifier, symmetry],
+                         ids=lambda module: module.__name__.split(".")[-1])
+def test_only_potential_names_a_buffer(module):
+    # outside potential a workspace is passed to its kernels, and only
+    # its key is read or written
+    tree = ast.parse(inspect.getsource(module))
+    calls, names = _workspaces_named(tree)
+    named = [ast.unparse(node) for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr != "key"
+             and (node.value in calls or getattr(node.value, "id", None) in names)]
+    assert named == []
+    assert bool(calls) is (module is not symmetry)
+
 def _dirty_matrix(n):
     """A stale mirror target: NaN off the diagonal and -0.0 on it."""
     full = np.full((n, n), np.nan)
@@ -380,14 +408,21 @@ def _dirty_matrix(n):
 def test_diagonal_writes_into_a_dirty_buffer(n):
     rng = np.random.default_rng(n)
     aux, m = AuxiliaryFunctional(1.0), random_masses(rng, n)
-    du, ru = geometry._packed_chords(ordered_angles(rng, n))
-    mm = potential._mass_pairs(m.masses)[2]
-    r_a2 = potential._pow(ru, -(aux.alpha + 2.0))
+    cfg = ordered_angles(rng, n)
+    ru = geometry._pair_chords(cfg.angles)[1]
     mirrored = geometry._mirror(n, ru, -ru, _dirty_matrix(n))
     assert mirrored.tobytes() == geometry._mirror(n, ru, -ru).tobytes()
     # +0.0 on the diagonal, not the stale -0.0
     assert not np.signbit(mirrored.diagonal()).any()
-    pairs = np.full((2, du.size), np.nan)
-    hessian = potential._hessian_theta(aux, n, mm, du, r_a2,
-                                       (*pairs, _dirty_matrix(n)))
-    assert hessian.tobytes() == potential._hessian_theta(aux, n, mm, du, r_a2).tobytes()
+    # a workspace whose pair buffers are all NaN and whose matrix is stale
+    ws = potential._Workspace(n)
+    for buf in _workspace_arrays(ws):
+        buf.fill(np.nan)
+    ws.full[...] = _dirty_matrix(n)
+    potential._chords_at(ws, cfg.angles)
+    potential._mass_pairs(ws, m.masses)
+    potential._powers(ws, aux.alpha)
+    gradient = potential._grad_theta(aux, m.masses, ws)
+    assert gradient.tobytes() == ref.grad_theta_f_k(aux, m, cfg).tobytes()
+    hessian = potential._hessian_theta(aux, ws)
+    assert hessian.tobytes() == ref.hessian_theta_f_k(aux, m, cfg).tobytes()
