@@ -15,10 +15,10 @@ import numpy as np
 from cocircular import (
     AuxiliaryFunctional,
     CocircularError,
-    ConvergenceFailure,
     DomainError,
     InvalidArity,
     MassVector,
+    cli,
     exclusion_verdicts,
     verify_cc,
 )
@@ -79,9 +79,7 @@ def main(argv=None):
                 print(f"  warning: {label} has a swap certificate at a point "
                       "that passes the residual check")
     except CocircularError as exc:
-        # the exit codes of the CLI: 3 for a failed solve, 2 for anything else
-        print(f"error: {exc}", file=sys.stderr)
-        return 3 if isinstance(exc, ConvergenceFailure) else 2
+        return cli._failed(exc)  # the exit codes of the CLI
     return 0
 
 

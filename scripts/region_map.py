@@ -13,8 +13,7 @@ import sys
 import numpy as np
 
 from cocircular import CocircularError, DomainError, NoBracket, cli
-from cocircular.geometry import _arity
-from cocircular.scanner import _alpha_star, _grid
+from cocircular.scanner import _alpha_star
 
 
 def main(argv=None):
@@ -28,19 +27,15 @@ def main(argv=None):
     args = ap.parse_args(argv)
 
     try:
-        if args.n_min > args.n_max:
-            raise DomainError("--n-min must not exceed --n-max")
-        _arity(args.n_max)  # refuse a range past every array before walking it
         if args.alpha_steps < 1:
             raise DomainError("--alpha-steps must be at least 1")
         alphas = np.linspace(args.alpha_min, args.alpha_max, args.alpha_steps)
-        grid = ns, alphas, thresholds, rows = _grid(range(args.n_min, args.n_max + 1), alphas)
+        grid = ns, alphas, thresholds, rows = cli._scan_grid(args.n_min, args.n_max, alphas)
         if args.csv:
             cli._emit(args, cli._scan_csv(grid))
             print(f"wrote {len(ns) * len(alphas)} cells to {args.csv}")
     except (CocircularError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return cli._failed(exc)
 
     print(f"{'n':>3} {'alpha_star':>12} {'g(n,a*)':>10} {'holds up to':>12}")
     for n, row in zip(ns, rows):

@@ -201,11 +201,16 @@ def _scan_csv(grid) -> str:
     return "\n".join(["n,alpha,g_value,threshold,holds", *cells]) + "\n"
 
 
-def _cmd_scan(args: argparse.Namespace) -> str:
-    if args.n_min > args.n_max:
+def _scan_grid(n_min: int, n_max: int, alphas):
+    """``_grid`` over n_min..n_max, refusing a reversed range or one past every array first."""
+    if n_min > n_max:
         raise DomainError("--n-min must not exceed --n-max")
-    _arity(args.n_max)  # refuse a range past every array before walking it
-    grid = _grid(range(args.n_min, args.n_max + 1), args.alpha)
+    _arity(n_max)
+    return _grid(range(n_min, n_max + 1), alphas)
+
+
+def _cmd_scan(args: argparse.Namespace) -> str:
+    grid = _scan_grid(args.n_min, args.n_max, args.alpha)
     if args.format == "json" and not args.csv:
         cells = _scan_cells(grid, '{"n":', ',"alpha":{},"g_value":',
                             ',"threshold":{},"holds":{}}}')
@@ -285,6 +290,12 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _failed(exc: Exception) -> int:
+    """Print exc's one ``error:`` line; exit code 3 for a failed solve, 2 otherwise."""
+    print(f"error: {exc}", file=sys.stderr)
+    return 3 if isinstance(exc, ConvergenceFailure) else 2
+
+
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
@@ -292,11 +303,7 @@ def main(argv=None) -> int:
         # typed error on overflow, with no numpy warning ahead of it
         text = args.handler(args)
         _emit(args, text)
-    except ConvergenceFailure as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except (CocircularError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _failed(exc)
     return 0
 

@@ -244,11 +244,14 @@ def regular_ngon(n: int) -> AngleConfiguration:
     return AngleConfiguration(t)
 
 
+def _check_lengths(masses: MassVector, config: AngleConfiguration) -> None:
+    """DimensionError unless there is one angle per mass."""
+    if masses.n != config.n:
+        raise DimensionError(f"{masses.n} masses but {config.n} angles")
+
+
 def center_of_mass(masses: MassVector, config: AngleConfiguration) -> complex:
     """(1/M) sum_j m_j exp(i t_j) as a complex number."""
-    if masses.n != config.n:
-        raise DimensionError(
-            f"{masses.n} masses but {config.n} angles"
-        )
+    _check_lengths(masses, config)
     z = np.sum(masses.masses * config.positions())
     return complex(z / masses.total_mass)

@@ -36,8 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceFailure, DomainError
-from .geometry import (COLLISION_TOL, TAU, AngleConfiguration, MassVector,
-                       _check_pinned, _tolerance, regular_ngon)
+from .geometry import (COLLISION_TOL, TAU, AngleConfiguration, MassVector, _check_gaps,
+                       _check_lengths, _check_pinned, _tolerance, regular_ngon)
 from .potential import (AuxiliaryFunctional, _check_finite, _chords_at, _f_value,
                         _grad_theta, _hessian_theta, _mass_pairs, _powers,
                         _workspace)
@@ -101,10 +101,12 @@ def minimize_f_k(aux: AuxiliaryFunctional, masses: MassVector,
     ConvergenceFailure
         If the tolerance is not met within ``max_iter`` steps; the last
         iterate rides along on the exception.
+    DimensionError, CollisionError
+        For an init of another length, or with a gap below ``COLLISION_TOL``.
     DomainError
-        For an init outside the pinned interior domain, a negative or NaN
-        ``grad_tol``, a ``max_iter`` that is not a nonnegative integer, or
-        masses whose products overflow f or its gradient.
+        For an unpinned init, a negative or NaN ``grad_tol``, a ``max_iter``
+        that is not a nonnegative integer, or masses whose products
+        overflow f or its gradient.
     UnsupportedExponent
         When the chord powers r**-(alpha + 2) overflow at an accepted point.
         Neither overflow comes with a numpy warning ahead of the error.
@@ -119,12 +121,10 @@ def minimize_f_k(aux: AuxiliaryFunctional, masses: MassVector,
     max_iter = steps
     n = masses.n
     if init is not None:
-        if init.n != n:
-            raise DomainError(f"init has {init.n} angles for {n} masses")
+        _check_lengths(masses, init)
         _check_pinned(init)
         cfg = init.normalized()
-        if cfg.min_gap() < COLLISION_TOL:
-            raise DomainError("init is too close to a collision")
+        _check_gaps(cfg)
     if n == 2:
         # w(r) = r**-alpha + r**2/k falls strictly on (0, 2) for every
         # k >= k_min, so the diameter is the unique minimizer. At k = k_min

@@ -42,9 +42,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, KTooSmall, UnsupportedExponent
-from .geometry import (AngleConfiguration, MassVector, _check_gaps, _mirror,
-                       _pair_chords, _pairs)
+from .errors import DomainError, KTooSmall, UnsupportedExponent
+from .geometry import (AngleConfiguration, MassVector, _check_gaps, _check_lengths,
+                       _mirror, _pair_chords, _pairs)
 
 
 def k_min(alpha: float) -> float:
@@ -292,8 +292,7 @@ def grad_theta_f_k(aux: AuxiliaryFunctional, masses: MassVector,
     (alpha / r_jk**(alpha + 2) - 2/k). Pair contributions are equal and
     opposite, so the entries sum to zero up to roundoff.
     """
-    if masses.n != config.n:
-        raise DimensionError(f"{masses.n} masses but {config.n} angles")
+    _check_lengths(masses, config)
     _check_gaps(config)
     m, ws = masses.masses, _Workspace(config.n)
     with np.errstate(over="ignore", invalid="ignore"):

@@ -31,21 +31,18 @@ kernels.
 A bisection step of ``alpha_star`` needs only the sign of
 psi = g - threshold and whether |psi| <= tol, and most steps get both
 from bounds on g, with no kernel. g(n, alpha) is a sum of exponentials
-exp(alpha ln csc), so convex in alpha. ``_g_closed_form`` bounds it in
-closed form, by its tangent at alpha = 0 below and by Taylor's remainder
-above. Each alpha already decided leaves a point with bounds on the true
-g: the closed form's there, or ``_g``'s value widened by ``_g_error``,
-the a-priori bound on ``_g`` against the true g. Between the nearest
-points on either side, the chord through their upper bounds lies above g
-(``_line_above``); beyond the two nearest on one side, the secant
-through them lies below it (``_line_below``). A step is settled where
-such a bound, widened by ``_g_error`` at the step, clears the threshold
-by more than tol; it is then what ``_g``'s psi would decide, and where
-the upper bound times n nears overflow, no bound settles it, so ``_g``
-raises there as before. Every other step runs ``_g``, so the roots keep
+exp(alpha ln csc), so convex in alpha. ``_g_closed_form`` bounds it by
+its tangent at alpha = 0 below and by Taylor's remainder above. Each
+alpha decided leaves a point with bounds on the true g: the closed
+form's, or ``_g``'s value widened by ``_g_error``, the a-priori bound on
+``_g``. One rule, ``_line``, draws the chord above g between the nearest
+points on either side and the secant below it beyond the two nearest on
+one side. A step is settled where such a bound, widened by ``_g_error``
+at the step, clears the threshold by more than tol, as ``_g``'s psi
+would; where the upper bound times 2n nears overflow none settles it, so
+``_g`` raises there. Every other step runs ``_g``, so the roots keep
 every bit. At the default tol a call at n = 3..1000 runs ``_g`` 2 to 12
-times, 4.2 on average, where it once ran it at each of its 30 to 43
-steps.
+times, 4.2 on average, where a kernel per step ran it 30 to 43 times.
 
 The first-order expansion of g gives alpha_star(n) ~ 1 / ((n - 1) ln 2
 - ln n - n/4), so n alpha_star(n) tends to 1 / (ln 2 - 1/4) =
@@ -286,49 +283,28 @@ def _g_closed_form(n: int, alpha: float) -> tuple[float, float]:
             tangent + slack + 0.5 * alpha * alpha * math.exp(exponent) * _LOG_SINE_SQUARE)
 
 
-# lines that decide no step
-_NO_LINE_ABOVE = (0.0, math.inf, 0.0)
-_NO_LINE_BELOW = (0.0, -math.inf, 0.0)
+def _line(near: tuple, far: tuple, reach: float, side: float, rho: float) -> tuple:
+    """(p, value, slope): the line through (p, y_p) and (q, above_q), on one side of g.
 
-
-def _line_above(left: tuple, right: tuple, rho: float) -> tuple[float, float, float]:
-    """(a, value, slope): a line above ``_g`` on [a, b], from two bounded points.
-
-    left = (a, _, above_a) and right = (b, _, above_b) bound the true g at
-    a < b. g is convex, so the chord through (a, above_a) and (b, above_b)
-    lies above it on [a, b], and (1 + rho) times the chord above ``_g``
-    wherever ``_g_error`` <= rho g. The line is value + (m - a) slope; its
-    evaluation rounds within 8u (|above_a| + |above_b - above_a|), and
-    value carries twice that.
+    near = (p, below_p, above_p) and far = (q, _, above_q) bound the true g.
+    Side +1.0 is the chord, with y_p = above_p and p, q the nearest points
+    on either side (reach q - p): a convex g lies below it on [p, q].
+    Side -1.0 is the secant, with y_p = below_p and p, q the two nearest on
+    one side: beyond p, away from q, a convex g lies above it. Times
+    1 + side rho it lies on that side of ``_g`` too, where ``_g_error`` <=
+    rho g. For m within reach of p, value + (m - p) slope rounds within
+    8u (|y_p| + reach |above_q - y_p| / |q - p|), and value carries twice
+    that. A line that is not finite decides no step: (0, side inf, 0).
     """
-    a, _, above_a = left
-    b, _, above_b = right
-    rise = above_b - above_a
-    value = above_a + 16.0 * _U * (abs(above_a) + abs(rise))
-    line = (a, value * (1.0 + rho), rise / (b - a) * (1.0 + rho))
-    return line if math.isfinite(line[1]) and math.isfinite(line[2]) else _NO_LINE_ABOVE
-
-
-def _line_below(near: tuple, far: tuple, reach: float, rho: float) -> tuple[float, float, float]:
-    """(p, value, slope): a line below ``_g`` beyond near, from two bounded points.
-
-    near = (p, below_p, _) and far = (q, _, above_q) bound the true g at
-    two alphas on the same side of the interval, near the nearer one, and
-    the interval reaches at most reach from p. For m beyond p, away from
-    q, convexity puts g(m) above the secant through q and p:
-
-        g(m) >= (1 + l) g(p) - l g(q),  l = (m - p)/(p - q) >= 0,
-
-    which stays a bound with below_p for g(p) and above_q for g(q); times
-    (1 - rho) it lies below ``_g`` too. The evaluation rounds within
-    8u (|below_p| + l |below_p - above_q|), and value carries twice that.
-    """
-    p, below_p, _ = near
-    q, _, above_q = far
-    drop = below_p - above_q
-    value = below_p - 16.0 * _U * (abs(below_p) + reach / abs(p - q) * abs(drop))
-    line = (p, value * (1.0 - rho), drop / (p - q) * (1.0 - rho))
-    return line if math.isfinite(line[1]) and math.isfinite(line[2]) else _NO_LINE_BELOW
+    (p, below_p, above_p), (q, _, above_q) = near, far
+    y_p = above_p if side > 0.0 else below_p
+    rise = above_q - y_p
+    scale = 1.0 + side * rho
+    value = (y_p + side * 16.0 * _U * (abs(y_p) + reach / abs(q - p) * abs(rise))) * scale
+    slope = rise / (q - p) * scale
+    if math.isfinite(value) and math.isfinite(slope):
+        return p, value, slope
+    return 0.0, side * math.inf, 0.0
 
 
 def _alpha_star(n: int, tol: float) -> tuple[float, float]:
@@ -371,17 +347,18 @@ def _alpha_star(n: int, tol: float) -> tuple[float, float]:
         return goes_right
 
     def lines() -> tuple:
-        # the line above and the lines below from the left and from the
-        # right of (lo, hi); none decides where _g could overflow
+        # the chord above and the secants below from either side of (lo, hi),
+        # or lines that decide no step where _g could overflow
         near_left, near_right = left[-1], right[-1]
         rho = _g_error(k, near_right[0], 1.0)
+        no_line_below = (0.0, -math.inf, 0.0)
         if not max(near_left[2], near_right[2]) * (1.0 + rho) * headroom < math.inf:
-            return _NO_LINE_ABOVE, _NO_LINE_BELOW, _NO_LINE_BELOW
+            return (0.0, math.inf, 0.0), no_line_below, no_line_below
         width = near_right[0] - near_left[0]
-        return (_line_above(near_left, near_right, rho),
-                _line_below(near_left, left[-2], width, rho),
-                _line_below(near_right, right[-2], width, rho) if len(right) > 1
-                else _NO_LINE_BELOW)
+        return (_line(near_left, near_right, width, 1.0, rho),
+                _line(near_left, left[-2], width, -1.0, rho),
+                _line(near_right, right[-2], width, -1.0, rho) if len(right) > 1
+                else no_line_below)
 
     # a power may overflow to inf, which _g turns into the typed error
     with np.errstate(over="ignore"):

@@ -5,8 +5,8 @@ every mass label down by one, and the reflection S, which reverses the
 first n-1 labels and fixes the last. Each element pairs with an affine
 action on pinned angle configurations that keeps every chord, so relabeled
 masses minimize at the correspondingly transformed angles. The scans need
-only the elements and their mass action, so that is all this module
-holds; composition and the angle action live with the test oracles.
+only the elements and their mass action, the index formula ``_image``, so
+that is all this module holds; the test oracles compose and act on angles.
 
 A verdict is its certificates: ``ExclusionVerdict`` takes them and
 derives ``excluded``, ``witness`` and ``margin`` from them. The group
@@ -64,16 +64,21 @@ class GroupElement:
         return self.l == 1
 
 
+def _image(h, l: int, n: int) -> np.ndarray:
+    """Index row of shift**h * reflection**l, or one row per h of a column h.
+
+    m[row] is the image of m: label i takes the mass at i + h - n, or with
+    the reflection at n - 2 - h - i, indices numpy reads mod n for h < n.
+    """
+    i = np.arange(n)
+    return n - 2 - h - i if l else i + h - n
+
+
 def act_on_masses(g: GroupElement, masses: MassVector) -> MassVector:
     """Permute the masses by g (reflection first, then the shifts)."""
     if g.n != masses.n:
         raise DimensionError(f"group on {g.n} labels, {masses.n} masses")
-    m = masses.masses
-    if g.l:
-        m = np.concatenate([m[-2::-1], m[-1:]])
-    if g.h:
-        m = np.roll(m, -g.h)
-    return MassVector(m)
+    return MassVector(masses.masses[_image(g.h, g.l, g.n)])
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,15 +112,11 @@ class ExclusionVerdict:
 def _mass_images(n: int) -> np.ndarray:
     """Index rows of the 2n - 1 non-identity elements, in ``elements`` order.
 
-    ``m[rows[i]]`` is the image of m under element i + 1 of
-    :meth:`GroupElement.elements`: the reflection reverses the first n - 1
-    labels, then the shift by h rolls every label down by h, exactly as in
-    :func:`act_on_masses`.
+    ``m[rows[i]]`` is the image of m under element i + 1: the shift table,
+    then the reflection's ``_image`` indexed by it.
     """
-    idx = np.arange(n)
-    shifts = (idx[:, None] + idx[None, :]) % n
-    reflection = np.append(idx[-2::-1], n - 1)
-    return np.concatenate([shifts, reflection[shifts]])[1:]
+    shifts = _image(np.arange(n)[:, None], 0, n)
+    return np.concatenate([shifts, _image(0, 1, n)[shifts]])[1:]
 
 
 def _group_scan(tol: float, w: np.ndarray, diffs: np.ndarray,
@@ -192,8 +193,7 @@ def exclusion_verdicts(aux: AuxiliaryFunctional, masses: MassVector
                                 np.flatnonzero(counts).tolist())
         swap = _swap_scan(m, w, moved[counts == 2])
     # an overflowed q is inf, or NaN from inf - inf, which q < -tol would drop
-    _check_finite(aux.alpha, qs, w)
-    _check_finite(aux.alpha, [margin for _, margin in swap], w)
+    _check_finite(aux.alpha, qs + [margin for _, margin in swap], w)
     inconsistent = bool(swap) and verify_cc(aux.alpha, masses, res.theta_m,
                                             VERIFY_TOL).is_cc
     return (ExclusionVerdict(group, res.f_value, res.theta_m),

@@ -18,8 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError
-from .geometry import AngleConfiguration, MassVector, _tolerance, center_of_mass
+from .geometry import AngleConfiguration, MassVector, _check_lengths, _tolerance, center_of_mass
 from .potential import _cc_residuals, _check_alpha, _check_finite, _frame
 
 
@@ -56,8 +55,7 @@ def verify_cc(alpha: float, masses: MassVector, config: AngleConfiguration,
     """
     alpha = _check_alpha(alpha)
     tol = _tolerance(tol, "tol")
-    if masses.n != config.n:
-        raise DimensionError(f"{masses.n} masses but {config.n} angles")
+    _check_lengths(masses, config)
     with np.errstate(over="ignore", invalid="ignore"):
         tangential, spread, lam = _cc_residuals(alpha, masses.masses, _frame(config, alpha))
         center = abs(center_of_mass(masses, config))

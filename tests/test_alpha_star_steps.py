@@ -57,6 +57,15 @@ def test_few_steps_run_a_kernel(monkeypatch, n):
     assert 1 <= len(calls) <= 10 and calls[-1] == root
 
 
+def test_kernel_budget_over_n_3_to_1200(monkeypatch):
+    # the sum alpha_star's docstring quotes: a bound that loosens runs more
+    # kernels here, with every root unchanged
+    calls = _counting_kernels(monkeypatch)
+    for n in range(3, 1201):
+        alpha_star(n)
+    assert len(calls) == 4963
+
+
 @pytest.mark.parametrize("n", [6, 7, 500, 10**4])
 def test_one_threshold_per_alpha_tried(monkeypatch, n):
     # a settled step asks for its threshold once, as an evaluated one does,

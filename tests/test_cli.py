@@ -328,6 +328,17 @@ def test_exit_code_two_on_bad_input(tmp_path, capsys, monkeypatch):
         assert captured.out == "" and captured.err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("angles, message", [
+    ([3.0, TAU], "3 masses but 2 angles"),
+    ([1.0, 1.0 + 1e-13, TAU], "two bodies are within 1e-12 radians of each other"),
+])
+def test_minimize_bad_init_exits_two(tmp_path, capsys, angles, message):
+    inp = write_json(tmp_path / "m.json", {**M112, "angles": angles})
+    assert main(["minimize", "--input", inp]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
 def test_exit_code_three_on_convergence_failure(tmp_path, capsys):
     inp = write_json(tmp_path / "m.json", M112)
     # a zero tolerance is valid but only an exactly vanishing gradient meets it

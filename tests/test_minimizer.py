@@ -10,7 +10,9 @@ from cocircular import (
     TAU,
     AngleConfiguration,
     AuxiliaryFunctional,
+    CollisionError,
     ConvergenceFailure,
+    DimensionError,
     DomainError,
     MassVector,
     UnsupportedExponent,
@@ -95,11 +97,12 @@ def test_angles_from_reduced_rejects_boundary():
 def test_init_validation():
     aux = AuxiliaryFunctional(1.0)
     m = MassVector(np.ones(4))
-    with pytest.raises(DomainError):
-        minimize_f_k(aux, m, regular_ngon(3))  # wrong length
+    # the types verify_cc and grad_theta_f_k raise for the same angles
+    with pytest.raises(DimensionError, match="^4 masses but 3 angles$"):
+        minimize_f_k(aux, m, regular_ngon(3))
     with pytest.raises(DomainError):
         minimize_f_k(aux, m, AngleConfiguration(np.array([1.0, 2.0, 3.0, 4.0])))
-    with pytest.raises(DomainError, match="^init is too close to a collision$"):
+    with pytest.raises(CollisionError, match="^two bodies are within 1e-12 radians"):
         minimize_f_k(aux, m, AngleConfiguration(np.array([1.0, 1.0 + 1e-13, 3.0, TAU])))
     # a step count is a nonnegative integer of any integer type
     for max_iter in (-1, np.int64(-1), 2.5, float("nan"), "3", None):

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cocircular import (
@@ -197,6 +197,8 @@ def test_grad_mass_matches_finite_differences(seed, n, alpha):
 
 
 @given(st.integers(0, 2**32 - 1), st.sampled_from([0.5, 1.0, 2.0]))
+# a plain step of 1e-5 gave |H - FD| = 2.13e-5 here, against a bound of 1.99e-5
+@example(seed=192, alpha=0.5)
 @settings(max_examples=25, deadline=None)
 def test_hessian_matches_finite_differences(seed, alpha):
     rng = np.random.default_rng(seed)

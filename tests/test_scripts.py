@@ -1,3 +1,4 @@
+import hashlib
 import os
 import runpy
 import subprocess
@@ -101,7 +102,8 @@ def test_region_map_input_error_exits_two(tmp_path, args, error, csv):
 
 def test_region_map_refuses_n_past_every_array(monkeypatch, capsys):
     # the range is refused before it is walked
-    monkeypatch.setattr(scanner, "_grid", lambda *args: pytest.fail("walked the range"))
+    for module in (scanner, cli):
+        monkeypatch.setattr(module, "_grid", lambda *args: pytest.fail("walked the range"))
     monkeypatch.setattr(sys, "argv", ["region_map.py", "--n-max", str(10**30)])
     with pytest.raises(SystemExit) as stop:
         runpy.run_path(str(SCRIPTS / "region_map.py"), run_name="__main__")
@@ -115,6 +117,17 @@ def test_exclusion_survey_runs():
     out = _run_script("exclusion_survey.py", "--n-min", "4", "--n-max", "6")
     assert out.returncode == 0, out.stderr
     assert "one-heavy n=6" in out.stdout
+
+
+# SHA-256 of exclusion_survey.py --n-min 4 --n-max 8 stdout, the table of
+# 12 families; CI's "Smoke exclusion survey" step compares the same digest
+EXCLUSION_SURVEY_DIGEST = "8b2f5b3b1bfe85d26f6c7cde55215b8593066d7c2956f9f0f93cfcff04d5a625"
+
+
+def test_exclusion_survey_table_frozen():
+    out = _run_script("exclusion_survey.py", "--n-min", "4", "--n-max", "8")
+    assert out.returncode == 0, out.stderr
+    assert hashlib.sha256(out.stdout.encode()).hexdigest() == EXCLUSION_SURVEY_DIGEST
 
 
 @pytest.mark.parametrize("args, error", [
