@@ -41,11 +41,12 @@ def _fmt(x: float) -> str:
 def _json(value) -> str:
     """Serialize with deterministic 17-significant-digit floats.
 
-    A 1-D float array is one join over its formatted values. Dict keys
-    are ASCII identifiers and are quoted as they are.
+    A 1-D float array is formatted in one ``%`` pass over a joined
+    template, with the bits of ``format(v, ".17g")``. Dict keys are ASCII
+    identifiers and are quoted as they are.
     """
     if isinstance(value, np.ndarray):
-        return "[" + ",".join([format(v, ".17g") for v in value.tolist()]) + "]"
+        return "[" + ",".join(["%.17g"] * value.size) % tuple(value.tolist()) + "]"
     if value is True:
         return "true"
     if value is False:

@@ -6,16 +6,15 @@ rotational freedom; that pinned set is the domain used by the minimizer
 and by the symmetry-group actions.
 
 Pair quantities are held packed: one entry per pair j < k, in
-``np.triu_indices(n, 1)`` order, which is also the row-major order of the
-True entries of the strict upper-triangle mask. ``_pair_chords`` builds
-the differences du = t_j - t_k and the chords ru = |2 sin(du/2)| once per
-point, into fresh arrays or the caller's buffers, and checks nothing.
-``AngleConfiguration`` checks the angles, ``_check_gaps`` a
-configuration's gaps against ``COLLISION_TOL`` and the minimizer's line
-search its trials' gaps, so every chord lies in (0, 2]. ``_mirror``
-expands packed pair quantities into an n x n matrix with a zero diagonal,
-writing the upper triangle through that mask and the lower one through
-the same mask on the transposed view. The mirror reproduces the
+``np.triu_indices(n, 1)`` order, the row-major order of the strict upper
+triangle. ``_pair_chords`` builds the differences du = t_j - t_k and the
+chords ru = |2 sin(du/2)| once per point, into fresh arrays or the
+caller's buffers, and checks nothing. ``AngleConfiguration`` checks the
+angles, ``_check_gaps`` a configuration's gaps against ``COLLISION_TOL``
+and the minimizer's line search its trials' gaps, so every chord lies in
+(0, 2]. ``_mirror`` expands packed pair quantities into an n x n matrix
+with a zero diagonal by one gather from a contiguous ``[upper | lower]``
+source, through a flat index map cached per n. The mirror reproduces the
 full-matrix formulas bit for bit: t_k - t_j is exactly -(t_j - t_k) in
 IEEE arithmetic, numpy's sin is odd and its cos even (checked bit for bit
 by the tests), so a symmetric quantity is mirrored as is and an
@@ -120,35 +119,36 @@ class AngleConfiguration:
 
 @lru_cache(maxsize=8)
 def _pairs(n: int):
-    """Packed pair indices (j, k), j < k, and the strict upper-triangle mask.
+    """Packed pair indices (j, k), j < k, and the mirror's flat gather map.
 
-    Callers must not write to them. The indices stay writeable because
-    ``ndarray.take`` copies a read-only index array before every gather.
+    Entry j_p n + k_p of the map is p and entry k_p n + j_p is P + p, with
+    P = n(n - 1)/2; the diagonal entries are 0 and get overwritten. The
+    map is n^2 intp, 8 n^2 bytes per cached n (8 MiB at n = 1024, where
+    the workspace is 44 MiB). Callers must not write to any of them. They
+    stay writeable and the map C-contiguous, because ``ndarray.take``
+    copies a read-only or non-intp index array before every gather.
     """
     j, k = np.triu_indices(n, 1)
-    mask = np.zeros((n, n), dtype=bool)
-    mask[j, k] = True
-    return j, k, _readonly(mask)
+    gather = np.zeros(n * n, dtype=np.intp)
+    gather[j * n + k] = np.arange(j.size)
+    gather[k * n + j] = np.arange(j.size, 2 * j.size)
+    return j, k, gather
 
 
-def _mirror(n: int, upper: np.ndarray, lower: np.ndarray, out=None) -> np.ndarray:
-    """n x n matrix with ``upper`` above, ``lower`` below and zeros on the diagonal.
+def _mirror(n: int, pairs: np.ndarray, out=None) -> np.ndarray:
+    """n x n matrix from packed ``pairs`` = [upper | lower] with zeros on the diagonal.
 
-    Entry p of ``upper`` lands at (j_p, k_p) and entry p of ``lower`` at
-    (k_p, j_p), with (j_p, k_p) the packed pair order. A reused ``out``
-    must be C-contiguous: its diagonal is zeroed here through a strided
-    view of its flat buffer, and every other entry is overwritten. A
-    ``lower`` of None leaves the lower triangle to the caller, who writes
-    it through the same mask on ``out.T``.
+    Entry p of the upper half lands at (j_p, k_p) and entry p of the
+    lower half at (k_p, j_p), with (j_p, k_p) the packed pair order. A
+    reused ``out`` must be C-contiguous and must not overlap ``pairs``:
+    every entry is gathered from ``pairs`` and the diagonal then zeroed
+    through a strided view of the flat buffer.
     """
-    mask = _pairs(n)[2]
-    if out is None:
-        out = np.zeros((n, n))
-    else:
-        out.reshape(-1)[:: n + 1] = 0.0
-    out[mask] = upper
-    if lower is not None:
-        out.T[mask] = lower
+    out = np.empty((n, n)) if out is None else out
+    flat = out.reshape(-1)
+    # 'clip' skips the bounds pass that makes take buffer its out
+    pairs.take(_pairs(n)[2], out=flat, mode="clip")
+    flat[:: n + 1] = 0.0
     return out
 
 

@@ -140,8 +140,11 @@ class _Workspace:
     ``du``, ``ru``, ``sin`` = sin(du) and ``r_a2`` = ru**-(alpha + 2); the
     scratch buffers ``s`` and ``t``, which the chord gather, f, the
     gradient, the Hessian and the CC residuals take in turn; and ``full``,
-    the mirror target of the last three. Only the kernels of this module
-    name them, and every float keeps the bits of the full-matrix formulas.
+    the mirror target of the last three and, ahead of its mirror, the
+    gradient's scratch for its pair weights. ``s`` and ``t`` are adjacent
+    rows of one block, so ``st`` reads them as the mirror's
+    ``[upper | lower]`` source. Only the kernels of this module name
+    them, and every float keeps the bits of the full-matrix formulas.
 
     ``key`` is None or (angle bytes, alpha): the frame then holds those
     angles and alpha. The frame rule: ``_chords_at`` sets the key to None,
@@ -154,6 +157,11 @@ class _Workspace:
         (self.mj, self.mk, self.mm, self.du, self.ru, self.sin, self.r_a2,
          self.s, self.t) = np.empty((9, n * (n - 1) // 2))
         self.full = np.empty((n, n))
+
+    @property
+    def st(self):
+        """``s`` then ``t`` as one 2P-long view of the block that holds them."""
+        return self.s.base[-2:].reshape(-1)
 
 
 # each thread keeps the workspace of the last n it evaluated
@@ -221,17 +229,15 @@ def _grad_theta(aux, m, ws):
     Row j of the summand holds m_k sin(t_j - t_k) w_jk; below the
     diagonal sin(t_k - t_j) = -sin(du), so that half is mirrored negated.
     """
-    n = m.size
-    w = np.multiply(aux.alpha, ws.r_a2, out=ws.s)
+    # the pair weights w sit at the head of full, which the mirror then overwrites
+    w = np.multiply(aux.alpha, ws.r_a2, out=ws.full.reshape(-1)[:ws.s.size])
     w -= 2.0 / aux.k
-    upper = np.multiply(ws.mk, ws.sin, out=ws.t)
+    upper = np.multiply(ws.mk, ws.sin, out=ws.s)
     upper *= w
-    # the upper half is mirrored before the lower one takes its buffer
-    full = _mirror(n, upper, None, ws.full)
     lower = np.multiply(ws.mj, ws.sin, out=ws.t)
     lower *= w
     np.negative(lower, out=lower)
-    full.T[_pairs(n)[2]] = lower
+    full = _mirror(ws.n, ws.st, ws.full)
     return -(m * np.add.reduce(full, axis=1))
 
 
@@ -253,7 +259,8 @@ def _hessian_theta(aux, ws):
     off += c2
     off *= ws.mm
     # cos is even and mm symmetric, so the mirror is exactly symmetric
-    h = _mirror(ws.n, off, off, ws.full)
+    ws.s[...] = off
+    h = _mirror(ws.n, ws.st, ws.full)
     h.reshape(-1)[:: ws.n + 1] = -np.add.reduce(h, axis=1)
     return h
 
@@ -265,14 +272,15 @@ def _cc_residuals(alpha, m, ws):
     tangential one of sin(t_j - t_k) r**-(alpha + 2), then the radial one
     of r**-alpha. An overflow raises as ``_check_finite`` does.
     """
-    n = m.size
     # (j, k), j < k, holds sin(t_k - t_j) = -sin(du); (k, j) its negation
     upper = np.negative(ws.sin, out=ws.s)
     upper *= ws.r_a2
-    tangential = _mirror(n, upper, np.negative(upper, out=ws.t), ws.full) @ m
-    # the tangential terms are dead, so the radial powers take their buffer
+    np.negative(upper, out=ws.t)
+    tangential = _mirror(ws.n, ws.st, ws.full) @ m
+    # the tangential terms are dead, so the radial powers take their buffers
     radial = _pow(ws.ru, -alpha, ws.s)
-    radial_sums = _mirror(n, radial, radial, ws.full) @ m
+    ws.t[...] = radial
+    radial_sums = _mirror(ws.n, ws.st, ws.full) @ m
     sums = (float(np.max(np.abs(tangential))),
             float(np.max(radial_sums) - np.min(radial_sums)), float(np.mean(radial_sums)))
     _check_finite(alpha, sums, ws.r_a2, radial)
@@ -318,4 +326,4 @@ def pair_weight_matrix(aux: AuxiliaryFunctional,
         w = _pair_weights(aux, _pair_chords(config.angles)[1])
         # r**2/k stays finite, so w overflows exactly where r**-alpha does
         _check_finite(aux.alpha, (float(w.max()),), w)
-    return _mirror(config.n, w, w)
+    return _mirror(config.n, np.concatenate((w, w)))

@@ -31,6 +31,13 @@ def certify_masses(family, n, ratio=1e3):
     return m
 
 
+def dirty_matrix(n):
+    """A stale mirror target: NaN off the diagonal and -0.0 on it."""
+    full = np.full((n, n), np.nan)
+    np.fill_diagonal(full, -0.0)
+    return full
+
+
 def on_fresh_thread(call, *args):
     """Run call(*args) on a new thread, so with a workspace built for it alone."""
     out = []

@@ -3,8 +3,8 @@
 A grid-search minimizer for n <= 5 and finite-difference derivatives, plus
 the test oracles that no command reaches: the reduced coordinates of a
 pinned configuration, the dihedral group's algebra (its generators,
-identity test and composition) and its action on angles, the full chord
-matrix, the defect of the exact quadratic mass expansion, and the
+identity test and composition) and its action on angles, the mask-based
+pair mirror, the full chord matrix, the defect of the exact quadratic mass expansion, and the
 central-configuration residuals taken straight from planar positions,
 which ``verify_cc`` (from angles) is checked against. The package never
 imports this.
@@ -223,6 +223,25 @@ def act_on_angles(g: GroupElement, config: AngleConfiguration) -> AngleConfigura
     return AngleConfiguration(t)
 
 
+def mirror(n: int, upper: np.ndarray, lower: np.ndarray, out=None) -> np.ndarray:
+    """n x n matrix with ``upper`` above, ``lower`` below and zeros on the diagonal.
+
+    The reference for ``geometry._mirror``'s gather: entry p of ``upper``
+    is written at (j_p, k_p) through the strict upper-triangle mask and
+    entry p of ``lower`` at (k_p, j_p) through the same mask on the
+    transposed view. A reused ``out`` must be C-contiguous.
+    """
+    mask = np.zeros((n, n), dtype=bool)
+    mask[np.triu_indices(n, 1)] = True
+    if out is None:
+        out = np.zeros((n, n))
+    else:
+        out.reshape(-1)[:: n + 1] = 0.0
+    out[mask] = upper
+    out.T[mask] = lower
+    return out
+
+
 def chord_matrix(config: AngleConfiguration) -> np.ndarray:
     """Pairwise chords r_jk = |2 sin((t_j - t_k)/2)|, zero diagonal.
 
@@ -230,7 +249,7 @@ def chord_matrix(config: AngleConfiguration) -> np.ndarray:
     """
     _check_gaps(config)
     ru = _pair_chords(config.angles)[1]
-    return _mirror(config.n, ru, ru)
+    return _mirror(config.n, np.concatenate((ru, ru)))
 
 
 def taylor_identity_check(aux: AuxiliaryFunctional, masses_cc: MassVector,

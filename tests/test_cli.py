@@ -261,6 +261,15 @@ def test_scan_writes_the_cells_of_scan_region(n_min, width, alphas):
         assert out.getvalue() == want
 
 
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=40))
+@settings(max_examples=100, deadline=None)
+def test_float_array_is_written_as_format_writes_each_value(values):
+    # one % pass over a joined template, byte for byte one format per value
+    special = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1.7976931348623157e308]
+    for a in (np.array(values, dtype=float), np.array(special + values)):
+        assert _json(a) == "[" + ",".join([format(v, ".17g") for v in a.tolist()]) + "]"
+
+
 def test_scan_not_closed_exits_two(monkeypatch, capsys):
     # g says n = 4 fails and n = 5 holds at every alpha
     monkeypatch.setattr(cocircular.scanner, "_g_block",
@@ -635,25 +644,43 @@ def _sha(text):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def test_verify_large_n_frozen_stdout(tmp_path, capsys, monkeypatch):
+def _pipe_large_n_minimize(tmp_path, capsys, monkeypatch, alpha):
+    """Put the n = 256 minimize stdout of LARGE_N_DIGESTS at alpha on stdin."""
     masses = np.random.default_rng(256).uniform(0.5, 2.0, 256)
-    inp = write_json(tmp_path / "m.json", {"alpha": 1.0, "masses": masses.tolist()})
+    inp = write_json(tmp_path / "m.json", {"alpha": alpha, "masses": masses.tolist()})
     assert main(["minimize", "--input", inp]) == 0
-    minimized = capsys.readouterr().out
-    monkeypatch.setattr(sys, "stdin", io.StringIO(minimized))
+    monkeypatch.setattr(sys, "stdin", io.StringIO(capsys.readouterr().out))
+
+
+def test_verify_large_n_frozen_stdout(tmp_path, capsys, monkeypatch):
+    _pipe_large_n_minimize(tmp_path, capsys, monkeypatch, 1.0)
     assert main(["verify", "--input", "-"]) == 0
     assert _sha(capsys.readouterr().out) == WRITER_DIGESTS["verify-large-n"]
 
 
 def test_verify_large_n_frozen_stdout_on_a_fresh_thread(tmp_path, capsys, monkeypatch):
     # the miss-path twin of the test above: verify builds its own chords
-    masses = np.random.default_rng(256).uniform(0.5, 2.0, 256)
-    inp = write_json(tmp_path / "m.json", {"alpha": 1.0, "masses": masses.tolist()})
-    assert main(["minimize", "--input", inp]) == 0
-    minimized = capsys.readouterr().out
-    monkeypatch.setattr(sys, "stdin", io.StringIO(minimized))
+    _pipe_large_n_minimize(tmp_path, capsys, monkeypatch, 1.0)
     assert on_fresh_thread(main, ["verify", "--input", "-"]) == 0
     assert _sha(capsys.readouterr().out) == WRITER_DIGESTS["verify-large-n"]
+
+
+# SHA-256 of verify on the n = 256 minimize stdout of LARGE_N_DIGESTS at
+# alpha = 0.5, whose radial powers take np.power, and alpha = 3, whose
+# take a multiply chain; taken while the mirror wrote through a mask.
+VERIFY_LARGE_N_DIGESTS = {
+    0.5: "eb184ad07310e2c9f288d186577f3581eb7efde39274e70fbc01287a58dadcc9",
+    3.0: "38f419d15242f3bb1fbb0238e3a51d40e270a4f4c42483fb09150cb6f06eac4a",
+}
+
+
+@pytest.mark.parametrize("fresh", [False, True], ids=["frame-hit", "fresh-thread"])
+@pytest.mark.parametrize("alpha", sorted(VERIFY_LARGE_N_DIGESTS))
+def test_verify_large_n_frozen_stdout_at_alpha(tmp_path, capsys, monkeypatch, alpha, fresh):
+    _pipe_large_n_minimize(tmp_path, capsys, monkeypatch, alpha)
+    argv = ["verify", "--input", "-"]
+    assert (on_fresh_thread(main, argv) if fresh else main(argv)) == 0
+    assert _sha(capsys.readouterr().out) == VERIFY_LARGE_N_DIGESTS[alpha]
 
 
 # SHA-256 of `cocircular minimize | cocircular verify` stdout at six equal

@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -27,8 +28,8 @@ from cocircular import (
     scan_region,
     verify_cc,
 )
-from conftest import ordered_angles
-from oracle import chord_matrix
+from conftest import dirty_matrix, ordered_angles
+from oracle import chord_matrix, mirror
 
 
 def test_regular_ngon_square():
@@ -333,3 +334,43 @@ def test_chord_clamp_matches_clip_bit_for_bit():
         np.clip(old, 0.0, 2.0, out=old)
         new = geometry._chords(du)
     np.testing.assert_array_equal(_bits(new), _bits(old))
+
+
+def _mirror_inputs(n, symmetric):
+    """Packed upper and lower halves at n with +-0.0, +-inf and NaN among them."""
+    upper = np.random.default_rng(n).standard_normal(n * (n - 1) // 2)
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
+    upper[:special.size] = special[:upper.size]
+    return upper, upper.copy() if symmetric else np.negative(upper)
+
+
+@pytest.mark.parametrize("symmetric", [True, False], ids=["symmetric", "antisymmetric"])
+@pytest.mark.parametrize("n", [2, 3, 8, 40, 256])
+def test_mirror_gathers_the_bits_of_the_masked_writes(n, symmetric):
+    upper, lower = _mirror_inputs(n, symmetric)
+    pairs = np.concatenate((upper, lower))
+    expected = mirror(n, upper, lower).tobytes()
+    assert geometry._mirror(n, pairs).tobytes() == expected
+    dirty = dirty_matrix(n)
+    assert geometry._mirror(n, pairs, dirty) is dirty
+    assert dirty.tobytes() == expected
+    assert mirror(n, upper, lower, dirty_matrix(n)).tobytes() == expected
+    # +0.0 on the diagonal, not the stale -0.0
+    assert not np.signbit(dirty.diagonal()).any()
+
+
+def test_mirror_map_needs_no_copy_to_gather():
+    n = 256
+    gather = geometry._pairs(n)[2]
+    assert gather.dtype == np.intp and gather.shape == (n * n,)
+    assert gather.flags.c_contiguous and gather.flags.writeable
+    pairs, out = np.ones(n * (n - 1)), np.empty((n, n))
+    geometry._mirror(n, pairs, out)  # caches the map for n
+    tracemalloc.start()
+    try:
+        geometry._mirror(n, pairs, out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a copied map alone is n^2 intp, 512 KiB
+    assert peak < 4096

@@ -31,7 +31,7 @@ import reference_potential as ref
 from cocircular import (TAU, AngleConfiguration, AuxiliaryFunctional, ConvergenceFailure,
                         DimensionError, DomainError, MassVector, UnsupportedExponent,
                         grad_theta_f_k, minimize_f_k, pair_weight_matrix, verify_cc)
-from conftest import on_fresh_thread, ordered_angles, random_masses
+from conftest import dirty_matrix, on_fresh_thread, ordered_angles, random_masses
 
 
 def _problem(n, alpha, seed):
@@ -397,12 +397,6 @@ def test_only_potential_names_a_buffer(module):
     assert named == []
     assert bool(calls) is (module is not symmetry)
 
-def _dirty_matrix(n):
-    """A stale mirror target: NaN off the diagonal and -0.0 on it."""
-    full = np.full((n, n), np.nan)
-    np.fill_diagonal(full, -0.0)
-    return full
-
 
 @pytest.mark.parametrize("n", [2, 3, 8, 40])
 def test_diagonal_writes_into_a_dirty_buffer(n):
@@ -410,15 +404,16 @@ def test_diagonal_writes_into_a_dirty_buffer(n):
     aux, m = AuxiliaryFunctional(1.0), random_masses(rng, n)
     cfg = ordered_angles(rng, n)
     ru = geometry._pair_chords(cfg.angles)[1]
-    mirrored = geometry._mirror(n, ru, -ru, _dirty_matrix(n))
-    assert mirrored.tobytes() == geometry._mirror(n, ru, -ru).tobytes()
+    pairs = np.concatenate((ru, -ru))
+    mirrored = geometry._mirror(n, pairs, dirty_matrix(n))
+    assert mirrored.tobytes() == geometry._mirror(n, pairs).tobytes()
     # +0.0 on the diagonal, not the stale -0.0
     assert not np.signbit(mirrored.diagonal()).any()
     # a workspace whose pair buffers are all NaN and whose matrix is stale
     ws = potential._Workspace(n)
     for buf in _workspace_arrays(ws):
         buf.fill(np.nan)
-    ws.full[...] = _dirty_matrix(n)
+    ws.full[...] = dirty_matrix(n)
     potential._chords_at(ws, cfg.angles)
     potential._mass_pairs(ws, m.masses)
     potential._powers(ws, aux.alpha)
