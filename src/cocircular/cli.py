@@ -25,7 +25,7 @@ import sys
 import numpy as np
 
 from .errors import CocircularError, ConvergenceFailure, DomainError
-from .geometry import AngleConfiguration, MassVector, _arity
+from .geometry import AngleConfiguration, MassVector, _arity, _tolerance
 from .minimizer import minimize_f_k
 from .potential import AuxiliaryFunctional
 from .scanner import _alpha_star, _grid, condition_threshold
@@ -221,6 +221,7 @@ def _cmd_scan(args: argparse.Namespace) -> str:
 
 def _cmd_alpha_star(args: argparse.Namespace) -> str:
     root, g = _alpha_star(args.n, args.tol)
+    tol = _tolerance(args.tol, "tol")  # the value _alpha_star checked: -0.0 prints as 0
     threshold = condition_threshold(root)
     return _json({
         "n": args.n,
@@ -228,7 +229,7 @@ def _cmd_alpha_star(args: argparse.Namespace) -> str:
         "g_value": g,
         "threshold": threshold,
         "residual": abs(g - threshold),
-        "tolerance": args.tol,
+        "tolerance": tol,
     }) + "\n"
 
 

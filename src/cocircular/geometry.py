@@ -220,7 +220,7 @@ def _arity(n) -> int:
 
 
 def _tolerance(tol, name: str) -> float:
-    """tol as a float; DomainError unless it is a finite real number >= 0."""
+    """tol as a float, -0.0 as +0.0; DomainError unless it is a finite real number >= 0."""
     if not (isinstance(tol, numbers.Real) and tol >= 0.0):
         raise DomainError(f"{name} must be a nonnegative number, got {_shown(tol)}")
     try:
@@ -229,7 +229,7 @@ def _tolerance(tol, name: str) -> float:
         raise DomainError(f"{name} must fit a double") from None
     if tol == math.inf:
         raise DomainError(f"{name} must be finite, got inf")
-    return tol
+    return abs(tol)
 
 
 def regular_ngon(n: int) -> AngleConfiguration:

@@ -14,11 +14,21 @@ once per n with one ``np.sin`` over the angles j pi / n, formed with the
 multiply and divide of the scalar expression; ``g_value`` takes one
 alpha from the table and ``alpha_star`` its whole bracket and bisection,
 both through ``_g``. ``_grid`` evaluates the (n, alpha) grid in blocks of
-consecutive n (``_g_block``): one ``np.sin`` builds a block's tables side
-by side, padded below to the longest, and per alpha one pow takes every
-n's terms and one ``np.add.reduce`` down the tables sums them.
-``scan_region`` wraps the grid's rows in ``RegionCell``s; the CLI's
-``scan`` and ``scripts/region_map.py`` write the rows out directly.
+consecutive n (``_g_block``), each of at most ``_BLOCK // 2`` sines once
+its tables are padded below to the longest, so a block depends on the n
+range alone. One ``np.sin`` builds a block's tables side by side. Per
+alpha one pow takes the block's terms and one ``np.add.reduce`` down the
+tables sums them. The sine j = 2i of an even n is the sine i of n/2 bit
+for bit, so where a block holds both, ``_term_index`` keeps each distinct
+sine once with an intp map from the padded block into them: the pow
+takes the distinct sines and one ``take`` lays their terms out as the
+block. A block with no such pair keeps the pow over its padded sines.
+``_term_index`` caches the last two blocks by their ns, as
+``geometry._pairs`` caches its gather maps, so a scan repeated over one
+n range builds no block: n = 3..300 is one block of 44,402 padded sines,
+of which each alpha's pow takes 16,800. ``scan_region`` wraps the grid's
+rows in ``RegionCell``s; the CLI's ``scan`` and
+``scripts/region_map.py`` write the rows out directly.
 
 Every term comes from one libm pow (``_terms``), and every sum adds the
 terms in table order: ``_g`` accumulates its table, and a reduce along
@@ -54,6 +64,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -69,8 +80,9 @@ _LN2 = math.log(2.0)
 # (1/pi) int_0^pi ln(sin x)**2 dx = pi**2/12 + ln(2)**2 = 1.3029200...,
 # rounded up with room for the rounding of the term it scales
 _LOG_SINE_SQUARE = 1.3030
-# padded terms per grid block: about 1 MiB of terms at a time, whatever
-# the grid
+# twice the padded sines of a grid block: an alpha's terms and their
+# padded layout hold about 1 MiB at a time, whatever the n range, and a
+# block does not depend on how many alphas the grid has
 _BLOCK = 1 << 17
 
 
@@ -93,8 +105,8 @@ def _sine_table(n: int) -> np.ndarray:
         raise DomainError(f"no memory holds the sine table of g at n = {n}") from None
 
 
-def _terms(sines: np.ndarray, alpha: float) -> np.ndarray:
-    """csc**alpha of every sine, each from one libm pow.
+def _terms(sines: np.ndarray, alpha: float, out=None) -> np.ndarray:
+    """csc**alpha of every sine, each from one libm pow, into out if given.
 
     ``np.float_power`` calls libm pow per element (``np.power``'s SIMD
     loop, SVML on AVX-512 builds, rounds about 5% of the terms otherwise):
@@ -102,8 +114,8 @@ def _terms(sines: np.ndarray, alpha: float) -> np.ndarray:
     gives +0.0. Call it with numpy overflow warnings off.
     """
     if alpha <= 4.0 and alpha.is_integer():
-        return np.float_power(1.0 / sines, alpha)
-    return np.float_power(sines, -alpha)
+        return np.float_power(1.0 / sines, alpha, out=out)
+    return np.float_power(sines, -alpha, out=out)
 
 
 def _g(n: int, table: np.ndarray, alpha: float) -> float:
@@ -134,21 +146,67 @@ def _sine_block(ns: list[int]) -> np.ndarray:
     return np.sin(js * math.pi / np.array(ns), out=np.full(real.shape, math.inf), where=real)
 
 
+@lru_cache(maxsize=2)
+def _term_index(ns: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray | None]:
+    """(sines, index): what ``_g_block`` takes its pows from, for ascending ns.
+
+    Column n's sine j = 2i is column n/2's sine i bit for bit: 2i pi
+    rounds to exactly 2 fl(i pi), so both angles round fl(i pi) / (n/2).
+    Where no n of the block has n/2 in it, index is None and sines is
+    ``_sine_block(ns)``. Otherwise sines holds each distinct sine once, in
+    the block's row order, and index, shaped like the block, maps every
+    entry into them: column n's even-j entries to column n/2's slots, and
+    the padding to the slot len(sines) just past them, whose term is +0.0.
+    The blocks depend on the n range alone, so a repeated scan reuses
+    them. Callers must not write to either; index stays writeable intp,
+    because ``ndarray.take`` copies a read-only or non-intp index before a
+    gather.
+    """
+    sines = _sine_block(list(ns))
+    column = {n: c for c, n in enumerate(ns)}
+    halves = [(c, column[n // 2]) for c, n in enumerate(ns)
+              if n % 2 == 0 and n // 2 in column]
+    if not halves:
+        return sines, None
+    real = sines < math.inf
+    own = real.copy()
+    for c, h in halves:
+        own[1:(ns[c] - 1) // 2:2, c] = False
+    index = np.cumsum(own, dtype=np.intp).reshape(own.shape)
+    index -= 1
+    # ascending columns, so column n/2 already points at its own slots
+    for c, h in halves:
+        index[1:(ns[c] - 1) // 2:2, c] = index[:(ns[h] - 1) // 2, h]
+    distinct = sines[own]
+    index[~real] = len(distinct)
+    return distinct, index
+
+
 def _g_block(ns: list[int], alphas: list[float]) -> list[list[float]]:
     """Rows of g(n, alpha) for ascending ns, each g equal to ``_g``'s.
 
-    Per alpha, one ``_terms`` over the padded sine block and one
-    ``np.add.reduce`` down the tables, which adds each column in table
-    order; a lone n goes to ``_g``, whose one contiguous column the reduce
-    would sum pairwise. Call it with numpy overflow warnings off.
+    Per alpha, one ``_terms`` over the block's sines (``_term_index``):
+    over the padded block itself, or over its distinct sines, which one
+    ``take`` then lays out as the block. One ``np.add.reduce`` down the
+    tables adds each column in table order, the padding adding +0.0; a
+    lone n goes to ``_g``, whose one contiguous column the reduce would
+    sum pairwise. Call it with numpy overflow warnings off.
     """
     if len(ns) == 1:
         table = _sine_table(ns[0])
         return [[_g(ns[0], table, a) for a in alphas]]
-    sines = _sine_block(ns)
+    sines, index = _term_index(tuple(ns))
     sums = np.empty((len(alphas), len(ns)))
-    for total, a in zip(sums, alphas):
-        total[:] = np.add.reduce(_terms(sines, a), axis=0)
+    if index is None:
+        for total, a in zip(sums, alphas):
+            total[:] = np.add.reduce(_terms(sines, a), axis=0)
+    else:
+        terms, padded = np.zeros(len(sines) + 1), np.empty(index.shape)
+        for total, a in zip(sums, alphas):
+            _terms(sines, a, out=terms[:-1])
+            # 'clip' skips the bounds pass that makes take buffer its out
+            terms.take(index, out=padded, mode="clip")
+            total[:] = np.add.reduce(padded, axis=0)
     sums = 2.0 * sums.T
     overflow = np.isinf(sums)
     if overflow.any():
@@ -185,7 +243,7 @@ def _grid(n_values, alpha_grid):
     ns and alphas come back sorted and without repeats, thresholds[i] is
     1 + alphas[i]/4 and rows[k][i] is g(ns[k], alphas[i]). The ns go to
     ``_g_block`` in runs of consecutive ns whose padded block holds at most
-    ``_BLOCK`` terms over all alphas (or one n alone); no alpha, no block.
+    ``_BLOCK // 2`` sines (or one n alone); no alpha, no block.
     Raises RegionNotClosed if some alpha's holding region is not an
     initial segment of ns.
     """
@@ -199,8 +257,8 @@ def _grid(n_values, alpha_grid):
     with np.errstate(over="ignore"):
         start = 0
         for stop in range(1, len(ns) + 1):
-            # close the block where the next n would pad it past _BLOCK terms
-            if stop == len(ns) or (ns[stop] - 1) // 2 * (stop + 1 - start) * len(alphas) > _BLOCK:
+            # close the block where the next n would pad it past _BLOCK // 2 sines
+            if stop == len(ns) or (ns[stop] - 1) // 2 * (stop + 1 - start) > _BLOCK // 2:
                 rows += _g_block(ns[start:stop], alphas)
                 start = stop
     # g grows with n, so per alpha the holds flags run true, then false

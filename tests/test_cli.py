@@ -413,6 +413,23 @@ def test_alpha_star_bad_tolerance_exits_two(capsys, tol):
     assert "tol" in captured.err and captured.out == ""
 
 
+@pytest.mark.parametrize("command", ["verify", "alpha-star"])
+def test_negative_zero_tolerance_prints_as_zero(tmp_path, capsys, command):
+    # -0.0 passes the tol >= 0 check and is the tolerance 0; both print it
+    # as the checked +0.0, never as "-0"
+    if command == "verify":
+        argv = ["verify", "--input", write_json(tmp_path / "sq.json", SQUARE)]
+    else:
+        argv = ["alpha-star", "--n", "6"]
+    outs = []
+    for tol in ("-0.0", "0"):
+        assert main([*argv, "--tol", tol]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["tolerance"] == 0.0
+    assert '"tolerance":-0' not in outs[0]
+
+
 @pytest.mark.parametrize("argv", [
     ["alpha-star", "--n", str(10**30)],
     ["scan", "--n-min", "3", "--n-max", str(10**30), "--alpha", "1"],
@@ -792,7 +809,16 @@ GRID_DIGESTS = {
     "alpha-star-10": "6e4c77f4b00131db3943b06dea24f9501604d153c8e39dec32611893276d7e0d",
     "alpha-star-500": "8ac62385370e2fcd9a0d3759305315272d448e387ede548317db4ee2288414d5",
     "alpha-star-1000": "b993d101885291bf898ff980e9e2afad7080eca2def0f144d2eca18c61dae941",
+    # taken while every padded sine of a grid block had a pow of its own:
+    # the benchmark's n range at 12 alphas, the integer ones of (1/s)**alpha
+    # among them, and a grid of several blocks
+    "scan-300-mixed-csv": "80d151de977c39f4c8a4993fc0624b1b444b4b266664bdc41d76e474aa5dc9ba",
+    "scan-1000-blocks-csv": "be73f814f3bd9ad8ebc363356bc402f0e1156749d19719fecca27de5be9abf0f",
 }
+
+# the CI smoke step "Smoke scan at n = 300" passes these in a fresh process
+SCAN_ALPHAS_MIXED = ["0.25", "0.5", "1", "1.5", "2", "2.25", "2.7", "3", "3.14159", "4",
+                     "5", "7.5"]
 
 
 GRID_ARGV = {
@@ -801,6 +827,10 @@ GRID_ARGV = {
                       "--format", "json"],
     "scan-1000-csv": ["scan", "--n-min", "3", "--n-max", "1000",
                       "--alpha", "0.5", "1", "2", "2.7", "3", "4"],
+    "scan-300-mixed-csv": ["scan", "--n-min", "3", "--n-max", "300",
+                           "--alpha", *SCAN_ALPHAS_MIXED],
+    "scan-1000-blocks-csv": ["scan", "--n-min", "3", "--n-max", "1000",
+                             "--alpha", "0.5", "1", "2.5"],
     **{f"alpha-star-{n}": ["alpha-star", "--n", str(n)] for n in (3, 10, 500, 1000)},
 }
 

@@ -99,6 +99,39 @@ def test_sine_block_matches_sine_tables():
             assert sines[k:, column].tolist() == [math.inf] * (len(sines) - k), n
 
 
+def test_even_table_holds_the_table_of_its_half():
+    # sin(2i pi / 2m) and sin(i pi / m) share their angle: 2 fl(i pi) / 2m
+    # is fl(i pi) / m, as doubling is exact; in a block too
+    for m in range(3, 2001):
+        assert _sine_table(2 * m)[1::2].tobytes() == _sine_table(m).tobytes(), m
+    sines = _sine_block(list(range(3, 2001)))  # column n - 3 holds n
+    for m in range(3, 1001):
+        k = (m - 1) // 2
+        halved = sines[1:2 * k:2, 2 * m - 3]
+        assert halved.tobytes() == sines[:k, m - 3].tobytes(), m
+
+
+@pytest.mark.parametrize("ns", [
+    [3, 4], [3, 5, 7, 9],  # no n with its half: the padded block itself
+    [3, 6], [3, 6, 12, 24, 48], list(range(3, 301)), [4, 8, 8, 16],
+    [5, 10, 11, 20, 21, 40, 1000, 2000], list(range(280, 601)),
+])
+def test_term_index_lays_out_the_sine_block(ns):
+    # the distinct sines, taken through the index, are the padded block bit
+    # for bit; each sine of a halved column is stored once
+    sines, index = scanner._term_index.__wrapped__(tuple(ns))
+    block = _sine_block(ns)
+    if index is None:
+        assert all(n % 2 or n // 2 not in ns for n in ns)
+        assert sines.tobytes() == block.tobytes()
+        return
+    assert index.dtype == np.intp and index.flags.c_contiguous and index.shape == block.shape
+    assert np.append(sines, math.inf)[index].tobytes() == block.tobytes()
+    shared = [(n // 2 - 1) // 2 for n in ns if n % 2 == 0 and n // 2 in ns]
+    assert len(sines) == sum((n - 1) // 2 for n in ns) - sum(shared)
+    assert len(np.unique(index)) == len(sines) + 1
+
+
 # (n, alphas) rows that the grid rarely meets: one term (n = 3, 4), one
 # cell, one alpha at large n, integer alphas on both sides of 4, repeats
 ROWS = [
@@ -181,6 +214,49 @@ def test_grid_makes_no_per_n_call(monkeypatch):
     assert len(rows) == len(ns) == 298
     assert calls["_sine_table"] == calls["_g"] == 0
     assert 1 <= calls["_g_block"] <= 8
+
+
+def test_repeat_grid_reuses_its_sine_block(monkeypatch):
+    # the benchmark's grid is one block; its n with n/2 share their sines,
+    # so each alpha's pow takes 16,800 of the block's 44,402 padded sines,
+    # and a second scan over the same ns builds no block
+    _grid(range(3, 301), [0.5, 1.0])
+    blocks, sizes = [], []
+    terms = scanner._terms
+
+    def counted_block(ns):
+        blocks.append(ns)
+        return _sine_block(ns)
+
+    def counted_terms(sines, alpha, out=None):
+        sizes.append(sines.size)
+        return terms(sines, alpha, out)
+
+    monkeypatch.setattr(scanner, "_sine_block", counted_block)
+    monkeypatch.setattr(scanner, "_terms", counted_terms)
+    alphas = [0.1 + 0.25 * i for i in range(12)]
+    rows = _grid(range(3, 301), alphas)[3]
+    assert blocks == []
+    assert sizes == [16800] * 12
+    assert scanner._term_index(tuple(range(3, 301)))[1].shape == (149, 298)
+    for n, row in zip(range(3, 301), rows):
+        assert row == [ref.g_value(n, a) for a in alphas], n
+
+
+def test_cached_blocks_stay_within_two_blocks():
+    # after a scan over n <= 3000 the cache keeps its last two blocks, each
+    # of at most _BLOCK // 2 padded sines: the sines and an index, or the
+    # padded block alone
+    scanner._term_index.cache_clear()
+    tracemalloc.start()
+    try:
+        rows = _grid(range(3, 3001), [0.5, 1.0])[3]
+        del rows
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert scanner._term_index.cache_info().currsize == 2
+    assert held <= 2 * 16 * (_BLOCK // 2)
 
 
 def test_grid_memory_stays_within_the_block():
