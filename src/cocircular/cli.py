@@ -115,23 +115,42 @@ def _emit(args: argparse.Namespace, text: str) -> None:
         sys.stdout.write(text)
 
 
+# each witness kind's JSON as a % template
+_GROUP_WITNESS = '{"kind":"group","h":%d,"l":%d}'
+_SWAP_WITNESS = '{"kind":"swap","pair":[%d,%d]}'
+
+
 def _witness_json(witness) -> str:
     if witness is None:
         return "null"
     if isinstance(witness, GroupElement):
-        return f'{{"kind":"group","h":{witness.h},"l":{witness.l}}}'
-    j, k = witness
-    return f'{{"kind":"swap","pair":[{j},{k}]}}'
+        return _GROUP_WITNESS % (witness.h, witness.l)
+    return _SWAP_WITNESS % witness
+
+
+def _certificates_json(certificates) -> str:
+    """The certificate list, in one ``%`` pass over one joined template.
+
+    ``%.17g`` gives the bits of ``format(x, ".17g")``.
+    """
+    if not certificates:
+        return ""
+    if isinstance(certificates[0][0], GroupElement):
+        witness = _GROUP_WITNESS
+        values = [v for g, margin in certificates for v in (g.h, g.l, margin)]
+    else:
+        witness = _SWAP_WITNESS
+        values = [v for (j, k), margin in certificates for v in (j, k, margin)]
+    template = '{"witness":' + witness + ',"margin":%.17g}'
+    return ",".join([template] * len(certificates)) % tuple(values)
 
 
 def _verdict_json(v, inconsistent: bool | None = None) -> str:
     """One verdict object, with an ``inconsistent`` field unless it is None."""
-    certificates = ",".join([
-        f'{{"witness":{_witness_json(w)},"margin":{_fmt(mg)}}}' for w, mg in v.certificates
-    ])
     flag = "" if inconsistent is None else f',"inconsistent":{_json(inconsistent)}'
     return (f'{{"excluded":{_json(v.excluded)},"witness":{_witness_json(v.witness)},'
-            f'"margin":{_fmt(v.margin)},"certificates":[{certificates}]{flag}}}')
+            f'"margin":{_fmt(v.margin)},"certificates":[{_certificates_json(v.certificates)}]'
+            f'{flag}}}')
 
 
 def _cmd_minimize(args: argparse.Namespace) -> str:

@@ -128,7 +128,11 @@ def _pairs(n: int):
     stay writeable and the map C-contiguous, because ``ndarray.take``
     copies a read-only or non-intp index array before every gather.
     """
-    j, k = np.triu_indices(n, 1)
+    # row j of the triangle holds the n - 1 - j pairs (j, j + 1..n - 1); built
+    # from those counts, not from np.triu_indices' n x n mask
+    counts = np.arange(n - 1, 0, -1)
+    j = np.repeat(np.arange(n - 1), counts)
+    k = np.arange(j.size) + np.repeat(np.arange(1, n) - (np.cumsum(counts) - counts), counts)
     gather = np.zeros(n * n, dtype=np.intp)
     gather[j * n + k] = np.arange(j.size)
     gather[k * n + j] = np.arange(j.size, 2 * j.size)

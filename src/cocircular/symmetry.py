@@ -10,9 +10,13 @@ that is all this module holds; the test oracles compose and act on angles.
 
 A verdict is its certificates: ``ExclusionVerdict`` takes them and
 derives ``excluded``, ``witness`` and ``margin`` from them. The group
-scan evaluates q once per distinct image of the masses (one gemv each;
-one-heavy and two-heavy masses repeat about half their images) and
-builds a ``GroupElement`` only for a certificate.
+scan takes the q of every distinct image of the masses from one stacked
+matmul, whose loop runs, per image, the gemv and the dot of ``d @ w @ d``
+and so keeps its bits, where a gemm would not. The rows are distinct
+unless an element other than the identity fixes m; then the scan keeps
+one row per distinct image, keyed by its bytes (one-heavy and two-heavy
+masses repeat about half their images). It builds a ``GroupElement``
+only for a certificate, from the h, l and n it computed, unchecked.
 """
 
 from __future__ import annotations
@@ -119,26 +123,56 @@ def _mass_images(n: int) -> np.ndarray:
     return np.concatenate([shifts, _image(0, 1, n)[shifts]])[1:]
 
 
+def _element(h: int, l: int, n: int) -> GroupElement:
+    """``GroupElement(h, l, n)`` for ints 0 <= h < n, l in {0, 1}, n >= 2, unchecked."""
+    g = object.__new__(GroupElement)
+    g.__dict__.update(h=h, l=l, n=n)
+    return g
+
+
+def _distinct_rows(diffs: np.ndarray, rows: np.ndarray) -> tuple[list[int], list[int]]:
+    """The first of ``rows`` with each distinct bytes, and each row's place among them.
+
+    Equal images of m give equal rows, and equal rows equal q, so the scan
+    evaluates one row per image. Only the distinct keys are held, and only
+    until the scan has its rows.
+    """
+    slot, picks, inverse = {}, [], []
+    for i in rows.tolist():
+        key = diffs[i].tobytes()
+        if key not in slot:
+            slot[key] = len(picks)
+            picks.append(i)
+        inverse.append(slot[key])
+    return picks, inverse
+
+
 def _group_scan(tol: float, w: np.ndarray, diffs: np.ndarray,
-                rows: list[int]) -> tuple[tuple, list[float]]:
+                rows: np.ndarray) -> tuple[tuple, list[float]]:
     """(g, -q(g)) for each of the image ``rows`` with q(g) < -tol, and every q.
 
     Row i of ``diffs`` belongs to element i + 1 of :meth:`GroupElement.elements`.
+    The q list holds one q per row when all 2n - 1 rows move a mass, else
+    one per distinct row, in the order the rows first come.
     """
     n = diffs.shape[1]
-    certificates = []
-    q_of = {}
-    # one gemv per distinct row, keyed by its bytes: equal rows give equal
-    # q, while a batched einsum or gemm moves the last ulp of q
-    for i in rows:
-        d = diffs[i]
-        key = d.tobytes()
-        q = q_of.get(key)
-        if q is None:
-            q = q_of[key] = 0.5 * float(d @ w @ d)
-        if q < -tol:
-            certificates.append((GroupElement((i + 1) % n, (i + 1) // n, n), -q))
-    return tuple(certificates), list(q_of.values())
+    if len(rows) == 2 * n - 1:
+        # only the identity fixes m, so the images, and the rows, are distinct
+        distinct, inverse = diffs, slice(None)
+    else:
+        picks, inverse = _distinct_rows(diffs, rows)
+        distinct = diffs[picks]
+    # numpy's matmul loop hands each stacked (1, n) @ (n, n) and (1, n) @ (n, 1)
+    # to the gemv and the dot that d @ w @ d calls on one row, so every q
+    # keeps its bits; a gemm or an einsum sums in another order and moves
+    # the last ulp
+    q = 0.5 * ((distinct[:, None, :] @ w) @ distinct[:, :, None]).ravel()
+    q_rows = q[inverse]
+    hits = np.flatnonzero(q_rows < -tol)
+    elements = (rows[hits] + 1).tolist()
+    certificates = tuple((_element(e % n, e // n, n), margin)
+                         for e, margin in zip(elements, (-q_rows[hits]).tolist()))
+    return certificates, q.tolist()
 
 
 def _swap_scan(m: np.ndarray, w: np.ndarray, swapped: np.ndarray) -> tuple:
@@ -190,7 +224,7 @@ def exclusion_verdicts(aux: AuxiliaryFunctional, masses: MassVector
     counts = moved.sum(axis=1)
     with np.errstate(over="ignore", invalid="ignore"):
         group, qs = _group_scan(MARGIN_SCALE * abs(res.f_value), w, diffs,
-                                np.flatnonzero(counts).tolist())
+                                np.flatnonzero(counts))
         swap = _swap_scan(m, w, moved[counts == 2])
     # an overflowed q is inf, or NaN from inf - inf, which q < -tol would drop
     _check_finite(aux.alpha, qs + [margin for _, margin in swap], w)

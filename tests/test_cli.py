@@ -616,6 +616,25 @@ def test_large_n_frozen_stdout(tmp_path, capsys, command, alpha):
     assert hashlib.sha256(out.encode()).hexdigest() == LARGE_N_DIGESTS[command, alpha]
 
 
+# SHA-256 of exclude stdout for 255 unit masses and one of 300 at n = 256,
+# taken while the group scan ran one gemv per distinct image in a Python
+# loop. The images repeat, so these pin the scan's deduplicated path at a
+# size where OpenBLAS may split a gemv over threads.
+LARGE_N_ONE_HEAVY_DIGESTS = {
+    0.5: "9c54ddf91711f8d6d86a30747007efeb2f40b19e2f9668633dc9e42d93da140f",
+    1.0: "ce8ce6d75966ce34ae7dd8b504fc06b8f43da8f30e25340eafa4920532a32dd0",
+    3.0: "8e1972b170b976ff90b536742aee5d61d5a8d5884da9b6a687db12bad2c41c1d",
+}
+
+
+@pytest.mark.parametrize("alpha", sorted(LARGE_N_ONE_HEAVY_DIGESTS))
+def test_large_n_one_heavy_exclude_frozen_stdout(tmp_path, capsys, alpha):
+    masses = certify_masses("one-heavy", 256, ratio=300.0).tolist()
+    inp = write_json(tmp_path / "m.json", {"alpha": alpha, "masses": masses})
+    assert main(["exclude", "--input", inp]) == 0
+    assert _sha(capsys.readouterr().out) == LARGE_N_ONE_HEAVY_DIGESTS[alpha]
+
+
 REQUIRED_FLAGS = {
     "minimize": {"--input": "m.json"},
     "verify": {"--input": "m.json"},

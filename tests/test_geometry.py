@@ -374,3 +374,10 @@ def test_mirror_map_needs_no_copy_to_gather():
         tracemalloc.stop()
     # a copied map alone is n^2 intp, 512 KiB
     assert peak < 4096
+
+
+def test_pair_indices_match_triu_indices():
+    for n in [*range(2, 65), 1024]:
+        j, k, _ = geometry._pairs.__wrapped__(n)
+        for got, want in zip((j, k), np.triu_indices(n, 1)):
+            assert got.dtype == np.intp and np.array_equal(got, want), n

@@ -350,6 +350,52 @@ def test_stacked_scans_match_reference_loops_at_benchmark_sizes(family, n, alpha
     assert _verdict_fields(swap) == _verdict_fields(reference_exclusion_by_swap(aux, m))
 
 
+def _scan_inputs(masses, alpha):
+    """The group scan's arguments for masses at alpha, as exclusion_verdicts builds them."""
+    aux = AuxiliaryFunctional(alpha)
+    res = minimize_f_k(aux, MassVector(masses))
+    w = pair_weight_matrix(aux, res.theta_m)
+    diffs = masses[symmetry._mass_images(masses.size)] - masses
+    rows = np.flatnonzero((diffs != 0.0).any(axis=1))
+    return symmetry.MARGIN_SCALE * abs(res.f_value), w, diffs, rows
+
+
+SCAN_MASSES = {
+    **{f"uniform-{n}": certify_masses("uniform", n) for n in (2, 3, 40, 256)},
+    **{f"one-heavy-{n}": certify_masses("one-heavy", n) for n in (2, 3, 40, 256)},
+    # stabilizers of four, six and eight elements
+    "123x4": np.tile([1.0, 2.0, 3.0], 4),
+    "1221x6": np.tile([1.0, 2.0, 2.0, 1.0], 6),
+    "123321x4": np.tile([1.0, 2.0, 3.0, 3.0, 2.0, 1.0], 4),
+}
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 3.0])
+@pytest.mark.parametrize("name", list(SCAN_MASSES))
+def test_group_scan_takes_each_q_from_one_gemv_per_distinct_row(name, alpha):
+    masses = SCAN_MASSES[name]
+    n = masses.size
+    tol, w, diffs, rows = _scan_inputs(masses, alpha)
+    certificates, qs = symmetry._group_scan(tol, w, diffs, rows)
+    # the first row of each distinct bytes, in order, each q as d @ w @ d
+    first = {}
+    for i in rows.tolist():
+        first.setdefault(diffs[i].tobytes(), i)
+    expected = [0.5 * float(diffs[i] @ w @ diffs[i]) for i in first.values()]
+    assert np.array(qs).tobytes() == np.array(expected).tobytes()
+    images = {masses[row].tobytes() for row in symmetry._mass_images(n)} - {masses.tobytes()}
+    if len(rows) == 2 * n - 1:
+        assert len(qs) == 2 * n - 1
+    else:
+        assert len(qs) == len(images) < len(rows)
+    q_of = dict(zip(first, expected))
+    reference = tuple((GroupElement((i + 1) % n, (i + 1) // n, n), -q_of[diffs[i].tobytes()])
+                      for i in rows if q_of[diffs[i].tobytes()] < -tol)
+    assert certificates == reference
+    assert all(type(v) is int for g, _ in certificates for v in (g.h, g.l, g.n))
+    assert all(type(margin) is float for _, margin in certificates)
+
+
 @st.composite
 def distinct_masses(draw):
     n = draw(st.integers(3, 12))
