@@ -32,7 +32,7 @@ def main(argv=None):
         alphas = np.linspace(args.alpha_min, args.alpha_max, args.alpha_steps)
         grid = ns, alphas, thresholds, rows = cli._scan_grid(args.n_min, args.n_max, alphas)
         if args.csv:
-            cli._emit(args, cli._scan_csv(grid))
+            cli._emit(args.csv, cli._scan_csv(grid))
             print(f"wrote {len(ns) * len(alphas)} cells to {args.csv}")
     except (CocircularError, OSError) as exc:
         return cli._failed(exc)

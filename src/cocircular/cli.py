@@ -5,10 +5,11 @@ Subcommands: minimize, verify, exclude, spectrum, scan, alpha-star.
 defaults and its handler; a handler takes the parsed namespace and
 returns the text to write. Input configurations are JSON objects
 {"alpha": ..., "masses": [...]} with an optional "angles" array; outputs
-are JSON (or CSV for scan) with floats at 17 significant digits,
-byte-stable across identical runs. Exit codes: 0 on success, 2 for
-domain or input errors (argparse also exits 2 on a bad command line), 3
-for convergence failures.
+are JSON (or CSV for scan, by ``--format``) with floats at 17 significant
+digits, byte-stable across identical runs, written to stdout or to the
+path every subcommand takes as ``--output``. Exit codes: 0 on success, 2
+for domain or input errors (argparse also exits 2 on a bad command
+line), 3 for convergence failures.
 
 ``main(argv)`` may be called any number of times in one process: the
 first call builds the parser and later calls reuse it, so a call costs
@@ -105,9 +106,8 @@ def _load_problem(args: argparse.Namespace, need_angles: bool = False):
     return alpha, masses, angles
 
 
-def _emit(args: argparse.Namespace, text: str) -> None:
-    # scan (and scripts/region_map.py) has --csv; it wins over --output
-    path = getattr(args, "csv", None) or args.output
+def _emit(path: str | None, text: str) -> None:
+    """Write text to the file at path, or to stdout without one."""
     if path:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
@@ -231,7 +231,7 @@ def _scan_grid(n_min: int, n_max: int, alphas):
 
 def _cmd_scan(args: argparse.Namespace) -> str:
     grid = _scan_grid(args.n_min, args.n_max, args.alpha)
-    if args.format == "json" and not args.csv:
+    if args.format == "json":
         cells = _scan_cells(grid, '{"n":', ',"alpha":{},"g_value":',
                             ',"threshold":{},"holds":{}}}')
         return "[" + ",".join(cells) + "]\n"
@@ -294,7 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-min", type=int, required=True)
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--alpha", type=float, nargs="+", required=True)
-    p.add_argument("--csv", help="write CSV here")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p = add("alpha-star", _cmd_alpha_star, "critical exponent for one n")
@@ -323,7 +322,7 @@ def main(argv=None) -> int:
         # each library entry point owns its numpy error state and raises a
         # typed error on overflow, with no numpy warning ahead of it
         text = args.handler(args)
-        _emit(args, text)
+        _emit(args.output, text)
     except (CocircularError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         return _failed(exc)
     return 0

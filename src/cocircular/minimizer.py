@@ -16,10 +16,10 @@ the input's typed error, as an overflowed f or gradient is.
 The masses and the start are validated once, on entry. The loop then runs
 on raw pinned angle vectors: the step carries a trailing 0.0, so every
 trial keeps t_n = 2*pi exactly, and one gap vector per point serves the
-trial's one feasibility test (every circular gap >= ``COLLISION_TOL``),
-the smallest gap seen and the next feasible-step bound. A trial costs that
-gap vector, one packed chord build and two sums; an ``AngleConfiguration``
-is built only for the result.
+trial's one feasibility test (every circular gap >= ``COLLISION_TOL``)
+and the next feasible-step bound. A trial costs that gap vector, one
+packed chord build and two sums; an ``AngleConfiguration`` is built only
+for the result.
 
 Each point's pair frame lives in this thread's workspace (see
 ``potential._Workspace``), which results never alias; a solve that
@@ -30,12 +30,11 @@ on the same thread builds no chords.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceFailure, DomainError
+from .errors import ConvergenceFailure
 from .geometry import (COLLISION_TOL, TAU, AngleConfiguration, MassVector, _check_gaps,
                        _check_lengths, _check_pinned, _tolerance, regular_ngon)
 from .potential import (AuxiliaryFunctional, _check_finite, _chords_at, _f_value,
@@ -50,14 +49,15 @@ _DIAG_REG = 1e-12
 # the predicted decrease is smaller than rounding in f
 _ULP_SLACK = 4.0 * np.finfo(float).eps
 _TINY = float(np.finfo(float).tiny)
+# the Newton step cap, read at each call
+_MAX_ITER = 200
 
 
 @dataclass(frozen=True, eq=False)
 class MinimizeResult:
     """Converged minimizer of the auxiliary functional.
 
-    ``grad_norm`` is the Euclidean norm of the reduced gradient and
-    ``min_gap`` the smallest circular gap seen over accepted iterates.
+    ``grad_norm`` is the Euclidean norm of the reduced gradient.
     """
 
     theta_m: AngleConfiguration
@@ -65,13 +65,11 @@ class MinimizeResult:
     grad_norm: float
     iterations: int
     converged: bool
-    min_gap: float
 
 
 def minimize_f_k(aux: AuxiliaryFunctional, masses: MassVector,
                  init: AngleConfiguration | None = None, *,
-                 grad_tol: float = 1e-11,
-                 max_iter: int = 200) -> MinimizeResult:
+                 grad_tol: float = 1e-11) -> MinimizeResult:
     """Minimize the auxiliary functional over pinned angle configurations.
 
     Parameters
@@ -87,8 +85,6 @@ def minimize_f_k(aux: AuxiliaryFunctional, masses: MassVector,
     grad_tol : float
         Converged once the reduced gradient norm is at most grad_tol * |f|,
         which scaling the masses by a power of 2 leaves exact.
-    max_iter : int
-        Maximum number of Newton steps.
 
     Returns
     -------
@@ -99,26 +95,18 @@ def minimize_f_k(aux: AuxiliaryFunctional, masses: MassVector,
     Raises
     ------
     ConvergenceFailure
-        If the tolerance is not met within ``max_iter`` steps; the last
-        iterate rides along on the exception.
+        If the tolerance is not met within ``_MAX_ITER`` (200) Newton
+        steps; the last iterate rides along on the exception.
     DimensionError, CollisionError
         For an init of another length, or with a gap below ``COLLISION_TOL``.
     DomainError
-        For an unpinned init, a negative or NaN ``grad_tol``, a ``max_iter``
-        that is not a nonnegative integer, or masses whose products
-        overflow f or its gradient.
+        For an unpinned init, a negative or NaN ``grad_tol``, or masses
+        whose products overflow f or its gradient.
     UnsupportedExponent
         When the chord powers r**-(alpha + 2) overflow at an accepted point.
         Neither overflow comes with a numpy warning ahead of the error.
     """
     grad_tol = _tolerance(grad_tol, "grad_tol")
-    try:
-        steps = operator.index(max_iter)
-    except TypeError:
-        steps = -1
-    if steps < 0:
-        raise DomainError(f"max_iter must be a nonnegative integer, got {max_iter!r}")
-    max_iter = steps
     n = masses.n
     if init is not None:
         _check_lengths(masses, init)
@@ -136,7 +124,6 @@ def minimize_f_k(aux: AuxiliaryFunctional, masses: MassVector,
     with np.errstate(over="ignore", invalid="ignore"):
         m = masses.masses
         x = cfg.angles
-        min_gap_seen = cfg.min_gap()
         # the pair frame of each point and the pair masses live in this
         # thread's workspace; results copy out of it
         ws = _workspace(n)
@@ -148,16 +135,15 @@ def minimize_f_k(aux: AuxiliaryFunctional, masses: MassVector,
             gnorm = float(abs(_grad_theta(aux, m, ws)[0]))
             _check_finite(aux.alpha, (fx, gnorm), r_a2)
             ws.key = x.tobytes(), aux.alpha
-            return MinimizeResult(cfg, fx, gnorm, 0, True, min_gap_seen)
+            return MinimizeResult(cfg, fx, gnorm, 0, True)
 
         def failure(message):
-            return ConvergenceFailure(
-                message, _result(x, fx, gnorm, iteration, False, min_gap_seen))
+            return ConvergenceFailure(message, _result(x, fx, gnorm, iteration, False))
 
         gaps = x[1:] - x[:-1]
         d = np.zeros(n)  # the step, its pinned last entry left at 0.0
         gnorm = np.inf
-        for iteration in range(max_iter + 1):
+        for iteration in range(_MAX_ITER + 1):
             r_a2 = _powers(ws, aux.alpha)
             gr = _grad_theta(aux, m, ws)[:-1]
             gnorm = _norm(gr)
@@ -172,8 +158,8 @@ def minimize_f_k(aux: AuxiliaryFunctional, masses: MassVector,
                                   "at the candidate") from None
                 # the gradient and the Hessian left x's frame in place
                 ws.key = x.tobytes(), aux.alpha
-                return _result(x, fx, gnorm, iteration, True, min_gap_seen)
-            if iteration == max_iter:
+                return _result(x, fx, gnorm, iteration, True)
+            if iteration == _MAX_ITER:
                 break
             # the next mirror zeroes the diagonal, so the regularization goes
             # in place, through a strided view of h's C-contiguous buffer
@@ -219,8 +205,7 @@ def minimize_f_k(aux: AuxiliaryFunctional, masses: MassVector,
             else:
                 raise failure("line search stalled")
             x, gaps, fx = xt, gaps_t, ft
-            min_gap_seen = min(min_gap_seen, gap_t)
-        raise failure(f"no convergence within {max_iter} Newton steps")
+        raise failure(f"no convergence within {_MAX_ITER} Newton steps")
 
 
 def _norm(gr: np.ndarray) -> float:
@@ -239,6 +224,5 @@ def _norm(gr: np.ndarray) -> float:
     return scale * math.sqrt(float(unit @ unit))
 
 
-def _result(x, fx, gnorm, iterations, converged, min_gap) -> MinimizeResult:
-    return MinimizeResult(AngleConfiguration(x), fx, gnorm, iterations,
-                          converged, min_gap)
+def _result(x, fx, gnorm, iterations, converged) -> MinimizeResult:
+    return MinimizeResult(AngleConfiguration(x), fx, gnorm, iterations, converged)

@@ -105,10 +105,7 @@ class AuxiliaryFunctional:
 
 
 def _pow(base: np.ndarray, expo: float, out=None) -> np.ndarray:
-    """base**expo with multiply chains for small integer exponents.
-
-    At expo 1 the result is ``base`` itself and ``out`` is left untouched.
-    """
+    """base**expo with multiply chains for small integer exponents."""
     ei = int(round(expo))
     if expo == ei and 0 < abs(ei) <= 4:
         p = base

@@ -6,7 +6,9 @@ first n-1 labels and fixes the last. Each element pairs with an affine
 action on pinned angle configurations that keeps every chord, so relabeled
 masses minimize at the correspondingly transformed angles. The scans need
 only the elements and their mass action, the index formula ``_image``, so
-that is all this module holds; the test oracles compose and act on angles.
+that is all this module holds; the test oracles list the group, compose
+and act on angles. Element e = h + n*l of the scans' order is
+shift**h * reflection**l: the cyclic part first, then the reflections.
 
 A verdict is its certificates: ``ExclusionVerdict`` takes them and
 derives ``excluded``, ``witness`` and ``margin`` from them. The group
@@ -57,11 +59,6 @@ class GroupElement:
         object.__setattr__(self, "h", h % n)
         object.__setattr__(self, "l", l % 2)
         object.__setattr__(self, "n", n)
-
-    @classmethod
-    def elements(cls, n: int) -> list["GroupElement"]:
-        """All 2n elements, cyclic part first, then the reflections."""
-        return [cls(h, l, n) for l in (0, 1) for h in range(n)]
 
     @property
     def is_reflection(self) -> bool:
@@ -114,7 +111,7 @@ class ExclusionVerdict:
 
 
 def _mass_images(n: int) -> np.ndarray:
-    """Index rows of the 2n - 1 non-identity elements, in ``elements`` order.
+    """Index rows of the 2n - 1 non-identity elements, in the scans' order.
 
     ``m[rows[i]]`` is the image of m under element i + 1: the shift table,
     then the reflection's ``_image`` indexed by it.
@@ -151,7 +148,7 @@ def _group_scan(tol: float, w: np.ndarray, diffs: np.ndarray,
                 rows: np.ndarray) -> tuple[tuple, list[float]]:
     """(g, -q(g)) for each of the image ``rows`` with q(g) < -tol, and every q.
 
-    Row i of ``diffs`` belongs to element i + 1 of :meth:`GroupElement.elements`.
+    Row i of ``diffs`` belongs to element i + 1 = h + n*l of the scans' order.
     The q list holds one q per row when all 2n - 1 rows move a mass, else
     one per distinct row, in the order the rows first come.
     """
@@ -227,7 +224,7 @@ def exclusion_verdicts(aux: AuxiliaryFunctional, masses: MassVector
                                 np.flatnonzero(counts))
         swap = _swap_scan(m, w, moved[counts == 2])
     # an overflowed q is inf, or NaN from inf - inf, which q < -tol would drop
-    _check_finite(aux.alpha, qs + [margin for _, margin in swap], w)
+    _check_finite(aux.alpha, qs + [margin for _, margin in swap])
     inconsistent = bool(swap) and verify_cc(aux.alpha, masses, res.theta_m,
                                             VERIFY_TOL).is_cc
     return (ExclusionVerdict(group, res.f_value, res.theta_m),

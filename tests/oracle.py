@@ -2,12 +2,12 @@
 
 A grid-search minimizer for n <= 5 and finite-difference derivatives, plus
 the test oracles that no command reaches: the reduced coordinates of a
-pinned configuration, the dihedral group's algebra (its generators,
-identity test and composition) and its action on angles, the mask-based
-pair mirror, the full chord matrix, the defect of the exact quadratic mass expansion, and the
-central-configuration residuals taken straight from planar positions,
-which ``verify_cc`` (from angles) is checked against. The package never
-imports this.
+pinned configuration, the dihedral group's algebra (its element list,
+generators, identity test and composition) and its action on angles, the
+mask-based pair mirror, the full chord matrix, the defect of the exact
+quadratic mass expansion, and the central-configuration residuals taken
+straight from planar positions, which ``verify_cc`` (from angles) is
+checked against. The package never imports this.
 """
 
 from __future__ import annotations
@@ -178,6 +178,15 @@ def angles_from_reduced(x: np.ndarray) -> AngleConfiguration:
     """Inverse of reduced_coordinates: append the pinned angle 2*pi."""
     x = np.asarray(x, dtype=float)
     return AngleConfiguration(np.append(x, TAU))
+
+
+def elements(n: int) -> list[GroupElement]:
+    """All 2n elements, cyclic part first, then the reflections.
+
+    Element e is shift**(e % n) * reflection**(e // n), the order of the
+    rows the exclusion scan decodes.
+    """
+    return [GroupElement(h, l, n) for l in (0, 1) for h in range(n)]
 
 
 def identity(n: int) -> GroupElement:

@@ -8,13 +8,12 @@ import numpy as np
 
 from cocircular import (
     ExclusionVerdict,
-    GroupElement,
     act_on_masses,
     minimize_f_k,
     pair_weight_matrix,
     verify_cc,
 )
-from oracle import is_identity
+from oracle import elements, is_identity
 
 
 def reference_exclusion_by_group(aux, masses, *, margin_scale=1e-10):
@@ -23,7 +22,7 @@ def reference_exclusion_by_group(aux, masses, *, margin_scale=1e-10):
     tol = margin_scale * abs(res.f_value)
     m = masses.masses
     certificates = []
-    for g in GroupElement.elements(masses.n):
+    for g in elements(masses.n):
         if is_identity(g):
             continue
         d = act_on_masses(g, masses).masses - m
@@ -41,7 +40,7 @@ def reference_exclusion_by_swap(aux, masses, *, verify_tol=1e-9):
     m = masses.masses
     n = masses.n
     images = [act_on_masses(g, masses).masses
-              for g in GroupElement.elements(n) if not is_identity(g)]
+              for g in elements(n) if not is_identity(g)]
     certificates = []
     for j in range(n):
         for k in range(j + 1, n):

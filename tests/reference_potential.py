@@ -173,20 +173,18 @@ def _max_feasible_step(x: np.ndarray, d: np.ndarray) -> float:
 def minimize(aux, masses, grad_tol=1e-11, max_iter=200):
     """Damped Newton from the default start.
 
-    Returns (angles, f, grad_norm, iterations, min_gap), min_gap being the
-    smallest circular gap over the accepted iterates. A ConvergenceFailure
-    after max_iter steps or a stalled line search carries that tuple of
-    the last accepted iterate as its result.
+    Returns (angles, f, grad_norm, iterations). A ConvergenceFailure after
+    max_iter steps or a stalled line search carries that tuple of the last
+    accepted iterate as its result.
     """
     n = masses.n
     if n == 2:
         cfg = AngleConfiguration(np.array([TAU / 2.0, TAU]))
         gnorm = float(abs(grad_theta_f_k(aux, masses, cfg)[0]))
-        return cfg.angles, f_k_value(aux, masses, cfg), gnorm, 0, cfg.min_gap()
+        return cfg.angles, f_k_value(aux, masses, cfg), gnorm, 0
     t = TAU * np.arange(1, n + 1) / n
     t[-1] = TAU
     cfg = AngleConfiguration(t)
-    min_gap = cfg.min_gap()
     x = cfg.angles[:-1].copy()
     fx = f_k_value(aux, masses, cfg)
     gnorm = np.inf
@@ -199,7 +197,7 @@ def minimize(aux, masses, grad_tol=1e-11, max_iter=200):
                 np.linalg.cholesky(hr)
             except np.linalg.LinAlgError:
                 raise ConvergenceFailure("reduced Hessian is not positive definite") from None
-            return cfg.angles, fx, gnorm, iteration, min_gap
+            return cfg.angles, fx, gnorm, iteration
         if iteration == max_iter:
             break
         hr = hessian_theta_f_k(aux, masses, cfg)[:-1, :-1]
@@ -230,11 +228,10 @@ def minimize(aux, masses, grad_tol=1e-11, max_iter=200):
             t *= _SHRINK
         if not accepted:
             raise ConvergenceFailure("line search stalled",
-                                     (cfg.angles, fx, gnorm, iteration, min_gap))
+                                     (cfg.angles, fx, gnorm, iteration))
         x, cfg, fx = xt, cfg_t, ft
-        min_gap = min(min_gap, cfg.min_gap())
     raise ConvergenceFailure(f"no convergence within {max_iter} Newton steps",
-                             (cfg.angles, fx, gnorm, max_iter, min_gap))
+                             (cfg.angles, fx, gnorm, max_iter))
 
 
 def circulant_spectrum(aux, n):

@@ -185,15 +185,6 @@ def test_scan_csv_frozen(capsys):
     assert capsys.readouterr().out == SCAN_CSV
 
 
-def test_scan_csv_file(tmp_path, capsys):
-    out = tmp_path / "cells.csv"
-    code = main(["scan", "--n-min", "3", "--n-max", "6", "--alpha", "1",
-                 "--csv", str(out)])
-    assert code == 0
-    assert capsys.readouterr().out == ""
-    assert out.read_text(encoding="utf-8") == SCAN_CSV
-
-
 def test_scan_output_flag_writes_csv_by_default(tmp_path, capsys):
     # no --format: argparse's default is the only source of "csv"
     out = tmp_path / "cells.csv"
@@ -215,6 +206,18 @@ def test_scan_json_format(capsys):
         {"n": 4, "alpha": 1, "g_value": 0.95710678118654757,
          "threshold": 1.25, "holds": True},
     ]
+
+
+def test_scan_json_output_file_holds_the_printed_bytes(tmp_path, capsys):
+    argv = ["scan", "--n-min", "3", "--n-max", "12", "--alpha", "0.5", "1", "3",
+            "--format", "json"]
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    out = tmp_path / "cells.json"
+    assert main(argv + ["--output", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    with open(out, "rb") as fh:
+        assert fh.read() == printed.encode("utf-8")
 
 
 def test_scan_multiple_alphas_sorted(capsys):

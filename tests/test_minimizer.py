@@ -104,11 +104,6 @@ def test_init_validation():
         minimize_f_k(aux, m, AngleConfiguration(np.array([1.0, 2.0, 3.0, 4.0])))
     with pytest.raises(CollisionError, match="^two bodies are within 1e-12 radians"):
         minimize_f_k(aux, m, AngleConfiguration(np.array([1.0, 1.0 + 1e-13, 3.0, TAU])))
-    # a step count is a nonnegative integer of any integer type
-    for max_iter in (-1, np.int64(-1), 2.5, float("nan"), "3", None):
-        with pytest.raises(DomainError, match="max_iter"):
-            minimize_f_k(aux, m, max_iter=max_iter)
-    assert minimize_f_k(aux, m, max_iter=np.int64(50)).converged
 
 
 def test_convergence_failure_carries_last_iterate():
@@ -136,8 +131,11 @@ def test_a_trial_too_near_a_collision_shrinks(monkeypatch):
     free_builds = len(builds)
     monkeypatch.setattr(minimizer, "COLLISION_TOL", 1.4)
     res = minimize_f_k(aux, m)
+    # every point that built chords, each accepted point among them
+    for t in builds[free_builds:]:
+        assert np.diff(t, prepend=t[-1] - TAU).min() >= 1.4
     assert len(builds) - free_builds == free_builds - 1
-    assert res.converged and res.min_gap >= 1.4
+    assert res.converged
     assert res.theta_m.angles.tobytes() == free.theta_m.angles.tobytes()
 
 
@@ -214,7 +212,6 @@ def test_solution_is_a_positive_definite_critical_point():
     assert np.linalg.norm(g) <= 1e-11 * abs(res.f_value)
     h = hessian_theta_f_k(aux, m, res.theta_m)[:-1, :-1]
     assert np.min(np.linalg.eigvalsh(h)) > 0.0
-    assert res.min_gap > 0.0
 
 
 def test_twenty_random_restarts_agree():

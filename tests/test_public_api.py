@@ -1,13 +1,23 @@
 """The package's public names: what a command, a script or the benchmark calls.
 
+The surface those callers do not use stays out: no step cap on
+``minimize_f_k``, no smallest gap on its result, no element list on
+``GroupElement`` and no ``scan --csv``.
+
 Test oracles live in ``tests/``; a name added to or dropped from
 ``cocircular.__all__`` has to be added to or dropped from this list too.
 """
 
 import ast
+import dataclasses
+import inspect
 from pathlib import Path
 
+import pytest
+
 import cocircular
+from cocircular import GroupElement, MinimizeResult, minimize_f_k
+from cocircular.cli import main
 
 PUBLIC = [
     "AngleConfiguration",
@@ -63,3 +73,32 @@ def test_benchmark_imports_only_public_names():
                 for alias in node.names}
     assert imported
     assert imported <= set(cocircular.__all__), imported - set(cocircular.__all__)
+
+
+def test_minimize_takes_no_step_cap():
+    params = inspect.signature(minimize_f_k).parameters.values()
+    assert [(p.name, p.kind) for p in params] == [
+        ("aux", inspect.Parameter.POSITIONAL_OR_KEYWORD),
+        ("masses", inspect.Parameter.POSITIONAL_OR_KEYWORD),
+        ("init", inspect.Parameter.POSITIONAL_OR_KEYWORD),
+        ("grad_tol", inspect.Parameter.KEYWORD_ONLY),
+    ]
+
+
+def test_minimize_result_fields():
+    assert [f.name for f in dataclasses.fields(MinimizeResult)] == [
+        "theta_m", "f_value", "grad_norm", "iterations", "converged"]
+
+
+def test_group_element_lists_no_group():
+    # the test oracle lists the group; the scans decode their rows unlisted
+    assert not hasattr(GroupElement, "elements")
+
+
+def test_scan_has_no_csv_flag(tmp_path, capsys):
+    out = tmp_path / "cells.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["scan", "--n-min", "3", "--n-max", "6", "--alpha", "1", "--csv", str(out)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+    assert not out.exists()

@@ -23,7 +23,8 @@ from cocircular import (
     regular_ngon,
 )
 from conftest import certify_masses, ordered_angles, random_masses
-from oracle import act_on_angles, compose, identity, is_identity, reflection, shift
+from oracle import (act_on_angles, compose, elements, identity, is_identity, reflection,
+                    shift)
 from reference_exclusion import reference_exclusion_by_group, reference_exclusion_by_swap
 from reference_potential import f_k_value
 
@@ -52,27 +53,35 @@ def test_generators_fix_regular_polygons():
 
 def test_group_axioms_and_relation():
     n = 5
-    elements = GroupElement.elements(n)
-    assert len(elements) == 2 * n
-    assert len(set(elements)) == 2 * n
+    els = elements(n)
+    assert len(els) == 2 * n
+    assert len(set(els)) == 2 * n
     e = identity(n)
     p = shift(n)
     s = reflection(n)
-    for g in elements:
+    for g in els:
         assert compose(g, e) == g
         assert compose(e, g) == g
         # every element has an inverse in the listing
-        assert any(is_identity(compose(g, h)) for h in elements)
+        assert any(is_identity(compose(g, h)) for h in els)
     # defining relation of the dihedral group: s p s = p^{-1}
-    p_inv = next(h for h in elements if is_identity(compose(p, h)))
+    p_inv = next(h for h in els if is_identity(compose(p, h)))
     assert compose(compose(s, p), s) == p_inv
     assert compose(s, s) == e
 
 
 def test_elements_order_cyclic_then_reflections():
-    els = GroupElement.elements(4)
-    assert all(not g.is_reflection for g in els[:4])
-    assert all(g.is_reflection for g in els[4:])
+    # the scan decodes its row i as element e = i + 1, (h, l) = (e % n, e // n)
+    for n in (2, 3, 8, 40):
+        els = elements(n)
+        assert [(g.h, g.l) for g in els] == [(e % n, e // n) for e in range(2 * n)]
+        assert all(not g.is_reflection for g in els[:n])
+        assert all(g.is_reflection for g in els[n:])
+        labels = MassVector(np.arange(1.0, n + 1))
+        rows = symmetry._mass_images(n)
+        assert len(rows) == 2 * n - 1
+        for i, row in enumerate(rows):
+            assert np.array_equal(row % n, act_on_masses(els[i + 1], labels).masses - 1)
 
 
 @pytest.mark.parametrize("h, l, n", [(1.5, 0, 4), (1, 0, 4.0), (1, 0.5, 4), ("1", 0, 4)])
@@ -98,7 +107,7 @@ def test_group_element_takes_numpy_integers():
 def test_mass_action_is_homomorphism(seed, n):
     rng = np.random.default_rng(seed)
     m = random_masses(rng, n)
-    els = GroupElement.elements(n)
+    els = elements(n)
     g = els[rng.integers(len(els))]
     h = els[rng.integers(len(els))]
     lhs = act_on_masses(compose(g, h), m).masses
@@ -111,7 +120,7 @@ def test_mass_action_is_homomorphism(seed, n):
 def test_angle_action_is_homomorphism(seed, n):
     rng = np.random.default_rng(seed)
     cfg = ordered_angles(rng, n)
-    els = GroupElement.elements(n)
+    els = elements(n)
     g = els[rng.integers(len(els))]
     h = els[rng.integers(len(els))]
     lhs = act_on_angles(compose(g, h), cfg).angles
@@ -127,7 +136,7 @@ def test_functional_invariant_under_joint_action(seed, n):
     m = random_masses(rng, n)
     cfg = ordered_angles(rng, n)
     base = f_k_value(aux, m, cfg)
-    for g in GroupElement.elements(n):
+    for g in elements(n):
         moved = f_k_value(aux, act_on_masses(g, m), act_on_angles(g, cfg))
         assert abs(moved - base) <= 1e-12 * max(1.0, abs(base))
 
@@ -151,7 +160,7 @@ def test_minimizer_inherits_stabilizer_symmetry():
     aux = AuxiliaryFunctional(1.0)
     m = MassVector(np.array([1.0, 1.0, 2.0]))
     res = minimize_f_k(aux, m)
-    stab = [g for g in GroupElement.elements(3)
+    stab = [g for g in elements(3)
             if not is_identity(g)
             and np.array_equal(act_on_masses(g, m).masses, m.masses)]
     assert stab
@@ -418,5 +427,5 @@ def test_excluded_invariant_under_scaling_and_relabeling(raw, alpha, log_scale):
     m = MassVector(np.array(raw))
     verdict = _excluded(aux, m)
     assert _excluded(aux, MassVector(10.0 ** log_scale * m.masses)) == verdict
-    for g in GroupElement.elements(m.n):
+    for g in elements(m.n):
         assert _excluded(aux, act_on_masses(g, m)) == verdict
