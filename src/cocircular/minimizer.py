@@ -13,7 +13,9 @@ rounding, and raises ``ConvergenceFailure`` with the last iterate, as a
 failed final Cholesky check does, unless the Hessian overflowed: that is
 the input's typed error, as an overflowed f or gradient is.
 
-The masses and the start are validated once, on entry. The loop then runs
+Without an init the loop starts at ``_mass_start``, whose neighbour gaps
+follow the masses; equal masses start at the regular n-gon. The masses
+and the start are validated once, on entry. The loop then runs
 on raw pinned angle vectors: the step carries a trailing 0.0, so every
 trial keeps t_n = 2*pi exactly, and one gap vector per point serves the
 trial's one feasibility test (every circular gap >= ``COLLISION_TOL``)
@@ -36,7 +38,7 @@ import numpy as np
 
 from .errors import ConvergenceFailure
 from .geometry import (COLLISION_TOL, TAU, AngleConfiguration, MassVector, _check_gaps,
-                       _check_lengths, _check_pinned, _tolerance, regular_ngon)
+                       _check_lengths, _check_pinned, _tolerance)
 from .potential import (AuxiliaryFunctional, _check_finite, _chords_at, _f_value,
                         _grad_theta, _hessian_theta, _mass_pairs, _powers,
                         _workspace)
@@ -49,6 +51,8 @@ _DIAG_REG = 1e-12
 # the predicted decrease is smaller than rounding in f
 _ULP_SLACK = 4.0 * np.finfo(float).eps
 _TINY = float(np.finfo(float).tiny)
+# the least start weight w_j of ``_mass_start``
+_W_FLOOR = 2.0 ** -10
 # the Newton step cap, read at each call
 _MAX_ITER = 200
 
@@ -79,8 +83,9 @@ def minimize_f_k(aux: AuxiliaryFunctional, masses: MassVector,
     masses : MassVector
         Positive masses, length n >= 2.
     init : AngleConfiguration, optional
-        Pinned interior starting point. Defaults to the regular n-gon.
-        Checked but not used at n = 2, where the minimizer is the
+        Pinned interior starting point. Defaults to ``_mass_start``, whose
+        gaps follow the masses and which is the regular n-gon for equal
+        masses. Checked but not used at n = 2, where the minimizer is the
         diameter (pi, 2*pi) in closed form.
     grad_tol : float
         Converged once the reduced gradient norm is at most grad_tol * |f|,
@@ -120,7 +125,7 @@ def minimize_f_k(aux: AuxiliaryFunctional, masses: MassVector,
         # positive-definite check below could not certify it.
         cfg = AngleConfiguration(np.array([TAU / 2.0, TAU]))
     elif init is None:
-        cfg = regular_ngon(n)
+        cfg = _mass_start(masses.masses, aux.alpha)
     with np.errstate(over="ignore", invalid="ignore"):
         m = masses.masses
         x = cfg.angles
@@ -206,6 +211,56 @@ def minimize_f_k(aux: AuxiliaryFunctional, masses: MassVector,
                 raise failure("line search stalled")
             x, gaps, fx = xt, gaps_t, ft
         raise failure(f"no convergence within {_MAX_ITER} Newton steps")
+
+
+def _mass_start(m: np.ndarray, alpha: float) -> AngleConfiguration:
+    """Pinned start whose gap between neighbours j and j + 1 is proportional to w_j + w_(j+1).
+
+    w = max((m / max m)**(1/(alpha + 1)), ``_W_FLOOR``), and the gap
+    between the last body and the first wraps around through 2*pi. A
+    pair force of m_j m_k r**-(alpha + 1) reaches a given size at a chord
+    that grows as the masses' (alpha + 1)-th root, so each body takes
+    room in proportion to its w, split between its two gaps. The sum
+    leaves a light body between heavy ones near the middle of their gap,
+    where it minimizes. The product w_j w_(j+1) squeezes both its gaps
+    toward 0: on one light mass (1e-6 of the others, n = 8..40, alpha in
+    {0.5, 1, 3, 10}) it took 2,098 Newton steps to the sum's 445 and the
+    regular n-gon's 772.
+
+    With p_j = w_(j-1) + w_j (p_0 = w_(n-1) + w_0, the wrapping gap), the
+    start is t = 2*pi * s / s_(n-1), s the running sum of p, with t_(n-1)
+    set to 2*pi. Then:
+
+    * Equal masses give the bytes of ``regular_ngon(n)``: every w is 1.0
+      (pow(1, y) = 1), s_k = 2(k + 1) is exact, and
+      fl(fl(2*pi * 2(k + 1)) / 2n) = fl(fl(2*pi * (k + 1)) / n), since
+      doubling is exact.
+    * m -> 2**k m keeps every bit while no mass leaves the normal range:
+      m / max m is the same quotient of exactly scaled operands.
+    * The start is pinned, and every circular gap is at least
+      2*pi * _W_FLOOR / n * (1 - n 2**-42) - 8 pi u (u = 2**-53), which is
+      at least ``COLLISION_TOL`` for every n <= 2**32 (the (n - 1)**2
+      reduced Hessian of a larger n holds 2**67 bytes). Each w lies in
+      [_W_FLOOR, 1]: a faithful pow of m / max m <= 1 is at most 1. So
+      2 _W_FLOOR <= p_j <= 2, and s_(n-1) <= 2n (1 + n u). A rounded sum
+      s_k = fl(s_(k-1) + p_k) exceeds s_(k-1) by p_k within u s_(n-1),
+      so by at least p_k (1 - n 2**-43); the wrapping gap t_0 is
+      2*pi * p_0 / s_(n-1) to two roundings; and each t_k carries two
+      roundings, at most 2u * 2*pi apiece. Without the floor, a mass
+      1e-300 of the heaviest would take w = 1e-150 at alpha = 1, and two
+      such neighbours a gap far below ``COLLISION_TOL``.
+
+    Masses below _W_FLOOR**(alpha + 1) of the heaviest all start as if at
+    that ratio, so a run of such bodies starts spread out, not in one
+    cluster within rounding of a collision. The minimizer then moves
+    them. No numpy warning comes from masses of any ratio: m / max m can
+    only underflow, which numpy ignores by default.
+    """
+    w = np.maximum((m / m.max()) ** (1.0 / (alpha + 1.0)), _W_FLOOR)
+    s = np.cumsum(w + np.roll(w, 1))
+    t = TAU * s / s[-1]
+    t[-1] = TAU
+    return AngleConfiguration(t)
 
 
 def _norm(gr: np.ndarray) -> float:

@@ -31,7 +31,7 @@ from cocircular import (
     regular_ngon,
 )
 from cocircular.geometry import COLLISION_TOL
-from cocircular.minimizer import _ARMIJO, _BOUNDARY_FRACTION, _DIAG_REG, _SHRINK
+from cocircular.minimizer import _ARMIJO, _BOUNDARY_FRACTION, _DIAG_REG, _SHRINK, _W_FLOOR
 from oracle import angles_from_reduced
 
 
@@ -170,6 +170,23 @@ def _max_feasible_step(x: np.ndarray, d: np.ndarray) -> float:
     return float(np.min(gaps[shrinking] / -dgaps[shrinking]))
 
 
+def mass_start(aux, masses):
+    """The default start, one gap at a time: gap j grows as w_(j-1) + w_j.
+
+    Only the powers come from one numpy call, as in the package, because
+    numpy's vector pow and libm's may differ in the last bit.
+    """
+    m = masses.masses
+    w = [max(x, _W_FLOOR) for x in ((m / m.max()) ** (1.0 / (aux.alpha + 1.0))).tolist()]
+    ends, total = [], 0.0
+    for j in range(masses.n):
+        total += w[j - 1] + w[j]  # the first gap wraps from the last body
+        ends.append(total)
+    t = np.array([TAU * end / total for end in ends])
+    t[-1] = TAU
+    return AngleConfiguration(t)
+
+
 def minimize(aux, masses, grad_tol=1e-11, max_iter=200):
     """Damped Newton from the default start.
 
@@ -182,9 +199,7 @@ def minimize(aux, masses, grad_tol=1e-11, max_iter=200):
         cfg = AngleConfiguration(np.array([TAU / 2.0, TAU]))
         gnorm = float(abs(grad_theta_f_k(aux, masses, cfg)[0]))
         return cfg.angles, f_k_value(aux, masses, cfg), gnorm, 0
-    t = TAU * np.arange(1, n + 1) / n
-    t[-1] = TAU
-    cfg = AngleConfiguration(t)
+    cfg = mass_start(aux, masses)
     x = cfg.angles[:-1].copy()
     fx = f_k_value(aux, masses, cfg)
     gnorm = np.inf

@@ -23,9 +23,9 @@ M112 = {"alpha": 1.0, "masses": [1.0, 1.0, 2.0]}
 
 MINIMIZE_112 = (
     '{"alpha":1,"k":16,"masses":[1,1,2],'
-    '"angles":[2.1722178297908954,4.11096747738869,6.2831853071795862],'
-    '"f_value":3.8196204817779997,"grad_norm":1.1775693440128312e-16,'
-    '"iterations":4,"converged":true}\n'
+    '"angles":[2.1722178298114287,4.110967477368157,6.2831853071795862],'
+    '"f_value":3.8196204817780002,"grad_norm":2.3132280137996354e-11,'
+    '"iterations":3,"converged":true}\n'
 )
 
 SCAN_CSV = (
@@ -128,13 +128,16 @@ def test_exclude_structure(tmp_path, capsys):
     assert main(["exclude", "--input", inp]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["excluded"] is True
-    assert data["f_value"] == 3.8196204817779997
+    assert data["f_value"] == 3.8196204817780002
     group = data["group"]
     assert group["excluded"] is True
-    assert group["witness"] == {"kind": "group", "h": 1, "l": 0}
-    assert group["margin"] == 0.7608131673816847
+    # the four margins tie in exact arithmetic and come out one ulp apart;
+    # the witness is the first of the two largest
+    assert group["witness"] == {"kind": "group", "h": 2, "l": 0}
+    assert group["margin"] == 0.76081316738074611
     assert len(group["certificates"]) == 4
-    assert all(c["margin"] == group["margin"] for c in group["certificates"])
+    assert all(group["margin"] - c["margin"] in (0.0, math.ulp(group["margin"]))
+               for c in group["certificates"])
     swap = data["swap"]
     assert swap["excluded"] is True
     assert swap["inconsistent"] is False
@@ -598,15 +601,16 @@ def test_overflow_prints_one_error_line(argv, payload):
     assert len(lines) == 1 and lines[0].startswith("error: "), out.stderr
 
 
-# SHA-256 of stdout for 256 masses drawn U(0.5, 2) with seed 256; the
-# digests were taken before the Newton kernel moved to the packed frame.
+# SHA-256 of stdout for 256 masses drawn U(0.5, 2) with seed 256, taken
+# again, on two OpenBLAS threads, when the default start became
+# minimizer._mass_start; tests/test_meaning.py checks what they say.
 LARGE_N_DIGESTS = {
-    ("minimize", 0.5): "5b66c7e5363fc41035fe16e40ae58d5217df508ed6911ffe8e297e1329735dc3",
-    ("exclude", 0.5): "a3734679986077162868b950bfd5d9765c1f4475c5322cceb615e3633fad9bde",
-    ("minimize", 1.0): "5eb670f316654e9194fd057e83916cd5a30c3aec0d168d5b93fbac97faffe7ed",
-    ("exclude", 1.0): "4ed0502941983a3787a5cccef62cab14a76574749705916ca9e7296ce7947c71",
-    ("minimize", 3.0): "faba0b577f9b4904c50a910b72f73cdbce479e69996f87df0b6918c37db6dca4",
-    ("exclude", 3.0): "62cdb117afb23e9730ab4f3eee16eebc6b2476e0a176b251a7b10cd54b381c51",
+    ("minimize", 0.5): "2b1f5551c4b8a500a4d77dd50565a98a44e7a9e1ede74fe53ea9ca7468174d71",
+    ("exclude", 0.5): "4db1fef1921bca8169b23d7eec321447a78a135f6d782245cc6d388fdaf61b06",
+    ("minimize", 1.0): "91831dd945f581289de12dccabd60f179af7d2d0b072561b5c68e6f759c3f45b",
+    ("exclude", 1.0): "4b60e3d664863be19ef56ed81408ad44a730ec05c93e814135f798eb536c11d9",
+    ("minimize", 3.0): "5897958d78a4d72c711b2a73597b4546a26bb1fbff727ee08dfc031f3e4e1121",
+    ("exclude", 3.0): "2365f4938c3ed33ec7443d1ab45093ba6af6861310116014c6332e727aa3e851",
 }
 
 
@@ -620,13 +624,13 @@ def test_large_n_frozen_stdout(tmp_path, capsys, command, alpha):
 
 
 # SHA-256 of exclude stdout for 255 unit masses and one of 300 at n = 256,
-# taken while the group scan ran one gemv per distinct image in a Python
-# loop. The images repeat, so these pin the scan's deduplicated path at a
+# first taken while the group scan ran one gemv per distinct image in a
+# Python loop, and again from minimizer._mass_start. The images repeat, so these pin the scan's deduplicated path at a
 # size where OpenBLAS may split a gemv over threads.
 LARGE_N_ONE_HEAVY_DIGESTS = {
-    0.5: "9c54ddf91711f8d6d86a30747007efeb2f40b19e2f9668633dc9e42d93da140f",
-    1.0: "ce8ce6d75966ce34ae7dd8b504fc06b8f43da8f30e25340eafa4920532a32dd0",
-    3.0: "8e1972b170b976ff90b536742aee5d61d5a8d5884da9b6a687db12bad2c41c1d",
+    0.5: "7bd413d1bc7036de1c62c86697b35d1c70783dc36d1ee3a9ca0436cec8ef9a4f",
+    1.0: "d3cc2788ef02179d635ce89b00088da6060a5b1b9fc763b118b731bffe3c45ed",
+    3.0: "fd6c59535734e965401cd4ac972425d541ba73ff12ac0dc5575609db3a39573e",
 }
 
 
@@ -665,17 +669,18 @@ def test_missing_required_flag_is_a_usage_error(capsys, command, missing):
 
 # SHA-256 of what the JSON writer produces for each shape it handles, taken
 # while every value was still written by a recursive walk with one
-# json.dumps per dict key.
+# json.dumps per dict key; verify-large-n, exclude-112 and minimize-output
+# were taken again from minimizer._mass_start.
 WRITER_DIGESTS = {
     # verify on the n = 256, alpha = 1 minimize output of LARGE_N_DIGESTS
-    "verify-large-n": "18e3c6ac0bb8e9acbeef2a8654e945f23bd59fd89b7b25e6a21131b893357533",
+    "verify-large-n": "16b1605e804c0cbc50c12a99114940cd39b7a1d7f020dccba93dbd1aad42b8a0",
     # group and swap certificates, "inconsistent"
-    "exclude-112": "0aab432f2c56102110b24440c02aca86807b01708b9482d6df8344fa8d008952",
+    "exclude-112": "4d5d9bac6ecfe8e81c32de82526b0a0b994a3e7c9f28f7d369cbe22c8efd11b1",
     # null witnesses, empty certificate lists
     "exclude-equal": "0158ca49c269fa2476515503b591cc08e97c51849354c8bc6f7f35e7e0838b05",
     "scan-json": "755bdaaaaabbc6b32bb0f2164361ec9d5974faf8e5b1910f061191103bf474a2",
     # the file minimize --output writes, 64 masses U(0.5, 2), seed 64, alpha 0.5
-    "minimize-output": "4d8bcb10956b4ee42eca27713c5f7b05992f1492b68484852573be31317d115e",
+    "minimize-output": "e6a9f4467e6bf7d280ee3858a300ec8a4528a1f7cc0cdf90f85b20dccf17ad3f",
 }
 
 
@@ -706,10 +711,11 @@ def test_verify_large_n_frozen_stdout_on_a_fresh_thread(tmp_path, capsys, monkey
 
 # SHA-256 of verify on the n = 256 minimize stdout of LARGE_N_DIGESTS at
 # alpha = 0.5, whose radial powers take np.power, and alpha = 3, whose
-# take a multiply chain; taken while the mirror wrote through a mask.
+# take a multiply chain; first taken while the mirror wrote through a
+# mask, and again from minimizer._mass_start.
 VERIFY_LARGE_N_DIGESTS = {
-    0.5: "eb184ad07310e2c9f288d186577f3581eb7efde39274e70fbc01287a58dadcc9",
-    3.0: "38f419d15242f3bb1fbb0238e3a51d40e270a4f4c42483fb09150cb6f06eac4a",
+    0.5: "c503b3ac06fb42c1cd785e8a91534aaca78e2cc49cb7e3515176108fbe87e4f8",
+    3.0: "e5a1508b781e180b3e6a344c767ee86d6ae9ef04eb0f53069a6cf8cb538c0ca1",
 }
 
 
@@ -755,44 +761,45 @@ def test_exclude_frozen_stdout(tmp_path, capsys, key, payload):
     assert _sha(capsys.readouterr().out) == WRITER_DIGESTS[key]
 
 
-# SHA-256 of the exclude stdout for alpha = 0.5, 1 and 3 in turn, taken
-# while every line-search trial still built a validated AngleConfiguration
-# and the scans tested and labelled one image row at a time. They pin the
-# certificate order, witnesses, margins and "inconsistent" flags at the
-# sizes the certify benchmark runs.
+# SHA-256 of the exclude stdout for alpha = 0.5, 1 and 3 in turn, first
+# taken while every line-search trial still built a validated
+# AngleConfiguration and the scans tested and labelled one image row at a
+# time, and again from minimizer._mass_start. They pin the certificate
+# order, witnesses, margins and "inconsistent" flags at the sizes the
+# certify benchmark runs.
 CERTIFY_DIGESTS = {
     ("one-heavy", 9):
-        "99130761de1249a94ae4a9a33196ba1f6b916666cb67d6f09c0b4f2b0c394989",
+        "f5f9cd175404468a7591b11d9307700f3126cc44403b2e546df4439b702d980a",
     ("one-heavy", 13):
-        "4b087d2ffebe789d8c259b974b74cc5aae709b4e6a31af72a77319624ac66dff",
+        "e4cb1b629202e2d7f308a64dc89ed676e766a9dc654d4e791abe0990fee2ee6a",
     ("one-heavy", 26):
-        "e8cfcbad2cb416fc5d5c5fc034216b4dcfd231560a543aaa997e8e450bb54576",
+        "38c3f2b836f83f05a624f5e8687d384ae745cabc887cd3923f6654ccc11de43c",
     ("one-heavy", 40):
-        "bd5ec552fb7c72e2d51af6935d0f3aa737a2abc03b394da607306d29f51f6c9a",
+        "fe40e0a6f8d5976802ddc2540d9975492a329e12a15d9006b97c2a67f9805d70",
     ("two-heavy", 9):
-        "5bc2cbb7b95a2dc4013fc0e86f62572ed4bd63777d8fddc768472370bea07fe8",
+        "df7693d762973b94159953a2eb86fbbca878c4ce3212a4a4424fc03282f23015",
     ("two-heavy", 13):
-        "8c70aae12b5e09de14f9fb731e40402ce332d5505d63aee3ffd92a446699d821",
+        "61c972e02157b32e9ed0790ab2f0cfdb60c0609085a3e2ade1b4152f6bdbbefb",
     ("two-heavy", 26):
-        "f94bf1a9a845456426c1907c08b4221abf75f75a19d2469f98e37e6756191db0",
+        "7da761a87e01c0ed746097e17e40c33eb4df71d56c892f416fff7e092a3b6631",
     ("two-heavy", 40):
-        "909b900e6c08512ae16d605575429a1306a42eac9fcfdeda7a79215f3e72256b",
+        "83dbd049759491639fa482dae0eda6bf23ac2ac93e19324961d89ee27e1675db",
     ("graded", 9):
-        "5153f71a8fd7bdee7efffc197cb0b94c378b861e66f68f1771e65e2eab41d80c",
+        "137c5bbda9216304b41c4a9af0d220ae470a9336a0c2a1e12b64dcd02ab71419",
     ("graded", 13):
-        "2fadcc5589543eccc5d8b5827e358e0e4c8a671edee5354a13c9c4ee8423be0a",
+        "ee581914b7d678cc43810956f957275139331d0d2e4bc7e19ab56841f3e9d1c2",
     ("graded", 26):
-        "b1b36249ce2714c140433753cee6aebf48b68f013862c70b35a0f63bfa72428d",
+        "67709ff7f4bf197f8c58b732b038a66f65608abc71c6a91c097728ddc42eec6a",
     ("graded", 40):
-        "bca66d2be11e3496971ad6ecd5c2f5e4b6a8613c028d859b57e58876bd986542",
+        "144c44c8b9f6793d56e33c72945b4c4e9a474caf9cbeee382abc8e2238d2bc41",
     ("uniform", 9):
-        "c4b245e9b7e692ad9b0c6bbf364df5217cd0de4f6e1e7950210b8fe36c307dc9",
+        "8b03aa8a168c4ae68c8af5cc20e2d7921043783a20299d681340eb408e0452ca",
     ("uniform", 13):
-        "6c45eea68df5f918c3df2f9e0af6efe66ffb22ccccba95cb82d24877060ef257",
+        "d37014203d8a7543334f95cbbb92c008dd773576be17d8a0f5955b001612cf46",
     ("uniform", 26):
-        "576093fb051abae2152e8eface0bdaddf96f2d37240d5f33b3a72b3fa50bc931",
+        "45205f9a3b28a179f29c4a7b68b08d8f027aa9ab78655fcd7b3c5da0a4a07e8a",
     ("uniform", 40):
-        "7bb22b8230ed86beaa993755ec073f7d224ddfc1e1c1233ace049627740a472a",
+        "6e141596e3d95a035889de01ebbad71f6961a1548e741d6b0931e6e793605cb4",
 }
 
 

@@ -66,8 +66,40 @@ TIE_BOUND = 1e-12
 VERIFIED = ("is_cc", "tangential_residual", "radial_spread", "center_norm", "lambda_tilde")
 
 # (witness as recorded, witness now) of each output whose witness moved to a
-# tied certificate, keyed by the output's name
-WITNESS_MOVES = {}
+# tied certificate when the default start became ``_mass_start``: a group
+# witness is e = h + n*l, a swap witness its pair. The ties are the masses'
+# mirror symmetry (one-heavy, two-heavy) or [1, 1, 2]'s stabilizer.
+WITNESS_MOVES = {
+    ("112", "group"): (1, 2),
+    ("11112", "group"): (4, 1),
+    ("one-heavy-256-0.5", "group"): (1, 255),
+    ("one-heavy-256-0.5", "swap"): ([254, 255], [0, 255]),
+    ("one-heavy-26-0.5", "swap"): ([0, 25], [24, 25]),
+    ("one-heavy-40-0.5", "group"): (1, 39),
+    ("two-heavy-9-0.5", "group"): (8, 1),
+    ("two-heavy-9-0.5", "swap"): ([5, 8], [2, 5]),
+    ("two-heavy-40-0.5", "group"): (39, 1),
+    ("one-heavy-256-1.0", "group"): (1, 255),
+    ("one-heavy-256-1.0", "swap"): ([254, 255], [0, 255]),
+    ("one-heavy-9-1.0", "group"): (1, 8),
+    ("one-heavy-40-1.0", "swap"): ([38, 39], [0, 39]),
+    ("two-heavy-9-1.0", "swap"): ([5, 8], [2, 5]),
+    ("two-heavy-13-1.0", "group"): (1, 12),
+    ("two-heavy-13-1.0", "swap"): ([5, 12], [2, 9]),
+    ("two-heavy-40-1.0", "swap"): ([2, 36], [5, 39]),
+    ("one-heavy-256-3.0", "group"): (255, 1),
+    ("one-heavy-256-3.0", "swap"): ([0, 255], [254, 255]),
+    ("one-heavy-9-3.0", "swap"): ([7, 8], [0, 8]),
+    ("one-heavy-13-3.0", "group"): (12, 1),
+    ("one-heavy-40-3.0", "group"): (1, 39),
+    ("one-heavy-40-3.0", "swap"): ([38, 39], [0, 39]),
+    ("two-heavy-13-3.0", "group"): (12, 1),
+    ("one-heavy n=4", "survey"): ("cyc(h=3)", "cyc(h=1)"),
+    ("one-heavy n=5", "survey"): ("cyc(h=4)", "cyc(h=1)"),
+    ("two-heavy n=5", "survey"): ("cyc(h=1)", "cyc(h=4)"),
+    ("one-heavy n=7", "survey"): ("cyc(h=6)", "cyc(h=1)"),
+    ("one-heavy n=8", "survey"): ("cyc(h=1)", "cyc(h=7)"),
+}
 
 
 def _uniform(n):

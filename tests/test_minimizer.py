@@ -21,7 +21,8 @@ from cocircular import (
     minimize_f_k,
     regular_ngon,
 )
-from conftest import ordered_angles, random_masses
+from cocircular.geometry import COLLISION_TOL
+from conftest import certify_masses, ordered_angles, random_masses
 from oracle import angles_from_reduced, reduced_coordinates
 from reference_potential import f_k_value, hessian_theta_f_k
 
@@ -61,6 +62,74 @@ def test_two_bodies_at_default_k(raw, alpha):
         assert np.array_equal(res.theta_m.angles, [np.pi, TAU])
         assert res.f_value == f_k_value(aux, m, res.theta_m)
         assert res.f_value < f_k_value(aux, m, AngleConfiguration(np.array([3.0, TAU])))
+
+
+@pytest.mark.parametrize("n", [3, 5, 13, 26, 256, 1000])
+def test_mass_start_of_equal_masses_is_the_regular_ngon(n):
+    for mass in (1.0, 3.0, 1e-300, 1e300):
+        for alpha in (0.5, 1.0, 3.0, 1e-3, 1e3):
+            start = minimizer._mass_start(np.full(n, mass), alpha)
+            assert start.angles.tobytes() == regular_ngon(n).angles.tobytes()
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 3.0])
+def test_mass_start_keeps_its_bits_under_power_of_two_scaling(alpha):
+    rng = np.random.default_rng(41)
+    for n in (3, 8, 40, 256):
+        m = 10.0 ** rng.uniform(-3.0, 3.0, n)
+        start = minimizer._mass_start(m, alpha).angles.tobytes()
+        for k in (-900, -40, -1, 1, 40, 900):
+            assert minimizer._mass_start(m * 2.0 ** k, alpha).angles.tobytes() == start
+
+
+@pytest.mark.parametrize("alpha", [1e-3, 0.5, 1.0, 3.0, 1e3])
+@pytest.mark.parametrize("n", [3, 8, 40, 1000])
+def test_mass_start_is_pinned_and_interior_at_any_mass_ratio(n, alpha):
+    # ratios down to 1e-300, and past it to 1e-600, where m / max m
+    # underflows to 0; the floor on w keeps every gap at 2*pi*_W_FLOOR/n
+    rng = np.random.default_rng(n)
+    one_heavy = np.full(n, 1e-300)
+    one_heavy[0] = 1.0
+    past = np.full(n, 1e-300)
+    past[n // 2] = 1e300
+    for m in (one_heavy, 10.0 ** rng.uniform(-300.0, 0.0, n), past):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            t = minimizer._mass_start(m, alpha).angles
+        gaps = np.diff(t, prepend=t[-1] - TAU)
+        assert t[-1] == TAU
+        assert gaps.min() >= max(COLLISION_TOL, 0.999 * TAU * minimizer._W_FLOOR / n)
+
+
+def test_mass_start_needs_its_floor(monkeypatch):
+    # without it two adjacent bodies 1e-300 as heavy as the rest start
+    # within rounding of each other
+    monkeypatch.setattr(minimizer, "_W_FLOOR", 0.0)
+    with pytest.raises(DomainError, match="strictly increasing"):
+        minimizer._mass_start(np.array([1.0, 1e-300, 1e-300, 1.0]), 1.0)
+
+
+def test_default_start_is_the_mass_start(monkeypatch):
+    # a solve allowed no step fails at the point it started from
+    monkeypatch.setattr(minimizer, "_MAX_ITER", 0)
+    m = np.array([1.0, 2.0, 5.0, 3.0, 1.0, 4.0])
+    with pytest.raises(ConvergenceFailure) as exc:
+        minimize_f_k(AuxiliaryFunctional(1.0), MassVector(m), grad_tol=0.0)
+    start = minimizer._mass_start(m, 1.0).angles
+    assert exc.value.result.theta_m.angles.tobytes() == start.tobytes()
+
+
+def test_mass_start_takes_fewer_steps_than_the_regular_ngon():
+    # the certify benchmark's families at its sizes; each family on its own
+    for family in ("one-heavy", "two-heavy", "graded", "uniform"):
+        steps = {"mass": 0, "ngon": 0}
+        for n in (9, 13, 26, 40):
+            m = MassVector(certify_masses(family, n))
+            for alpha in (0.5, 1.0, 3.0):
+                aux = AuxiliaryFunctional(alpha)
+                steps["mass"] += minimize_f_k(aux, m).iterations
+                steps["ngon"] += minimize_f_k(aux, m, regular_ngon(n)).iterations
+        assert steps["mass"] < steps["ngon"], family
 
 
 def test_one_heavy_triangle_frozen():
@@ -118,19 +187,21 @@ def test_convergence_failure_carries_last_iterate():
 
 
 def test_a_trial_too_near_a_collision_shrinks(monkeypatch):
-    # at a collision tolerance of 1.4 one line-search trial of this solve
-    # leaves a gap of about 1.35: it builds no chords and shrinks, as it
-    # does when it fails Armijo at the default tolerance, so the solve keeps
-    # its path, and every accepted point keeps its gaps above the tolerance
+    # from the square, at a collision tolerance of 1.4 one line-search trial
+    # of this solve leaves a gap of about 1.35: it builds no chords and
+    # shrinks, as it does when it fails Armijo at the default tolerance, so
+    # the solve keeps its path, and every accepted point keeps its gaps
+    # above the tolerance
     aux, m = AuxiliaryFunctional(0.5), MassVector(np.array([60.0, 0.02, 80.0, 0.03]))
+    square = regular_ngon(4)
     builds = []
     chords_at = minimizer._chords_at
     monkeypatch.setattr(minimizer, "_chords_at",
                         lambda ws, t: builds.append(t) or chords_at(ws, t))
-    free = minimize_f_k(aux, m)
+    free = minimize_f_k(aux, m, square)
     free_builds = len(builds)
     monkeypatch.setattr(minimizer, "COLLISION_TOL", 1.4)
-    res = minimize_f_k(aux, m)
+    res = minimize_f_k(aux, m, square)
     # every point that built chords, each accepted point among them
     for t in builds[free_builds:]:
         assert np.diff(t, prepend=t[-1] - TAU).min() >= 1.4
@@ -151,13 +222,13 @@ def _singular(a, b):
 def test_failed_newton_step_is_a_convergence_failure(monkeypatch, solve):
     # the reduced Hessian is positive definite in exact arithmetic, so a
     # singular LU or a step that does not descend has no gradient-step
-    # fallback: the solve stops with the iterate it had
+    # fallback: the solve stops with the iterate it had, here its start
     monkeypatch.setattr(np.linalg, "solve", solve)
     masses = MassVector(np.array([1.0, 2.0, 5.0, 3.0, 1.0, 4.0]))
     with pytest.raises(ConvergenceFailure,
                        match="reduced Hessian is not positive definite at iteration 0"
                        ) as exc:
-        minimize_f_k(AuxiliaryFunctional(1.0), masses)
+        minimize_f_k(AuxiliaryFunctional(1.0), masses, regular_ngon(6))
     result = exc.value.result
     assert (result.converged, result.iterations) == (False, 0)
     assert result.theta_m.angles.tobytes() == regular_ngon(6).angles.tobytes()
@@ -191,13 +262,18 @@ def test_non_finite_objective_is_an_input_error(alpha, masses, error):
 
 
 def test_gradient_squares_past_a_double_still_converge():
-    # every gradient entry is finite, only gr @ gr overflows; the group
-    # scan's q then overflows, so exclude refuses what minimize solves
+    # at the hexagon every gradient entry is finite, only gr @ gr overflows;
+    # the group scan's q then overflows, so exclude refuses what minimize
+    # solves
     aux = AuxiliaryFunctional(1.0)
     masses = MassVector(np.array([1.0, 2.0, 5.0, 3.0, 1.0, 1e300]))
+    hexagon = regular_ngon(6)
+    with np.errstate(over="ignore"):
+        gr = grad_theta_f_k(aux, masses, hexagon)[:-1]
+        assert np.isfinite(gr).all() and gr @ gr == np.inf
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        res = minimize_f_k(aux, masses)
+        res = minimize_f_k(aux, masses, hexagon)
         with pytest.raises(DomainError):
             exclusion_verdicts(aux, masses)
     assert res.converged and res.iterations > 0
