@@ -131,16 +131,17 @@ def _distinct_rows(diffs: np.ndarray, rows: np.ndarray) -> tuple[list[int], list
     """The first of ``rows`` with each distinct bytes, and each row's place among them.
 
     Equal images of m give equal rows, and equal rows equal q, so the scan
-    evaluates one row per image. Only the distinct keys are held, and only
-    until the scan has its rows.
+    evaluates one row per image. One call builds every row's key, the
+    bytes of a void view of the row, which the scan holds until it has its
+    rows.
     """
+    keys = diffs.view(np.dtype((np.void, diffs.shape[1] * diffs.itemsize)))[:, 0].tolist()
     slot, picks, inverse = {}, [], []
     for i in rows.tolist():
-        key = diffs[i].tobytes()
-        if key not in slot:
-            slot[key] = len(picks)
+        j = slot.setdefault(keys[i], len(picks))
+        if j == len(picks):
             picks.append(i)
-        inverse.append(slot[key])
+        inverse.append(j)
     return picks, inverse
 
 
