@@ -1,19 +1,21 @@
 """Command line front end.
 
 Subcommands: minimize, verify, exclude, spectrum, scan, alpha-star.
-``build_parser`` declares each subcommand once, with its flags, their
+``_parser`` declares each subcommand once, with its flags, their
 defaults and its handler; a handler takes the parsed namespace and
 returns the text to write. Input configurations are JSON objects
-{"alpha": ..., "masses": [...]} with an optional "angles" array; outputs
-are JSON (or CSV for scan, by ``--format``) with floats at 17 significant
-digits, byte-stable across identical runs, written to stdout or to the
-path every subcommand takes as ``--output``. Exit codes: 0 on success, 2
-for domain or input errors (argparse also exits 2 on a bad command
-line), 3 for convergence failures.
+{"alpha": ..., "masses": [...]} with an optional "angles" array, and
+alpha comes from the input alone. Outputs are JSON (or CSV for scan, by
+``--format``), each written from ``%`` templates: ``%.17g`` gives the
+bits of ``format(x, ".17g")``, so floats carry 17 significant digits,
+byte-stable across identical runs. They go to stdout or to the path
+every subcommand takes as ``--output``. Exit codes: 0 on success, 2 for
+domain or input errors (argparse also exits 2 on a bad command line), 3
+for convergence failures.
 
 ``main(argv)`` may be called any number of times in one process: the
 first call builds the parser and later calls reuse it, so a call costs
-one parse. ``build_parser()`` still returns a new parser on every call.
+one parse.
 """
 
 from __future__ import annotations
@@ -35,32 +37,12 @@ from .symmetry import GroupElement, exclusion_verdicts
 from .verifier import verify_cc
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+def _floats(a) -> str:
+    """A 1-D float array as JSON, in one ``%`` pass over one joined template."""
+    return "[" + ",".join(["%.17g"] * a.size) % tuple(a.tolist()) + "]"
 
 
-def _json(value) -> str:
-    """Serialize with deterministic 17-significant-digit floats.
-
-    A 1-D float array is formatted in one ``%`` pass over a joined
-    template, with the bits of ``format(v, ".17g")``. Dict keys are ASCII
-    identifiers and are quoted as they are.
-    """
-    if isinstance(value, np.ndarray):
-        return "[" + ",".join(["%.17g"] * value.size) % tuple(value.tolist()) + "]"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return _fmt(value)
-    if isinstance(value, dict):
-        return "{" + ",".join([f'"{k}":{_json(v)}' for k, v in value.items()]) + "}"
-    if isinstance(value, list):
-        return "[" + ",".join([_json(v) for v in value]) + "]"
-    raise TypeError(f"cannot serialize {type(value)!r}")
+_BOOL = {True: "true", False: "false"}  # a flag as JSON
 
 
 def _check_numbers(value) -> None:
@@ -76,17 +58,17 @@ def _check_numbers(value) -> None:
         raise TypeError(f"got {json.dumps(value)}")
 
 
-def _load_problem(args: argparse.Namespace, need_angles: bool = False):
-    if args.input == "-":
+def _load_problem(path: str, need_angles: bool = False):
+    if path == "-":
         data = json.load(sys.stdin)
     else:
-        with open(args.input, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
     if not isinstance(data, dict):
         raise DomainError("input must be a JSON object")
-    alpha = args.alpha if args.alpha is not None else data.get("alpha")
+    alpha = data.get("alpha")
     if alpha is None:
-        raise DomainError('input needs an "alpha" value (or pass --alpha)')
+        raise DomainError('input needs an "alpha" value')
     if "masses" not in data:
         raise DomainError('input needs a "masses" array')
     angles = data.get("angles")
@@ -129,10 +111,7 @@ def _witness_json(witness) -> str:
 
 
 def _certificates_json(certificates) -> str:
-    """The certificate list, in one ``%`` pass over one joined template.
-
-    ``%.17g`` gives the bits of ``format(x, ".17g")``.
-    """
+    """The certificate list, in one ``%`` pass over one joined template."""
     if not certificates:
         return ""
     if isinstance(certificates[0][0], GroupElement):
@@ -147,59 +126,47 @@ def _certificates_json(certificates) -> str:
 
 def _verdict_json(v, inconsistent: bool | None = None) -> str:
     """One verdict object, with an ``inconsistent`` field unless it is None."""
-    flag = "" if inconsistent is None else f',"inconsistent":{_json(inconsistent)}'
-    return (f'{{"excluded":{_json(v.excluded)},"witness":{_witness_json(v.witness)},'
-            f'"margin":{_fmt(v.margin)},"certificates":[{_certificates_json(v.certificates)}]'
-            f'{flag}}}')
+    flag = "" if inconsistent is None else ',"inconsistent":' + _BOOL[inconsistent]
+    return ('{"excluded":%s,"witness":%s,"margin":%.17g,"certificates":[%s]%s}'
+            % (_BOOL[v.excluded], _witness_json(v.witness), v.margin,
+               _certificates_json(v.certificates), flag))
 
 
 def _cmd_minimize(args: argparse.Namespace) -> str:
-    alpha, masses, init = _load_problem(args)
+    alpha, masses, init = _load_problem(args.input)
     aux = AuxiliaryFunctional(alpha, args.k)
     result = minimize_f_k(aux, masses, init, grad_tol=args.tol)
-    return _json({
-        "alpha": aux.alpha,
-        "k": aux.k,
-        "masses": masses.masses,
-        "angles": result.theta_m.angles,
-        "f_value": result.f_value,
-        "grad_norm": result.grad_norm,
-        "iterations": result.iterations,
-        "converged": result.converged,
-    }) + "\n"
+    return ('{"alpha":%.17g,"k":%.17g,"masses":%s,"angles":%s,"f_value":%.17g,'
+            '"grad_norm":%.17g,"iterations":%d,"converged":%s}\n'
+            % (aux.alpha, aux.k, _floats(masses.masses), _floats(result.theta_m.angles),
+               result.f_value, result.grad_norm, result.iterations, _BOOL[result.converged]))
 
 
 def _cmd_verify(args: argparse.Namespace) -> str:
-    alpha, masses, config = _load_problem(args, need_angles=True)
+    alpha, masses, config = _load_problem(args.input, need_angles=True)
     report = verify_cc(alpha, masses, config, tol=args.tol)
-    return _json({
-        "alpha": alpha,
-        "masses": masses.masses,
-        "angles": config.angles,
-        "tangential_residual": report.tangential_residual,
-        "radial_spread": report.radial_spread,
-        "center_norm": report.center_norm,
-        "lambda_tilde": report.lambda_tilde,
-        "tolerance": report.tolerance,
-        "is_cc": report.is_cc,
-    }) + "\n"
+    return ('{"alpha":%.17g,"masses":%s,"angles":%s,"tangential_residual":%.17g,'
+            '"radial_spread":%.17g,"center_norm":%.17g,"lambda_tilde":%.17g,'
+            '"tolerance":%.17g,"is_cc":%s}\n'
+            % (alpha, _floats(masses.masses), _floats(config.angles),
+               report.tangential_residual, report.radial_spread, report.center_norm,
+               report.lambda_tilde, report.tolerance, _BOOL[report.is_cc]))
 
 
 def _cmd_exclude(args: argparse.Namespace) -> str:
-    alpha, masses, _ = _load_problem(args)
+    alpha, masses, _ = _load_problem(args.input)
     aux = AuxiliaryFunctional(alpha, args.k)
     group, swap = exclusion_verdicts(aux, masses)
-    return (
-        f'{{"alpha":{_json(aux.alpha)},"k":{_json(aux.k)},"masses":{_json(masses.masses)},'
-        f'"theta_m":{_json(group.theta_m.angles)},"f_value":{_json(group.f_value)},'
-        f'"excluded":{_json(group.excluded or swap.excluded)},'
-        f'"group":{_verdict_json(group)},"swap":{_verdict_json(swap, swap.inconsistent)}}}\n'
-    )
+    return ('{"alpha":%.17g,"k":%.17g,"masses":%s,"theta_m":%s,"f_value":%.17g,'
+            '"excluded":%s,"group":%s,"swap":%s}\n'
+            % (aux.alpha, aux.k, _floats(masses.masses), _floats(group.theta_m.angles),
+               group.f_value, _BOOL[group.excluded or swap.excluded], _verdict_json(group),
+               _verdict_json(swap, swap.inconsistent)))
 
 
 def _cmd_spectrum(args: argparse.Namespace) -> str:
     aux = AuxiliaryFunctional(args.alpha, args.k)
-    return _json(circulant_spectrum(aux, args.n)) + "\n"
+    return _floats(circulant_spectrum(aux, args.n)) + "\n"
 
 
 def _scan_cells(grid, head: str, pre: str, post: str) -> list[str]:
@@ -209,8 +176,8 @@ def _scan_cells(grid, head: str, pre: str, post: str) -> list[str]:
     once per alpha.
     """
     ns, alphas, thresholds, rows = grid
-    columns = [(pre.format(_fmt(a)), post.format(_fmt(t), "true"),
-                post.format(_fmt(t), "false"), t) for a, t in zip(alphas, thresholds)]
+    columns = [(pre.format("%.17g" % a), post.format("%.17g" % t, "true"),
+                post.format("%.17g" % t, "false"), t) for a, t in zip(alphas, thresholds)]
     return [f"{head}{n}{alpha}{g:.17g}{yes if g <= t else no}"
             for n, row in zip(ns, rows) for (alpha, yes, no, t), g in zip(columns, row)]
 
@@ -242,17 +209,14 @@ def _cmd_alpha_star(args: argparse.Namespace) -> str:
     root, g = _alpha_star(args.n, args.tol)
     tol = _tolerance(args.tol, "tol")  # the value _alpha_star checked: -0.0 prints as 0
     threshold = condition_threshold(root)
-    return _json({
-        "n": args.n,
-        "alpha_star": root,
-        "g_value": g,
-        "threshold": threshold,
-        "residual": abs(g - threshold),
-        "tolerance": tol,
-    }) + "\n"
+    return ('{"n":%d,"alpha_star":%.17g,"g_value":%.17g,"threshold":%.17g,'
+            '"residual":%.17g,"tolerance":%.17g}\n'
+            % (args.n, root, g, threshold, abs(g - threshold), tol))
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses, built on its first call rather than at import."""
     parser = argparse.ArgumentParser(
         prog="cocircular",
         description="centered co-circular central configurations of "
@@ -268,7 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("minimize", _cmd_minimize, "minimize the auxiliary functional")
     p.add_argument("--input", required=True, help="JSON problem file ('-' for stdin)")
-    p.add_argument("--alpha", type=float, help="override the input file's alpha")
     p.add_argument("--k", type=float, help="convexity constant (default tight)")
     p.add_argument("--tol", type=float, default=1e-11,
                    help="stop once the gradient norm is at most tol*|f| "
@@ -276,13 +239,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("verify", _cmd_verify, "check the central-configuration equations")
     p.add_argument("--input", required=True)
-    p.add_argument("--alpha", type=float)
     p.add_argument("--tol", type=float, default=1e-9,
                    help="residual tolerance (default %(default)s)")
 
     p = add("exclude", _cmd_exclude, "symmetry-based exclusion scan")
     p.add_argument("--input", required=True)
-    p.add_argument("--alpha", type=float)
     p.add_argument("--k", type=float)
 
     p = add("spectrum", _cmd_spectrum, "circulant spectrum at the regular n-gon")
@@ -302,12 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="bisection residual (default %(default)s); 0 usually "
                         "exits 3 once 52 halvings leave adjacent doubles")
     return parser
-
-
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser ``main`` uses, built on its first call rather than at import."""
-    return build_parser()
 
 
 def _failed(exc: Exception) -> int:

@@ -191,8 +191,9 @@ def minimize(aux, masses, grad_tol=1e-11, max_iter=200):
     """Damped Newton from the default start.
 
     Returns (angles, f, grad_norm, iterations). A ConvergenceFailure after
-    max_iter steps or a stalled line search carries that tuple of the last
-    accepted iterate as its result.
+    max_iter steps, a singular LU, a step that does not descend or a
+    stalled line search carries that tuple of the last accepted iterate
+    as its result, as the package's loop does.
     """
     n = masses.n
     if n == 2:
@@ -219,12 +220,13 @@ def minimize(aux, masses, grad_tol=1e-11, max_iter=200):
         reg = _DIAG_REG * float(np.trace(hr)) / n
         try:
             step = np.linalg.solve(hr + reg * np.eye(n - 1), -gr)
+            slope = float(gr @ step)
         except np.linalg.LinAlgError:
-            step = -gr
-        slope = float(gr @ step)
-        if slope >= 0.0:
-            step = -gr
-            slope = -gnorm * gnorm
+            slope = np.nan
+        if not slope < 0.0:  # no step, or one that does not descend
+            raise ConvergenceFailure(
+                f"reduced Hessian is not positive definite at iteration {iteration}",
+                (cfg.angles, fx, gnorm, iteration))
         t = min(1.0, _BOUNDARY_FRACTION * _max_feasible_step(x, step))
         slack = 4.0 * np.finfo(float).eps * abs(fx)
         accepted = False

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 import cocircular
 import cocircular.potential as potential
 from cocircular import TAU, AngleConfiguration, scan_region
-from cocircular.cli import _fmt, _json, main
+from cocircular.cli import _floats, main
 from conftest import certify_masses, on_fresh_thread
 
 M112 = {"alpha": 1.0, "masses": [1.0, 1.0, 2.0]}
@@ -255,12 +256,13 @@ def test_scan_writes_the_cells_of_scan_region(n_min, width, alphas):
     argv = ["scan", "--n-min", str(n_min), "--n-max", str(n_min + width),
             "--alpha", *map(repr, alphas)]
     cells = scan_region(range(n_min, n_min + width + 1), alphas)
-    csv = "".join(f"{c.n},{_fmt(c.alpha)},{_fmt(c.g_value)},{_fmt(c.threshold)},"
-                  f"{'true' if c.holds else 'false'}\n" for c in cells)
-    rows = [{"n": c.n, "alpha": c.alpha, "g_value": c.g_value,
-             "threshold": c.threshold, "holds": c.holds} for c in cells]
+    fields = [(c.n, format(c.alpha, ".17g"), format(c.g_value, ".17g"),
+               format(c.threshold, ".17g"), "true" if c.holds else "false") for c in cells]
+    csv = "".join("%d,%s,%s,%s,%s\n" % f for f in fields)
+    rows = ",".join('{"n":%d,"alpha":%s,"g_value":%s,"threshold":%s,"holds":%s}' % f
+                    for f in fields)
     for fmt, want in (("csv", "n,alpha,g_value,threshold,holds\n" + csv),
-                      ("json", _json(rows) + "\n")):
+                      ("json", "[" + rows + "]\n")):
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             assert main(argv + ["--format", fmt]) == 0
@@ -273,7 +275,7 @@ def test_float_array_is_written_as_format_writes_each_value(values):
     # one % pass over a joined template, byte for byte one format per value
     special = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1.7976931348623157e308]
     for a in (np.array(values, dtype=float), np.array(special + values)):
-        assert _json(a) == "[" + ",".join([format(v, ".17g") for v in a.tolist()]) + "]"
+        assert _floats(a) == "[" + ",".join([format(v, ".17g") for v in a.tolist()]) + "]"
 
 
 def test_scan_not_closed_exits_two(monkeypatch, capsys):
@@ -367,12 +369,24 @@ def test_verify_requires_angles(tmp_path, capsys):
     assert "angles" in capsys.readouterr().err
 
 
-def test_alpha_override_beats_input_file(tmp_path, capsys):
-    inp = write_json(tmp_path / "m.json", M112)
-    assert main(["minimize", "--input", inp, "--alpha", "2"]) == 0
-    data = json.loads(capsys.readouterr().out)
-    assert data["alpha"] == 2
-    assert data["k"] == 16  # tight constant 2**(3+alpha)/alpha at alpha = 2
+@pytest.mark.parametrize("command", ["minimize", "verify", "exclude"])
+def test_alpha_comes_from_the_input_alone(tmp_path, capsys, command):
+    # a command that reads an input file takes no --alpha beside it
+    inp = write_json(tmp_path / "sq.json", SQUARE)
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--input", inp, "--alpha", "2"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "--alpha" in captured.err and captured.out == ""
+    problem = {k: v for k, v in SQUARE.items() if k != "alpha"}
+    inp = write_json(tmp_path / "no_alpha.json", problem)
+    assert main([command, "--input", inp]) == 2
+    assert capsys.readouterr() == ("", 'error: input needs an "alpha" value\n')
+
+
+def test_cli_writes_json_one_way_and_builds_one_parser():
+    for name in ("_json", "_fmt", "build_parser"):
+        assert not hasattr(cocircular.cli, name), name
 
 
 SQUARE = {"alpha": 1.0, "masses": [1.0] * 4,
@@ -466,22 +480,27 @@ def test_n_past_every_memory_exits_two(capsys, argv, holds):
     assert captured.err == f"error: no memory holds {holds} at n = {10**18}\n"
 
 
-@pytest.mark.parametrize("argv", [
-    ["minimize", "--alpha", "2000"],
-    ["exclude", "--alpha", "2000"],
-    ["spectrum", "--n", "4", "--alpha", "2000"],
-    ["scan", "--n-min", "3", "--n-max", "300", "--alpha", "2000"],
-    ["minimize", "--k", "inf"],
-    ["exclude", "--k", "inf"],
-], ids=" ".join)
-def test_overflowing_alpha_or_infinite_k_exits_two(tmp_path, capsys, argv):
+@pytest.mark.parametrize("argv, alpha", [
+    pytest.param(["minimize"], 2000.0, id="minimize input alpha 2000"),
+    pytest.param(["exclude"], 2000.0, id="exclude input alpha 2000"),
+    pytest.param(["spectrum", "--n", "4", "--alpha", "2000"], None,
+                 id="spectrum --n 4 --alpha 2000"),
+    pytest.param(["scan", "--n-min", "3", "--n-max", "300", "--alpha", "2000"], None,
+                 id="scan --n-min 3 --n-max 300 --alpha 2000"),
+    pytest.param(["minimize", "--k", "inf"], None, id="minimize --k inf"),
+    pytest.param(["exclude", "--k", "inf"], None, id="exclude --k inf"),
+])
+def test_overflowing_alpha_or_infinite_k_exits_two(tmp_path, capsys, argv, alpha):
     # 2**(3 + alpha) and csc**alpha overflow a double; an infinite k would
     # print "k":inf, which is not JSON
     if argv[0] in ("minimize", "exclude"):
-        argv = argv + ["--input", write_json(tmp_path / "m.json", M112)]
+        problem = M112 if alpha is None else {**M112, "alpha": alpha}
+        argv = argv + ["--input", write_json(tmp_path / "m.json", problem)]
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert "error:" in captured.err and captured.out == ""
+    if alpha is not None:
+        assert captured.err == "error: 2**(3 + alpha)/alpha overflows at alpha = 2000.0\n"
 
 
 @pytest.mark.parametrize("command", ["minimize", "exclude", "spectrum"])
@@ -843,6 +862,8 @@ GRID_DIGESTS = {
     # among them, and a grid of several blocks
     "scan-300-mixed-csv": "80d151de977c39f4c8a4993fc0624b1b444b4b266664bdc41d76e474aa5dc9ba",
     "scan-1000-blocks-csv": "be73f814f3bd9ad8ebc363356bc402f0e1156749d19719fecca27de5be9abf0f",
+    # the CI smoke step "Smoke scan", written as a file by --output
+    "scan-20-csv": "c92ff11d2159df5ddc0cb1bbd719345376695fe53491cd7a1eae268248acbd8b",
 }
 
 # the CI smoke step "Smoke scan at n = 300" passes these in a fresh process
@@ -860,6 +881,7 @@ GRID_ARGV = {
                            "--alpha", *SCAN_ALPHAS_MIXED],
     "scan-1000-blocks-csv": ["scan", "--n-min", "3", "--n-max", "1000",
                              "--alpha", "0.5", "1", "2.5"],
+    "scan-20-csv": ["scan", "--n-min", "3", "--n-max", "20", "--alpha", "0.5", "1", "2"],
     **{f"alpha-star-{n}": ["alpha-star", "--n", str(n)] for n in (3, 10, 500, 1000)},
 }
 
@@ -868,6 +890,23 @@ GRID_ARGV = {
 def test_grid_frozen_stdout(capsys, key):
     assert main(GRID_ARGV[key]) == 0
     assert _sha(capsys.readouterr().out) == GRID_DIGESTS[key]
+
+
+def test_ci_smoke_checks_match_the_frozen_outputs_here():
+    # every byte a CI smoke step checks is checked by a tier-1 test too, so
+    # the workflow's digests cannot drift from the tests'
+    tests = os.path.dirname(os.path.abspath(__file__))
+    with open(os.path.join(tests, "..", ".github", "workflows", "tests.yml")) as fh:
+        workflow = fh.read()
+    frozen = ""
+    for name in ("test_cli.py", "test_scripts.py"):
+        with open(os.path.join(tests, name)) as fh:
+            frozen += fh.read()
+    digests = re.findall(r"\b[0-9a-f]{64}\b", workflow)
+    assert digests
+    assert [d for d in digests if d not in frozen] == []
+    star = re.search(r"printf '%s\\n' '(.*)' \| cmp - star\.json", workflow)
+    assert star.group(1) + "\n" == ALPHA_STAR_6
 
 
 # SHA-256 of alpha-star stdout, taken while every bisection step still
@@ -999,8 +1038,6 @@ def test_main_builds_one_parser(monkeypatch, capsys):
         assert main(["alpha-star", "--n", "6"]) == 0
         assert capsys.readouterr().out == ALPHA_STAR_6
     assert len(built) <= 1
-    # callers of build_parser still get a parser of their own
-    assert cocircular.cli.build_parser() is not cocircular.cli.build_parser()
 
 
 def test_import_builds_no_parser():

@@ -248,7 +248,9 @@ def test_bad_grad_tol_is_a_domain_error(grad_tol):
     (1.0, np.array([1.0, 2.0, 5.0, 3.0, 1.0, 4.0]) * 2.0 ** 510, DomainError),
     (1.0, np.full(6, 1e160), DomainError),
     (1.0, np.array([1.0] * 5 + [1e308]), DomainError),  # a sum over the pairs overflows
-    # f and the gradient are finite, the Hessian is not
+    # f, the gradient and the Hessian are finite at the start; only the sum
+    # in _DIAG_REG's trace overflows. With the trace summed from diag/n the
+    # solve converges in 4 steps, so this case pins that overflow
     (3.0, np.array([1.0, 2.0, 5.0, 3.0, 1.0, 4.0]) * 2.0 ** 508, DomainError),
 ])
 def test_non_finite_objective_is_an_input_error(alpha, masses, error):
