@@ -58,12 +58,19 @@ def _check_numbers(value) -> None:
         raise TypeError(f"got {json.dumps(value)}")
 
 
+_TOO_DEEP = "input nests its arrays or objects too deeply"
+
+
 def _load_problem(path: str, need_angles: bool = False):
-    if path == "-":
-        data = json.load(sys.stdin)
-    else:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+    # the decoder and _check_numbers recurse once per level of nesting
+    try:
+        if path == "-":
+            data = json.load(sys.stdin)
+        else:
+            with open(path, "r", encoding="utf-8") as fh:
+                data = json.load(fh)
+    except RecursionError:
+        raise DomainError(_TOO_DEEP) from None
     if not isinstance(data, dict):
         raise DomainError("input must be a JSON object")
     alpha = data.get("alpha")
@@ -78,6 +85,8 @@ def _load_problem(path: str, need_angles: bool = False):
         masses = np.asarray(data["masses"], dtype=float)
         if angles is not None:
             angles = np.asarray(angles, dtype=float)
+    except RecursionError:
+        raise DomainError(_TOO_DEEP) from None
     except (TypeError, ValueError, OverflowError) as exc:
         raise DomainError(f"alpha, masses and angles must be numbers: {exc}") from None
     masses = MassVector(masses)

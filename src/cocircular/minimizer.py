@@ -168,7 +168,10 @@ def minimize_f_k(aux: AuxiliaryFunctional, masses: MassVector,
                 break
             # the next mirror zeroes the diagonal, so the regularization goes
             # in place, through a strided view of h's C-contiguous buffer
-            h.reshape(-1)[:-1:n + 1] += _DIAG_REG * float(hr.trace()) / n
+            reg = _DIAG_REG * float(hr.trace()) / n
+            if math.isinf(reg):  # finite entries whose sum passes a double
+                reg = _DIAG_REG * float(np.add.reduce(hr.diagonal() * 2.0 ** -64)) / n * 2.0 ** 64
+            h.reshape(-1)[:-1:n + 1] += reg
             try:
                 step = np.linalg.solve(hr, -gr)
                 slope = float(gr @ step)

@@ -14,11 +14,15 @@ A verdict is its certificates: ``ExclusionVerdict`` takes them and
 derives ``excluded``, ``witness`` and ``margin`` from them. The group
 scan takes the q of every distinct image of the masses from one stacked
 matmul, whose loop runs, per image, the gemv and the dot of ``d @ w @ d``
-and so keeps its bits, where a gemm would not. The rows are distinct
-unless an element other than the identity fixes m; then the scan keeps
-one row per distinct image, keyed by its bytes (one-heavy and two-heavy
-masses repeat about half their images). It builds a ``GroupElement``
-only for a certificate, from the h, l and n it computed, unchecked.
+and so keeps its bits, where a gemm would not. Two elements give one
+image exactly when they lie in one coset of m's stabilizer: the shifts
+that fix m are the multiples of the least one, p, and if a reflection
+h0 fixes m, so do the reflections h0 + kp. So shift h has the image of
+shift h mod p, and reflection h that of reflection h mod p or, when a
+reflection fixes m, of shift (h - h0) mod p; the scan evaluates those p
+or 2p rows only (one-heavy and two-heavy masses repeat about half their
+images). It builds a ``GroupElement`` only for a certificate, from the
+h, l and n it computed, unchecked.
 """
 
 from __future__ import annotations
@@ -111,13 +115,13 @@ class ExclusionVerdict:
 
 
 def _mass_images(n: int) -> np.ndarray:
-    """Index rows of the 2n - 1 non-identity elements, in the scans' order.
+    """Index rows of the 2n elements, in the scans' order.
 
-    ``m[rows[i]]`` is the image of m under element i + 1: the shift table,
+    ``m[rows[e]]`` is the image of m under element e: the shift table,
     then the reflection's ``_image`` indexed by it.
     """
     shifts = _image(np.arange(n)[:, None], 0, n)
-    return np.concatenate([shifts, _image(0, 1, n)[shifts]])[1:]
+    return np.concatenate([shifts, _image(0, 1, n)[shifts]])
 
 
 def _element(h: int, l: int, n: int) -> GroupElement:
@@ -127,49 +131,37 @@ def _element(h: int, l: int, n: int) -> GroupElement:
     return g
 
 
-def _distinct_rows(diffs: np.ndarray, rows: np.ndarray) -> tuple[list[int], list[int]]:
-    """The first of ``rows`` with each distinct bytes, and each row's place among them.
-
-    Equal images of m give equal rows, and equal rows equal q, so the scan
-    evaluates one row per image. One call builds every row's key, the
-    bytes of a void view of the row, which the scan holds until it has its
-    rows.
-    """
-    keys = diffs.view(np.dtype((np.void, diffs.shape[1] * diffs.itemsize)))[:, 0].tolist()
-    slot, picks, inverse = {}, [], []
-    for i in rows.tolist():
-        j = slot.setdefault(keys[i], len(picks))
-        if j == len(picks):
-            picks.append(i)
-        inverse.append(j)
-    return picks, inverse
-
-
 def _group_scan(tol: float, w: np.ndarray, diffs: np.ndarray,
-                rows: np.ndarray) -> tuple[tuple, list[float]]:
-    """(g, -q(g)) for each of the image ``rows`` with q(g) < -tol, and every q.
+                fixed: np.ndarray) -> tuple[tuple, list[float]]:
+    """(g, -q(g)) for each element g with q(g) < -tol, and the q of each image.
 
-    Row i of ``diffs`` belongs to element i + 1 = h + n*l of the scans' order.
-    The q list holds one q per row when all 2n - 1 rows move a mass, else
-    one per distinct row, in the order the rows first come.
+    Row e of ``diffs`` is g m - m for element e = h + n*l of the scans'
+    order, and ``fixed`` marks the rows of the elements that fix m. The
+    shifts that fix m are the n/p multiples of the least positive one, p;
+    the q list holds one q per representative row, shifts 0..p-1 and,
+    unless a reflection fixes m, reflections 0..p-1 (all 2n rows when
+    p = n).
     """
     n = diffs.shape[1]
-    if len(rows) == 2 * n - 1:
-        # only the identity fixes m, so the images, and the rows, are distinct
-        distinct, inverse = diffs, slice(None)
+    p = n // np.count_nonzero(fixed[:n])
+    h = np.arange(n)
+    mirrors = np.flatnonzero(fixed[n:])
+    if mirrors.size:
+        # reflection h has the image of shift (h - h0) mod p
+        reps = diffs[None, :p]
+        image = (h - [[0], [mirrors[0]]]) % p
     else:
-        picks, inverse = _distinct_rows(diffs, rows)
-        distinct = diffs[picks]
+        reps = diffs.reshape(2, n, n)[:, :p]
+        image = h % p + [[0], [p]]
     # numpy's matmul loop hands each stacked (1, n) @ (n, n) and (1, n) @ (n, 1)
     # to the gemv and the dot that d @ w @ d calls on one row, so every q
     # keeps its bits; a gemm or an einsum sums in another order and moves
     # the last ulp
-    q = 0.5 * ((distinct[:, None, :] @ w) @ distinct[:, :, None]).ravel()
-    q_rows = q[inverse]
-    hits = np.flatnonzero(q_rows < -tol)
-    elements = (rows[hits] + 1).tolist()
+    q = 0.5 * ((reps[..., None, :] @ w) @ reps[..., :, None]).ravel()
+    q_elements = q[image.ravel()]
+    hits = np.flatnonzero(q_elements < -tol)
     certificates = tuple((_element(e % n, e // n, n), margin)
-                         for e, margin in zip(elements, (-q_rows[hits]).tolist()))
+                         for e, margin in zip(hits.tolist(), (-q_elements[hits]).tolist()))
     return certificates, q.tolist()
 
 
@@ -205,11 +197,13 @@ def exclusion_verdicts(aux: AuxiliaryFunctional, masses: MassVector
     negative. A swap certificate coexisting with a passing residual check
     at ``VERIFY_TOL`` is flagged inconsistent.
 
-    Both scans work on the stacked (2n - 1) x n image differences g m - m,
-    with O(n**2) work per image, classified in one pass: the group scan
-    takes every row that moves a mass, the swap scan every row that moves
-    exactly two. Since every image is a permutation of m, such a row is
-    the swap of those two masses, and a row holds at most one swap.
+    Both scans work on the stacked 2n x n image differences g m - m, one
+    row per element, identity included, classified in one pass: the rows
+    that move no mass are m's stabilizer, whose cosets give the group
+    scan one row per distinct image, with O(n**2) work each; the swap
+    scan takes every row that moves exactly two. Since every image is a
+    permutation of m, such a row is the swap of those two masses, and a
+    row holds at most one swap.
 
     W is finite, so a q or a swap margin past a double is the masses'
     doing: ``DomainError``, with no numpy warning ahead of it.
@@ -222,7 +216,7 @@ def exclusion_verdicts(aux: AuxiliaryFunctional, masses: MassVector
     counts = moved.sum(axis=1)
     with np.errstate(over="ignore", invalid="ignore"):
         group, qs = _group_scan(MARGIN_SCALE * abs(res.f_value), w, diffs,
-                                np.flatnonzero(counts))
+                                counts == 0)
         swap = _swap_scan(m, w, moved[counts == 2])
     # an overflowed q is inf, or NaN from inf - inf, which q < -tol would drop
     _check_finite(aux.alpha, qs + [margin for _, margin in swap])

@@ -4,10 +4,12 @@ A grid-search minimizer for n <= 5 and finite-difference derivatives, plus
 the test oracles that no command reaches: the reduced coordinates of a
 pinned configuration, the dihedral group's algebra (its element list,
 generators, identity test and composition) and its action on angles, the
-mask-based pair mirror, the full chord matrix, the defect of the exact
-quadratic mass expansion, and the central-configuration residuals taken
-straight from planar positions, which ``verify_cc`` (from angles) is
-checked against. The package never imports this.
+grouping of image rows by their bytes that the group scan's coset rule
+is checked against, the mask-based pair mirror, the full chord matrix,
+the defect of the exact quadratic mass expansion, and the
+central-configuration residuals taken straight from planar positions,
+which ``verify_cc`` (from angles) is checked against. The package never
+imports this.
 """
 
 from __future__ import annotations
@@ -187,6 +189,21 @@ def elements(n: int) -> list[GroupElement]:
     rows the exclusion scan decodes.
     """
     return [GroupElement(h, l, n) for l in (0, 1) for h in range(n)]
+
+
+def distinct_rows(rows: np.ndarray) -> tuple[list[int], list[int]]:
+    """The first of ``rows`` with each distinct bytes, and each row's place among them.
+
+    Equal images of m give equal rows of g m - m; the group scan names
+    the repeats from m's stabilizer instead of reading the rows.
+    """
+    slot, picks, inverse = {}, [], []
+    for i, row in enumerate(rows):
+        j = slot.setdefault(row.tobytes(), len(picks))
+        if j == len(picks):
+            picks.append(i)
+        inverse.append(j)
+    return picks, inverse
 
 
 def identity(n: int) -> GroupElement:

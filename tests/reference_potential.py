@@ -104,9 +104,11 @@ def hessian_theta_f_k(aux, masses, config):
     m, d, r = _frames(masses, config)
     a = aux.alpha
     c2 = np.cos(0.5 * d) ** 2
-    off = (m[:, None] * m[None, :]) * (
-        -a * (1.0 + a * c2) * _pow(r, -(a + 2.0)) + (2.0 - 4.0 * c2) / aux.k
-    )
+    # the diagonal's placeholder term, replaced below, may pass a double
+    with np.errstate(over="ignore"):
+        off = (m[:, None] * m[None, :]) * (
+            -a * (1.0 + a * c2) * _pow(r, -(a + 2.0)) + (2.0 - 4.0 * c2) / aux.k
+        )
     np.fill_diagonal(off, 0.0)
     h = 0.5 * (off + off.T)
     np.fill_diagonal(h, -np.sum(h, axis=1))
@@ -206,7 +208,11 @@ def minimize(aux, masses, grad_tol=1e-11, max_iter=200):
     gnorm = np.inf
     for iteration in range(max_iter + 1):
         gr = grad_theta_f_k(aux, masses, cfg)[:-1]
-        gnorm = float(np.linalg.norm(gr))
+        with np.errstate(over="ignore"):
+            gnorm = float(np.linalg.norm(gr))
+        if np.isinf(gnorm):  # the squares pass a double: scale by max |gr|
+            scale = float(np.abs(gr).max())
+            gnorm = scale * float(np.linalg.norm(gr / scale))
         if gnorm <= grad_tol * abs(fx):
             hr = hessian_theta_f_k(aux, masses, cfg)[:-1, :-1]
             try:
@@ -217,7 +223,10 @@ def minimize(aux, masses, grad_tol=1e-11, max_iter=200):
         if iteration == max_iter:
             break
         hr = hessian_theta_f_k(aux, masses, cfg)[:-1, :-1]
-        reg = _DIAG_REG * float(np.trace(hr)) / n
+        with np.errstate(over="ignore"):
+            reg = _DIAG_REG * float(np.trace(hr)) / n
+        if np.isinf(reg):  # the trace passes a double: sum it scaled by 2**-64
+            reg = _DIAG_REG * float(np.add.reduce(np.diagonal(hr) * 2.0 ** -64)) / n * 2.0 ** 64
         try:
             step = np.linalg.solve(hr + reg * np.eye(n - 1), -gr)
             slope = float(gr @ step)

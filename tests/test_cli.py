@@ -620,6 +620,38 @@ def test_overflow_prints_one_error_line(argv, payload):
     assert len(lines) == 1 and lines[0].startswith("error: "), out.stderr
 
 
+def _nested_masses(depth):
+    return '{"alpha": 1, "masses": ' + "[" * depth + "1" + "]" * depth + "}"
+
+
+@pytest.mark.parametrize("depth", [988, 100_000])
+@pytest.mark.parametrize("source", ["stdin", "file"])
+def test_deeply_nested_input_exits_two(tmp_path, depth, source):
+    # past the interpreter's recursion limit the decoder raises
+    # RecursionError, which must read as bad input, not as a traceback
+    if source == "stdin":
+        out = _run_cli(["minimize", "--input", "-"], _nested_masses(depth))
+    else:
+        path = tmp_path / "deep.json"
+        path.write_text(_nested_masses(depth), encoding="utf-8")
+        out = _run_cli(["minimize", "--input", str(path)])
+    assert (out.returncode, out.stdout) == (2, "")
+    assert out.stderr == "error: input nests its arrays or objects too deeply\n"
+
+
+def test_number_check_past_the_recursion_limit_exits_two(monkeypatch, capsys):
+    # the number check recurses once per level too, and may reach the
+    # limit where the decoder did not
+    def too_deep(value):
+        raise RecursionError("maximum recursion depth exceeded")
+    monkeypatch.setattr("cocircular.cli._check_numbers", too_deep)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(_nested_masses(3)))
+    assert main(["minimize", "--input", "-"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: input nests its arrays or objects too deeply\n"
+
+
 # SHA-256 of stdout for 256 masses drawn U(0.5, 2) with seed 256, taken
 # again, on two OpenBLAS threads, when the default start became
 # minimizer._mass_start; tests/test_meaning.py checks what they say.
@@ -820,6 +852,24 @@ CERTIFY_DIGESTS = {
     ("uniform", 40):
         "6e141596e3d95a035889de01ebbad71f6961a1548e741d6b0931e6e793605cb4",
 }
+
+
+# SHA-256 of the exclude stdout for each tile in turn, each at alpha = 0.5,
+# 1 and 3, taken while the group scan still found repeated images by
+# hashing the rows. Shifts by 3, 4 and 6 fix these masses, and
+# reflections fix the last two.
+SHIFT_FIXED_TILES = [[1, 2, 3] * 4, [1, 2, 2, 1] * 6, [1, 2, 3, 3, 2, 1] * 4]
+SHIFT_FIXED_DIGEST = "72e14e96f75bc3d2195fae9f5e89b4621b6a3c557ff166de799c07b7d9d7a48a"
+
+
+def test_exclude_shift_fixed_masses_frozen_stdout(tmp_path, capsys):
+    out = ""
+    for masses in SHIFT_FIXED_TILES:
+        for alpha in (0.5, 1.0, 3.0):
+            inp = write_json(tmp_path / "m.json", {"alpha": alpha, "masses": masses})
+            assert main(["exclude", "--input", inp]) == 0
+            out += capsys.readouterr().out
+    assert _sha(out) == SHIFT_FIXED_DIGEST
 
 
 @pytest.mark.parametrize("family, n", list(CERTIFY_DIGESTS))

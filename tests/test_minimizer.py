@@ -14,6 +14,7 @@ from cocircular import (
     ConvergenceFailure,
     DimensionError,
     DomainError,
+    GroupElement,
     MassVector,
     UnsupportedExponent,
     exclusion_verdicts,
@@ -248,10 +249,8 @@ def test_bad_grad_tol_is_a_domain_error(grad_tol):
     (1.0, np.array([1.0, 2.0, 5.0, 3.0, 1.0, 4.0]) * 2.0 ** 510, DomainError),
     (1.0, np.full(6, 1e160), DomainError),
     (1.0, np.array([1.0] * 5 + [1e308]), DomainError),  # a sum over the pairs overflows
-    # f, the gradient and the Hessian are finite at the start; only the sum
-    # in _DIAG_REG's trace overflows. With the trace summed from diag/n the
-    # solve converges in 4 steps, so this case pins that overflow
-    (3.0, np.array([1.0, 2.0, 5.0, 3.0, 1.0, 4.0]) * 2.0 ** 508, DomainError),
+    # one doubling past the 2**508 solve below, a pair sum overflows
+    (3.0, np.array([1.0, 2.0, 5.0, 3.0, 1.0, 4.0]) * 2.0 ** 509, DomainError),
 ])
 def test_non_finite_objective_is_an_input_error(alpha, masses, error):
     # the typed error comes with no numpy warning ahead of it
@@ -261,6 +260,31 @@ def test_non_finite_objective_is_an_input_error(alpha, masses, error):
             minimize_f_k(AuxiliaryFunctional(alpha), MassVector(masses))
         with pytest.raises(error):
             exclusion_verdicts(AuxiliaryFunctional(alpha), MassVector(masses))
+
+
+def test_regularization_past_a_double_still_converges():
+    # at alpha = 3 every Hessian entry is finite, but the trace that scales
+    # _DIAG_REG passes a double (about 3.8e308); the shift is then summed
+    # scaled by 2**-64, exactly, so the solve keeps the bits of scale 1 and
+    # exclude certifies the same elements with margins 2**1016 times larger
+    aux = AuxiliaryFunctional(3.0)
+    base = np.array([1.0, 2.0, 5.0, 3.0, 1.0, 4.0])
+    big = MassVector(base * 2.0 ** 508)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = minimize_f_k(aux, big)
+        group, swap = exclusion_verdicts(aux, big)
+    small = minimize_f_k(aux, MassVector(base))
+    assert res.converged and res.iterations == small.iterations == 4
+    assert res.f_value == small.f_value * 2.0 ** 1016 == 3.846075469718971e+307
+    assert res.theta_m.angles.tobytes() == small.theta_m.angles.tobytes()
+    small_group, small_swap = exclusion_verdicts(aux, MassVector(base))
+    for verdict, reference in ((group, small_group), (swap, small_swap)):
+        assert verdict.excluded and not verdict.inconsistent
+        assert [g for g, _ in verdict.certificates] == [g for g, _ in reference.certificates]
+        assert [mg for _, mg in verdict.certificates] == [
+            mg * 2.0 ** 1016 for _, mg in reference.certificates]
+    assert len(group.certificates) == 11 and group.witness == GroupElement(1, 0, 6)
 
 
 def test_gradient_squares_past_a_double_still_converge():

@@ -94,6 +94,14 @@ def _assert_same_solve(res, reference, converged=True):
         == (f, gnorm, iterations, converged)
 
 
+def test_regularization_past_a_double_matches_reference():
+    # the trace that scales the regularization overflows here, and both
+    # loops then sum the diagonal scaled by 2**-64
+    aux = AuxiliaryFunctional(3.0)
+    m = MassVector(np.array([1.0, 2.0, 5.0, 3.0, 1.0, 4.0]) * 2.0 ** 508)
+    _assert_same_solve(minimize_f_k(aux, m), ref.minimize(aux, m))
+
+
 @pytest.mark.parametrize("max_iter", [0, 3, 200])
 @pytest.mark.parametrize("seed", range(3))
 def test_failures_carry_the_reference_iterate(monkeypatch, seed, max_iter):

@@ -23,8 +23,8 @@ from cocircular import (
     regular_ngon,
 )
 from conftest import certify_masses, ordered_angles, random_masses
-from oracle import (act_on_angles, compose, elements, identity, is_identity, reflection,
-                    shift)
+from oracle import (act_on_angles, compose, distinct_rows, elements, identity, is_identity,
+                    reflection, shift)
 from reference_exclusion import reference_exclusion_by_group, reference_exclusion_by_swap
 from reference_potential import f_k_value
 
@@ -71,7 +71,7 @@ def test_group_axioms_and_relation():
 
 
 def test_elements_order_cyclic_then_reflections():
-    # the scan decodes its row i as element e = i + 1, (h, l) = (e % n, e // n)
+    # the scan decodes its row e as element e, (h, l) = (e % n, e // n)
     for n in (2, 3, 8, 40):
         els = elements(n)
         assert [(g.h, g.l) for g in els] == [(e % n, e // n) for e in range(2 * n)]
@@ -79,9 +79,9 @@ def test_elements_order_cyclic_then_reflections():
         assert all(g.is_reflection for g in els[n:])
         labels = MassVector(np.arange(1.0, n + 1))
         rows = symmetry._mass_images(n)
-        assert len(rows) == 2 * n - 1
-        for i, row in enumerate(rows):
-            assert np.array_equal(row % n, act_on_masses(els[i + 1], labels).masses - 1)
+        assert len(rows) == 2 * n
+        for e, row in enumerate(rows):
+            assert np.array_equal(row % n, act_on_masses(els[e], labels).masses - 1)
 
 
 @pytest.mark.parametrize("h, l, n", [(1.5, 0, 4), (1, 0, 4.0), (1, 0.5, 4), ("1", 0, 4)])
@@ -252,7 +252,7 @@ def test_verdict_witness_is_first_of_tied_margins():
     diffs = m.masses[symmetry._mass_images(3)] - m.masses
     certificates, _ = symmetry._group_scan(
         symmetry.MARGIN_SCALE * abs(res.f_value), pair_weight_matrix(aux, res.theta_m),
-        diffs, np.flatnonzero((diffs != 0.0).any(axis=1)))
+        diffs, (diffs == 0.0).all(axis=1))
     group = ExclusionVerdict(certificates, res.f_value, res.theta_m)
     margins = [mg for _, mg in group.certificates]
     assert len(margins) == 4 and len(set(margins)) == 1
@@ -376,8 +376,7 @@ def _scan_inputs(masses, alpha):
     res = minimize_f_k(aux, MassVector(masses))
     w = pair_weight_matrix(aux, res.theta_m)
     diffs = masses[symmetry._mass_images(masses.size)] - masses
-    rows = np.flatnonzero((diffs != 0.0).any(axis=1))
-    return symmetry.MARGIN_SCALE * abs(res.f_value), w, diffs, rows
+    return symmetry.MARGIN_SCALE * abs(res.f_value), w, diffs, (diffs == 0.0).all(axis=1)
 
 
 SCAN_MASSES = {
@@ -395,25 +394,83 @@ SCAN_MASSES = {
 def test_group_scan_takes_each_q_from_one_gemv_per_distinct_row(name, alpha):
     masses = SCAN_MASSES[name]
     n = masses.size
-    tol, w, diffs, rows = _scan_inputs(masses, alpha)
-    certificates, qs = symmetry._group_scan(tol, w, diffs, rows)
+    tol, w, diffs, fixed = _scan_inputs(masses, alpha)
+    certificates, qs = symmetry._group_scan(tol, w, diffs, fixed)
     # the first row of each distinct bytes, in order, each q as d @ w @ d
-    first = {}
-    for i in rows.tolist():
-        first.setdefault(diffs[i].tobytes(), i)
-    expected = [0.5 * float(diffs[i] @ w @ diffs[i]) for i in first.values()]
+    picks, inverse = distinct_rows(diffs)
+    expected = [0.5 * float(diffs[i] @ w @ diffs[i]) for i in picks]
     assert np.array(qs).tobytes() == np.array(expected).tobytes()
-    images = {masses[row].tobytes() for row in symmetry._mass_images(n)} - {masses.tobytes()}
-    if len(rows) == 2 * n - 1:
-        assert len(qs) == 2 * n - 1
-    else:
-        assert len(qs) == len(images) < len(rows)
-    q_of = dict(zip(first, expected))
-    reference = tuple((GroupElement((i + 1) % n, (i + 1) // n, n), -q_of[diffs[i].tobytes()])
-                      for i in rows if q_of[diffs[i].tobytes()] < -tol)
+    images = {masses[row].tobytes() for row in symmetry._mass_images(n)}
+    assert len(qs) == len(images)
+    if np.count_nonzero(fixed) == 1:
+        assert len(qs) == 2 * n
+    reference = tuple((GroupElement(e % n, e // n, n), -expected[j])
+                      for e, j in enumerate(inverse) if expected[j] < -tol)
     assert certificates == reference
     assert all(type(v) is int for g, _ in certificates for v in (g.h, g.l, g.n))
     assert all(type(margin) is float for _, margin in certificates)
+
+
+@st.composite
+def stabilized_masses(draw):
+    """Masses with every kind of stabilizer, turned by a random shift.
+
+    A tile of period p | n is fixed by the shifts by multiples of p, a
+    palindromic tile also by reflections; the turn moves which reflection
+    h0 fixes it first, so h0 = 0 is not the only one drawn.
+    """
+    n = draw(st.integers(2, 24))
+    p = draw(st.sampled_from([p for p in range(1, n + 1) if n % p == 0]))
+    kind = draw(st.sampled_from(["trivial", "tile", "mirrored", "equal", "two-valued"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "trivial":
+        m = rng.uniform(0.5, 2.0, n)
+    elif kind == "tile":
+        m = np.tile(rng.uniform(0.5, 2.0, p), n // p)
+    elif kind == "mirrored":
+        half = rng.uniform(0.5, 2.0, (p + 1) // 2)
+        m = np.tile(np.concatenate([half, half[::-1][p % 2:]]), n // p)
+    elif kind == "equal":
+        m = np.ones(n)
+    else:
+        m = rng.choice([1.0, 2.0], n)
+    return np.roll(m, draw(st.integers(0, n - 1)))
+
+
+@given(stabilized_masses(), st.integers(0, 2**32 - 1))
+@settings(max_examples=300, deadline=None)
+# the first reflection that fixes each: none, h0 = 1, 5, 0 and 0
+@example(np.tile([1.0, 2.0, 3.0], 4), 0)
+@example(np.roll(np.tile([1.0, 2.0, 2.0, 1.0], 6), 1), 1)
+@example(np.roll(np.tile([1.0, 2.0, 3.0, 3.0, 2.0, 1.0], 4), 3), 2)
+@example(np.array([1.0, 1.0, 2.0]), 3)
+@example(np.ones(24), 4)
+def test_coset_rule_matches_row_bytes(masses, seed):
+    n = masses.size
+    diffs = masses[symmetry._mass_images(n)] - masses
+    fixed = (diffs == 0.0).all(axis=1)
+    picks, inverse = distinct_rows(diffs)
+    # the coset rule: the fixing shifts are the multiples of p, shift h has
+    # the image of shift h mod p, and reflection h that of reflection
+    # h mod p, or of shift (h - h0) mod p when reflection h0 fixes m
+    p = int(np.flatnonzero(fixed[1:n])[0]) + 1 if fixed[1:n].any() else n
+    assert np.array_equal(np.flatnonzero(fixed[:n]), np.arange(0, n, p))
+    h = np.arange(n)
+    h0 = np.flatnonzero(fixed[n:])
+    reflected = (h - h0[0]) % p if h0.size else n + h % p
+    rep = np.concatenate([h % p, reflected])
+    assert all(diffs[r].tobytes() == diffs[e].tobytes() for e, r in enumerate(rep))
+    assert len(set(rep.tolist())) == len(picks)
+    # under a random W, q is a fingerprint of the row: every element gets the
+    # q of its own row, and the scan keeps one q per distinct row, in the
+    # order the rows first come
+    w = np.random.default_rng(seed).standard_normal((n, n))
+    w = w + w.T
+    certificates, qs = symmetry._group_scan(-np.inf, w, diffs, fixed)
+    own = np.array([0.5 * float(d @ w @ d) for d in diffs])
+    assert [(g.h, g.l) for g, _ in certificates] == [(e % n, e // n) for e in range(2 * n)]
+    assert np.array([-mg for _, mg in certificates]).tobytes() == own.tobytes()
+    assert np.array(qs).tobytes() == own[picks].tobytes()
 
 
 @st.composite
