@@ -5,20 +5,11 @@ strictly increasing angles in (0, 2*pi]. Pinning t_n = 2*pi removes the
 rotational freedom; that pinned set is the domain used by the minimizer
 and by the symmetry-group actions.
 
-Pair quantities are held packed: one entry per pair j < k, in
-``np.triu_indices(n, 1)`` order, the row-major order of the strict upper
-triangle. ``_pair_chords`` builds the differences du = t_j - t_k and the
-chords ru = |2 sin(du/2)| once per point, into fresh arrays or the
-caller's buffers, and checks nothing. ``AngleConfiguration`` checks the
-angles, ``_check_gaps`` a configuration's gaps against ``COLLISION_TOL``
-and the minimizer's line search its trials' gaps, so every chord lies in
-(0, 2]. ``_mirror`` expands packed pair quantities into an n x n matrix
-with a zero diagonal by one gather from a contiguous ``[upper | lower]``
-source, through a flat index map cached per n. The mirror reproduces the
-full-matrix formulas bit for bit: t_k - t_j is exactly -(t_j - t_k) in
-IEEE arithmetic, numpy's sin is odd and its cos even (checked bit for bit
-by the tests), so a symmetric quantity is mirrored as is and an
-antisymmetric one with its sign flipped.
+``_chords`` takes chords from angle differences and checks nothing:
+``AngleConfiguration`` checks the angles, ``_check_gaps`` a
+configuration's gaps against ``COLLISION_TOL`` and the minimizer's line
+search its trials' gaps, so every chord lies in (0, 2]. The packed pair
+order and the pair frame belong to ``potential``.
 """
 
 from __future__ import annotations
@@ -28,7 +19,6 @@ import numbers
 import operator
 import sys
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -59,7 +49,7 @@ class MassVector:
         except OverflowError:  # an int past a double
             raise DomainError("masses must be positive and finite") from None
         if m.ndim != 1 or m.size < 2:
-            raise InvalidArity("a mass vector needs at least two entries")
+            raise InvalidArity("a mass vector must be one-dimensional with at least two entries")
         if not np.all(np.isfinite(m)) or np.any(m <= 0.0):
             raise DomainError("masses must be positive and finite")
         try:
@@ -86,7 +76,8 @@ class AngleConfiguration:
         except OverflowError:  # an int past a double
             raise DomainError("angles must be finite") from None
         if t.ndim != 1 or t.size < 2:
-            raise InvalidArity("an angle configuration needs at least two entries")
+            raise InvalidArity("an angle configuration must be one-dimensional "
+                               "with at least two entries")
         if not np.all(np.isfinite(t)):
             raise DomainError("angles must be finite")
         if t[0] <= 0.0 or t[-1] > TAU:
@@ -117,66 +108,12 @@ class AngleConfiguration:
         return np.exp(1j * self.angles)
 
 
-@lru_cache(maxsize=8)
-def _pairs(n: int):
-    """Packed pair indices (j, k), j < k, and the mirror's flat gather map.
-
-    Entry j_p n + k_p of the map is p and entry k_p n + j_p is P + p, with
-    P = n(n - 1)/2; the diagonal entries are 0 and get overwritten. The
-    map is n^2 intp, 8 n^2 bytes per cached n (8 MiB at n = 1024, where
-    the workspace is 44 MiB). Callers must not write to any of them. They
-    stay writeable and the map C-contiguous, because ``ndarray.take``
-    copies a read-only or non-intp index array before every gather.
-    """
-    # row j of the triangle holds the n - 1 - j pairs (j, j + 1..n - 1); built
-    # from those counts, not from np.triu_indices' n x n mask
-    counts = np.arange(n - 1, 0, -1)
-    j = np.repeat(np.arange(n - 1), counts)
-    k = np.arange(j.size) + np.repeat(np.arange(1, n) - (np.cumsum(counts) - counts), counts)
-    gather = np.zeros(n * n, dtype=np.intp)
-    gather[j * n + k] = np.arange(j.size)
-    gather[k * n + j] = np.arange(j.size, 2 * j.size)
-    return j, k, gather
-
-
-def _mirror(n: int, pairs: np.ndarray, out=None) -> np.ndarray:
-    """n x n matrix from packed ``pairs`` = [upper | lower] with zeros on the diagonal.
-
-    Entry p of the upper half lands at (j_p, k_p) and entry p of the
-    lower half at (k_p, j_p), with (j_p, k_p) the packed pair order. A
-    reused ``out`` must be C-contiguous and must not overlap ``pairs``:
-    every entry is gathered from ``pairs`` and the diagonal then zeroed
-    through a strided view of the flat buffer.
-    """
-    out = np.empty((n, n)) if out is None else out
-    flat = out.reshape(-1)
-    # 'clip' skips the bounds pass that makes take buffer its out
-    pairs.take(_pairs(n)[2], out=flat, mode="clip")
-    flat[:: n + 1] = 0.0
-    return out
-
-
 def _check_gaps(config: AngleConfiguration) -> None:
     """CollisionError unless every circular gap is at least COLLISION_TOL."""
     if config.min_gap() < COLLISION_TOL:
         raise CollisionError(
             f"two bodies are within {COLLISION_TOL} radians of each other"
         )
-
-
-def _pair_chords(t: np.ndarray, out=(None,) * 3):
-    """Packed du = t_j - t_k and chords ru = |2 sin(du/2)|, j < k, of angles t.
-
-    The half-angle form avoids the cancellation that sqrt(2 - 2 cos)
-    suffers for nearly coincident bodies. The angles are not checked here:
-    callers pass increasing angles in (0, 2*pi] with every circular gap at
-    least ``COLLISION_TOL``. ``out`` is du, ru and a pair buffer for t_k.
-    """
-    j, k, _ = _pairs(t.size)
-    # 'clip' skips the bounds pass that makes take buffer its out
-    du = t.take(j, out=out[0], mode="clip")
-    du -= t.take(k, out=out[2], mode="clip")
-    return du, _chords(du, out[1])
 
 
 def _chords(du: np.ndarray, out=None) -> np.ndarray:

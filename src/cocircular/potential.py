@@ -15,22 +15,30 @@ semidefinite with kernel spanned by (1, ..., 1), so f has a unique
 minimizer over the pinned angle domain.
 
 Every quantity at one (m, t) point derives from one packed pair frame:
-the masses, the differences du and the chords ru of the pairs j < k in
-``np.triu_indices`` order (see ``geometry``). Values are sums over the
-packed pairs. The gradient, the Hessian and W compute their pair terms
-on the n(n - 1)/2 packed pairs only and mirror them into n x n matrices,
-whose rows are then summed in the same order as the full-matrix
-formulas, so every float keeps the bits those formulas give.
+the masses, the differences du and the chords ru of the pairs j < k.
+Pair quantities are held packed, one entry per pair, in
+``np.triu_indices(n, 1)`` order, the row-major order of the strict upper
+triangle. Values are sums over the packed pairs. The gradient, the
+Hessian and W compute their pair terms on the n(n - 1)/2 packed pairs
+only and ``_mirror`` expands them into n x n matrices with a zero
+diagonal, by one gather from a contiguous ``[upper | lower]`` source;
+their rows are then summed in the same order as the full-matrix
+formulas, so every float keeps the bits those formulas give: t_k - t_j
+is exactly -(t_j - t_k) in IEEE arithmetic, numpy's sin is odd and its
+cos even (checked bit for bit by the tests), so a symmetric quantity is
+mirrored as is and an antisymmetric one with its sign flipped.
 
-The Newton loop and ``verify_cc`` evaluate into one ``_Workspace`` per
-thread, whose buffers only the kernels here name (its docstring gives
-their layout and the frame rule). Only two evaluators are public: the
-angle gradient, and W, which the exclusion scans use. Both build their
-own chords, never touch the thread's workspace, return fresh arrays and,
-like those two callers, refuse an overflow through ``_check_finite``,
-with no numpy warning ahead of it: ``UnsupportedExponent`` when a chord
-power overflowed, ``DomainError`` when the masses carried a sum past a
-double.
+Every evaluation runs in this thread's ``_Workspace``, which holds the
+pair index maps and the buffers for one n; only the kernels here name
+them (its docstring gives their layout and the frame rule). The Newton
+loop builds each point's chords there, and ``verify_cc``, W and the
+angle gradient read the frame ``_frame`` returns, so a check at a
+converged solve's minimizer builds no chords. Only two evaluators are
+public: the angle gradient, and W, which the exclusion scans use. Both
+return fresh arrays and, like those two callers, refuse an overflow
+through ``_check_finite``, with no numpy warning ahead of it:
+``UnsupportedExponent`` when a chord power overflowed, ``DomainError``
+when the masses carried a sum past a double.
 """
 
 from __future__ import annotations
@@ -43,8 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, KTooSmall, UnsupportedExponent
-from .geometry import (AngleConfiguration, MassVector, _check_gaps, _check_lengths,
-                       _mirror, _pair_chords, _pairs)
+from .geometry import AngleConfiguration, MassVector, _chords, _check_gaps, _check_lengths
 
 
 def k_min(alpha: float) -> float:
@@ -129,19 +136,28 @@ def _check_finite(alpha, sums, *powers):
 
 
 class _Workspace:
-    """Buffers for the pair evaluations at one n, and the point they describe.
+    """Index maps and buffers for the pair evaluations at one n, and the point they describe.
 
-    Nine packed pair buffers and one n x n matrix, 9 n(n - 1)/2 + n^2
-    doubles (2.7 MiB at n = 256, 44 MiB at n = 1024): the pair masses
-    ``mj``, ``mk`` and ``mm`` = m_j m_k, set once per solve; the frame
-    ``du``, ``ru``, ``sin`` = sin(du) and ``r_a2`` = ru**-(alpha + 2); the
-    scratch buffers ``s`` and ``t``, which the chord gather, f, the
-    gradient, the Hessian and the CC residuals take in turn; and ``full``,
-    the mirror target of the last three and, ahead of its mirror, the
-    gradient's scratch for its pair weights. ``s`` and ``t`` are adjacent
-    rows of one block, so ``st`` reads them as the mirror's
-    ``[upper | lower]`` source. Only the kernels of this module name
-    them, and every float keeps the bits of the full-matrix formulas.
+    With P = n(n - 1)/2, the maps are the packed pair indices ``j`` and
+    ``k`` (pair p is (j_p, k_p), j_p < k_p) and ``gather``, the mirror's
+    flat map: entry j_p n + k_p is p and entry k_p n + j_p is P + p; the
+    diagonal entries are 0 and get overwritten. They are 2P + n^2 intp,
+    built once per workspace, never written after, and kept writeable
+    and C-contiguous, because ``ndarray.take`` copies a read-only or
+    non-intp index array before every gather.
+
+    Nine packed pair buffers and one n x n matrix, 9P + n^2 doubles: the
+    pair masses ``mj``, ``mk`` and ``mm`` = m_j m_k, set once per solve
+    and by the public gradient; the frame ``du``, ``ru``, ``sin`` =
+    sin(du) and ``r_a2`` = ru**-(alpha + 2); the scratch buffers ``s``
+    and ``t``, which the chord gather, f, the gradient, the Hessian and
+    the CC residuals take in turn; and ``full``, the mirror target of the
+    last three and, ahead of its mirror, the gradient's scratch for its
+    pair weights. ``s`` and ``t`` are adjacent rows of one block, so
+    ``st`` reads them as the mirror's ``[upper | lower]`` source. With
+    the maps that is 8 (11P + 2n^2) bytes on a 64-bit host: 3.7 MiB at
+    n = 256, 60 MiB at n = 1024. Every float keeps the bits of the
+    full-matrix formulas.
 
     ``key`` is None or (angle bytes, alpha): the frame then holds those
     angles and alpha. The frame rule: ``_chords_at`` sets the key to None,
@@ -151,14 +167,39 @@ class _Workspace:
     def __init__(self, n):
         self.n = n
         self.key = None
+        # row j of the triangle holds the n - 1 - j pairs (j, j + 1..n - 1); built
+        # from those counts, not from np.triu_indices' n x n mask
+        counts = np.arange(n - 1, 0, -1)
+        j = self.j = np.repeat(np.arange(n - 1), counts)
+        k = self.k = np.arange(j.size) + np.repeat(np.arange(1, n) - (np.cumsum(counts) - counts),
+                                                   counts)
+        self.gather = np.zeros(n * n, dtype=np.intp)
+        self.gather[j * n + k] = np.arange(j.size)
+        self.gather[k * n + j] = np.arange(j.size, 2 * j.size)
         (self.mj, self.mk, self.mm, self.du, self.ru, self.sin, self.r_a2,
-         self.s, self.t) = np.empty((9, n * (n - 1) // 2))
+         self.s, self.t) = np.empty((9, j.size))
         self.full = np.empty((n, n))
 
     @property
     def st(self):
         """``s`` then ``t`` as one 2P-long view of the block that holds them."""
         return self.s.base[-2:].reshape(-1)
+
+
+def _mirror(ws, pairs, out):
+    """n x n matrix from packed ``pairs`` = [upper | lower] with zeros on the diagonal.
+
+    Entry p of the upper half lands at (j_p, k_p) and entry p of the
+    lower half at (k_p, j_p), with (j_p, k_p) the packed pair order of
+    ws. ``out`` must be C-contiguous and must not overlap ``pairs``:
+    every entry is gathered from ``pairs`` and the diagonal then zeroed
+    through a strided view of the flat buffer.
+    """
+    flat = out.reshape(-1)
+    # 'clip' skips the bounds pass that makes take buffer its out
+    pairs.take(ws.gather, out=flat, mode="clip")
+    flat[:: ws.n + 1] = 0.0
+    return out
 
 
 # each thread keeps the workspace of the last n it evaluated
@@ -192,17 +233,24 @@ def _frame(config, alpha):
 
 
 def _chords_at(ws, t):
-    """Packed du and ru of the angles t into ws, which then holds no frame."""
+    """Packed du = t_j - t_k and chords ru = |2 sin(du/2)| of the angles t into ws.
+
+    ws then holds no frame. The angles are not checked here: callers pass
+    increasing angles in (0, 2*pi] with every circular gap at least
+    ``COLLISION_TOL``. The gathered t_k pass through ``ws.s``.
+    """
     ws.key = None
-    _pair_chords(t, (ws.du, ws.ru, ws.s))
+    # 'clip' skips the bounds pass that makes take buffer its out
+    t.take(ws.j, out=ws.du, mode="clip")
+    ws.du -= t.take(ws.k, out=ws.s, mode="clip")
+    _chords(ws.du, ws.ru)
 
 
 def _mass_pairs(ws, m):
     """Packed masses m_j and m_k and products m_j m_k of the pairs j < k into ws."""
-    j, k, _ = _pairs(m.size)
     # 'clip' skips the bounds pass that makes take buffer its out
-    m.take(j, out=ws.mj, mode="clip")
-    m.take(k, out=ws.mk, mode="clip")
+    m.take(ws.j, out=ws.mj, mode="clip")
+    m.take(ws.k, out=ws.mk, mode="clip")
     np.multiply(ws.mj, ws.mk, out=ws.mm)
 
 
@@ -234,7 +282,7 @@ def _grad_theta(aux, m, ws):
     lower = np.multiply(ws.mj, ws.sin, out=ws.t)
     lower *= w
     np.negative(lower, out=lower)
-    full = _mirror(ws.n, ws.st, ws.full)
+    full = _mirror(ws, ws.st, ws.full)
     return -(m * np.add.reduce(full, axis=1))
 
 
@@ -257,7 +305,7 @@ def _hessian_theta(aux, ws):
     off *= ws.mm
     # cos is even and mm symmetric, so the mirror is exactly symmetric
     ws.s[...] = off
-    h = _mirror(ws.n, ws.st, ws.full)
+    h = _mirror(ws, ws.st, ws.full)
     h.reshape(-1)[:: ws.n + 1] = -np.add.reduce(h, axis=1)
     return h
 
@@ -273,11 +321,11 @@ def _cc_residuals(alpha, m, ws):
     upper = np.negative(ws.sin, out=ws.s)
     upper *= ws.r_a2
     np.negative(upper, out=ws.t)
-    tangential = _mirror(ws.n, ws.st, ws.full) @ m
+    tangential = _mirror(ws, ws.st, ws.full) @ m
     # the tangential terms are dead, so the radial powers take their buffers
     radial = _pow(ws.ru, -alpha, ws.s)
     ws.t[...] = radial
-    radial_sums = _mirror(ws.n, ws.st, ws.full) @ m
+    radial_sums = _mirror(ws, ws.st, ws.full) @ m
     sums = (float(np.max(np.abs(tangential))),
             float(np.max(radial_sums) - np.min(radial_sums)), float(np.mean(radial_sums)))
     _check_finite(alpha, sums, ws.r_a2, radial)
@@ -298,15 +346,13 @@ def grad_theta_f_k(aux: AuxiliaryFunctional, masses: MassVector,
     opposite, so the entries sum to zero up to roundoff.
     """
     _check_lengths(masses, config)
-    _check_gaps(config)
-    m, ws = masses.masses, _Workspace(config.n)
+    m = masses.masses
     with np.errstate(over="ignore", invalid="ignore"):
-        _chords_at(ws, config.angles)
+        ws = _frame(config, aux.alpha)
         _mass_pairs(ws, m)
-        r_a2 = _powers(ws, aux.alpha)
         grad = _grad_theta(aux, m, ws)
         # each entry is a mass-weighted sum over pairs
-        _check_finite(aux.alpha, grad, r_a2)
+        _check_finite(aux.alpha, grad, ws.r_a2)
     return grad
 
 
@@ -318,9 +364,9 @@ def pair_weight_matrix(aux: AuxiliaryFunctional,
     real vector y, y^T W y / 2 equals the functional evaluated with y in
     place of the masses.
     """
-    _check_gaps(config)
     with np.errstate(over="ignore", invalid="ignore"):
-        w = _pair_weights(aux, _pair_chords(config.angles)[1])
+        ws = _frame(config, aux.alpha)
+        w = _pair_weights(aux, ws.ru)
         # r**2/k stays finite, so w overflows exactly where r**-alpha does
         _check_finite(aux.alpha, (float(w.max()),), w)
-    return _mirror(config.n, np.concatenate((w, w)))
+    return _mirror(ws, np.concatenate((w, w)), np.empty((config.n, config.n)))

@@ -23,12 +23,11 @@ for bit, so where a block holds both, ``_term_index`` keeps each distinct
 sine once with an intp map from the padded block into them: the pow
 takes the distinct sines and one ``take`` lays their terms out as the
 block. A block with no such pair keeps the pow over its padded sines.
-``_term_index`` caches the last two blocks by their ns, as
-``geometry._pairs`` caches its gather maps, so a scan repeated over one
-n range builds no block: n = 3..300 is one block of 44,402 padded sines,
-of which each alpha's pow takes 16,800. ``scan_region`` wraps the grid's
-rows in ``RegionCell``s; the CLI's ``scan`` and
-``scripts/region_map.py`` write the rows out directly.
+``_term_index`` caches the last two blocks by their ns, so a scan
+repeated over one n range builds no block: n = 3..300 is one block of
+44,402 padded sines, of which each alpha's pow takes 16,800.
+``scan_region`` wraps the grid's rows in ``RegionCell``s; the CLI's
+``scan`` and ``scripts/region_map.py`` write the rows out directly.
 
 Every term comes from one libm pow (``_terms``), and every sum adds the
 terms in table order: ``_g`` accumulates its table, and a reduce along

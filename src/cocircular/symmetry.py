@@ -180,8 +180,8 @@ def exclusion_verdicts(aux: AuxiliaryFunctional, masses: MassVector
     """Group and swap exclusion verdicts from one minimization.
 
     Both scans rest on one Newton solve for the minimizer theta_m and the
-    pair weights W there; W builds its own chords, and the residual check
-    reuses the frame the solve leaves in this thread's workspace. If
+    pair weights W there; W and the residual check read the frame the
+    solve leaves in this thread's workspace, so neither builds chords. If
     (m, theta_m) satisfied the central-configuration equations, the mass
     gradient of the functional would be a constant vector, so relabeling
     the masses to g m would change the value by the pure quadratic term

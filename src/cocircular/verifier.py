@@ -9,7 +9,8 @@ check it against the planar-position oracle in ``tests/oracle.py``.
 ``verify_cc`` checks its inputs first and then takes the residual sums
 from the pair frame ``potential._frame`` returns, reused from this
 thread's workspace when it holds these angles and this alpha (a converged
-solve's or the last check's), with the full-matrix formulas' bits either way.
+solve's, or the last check's, W's or angle gradient's), with the
+full-matrix formulas' bits either way.
 """
 
 from __future__ import annotations

@@ -21,7 +21,7 @@ import numpy as np
 from cocircular import (TAU, AngleConfiguration, AuxiliaryFunctional, CCReport,
                         CocircularError, CollisionError, DimensionError,
                         DomainError, GroupElement, MassVector, pair_weight_matrix)
-from cocircular.geometry import _check_gaps, _check_pinned, _mirror, _pair_chords
+from cocircular.geometry import _check_gaps, _check_pinned, _chords
 from cocircular.potential import _check_alpha, _check_finite
 
 _EDGE = 1e-6
@@ -252,7 +252,7 @@ def act_on_angles(g: GroupElement, config: AngleConfiguration) -> AngleConfigura
 def mirror(n: int, upper: np.ndarray, lower: np.ndarray, out=None) -> np.ndarray:
     """n x n matrix with ``upper`` above, ``lower`` below and zeros on the diagonal.
 
-    The reference for ``geometry._mirror``'s gather: entry p of ``upper``
+    The reference for ``potential._mirror``'s gather: entry p of ``upper``
     is written at (j_p, k_p) through the strict upper-triangle mask and
     entry p of ``lower`` at (k_p, j_p) through the same mask on the
     transposed view. A reused ``out`` must be C-contiguous.
@@ -271,11 +271,16 @@ def mirror(n: int, upper: np.ndarray, lower: np.ndarray, out=None) -> np.ndarray
 def chord_matrix(config: AngleConfiguration) -> np.ndarray:
     """Pairwise chords r_jk = |2 sin((t_j - t_k)/2)|, zero diagonal.
 
-    The package's packed chords, mirrored into the n x n matrix.
+    The chords of the pairs ``np.triu_indices(n, 1)`` lists, through the
+    package's one chord formula ``geometry._chords``, written into the
+    matrix by the masked ``mirror``; no pair index map or gather of the
+    package takes part.
     """
     _check_gaps(config)
-    ru = _pair_chords(config.angles)[1]
-    return _mirror(config.n, np.concatenate((ru, ru)))
+    j, k = np.triu_indices(config.n, 1)
+    t = config.angles
+    ru = _chords(t[j] - t[k])
+    return mirror(config.n, ru, ru)
 
 
 def taylor_identity_check(aux: AuxiliaryFunctional, masses_cc: MassVector,

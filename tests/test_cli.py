@@ -356,6 +356,19 @@ def test_minimize_bad_init_exits_two(tmp_path, capsys, angles, message):
     assert (captured.out, captured.err) == ("", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("field, value, what", [
+    ("angles", [[1, 2, 3]], "an angle configuration"),
+    ("masses", [[1, 1], [2, 3]], "a mass vector"),
+])
+def test_two_dimensional_input_exits_two_naming_its_shape(tmp_path, capsys, field, value,
+                                                          what):
+    inp = write_json(tmp_path / "m.json", {**M112, "angles": [2.0, 4.0, TAU], field: value})
+    assert main(["verify", "--input", inp]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", f"error: {what} must be one-dimensional with at least two entries\n")
+
+
 def test_exit_code_three_on_convergence_failure(tmp_path, capsys):
     inp = write_json(tmp_path / "m.json", M112)
     # a zero tolerance is valid but only an exactly vanishing gradient meets it

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cocircular.geometry as geometry
+import cocircular.potential as potential
 from cocircular import (
     TAU,
     AngleConfiguration,
@@ -28,7 +29,7 @@ from cocircular import (
     scan_region,
     verify_cc,
 )
-from conftest import dirty_matrix, ordered_angles
+from conftest import dirty_matrix, on_fresh_thread, ordered_angles
 from oracle import chord_matrix, mirror
 
 
@@ -96,6 +97,19 @@ def test_mass_vector_validation():
         MassVector(np.array([1.0, -2.0]))
     with pytest.raises(DomainError):
         MassVector(np.array([1.0, np.nan]))
+
+
+@pytest.mark.parametrize("build, value, what", [
+    (MassVector, np.ones((3, 3)), "a mass vector"),
+    (MassVector, [1.0], "a mass vector"),
+    (AngleConfiguration, [[1.0, 2.0, 3.0]], "an angle configuration"),
+    (AngleConfiguration, np.ones((1, 1)), "an angle configuration"),
+], ids=["masses-3x3", "masses-one", "angles-1x3", "angles-1x1"])
+def test_arity_error_names_both_conditions(build, value, what):
+    # 2-D input of enough entries is refused for its shape, not its count
+    message = f"^{what} must be one-dimensional with at least two entries$"
+    with pytest.raises(InvalidArity, match=message):
+        build(value)
 
 
 @pytest.mark.parametrize("masses", [[1e308] * 3, [1.7e308, 1.7e308]])
@@ -279,13 +293,15 @@ def _at_collision_tol(n, where):
 @pytest.mark.parametrize("where", ["first", "middle", "wrap"])
 @pytest.mark.parametrize("n", [3, 64, 1024])
 def test_chords_at_the_collision_tolerance_lie_in_range(n, where):
-    # _pair_chords checks nothing; every configuration or line-search trial
+    # _chords_at checks nothing; every configuration or line-search trial
     # that reaches it has every circular gap >= COLLISION_TOL, and at the
     # smallest such gap every chord is still positive and at most 2
     t = _at_collision_tol(n, where)
     assert geometry.COLLISION_TOL <= _smallest_gap(t) < 1.001 * geometry.COLLISION_TOL
     AngleConfiguration(t)  # increasing, in (0, 2*pi]
-    du, ru = geometry._pair_chords(t)
+    ws = on_fresh_thread(potential._workspace, n)
+    potential._chords_at(ws, t)
+    ru = ws.ru
     assert ru.min() > 0.0 and ru.max() <= 2.0
     assert ru.min() < 2e-12
 
@@ -350,10 +366,11 @@ def test_mirror_gathers_the_bits_of_the_masked_writes(n, symmetric):
     upper, lower = _mirror_inputs(n, symmetric)
     pairs = np.concatenate((upper, lower))
     expected = mirror(n, upper, lower).tobytes()
-    assert geometry._mirror(n, pairs).tobytes() == expected
+    ws = on_fresh_thread(potential._workspace, n)
     dirty = dirty_matrix(n)
-    assert geometry._mirror(n, pairs, dirty) is dirty
+    assert potential._mirror(ws, pairs, dirty) is dirty
     assert dirty.tobytes() == expected
+    assert potential._mirror(ws, pairs, np.empty((n, n))).tobytes() == expected
     assert mirror(n, upper, lower, dirty_matrix(n)).tobytes() == expected
     # +0.0 on the diagonal, not the stale -0.0
     assert not np.signbit(dirty.diagonal()).any()
@@ -361,23 +378,28 @@ def test_mirror_gathers_the_bits_of_the_masked_writes(n, symmetric):
 
 def test_mirror_map_needs_no_copy_to_gather():
     n = 256
-    gather = geometry._pairs(n)[2]
-    assert gather.dtype == np.intp and gather.shape == (n * n,)
-    assert gather.flags.c_contiguous and gather.flags.writeable
+    ws = on_fresh_thread(potential._workspace, n)
+    assert ws.gather.shape == (n * n,) and ws.j.shape == ws.k.shape == (n * (n - 1) // 2,)
+    for index in (ws.j, ws.k, ws.gather):
+        assert index.dtype == np.intp
+        assert index.flags.c_contiguous and index.flags.writeable
     pairs, out = np.ones(n * (n - 1)), np.empty((n, n))
-    geometry._mirror(n, pairs, out)  # caches the map for n
+    t, m = regular_ngon(n).angles, np.ones(n)
     tracemalloc.start()
     try:
-        geometry._mirror(n, pairs, out)
+        potential._mirror(ws, pairs, out)
+        potential._chords_at(ws, t)
+        potential._mass_pairs(ws, m)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # a copied map alone is n^2 intp, 512 KiB
+    # a copied map alone is n^2 intp, 512 KiB, and a copied pair index
+    # n(n - 1)/2 intp, 255 KiB
     assert peak < 4096
 
 
 def test_pair_indices_match_triu_indices():
     for n in [*range(2, 65), 1024]:
-        j, k, _ = geometry._pairs.__wrapped__(n)
-        for got, want in zip((j, k), np.triu_indices(n, 1)):
+        ws = on_fresh_thread(potential._workspace, n)
+        for got, want in zip((ws.j, ws.k), np.triu_indices(n, 1)):
             assert got.dtype == np.intp and np.array_equal(got, want), n

@@ -21,7 +21,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import cocircular.geometry as geometry
 import cocircular.minimizer as minimizer
 import cocircular.potential as potential
 import reference_potential as ref
@@ -151,25 +150,25 @@ def test_verify_cc_matches_reference_on_every_pow_branch(alpha):
 
 @pytest.fixture
 def chord_builds(monkeypatch):
-    """Count calls of the raw chord kernel.
+    """Count calls of the one chord builder.
 
-    Every pair frame, the Newton loop's included, and W build their chords
-    through ``_pair_chords``; every package module that holds it by name
-    is patched, and the buffers pass through.
+    Every pair frame, the Newton loop's included, builds its chords
+    through ``potential._chords_at``; every package module that holds it
+    by name is patched, and the workspace passes through.
     """
     calls = []
-    build = geometry._pair_chords
+    build = potential._chords_at
 
-    def counting(t, *args, **kwargs):
+    def counting(ws, t):
         calls.append(t.size)
-        return build(t, *args, **kwargs)
+        return build(ws, t)
 
     callers = [module for name, module in list(sys.modules.items())
                if name.split(".")[0] == "cocircular"
-               and getattr(module, "_pair_chords", None) is build]
-    assert geometry in callers and potential in callers
+               and getattr(module, "_chords_at", None) is build]
+    assert minimizer in callers and potential in callers
     for module in callers:
-        monkeypatch.setattr(module, "_pair_chords", counting)
+        monkeypatch.setattr(module, "_chords_at", counting)
     return calls
 
 

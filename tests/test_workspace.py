@@ -5,10 +5,10 @@ laid out and keyed as ``potential._Workspace`` states. Reusing it must not
 move a bit, threads must not share it, results must not alias it, bad
 input must not reach it, a repeat call at the same n must allocate only
 what it still allocates by design, and no module but ``potential`` may
-name its buffers. Under the frame rule ``verify_cc`` at a converged
-solve's minimizer and alpha builds no chords and gives the bits of a miss
-there, a failed solve leaves no key, and the public evaluators never touch
-the workspace.
+name its buffers. Under the frame rule ``verify_cc`` and W at a
+converged solve's minimizer and alpha build no chords and give the bits
+of a miss there, and a failed solve leaves no key. The public evaluators
+read the same frame and give the bits of a fresh thread whatever it held.
 """
 
 import ast
@@ -30,8 +30,11 @@ import cocircular.verifier as verifier
 import reference_potential as ref
 from cocircular import (TAU, AngleConfiguration, AuxiliaryFunctional, ConvergenceFailure,
                         DimensionError, DomainError, MassVector, UnsupportedExponent,
-                        grad_theta_f_k, minimize_f_k, pair_weight_matrix, verify_cc)
-from conftest import dirty_matrix, on_fresh_thread, ordered_angles, random_masses
+                        exclusion_verdicts, grad_theta_f_k, minimize_f_k,
+                        pair_weight_matrix, verify_cc)
+from conftest import (certify_masses, dirty_matrix, on_fresh_thread, ordered_angles,
+                      random_masses)
+from oracle import mirror
 
 
 def _problem(n, alpha, seed):
@@ -175,20 +178,30 @@ def test_bad_verify_input_leaves_the_workspace_untouched(args, error, message):
     lambda aux, m, cfg: pair_weight_matrix(aux, cfg),
     grad_theta_f_k,
 ], ids=["pair_weight_matrix", "grad_theta_f_k"])
-def test_public_evaluators_leave_the_workspace_alone(evaluator, where):
+def test_public_evaluators_match_a_fresh_thread(counted, evaluator, where):
+    builds, sines = counted
     aux, m = _problem(64, 1.0, 19)
     cfg = minimize_f_k(aux, m).theta_m
-    ws = potential._local.ws
-    assert ws.key == (cfg.angles.tobytes(), 1.0)
+    assert potential._local.ws.key == (cfg.angles.tobytes(), 1.0)
     if where == "elsewhere":
         cfg = ordered_angles(np.random.default_rng(19), 64, TAU / 256)
     elif where == "other-n":
         aux, m = _problem(9, 1.0, 19)
         cfg = ordered_angles(np.random.default_rng(19), 9)
-    before = _snapshot(ws)
-    evaluator(aux, m, cfg)
-    assert potential._local.ws is ws and ws.n == 64
-    assert _snapshot(ws) == before
+    del builds[:]
+    out = evaluator(aux, m, cfg)
+    # the held frame is read; any other point builds its chords once
+    assert builds == ([] if where == "held" else [cfg.n])
+    ws = potential._local.ws
+    assert ws.n == cfg.n and ws.key == (cfg.angles.tobytes(), 1.0)
+    assert not any(np.shares_memory(out, buf) for buf in _workspace_arrays(ws))
+    assert out.tobytes() == on_fresh_thread(evaluator, aux, m, cfg).tobytes()
+    # a repeat, a check there and the other evaluator build no chords
+    del builds[:], sines[:]
+    assert evaluator(aux, m, cfg).tobytes() == out.tobytes()
+    verify_cc(1.0, m, cfg)
+    pair_weight_matrix(aux, cfg)
+    assert builds == [] and sines == []
 
 
 def _weights(aux, config):
@@ -268,33 +281,63 @@ def test_a_failed_solve_leaves_no_point(monkeypatch, exit_, scale, kwargs, messa
     assert _check(1.0, m, cfg) == on_fresh_thread(_check, 1.0, m, cfg)
 
 
+def _patch_callers(monkeypatch, owner, name, record):
+    """Pass every call of the kernel ``owner.name`` through ``record`` first.
+
+    Every package module that holds the kernel by name is patched, on
+    every thread; the arguments pass through. Returns those modules.
+    """
+    kernel = getattr(owner, name)
+
+    def recording(*args):
+        record(*args)
+        return kernel(*args)
+
+    callers = [module for module_name, module in list(sys.modules.items())
+               if module_name.split(".")[0] == "cocircular"
+               and getattr(module, name, None) is kernel]
+    for module in callers:
+        monkeypatch.setattr(module, name, recording)
+    return set(callers)
+
+
 @pytest.fixture
 def counted(monkeypatch):
-    """Count chord builds and ``np.sin`` calls, on every thread.
+    """Count chord builds, by n, and ``np.sin`` calls, on every thread.
 
-    Every package module that holds the raw chord kernel ``_pair_chords``
-    by name is patched, and so is ``sin`` on numpy, which the chords and
-    ``potential._powers`` call; arguments and buffers pass through.
+    ``sin`` is patched on numpy, which the chords and ``potential._powers``
+    call; arguments and buffers pass through.
     """
-    builds, sines = [], []
-    build, sin = geometry._pair_chords, np.sin
-
-    def counting_build(t, *args, **kwargs):
-        builds.append(t.size)
-        return build(t, *args, **kwargs)
+    builds, sines, sin = [], [], np.sin
 
     def counting_sin(*args, **kwargs):
         sines.append(np.size(args[0]))
         return sin(*args, **kwargs)
 
-    callers = [module for name, module in list(sys.modules.items())
-               if name.split(".")[0] == "cocircular"
-               and getattr(module, "_pair_chords", None) is build]
-    assert {geometry, potential} <= set(callers)
-    for module in callers:
-        monkeypatch.setattr(module, "_pair_chords", counting_build)
+    # the one chord builder, _chords_at(ws, t)
+    callers = _patch_callers(monkeypatch, potential, "_chords_at",
+                             lambda ws, t: builds.append(t.size))
+    assert {minimizer, potential} <= callers
     monkeypatch.setattr(np, "sin", counting_sin)
     return builds, sines
+
+
+@pytest.mark.parametrize("n", [16, 40])
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 3.0])
+def test_exclusion_builds_only_the_chords_of_its_solve(monkeypatch, n, alpha):
+    # every chord of the package comes from geometry._chords, whatever
+    # builds its differences; one-heavy masses have swap certificates, so
+    # verify_cc runs too, and W and that check read the solve's last frame
+    aux, m = AuxiliaryFunctional(alpha), MassVector(certify_masses("one-heavy", n))
+    differences = []
+    callers = _patch_callers(monkeypatch, geometry, "_chords",
+                             lambda du, out=None: differences.append(du.tobytes()))
+    assert geometry in callers
+    minimize_f_k(aux, m)
+    solve, differences[:] = list(differences), []
+    group, swap = exclusion_verdicts(aux, m)
+    assert swap.excluded and group.excluded
+    assert differences == solve
 
 
 def test_checks_at_the_minimizer_build_no_chords(counted):
@@ -304,10 +347,8 @@ def test_checks_at_the_minimizer_build_no_chords(counted):
     res = minimize_f_k(aux, m)
     del builds[:], sines[:]
     pairs = n * (n - 1) // 2
-    # W builds its own chords, whose sines are the chords' half angles
+    # W and the check read the solve's frame: no chords and no sines
     pair_weight_matrix(aux, res.theta_m)
-    assert builds == [n] and sines == [pairs]
-    del builds[:], sines[:]
     verify_cc(1.0, m, res.theta_m)
     assert builds == [] and sines == []
     # a fresh thread holds no frame: one chord build and the sines of du
@@ -334,9 +375,12 @@ def test_a_check_at_another_alpha_is_a_full_miss(counted):
 
 @pytest.mark.parametrize("n", [2, 3, 64, 256])
 def test_workspace_holds_nine_pair_buffers_and_one_matrix(n):
+    # and its index maps: j and k, one intp per pair, and the n^2 gather
     ws = on_fresh_thread(potential._workspace, n)
     buffers = {id(buf): buf for buf in _workspace_arrays(ws)}
-    assert sum(buf.nbytes for buf in buffers.values()) <= 8 * (9 * n * (n - 1) // 2 + n * n)
+    pairs = n * (n - 1) // 2
+    maps = np.dtype(np.intp).itemsize * (2 * pairs + n * n)
+    assert sum(buf.nbytes for buf in buffers.values()) <= 8 * (9 * pairs + n * n) + maps
 
 
 def test_repeat_verify_allocates_no_pair_buffer():
@@ -379,6 +423,45 @@ def test_repeat_solve_allocates_no_chords():
     assert peak < 8 * ((n - 1) ** 2 + 64 * n)
 
 
+def test_solves_at_many_n_retain_one_workspace():
+    # the index maps live and die with the workspace: eight n on one thread
+    # leave the last n's workspace and maps, and nothing cached per n
+    sizes = range(512, 569, 8)
+
+    def retained():
+        # a small solve first, so that no lazy import is counted
+        minimize_f_k(*_problem(8, 1.0, 8))
+        tracemalloc.start()
+        try:
+            for n in sizes:
+                assert minimize_f_k(*_problem(n, 1.0, n)).converged
+            return tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+
+    n = sizes[-1]
+    pairs = n * (n - 1) // 2
+    workspace = 8 * (9 * pairs + n * n) + np.dtype(np.intp).itemsize * (2 * pairs + n * n)
+    assert on_fresh_thread(retained) < workspace + 2**20
+
+
+def _verdicts(n, alpha, family):
+    group, swap = exclusion_verdicts(AuxiliaryFunctional(alpha),
+                                     MassVector(certify_masses(family, n)))
+    # repr tells every margin's bits apart
+    return [repr((v.certificates, v.f_value, v.theta_m.angles.tobytes(), v.inconsistent))
+            for v in (group, swap)]
+
+
+def test_concurrent_exclusions_match_one_thread():
+    # two threads at n = 40 and 64, each switching n and alpha on every call
+    work = [[(40, 1.0, "one-heavy"), (64, 0.5, "uniform"), (40, 3.0, "two-heavy")],
+            [(64, 1.0, "one-heavy"), (40, 0.5, "uniform"), (64, 3.0, "graded")]]
+    serial = [[_verdicts(*args) for args in calls] for calls in work]
+    results = _concurrently([[(_verdicts, args) for args in calls] for calls in work])
+    assert results == serial
+
+
 def _workspaces_named(tree):
     """Nodes in tree that hold a workspace: the calls that return one and
     the names bound to such a call."""
@@ -408,18 +491,19 @@ def test_diagonal_writes_into_a_dirty_buffer(n):
     rng = np.random.default_rng(n)
     aux, m = AuxiliaryFunctional(1.0), random_masses(rng, n)
     cfg = ordered_angles(rng, n)
-    ru = geometry._pair_chords(cfg.angles)[1]
-    pairs = np.concatenate((ru, -ru))
-    mirrored = geometry._mirror(n, pairs, dirty_matrix(n))
-    assert mirrored.tobytes() == geometry._mirror(n, pairs).tobytes()
-    # +0.0 on the diagonal, not the stale -0.0
-    assert not np.signbit(mirrored.diagonal()).any()
     # a workspace whose pair buffers are all NaN and whose matrix is stale
-    ws = potential._Workspace(n)
+    ws = on_fresh_thread(potential._workspace, n)
     for buf in _workspace_arrays(ws):
-        buf.fill(np.nan)
+        if buf.dtype == float:  # not the index maps
+            buf.fill(np.nan)
     ws.full[...] = dirty_matrix(n)
     potential._chords_at(ws, cfg.angles)
+    ru = ws.ru.copy()
+    pairs = np.concatenate((ru, -ru))
+    mirrored = potential._mirror(ws, pairs, dirty_matrix(n))
+    assert mirrored.tobytes() == mirror(n, ru, -ru).tobytes()
+    # +0.0 on the diagonal, not the stale -0.0
+    assert not np.signbit(mirrored.diagonal()).any()
     potential._mass_pairs(ws, m.masses)
     potential._powers(ws, aux.alpha)
     gradient = potential._grad_theta(aux, m.masses, ws)
