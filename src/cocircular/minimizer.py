@@ -13,6 +13,12 @@ rounding, and raises ``ConvergenceFailure`` with the last iterate, as a
 failed final Cholesky check does, unless the Hessian overflowed: that is
 the input's typed error, as an overflowed f or gradient is.
 
+The Hessian only steers the step (``potential._hessian_theta`` bounds
+its entries). The stop leaves theta_m up to about grad_tol·|f| over the
+reduced Hessian's smallest eigenvalue from the minimizer, so theta_m's
+last digits, and f's and the gradient norm's there, follow the iterate
+path; at given angles f, the gradient and the stop test keep their bits.
+
 Without an init the loop starts at ``_mass_start``, whose neighbour gaps
 follow the masses; equal masses start at the regular n-gon. The masses
 and the start are validated once, on entry. The loop then runs
@@ -154,10 +160,13 @@ def minimize_f_k(aux: AuxiliaryFunctional, masses: MassVector,
             gnorm = _norm(gr)
             _check_finite(aux.alpha, (fx, gnorm), r_a2)
             h = _hessian_theta(aux, ws)
+            # h is symmetric bit for bit, and the regularization only shifts
+            # its diagonal, so LAPACK takes hr.T, the same matrix, whose
+            # Fortran-order copy reads h's rows contiguously
             hr = h[:-1, :-1]
             if gnorm <= grad_tol * abs(fx):
                 try:
-                    np.linalg.cholesky(hr)
+                    np.linalg.cholesky(hr.T)
                 except np.linalg.LinAlgError:
                     raise failure("reduced Hessian is not positive definite "
                                   "at the candidate") from None
@@ -173,7 +182,7 @@ def minimize_f_k(aux: AuxiliaryFunctional, masses: MassVector,
                 reg = _DIAG_REG * float(np.add.reduce(hr.diagonal() * 2.0 ** -64)) / n * 2.0 ** 64
             h.reshape(-1)[:-1:n + 1] += reg
             try:
-                step = np.linalg.solve(hr, -gr)
+                step = np.linalg.solve(hr.T, -gr)
                 slope = float(gr @ step)
             except np.linalg.LinAlgError:
                 slope = math.nan

@@ -24,9 +24,16 @@ only and ``_mirror`` expands them into n x n matrices with a zero
 diagonal, by one gather from a contiguous ``[upper | lower]`` source;
 their rows are then summed in the same order as the full-matrix
 formulas, so every float keeps the bits those formulas give: t_k - t_j
-is exactly -(t_j - t_k) in IEEE arithmetic, numpy's sin is odd and its
-cos even (checked bit for bit by the tests), so a symmetric quantity is
-mirrored as is and an antisymmetric one with its sign flipped.
+is exactly -(t_j - t_k) in IEEE arithmetic and numpy's sin is odd
+(checked bit for bit by the tests), so a symmetric quantity is mirrored
+as is and an antisymmetric one with its sign flipped.
+
+The Hessian forms cos(du/2)**2 from the chord as 1 - ru**2/4, with no
+cosine pass; ``_hessian_theta`` bounds each entry against the cosine
+form. The Hessian only steers the Newton step, so f, the gradient, W
+and the CC residuals keep their formulas and their bits at given
+angles, while a minimizer's last digits follow the iterate path (see
+``minimizer``).
 
 Every evaluation runs in this thread's ``_Workspace``, which holds the
 pair index maps and the buffers for one n; only the kernels here name
@@ -287,13 +294,40 @@ def _grad_theta(aux, m, ws):
 
 
 def _hessian_theta(aux, ws):
-    """Angle Hessian from the pair masses and the frame ws holds, in ``ws.full``."""
+    """Angle Hessian from the pair masses and the frame ws holds, in ``ws.full``.
+
+    The off-diagonal entry of pair (j, k) is
+    m_j m_k (-a (1 + a c2) r**-(a + 2) + (2 - 4 c2)/k), a = alpha, with
+    c2 = cos(du/2)**2 formed from the chord as 1 - ru**2/4, which takes
+    no cosine.
+
+    Accuracy against the cosine form, the same operations on
+    c2' = fl(cos(du/2))**2 with the same r_a2 and mm (``hessian_theta``
+    of ``tests/oracle.py``). Let u = 2**-53, take np.sin and np.cos
+    within one ulp, and let c = cos(du/2)**2 and s = 1 - c, exact at the
+    computed du. The chord carries the sine's 2u and its square about
+    5u, the quarter is exact and the subtraction adds one u, so
+    |c2 - c| <= 6u s + u c, against |c2' - c| <= 6u c. So
+    |c2 - c2'| <= 7u: near an antipodal pair (c near 0) c2 is off by
+    about 6u where c2' is off by 6u c, and near a collision both are
+    within a few u c. Each form's other roundings add at most
+    gamma_6 = 6u/(1 - 6u) times m_j m_k (a (1 + a) r_a2 + 2/k), so each
+    off-diagonal entry is within
+
+        m_j m_k ((a**2 r_a2 + 4/k) 7u + 2 gamma_6 (a (1 + a) r_a2 + 2/k))
+
+    of the cosine form's, and each diagonal entry within the sum of its
+    row's bounds times 1 + gamma_(n-1), plus 2 gamma_(n-1) times the sum
+    of the absolute values of the cosine form's row. The tests check
+    this at near-antipodal and near-collision pairs.
+    """
     a = aux.alpha
     # in place, operation for operation as
-    # mm * (-a * (1 + a * c2) * r_a2 + (2 - 4 * c2) / k) with c2 = cos(du/2)**2
-    c2 = np.multiply(0.5, ws.du, out=ws.s)
-    np.cos(c2, out=c2)
-    c2 *= c2
+    # mm * (-a * (1 + a * c2) * r_a2 + (2 - 4 * c2) / k) with c2 = 1 - ru * ru / 4;
+    # the quarter is exact, so it may scale either factor
+    c2 = np.multiply(-0.25, ws.ru, out=ws.s)
+    c2 *= ws.ru
+    c2 += 1.0
     off = np.multiply(a, c2, out=ws.t)
     off += 1.0
     off *= -a
@@ -303,7 +337,7 @@ def _hessian_theta(aux, ws):
     c2 /= aux.k
     off += c2
     off *= ws.mm
-    # cos is even and mm symmetric, so the mirror is exactly symmetric
+    # both halves of the mirror's source are off, so h is symmetric bit for bit
     ws.s[...] = off
     h = _mirror(ws, ws.st, ws.full)
     h.reshape(-1)[:: ws.n + 1] = -np.add.reduce(h, axis=1)

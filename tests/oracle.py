@@ -6,10 +6,11 @@ pinned configuration, the dihedral group's algebra (its element list,
 generators, identity test and composition) and its action on angles, the
 grouping of image rows by their bytes that the group scan's coset rule
 is checked against, the mask-based pair mirror, the full chord matrix,
-the defect of the exact quadratic mass expansion, and the
-central-configuration residuals taken straight from planar positions,
-which ``verify_cc`` (from angles) is checked against. The package never
-imports this.
+the defect of the exact quadratic mass expansion, the angle Hessian
+with its cosines and the bound that the package's chord form keeps to
+it, and the central-configuration residuals taken straight from planar
+positions, which ``verify_cc`` (from angles) is checked against. The
+package never imports this.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from cocircular import (TAU, AngleConfiguration, AuxiliaryFunctional, CCReport,
                         CocircularError, CollisionError, DimensionError,
                         DomainError, GroupElement, MassVector, pair_weight_matrix)
 from cocircular.geometry import _check_gaps, _check_pinned, _chords
-from cocircular.potential import _check_alpha, _check_finite
+from cocircular.potential import _check_alpha, _check_finite, _pow
 
 _EDGE = 1e-6
 _BOX_SHRINK = 4.0
@@ -281,6 +282,51 @@ def chord_matrix(config: AngleConfiguration) -> np.ndarray:
     t = config.angles
     ru = _chords(t[j] - t[k])
     return mirror(config.n, ru, ru)
+
+
+def hessian_theta(aux: AuxiliaryFunctional, masses: MassVector,
+                  config: AngleConfiguration) -> np.ndarray:
+    """Angle Hessian with c2 = cos(du/2)**2 taken by the cosine.
+
+    The formula the package's ``_hessian_theta`` gives with c2 formed
+    from the chord instead: the same operations on the packed pairs
+    ``np.triu_indices(n, 1)`` lists, with the package's chord formula
+    and chord power, so that the two differ only through c2.
+    """
+    n, t, m, a = config.n, config.angles, masses.masses, aux.alpha
+    j, k = np.triu_indices(n, 1)
+    du = t[j] - t[k]
+    c2 = np.cos(0.5 * du) ** 2
+    r_a2 = _pow(_chords(du), -(a + 2.0))
+    off = m[j] * m[k] * (-a * (1.0 + a * c2) * r_a2 + (2.0 - 4.0 * c2) / aux.k)
+    h = mirror(n, off, off)
+    h.reshape(-1)[:: n + 1] = -np.add.reduce(h, axis=1)
+    return h
+
+
+def hessian_bound(aux: AuxiliaryFunctional, masses: MassVector,
+                  config: AngleConfiguration) -> np.ndarray:
+    """Per-entry bound on |package Hessian - ``hessian_theta``|.
+
+    The bound of ``potential._hessian_theta``'s docstring: off the
+    diagonal m_j m_k ((a**2 r_a2 + 4/k) 7u + 2 gamma_6 (a (1 + a) r_a2 + 2/k)),
+    on it the sum of its row's bounds plus gamma_(n-1) times both rows'
+    absolute sums, the package's bounded by the cosine form's plus the
+    bounds.
+    """
+    n, t, m, a = config.n, config.angles, masses.masses, aux.alpha
+    u = 2.0 ** -53
+    gamma_6, gamma_sum = 6.0 * u / (1.0 - 6.0 * u), (n - 1) * u / (1.0 - (n - 1) * u)
+    j, k = np.triu_indices(n, 1)
+    r_a2 = _pow(_chords(t[j] - t[k]), -(a + 2.0))
+    off = m[j] * m[k] * ((a * a * r_a2 + 4.0 / aux.k) * 7.0 * u
+                         + 2.0 * gamma_6 * (a * (1.0 + a) * r_a2 + 2.0 / aux.k))
+    bound = mirror(n, off, off)
+    rows = np.abs(hessian_theta(aux, masses, config))
+    rows.reshape(-1)[:: n + 1] = 0.0
+    bound.reshape(-1)[:: n + 1] = (bound.sum(axis=1) * (1.0 + gamma_sum)
+                                   + 2.0 * gamma_sum * rows.sum(axis=1))
+    return bound
 
 
 def taylor_identity_check(aux: AuxiliaryFunctional, masses_cc: MassVector,

@@ -103,7 +103,8 @@ def grad_theta_f_k(aux, masses, config):
 def hessian_theta_f_k(aux, masses, config):
     m, d, r = _frames(masses, config)
     a = aux.alpha
-    c2 = np.cos(0.5 * d) ** 2
+    # cos(d/2)**2 from the chord, as the package forms it
+    c2 = 1.0 - r * r / 4.0
     # the diagonal's placeholder term, replaced below, may pass a double
     with np.errstate(over="ignore"):
         off = (m[:, None] * m[None, :]) * (

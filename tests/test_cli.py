@@ -667,14 +667,15 @@ def test_number_check_past_the_recursion_limit_exits_two(monkeypatch, capsys):
 
 # SHA-256 of stdout for 256 masses drawn U(0.5, 2) with seed 256, taken
 # again, on two OpenBLAS threads, when the default start became
-# minimizer._mass_start; tests/test_meaning.py checks what they say.
+# minimizer._mass_start and when the Newton step's Hessian took
+# cos(du/2)**2 from the chord; tests/test_meaning.py checks what they say.
 LARGE_N_DIGESTS = {
-    ("minimize", 0.5): "2b1f5551c4b8a500a4d77dd50565a98a44e7a9e1ede74fe53ea9ca7468174d71",
-    ("exclude", 0.5): "4db1fef1921bca8169b23d7eec321447a78a135f6d782245cc6d388fdaf61b06",
-    ("minimize", 1.0): "91831dd945f581289de12dccabd60f179af7d2d0b072561b5c68e6f759c3f45b",
-    ("exclude", 1.0): "4b60e3d664863be19ef56ed81408ad44a730ec05c93e814135f798eb536c11d9",
-    ("minimize", 3.0): "5897958d78a4d72c711b2a73597b4546a26bb1fbff727ee08dfc031f3e4e1121",
-    ("exclude", 3.0): "2365f4938c3ed33ec7443d1ab45093ba6af6861310116014c6332e727aa3e851",
+    ("minimize", 0.5): "13d8577677ba2bc540b7f57f16fc8aa08355b3a9ce7777e08308b8cdce049268",
+    ("exclude", 0.5): "9f126cec9a461cfa73b5226a7f16addfea0340c0e932fb894261c1d488b78d79",
+    ("minimize", 1.0): "1ca6ec327d2e8c670773aa8523be1fdb2e5bf05831875971a51735fd6c1ecc1d",
+    ("exclude", 1.0): "55d44804cdc1390d7cc32d1622edaa0a9b2a049bc37aae5ff307c79d29e0c9ec",
+    ("minimize", 3.0): "830180e1dd6b810845b4a4156163a56496091d702807f3f7f5ce60735322eb88",
+    ("exclude", 3.0): "4d4815d1f97f819bd6a23a839665ec11eb33ee0f3e36cf9084c639ebd72bcd91",
 }
 
 
@@ -689,12 +690,13 @@ def test_large_n_frozen_stdout(tmp_path, capsys, command, alpha):
 
 # SHA-256 of exclude stdout for 255 unit masses and one of 300 at n = 256,
 # first taken while the group scan ran one gemv per distinct image in a
-# Python loop, and again from minimizer._mass_start. The images repeat, so these pin the scan's deduplicated path at a
-# size where OpenBLAS may split a gemv over threads.
+# Python loop, again from minimizer._mass_start and again with the
+# Hessian from the chord. The images repeat, so these pin the scan's
+# deduplicated path at a size where OpenBLAS may split a gemv over threads.
 LARGE_N_ONE_HEAVY_DIGESTS = {
-    0.5: "7bd413d1bc7036de1c62c86697b35d1c70783dc36d1ee3a9ca0436cec8ef9a4f",
-    1.0: "d3cc2788ef02179d635ce89b00088da6060a5b1b9fc763b118b731bffe3c45ed",
-    3.0: "fd6c59535734e965401cd4ac972425d541ba73ff12ac0dc5575609db3a39573e",
+    0.5: "09fa71d1b752bf6f8dd3dd4e33a6bf11dbc88382ef0cdd00a34855bae09f5c5c",
+    1.0: "fc989aebb6990ef40b42c83541a57f26dad1111deaeae10e18f28e99224260c4",
+    3.0: "e9561da47a27cf04677a85208b047ca85e1fd933379679e8e8faa1067e1fc6c3",
 }
 
 
@@ -734,17 +736,18 @@ def test_missing_required_flag_is_a_usage_error(capsys, command, missing):
 # SHA-256 of what the JSON writer produces for each shape it handles, taken
 # while every value was still written by a recursive walk with one
 # json.dumps per dict key; verify-large-n, exclude-112 and minimize-output
-# were taken again from minimizer._mass_start.
+# were taken again from minimizer._mass_start, and verify-large-n and
+# minimize-output again with the Hessian from the chord.
 WRITER_DIGESTS = {
     # verify on the n = 256, alpha = 1 minimize output of LARGE_N_DIGESTS
-    "verify-large-n": "16b1605e804c0cbc50c12a99114940cd39b7a1d7f020dccba93dbd1aad42b8a0",
+    "verify-large-n": "753f2e071bb4f93d1f995f4fd9cebe15b6953e4d8ba5818f2310b3655addcb2b",
     # group and swap certificates, "inconsistent"
     "exclude-112": "4d5d9bac6ecfe8e81c32de82526b0a0b994a3e7c9f28f7d369cbe22c8efd11b1",
     # null witnesses, empty certificate lists
     "exclude-equal": "0158ca49c269fa2476515503b591cc08e97c51849354c8bc6f7f35e7e0838b05",
     "scan-json": "755bdaaaaabbc6b32bb0f2164361ec9d5974faf8e5b1910f061191103bf474a2",
     # the file minimize --output writes, 64 masses U(0.5, 2), seed 64, alpha 0.5
-    "minimize-output": "e6a9f4467e6bf7d280ee3858a300ec8a4528a1f7cc0cdf90f85b20dccf17ad3f",
+    "minimize-output": "23216f94ef1037f208f2bd72087117496a189f9e9107d04020fa524c61dfefe6",
 }
 
 
@@ -776,10 +779,11 @@ def test_verify_large_n_frozen_stdout_on_a_fresh_thread(tmp_path, capsys, monkey
 # SHA-256 of verify on the n = 256 minimize stdout of LARGE_N_DIGESTS at
 # alpha = 0.5, whose radial powers take np.power, and alpha = 3, whose
 # take a multiply chain; first taken while the mirror wrote through a
-# mask, and again from minimizer._mass_start.
+# mask, again from minimizer._mass_start and again with the Hessian from
+# the chord.
 VERIFY_LARGE_N_DIGESTS = {
-    0.5: "c503b3ac06fb42c1cd785e8a91534aaca78e2cc49cb7e3515176108fbe87e4f8",
-    3.0: "e5a1508b781e180b3e6a344c767ee86d6ae9ef04eb0f53069a6cf8cb538c0ca1",
+    0.5: "6a7177dce6e6f89395dd09b10cdc127d80a0e5eaeca9a7a41fc58de62330d416",
+    3.0: "5d80d2011824815b077a9734d836dca3d090ef011b0a089d43e95cf9d7e15720",
 }
 
 
@@ -828,51 +832,52 @@ def test_exclude_frozen_stdout(tmp_path, capsys, key, payload):
 # SHA-256 of the exclude stdout for alpha = 0.5, 1 and 3 in turn, first
 # taken while every line-search trial still built a validated
 # AngleConfiguration and the scans tested and labelled one image row at a
-# time, and again from minimizer._mass_start. They pin the certificate
-# order, witnesses, margins and "inconsistent" flags at the sizes the
-# certify benchmark runs.
+# time, again from minimizer._mass_start and again with the Hessian from
+# the chord (all but two-heavy 26, graded 9 and uniform 9 moved). They pin
+# the certificate order, witnesses, margins and "inconsistent" flags at the
+# sizes the certify benchmark runs.
 CERTIFY_DIGESTS = {
     ("one-heavy", 9):
-        "f5f9cd175404468a7591b11d9307700f3126cc44403b2e546df4439b702d980a",
+        "7bc3b17daaa8e15cabb2c0dfaf7f6017728b04432c633fb8e89387824eb50066",
     ("one-heavy", 13):
-        "e4cb1b629202e2d7f308a64dc89ed676e766a9dc654d4e791abe0990fee2ee6a",
+        "ee908e86bdd005a5c48c190a70caec4a580b2de5a11ffa61552b1227aec992c8",
     ("one-heavy", 26):
-        "38c3f2b836f83f05a624f5e8687d384ae745cabc887cd3923f6654ccc11de43c",
+        "ab263e2e1c3e928568f08596a7509e529cd608e09f17b6c613ebce84c6fbbbe3",
     ("one-heavy", 40):
-        "fe40e0a6f8d5976802ddc2540d9975492a329e12a15d9006b97c2a67f9805d70",
+        "8e9f3b116987d402f47ee398eb8583e1bcd1f094193b9c955b5a553258d09fc4",
     ("two-heavy", 9):
-        "df7693d762973b94159953a2eb86fbbca878c4ce3212a4a4424fc03282f23015",
+        "8f7bdd55fa47eefe7cc4b5f4b8b80aaa22ec2520285f9c6c89236579be42460f",
     ("two-heavy", 13):
-        "61c972e02157b32e9ed0790ab2f0cfdb60c0609085a3e2ade1b4152f6bdbbefb",
+        "46b4f5dd77a9751d2f5fe548b81c5911102854d63541f0ac39a610f2477d971a",
     ("two-heavy", 26):
         "7da761a87e01c0ed746097e17e40c33eb4df71d56c892f416fff7e092a3b6631",
     ("two-heavy", 40):
-        "83dbd049759491639fa482dae0eda6bf23ac2ac93e19324961d89ee27e1675db",
+        "ad859088467fa8aac44a54abe4e906aed37846df0250f7b93294897632138ded",
     ("graded", 9):
         "137c5bbda9216304b41c4a9af0d220ae470a9336a0c2a1e12b64dcd02ab71419",
     ("graded", 13):
-        "ee581914b7d678cc43810956f957275139331d0d2e4bc7e19ab56841f3e9d1c2",
+        "72013f0d327d1547978728091a60f7aeab90e6fbbd04cc87ba36bd7c0b169ab5",
     ("graded", 26):
-        "67709ff7f4bf197f8c58b732b038a66f65608abc71c6a91c097728ddc42eec6a",
+        "9c93cae842a0a7d1a4673258337ff40dc1ce24d65da502fa13df194f7a4efe8b",
     ("graded", 40):
-        "144c44c8b9f6793d56e33c72945b4c4e9a474caf9cbeee382abc8e2238d2bc41",
+        "13d6972596d15ccb413ca4328a560d8b9820b12c00b00d32727188a7009255b1",
     ("uniform", 9):
         "8b03aa8a168c4ae68c8af5cc20e2d7921043783a20299d681340eb408e0452ca",
     ("uniform", 13):
-        "d37014203d8a7543334f95cbbb92c008dd773576be17d8a0f5955b001612cf46",
+        "ba5b4c9ca71c09a4779f4d2646848b723236f4907b0e5388cd249cbe2891ab77",
     ("uniform", 26):
-        "45205f9a3b28a179f29c4a7b68b08d8f027aa9ab78655fcd7b3c5da0a4a07e8a",
+        "08b0bb8630947ac0073d7160fe16d02f260c071f97f55ca46c4e76e4b7a94c7f",
     ("uniform", 40):
-        "6e141596e3d95a035889de01ebbad71f6961a1548e741d6b0931e6e793605cb4",
+        "3641415269ba79f0d9c5c769a19625de9189c6b28fedabb378b6ccdbddf73eed",
 }
 
 
 # SHA-256 of the exclude stdout for each tile in turn, each at alpha = 0.5,
 # 1 and 3, taken while the group scan still found repeated images by
-# hashing the rows. Shifts by 3, 4 and 6 fix these masses, and
+# hashing the rows, and again with the Hessian from the chord. Shifts by 3, 4 and 6 fix these masses, and
 # reflections fix the last two.
 SHIFT_FIXED_TILES = [[1, 2, 3] * 4, [1, 2, 2, 1] * 6, [1, 2, 3, 3, 2, 1] * 4]
-SHIFT_FIXED_DIGEST = "72e14e96f75bc3d2195fae9f5e89b4621b6a3c557ff166de799c07b7d9d7a48a"
+SHIFT_FIXED_DIGEST = "beb5bfda9267861154f4d502e3c107e3679cce82cda3c406d0b601d017e5f663"
 
 
 def test_exclude_shift_fixed_masses_frozen_stdout(tmp_path, capsys):

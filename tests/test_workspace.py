@@ -34,7 +34,7 @@ from cocircular import (TAU, AngleConfiguration, AuxiliaryFunctional, Convergenc
                         pair_weight_matrix, verify_cc)
 from conftest import (certify_masses, dirty_matrix, on_fresh_thread, ordered_angles,
                       random_masses)
-from oracle import mirror
+from oracle import hessian_bound, hessian_theta, mirror
 
 
 def _problem(n, alpha, seed):
@@ -510,3 +510,5 @@ def test_diagonal_writes_into_a_dirty_buffer(n):
     assert gradient.tobytes() == ref.grad_theta_f_k(aux, m, cfg).tobytes()
     hessian = potential._hessian_theta(aux, ws)
     assert hessian.tobytes() == ref.hessian_theta_f_k(aux, m, cfg).tobytes()
+    # the cosine form, within the bound of _hessian_theta's docstring
+    assert (np.abs(hessian - hessian_theta(aux, m, cfg)) <= hessian_bound(aux, m, cfg)).all()
