@@ -8,6 +8,8 @@ from cocircular import TAU, AngleConfiguration, MassVector
 
 def ordered_angles(rng, n, min_gap=0.05):
     """Random pinned configuration whose circular gaps all stay >= min_gap."""
+    if n * min_gap >= TAU:
+        raise ValueError(f"{n} gaps of {min_gap} do not fit in 2*pi")
     w = rng.dirichlet(np.ones(n))
     gaps = min_gap + (TAU - n * min_gap) * w
     cum = np.cumsum(gaps)

@@ -306,6 +306,16 @@ def test_chords_at_the_collision_tolerance_lie_in_range(n, where):
     assert ru.min() < 2e-12
 
 
+def test_ordered_angles_refuses_gaps_past_the_circle():
+    # at the default gap, 256 gaps of 0.05 pass 2*pi; no draw may come out
+    # unordered instead
+    with pytest.raises(ValueError):
+        ordered_angles(np.random.default_rng(0), 256)
+    with pytest.raises(ValueError):
+        ordered_angles(np.random.default_rng(0), 4, TAU / 4)
+    assert len(ordered_angles(np.random.default_rng(0), 125).angles) == 125
+
+
 @given(st.integers(0, 2**32 - 1), st.integers(3, 10))
 @settings(max_examples=40, deadline=None)
 def test_chords_match_halfangle_formula(seed, n):

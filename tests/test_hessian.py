@@ -109,7 +109,7 @@ def test_transposed_hessian_is_the_hessian_on_the_certify_families(family, monke
 @pytest.mark.parametrize("heavy", [False, True], ids=["uniform", "one-heavy"])
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 3.0])
 def test_transposed_hessian_is_the_hessian_at_n_256(alpha, heavy, monkeypatch):
-    # the masses of tests/test_cli.py's n = 256 digests
+    # the masses of the n = 256 entries of tests/frozen_outputs.py
     m = [1.0] * 255 + [300.0] if heavy else np.random.default_rng(256).uniform(0.5, 2.0, 256)
     seen = _watched(monkeypatch)
     res = minimize_f_k(AuxiliaryFunctional(alpha), MassVector(np.asarray(m)))

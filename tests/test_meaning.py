@@ -1,9 +1,10 @@
 """What the frozen minimize, exclude, verify and survey outputs say.
 
-The SHA-256 digests of ``test_cli.py``, ``test_scripts.py`` and CI pin
-bytes: a digest says that a byte moved, not whether a verdict moved with
-it. These checks cover every digest-pinned output whose Newton solve runs
-on unequal masses, and the [1, 1, 1, 1, 2] verdict of ``test_symmetry.py``.
+The SHA-256 digests of ``tests/frozen_outputs.py`` (and the survey's in
+``test_scripts.py``) pin bytes: a digest says that a byte moved, not
+whether a verdict moved with it. These checks cover every digest-pinned
+output whose Newton solve runs on unequal masses, and the [1, 1, 1, 1, 2]
+verdict of ``test_symmetry.py``.
 Each parses the output and compares what it says with
 ``meaning_record.json``:
 
@@ -106,19 +107,15 @@ WITNESS_MOVES = {
 }
 
 
-def _uniform(n):
-    return np.random.default_rng(n).uniform(0.5, 2.0, n)
-
-
 def problems():
     """Name -> (alpha, masses, commands) of every recorded input."""
     out = {
         "112": (1.0, [1.0, 1.0, 2.0], ("minimize", "exclude")),
         "11112": (1.0, [1.0, 1.0, 1.0, 1.0, 2.0], ("exclude",)),
-        "uniform-64-0.5": (0.5, _uniform(64).tolist(), ("minimize",)),
+        "uniform-64-0.5": (0.5, certify_masses("uniform", 64).tolist(), ("minimize",)),
     }
     for alpha in (0.5, 1.0, 3.0):
-        out[f"uniform-256-{alpha}"] = (alpha, _uniform(256).tolist(),
+        out[f"uniform-256-{alpha}"] = (alpha, certify_masses("uniform", 256).tolist(),
                                        ("minimize", "exclude", "verify"))
         out[f"one-heavy-256-{alpha}"] = (
             alpha, certify_masses("one-heavy", 256, ratio=300.0).tolist(), ("exclude",))

@@ -17,7 +17,7 @@ SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 def _run_script(name, *args):
     src = os.path.dirname(os.path.dirname(cocircular.__file__))
     env = {**os.environ, "PYTHONPATH": src}
-    return subprocess.run([sys.executable, str(SCRIPTS / name), *args], env=env,
+    return subprocess.run([sys.executable, "-W", "error", str(SCRIPTS / name), *args], env=env,
                           capture_output=True, text=True, timeout=120)
 
 
@@ -120,8 +120,8 @@ def test_exclusion_survey_runs():
 
 
 # SHA-256 of exclusion_survey.py --n-min 4 --n-max 8 stdout, the table of
-# 12 families, taken again from minimizer._mass_start; CI's "Smoke
-# exclusion survey" step compares the same digest
+# 12 families, taken again from minimizer._mass_start; the script runs in a
+# fresh interpreter with warnings as errors
 EXCLUSION_SURVEY_DIGEST = "fc3366928def876061e9cb22195d211a0b64ee5d1764e259f2e0ef284bbdce81"
 
 
