@@ -1,29 +1,41 @@
-"""Every CLI output the tests pin by its SHA-256 digest, each written once.
+"""Every CLI run the tests pin, each written once, and the runner that replays it.
 
-An entry names the steps of one run of ``cocircular``: each step is an
-argv and its stdin, which is a JSON payload, ``PIPE`` (the previous step's
-output) or None. What an entry pins is the text of every step whose output
-no later step reads: the step's stdout, or the file its ``--output`` names.
-``test_cli.py::test_frozen_output`` runs every entry in process, and
-``test_frozen_output_in_a_fresh_process`` runs each ``fresh`` one again with
-one ``python -W error -m cocircular`` per step. Every step must exit 0 with
-nothing on stderr, and the SHA-256 of the text must equal the digest here.
+An entry names the steps of one run of ``cocircular``. A step is an argv,
+its stdin (a JSON payload, ``PIPE`` for the previous step's output, or
+None) and the name of its record in ``meaning_record.json``, if it has
+one. ``replay`` returns each step's text: its stdout, or the file its
+``--output`` names. What an entry pins is the SHA-256 of the texts that no
+later step reads. ``test_cli.py::test_frozen_output`` replays every entry
+in process, and ``test_frozen_output_in_a_fresh_process`` replays each
+``fresh`` one with one ``python -W error -m cocircular`` per step. Every
+step must exit 0 with nothing on stderr.
 
-A change that moves an output's bytes edits that entry's digest and says
-why in CHANGES.md; ``test_meaning.py`` checks what the outputs at unequal
-masses still say. The entries at n = 256 hold for OpenBLAS 0.3.31 on two
-threads, as CI pins it: LAPACK's LU rounds differently on one thread.
+A digest says that a byte moved, not what moved with it: every step that
+runs minimize, exclude or verify on masses that are not all equal names a
+record, and ``test_meaning.py`` checks what its output says against it. To
+add an entry, write its steps, naming the record of each such step (a new
+name, or one whose steps read the same input); run ``test_frozen_output``
+for the digest its failure prints, and ``PYTHONPATH=src:tests python
+tests/test_meaning.py``, which appends each record the table names and the
+file lacks. A change that moves an output's bytes edits that entry's digest
+and says why in CHANGES.md. The entries at n = 256 hold for OpenBLAS 0.3.31
+on two threads, as CI pins it: LAPACK's LU rounds differently on one thread.
 
 The four literals below are compared byte for byte; an entry that pins one
 of them takes its digest from the literal.
 """
 
+import contextlib
 import hashlib
+import io
 import json
+import sys
 from typing import NamedTuple
+from unittest import mock
 
 import numpy as np
 
+from cocircular import cli
 from conftest import certify_masses
 
 MINIMIZE_112 = (
@@ -55,6 +67,12 @@ ALPHA_STAR_6 = (
 PIPE = object()  # a step's stdin that is the previous step's output
 
 
+class Step(NamedTuple):
+    argv: list
+    stdin: object = None
+    record: str = None
+
+
 class Frozen(NamedTuple):
     steps: tuple
     digest: str
@@ -66,21 +84,54 @@ def sha256(text):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def _cli(*argv, stdin=None):
-    return ((list(argv), stdin),)
+def replay(steps, run, cwd):
+    """Each step's text: its stdout, or the file under cwd its --output names.
+
+    run(argv, stdin) returns the exit code, stdout and stderr of one step.
+    """
+    texts = []
+    for step in steps:
+        code, out, err = run(step.argv, texts[-1] if step.stdin is PIPE else step.stdin)
+        assert (code, err) == (0, ""), (step.argv, code, err)
+        if "--output" in step.argv:
+            assert out == ""
+            out = (cwd / step.argv[step.argv.index("--output") + 1]).read_bytes().decode()
+        texts.append(out)
+    return texts
+
+
+def pinned(steps, texts):
+    """The text an entry pins: the text of every step that no later step reads."""
+    return "".join(text for text, after in zip(texts, [*steps[1:], None])
+                   if after is None or after.stdin is not PIPE)
+
+
+def run_in_process(argv, stdin):
+    """``cli.main(argv)`` in this process on the text stdin: (code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(sys, "stdin", io.StringIO(stdin or "")), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _cli(*argv, stdin=None, record=None):
+    return (Step(list(argv), stdin, record),)
 
 
 def _payload(alpha, masses):
     return json.dumps({"alpha": alpha, "masses": np.asarray(masses).tolist()})
 
 
-def _exclude(masses, alphas=(0.5, 1.0, 3.0)):
-    """One exclude per alpha, in turn."""
-    return tuple((["exclude", "--input", "-"], _payload(a, masses)) for a in alphas)
+def _exclude(masses, name, alphas=(0.5, 1.0, 3.0)):
+    """One exclude per alpha, in turn; the record of the one at alpha is name-alpha."""
+    return tuple(Step(["exclude", "--input", "-"], _payload(a, masses), f"{name}-{a}")
+                 for a in alphas)
 
 
-def _minimize_verify(payload):
-    return (["minimize", "--input", "-"], payload), (["verify", "--input", "-"], PIPE)
+def _minimize_verify(payload, record=None):
+    return (Step(["minimize", "--input", "-"], payload, record),
+            Step(["verify", "--input", "-"], PIPE, record))
 
 
 def _uniform(alpha, n=256):
@@ -89,7 +140,7 @@ def _uniform(alpha, n=256):
 
 
 def _one_heavy_256(alpha):
-    return _exclude(certify_masses("one-heavy", 256, ratio=300.0), (alpha,))
+    return _exclude(certify_masses("one-heavy", 256, ratio=300.0), "one-heavy-256", (alpha,))
 
 
 # 12 alphas drawn U(0.1, 3) with seed 300, as the benchmark's scan passes them
@@ -103,35 +154,35 @@ SCAN_ALPHAS_12 = [
 SCAN_ALPHAS_MIXED = ["0.25", "0.5", "1", "1.5", "2", "2.25", "2.7", "3", "3.14159", "4",
                      "5", "7.5"]
 # shifts by 3, 4 and 6 fix these masses, and reflections fix the last two
-SHIFT_FIXED_TILES = [[1, 2, 3] * 4, [1, 2, 2, 1] * 6, [1, 2, 3, 3, 2, 1] * 4]
+SHIFT_FIXED = {3: [1, 2, 3] * 4, 4: [1, 2, 2, 1] * 6, 6: [1, 2, 3, 3, 2, 1] * 4}
 
 FROZEN = {
     # The benchmark's solve inputs, taken again, on two OpenBLAS threads,
     # when the default start became minimizer._mass_start and when the
     # Newton step's Hessian took cos(du/2)**2 from the chord.
     "minimize-uniform-256-0.5": Frozen(
-        _cli("minimize", "--input", "-", stdin=_uniform(0.5)),
+        _cli("minimize", "--input", "-", stdin=_uniform(0.5), record="uniform-256-0.5"),
         "13d8577677ba2bc540b7f57f16fc8aa08355b3a9ce7777e08308b8cdce049268",
         "a Newton solve at n = 256 whose radial powers take np.power"),
     "minimize-uniform-256-1": Frozen(
-        _cli("minimize", "--input", "-", stdin=_uniform(1.0)),
+        _cli("minimize", "--input", "-", stdin=_uniform(1.0), record="uniform-256-1.0"),
         "1ca6ec327d2e8c670773aa8523be1fdb2e5bf05831875971a51735fd6c1ecc1d",
         "a Newton solve at n = 256 on unequal masses"),
     "minimize-uniform-256-3": Frozen(
-        _cli("minimize", "--input", "-", stdin=_uniform(3.0)),
+        _cli("minimize", "--input", "-", stdin=_uniform(3.0), record="uniform-256-3.0"),
         "830180e1dd6b810845b4a4156163a56496091d702807f3f7f5ce60735322eb88",
         "a Newton solve at n = 256 whose radial powers take a multiply chain"),
     "exclude-uniform-256-0.5": Frozen(
-        _exclude(certify_masses("uniform", 256), (0.5,)),
+        _exclude(certify_masses("uniform", 256), "uniform-256", (0.5,)),
         "9f126cec9a461cfa73b5226a7f16addfea0340c0e932fb894261c1d488b78d79",
         "the group scan's 2n image rows at n = 256, where a gemv may split"),
     "exclude-uniform-256-1": Frozen(
-        _exclude(certify_masses("uniform", 256), (1.0,)),
+        _exclude(certify_masses("uniform", 256), "uniform-256", (1.0,)),
         "55d44804cdc1390d7cc32d1622edaa0a9b2a049bc37aae5ff307c79d29e0c9ec",
         "W read off the frame the solve leaves, so exclude builds no chords",
         fresh=True),
     "exclude-uniform-256-3": Frozen(
-        _exclude(certify_masses("uniform", 256), (3.0,)),
+        _exclude(certify_masses("uniform", 256), "uniform-256", (3.0,)),
         "4d4815d1f97f819bd6a23a839665ec11eb33ee0f3e36cf9084c639ebd72bcd91",
         "the group scan's 2n image rows at n = 256 and alpha = 3"),
 
@@ -157,17 +208,17 @@ FROZEN = {
     # the Hessian from the chord. In process verify reads the minimizer's
     # frame; in a fresh process it builds its own chords.
     "verify-uniform-256-0.5": Frozen(
-        _minimize_verify(_uniform(0.5)),
+        _minimize_verify(_uniform(0.5), "uniform-256-0.5"),
         "6a7177dce6e6f89395dd09b10cdc127d80a0e5eaeca9a7a41fc58de62330d416",
         "verify's residuals at n = 256 where the radial powers take np.power",
         fresh=True),
     "verify-uniform-256-1": Frozen(
-        _minimize_verify(_uniform(1.0)),
+        _minimize_verify(_uniform(1.0), "uniform-256-1.0"),
         "753f2e071bb4f93d1f995f4fd9cebe15b6953e4d8ba5818f2310b3655addcb2b",
         "verify's residuals at n = 256, the JSON writer's report shape",
         fresh=True),
     "verify-uniform-256-3": Frozen(
-        _minimize_verify(_uniform(3.0)),
+        _minimize_verify(_uniform(3.0), "uniform-256-3.0"),
         "5d80d2011824815b077a9734d836dca3d090ef011b0a089d43e95cf9d7e15720",
         "verify's residuals at n = 256 where the radial powers multiply",
         fresh=True),
@@ -182,12 +233,18 @@ FROZEN = {
     # from minimizer._mass_start, and the file again with the Hessian from
     # the chord.
     "exclude-112": Frozen(
-        _exclude([1.0, 1.0, 2.0], (1.0,)),
+        _cli("exclude", "--input", "-", stdin=_payload(1.0, [1.0, 1.0, 2.0]), record="112"),
         "4d5d9bac6ecfe8e81c32de82526b0a0b994a3e7c9f28f7d369cbe22c8efd11b1",
         "four tied group margins one ulp apart; the witness is the first of the two largest",
         fresh=True),
+    # Taken when the meaning checks came to read their inputs from this table.
+    "exclude-11112": Frozen(
+        _cli("exclude", "--input", "-", stdin=_payload(1.0, [1.0, 1.0, 1.0, 1.0, 2.0]),
+             record="11112"),
+        "d7865f17b45c3c633a2feb33c03f75dfd44ccf55385d583d742fe6581999c11e",
+        "twelve certificates, tied in pairs by the reflection that fixes the masses"),
     "exclude-equal-4": Frozen(
-        _exclude([1.0] * 4, (1.0,)),
+        _cli("exclude", "--input", "-", stdin=_payload(1.0, [1.0] * 4)),
         "0158ca49c269fa2476515503b591cc08e97c51849354c8bc6f7f35e7e0838b05",
         "null witnesses and empty certificate lists"),
     "scan-40-json": Frozen(
@@ -197,14 +254,14 @@ FROZEN = {
         "scan's JSON cells"),
     "minimize-uniform-64-0.5-output": Frozen(
         _cli("minimize", "--input", "-", "--output", "result.json",
-             stdin=_uniform(0.5, 64)),
+             stdin=_uniform(0.5, 64), record="uniform-64-0.5"),
         "23216f94ef1037f208f2bd72087117496a189f9e9107d04020fa524c61dfefe6",
         "the file minimize --output writes"),
 
     # Taken while the group scan still found repeated images by hashing the
     # rows, and again with the Hessian from the chord.
     "exclude-shift-fixed": Frozen(
-        sum((_exclude(tile) for tile in SHIFT_FIXED_TILES), ()),
+        sum((_exclude(m, f"shift-{s}") for s, m in SHIFT_FIXED.items()), ()),
         "beb5bfda9267861154f4d502e3c107e3679cce82cda3c406d0b601d017e5f663",
         "the group scan takes one row per coset of the masses' stabilizer",
         fresh=True),
@@ -247,6 +304,20 @@ FROZEN = {
         "the file scan --output writes, as it was when every g came from the scalar kernel",
         fresh=True),
 
+    # The literals' runs, each first pinned by a test of its own.
+    "minimize-112": Frozen(
+        _cli("minimize", "--input", "-", stdin=_payload(1.0, [1.0, 1.0, 2.0]), record="112"),
+        sha256(MINIMIZE_112),
+        "a three-body solve, MINIMIZE_112"),
+    "scan-6-csv": Frozen(
+        _cli("scan", "--n-min", "3", "--n-max", "6", "--alpha", "1"),
+        sha256(SCAN_CSV),
+        "the Newtonian n-gon's g against 1 + alpha/4 at n = 3..6, SCAN_CSV"),
+    "spectrum-4-1": Frozen(
+        _cli("spectrum", "--n", "4", "--alpha", "1"),
+        sha256(SPECTRUM_4),
+        "the eigenvalues of W at the square, SPECTRUM_4",
+        fresh=True),
     # Taken while every bisection step still evaluated g with the scalar
     # kernel, as are the alpha-star rows below.
     "alpha-star-6": Frozen(
@@ -255,7 +326,7 @@ FROZEN = {
         "the corollary's n = 6 line, ALPHA_STAR_6",
         fresh=True),
     "alpha-star-sweep": Frozen(
-        tuple((["alpha-star", "--n", str(n)], None) for n in range(3, 1001)),
+        tuple(Step(["alpha-star", "--n", str(n)]) for n in range(3, 1001)),
         "8cae5c7c98cbf4e47c3eadc68a58aae309239a798e94a682dcb70c16f5847f8d",
         "alpha* at n = 3..1000, one call after another"),
 }
@@ -270,7 +341,7 @@ FROZEN = {
 # shift: those two run in fresh processes too.
 FROZEN.update({
     f"exclude-{family}-{n}": Frozen(
-        _exclude(certify_masses(family, n)), digest,
+        _exclude(certify_masses(family, n), f"{family}-{n}"), digest,
         f"certificates, witnesses, margins and flags of {family} masses at n = {n}",
         fresh=n == 40 and family in ("one-heavy", "uniform"))
     for (family, n), digest in {

@@ -16,8 +16,8 @@ import cocircular
 import cocircular.potential as potential
 from cocircular import TAU, AngleConfiguration, scan_region
 from cocircular.cli import _floats, main
-from frozen_outputs import (ALPHA_STAR_6, FROZEN, MINIMIZE_112, PIPE, SCAN_CSV, SPECTRUM_4,
-                            sha256)
+from frozen_outputs import (ALPHA_STAR_6, FROZEN, MINIMIZE_112, SCAN_CSV, pinned, replay,
+                            run_in_process, sha256)
 
 M112 = {"alpha": 1.0, "masses": [1.0, 1.0, 2.0]}
 
@@ -25,12 +25,6 @@ M112 = {"alpha": 1.0, "masses": [1.0, 1.0, 2.0]}
 def write_json(path, payload):
     path.write_text(json.dumps(payload), encoding="utf-8")
     return str(path)
-
-
-def test_minimize_frozen_stdout(tmp_path, capsys):
-    inp = write_json(tmp_path / "m.json", M112)
-    assert main(["minimize", "--input", inp]) == 0
-    assert capsys.readouterr().out == MINIMIZE_112
 
 
 def test_minimize_reads_stdin(monkeypatch, capsys):
@@ -152,16 +146,6 @@ def test_exclude_and_minimize_two_bodies(tmp_path, capsys, masses):
     assert data["excluded"] is (masses[0] != masses[1])
 
 
-def test_spectrum_frozen(capsys):
-    assert main(["spectrum", "--n", "4", "--alpha", "1"]) == 0
-    assert capsys.readouterr().out == SPECTRUM_4
-
-
-def test_scan_csv_frozen(capsys):
-    assert main(["scan", "--n-min", "3", "--n-max", "6", "--alpha", "1"]) == 0
-    assert capsys.readouterr().out == SCAN_CSV
-
-
 def test_scan_output_flag_writes_csv_by_default(tmp_path, capsys):
     # no --format: argparse's default is the only source of "csv"
     out = tmp_path / "cells.csv"
@@ -268,11 +252,6 @@ def test_scan_not_closed_exits_two_under_optimize_flag():
     assert out.stdout == ""
     lines = out.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), out.stderr
-
-
-def test_alpha_star_frozen(capsys):
-    assert main(["alpha-star", "--n", "6"]) == 0
-    assert capsys.readouterr().out == ALPHA_STAR_6
 
 
 def test_exit_code_two_on_bad_input(tmp_path, capsys, monkeypatch):
@@ -631,36 +610,16 @@ def test_missing_required_flag_is_a_usage_error(capsys, command, missing):
     assert missing in captured.err and captured.out == ""
 
 
-def _replay(entry, run, cwd):
-    """The text an entry pins: each step's stdout, or the file its --output
-    names, less what the next step reads as its stdin."""
-    texts = []
-    for argv, stdin in entry.steps:
-        code, out, err = run(argv, texts.pop() if stdin is PIPE else stdin)
-        assert (code, err) == (0, ""), (argv, code, err)
-        if "--output" in argv:
-            assert out == ""
-            out = (cwd / argv[argv.index("--output") + 1]).read_bytes().decode()
-        texts.append(out)
-    return "".join(texts)
-
-
-def _check_digest(name, text):
-    entry, now = FROZEN[name], sha256(text)
+def _check_digest(name, texts):
+    entry = FROZEN[name]
+    now = sha256(pinned(entry.steps, texts))
     assert now == entry.digest, f"{name} ({entry.why}): frozen {entry.digest}, now {now}"
 
 
 @pytest.mark.parametrize("name", list(FROZEN))
-def test_frozen_output(tmp_path, monkeypatch, capsys, name):
+def test_frozen_output(tmp_path, monkeypatch, name):
     monkeypatch.chdir(tmp_path)
-
-    def run(argv, stdin):
-        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin or ""))
-        code = main(argv)
-        captured = capsys.readouterr()
-        return code, captured.out, captured.err
-
-    _check_digest(name, _replay(FROZEN[name], run, tmp_path))
+    _check_digest(name, replay(FROZEN[name].steps, run_in_process, tmp_path))
 
 
 @pytest.mark.parametrize("name", [name for name, entry in FROZEN.items() if entry.fresh])
@@ -671,25 +630,20 @@ def test_frozen_output_in_a_fresh_process(tmp_path, name):
         out = _run_cli(argv, stdin, cwd=tmp_path)
         return out.returncode, out.stdout, out.stderr
 
-    _check_digest(name, _replay(FROZEN[name], run, tmp_path))
+    _check_digest(name, replay(FROZEN[name].steps, run, tmp_path))
 
 
-def test_minimize_verify_pipe_matches_in_process(capsys, monkeypatch):
-    # two processes never share a workspace, so the piped verify misses,
-    # while the in-process one reuses the minimizer's chords
-    (minimize, payload), (verify, _) = FROZEN["verify-equal-6"].steps
-    minimized = _run_cli(minimize, payload)
-    piped = _run_cli(verify, minimized.stdout)
-    assert minimized.returncode == piped.returncode == 0
-    monkeypatch.setattr(sys, "stdin", io.StringIO(payload))
-    assert main(minimize) == 0
-    assert capsys.readouterr().out == minimized.stdout
-    angles = AngleConfiguration(json.loads(minimized.stdout)["angles"])
-    assert potential._local.ws.key == (angles.angles.tobytes(), 1.0)
-    monkeypatch.setattr(sys, "stdin", io.StringIO(minimized.stdout))
-    assert main(verify) == 0
-    assert capsys.readouterr().out == piped.stdout
-    _check_digest("verify-equal-6", piped.stdout)
+def test_minimize_verify_pipe_matches_in_process():
+    # in process verify reuses the minimizer's chords, where the piped verify
+    # of test_frozen_output_in_a_fresh_process builds its own; both must
+    # print the entry's bytes
+    def run(argv, stdin):
+        if argv[0] == "verify":  # the workspace holds the minimizer's frame
+            angles = AngleConfiguration(json.loads(stdin)["angles"])
+            assert potential._local.ws.key == (angles.angles.tobytes(), 1.0)
+        return run_in_process(argv, stdin)
+
+    _check_digest("verify-equal-6", replay(FROZEN["verify-equal-6"].steps, run, None))
 
 # the bracket that alpha-star --tol 0 ends on at these n, where no
 # bisection midpoint has a residual of exactly 0

@@ -1,12 +1,12 @@
 """What the frozen minimize, exclude, verify and survey outputs say.
 
-The SHA-256 digests of ``tests/frozen_outputs.py`` (and the survey's in
+The SHA-256 digests of ``frozen_outputs.py`` (and the survey's in
 ``test_scripts.py``) pin bytes: a digest says that a byte moved, not
-whether a verdict moved with it. These checks cover every digest-pinned
-output whose Newton solve runs on unequal masses, and the [1, 1, 1, 1, 2]
-verdict of ``test_symmetry.py``.
-Each parses the output and compares what it says with
-``meaning_record.json``:
+whether a verdict moved with it. Every step of that table that runs
+minimize, exclude or verify on masses that are not all equal names a
+record of ``meaning_record.json``, and the check of that record replays
+the table's steps that name it, in process, parses each output and
+compares what it says with the record:
 
 * exactly: ``converged``, ``is_cc``, ``excluded``, the group and swap
   ``excluded``, ``inconsistent`` and the certificate element lists;
@@ -18,13 +18,17 @@ Each parses the output and compares what it says with
 Each printed margin is also recomputed from ``pair_weight_matrix`` at the
 printed theta_m. The bounds are loose enough for the thread count of
 OpenBLAS, which moves the last bits at n = 256, and tight enough that a
-minimizer moved past the solve's stopping test fails them.
+minimizer moved past the solve's stopping test fails them. The survey
+script's table is checked against the record's rows the same way.
 
-The record holds these outputs as they were while the Newton loop started
-at the regular n-gon, taken on two OpenBLAS threads by
-``PYTHONPATH=src:tests python tests/test_meaning.py``, which rewrites it.
-A change that moves what an output says keeps the record and lists the
-move here, as ``WITNESS_MOVES`` does.
+The record holds the outputs as they were while the Newton loop started at
+the regular n-gon, and the ``shift-*`` ones as they were first taken, from
+the mass-aware start, all on two OpenBLAS threads. To check a new step,
+name its record in the table and run ``PYTHONPATH=src:tests python
+tests/test_meaning.py``: it appends each record the table names and the
+file lacks, from this package's outputs, and leaves every byte already
+there. A change that moves what an output says keeps the record and lists
+the move here, as ``WITNESS_MOVES`` does.
 """
 
 import json
@@ -40,10 +44,10 @@ import pytest
 import cocircular
 from cocircular import (TAU, AngleConfiguration, AuxiliaryFunctional, GroupElement,
                         MassVector, act_on_masses, pair_weight_matrix)
-from cocircular.cli import main
-from conftest import certify_masses
+from cocircular import cli
+from frozen_outputs import FROZEN, PIPE, replay, run_in_process
 
-RECORD = Path(__file__).with_name("meaning_record.json")
+RECORD = Path(__file__).resolve().with_name("meaning_record.json")
 SURVEY = Path(__file__).resolve().parent.parent / "scripts" / "exclusion_survey.py"
 SURVEY_ARGS = ["--n-min", "4", "--n-max", "8"]
 
@@ -107,46 +111,37 @@ WITNESS_MOVES = {
 }
 
 
-def problems():
-    """Name -> (alpha, masses, commands) of every recorded input."""
-    out = {
-        "112": (1.0, [1.0, 1.0, 2.0], ("minimize", "exclude")),
-        "11112": (1.0, [1.0, 1.0, 1.0, 1.0, 2.0], ("exclude",)),
-        "uniform-64-0.5": (0.5, certify_masses("uniform", 64).tolist(), ("minimize",)),
-    }
-    for alpha in (0.5, 1.0, 3.0):
-        out[f"uniform-256-{alpha}"] = (alpha, certify_masses("uniform", 256).tolist(),
-                                       ("minimize", "exclude", "verify"))
-        out[f"one-heavy-256-{alpha}"] = (
-            alpha, certify_masses("one-heavy", 256, ratio=300.0).tolist(), ("exclude",))
-        for family in ("one-heavy", "two-heavy", "graded", "uniform"):
-            for n in (9, 13, 26, 40):
-                out[f"{family}-{n}-{alpha}"] = (
-                    alpha, certify_masses(family, n).tolist(), ("exclude",))
-    return out
+def _start(steps, i):
+    """The index of the step whose payload step i runs on, through pipes."""
+    while steps[i].stdin is PIPE:
+        i -= 1
+    return i
 
 
-PROBLEMS = problems()
-
-
-def _run(command, payload, tmp):
-    """The parsed output of ``cocircular command`` on payload, through files in tmp."""
-    src, dst = Path(tmp) / "in.json", Path(tmp) / "out.json"
-    src.write_text(json.dumps(payload), encoding="utf-8")
-    assert main([command, "--input", str(src), "--output", str(dst)]) == 0
-    return json.loads(dst.read_text(encoding="utf-8"))
-
-
-def outputs(name, tmp):
-    """Command -> parsed output of each command recorded for the input name."""
-    alpha, masses, commands = PROBLEMS[name]
-    payload = {"alpha": alpha, "masses": masses}
+def _solves():
+    """Record name -> (entry, step index) of every table step that runs a
+    solve on masses that are not all equal; None names the unnamed ones."""
     out = {}
-    for command in commands:
-        if command == "verify":  # on the minimize output, as CI pipes it
-            payload = {**payload, "angles": out["minimize"]["angles"]}
-        out[command] = _run(command, payload, tmp)
+    for name, entry in FROZEN.items():
+        for i, step in enumerate(entry.steps):
+            if step.argv[0] not in ("minimize", "exclude", "verify"):
+                continue
+            if len(set(json.loads(entry.steps[_start(entry.steps, i)].stdin)["masses"])) > 1:
+                out.setdefault(step.record, []).append((name, i))
     return out
+
+
+SOLVES = _solves()
+
+
+def _outputs(record, cwd):
+    """(command, input payload, parsed output) of each table step naming the
+    record, each replayed from the payload it runs on."""
+    for name, i in SOLVES[record]:
+        steps = FROZEN[name].steps
+        first = _start(steps, i)
+        text = replay(steps[first:i + 1], run_in_process, cwd)[-1]
+        yield steps[i].argv[0], json.loads(steps[first].stdin), json.loads(text)
 
 
 def _key(witness, n):
@@ -158,31 +153,24 @@ def _certificates(verdict, n):
     return [_key(c["witness"], n) for c in verdict["certificates"]]
 
 
-def meaning(out):
-    """What the outputs of one input say, as the record holds it.
-
-    minimize and exclude run the same solve, so the record keeps one f and
-    one theta_m for both.
-    """
+def meaning(outputs):
+    """What the (command, payload, output) steps of one record say, as the
+    record holds it. minimize and exclude run the same solve, so the record
+    keeps one f and one theta_m for both."""
     rec = {}
-    for command in ("minimize", "exclude"):
-        if command in out:
-            o = out[command]
-            rec["f_value"] = o["f_value"]
-            rec["theta_m"] = o["angles" if command == "minimize" else "theta_m"]
-    if "minimize" in out:
-        rec["converged"] = out["minimize"]["converged"]
-    if "exclude" in out:
-        e = out["exclude"]
-        n = len(e["masses"])
-        rec.update(excluded=e["excluded"], inconsistent=e["swap"]["inconsistent"])
-        for kind in ("group", "swap"):
-            v = e[kind]
-            rec[kind] = {"excluded": v["excluded"],
-                         "witness": v["witness"] and _key(v["witness"], n),
-                         "certificates": _certificates(v, n)}
-    if "verify" in out:
-        rec["verify"] = {key: out["verify"][key] for key in VERIFIED}
+    for command, _, o in outputs:
+        if command == "minimize":
+            rec.update(f_value=o["f_value"], theta_m=o["angles"], converged=o["converged"])
+        elif command == "exclude":
+            n = len(o["masses"])
+            rec.update(f_value=o["f_value"], theta_m=o["theta_m"], excluded=o["excluded"],
+                       inconsistent=o["swap"]["inconsistent"])
+            for kind in ("group", "swap"):
+                rec[kind] = {"excluded": o[kind]["excluded"],
+                             "witness": o[kind]["witness"] and _key(o[kind]["witness"], n),
+                             "certificates": _certificates(o[kind], n)}
+        else:
+            rec["verify"] = {key: o[key] for key in VERIFIED}
     return rec
 
 
@@ -248,32 +236,38 @@ def _check_witness(name, kind, verdict, then, n):
     assert _close(tied, verdict["margin"], TIE_BOUND)
 
 
-@pytest.mark.parametrize("name", list(PROBLEMS))
-def test_outputs_mean_what_they_meant(name, tmp_path):
-    alpha, masses, _ = PROBLEMS[name]
-    out = outputs(name, tmp_path)
-    then = _record()["problems"][name]
-    if "minimize" in out:
-        m = out["minimize"]
-        assert m["converged"] is then["converged"] is True
-        assert _close(m["f_value"], then["f_value"], F_BOUND)
-        _check_angles(m["angles"], then["theta_m"])
-    if "exclude" in out:
-        e, n = out["exclude"], len(masses)
-        assert e["excluded"] is then["excluded"]
-        assert e["swap"]["inconsistent"] is then["inconsistent"]
-        for kind in ("group", "swap"):
-            assert e[kind]["excluded"] is then[kind]["excluded"]
-            assert _certificates(e[kind], n) == then[kind]["certificates"]
-            _check_witness(name, kind, e[kind], then[kind], n)
-        assert _close(e["f_value"], then["f_value"], F_BOUND)
-        _check_angles(e["theta_m"], then["theta_m"])
-        _check_margins(alpha, masses, e)
-    if "verify" in out:
-        v, was = out["verify"], then["verify"]
-        assert v["is_cc"] is was["is_cc"]
-        for key in VERIFIED[1:]:
-            assert _close(v[key], was[key], VERIFY_BOUND), key
+@pytest.mark.parametrize("record", [record for record in SOLVES if record])
+def test_outputs_mean_what_they_meant(record, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    then = _record()["problems"][record]
+    for command, payload, out in _outputs(record, tmp_path):
+        if command == "minimize":
+            assert out["converged"] is then["converged"] is True
+            assert _close(out["f_value"], then["f_value"], F_BOUND)
+            _check_angles(out["angles"], then["theta_m"])
+        elif command == "exclude":
+            n = len(payload["masses"])
+            assert out["excluded"] is then["excluded"]
+            assert out["swap"]["inconsistent"] is then["inconsistent"]
+            for kind in ("group", "swap"):
+                assert out[kind]["excluded"] is then[kind]["excluded"]
+                assert _certificates(out[kind], n) == then[kind]["certificates"]
+                _check_witness(record, kind, out[kind], then[kind], n)
+            assert _close(out["f_value"], then["f_value"], F_BOUND)
+            _check_angles(out["theta_m"], then["theta_m"])
+            _check_margins(payload["alpha"], payload["masses"], out)
+        else:
+            assert out["is_cc"] is then["verify"]["is_cc"]
+            for key in VERIFIED[1:]:
+                assert _close(out[key], then["verify"][key], VERIFY_BOUND), key
+
+
+def test_every_unequal_mass_solve_names_a_record():
+    problems = _record()["problems"]
+    unchecked = [f"{name} step {i}" for record, steps in SOLVES.items()
+                 if record not in problems for name, i in steps]
+    assert not unchecked, f"steps with no record: {unchecked}"
+    assert set(problems) <= set(SOLVES), "a record that no table step names"
 
 
 def test_survey_means_what_it_meant():
@@ -290,13 +284,23 @@ def test_survey_means_what_it_meant():
         assert abs(spread - was[4]) <= 1e-3 * abs(was[4])
 
 
-def _write_record():
-    """Rewrite the record from this package's outputs, one input a line."""
-    with tempfile.TemporaryDirectory() as tmp:
-        lines = [f"{_compact(name)}:{_compact(meaning(outputs(name, tmp)))}"
-                 for name in PROBLEMS]
-    RECORD.write_text('{"problems":{\n' + ",\n".join(lines) + '\n},\n"survey":'
-                      + _compact(survey_rows(_survey())) + "}\n", encoding="utf-8")
+def _append_missing(path, cwd):
+    """Append to the record at path each record the table names and it lacks,
+    from this package's outputs, one a line; every byte already there stays."""
+    text = path.read_text(encoding="utf-8")
+    have = json.loads(text)["problems"]
+    head, survey = text.split('\n},\n"survey":')
+    lines = [f"{_compact(r)}:{_compact(meaning(_outputs(r, cwd)))}"
+             for r in SOLVES if r and r not in have]
+    path.write_text(",\n".join([head, *lines]) + '\n},\n"survey":' + survey, encoding="utf-8")
+
+
+def test_the_writer_keeps_every_record(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "main", lambda argv: pytest.fail(f"the writer ran {argv}"))
+    copy = tmp_path / RECORD.name
+    copy.write_bytes(RECORD.read_bytes())
+    _append_missing(copy, tmp_path)
+    assert copy.read_bytes() == RECORD.read_bytes()
 
 
 def _compact(value):
@@ -304,4 +308,6 @@ def _compact(value):
 
 
 if __name__ == "__main__":
-    _write_record()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        _append_missing(RECORD, Path(tmp))
