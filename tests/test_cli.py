@@ -63,32 +63,19 @@ def test_verify_square_is_cc(tmp_path, capsys):
     assert data["lambda_tilde"] == 1.9142135623730949
 
 
-def test_minimize_verify_pipeline(tmp_path, capsys):
+def test_minimize_verify_pipeline(tmp_path, capsys, monkeypatch):
     inp = write_json(tmp_path / "eq.json", {"alpha": 1.0, "masses": [1.0] * 5})
     assert main(["minimize", "--input", inp]) == 0
-    minimized = capsys.readouterr().out
-
-    import io as _io
-    sys_stdin = sys.stdin
-    sys.stdin = _io.StringIO(minimized)
-    try:
-        assert main(["verify", "--input", "-"]) == 0
-    finally:
-        sys.stdin = sys_stdin
-    report = json.loads(capsys.readouterr().out)
-    assert report["is_cc"] is True
+    monkeypatch.setattr(sys, "stdin", io.StringIO(capsys.readouterr().out))
+    assert main(["verify", "--input", "-"]) == 0
+    assert json.loads(capsys.readouterr().out)["is_cc"] is True
 
     # an excluded mass vector minimizes somewhere that fails verification
     inp2 = write_json(tmp_path / "m.json", M112)
     assert main(["minimize", "--input", inp2]) == 0
-    minimized = capsys.readouterr().out
-    sys.stdin = _io.StringIO(minimized)
-    try:
-        assert main(["verify", "--input", "-"]) == 0
-    finally:
-        sys.stdin = sys_stdin
-    report = json.loads(capsys.readouterr().out)
-    assert report["is_cc"] is False
+    monkeypatch.setattr(sys, "stdin", io.StringIO(capsys.readouterr().out))
+    assert main(["verify", "--input", "-"]) == 0
+    assert json.loads(capsys.readouterr().out)["is_cc"] is False
 
 
 def test_exclude_structure(tmp_path, capsys):
@@ -252,6 +239,12 @@ def test_scan_not_closed_exits_two_under_optimize_flag():
     assert out.stdout == ""
     lines = out.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), out.stderr
+
+
+def test_alpha_star_frozen(capsys):
+    # compares text, not a digest, so a moved byte shows in pytest's diff
+    assert main(["alpha-star", "--n", "6"]) == 0
+    assert capsys.readouterr().out == ALPHA_STAR_6
 
 
 def test_exit_code_two_on_bad_input(tmp_path, capsys, monkeypatch):
