@@ -22,7 +22,9 @@ and says why in CHANGES.md. The entries at n = 256 hold for OpenBLAS 0.3.31
 on two threads, as CI pins it: LAPACK's LU rounds differently on one thread.
 
 The four literals below are compared byte for byte; an entry that pins one
-of them takes its digest from the literal.
+of them takes its digest from the literal, and ``test_frozen_output``
+compares its text with the literal before the digest, so that a moved
+byte shows in pytest's diff.
 """
 
 import contextlib
@@ -53,10 +55,7 @@ SCAN_CSV = (
     "6,1,1.2182335127930841,1.25,true\n"
 )
 
-SPECTRUM_4 = (
-    "[2.4142135623730949,-0.75000000000000011,"
-    "-0.91421356237309503,-0.74999999999999967]\n"
-)
+SPECTRUM_4 = "[2.4142135623730949,-0.75,-0.91421356237309515,-0.75]\n"
 
 ALPHA_STAR_6 = (
     '{"n":6,"alpha_star":1.1110131188252126,"g_value":1.2777532797064375,'
@@ -82,6 +81,10 @@ class Frozen(NamedTuple):
 
 def sha256(text):
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+# each literal by its digest
+LITERALS = {sha256(text): text for text in (MINIMIZE_112, SCAN_CSV, SPECTRUM_4, ALPHA_STAR_6)}
 
 
 def replay(steps, run, cwd):
@@ -313,6 +316,8 @@ FROZEN = {
         _cli("scan", "--n-min", "3", "--n-max", "6", "--alpha", "1"),
         sha256(SCAN_CSV),
         "the Newtonian n-gon's g against 1 + alpha/4 at n = 3..6, SCAN_CSV"),
+    # SPECTRUM_4 taken again from the real FFT, where lambda_1 and lambda_3
+    # come out exactly -0.75.
     "spectrum-4-1": Frozen(
         _cli("spectrum", "--n", "4", "--alpha", "1"),
         sha256(SPECTRUM_4),
@@ -363,19 +368,20 @@ FROZEN.update({
         ("uniform", 40): "3641415269ba79f0d9c5c769a19625de9189c6b28fedabb378b6ccdbddf73eed",
     }.items()})
 
-# Taken while the spectrum was still read off the full n x n W with one
-# cosine sum per eigenvalue; at alpha = 2.9 the powers take np.power.
+# Taken again when the spectrum became one real FFT of W's first row, with
+# numpy 2.4.6's pocketfft (another FFT library may round the last bits
+# differently); at alpha = 2.9 the powers take np.power.
 FROZEN.update({
     f"spectrum-{n}-{alpha}": Frozen(
         _cli("spectrum", "--n", str(n), "--alpha", alpha), digest,
         f"the eigenvalues of W at the {n}-gon, alpha = {alpha}")
     for (n, alpha), digest in {
-        (5, "1"): "44d097e87711414332fc3b7748fa5bd92ea58f18129a2305693da34a851c8ddb",
-        (256, "1"): "58139763b277b859bafbee77674c077ca649e7f2749a4b003751c22d4162f866",
-        (512, "1"): "b4a16721d4d62d82594f241d8b1408d4ec23d68b187695a4ae86fbe5ac1d299d",
-        (5, "2.9"): "b4be9523820521492596936c0af74fe4fd6066b2c0701771783c1ba33b0ef5bf",
-        (256, "2.9"): "69362aaf0ee6486ec19dd07e1beee3f4b05509326429c918865304b5ec719cdc",
-        (512, "2.9"): "05942cf8b0aa486dc8e9c5988b359c2c790dfe414ed0297ca75e65e271300a0c",
+        (5, "1"): "93b8b5b4ddfdf8795d63d44cf441983a509bf92b0321e740ed07e880468ee67c",
+        (256, "1"): "efc60ae0615f8937fe0567794cba57e21d874b12d1bd73f1b40def2983322fec",
+        (512, "1"): "d4330c9bb618f83e7a47542236fd4e47d47679bcebc2faef84825a18bbcd499f",
+        (5, "2.9"): "5d798483f9203ef087b5d1e759a21f68c3358d01b3088115b2d5f99b8ee907d6",
+        (256, "2.9"): "bf2d3c044b8196421d53905b41cb190c27f80da46d1e09cd1923e7cb252b622c",
+        (512, "2.9"): "3b0b8086a1cadd50b46b52bd71e11958993fcee2d42fdfe5ae896aeec242e732",
     }.items()})
 
 # alpha-star at the default tol (n = 3, 10 and 1000 taken with the scan's

@@ -3,18 +3,25 @@
 These are the straightforward bodies the package's packed pair frame
 replaces: u_beta builds the n x n chords once per exponent, the gradient,
 the Hessian, W and the CC residuals each build them again on all n**2
-entries, the minimizer calls the public functions at every point, and the
-circulant spectrum takes row 0 of the full W at the regular n-gon. The
+entries, and the minimizer calls the public functions at every point. The
 chord builder and the minimizer's feasible-step bound are the package's
 former ones, kept here so the reference shares neither the package's
 chord code nor its line search. The tests compare the package with these
 bodies bit for bit; the package never imports this. The criterion matrix
 C J - W of the paper's spectral test lives only here, built from these
 bodies.
+
+The circulant spectrum is the exception: the package transforms W's first
+row by an FFT, which no cosine sum matches bit for bit. ``exact_row`` holds
+that row to 40 digits, ``circulant_spectrum`` sums any row against cosines
+of exact arguments, and the tests hold the package within
+``spectrum_bound``, the bound its docstring derives.
 """
 
+import math
 from dataclasses import dataclass
 
+import mpmath
 import numpy as np
 
 from cocircular import (
@@ -28,7 +35,6 @@ from cocircular import (
     UnsupportedExponent,
     center_of_mass,
     condition_threshold,
-    regular_ngon,
 )
 from cocircular.geometry import COLLISION_TOL
 from cocircular.minimizer import _ARMIJO, _BOUNDARY_FRACTION, _DIAG_REG, _SHRINK, _W_FLOOR
@@ -261,10 +267,43 @@ def minimize(aux, masses, grad_tol=1e-11, max_iter=200):
                              (cfg.angles, fx, gnorm, max_iter))
 
 
-def circulant_spectrum(aux, n):
-    """Eigenvalues from row 0 of the full W, one cosine sum per index k."""
-    row = pair_weight_matrix(aux, regular_ngon(n))[0]
-    if not np.isfinite(row).all():
-        raise UnsupportedExponent(f"W overflows at n = {n}, alpha = {aux.alpha}")
+def exact_row(aux, n):
+    """W's first row at the regular n-gon as 40-digit mpmath numbers.
+
+    Entry j is w(r) = r**-alpha + r**2/k of the chord r = 2 sin(j pi / n),
+    with alpha and k the doubles aux holds.
+    """
+    with mpmath.workdps(40):
+        alpha, k = mpmath.mpf(aux.alpha), mpmath.mpf(aux.k)
+        chords = (2 * mpmath.sin(mpmath.pi * j / n) for j in range(1, n // 2 + 1))
+        half = [r ** -alpha + r * r / k for r in chords]
+        return [mpmath.mpf(0), *half, *half[:(n - 1) // 2][::-1]]
+
+
+def exact_eigenvalue(row, k):
+    """Eigenvalue k of the circulant with first row row (mpmath numbers), to 40 digits."""
+    n = len(row)
+    with mpmath.workdps(40):
+        return mpmath.fsum(w * mpmath.cos(2 * mpmath.pi * (j * k % n) / n)
+                           for j, w in enumerate(row))
+
+
+def circulant_spectrum(row):
+    """Eigenvalues of the circulant with first row row (doubles), one
+    ``math.fsum`` of row_j cos(2 pi ((j k) mod n) / n) per index k.
+
+    Every argument lies in [0, 2 pi). Against the exact sums of row each
+    eigenvalue is within 26u sum(|row|): the argument is within 2.4u of
+    itself (``TAU``, the multiply and the divide), so 15.1u absolute;
+    ``np.cos`` adds at most 4 ulp (8u), the product u and the sum u.
+    """
+    n = len(row)
     j = np.arange(n)
-    return np.array([float(np.sum(row * np.cos(TAU * k * j / n))) for k in range(n)])
+    products = np.asarray(row) * np.cos(TAU * (np.multiply.outer(j, j) % n) / n)
+    return np.array([math.fsum(p) for p in products.tolist()])
+
+
+def spectrum_bound(n, alpha, total):
+    """The bound ``spectral.circulant_spectrum``'s docstring derives on each
+    eigenvalue: u (11 alpha + 33 + 8 (1 + log2 n)) S, S the row's sum."""
+    return 2.0 ** -53 * (11.0 * alpha + 33.0 + 8.0 * (1.0 + math.log2(n))) * total

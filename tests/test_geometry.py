@@ -220,7 +220,7 @@ def test_tolerance_that_is_no_real_number_is_a_domain_error(call, name, shown):
     (lambda n: alpha_star(n), "the sine table of g"),
     (lambda n: scan_region([n], [1.0]), "the sine table of g"),
     (regular_ngon, "the regular n-gon"),
-    (lambda n: circulant_spectrum(AuxiliaryFunctional(1.0), n), "the regular n-gon"),
+    (lambda n: circulant_spectrum(AuxiliaryFunctional(1.0), n), "the sine table of g"),
 ], ids=["g_value", "alpha_star", "scan_region", "regular_ngon", "circulant_spectrum"])
 def test_n_past_every_memory_is_a_domain_error(call, holds):
     # an array of 10**18 doubles exceeds any address space, so numpy

@@ -1,4 +1,4 @@
-"""What the frozen minimize, exclude, verify and survey outputs say.
+"""What the frozen minimize, exclude, verify, spectrum and survey outputs say.
 
 The SHA-256 digests of ``frozen_outputs.py`` (and the survey's in
 ``test_scripts.py``) pin bytes: a digest says that a byte moved, not
@@ -20,6 +20,13 @@ printed theta_m. The bounds are loose enough for the thread count of
 OpenBLAS, which moves the last bits at n = 256, and tight enough that a
 minimizer moved past the solve's stopping test fails them. The survey
 script's table is checked against the record's rows the same way.
+
+Every table entry with a step that runs spectrum is replayed too, and its
+printed eigenvalues must number n, pair up bit for bit (lambda_k =
+lambda_(n - k), as for any symmetric circulant) and lie within the bound
+``spectral.circulant_spectrum`` derives of a 40-digit cosine sum of the
+exact first row: every eigenvalue for n <= 16, sixteen or more fixed ones
+above. These need no record.
 
 The record holds the outputs as they were while the Newton loop started at
 the regular n-gon, and the ``shift-*`` ones as they were first taken, from
@@ -46,6 +53,7 @@ from cocircular import (TAU, AngleConfiguration, AuxiliaryFunctional, GroupEleme
                         MassVector, act_on_masses, pair_weight_matrix)
 from cocircular import cli
 from frozen_outputs import FROZEN, PIPE, replay, run_in_process
+from reference_potential import exact_eigenvalue, exact_row, spectrum_bound
 
 RECORD = Path(__file__).resolve().with_name("meaning_record.json")
 SURVEY = Path(__file__).resolve().parent.parent / "scripts" / "exclusion_survey.py"
@@ -260,6 +268,25 @@ def test_outputs_mean_what_they_meant(record, tmp_path, monkeypatch):
             assert out["is_cc"] is then["verify"]["is_cc"]
             for key in VERIFIED[1:]:
                 assert _close(out[key], then["verify"][key], VERIFY_BOUND), key
+
+
+@pytest.mark.parametrize("name", [name for name, entry in FROZEN.items()
+                                  if any(step.argv[0] == "spectrum" for step in entry.steps)])
+def test_spectrum_means_the_eigenvalues_of_w(name, tmp_path):
+    steps = FROZEN[name].steps
+    for step, text in zip(steps, replay(steps, run_in_process, tmp_path)):
+        if step.argv[0] != "spectrum":
+            continue
+        argv = step.argv
+        n, alpha = int(argv[argv.index("--n") + 1]), float(argv[argv.index("--alpha") + 1])
+        aux = AuxiliaryFunctional(alpha)
+        spec = json.loads(text)
+        assert len(spec) == n
+        assert spec[1:] == spec[:0:-1]
+        row = exact_row(aux, n)
+        bound = spectrum_bound(n, alpha, float(sum(row)))
+        for i in range(n) if n <= 16 else sorted({1, n // 2, *range(0, n, n // 16)}):
+            assert abs(spec[i] - float(exact_eigenvalue(row, i))) <= bound, i
 
 
 def test_every_unequal_mass_solve_names_a_record():

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 import warnings
 
@@ -6,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import cocircular.spectral as spectral
 import reference_potential as ref
 from cocircular import (
     TAU,
@@ -21,8 +21,7 @@ from cocircular import (
     pair_weight_matrix,
     regular_ngon,
 )
-from cocircular.geometry import _chords
-from cocircular.potential import _pair_weights
+from cocircular.scanner import _U as U, _g_error
 from conftest import ordered_angles, random_masses
 from oracle import taylor_identity_check
 from reference_potential import f_k_value, u_beta
@@ -127,11 +126,41 @@ SPECTRUM_NS = sorted({*range(3, 40), *range(40, 1025, 109), 255, 256, 257,
 
 
 @pytest.mark.parametrize("alpha", [0.1, 0.5, 1.0, 2.0, 2.9, 3.0, 4.0])
-def test_circulant_spectrum_matches_reference_bit_for_bit(alpha):
+def test_circulant_spectrum_within_its_bound_of_a_cosine_sum(alpha):
+    # the reference sums the exact row rounded to doubles (u of S) and is
+    # within 26u S of that row's exact sums, so the two differ by at most
+    # the docstring's bound plus 27u S
     aux = AuxiliaryFunctional(alpha)
     for n in SPECTRUM_NS:
-        assert np.array_equal(circulant_spectrum(aux, n),
-                              ref.circulant_spectrum(aux, n)), n
+        row = [float(w) for w in ref.exact_row(aux, n)]
+        total = math.fsum(row)
+        err = np.abs(circulant_spectrum(aux, n) - ref.circulant_spectrum(row))
+        assert err.max() <= ref.spectrum_bound(n, alpha, total) + 27 * U * total, n
+
+
+def test_pairs_of_eigenvalues_are_equal_bit_for_bit():
+    # W is a symmetric circulant, so lambda_k = lambda_(n - k)
+    for alpha in (0.5, 1.0, 2.9, 3.0):
+        aux = AuxiliaryFunctional(alpha)
+        for n in range(3, 301):
+            spec = circulant_spectrum(aux, n)
+            assert np.array_equal(spec[1:], spec[:0:-1]), (n, alpha)
+
+
+def test_eigenvalue_zero_is_the_sum_g_takes():
+    # lambda_0 sums w(2 sin(j pi / n)) over j, and the squared sines sum to
+    # n/2: lambda_0 = 2**-alpha n g(n, alpha) + 2n/k
+    for alpha in (0.5, 1.0, 2.9, 3.0):
+        aux = AuxiliaryFunctional(alpha)
+        for n in range(3, 301):
+            lam0 = circulant_spectrum(aux, n)[0]
+            g = g_value(n, alpha)
+            closed = 2.0 ** -alpha * n * g + 2.0 * n / aux.k
+            # the spectrum's bound, g's scaled by 2**-alpha n, and the
+            # closed form's own roundings: a pow within 1 ulp and four more
+            tol = (ref.spectrum_bound(n, alpha, lam0)
+                   + 2.0 ** -alpha * n * _g_error((n - 1) // 2, alpha, g) + 6 * U * closed)
+            assert abs(lam0 - closed) <= tol, (n, alpha)
 
 
 def test_circulant_spectrum_arity():
@@ -157,40 +186,16 @@ def test_circulant_spectrum_rejects_overflowing_eigenvalues(alpha):
             circulant_spectrum(aux, 1000)
 
 
-def _one_table_spectrum(aux, n):
-    """The spectrum from the full n x n table of cosines, as it was built."""
-    t = regular_ngon(n).angles
-    row = np.concatenate(([0.0], _pair_weights(aux, _chords(t[0] - t[1:]))))
-    j = np.arange(n)
-    return np.sum(row * np.cos((TAU * j)[:, None] * j / n), axis=1)
-
-
-@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.9])
-def test_spectrum_blocks_match_one_table(alpha):
-    # the last n that is one block, and larger ones whose last block is short
-    aux = AuxiliaryFunctional(alpha)
-    assert spectral._BLOCK // 1024 == 1024
-    for n in (1023, 1024, 1025, 1500, 2049):
-        assert np.array_equal(circulant_spectrum(aux, n), _one_table_spectrum(aux, n)), n
-
-
-@pytest.mark.parametrize("block", [1, 7, 100, 256])
-def test_small_blocks_match_one_table(monkeypatch, block):
-    monkeypatch.setattr(spectral, "_BLOCK", block)
-    aux = AuxiliaryFunctional(1.0)
-    for n in (3, 4, 17, 50, 101, 257):
-        assert np.array_equal(circulant_spectrum(aux, n), _one_table_spectrum(aux, n)), n
-
-
 def test_spectrum_memory_is_one_block():
-    # the one-table form peaks above 2 n**2 doubles, 256 MB at n = 4000
+    # a table of cosines peaks above 2 n**2 doubles, 256 MB at n = 4000;
+    # the transform holds a few rows of n
     tracemalloc.start()
     try:
         circulant_spectrum(AuxiliaryFunctional(1.0), 4000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2 * 8 * spectral._BLOCK
+    assert peak < 1 << 20
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(3, 7))
