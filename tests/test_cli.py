@@ -216,25 +216,6 @@ def test_scan_not_closed_exits_two(monkeypatch, capsys):
         assert "downward closed" in lines[0]
 
 
-def test_scan_not_closed_exits_two_under_optimize_flag():
-    script = (
-        "import sys\n"
-        "import cocircular.cli, cocircular.scanner\n"
-        "cocircular.scanner._g_block = lambda ns, alphas:"
-        " [[10.0 if n == 4 else 0.0] * len(alphas) for n in ns]\n"
-        "sys.exit(cocircular.cli.main(['scan', '--n-min', '3', '--n-max', '6',"
-        " '--alpha', '1']))\n"
-    )
-    src = os.path.dirname(os.path.dirname(cocircular.__file__))
-    out = subprocess.run([sys.executable, "-O", "-c", script],
-                         env={**os.environ, "PYTHONPATH": src},
-                         capture_output=True, text=True, timeout=120)
-    assert out.returncode == 2
-    assert out.stdout == ""
-    lines = out.stderr.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: "), out.stderr
-
-
 def test_exit_code_two_on_bad_input(tmp_path, capsys, monkeypatch):
     assert main(["verify", "--input", str(tmp_path / "missing.json")]) == 2
     assert "error:" in capsys.readouterr().err

@@ -6,11 +6,17 @@ The surface those callers do not use stays out: no step cap on
 
 Test oracles live in ``tests/``; a name added to or dropped from
 ``cocircular.__all__`` has to be added to or dropped from this list too.
+The README's library example runs here as written, and no check of the
+package or the scripts is one that ``python -O`` strips.
 """
 
 import ast
 import dataclasses
 import inspect
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -56,7 +62,9 @@ PUBLIC = [
     "verify_cc",
 ]
 
-WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+ROOT = Path(__file__).resolve().parent.parent
+WORKLOADS = ROOT / "perfbench" / "workloads.py"
+SHIPPED = sorted([*(ROOT / "src" / "cocircular").glob("*.py"), *(ROOT / "scripts").glob("*.py")])
 
 
 def test_public_names_are_frozen():
@@ -102,3 +110,28 @@ def test_scan_has_no_csv_flag(tmp_path, capsys):
     assert exc.value.code == 2
     assert capsys.readouterr().out == ""
     assert not out.exists()
+
+
+def test_no_check_is_stripped_under_optimize_flag():
+    # python -O drops assert statements and the code under __debug__; with
+    # neither in the package or the scripts, every check runs under -O too
+    stripped = [f"{path.relative_to(ROOT)}:{node.lineno}"
+                for path in SHIPPED
+                for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                if isinstance(node, ast.Assert)
+                or isinstance(node, ast.Name) and node.id == "__debug__"]
+    assert SHIPPED
+    assert not stripped, stripped
+
+
+def test_readme_library_example_runs(tmp_path):
+    # the README's first python block, outside the checkout with warnings
+    # as errors and the package's source alone on the path
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    example = tmp_path / "readme_example.py"
+    example.write_text(re.search(r"```python\n(.*?)```", readme, re.S).group(1), encoding="utf-8")
+    src = os.path.dirname(os.path.dirname(cocircular.__file__))
+    out = subprocess.run([sys.executable, "-W", "error", str(example)], cwd=tmp_path,
+                         env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr

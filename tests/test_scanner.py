@@ -1,7 +1,4 @@
 import math
-import os
-import subprocess
-import sys
 import warnings
 
 import numpy as np
@@ -9,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import cocircular
 from cocircular import (
     AuxiliaryFunctional,
     InvalidArity,
@@ -93,22 +89,6 @@ def test_scan_region_rejects_region_not_downward_closed(monkeypatch):
     monkeypatch.setattr("cocircular.scanner._g_block", _holds_except_at_four)
     with pytest.raises(RegionNotClosed):
         scan_region(range(3, 7), [1.0])
-
-
-def test_scan_region_check_survives_optimize_flag():
-    script = (
-        "import cocircular.scanner as s\n"
-        "s._g_block = lambda ns, alphas: [[10.0 if n == 4 else 0.0] * len(alphas) for n in ns]\n"
-        "try:\n"
-        "    s.scan_region(range(3, 7), [1.0])\n"
-        "except s.RegionNotClosed:\n"
-        "    print('raised')\n"
-    )
-    src = os.path.dirname(os.path.dirname(cocircular.__file__))
-    env = {**os.environ, "PYTHONPATH": src}
-    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
-                         capture_output=True, text=True, check=True)
-    assert out.stdout == "raised\n"
 
 
 def test_alpha_star_frozen():
