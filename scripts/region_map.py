@@ -29,7 +29,12 @@ def main(argv=None):
     try:
         if args.alpha_steps < 1:
             raise DomainError("--alpha-steps must be at least 1")
-        alphas = np.linspace(args.alpha_min, args.alpha_max, args.alpha_steps)
+        try:  # a range past the doubles comes out NaN, which _grid refuses
+            with np.errstate(over="ignore", invalid="ignore"):
+                alphas = np.linspace(args.alpha_min, args.alpha_max, args.alpha_steps)
+        except MemoryError:
+            raise DomainError(f"no memory holds the alpha grid at --alpha-steps = "
+                              f"{args.alpha_steps}") from None
         grid = ns, alphas, thresholds, rows = cli._scan_grid(args.n_min, args.n_max, alphas)
         if args.csv:
             cli._emit(args.csv, cli._scan_csv(grid))

@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import operator
 import sys
 
 import numpy as np
@@ -33,7 +34,7 @@ from .minimizer import minimize_f_k
 from .potential import AuxiliaryFunctional
 from .scanner import _alpha_star, _grid, condition_threshold
 from .spectral import circulant_spectrum
-from .symmetry import GroupElement, exclusion_verdicts
+from .symmetry import exclusion_verdicts
 from .verifier import verify_cc
 
 
@@ -106,39 +107,17 @@ def _emit(path: str | None, text: str) -> None:
         sys.stdout.write(text)
 
 
-# each witness kind's JSON as a % template
-_GROUP_WITNESS = '{"kind":"group","h":%d,"l":%d}'
-_SWAP_WITNESS = '{"kind":"swap","pair":[%d,%d]}'
+def _verdict_json(v, witness: str, ints, flag: str = "") -> str:
+    """One verdict object, its certificate list in one ``%`` pass.
 
-
-def _witness_json(witness) -> str:
-    if witness is None:
-        return "null"
-    if isinstance(witness, GroupElement):
-        return _GROUP_WITNESS % (witness.h, witness.l)
-    return _SWAP_WITNESS % witness
-
-
-def _certificates_json(certificates) -> str:
-    """The certificate list, in one ``%`` pass over one joined template."""
-    if not certificates:
-        return ""
-    if isinstance(certificates[0][0], GroupElement):
-        witness = _GROUP_WITNESS
-        values = [v for g, margin in certificates for v in (g.h, g.l, margin)]
-    else:
-        witness = _SWAP_WITNESS
-        values = [v for (j, k), margin in certificates for v in (j, k, margin)]
-    template = '{"witness":' + witness + ',"margin":%.17g}'
-    return ",".join([template] * len(certificates)) % tuple(values)
-
-
-def _verdict_json(v, inconsistent: bool | None = None) -> str:
-    """One verdict object, with an ``inconsistent`` field unless it is None."""
-    flag = "" if inconsistent is None else ',"inconsistent":' + _BOOL[inconsistent]
+    witness is the % template of the verdict's witness kind, ints(w) the
+    two integers it takes, and flag the text that ends the object.
+    """
+    certificate = '{"witness":' + witness + ',"margin":%.17g}'
+    values = tuple(x for w, margin in v.certificates for x in (*ints(w), margin))
     return ('{"excluded":%s,"witness":%s,"margin":%.17g,"certificates":[%s]%s}'
-            % (_BOOL[v.excluded], _witness_json(v.witness), v.margin,
-               _certificates_json(v.certificates), flag))
+            % (_BOOL[v.excluded], "null" if v.witness is None else witness % ints(v.witness),
+               v.margin, ",".join([certificate] * len(v.certificates)) % values, flag))
 
 
 def _cmd_minimize(args: argparse.Namespace) -> str:
@@ -169,8 +148,11 @@ def _cmd_exclude(args: argparse.Namespace) -> str:
     return ('{"alpha":%.17g,"k":%.17g,"masses":%s,"theta_m":%s,"f_value":%.17g,'
             '"excluded":%s,"group":%s,"swap":%s}\n'
             % (aux.alpha, aux.k, _floats(masses.masses), _floats(group.theta_m.angles),
-               group.f_value, _BOOL[group.excluded or swap.excluded], _verdict_json(group),
-               _verdict_json(swap, swap.inconsistent)))
+               group.f_value, _BOOL[group.excluded or swap.excluded],
+               _verdict_json(group, '{"kind":"group","h":%d,"l":%d}',
+                             operator.attrgetter("h", "l")),
+               _verdict_json(swap, '{"kind":"swap","pair":[%d,%d]}', tuple,
+                             ',"inconsistent":' + _BOOL[swap.inconsistent])))
 
 
 def _cmd_spectrum(args: argparse.Namespace) -> str:

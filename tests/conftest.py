@@ -1,9 +1,18 @@
+import os
+import subprocess
+import sys
 import threading
 
 import numpy as np
+import pytest
 
+import cocircular
 import cocircular.potential as potential
+import cocircular.scanner as scanner
 from cocircular import TAU, AngleConfiguration, MassVector
+
+# the directory that holds the package, and nothing else a run may import
+SRC = os.path.dirname(os.path.dirname(cocircular.__file__))
 
 
 def ordered_angles(rng, n, min_gap=0.05):
@@ -53,3 +62,39 @@ def on_fresh_thread(call, *args):
     thread.join(timeout=120)
     assert out, "the call on the fresh thread raised or did not finish"
     return out[0]
+
+
+def run_python(*args, stdin=None, cwd=None):
+    """``python -W error *args`` in a new interpreter whose path holds the
+    package's source alone, on the text stdin: the CompletedProcess."""
+    return subprocess.run([sys.executable, "-W", "error", *args], cwd=cwd, input=stdin,
+                          env={**os.environ, "PYTHONPATH": SRC}, capture_output=True, text=True,
+                          timeout=120)
+
+
+def patch_callers(monkeypatch, owner, name, record):
+    """Pass every call of the kernel ``owner.name`` through ``record`` first.
+
+    Every package module that holds the kernel by name is patched, on
+    every thread; the arguments pass through. Returns those modules.
+    """
+    kernel = getattr(owner, name)
+
+    def recording(*args):
+        record(*args)
+        return kernel(*args)
+
+    callers = [module for module_name, module in list(sys.modules.items())
+               if module_name.split(".")[0] == "cocircular"
+               and getattr(module, name, None) is kernel]
+    for module in callers:
+        monkeypatch.setattr(module, name, recording)
+    return set(callers)
+
+
+@pytest.fixture
+def g_calls(monkeypatch):
+    """The (alpha, sine table) of every call of the exact kernel ``scanner._g``."""
+    calls = []
+    patch_callers(monkeypatch, scanner, "_g", lambda n, table, alpha: calls.append((alpha, table)))
+    return calls

@@ -1,14 +1,16 @@
-"""Every CLI run the tests pin, each written once, and the runner that replays it.
+"""Every run of the CLI and the scripts the tests pin, each written once, and its runners.
 
-An entry names the steps of one run of ``cocircular``. A step is an argv,
-its stdin (a JSON payload, ``PIPE`` for the previous step's output, or
-None) and the name of its record in ``meaning_record.json``, if it has
-one. ``replay`` returns each step's text: its stdout, or the file its
-``--output`` names. What an entry pins is the SHA-256 of the texts that no
-later step reads. ``test_cli.py::test_frozen_output`` replays every entry
-in process, and ``test_frozen_output_in_a_fresh_process`` replays each
-``fresh`` one with one ``python -W error -m cocircular`` per step. Every
-step must exit 0 with nothing on stderr.
+An entry names the steps of one run. A step is an argv, its stdin (a JSON
+payload, ``PIPE`` for the previous step's output, or None) and the name of
+its record in ``meaning_record.json``, if it has one. The argv runs
+``cocircular``, or the script it starts with where that is a path under
+``scripts/``. ``replay`` returns each step's text: its stdout, or the file
+its ``--output`` names. What an entry pins is the SHA-256 of the texts
+that no later step reads. ``test_cli.py::test_frozen_output`` replays
+every entry in process, by ``cli.main(argv)`` or the script's
+``main(argv[1:])``, and ``test_frozen_output_in_a_fresh_process`` replays
+each ``fresh`` one with one ``python -W error`` per step. Every step must
+exit 0 with nothing on stderr.
 
 A digest says that a byte moved, not what moved with it: every step that
 runs minimize, exclude or verify on masses that are not all equal names a
@@ -21,7 +23,7 @@ file lacks. A change that moves an output's bytes edits that entry's digest
 and says why in CHANGES.md. The entries at n = 256 hold for OpenBLAS 0.3.31
 on two threads, as CI pins it: LAPACK's LU rounds differently on one thread.
 
-The four literals below are compared byte for byte; an entry that pins one
+The five literals below are compared byte for byte; an entry that pins one
 of them takes its digest from the literal, and ``test_frozen_output``
 compares its text with the literal before the digest, so that a moved
 byte shows in pytest's diff.
@@ -31,14 +33,18 @@ import contextlib
 import hashlib
 import io
 import json
+import runpy
 import sys
+from pathlib import Path
 from typing import NamedTuple
 from unittest import mock
 
 import numpy as np
 
 from cocircular import cli
-from conftest import certify_masses
+from conftest import certify_masses, run_python
+
+ROOT = Path(__file__).resolve().parent.parent
 
 MINIMIZE_112 = (
     '{"alpha":1,"k":16,"masses":[1,1,2],'
@@ -63,6 +69,24 @@ ALPHA_STAR_6 = (
     '"tolerance":9.9999999999999998e-13}\n'
 )
 
+# region_map.py's table as it printed when each n's edge came from a scan
+# of every cell: n = 8, 9 hold up to the first alpha, n >= 10 never hold
+REGION_MAP_TABLE = """\
+  n   alpha_star    g(n,a*)  holds up to
+  3  12.79269752   4.198174        2.000
+  4   3.31972236   1.829931        2.000
+  5   1.70745281   1.426863        1.500
+  6   1.11101312   1.277753        1.000
+  7   0.81064311   1.202661        0.750
+  8   0.63260716   1.158152        0.500
+  9   0.51590892   1.128977        0.500
+ 10   0.43400480   1.108501        never
+ 11   0.37360588   1.093401        never
+ 12   0.32736576   1.081841        never
+ 13   0.29091119   1.072728        never
+ 14   0.26148487   1.065371        never
+"""
+
 PIPE = object()  # a step's stdin that is the previous step's output
 
 
@@ -84,7 +108,8 @@ def sha256(text):
 
 
 # each literal by its digest
-LITERALS = {sha256(text): text for text in (MINIMIZE_112, SCAN_CSV, SPECTRUM_4, ALPHA_STAR_6)}
+LITERALS = {sha256(text): text for text in (MINIMIZE_112, SCAN_CSV, SPECTRUM_4, ALPHA_STAR_6,
+                                            REGION_MAP_TABLE)}
 
 
 def replay(steps, run, cwd):
@@ -109,13 +134,28 @@ def pinned(steps, texts):
                    if after is None or after.stdin is not PIPE)
 
 
+def _script(argv):
+    """The script a step runs, or None where it runs ``cocircular``."""
+    return ROOT / argv[0] if argv[0].startswith("scripts/") else None
+
+
 def run_in_process(argv, stdin):
-    """``cli.main(argv)`` in this process on the text stdin: (code, stdout, stderr)."""
+    """The step in this process on the text stdin: (code, stdout, stderr)."""
+    script = _script(argv)
+    main, args = (runpy.run_path(str(script))["main"], argv[1:]) if script else (cli.main, argv)
     out, err = io.StringIO(), io.StringIO()
     with mock.patch.object(sys, "stdin", io.StringIO(stdin or "")), \
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(argv)
+        code = main(args)
     return code, out.getvalue(), err.getvalue()
+
+
+def run_fresh(argv, stdin, cwd):
+    """The step in a new interpreter under cwd: (code, stdout, stderr)."""
+    script = _script(argv)
+    out = run_python(*([str(script), *argv[1:]] if script else ["-m", "cocircular", *argv]),
+                     stdin=stdin, cwd=cwd)
+    return out.returncode, out.stdout, out.stderr
 
 
 def _cli(*argv, stdin=None, record=None):
@@ -334,6 +374,20 @@ FROZEN = {
         tuple(Step(["alpha-star", "--n", str(n)]) for n in range(3, 1001)),
         "8cae5c7c98cbf4e47c3eadc68a58aae309239a798e94a682dcb70c16f5847f8d",
         "alpha* at n = 3..1000, one call after another"),
+
+    # The scripts' tables: the survey's of 12 families, taken again from
+    # minimizer._mass_start, and the region map's, REGION_MAP_TABLE.
+    "survey-4-8": Frozen(
+        (Step(["scripts/exclusion_survey.py", "--n-min", "4", "--n-max", "8"]),),
+        "fc3366928def876061e9cb22195d211a0b64ee5d1764e259f2e0ef284bbdce81",
+        "the survey's witnesses, margins and radial spreads",
+        fresh=True),
+    "region-map-3-14": Frozen(
+        (Step(["scripts/region_map.py", "--n-min", "3", "--n-max", "14", "--alpha-min", "0.5",
+               "--alpha-max", "2.0", "--alpha-steps", "7"]),),
+        sha256(REGION_MAP_TABLE),
+        "the corollary's critical exponents and region edges, REGION_MAP_TABLE",
+        fresh=True),
 }
 
 # exclude at alpha = 0.5, 1 and 3 in turn on the certify benchmark's inputs,

@@ -45,19 +45,11 @@ def g_value(n: int, alpha: float) -> float:
     return total / n
 
 
-def alpha_star(n: int, tol: float = 1e-12) -> float:
-    """Bracket by doubling from alpha = 1/64, then bisect on the reference g.
+def _bisect(n: int, psi, tol: float) -> float:
+    """Bracket the root of psi by doubling from alpha = 1/64, then bisect.
 
     The bisection stops when no double lies strictly between lo and hi.
     """
-    if n < 3:
-        raise InvalidArity(f"need n >= 3 bodies, got {n}")
-    if not tol >= 0.0:
-        raise DomainError(f"tol must be a nonnegative number, got {tol}")
-
-    def psi(a: float) -> float:
-        return g_value(n, a) - condition_threshold(a)
-
     lo = _ALPHA_SEED
     while psi(lo) >= 0.0:
         lo *= 0.5
@@ -85,6 +77,15 @@ def alpha_star(n: int, tol: float = 1e-12) -> float:
     )
 
 
+def alpha_star(n: int, tol: float = 1e-12) -> float:
+    """The root of g - threshold on the reference g."""
+    if n < 3:
+        raise InvalidArity(f"need n >= 3 bodies, got {n}")
+    if not tol >= 0.0:
+        raise DomainError(f"tol must be a nonnegative number, got {tol}")
+    return _bisect(n, lambda a: g_value(n, a) - condition_threshold(a), tol)
+
+
 def alpha_star_every_step(n: int, tol: float = 1e-12) -> tuple[float, float]:
     """The root and its g from a bisection that runs ``_g`` at every step."""
     n, tol = _arity(n), _tolerance(tol, "tol")
@@ -97,27 +98,5 @@ def alpha_star_every_step(n: int, tol: float = 1e-12) -> tuple[float, float]:
         return g - condition_threshold(a)
 
     with np.errstate(over="ignore"):
-        lo = _ALPHA_SEED
-        while psi(lo) >= 0.0:
-            lo *= 0.5
-            if lo < 1e-12:
-                raise NoBracket(f"condition already fails at alpha -> 0 for n = {n}")
-        hi = 2.0 * lo
-        while psi(hi) < 0.0:
-            lo, hi = hi, 2.0 * hi
-            if hi > _ALPHA_CAP:
-                raise NoBracket(
-                    f"condition holds for every alpha up to {_ALPHA_CAP} at n = {n}"
-                )
-        mid = 0.5 * (lo + hi)
-        while lo < mid < hi:
-            value = psi(mid)
-            if abs(value) <= tol:
-                return mid, g
-            if value < 0.0:
-                lo = mid
-            else:
-                hi = mid
-            mid = 0.5 * (lo + hi)
-    raise ConvergenceFailure(f"bisection residual above {tol} with no double "
-                             f"between {lo!r} and {hi!r}")
+        root = _bisect(n, psi, tol)
+    return root, g

@@ -38,32 +38,19 @@ def test_outcomes_match_the_every_step_loop_at_large_n(n, tol):
     assert _outcome(_alpha_star, n, tol) == _outcome(ref.alpha_star_every_step, n, tol)
 
 
-def _counting_kernels(monkeypatch):
-    calls = []
-
-    def exact(n, table, alpha):
-        calls.append(alpha)
-        return _g(n, table, alpha)
-
-    monkeypatch.setattr("cocircular.scanner._g", exact)
-    return calls
-
-
 @pytest.mark.parametrize("n", [7, 99, 101, 500, 1000, 10**4])
-def test_few_steps_run_a_kernel(monkeypatch, n):
+def test_few_steps_run_a_kernel(g_calls, n):
     # the every-step loop ran 31 to 43 kernels at these n
-    calls = _counting_kernels(monkeypatch)
     root = alpha_star(n)
-    assert 1 <= len(calls) <= 10 and calls[-1] == root
+    assert 1 <= len(g_calls) <= 10 and g_calls[-1][0] == root
 
 
-def test_kernel_budget_over_n_3_to_1200(monkeypatch):
+def test_kernel_budget_over_n_3_to_1200(g_calls):
     # the sum alpha_star's docstring quotes: a bound that loosens runs more
     # kernels here, with every root unchanged
-    calls = _counting_kernels(monkeypatch)
     for n in range(3, 1201):
         alpha_star(n)
-    assert len(calls) == 4963
+    assert len(g_calls) == 4963
 
 
 @pytest.mark.parametrize("n", [6, 7, 500, 10**4])
@@ -77,12 +64,11 @@ def test_one_threshold_per_alpha_tried(monkeypatch, n):
     assert alphas[-1] == root and len(set(alphas)) == len(alphas)
 
 
-def test_the_bracket_costs_no_kernel_at_large_n(monkeypatch):
+def test_the_bracket_costs_no_kernel_at_large_n(g_calls):
     # the halvings from 1/64 down to 2**-16 all settle in closed form, and
     # only bisection midpoints, never powers of 2, run a kernel
-    calls = _counting_kernels(monkeypatch)
     assert 2.0 ** -16 < alpha_star(10**5) < 2.0 ** -15
-    assert calls and not any(math.frexp(a)[0] == 0.5 for a in calls)
+    assert g_calls and not any(math.frexp(a)[0] == 0.5 for a, _ in g_calls)
 
 
 @pytest.mark.parametrize("n", [7, 99, 500])

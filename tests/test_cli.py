@@ -1,10 +1,9 @@
 import argparse
 import contextlib
+import functools
 import io
 import json
 import math
-import os
-import subprocess
 import sys
 
 import numpy as np
@@ -16,8 +15,9 @@ import cocircular
 import cocircular.potential as potential
 from cocircular import TAU, AngleConfiguration, scan_region
 from cocircular.cli import _floats, main
+from conftest import run_python
 from frozen_outputs import (ALPHA_STAR_6, FROZEN, LITERALS, MINIMIZE_112, SCAN_CSV, pinned,
-                            replay, run_in_process, sha256)
+                            replay, run_fresh, run_in_process, sha256)
 
 M112 = {"alpha": 1.0, "masses": [1.0, 1.0, 2.0]}
 
@@ -480,16 +480,6 @@ def test_non_finite_objective_exits_two(tmp_path, capsys, command, payload, caus
     assert cause in captured.err and captured.out == ""
 
 
-def _run_cli(argv, payload=None, cwd=None):
-    """argv in a new interpreter with warnings as errors; payload is stdin,
-    as text or as JSON of it."""
-    src = os.path.dirname(os.path.dirname(cocircular.__file__))
-    env = {**os.environ, "PYTHONPATH": src}
-    stdin = payload if payload is None or isinstance(payload, str) else json.dumps(payload)
-    return subprocess.run([sys.executable, "-W", "error", "-m", "cocircular", *argv], env=env,
-                          cwd=cwd, input=stdin, capture_output=True, text=True, timeout=120)
-
-
 @pytest.mark.parametrize("argv, payload", [
     (["spectrum", "--n", "1000", "--alpha", "1000"], None),
     (["minimize", "--input", "-"], {"alpha": 1000.0, "masses": [1.0] * 50}),
@@ -508,7 +498,7 @@ def _run_cli(argv, payload=None, cwd=None):
 def test_overflow_prints_one_error_line(argv, payload):
     # numpy overflow warnings would put internal file paths ahead of the
     # typed error, and a report of inf or NaN is not JSON
-    out = _run_cli(argv, payload)
+    out = run_python("-m", "cocircular", *argv, stdin=payload and json.dumps(payload))
     assert out.returncode == 2
     assert out.stdout == ""
     lines = out.stderr.splitlines()
@@ -525,11 +515,12 @@ def test_deeply_nested_input_exits_two(tmp_path, depth, source):
     # past the interpreter's recursion limit the decoder raises
     # RecursionError, which must read as bad input, not as a traceback
     if source == "stdin":
-        out = _run_cli(["minimize", "--input", "-"], _nested_masses(depth))
+        out = run_python("-m", "cocircular", "minimize", "--input", "-",
+                         stdin=_nested_masses(depth))
     else:
         path = tmp_path / "deep.json"
         path.write_text(_nested_masses(depth), encoding="utf-8")
-        out = _run_cli(["minimize", "--input", str(path)])
+        out = run_python("-m", "cocircular", "minimize", "--input", str(path))
     assert (out.returncode, out.stdout) == (2, "")
     assert out.stderr == "error: input nests its arrays or objects too deeply\n"
 
@@ -591,10 +582,7 @@ def test_frozen_output(tmp_path, monkeypatch, name):
 def test_frozen_output_in_a_fresh_process(tmp_path, name):
     # one interpreter per step, as a shell pipes them: no step shares a
     # pair workspace or a block cache with another
-    def run(argv, stdin):
-        out = _run_cli(argv, stdin, cwd=tmp_path)
-        return out.returncode, out.stdout, out.stderr
-
+    run = functools.partial(run_fresh, cwd=tmp_path)
     _check_digest(name, replay(FROZEN[name].steps, run, tmp_path))
 
 
@@ -641,8 +629,8 @@ def test_alpha_star_zero_tolerance_convergence_failure(monkeypatch, capsys, n):
 @pytest.mark.parametrize("command", ["minimize", "verify", "exclude"])
 def test_overflowing_total_mass_prints_one_error_line(command):
     # each mass is a finite double, their sum is not
-    out = _run_cli([command, "--input", "-"],
-                   {"alpha": 1.0, "masses": [1e308] * 3, "angles": [1.0, 2.0, TAU]})
+    payload = {"alpha": 1.0, "masses": [1e308] * 3, "angles": [1.0, 2.0, TAU]}
+    out = run_python("-m", "cocircular", command, "--input", "-", stdin=json.dumps(payload))
     assert out.returncode == 2
     assert out.stdout == ""
     lines = out.stderr.splitlines()
@@ -665,7 +653,7 @@ def test_reused_parser_matches_fresh_process(monkeypatch, capsys):
         except SystemExit as exc:
             code = exc.code
         captured = capsys.readouterr()
-        fresh = _run_cli(argv)
+        fresh = run_python("-m", "cocircular", *argv)
         assert code == fresh.returncode
         assert captured.out == fresh.stdout
         assert captured.err == fresh.stderr
@@ -699,8 +687,6 @@ def test_import_builds_no_parser():
         "import cocircular, cocircular.cli\n"
         "print(len(built))\n"
     )
-    src = os.path.dirname(os.path.dirname(cocircular.__file__))
-    out = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src},
-                         capture_output=True, text=True, timeout=120)
+    out = run_python("-c", probe)
     assert out.returncode == 0, out.stderr
     assert out.stdout == "0\n"

@@ -1,12 +1,11 @@
 """What the frozen minimize, exclude, verify, spectrum and survey outputs say.
 
-The SHA-256 digests of ``frozen_outputs.py`` (and the survey's in
-``test_scripts.py``) pin bytes: a digest says that a byte moved, not
-whether a verdict moved with it. Every step of that table that runs
-minimize, exclude or verify on masses that are not all equal names a
-record of ``meaning_record.json``, and the check of that record replays
-the table's steps that name it, in process, parses each output and
-compares what it says with the record:
+The SHA-256 digests of ``frozen_outputs.py`` pin bytes: a digest says
+that a byte moved, not whether a verdict moved with it. Every step of
+that table that runs minimize, exclude or verify on masses that are not
+all equal names a record of ``meaning_record.json``, and the check of
+that record replays the table's steps that name it, in process, parses
+each output and compares what it says with the record:
 
 * exactly: ``converged``, ``is_cc``, ``excluded``, the group and swap
   ``excluded``, ``inconsistent`` and the certificate element lists;
@@ -19,7 +18,8 @@ Each printed margin is also recomputed from ``pair_weight_matrix`` at the
 printed theta_m. The bounds are loose enough for the thread count of
 OpenBLAS, which moves the last bits at n = 256, and tight enough that a
 minimizer moved past the solve's stopping test fails them. The survey
-script's table is checked against the record's rows the same way.
+script's table, replayed in process from its entry, is checked against
+the record's rows the same way.
 
 Every table entry with a step that runs spectrum is replayed too, and its
 printed eigenvalues must number n, pair up bit for bit (lambda_k =
@@ -40,15 +40,12 @@ the move here, as ``WITNESS_MOVES`` does.
 
 import json
 import os
-import subprocess
-import sys
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-import cocircular
 from cocircular import (TAU, AngleConfiguration, AuxiliaryFunctional, GroupElement,
                         MassVector, act_on_masses, pair_weight_matrix)
 from cocircular import cli
@@ -56,8 +53,6 @@ from frozen_outputs import FROZEN, PIPE, replay, run_in_process
 from reference_potential import exact_eigenvalue, exact_row, spectrum_bound
 
 RECORD = Path(__file__).resolve().with_name("meaning_record.json")
-SURVEY = Path(__file__).resolve().parent.parent / "scripts" / "exclusion_survey.py"
-SURVEY_ARGS = ["--n-min", "4", "--n-max", "8"]
 
 # Largest change of any angle, in radians. The solve stops at a reduced
 # gradient of 1e-11 |f|, which leaves theta_m up to that over the reduced
@@ -194,14 +189,6 @@ def survey_rows(text):
     return rows
 
 
-def _survey():
-    src = str(Path(cocircular.__file__).resolve().parent.parent)
-    out = subprocess.run([sys.executable, str(SURVEY), *SURVEY_ARGS], capture_output=True,
-                         text=True, timeout=120, env={**os.environ, "PYTHONPATH": src})
-    assert out.returncode == 0, out.stderr
-    return out.stdout
-
-
 def _record():
     return json.loads(RECORD.read_text(encoding="utf-8"))
 
@@ -297,8 +284,9 @@ def test_every_unequal_mass_solve_names_a_record():
     assert set(problems) <= set(SOLVES), "a record that no table step names"
 
 
-def test_survey_means_what_it_meant():
-    now, then = survey_rows(_survey()), _record()["survey"]
+def test_survey_means_what_it_meant(tmp_path):
+    text = replay(FROZEN["survey-4-8"].steps, run_in_process, tmp_path)[-1]
+    now, then = survey_rows(text), _record()["survey"]
     assert [row[:2] + row[5:] for row in now] == [row[:2] + row[5:] for row in then]
     for row, was in zip(now, then):
         if len(row) == 1:  # a warning line

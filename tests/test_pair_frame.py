@@ -14,7 +14,6 @@ iteration count, and every step it took feeds into those.
 """
 
 import dataclasses
-import sys
 
 import numpy as np
 import pytest
@@ -36,7 +35,7 @@ from cocircular import (
     regular_ngon,
     verify_cc,
 )
-from conftest import ordered_angles, random_masses
+from conftest import ordered_angles, patch_callers, random_masses
 
 
 def _problem(seed, n, alpha, k_scale):
@@ -150,25 +149,15 @@ def test_verify_cc_matches_reference_on_every_pow_branch(alpha):
 
 @pytest.fixture
 def chord_builds(monkeypatch):
-    """Count calls of the one chord builder.
+    """Count calls of the one chord builder, ``potential._chords_at``.
 
     Every pair frame, the Newton loop's included, builds its chords
-    through ``potential._chords_at``; every package module that holds it
-    by name is patched, and the workspace passes through.
+    through it; the workspace passes through.
     """
     calls = []
-    build = potential._chords_at
-
-    def counting(ws, t):
-        calls.append(t.size)
-        return build(ws, t)
-
-    callers = [module for name, module in list(sys.modules.items())
-               if name.split(".")[0] == "cocircular"
-               and getattr(module, "_chords_at", None) is build]
-    assert minimizer in callers and potential in callers
-    for module in callers:
-        monkeypatch.setattr(module, "_chords_at", counting)
+    callers = patch_callers(monkeypatch, potential, "_chords_at",
+                            lambda ws, t: calls.append(t.size))
+    assert {minimizer, potential} <= callers
     return calls
 
 

@@ -13,10 +13,7 @@ package or the scripts is one that ``python -O`` strips.
 import ast
 import dataclasses
 import inspect
-import os
 import re
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -24,6 +21,7 @@ import pytest
 import cocircular
 from cocircular import GroupElement, MinimizeResult, minimize_f_k
 from cocircular.cli import main
+from conftest import run_python
 
 PUBLIC = [
     "AngleConfiguration",
@@ -130,8 +128,5 @@ def test_readme_library_example_runs(tmp_path):
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     example = tmp_path / "readme_example.py"
     example.write_text(re.search(r"```python\n(.*?)```", readme, re.S).group(1), encoding="utf-8")
-    src = os.path.dirname(os.path.dirname(cocircular.__file__))
-    out = subprocess.run([sys.executable, "-W", "error", str(example)], cwd=tmp_path,
-                         env={**os.environ, "PYTHONPATH": src},
-                         capture_output=True, text=True, timeout=120)
+    out = run_python(str(example), cwd=tmp_path)
     assert out.returncode == 0, out.stderr

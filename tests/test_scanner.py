@@ -161,31 +161,18 @@ def test_alpha_star_asymptotic_law(n, low):
     assert low <= ratio <= 1.0
 
 
-def _counting_g(monkeypatch):
-    # the alphas and the tables of every _g call
-    calls = []
-
-    def counting(n, table, alpha):
-        calls.append((alpha, table))
-        return _g(n, table, alpha)
-
-    monkeypatch.setattr("cocircular.scanner._g", counting)
-    return calls
-
-
-def test_bounds_leave_few_steps_to_the_exact_kernel(monkeypatch):
+def test_bounds_leave_few_steps_to_the_exact_kernel(g_calls):
     # bounds on g settle all but a few steps, below and above the 50
     # distinct terms (n = 101) where a second kernel once took over: at
     # most 5 steps at each n run the exact kernel _g, and the step that
     # ends the bisection always runs it
-    calls = _counting_g(monkeypatch)
     for n in (99, 500):
-        del calls[:]
+        del g_calls[:]
         root = alpha_star(n)
-        assert 1 <= len(calls) <= 5 and calls[-1][0] == root
+        assert 1 <= len(g_calls) <= 5 and g_calls[-1][0] == root
 
 
-def test_alpha_star_builds_one_sine_table(monkeypatch):
+def test_alpha_star_builds_one_sine_table(monkeypatch, g_calls):
     # every _g call of a bisection takes the one sine table it built
     tables = []
 
@@ -194,10 +181,9 @@ def test_alpha_star_builds_one_sine_table(monkeypatch):
         return tables[-1]
 
     monkeypatch.setattr("cocircular.scanner._sine_table", building)
-    calls = _counting_g(monkeypatch)
     _alpha_star(500, 1e-12)
-    assert len(tables) == 1 and 1 <= len(calls) <= 10
-    assert all(table is tables[0] for _, table in calls)
+    assert len(tables) == 1 and 1 <= len(g_calls) <= 10
+    assert all(table is tables[0] for _, table in g_calls)
 
 
 def test_overflowing_bracket_raises_without_warnings(monkeypatch):

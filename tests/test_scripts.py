@@ -1,29 +1,21 @@
-import hashlib
-import os
 import runpy
-import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
 import cocircular
 from cocircular import cli, scanner
 from cocircular.cli import main
+from conftest import run_python
+from frozen_outputs import REGION_MAP_TABLE, ROOT
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
-
-
-def _run_script(name, *args):
-    src = os.path.dirname(os.path.dirname(cocircular.__file__))
-    env = {**os.environ, "PYTHONPATH": src}
-    return subprocess.run([sys.executable, "-W", "error", str(SCRIPTS / name), *args], env=env,
-                          capture_output=True, text=True, timeout=120)
+REGION_MAP = str(ROOT / "scripts" / "region_map.py")
+SURVEY = str(ROOT / "scripts" / "exclusion_survey.py")
 
 
 def test_region_map_csv_matches_cli_scan(tmp_path, capsys):
     csv = tmp_path / "region.csv"
-    out = _run_script("region_map.py", "--n-min", "3", "--n-max", "8",
+    out = run_python(REGION_MAP, "--n-min", "3", "--n-max", "8",
                       "--alpha-steps", "5", "--csv", str(csv))
     assert out.returncode == 0, out.stderr
     rows = csv.read_text(encoding="utf-8")
@@ -32,32 +24,6 @@ def test_region_map_csv_matches_cli_scan(tmp_path, capsys):
     assert len(alphas) == 5
     assert main(["scan", "--n-min", "3", "--n-max", "8", "--alpha", *alphas]) == 0
     assert capsys.readouterr().out == rows
-
-
-# region_map.py's table as it printed when each n's edge came from a scan
-# of every cell: n = 8, 9 hold up to the first alpha, n >= 10 never hold
-REGION_MAP_TABLE = """\
-  n   alpha_star    g(n,a*)  holds up to
-  3  12.79269752   4.198174        2.000
-  4   3.31972236   1.829931        2.000
-  5   1.70745281   1.426863        1.500
-  6   1.11101312   1.277753        1.000
-  7   0.81064311   1.202661        0.750
-  8   0.63260716   1.158152        0.500
-  9   0.51590892   1.128977        0.500
- 10   0.43400480   1.108501        never
- 11   0.37360588   1.093401        never
- 12   0.32736576   1.081841        never
- 13   0.29091119   1.072728        never
- 14   0.26148487   1.065371        never
-"""
-
-
-def test_region_map_table_frozen():
-    out = _run_script("region_map.py", "--n-min", "3", "--n-max", "14", "--alpha-min", "0.5",
-                      "--alpha-max", "2.0", "--alpha-steps", "7")
-    assert out.returncode == 0, out.stderr
-    assert out.stdout == REGION_MAP_TABLE
 
 
 def test_region_map_evaluates_the_grid_once(tmp_path, monkeypatch, capsys):
@@ -81,7 +47,7 @@ def test_region_map_evaluates_the_grid_once(tmp_path, monkeypatch, capsys):
         "region_map.py", "--n-min", "3", "--n-max", "14", "--alpha-min", "0.5",
         "--alpha-max", "2.0", "--alpha-steps", "7", "--csv", str(csv)])
     with pytest.raises(SystemExit) as stop:
-        runpy.run_path(str(SCRIPTS / "region_map.py"), run_name="__main__")
+        runpy.run_path(REGION_MAP, run_name="__main__")
     assert stop.value.code == 0
     assert calls == {"_grid": 1, "g_value": 0}
     assert capsys.readouterr().out == f"wrote 84 cells to {csv}\n" + REGION_MAP_TABLE
@@ -92,10 +58,16 @@ def test_region_map_evaluates_the_grid_once(tmp_path, monkeypatch, capsys):
     (["--n-min", "2"], "need n >= 3 bodies, got 2"),
     (["--n-min", "9", "--n-max", "5"], "--n-min must not exceed --n-max"),
     (["--alpha-steps", "0"], "--alpha-steps must be at least 1"),
+    # numpy's linspace of these is NaN, with a warning that -W error raises
+    (["--alpha-max=inf"], "alpha must be a finite number"),
+    (["--alpha-min=-1e308", "--alpha-max=1e308"], "alpha must be a finite number"),
+    # 10**15 doubles are 7.1 PiB, past any address space, so the request fails at once
+    (["--alpha-steps", str(10**15)],
+     f"no memory holds the alpha grid at --alpha-steps = {10**15}"),
 ])
 def test_region_map_input_error_exits_two(tmp_path, args, error, csv):
     path = tmp_path / "region.csv"
-    out = _run_script("region_map.py", *args, *(["--csv", str(path)] if csv else []))
+    out = run_python(REGION_MAP, *args, *(["--csv", str(path)] if csv else []))
     assert (out.returncode, out.stdout, out.stderr) == (2, "", f"error: {error}\n")
     assert not path.exists()
 
@@ -106,29 +78,11 @@ def test_region_map_refuses_n_past_every_array(monkeypatch, capsys):
         monkeypatch.setattr(module, "_grid", lambda *args: pytest.fail("walked the range"))
     monkeypatch.setattr(sys, "argv", ["region_map.py", "--n-max", str(10**30)])
     with pytest.raises(SystemExit) as stop:
-        runpy.run_path(str(SCRIPTS / "region_map.py"), run_name="__main__")
+        runpy.run_path(REGION_MAP, run_name="__main__")
     assert stop.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: need n <= {sys.maxsize} bodies, got {10**30}\n"
-
-
-def test_exclusion_survey_runs():
-    out = _run_script("exclusion_survey.py", "--n-min", "4", "--n-max", "6")
-    assert out.returncode == 0, out.stderr
-    assert "one-heavy n=6" in out.stdout
-
-
-# SHA-256 of exclusion_survey.py --n-min 4 --n-max 8 stdout, the table of
-# 12 families, taken again from minimizer._mass_start; the script runs in a
-# fresh interpreter with warnings as errors
-EXCLUSION_SURVEY_DIGEST = "fc3366928def876061e9cb22195d211a0b64ee5d1764e259f2e0ef284bbdce81"
-
-
-def test_exclusion_survey_table_frozen():
-    out = _run_script("exclusion_survey.py", "--n-min", "4", "--n-max", "8")
-    assert out.returncode == 0, out.stderr
-    assert hashlib.sha256(out.stdout.encode()).hexdigest() == EXCLUSION_SURVEY_DIGEST
 
 
 @pytest.mark.parametrize("args, error", [
@@ -141,7 +95,7 @@ def test_exclusion_survey_table_frozen():
     (["--heavy", "-1"], "masses must be positive and finite"),
 ])
 def test_exclusion_survey_input_error_exits_two(args, error):
-    out = _run_script("exclusion_survey.py", *args)
+    out = run_python(SURVEY, *args)
     assert (out.returncode, out.stdout, out.stderr) == (2, "", f"error: {error}\n")
 
 
@@ -153,7 +107,7 @@ def test_exclusion_survey_input_error_exits_two(args, error):
 ])
 def test_exclusion_survey_solver_error_exits_with_cli_code(heavy, code, error):
     # the table stops at the failing row with one error line, no traceback
-    out = _run_script("exclusion_survey.py", "--heavy", heavy)
+    out = run_python(SURVEY, "--heavy", heavy)
     assert (out.returncode, out.stderr) == (code, f"error: {error}\n")
     assert out.stdout.splitlines()[0].startswith("family")
 

@@ -33,7 +33,7 @@ from cocircular import (TAU, AngleConfiguration, AuxiliaryFunctional, Convergenc
                         exclusion_verdicts, grad_theta_f_k, minimize_f_k,
                         pair_weight_matrix, verify_cc)
 from conftest import (certify_masses, dirty_matrix, on_fresh_thread, ordered_angles,
-                      random_masses)
+                      patch_callers, random_masses)
 from oracle import hessian_bound, hessian_theta, mirror
 
 
@@ -281,26 +281,6 @@ def test_a_failed_solve_leaves_no_point(monkeypatch, exit_, scale, kwargs, messa
     assert _check(1.0, m, cfg) == on_fresh_thread(_check, 1.0, m, cfg)
 
 
-def _patch_callers(monkeypatch, owner, name, record):
-    """Pass every call of the kernel ``owner.name`` through ``record`` first.
-
-    Every package module that holds the kernel by name is patched, on
-    every thread; the arguments pass through. Returns those modules.
-    """
-    kernel = getattr(owner, name)
-
-    def recording(*args):
-        record(*args)
-        return kernel(*args)
-
-    callers = [module for module_name, module in list(sys.modules.items())
-               if module_name.split(".")[0] == "cocircular"
-               and getattr(module, name, None) is kernel]
-    for module in callers:
-        monkeypatch.setattr(module, name, recording)
-    return set(callers)
-
-
 @pytest.fixture
 def counted(monkeypatch):
     """Count chord builds, by n, and ``np.sin`` calls, on every thread.
@@ -315,7 +295,7 @@ def counted(monkeypatch):
         return sin(*args, **kwargs)
 
     # the one chord builder, _chords_at(ws, t)
-    callers = _patch_callers(monkeypatch, potential, "_chords_at",
+    callers = patch_callers(monkeypatch, potential, "_chords_at",
                              lambda ws, t: builds.append(t.size))
     assert {minimizer, potential} <= callers
     monkeypatch.setattr(np, "sin", counting_sin)
@@ -330,7 +310,7 @@ def test_exclusion_builds_only_the_chords_of_its_solve(monkeypatch, n, alpha):
     # verify_cc runs too, and W and that check read the solve's last frame
     aux, m = AuxiliaryFunctional(alpha), MassVector(certify_masses("one-heavy", n))
     differences = []
-    callers = _patch_callers(monkeypatch, geometry, "_chords",
+    callers = patch_callers(monkeypatch, geometry, "_chords",
                              lambda du, out=None: differences.append(du.tobytes()))
     assert geometry in callers
     minimize_f_k(aux, m)
