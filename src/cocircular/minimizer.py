@@ -8,10 +8,15 @@ converges to the unique minimizer.
 The reduced Hessian is a reduced weighted graph Laplacian (off-diagonal
 entries <= 0, full rows summing to 0; see ``potential``), so it is
 positive definite at every iterate in exact arithmetic and the loop takes
-the Newton step alone. A singular LU or a step that does not descend is
-rounding, and raises ``ConvergenceFailure`` with the last iterate, as a
-failed final Cholesky check does, unless the Hessian overflowed: that is
-the input's typed error, as an overflowed f or gradient is.
+the Newton step alone. Each point makes one LAPACK call on it, in place
+(``_cholesky``): a Cholesky solve for the step, or the final check's
+Cholesky factorization. A failed factorization or a step that does not
+descend is rounding, and raises ``ConvergenceFailure`` with the last
+iterate, unless the Hessian overflowed: that is the input's typed error,
+as an overflowed f or gradient is. With numpy's bundled OpenBLAS the
+call runs on one OpenBLAS thread, set and restored under a module lock,
+so theta_m's bits do not depend on the thread count; with another
+LAPACK, np.linalg solves and factors copies, and the bits follow it.
 
 The Hessian only steers the step (``potential._hessian_theta`` bounds
 its entries). The stop leaves theta_m up to about grad_tol·|f| over the
@@ -37,8 +42,11 @@ on the same thread builds no chords.
 
 from __future__ import annotations
 
+import ctypes
 import math
+import threading
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -160,16 +168,9 @@ def minimize_f_k(aux: AuxiliaryFunctional, masses: MassVector,
             gnorm = _norm(gr)
             _check_finite(aux.alpha, (fx, gnorm), r_a2)
             h = _hessian_theta(aux, ws)
-            # h is symmetric bit for bit, and the regularization only shifts
-            # its diagonal, so LAPACK takes hr.T, the same matrix, whose
-            # Fortran-order copy reads h's rows contiguously
-            hr = h[:-1, :-1]
             if gnorm <= grad_tol * abs(fx):
-                try:
-                    np.linalg.cholesky(hr.T)
-                except np.linalg.LinAlgError:
-                    raise failure("reduced Hessian is not positive definite "
-                                  "at the candidate") from None
+                if not _cholesky(h):
+                    raise failure("reduced Hessian is not positive definite at the candidate")
                 # the gradient and the Hessian left x's frame in place
                 ws.key = x.tobytes(), aux.alpha
                 return _result(x, fx, gnorm, iteration, True)
@@ -177,21 +178,19 @@ def minimize_f_k(aux: AuxiliaryFunctional, masses: MassVector,
                 break
             # the next mirror zeroes the diagonal, so the regularization goes
             # in place, through a strided view of h's C-contiguous buffer
+            hr = h[:-1, :-1]
             reg = _DIAG_REG * float(hr.trace()) / n
             if math.isinf(reg):  # finite entries whose sum passes a double
                 reg = _DIAG_REG * float(np.add.reduce(hr.diagonal() * 2.0 ** -64)) / n * 2.0 ** 64
             h.reshape(-1)[:-1:n + 1] += reg
-            try:
-                step = np.linalg.solve(hr.T, -gr)
-                slope = float(gr @ step)
-            except np.linalg.LinAlgError:
-                slope = math.nan
+            step = np.negative(gr, out=d[:-1])
+            slope = float(gr @ step) if _cholesky(h, d) else math.nan
             if not slope < 0.0:  # no step, or one that does not descend
-                # an overflowed Hessian is the input's error, not rounding
-                if not np.isfinite(hr).all():
+                # an overflowed Hessian is the input's error, not rounding;
+                # the factorization may have overwritten h, so it is rebuilt
+                if not np.isfinite(_hessian_theta(aux, ws)[:-1, :-1]).all():
                     _check_finite(aux.alpha, (math.inf,), r_a2)
                 raise failure(f"reduced Hessian is not positive definite at iteration {iteration}")
-            d[:-1] = step
             # largest t keeping every gap positive: the first angle against 0,
             # then consecutive gaps, the last against the pinned 2*pi
             dgaps = d[1:] - d[:-1]
@@ -223,6 +222,82 @@ def minimize_f_k(aux: AuxiliaryFunctional, masses: MassVector,
                 raise failure("line search stalled")
             x, gaps, fx = xt, gaps_t, ft
         raise failure(f"no convergence within {_MAX_ITER} Newton steps")
+
+
+class _OpenBLAS(NamedTuple):
+    """The ILP64 routines of the OpenBLAS bundled with numpy that ``_cholesky`` calls."""
+
+    posv: object
+    potrf: object
+    get_threads: object
+    set_threads: object
+
+
+def _openblas() -> _OpenBLAS | None:
+    """dposv, dpotrf and the thread count's getter and setter of the OpenBLAS
+    numpy's linalg links, or None where it links another LAPACK."""
+    try:
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+        blas = _OpenBLAS(*(getattr(lib, name) for name in (
+            "scipy_dposv_64_", "scipy_dpotrf_64_", "scipy_openblas_get_num_threads64_",
+            "scipy_openblas_set_num_threads64_")))
+    except (AttributeError, OSError):
+        return None
+    # Fortran takes every argument by reference, integers as 64-bit, and
+    # UPLO's length as a trailing hidden argument
+    i64 = ctypes.POINTER(ctypes.c_int64)
+    blas.posv.argtypes = [ctypes.c_char_p, i64, i64, ctypes.c_void_p, i64, ctypes.c_void_p,
+                          i64, i64, ctypes.c_size_t]
+    blas.potrf.argtypes = [ctypes.c_char_p, i64, ctypes.c_void_p, i64, i64, ctypes.c_size_t]
+    blas.posv.restype = blas.potrf.restype = None
+    blas.get_threads.argtypes, blas.get_threads.restype = [], ctypes.c_int
+    blas.set_threads.argtypes, blas.set_threads.restype = [ctypes.c_int], None
+    return blas
+
+
+_LAPACK = _openblas()
+_ONE = ctypes.c_int64(1)
+# the OpenBLAS thread count is process-wide: held from set to restore
+_LOCK = threading.Lock()
+
+
+def _cholesky(h: np.ndarray, b: np.ndarray | None = None) -> bool:
+    """Whether the reduced Hessian, h's leading n - 1 block, factors as L L^T.
+
+    Given b, the step's buffer of length n, b's first n - 1 entries become
+    that block's solution for themselves. With ``_LAPACK`` this is one
+    in-place call, dposv with b and dpotrf without, UPLO 'L' and N = n - 1
+    on h's own buffer at lda = n: h is C-ordered and symmetric bit for
+    bit, so the Fortran lower triangle it reads is h's upper one, the same
+    matrix, and h is left holding the factor. The call runs on one
+    OpenBLAS thread and the count is restored after it. Without
+    ``_LAPACK``, np.linalg solves or factors a copy of the transposed
+    view, the same matrix, whose Fortran-order copy reads h's rows
+    contiguously, and h is left as it was.
+    """
+    if _LAPACK is None:
+        hr = h[:-1, :-1]
+        try:
+            if b is None:
+                np.linalg.cholesky(hr.T)
+            else:
+                b[:-1] = np.linalg.solve(hr.T, b[:-1])
+        except np.linalg.LinAlgError:
+            return False
+        return True
+    n = h.shape[0]
+    size, lda, info = ctypes.c_int64(n - 1), ctypes.c_int64(n), ctypes.c_int64()
+    with _LOCK:
+        threads = _LAPACK.get_threads()
+        _LAPACK.set_threads(1)
+        try:
+            if b is None:
+                _LAPACK.potrf(b"L", size, h.ctypes.data, lda, info, 1)
+            else:
+                _LAPACK.posv(b"L", size, _ONE, h.ctypes.data, lda, b.ctypes.data, size, info, 1)
+        finally:
+            _LAPACK.set_threads(threads)
+    return info.value == 0
 
 
 def _mass_start(m: np.ndarray, alpha: float) -> AngleConfiguration:

@@ -1,3 +1,4 @@
+import ctypes
 import os
 import subprocess
 import sys
@@ -62,6 +63,11 @@ def on_fresh_thread(call, *args):
     thread.join(timeout=120)
     assert out, "the call on the fresh thread raised or did not finish"
     return out[0]
+
+
+def lapack_array(address, size):
+    """The ``size`` doubles at a LAPACK argument's ``address``, as an array over that memory."""
+    return np.ctypeslib.as_array((ctypes.c_double * size).from_address(address))
 
 
 def run_python(*args, stdin=None, cwd=None):

@@ -20,8 +20,10 @@ name, or one whose steps read the same input); run ``test_frozen_output``
 for the digest its failure prints, and ``PYTHONPATH=src:tests python
 tests/test_meaning.py``, which appends each record the table names and the
 file lacks. A change that moves an output's bytes edits that entry's digest
-and says why in CHANGES.md. The entries at n = 256 hold for OpenBLAS 0.3.31
-on two threads, as CI pins it: LAPACK's LU rounds differently on one thread.
+and says why in CHANGES.md. The solves' entries hold for numpy's bundled
+OpenBLAS (0.3.31), at any thread count, as the Newton loop runs its
+LAPACK calls on one thread; another LAPACK may round their last bits
+differently.
 
 The five literals below are compared byte for byte; an entry that pins one
 of them takes its digest from the literal, and ``test_frozen_output``
@@ -202,67 +204,70 @@ SHIFT_FIXED = {3: [1, 2, 3] * 4, 4: [1, 2, 2, 1] * 6, 6: [1, 2, 3, 3, 2, 1] * 4}
 FROZEN = {
     # The benchmark's solve inputs, taken again, on two OpenBLAS threads,
     # when the default start became minimizer._mass_start and when the
-    # Newton step's Hessian took cos(du/2)**2 from the chord.
+    # Newton step's Hessian took cos(du/2)**2 from the chord, and again when
+    # the Newton step became LAPACK's Cholesky solve on one OpenBLAS thread
+    # (below, "the Cholesky step").
     "minimize-uniform-256-0.5": Frozen(
         _cli("minimize", "--input", "-", stdin=_uniform(0.5), record="uniform-256-0.5"),
-        "13d8577677ba2bc540b7f57f16fc8aa08355b3a9ce7777e08308b8cdce049268",
+        "a17134695f766a1e432923d7e06f4009bc6c8d660a9d11bd8942527375a80cb8",
         "a Newton solve at n = 256 whose radial powers take np.power"),
     "minimize-uniform-256-1": Frozen(
         _cli("minimize", "--input", "-", stdin=_uniform(1.0), record="uniform-256-1.0"),
-        "1ca6ec327d2e8c670773aa8523be1fdb2e5bf05831875971a51735fd6c1ecc1d",
+        "f393923acbf6e0ca3712e81ff85e0d664e0ed7f59259c9d9744ce996c51415a4",
         "a Newton solve at n = 256 on unequal masses"),
     "minimize-uniform-256-3": Frozen(
         _cli("minimize", "--input", "-", stdin=_uniform(3.0), record="uniform-256-3.0"),
-        "830180e1dd6b810845b4a4156163a56496091d702807f3f7f5ce60735322eb88",
+        "4a07889552efcdb1223e8b5c17a389a4f03b99beda00dbe48fe04cadf36f891d",
         "a Newton solve at n = 256 whose radial powers take a multiply chain"),
     "exclude-uniform-256-0.5": Frozen(
         _exclude(certify_masses("uniform", 256), "uniform-256", (0.5,)),
-        "9f126cec9a461cfa73b5226a7f16addfea0340c0e932fb894261c1d488b78d79",
+        "2401af2b1c446229b5d69256e32ab7819397f80dc44378d2d53068aee1563c45",
         "the group scan's 2n image rows at n = 256, where a gemv may split"),
     "exclude-uniform-256-1": Frozen(
         _exclude(certify_masses("uniform", 256), "uniform-256", (1.0,)),
-        "55d44804cdc1390d7cc32d1622edaa0a9b2a049bc37aae5ff307c79d29e0c9ec",
+        "d42ce5655cc7214b440a1855456af947c78e37a9b18d86313319bc6c97d75bf9",
         "W read off the frame the solve leaves, so exclude builds no chords",
         fresh=True),
     "exclude-uniform-256-3": Frozen(
         _exclude(certify_masses("uniform", 256), "uniform-256", (3.0,)),
-        "4d4815d1f97f819bd6a23a839665ec11eb33ee0f3e36cf9084c639ebd72bcd91",
+        "8599516a3bb0576a6951392c011907af3cb8b0bcae7ff111c7b5df7bc4365eeb",
         "the group scan's 2n image rows at n = 256 and alpha = 3"),
 
     # 255 unit masses and one of 300, first taken while the group scan ran
     # one gemv per distinct image in a Python loop, again from
-    # minimizer._mass_start and again with the Hessian from the chord.
+    # minimizer._mass_start, with the Hessian from the chord and with the
+    # Cholesky step.
     "exclude-one-heavy-256-0.5": Frozen(
         _one_heavy_256(0.5),
-        "09fa71d1b752bf6f8dd3dd4e33a6bf11dbc88382ef0cdd00a34855bae09f5c5c",
+        "ae7359aaaaf20cd8257aa17f88c11eace7762a28dbff8966382bf418419c6575",
         "the group scan's repeated images at n = 256"),
     "exclude-one-heavy-256-1": Frozen(
         _one_heavy_256(1.0),
-        "fc989aebb6990ef40b42c83541a57f26dad1111deaeae10e18f28e99224260c4",
+        "a132443e0ca1cee98a2e225671177f276516ce1ceba3d3ffdbd2ac70f3eea822",
         "the swap check's verify_cc on the solve's frame at n = 256",
         fresh=True),
     "exclude-one-heavy-256-3": Frozen(
         _one_heavy_256(3.0),
-        "e9561da47a27cf04677a85208b047ca85e1fd933379679e8e8faa1067e1fc6c3",
+        "126ac48dcbfbe9fefc00b793c7c51c1a85d75bb084ae730515722e4361160de8",
         "the group scan's repeated images at n = 256 and alpha = 3"),
 
     # verify on the n = 256 minimize output, first taken while the mirror
-    # wrote through a mask, again from minimizer._mass_start and again with
-    # the Hessian from the chord. In process verify reads the minimizer's
+    # wrote through a mask, again from minimizer._mass_start, with the
+    # Hessian from the chord and with the Cholesky step. In process verify reads the minimizer's
     # frame; in a fresh process it builds its own chords.
     "verify-uniform-256-0.5": Frozen(
         _minimize_verify(_uniform(0.5), "uniform-256-0.5"),
-        "6a7177dce6e6f89395dd09b10cdc127d80a0e5eaeca9a7a41fc58de62330d416",
+        "33b38d6ae9645b1817f8544defc42a972b8900b3e98163192bf106fd4dde4d98",
         "verify's residuals at n = 256 where the radial powers take np.power",
         fresh=True),
     "verify-uniform-256-1": Frozen(
         _minimize_verify(_uniform(1.0), "uniform-256-1.0"),
-        "753f2e071bb4f93d1f995f4fd9cebe15b6953e4d8ba5818f2310b3655addcb2b",
+        "af523c2ce8daa317e79fcb99788e8a908ce4cc3be926ac05cf64d5cb74691753",
         "verify's residuals at n = 256, the JSON writer's report shape",
         fresh=True),
     "verify-uniform-256-3": Frozen(
         _minimize_verify(_uniform(3.0), "uniform-256-3.0"),
-        "5d80d2011824815b077a9734d836dca3d090ef011b0a089d43e95cf9d7e15720",
+        "c00c884867a080c9f2c3e0967a62041c349c331016a09638cb5ae8e383d764ba",
         "verify's residuals at n = 256 where the radial powers multiply",
         fresh=True),
     "verify-equal-6": Frozen(
@@ -274,7 +279,7 @@ FROZEN = {
     # Taken while every value was still written by a recursive walk with
     # one json.dumps per dict key; exclude-112 and the --output file again
     # from minimizer._mass_start, and the file again with the Hessian from
-    # the chord.
+    # the chord and with the Cholesky step.
     "exclude-112": Frozen(
         _cli("exclude", "--input", "-", stdin=_payload(1.0, [1.0, 1.0, 2.0]), record="112"),
         "4d5d9bac6ecfe8e81c32de82526b0a0b994a3e7c9f28f7d369cbe22c8efd11b1",
@@ -298,14 +303,15 @@ FROZEN = {
     "minimize-uniform-64-0.5-output": Frozen(
         _cli("minimize", "--input", "-", "--output", "result.json",
              stdin=_uniform(0.5, 64), record="uniform-64-0.5"),
-        "23216f94ef1037f208f2bd72087117496a189f9e9107d04020fa524c61dfefe6",
+        "ae1c0d8493bf6d29fb663fb821c4281e056dcbf9a7e2f07a2ae6a1b75fba6b04",
         "the file minimize --output writes"),
 
     # Taken while the group scan still found repeated images by hashing the
-    # rows, and again with the Hessian from the chord.
+    # rows, and again with the Hessian from the chord and with the Cholesky
+    # step.
     "exclude-shift-fixed": Frozen(
         sum((_exclude(m, f"shift-{s}") for s, m in SHIFT_FIXED.items()), ()),
-        "beb5bfda9267861154f4d502e3c107e3679cce82cda3c406d0b601d017e5f663",
+        "2c2b3371930fb6a26fd1afecc62178305e9c8eaaa023d681ac9cef4f30c85ad4",
         "the group scan takes one row per coset of the masses' stabilizer",
         fresh=True),
 
@@ -393,8 +399,9 @@ FROZEN = {
 # exclude at alpha = 0.5, 1 and 3 in turn on the certify benchmark's inputs,
 # first taken while every line-search trial still built a validated
 # AngleConfiguration and the scans tested and labelled one image row at a
-# time, again from minimizer._mass_start and again with the Hessian from the
-# chord (all but two-heavy 26, graded 9 and uniform 9 moved). At n = 40 only
+# time, again from minimizer._mass_start, with the Hessian from the chord
+# (all but two-heavy 26, graded 9 and uniform 9 moved) and with the Cholesky
+# step (all but one-heavy 9, two-heavy 13 and two-heavy 40). At n = 40 only
 # the identity fixes the uniform masses, so the group scan takes all 2n image
 # rows, and a reflection fixes the one-heavy ones, so it takes one row per
 # shift: those two run in fresh processes too.
@@ -405,21 +412,21 @@ FROZEN.update({
         fresh=n == 40 and family in ("one-heavy", "uniform"))
     for (family, n), digest in {
         ("one-heavy", 9): "7bc3b17daaa8e15cabb2c0dfaf7f6017728b04432c633fb8e89387824eb50066",
-        ("one-heavy", 13): "ee908e86bdd005a5c48c190a70caec4a580b2de5a11ffa61552b1227aec992c8",
-        ("one-heavy", 26): "ab263e2e1c3e928568f08596a7509e529cd608e09f17b6c613ebce84c6fbbbe3",
-        ("one-heavy", 40): "8e9f3b116987d402f47ee398eb8583e1bcd1f094193b9c955b5a553258d09fc4",
-        ("two-heavy", 9): "8f7bdd55fa47eefe7cc4b5f4b8b80aaa22ec2520285f9c6c89236579be42460f",
+        ("one-heavy", 13): "3146f4dc00f7f5b952c6a2c0fe137154b86bdcca787e92f588ff816047100a2f",
+        ("one-heavy", 26): "d607ff8c6cbc7c382232fc89ce9ec6337ba6d3c8a9b7fc6468a7dd96aa0c2b87",
+        ("one-heavy", 40): "ae61de54fb31681aa1f7198a9cb1092dbf62e594c8d29aa020eabb7cfd7ca26d",
+        ("two-heavy", 9): "d8d2a0076f9bf0dd2fa06a71623523d95aee64e235e459edc3449ca9f060fb58",
         ("two-heavy", 13): "46b4f5dd77a9751d2f5fe548b81c5911102854d63541f0ac39a610f2477d971a",
-        ("two-heavy", 26): "7da761a87e01c0ed746097e17e40c33eb4df71d56c892f416fff7e092a3b6631",
+        ("two-heavy", 26): "0671df81b1a282d458a18caad534f0658f9ab4b2326415885c025c29e52ae595",
         ("two-heavy", 40): "ad859088467fa8aac44a54abe4e906aed37846df0250f7b93294897632138ded",
-        ("graded", 9): "137c5bbda9216304b41c4a9af0d220ae470a9336a0c2a1e12b64dcd02ab71419",
-        ("graded", 13): "72013f0d327d1547978728091a60f7aeab90e6fbbd04cc87ba36bd7c0b169ab5",
-        ("graded", 26): "9c93cae842a0a7d1a4673258337ff40dc1ce24d65da502fa13df194f7a4efe8b",
-        ("graded", 40): "13d6972596d15ccb413ca4328a560d8b9820b12c00b00d32727188a7009255b1",
-        ("uniform", 9): "8b03aa8a168c4ae68c8af5cc20e2d7921043783a20299d681340eb408e0452ca",
-        ("uniform", 13): "ba5b4c9ca71c09a4779f4d2646848b723236f4907b0e5388cd249cbe2891ab77",
-        ("uniform", 26): "08b0bb8630947ac0073d7160fe16d02f260c071f97f55ca46c4e76e4b7a94c7f",
-        ("uniform", 40): "3641415269ba79f0d9c5c769a19625de9189c6b28fedabb378b6ccdbddf73eed",
+        ("graded", 9): "f5955ebd303fd6e68f461db33ca47d192979c790e7f25eb36937cdbc6442c566",
+        ("graded", 13): "a886361d6bafb6b8ab26d5ed4301e2a19492a14b4d473a30b7f0568446b327b4",
+        ("graded", 26): "3c732bbd8ed6c39e92de9bd8e655cc042bee86638c0e69927abebe7638ae23e6",
+        ("graded", 40): "3c8f1a1be84328773019dd01961d89c5238ef87d0eb3510e91dc4b430e01ebd2",
+        ("uniform", 9): "6f3f3f7ed3f46a162b08270a3bbf7cf7995d528b1f6572f8e74e5d043896eef2",
+        ("uniform", 13): "70cdbf969235dae04adf0e1048b613c1a07f2639be63065929c2399ce9e8562f",
+        ("uniform", 26): "f078a34d92d2f069fc9251bce5fa362e658298a3e02f7194564884df88d222b9",
+        ("uniform", 40): "e480e49b84235e6363d0881487a6bb0e1046d8c19bd202eaeba1023c1ac3205b",
     }.items()})
 
 # Taken again when the spectrum became one real FFT of W's first row, with

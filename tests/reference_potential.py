@@ -18,6 +18,7 @@ of exact arguments, and the tests hold the package within
 ``spectrum_bound``, the bound its docstring derives.
 """
 
+import ctypes
 import math
 from dataclasses import dataclass
 
@@ -36,6 +37,7 @@ from cocircular import (
     center_of_mass,
     condition_threshold,
 )
+from cocircular import minimizer
 from cocircular.geometry import COLLISION_TOL
 from cocircular.minimizer import _ARMIJO, _BOUNDARY_FRACTION, _DIAG_REG, _SHRINK, _W_FLOOR
 from oracle import angles_from_reduced
@@ -196,13 +198,47 @@ def mass_start(aux, masses):
     return AngleConfiguration(t)
 
 
+def cholesky(a, b=None):
+    """Whether the symmetric a factors as L L^T; b, if given, solved in a in place.
+
+    As the package's loop does, LAPACK's dpotrf, or dposv with b, runs on
+    one OpenBLAS thread where numpy bundles OpenBLAS, and np.linalg's
+    Cholesky or solve elsewhere. Here LAPACK reads a C-ordered copy of a
+    with lda = N, where the package reads its n x n Hessian's leading
+    block in place at lda = n.
+    """
+    lapack = minimizer._LAPACK
+    if lapack is None:
+        try:
+            if b is None:
+                np.linalg.cholesky(a)
+            else:
+                b[:] = np.linalg.solve(a, b)
+        except np.linalg.LinAlgError:
+            return False
+        return True
+    a = np.array(a, order="C")
+    size, info = ctypes.c_int64(len(a)), ctypes.c_int64()
+    threads = lapack.get_threads()
+    lapack.set_threads(1)
+    try:
+        if b is None:
+            lapack.potrf(b"L", size, a.ctypes.data, size, info, 1)
+        else:
+            lapack.posv(b"L", size, ctypes.c_int64(1), a.ctypes.data, size, b.ctypes.data,
+                        size, info, 1)
+    finally:
+        lapack.set_threads(threads)
+    return info.value == 0
+
+
 def minimize(aux, masses, grad_tol=1e-11, max_iter=200):
     """Damped Newton from the default start.
 
     Returns (angles, f, grad_norm, iterations). A ConvergenceFailure after
-    max_iter steps, a singular LU, a step that does not descend or a
-    stalled line search carries that tuple of the last accepted iterate
-    as its result, as the package's loop does.
+    max_iter steps, a failed factorization, a step that does not descend
+    or a stalled line search carries that tuple of the last accepted
+    iterate as its result, as the package's loop does.
     """
     n = masses.n
     if n == 2:
@@ -221,11 +257,8 @@ def minimize(aux, masses, grad_tol=1e-11, max_iter=200):
             scale = float(np.abs(gr).max())
             gnorm = scale * float(np.linalg.norm(gr / scale))
         if gnorm <= grad_tol * abs(fx):
-            hr = hessian_theta_f_k(aux, masses, cfg)[:-1, :-1]
-            try:
-                np.linalg.cholesky(hr)
-            except np.linalg.LinAlgError:
-                raise ConvergenceFailure("reduced Hessian is not positive definite") from None
+            if not cholesky(hessian_theta_f_k(aux, masses, cfg)[:-1, :-1]):
+                raise ConvergenceFailure("reduced Hessian is not positive definite")
             return cfg.angles, fx, gnorm, iteration
         if iteration == max_iter:
             break
@@ -234,11 +267,8 @@ def minimize(aux, masses, grad_tol=1e-11, max_iter=200):
             reg = _DIAG_REG * float(np.trace(hr)) / n
         if np.isinf(reg):  # the trace passes a double: sum it scaled by 2**-64
             reg = _DIAG_REG * float(np.add.reduce(np.diagonal(hr) * 2.0 ** -64)) / n * 2.0 ** 64
-        try:
-            step = np.linalg.solve(hr + reg * np.eye(n - 1), -gr)
-            slope = float(gr @ step)
-        except np.linalg.LinAlgError:
-            slope = np.nan
+        step = -gr
+        slope = float(gr @ step) if cholesky(hr + reg * np.eye(n - 1), step) else np.nan
         if not slope < 0.0:  # no step, or one that does not descend
             raise ConvergenceFailure(
                 f"reduced Hessian is not positive definite at iteration {iteration}",

@@ -15,8 +15,8 @@ each output and compares what it says with the record:
   residuals, which follow the minimizer's last bits.
 
 Each printed margin is also recomputed from ``pair_weight_matrix`` at the
-printed theta_m. The bounds are loose enough for the thread count of
-OpenBLAS, which moves the last bits at n = 256, and tight enough that a
+printed theta_m. The bounds are loose enough for another factorization of
+the Newton step, which moves the last bits, and tight enough that a
 minimizer moved past the solve's stopping test fails them. The survey
 script's table, replayed in process from its entry, is checked against
 the record's rows the same way.
@@ -30,7 +30,8 @@ above. These need no record.
 
 The record holds the outputs as they were while the Newton loop started at
 the regular n-gon, and the ``shift-*`` ones as they were first taken, from
-the mass-aware start, all on two OpenBLAS threads. To check a new step,
+the mass-aware start, all on two OpenBLAS threads while the Newton step was
+an LU solve. To check a new step,
 name its record in the table and run ``PYTHONPATH=src:tests python
 tests/test_meaning.py``: it appends each record the table names and the
 file lacks, from this package's outputs, and leaves every byte already
@@ -111,6 +112,10 @@ WITNESS_MOVES = {
     ("two-heavy n=5", "survey"): ("cyc(h=1)", "cyc(h=4)"),
     ("one-heavy n=7", "survey"): ("cyc(h=6)", "cyc(h=1)"),
     ("one-heavy n=8", "survey"): ("cyc(h=1)", "cyc(h=7)"),
+    # moved when the Newton step became LAPACK's Cholesky solve on one
+    # OpenBLAS thread, in place of its LU
+    ("two-heavy-9-3.0", "swap"): ([5, 8], [2, 5]),
+    ("two-heavy-26-1.0", "group"): (1, 25),
 }
 
 

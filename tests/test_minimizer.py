@@ -23,7 +23,7 @@ from cocircular import (
     regular_ngon,
 )
 from cocircular.geometry import COLLISION_TOL
-from conftest import certify_masses, ordered_angles, random_masses
+from conftest import certify_masses, lapack_array, ordered_angles, random_masses
 from oracle import angles_from_reduced, reduced_coordinates
 from reference_potential import f_k_value, hessian_theta_f_k
 
@@ -215,6 +215,24 @@ def _singular(a, b):
     raise np.linalg.LinAlgError("Singular matrix")
 
 
+def _posv(solve):
+    """A dposv that writes solve(a, b) over its right-hand side, or reports
+    a failed factorization where solve raises LinAlgError."""
+    def posv(uplo, size, nrhs, a, lda, b, ldb, info, length):
+        rhs = lapack_array(b, size.value)
+        try:
+            rhs[:] = solve(None, rhs.copy())
+        except np.linalg.LinAlgError:
+            info.value = 1
+    return posv
+
+
+def _paths(**routines):
+    """The ``_LAPACK`` handle of each path: LAPACK's, with ``routines`` in
+    place of its own, where numpy bundles OpenBLAS; then None, np.linalg's."""
+    return ([minimizer._LAPACK._replace(**routines)] if minimizer._LAPACK else []) + [None]
+
+
 @pytest.mark.parametrize("solve", [
     _singular,
     lambda a, b: -b,  # the step +g climbs
@@ -222,17 +240,105 @@ def _singular(a, b):
 ], ids=["singular", "ascent", "nan"])
 def test_failed_newton_step_is_a_convergence_failure(monkeypatch, solve):
     # the reduced Hessian is positive definite in exact arithmetic, so a
-    # singular LU or a step that does not descend has no gradient-step
-    # fallback: the solve stops with the iterate it had, here its start
+    # failed factorization or a step that does not descend has no
+    # gradient-step fallback: the solve stops with the iterate it had, here
+    # its start, on either path
     monkeypatch.setattr(np.linalg, "solve", solve)
     masses = MassVector(np.array([1.0, 2.0, 5.0, 3.0, 1.0, 4.0]))
-    with pytest.raises(ConvergenceFailure,
-                       match="reduced Hessian is not positive definite at iteration 0"
-                       ) as exc:
-        minimize_f_k(AuxiliaryFunctional(1.0), masses, regular_ngon(6))
-    result = exc.value.result
-    assert (result.converged, result.iterations) == (False, 0)
-    assert result.theta_m.angles.tobytes() == regular_ngon(6).angles.tobytes()
+    for lapack in _paths(posv=_posv(solve)):
+        monkeypatch.setattr(minimizer, "_LAPACK", lapack)
+        with pytest.raises(ConvergenceFailure,
+                           match="reduced Hessian is not positive definite at iteration 0"
+                           ) as exc:
+            minimize_f_k(AuxiliaryFunctional(1.0), masses, regular_ngon(6))
+        result = exc.value.result
+        assert (result.converged, result.iterations) == (False, 0)
+        assert result.theta_m.angles.tobytes() == regular_ngon(6).angles.tobytes()
+
+
+def test_failed_final_check_is_a_convergence_failure(monkeypatch):
+    # a Cholesky that fails at the candidate, on either path; at the square
+    # the equal masses' gradient is zero, so the check comes first
+    def fail(*args):
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+    monkeypatch.setattr(np.linalg, "cholesky", fail)
+    for lapack in _paths(potrf=lambda uplo, size, a, lda, info, length: setattr(info, "value", 1)):
+        monkeypatch.setattr(minimizer, "_LAPACK", lapack)
+        with pytest.raises(ConvergenceFailure,
+                           match="reduced Hessian is not positive definite at the candidate"):
+            minimize_f_k(AuxiliaryFunctional(1.0), MassVector(np.ones(4)))
+
+
+# the certify families at every n of the certify benchmark and the masses of
+# the n = 256 entries of tests/frozen_outputs.py, each at alpha 0.5, 1 and 3
+PROBLEMS = [(alpha, certify_masses(family, n)) for family in ("uniform", "graded", "one-heavy",
+                                                              "two-heavy")
+            for n in range(8, 41) for alpha in (0.5, 1.0, 3.0)] + [
+    (alpha, m) for m in (np.random.default_rng(256).uniform(0.5, 2.0, 256),
+                         np.array([1.0] * 255 + [300.0])) for alpha in (0.5, 1.0, 3.0)]
+
+
+def test_numpy_path_converges_where_lapack_does(monkeypatch):
+    # with the LAPACK handle absent, as where numpy links another LAPACK,
+    # np.linalg solves and factors; each solve converges to a gradient
+    # within grad_tol |f|, within the stop's reach of the default path's
+    default = [minimize_f_k(AuxiliaryFunctional(alpha), MassVector(m)) for alpha, m in PROBLEMS]
+    monkeypatch.setattr(minimizer, "_LAPACK", None)
+    for (alpha, m), then in zip(PROBLEMS, default):
+        aux, masses = AuxiliaryFunctional(alpha), MassVector(m)
+        res = minimize_f_k(aux, masses)
+        assert res.converged and then.converged
+        gradient = grad_theta_f_k(aux, masses, res.theta_m)[:-1]
+        assert res.grad_norm == minimizer._norm(gradient) <= 1e-11 * abs(res.f_value)
+        assert np.abs(res.theta_m.angles - then.theta_m.angles).max() <= 1e-8
+
+
+def test_numpy_path_certifies_what_lapack_does(monkeypatch):
+    def certificates(alpha, m):
+        verdicts = exclusion_verdicts(AuxiliaryFunctional(alpha), MassVector(m))
+        return [(v.excluded, v.inconsistent, [g for g, _ in v.certificates]) for v in verdicts]
+
+    default = [certificates(alpha, m) for alpha, m in PROBLEMS]
+    monkeypatch.setattr(minimizer, "_LAPACK", None)
+    assert [certificates(alpha, m) for alpha, m in PROBLEMS] == default
+
+
+@pytest.mark.skipif(minimizer._LAPACK is None, reason="numpy bundles no OpenBLAS")
+@pytest.mark.parametrize("failure", [None, "step", "check", "raise"])
+def test_a_solve_restores_the_openblas_thread_count(monkeypatch, failure):
+    # each LAPACK call runs on one OpenBLAS thread, and the count the
+    # process had is back after the solve, whether it converged, failed a
+    # factorization or raised from inside the call
+    routines, counts = minimizer._LAPACK, []
+
+    def counted(call, fails):
+        def run(*args):
+            counts.append(routines.get_threads())
+            if failure == "raise":
+                raise RuntimeError("interrupted")
+            call(*args)
+            if fails:
+                args[-2].value = 1  # info: the factorization failed
+        return run
+
+    monkeypatch.setattr(minimizer, "_LAPACK", routines._replace(
+        posv=counted(routines.posv, failure == "step"),
+        potrf=counted(routines.potrf, failure == "check")))
+    threads = routines.get_threads()
+    # a count other than 1, whatever the process started with
+    routines.set_threads(threads + 1)
+    try:
+        masses = MassVector(np.random.default_rng(256).uniform(0.5, 2.0, 256))
+        if failure is None:
+            assert minimize_f_k(AuxiliaryFunctional(1.0), masses).converged
+        else:
+            with pytest.raises(RuntimeError if failure == "raise" else ConvergenceFailure):
+                minimize_f_k(AuxiliaryFunctional(1.0), masses)
+        assert routines.get_threads() == threads + 1
+    finally:
+        routines.set_threads(threads)
+    assert counts and set(counts) == {1}
 
 
 @pytest.mark.parametrize("grad_tol", [-1.0, float("nan")])

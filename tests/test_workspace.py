@@ -105,6 +105,30 @@ def test_concurrent_threads_match_serial_solves():
     assert results == serial
 
 
+def test_threads_solving_n_256_at_once_give_a_lone_solves_bytes(monkeypatch):
+    # the OpenBLAS thread count is process-wide: each LAPACK call must start
+    # and end on one thread while the other Python threads are mid-solve;
+    # three threads, so that they outnumber the cores of a small host
+    problems = [_problem(256, 1.0, 20), _problem(256, 3.0, 21), _problem(256, 0.5, 22)]
+    lone = [_solve(p) for p in problems]
+    counts = []
+    if minimizer._LAPACK:
+        routines = minimizer._LAPACK
+
+        def counted(call):
+            def run(*args):
+                counts.append(routines.get_threads())
+                call(*args)
+                counts.append(routines.get_threads())
+            return run
+
+        monkeypatch.setattr(minimizer, "_LAPACK", routines._replace(
+            posv=counted(routines.posv), potrf=counted(routines.potrf)))
+    for _ in range(2):
+        assert _concurrently([[(_solve, (p,))] for p in problems]) == [[key] for key in lone]
+    assert set(counts) <= {1}
+
+
 def test_changing_n_on_one_thread_matches_fresh_solves():
     problems = [_problem(64, 1.0, 6), _problem(256, 1.0, 7), _problem(64, 3.0, 8)]
     fresh = [on_fresh_thread(_solve, p) for p in problems]
@@ -396,11 +420,10 @@ def test_repeat_solve_allocates_no_chords():
         tracemalloc.stop()
     assert res.converged
     # The points' du and ru and the gathered angles live in the workspace,
-    # so the peak is the final Cholesky factor, (n - 1)^2 doubles, plus up
-    # to 64 n-vectors (angles, gaps, steps, gradients, row sums). LAPACK's
-    # copies for the linear solve are not numpy arrays. Chords built afresh
-    # would add n(n - 1) doubles.
-    assert peak < 8 * ((n - 1) ** 2 + 64 * n)
+    # and LAPACK factors the Hessian in place, so the peak is up to 64
+    # n-vectors (angles, gaps, steps, gradients, row sums). Chords built
+    # afresh would add n(n - 1) doubles, a Cholesky factor (n - 1)^2.
+    assert peak < 8 * 64 * n
 
 
 def test_solves_at_many_n_retain_one_workspace():
